@@ -148,14 +148,10 @@ def explore(
     step_bound: int,
     prune: bool = True,
     max_states: int | None = None,
-    workers: int = 1,
 ) -> Graph:
     """Breadth-first exploration of all configurations reachable within
     step_bound steps.  With pruning, configurations are identified by their
-    behavior-determining summary; without it the result is the raw tree.
-    With workers > 1, successor lists for each frontier batch are computed by
-    a thread pool; results are consumed in order, so the graph is identical
-    for any worker count."""
+    behavior-determining summary; without it the result is the raw tree."""
     if step_bound < 0:
         raise ValueError("explore: negative step bound")
     init = system.init()
@@ -166,45 +162,31 @@ def explore(
     edges: list[tuple[int, Label, int]] = []
     truncated = False
     queue = deque([0])
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-    while queue:
-        if pool is not None:
-            # warm the per-configuration successor caches for the whole
-            # frontier; steps() is idempotent, so this is a pure speedup
-            batch = [nodes[i] for i in queue if depths[i] < step_bound]
-            list(pool.map(system.steps, batch))
-        level = list(queue)
-        queue.clear()
-        for i in level:
-            if truncated or depths[i] >= step_bound:
-                continue
-            for label, c2 in system.steps(nodes[i]):
-                if prune:
-                    key = system.summary(c2)
-                    j = keys.get(key)
-                    if j is None:
-                        j = len(nodes)
-                        keys[key] = j
-                        nodes.append(c2)
-                        depths.append(depths[i] + 1)
-                        parents.append((i, c2.trace.head))
-                        queue.append(j)
-                else:
+    while queue and not truncated:
+        i = queue.popleft()
+        if depths[i] >= step_bound:
+            continue
+        for label, c2 in system.steps(nodes[i]):
+            if prune:
+                key = system.summary(c2)
+                j = keys.get(key)
+                if j is None:
                     j = len(nodes)
+                    keys[key] = j
                     nodes.append(c2)
                     depths.append(depths[i] + 1)
                     parents.append((i, c2.trace.head))
                     queue.append(j)
-                edges.append((i, label, j))
-                if max_states is not None and len(nodes) > max_states:
-                    truncated = True
-                    break
-    if pool is not None:
-        pool.shutdown()
+            else:
+                j = len(nodes)
+                nodes.append(c2)
+                depths.append(depths[i] + 1)
+                parents.append((i, c2.trace.head))
+                queue.append(j)
+            edges.append((i, label, j))
+            if max_states is not None and len(nodes) > max_states:
+                truncated = True
+                break
     return Graph(nodes, edges, depths, parents, truncated)
 
 
@@ -1195,12 +1177,11 @@ def check_strong_convergence(
     system,
     step_bound: int = 8,
     max_states: int | None = None,
-    workers: int = 1,
     prune: bool = True,
 ) -> Verdict:
     """On a history-augmented object: replicas with equal history components
     must report equal value components, at every reachable configuration."""
-    graph = explore(system, step_bound, prune=prune, max_states=max_states, workers=workers)
+    graph = explore(system, step_bound, prune=prune, max_states=max_states)
     bounds = {"step_bound": step_bound}
     stats = dict(graph.stats)
     probe = system.query_value(graph.nodes[0], system.roster[0], system.obj.queries[0])
@@ -1286,13 +1267,12 @@ def check_commutation(
     system,
     step_bound: int = 8,
     max_states: int | None = None,
-    workers: int = 1,
     prune: bool = True,
 ) -> Verdict:
     """Concurrent buffered messages commute at every explored configuration."""
     if system.kind != "op":
         raise ValueError("commutation sweep runs on an op-based system")
-    graph = explore(system, step_bound, prune=prune, max_states=max_states, workers=workers)
+    graph = explore(system, step_bound, prune=prune, max_states=max_states)
     bounds = {"step_bound": step_bound}
     report = check_concurrent_commutation(system.obj, graph.nodes)
     stats = dict(graph.stats)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -22,7 +21,10 @@ from . import checker, client
 from .checker import (
     BOUND_EXHAUSTED,
     COUNTEREXAMPLE,
+    GUEST_BY_HOST,
+    HOST_BY_GUEST,
     OP_TO_ST,
+    RELATION_SORTS,
     ST_TO_OP,
     PairedSystem,
     Verdict,
@@ -87,6 +89,82 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _known_keys(d: dict, allowed, where: str) -> None:
+    unknown = sorted(set(d) - set(allowed))
+    _require(not unknown, f"{where}: unknown keys {unknown}")
+
+
+def _bound(value: Any, what: str) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
+        f"{what} must be a non-negative integer, got {value!r}",
+    )
+    return value
+
+
+# Every key a scenario may carry is read, so any other key is a typo that
+# would otherwise silently fall back to a default.
+_SCENARIO_KEYS = (
+    "name", "roster", "object", "semantics", "emulate", "discipline",
+    "broadcast_mode", "broken_guest", "repeat_ops", "op_universe",
+    "query_universe", "bounds", "checks", "client",
+)
+# Keys each check entry may carry besides its name, as run_check reads them.
+_CHECK_KEYS: dict[str, frozenset[str]] = {
+    "sim": frozenset({"step_bound", "tau_budget", "relation", "direction"}),
+    "bisim": frozenset({"step_bound", "tau_budget"}),
+    "traces": frozenset({"step_bound", "max_trace_len"}),
+    "convergence": frozenset({"step_bound", "side"}),
+    "causal": frozenset({"step_bound"}),
+    "commutation": frozenset({"step_bound"}),
+    "approx": frozenset({"program", "client_bound"}),
+}
+_INT_KEYS = ("step_bound", "tau_budget", "max_trace_len", "client_bound")
+
+
+def _check_entry(c: Any, emulate: str | None, augment: bool) -> None:
+    """Reject a check entry that run_check would misread or fail on with
+    something other than a verdict."""
+    _require(
+        isinstance(c, dict) and isinstance(c.get("name"), str),
+        f"malformed check {c!r}",
+    )
+    name = c["name"]
+    _require(name in _CHECK_KEYS, f"unknown check {name!r}")
+    _known_keys(c, _CHECK_KEYS[name] | {"name"}, f"{name} check")
+    for k in _INT_KEYS:
+        if k in c and not (k == "tau_budget" and c[k] is None):
+            _bound(c[k], f"{name} check: {k}")
+    if name in ("sim", "traces", "approx"):
+        _require(emulate is not None, f"{name} check needs an emulate directive")
+    if name == "sim":
+        which = c.get("direction", HOST_BY_GUEST)
+        _require(
+            which in (HOST_BY_GUEST, GUEST_BY_HOST),
+            f"sim check: unknown direction {which!r}",
+        )
+        rel = c.get("relation")
+        if rel is not None:
+            _require(rel in RELATION_SORTS, f"sim check: unknown relation {rel!r}")
+            a_side, b_side, rel_emulate = RELATION_SORTS[rel]
+            _require(
+                rel_emulate == emulate,
+                f"sim check: relation {rel} needs emulate {rel_emulate!r}",
+            )
+            _require(
+                which == f"{a_side}-by-{b_side}",
+                f"sim check: relation {rel} checks the {a_side}-by-{b_side} direction",
+            )
+    if name == "bisim":
+        _require(emulate == OP_TO_ST, "bisim check needs op-to-st emulation")
+    if name == "convergence":
+        _require(
+            c.get("side", "both") in ("both", "host", "guest"),
+            f"convergence check: unknown side {c.get('side')!r}",
+        )
+        _require(augment, "convergence check needs a history-augmented object")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
@@ -96,6 +174,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "scenario must be a JSON object")
+    _known_keys(data, _SCENARIO_KEYS, "scenario")
 
     roster = tuple(data.get("roster", ()))
     _require(len(roster) > 0, "roster must be non-empty")
@@ -103,6 +182,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     obj = data.get("object", {})
     _require(isinstance(obj, dict) and "name" in obj, "object.name is required")
+    _known_keys(obj, ("name", "augment"), "object")
     object_name = obj["name"]
     _require(
         object_name in ("gset-op", "gset-st", "gcounter-st"),
@@ -141,25 +221,31 @@ def load_scenario(path: str | Path) -> Scenario:
     _require(query_universe == ("sum",), "only the sum query is available")
 
     b = data.get("bounds", {})
+    _require(isinstance(b, dict), "bounds must be a JSON object")
+    _known_keys(b, _INT_KEYS, "bounds")
     bounds = Bounds(
-        step_bound=int(b.get("step_bound", 8)),
-        max_trace_len=int(b.get("max_trace_len", 3)),
-        tau_budget=(int(b["tau_budget"]) if b.get("tau_budget") is not None else None),
-        client_bound=int(b.get("client_bound", 16)),
+        step_bound=_bound(b.get("step_bound", 8), "bounds.step_bound"),
+        max_trace_len=_bound(b.get("max_trace_len", 3), "bounds.max_trace_len"),
+        tau_budget=(
+            _bound(b["tau_budget"], "bounds.tau_budget")
+            if b.get("tau_budget") is not None else None
+        ),
+        client_bound=_bound(b.get("client_bound", 16), "bounds.client_bound"),
     )
-    _require(bounds.step_bound >= 0, "step_bound must be non-negative")
-    _require(bounds.max_trace_len >= 0, "max_trace_len must be non-negative")
 
+    augment = obj.get("augment", False)
     checks = tuple(data.get("checks", ()))
     for c in checks:
-        _require(isinstance(c, dict) and "name" in c, f"malformed check {c!r}")
+        _check_entry(c, emulate, augment)
 
     client_cfg = data.get("client", {}) or {}
+    _require(isinstance(client_cfg, dict), "client must be a JSON object")
+    _known_keys(client_cfg, ("program", "store"), "client")
     return Scenario(
         name=data.get("name", path.stem),
         roster=roster,
         object_name=object_name,
-        augment=bool(obj.get("augment", False)),
+        augment=bool(augment),
         emulate=emulate,
         discipline=discipline,
         broadcast_mode=mode,
@@ -170,7 +256,10 @@ def load_scenario(path: str | Path) -> Scenario:
         bounds=bounds,
         checks=checks,
         client_program=client_cfg.get("program"),
-        client_store={str(k): int(v) for k, v in (client_cfg.get("store") or {}).items()},
+        client_store={
+            str(k): _bound(v, f"client.store.{k}")
+            for k, v in (client_cfg.get("store") or {}).items()
+        },
         base_dir=path.parent,
     )
 
@@ -278,15 +367,13 @@ def run_check(
     entry: dict,
     host,
     paired: PairedSystem | None,
-    workers: int = 1,
     prune: bool = True,
 ) -> list[tuple[dict, Verdict]]:
     """Run one scenario check entry; returns (params, verdict) rows."""
     name = entry["name"]
     bounds = scenario.bounds
-    step_bound = int(entry.get("step_bound", bounds.step_bound))
+    step_bound = entry.get("step_bound", bounds.step_bound)
     tau_budget = entry.get("tau_budget", bounds.tau_budget)
-    tau_budget = int(tau_budget) if tau_budget is not None else None
 
     if name == "sim":
         _require(paired is not None, "sim check needs an emulate directive")
@@ -302,7 +389,7 @@ def run_check(
         return [({"name": name, "mode": scenario.broadcast_mode}, v)]
     if name == "traces":
         _require(paired is not None, "traces check needs an emulate directive")
-        max_len = int(entry.get("max_trace_len", bounds.max_trace_len))
+        max_len = entry.get("max_trace_len", bounds.max_trace_len)
         v = check_trace_equivalence(paired, max_len=max_len, step_bound=step_bound)
         return [({"name": name, "max_trace_len": max_len}, v)]
     if name == "convergence":
@@ -312,9 +399,7 @@ def run_check(
         for side in side_list:
             system = host if side == "host" else (paired.guest if paired else None)
             _require(system is not None, f"convergence check: no {side} system")
-            v = check_strong_convergence(
-                system, step_bound=step_bound, workers=workers, prune=prune
-            )
+            v = check_strong_convergence(system, step_bound=step_bound, prune=prune)
             out.append(({"name": name, "side": side}, v))
         return out
     if name == "causal":
@@ -323,14 +408,14 @@ def run_check(
         return [({"name": name, "discipline": system.discipline}, v)]
     if name == "commutation":
         system = _op_side(scenario, host, paired)
-        v = check_commutation(system, step_bound=step_bound, workers=workers, prune=prune)
+        v = check_commutation(system, step_bound=step_bound, prune=prune)
         return [({"name": name}, v)]
     if name == "approx":
         _require(paired is not None, "approx check needs an emulate directive")
         prog_path = entry.get("program", scenario.client_program)
         _require(prog_path is not None, "approx check needs a client program")
         prog = _load_program(scenario, prog_path)
-        bound = int(entry.get("client_bound", bounds.client_bound))
+        bound = entry.get("client_bound", bounds.client_bound)
         out = []
         for direction, v in _run_approx(scenario, paired, prog, bound).items():
             out.append(({"name": name, "direction": direction, "program": prog_path}, v))
@@ -349,7 +434,6 @@ def exit_code_for(verdicts: list[Verdict]) -> int:
 def run_scenario(
     scenario: Scenario,
     only_checks: list[str] | None = None,
-    workers: int = 1,
     prune: bool = True,
 ) -> tuple[dict, int]:
     host, paired = build_systems(scenario)
@@ -359,9 +443,7 @@ def run_scenario(
     for entry in scenario.checks:
         if only_checks and entry["name"] not in only_checks:
             continue
-        for params, v in run_check(
-            scenario, entry, host, paired, workers=workers, prune=prune
-        ):
+        for params, v in run_check(scenario, entry, host, paired, prune=prune):
             rows.append({"check": params, "verdict": v.to_report()})
             verdicts.append(v)
     report = {
@@ -380,8 +462,8 @@ def run_scenario(
 # --- explore dump ---------------------------------------------------------------
 
 
-def _dump_system(system, depth: int, prune: bool, workers: int) -> dict:
-    graph = explore(system, depth, prune=prune, workers=workers)
+def _dump_system(system, depth: int, prune: bool) -> dict:
+    graph = explore(system, depth, prune=prune)
     nodes = []
     for idx, cfg in enumerate(graph.nodes):
         nodes.append(
@@ -408,14 +490,11 @@ def _dump_system(system, depth: int, prune: bool, workers: int) -> dict:
 def cmd_explore(args) -> int:
     scenario = load_scenario(args.scenario)
     depth = args.depth if args.depth is not None else scenario.bounds.step_bound
-    if depth < 0:
-        raise ScenarioError("depth must be non-negative")
     host, paired = build_systems(scenario)
-    workers = _worker_count()
     dump: dict[str, Any] = {"scenario": scenario.name, "depth": depth, "systems": {}}
-    dump["systems"]["host"] = _dump_system(host, depth, not args.no_prune, workers)
+    dump["systems"]["host"] = _dump_system(host, depth, not args.no_prune)
     if paired is not None:
-        dump["systems"]["guest"] = _dump_system(paired.guest, depth, not args.no_prune, workers)
+        dump["systems"]["guest"] = _dump_system(paired.guest, depth, not args.no_prune)
     _emit(dump, args.out)
     return 0
 
@@ -430,9 +509,7 @@ def cmd_check(args) -> int:
         scenario.bounds.tau_budget = args.tau_budget
     if not scenario.checks:
         raise ScenarioError("scenario lists no checks")
-    report, code = run_scenario(
-        scenario, workers=_worker_count(), prune=not args.no_prune
-    )
+    report, code = run_scenario(scenario, prune=not args.no_prune)
     _emit(report, args.out)
     return code
 
@@ -469,15 +546,10 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CRDT_EMU_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(f"CRDT_EMU_WORKERS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ScenarioError("CRDT_EMU_WORKERS must be >= 1")
-    return n
+def _bound_arg(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -491,9 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--depth", type=int, default=None, help="step bound override")
-        p.add_argument("--max-trace-len", type=int, default=None)
-        p.add_argument("--tau-budget", type=int, default=None)
+        p.add_argument("--depth", type=_bound_arg, default=None, help="step bound override")
+        p.add_argument("--max-trace-len", type=_bound_arg, default=None)
+        p.add_argument("--tau-budget", type=_bound_arg, default=None)
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--no-prune", action="store_true", help="disable summary pruning")
 
@@ -516,7 +588,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _worker_count()
         return args.fn(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

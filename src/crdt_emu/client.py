@@ -307,9 +307,12 @@ def prog_terminated(p: Prog, store: FrozenDict) -> bool:
     return False
 
 
-def _prog_steps(system, env, store: FrozenDict, p: Prog) -> list[tuple[Any, FrozenDict, Prog, str]]:
+def _prog_steps(
+    system, env, env_steps: list, store: FrozenDict, p: Prog
+) -> list[tuple[Any, FrozenDict, Prog, str]]:
     """Program-driven successors as (env', store', prog', action) tuples;
-    excludes the environment-only silent rule."""
+    excludes the environment-only silent rule.  env_steps is
+    system.steps(env)."""
     if isinstance(p, Skip):
         return []
     if isinstance(p, Asn):
@@ -321,7 +324,7 @@ def _prog_steps(system, env, store: FrozenDict, p: Prog) -> list[tuple[Any, Froz
         return [(env, store, Seq(p.body, p), "while-step")]
     if isinstance(p, Upd):
         out = []
-        for label, env2 in system.steps(env):
+        for label, env2 in env_steps:
             if label.kind == "update" and label.op == p.op:
                 out.append((env2, store, SKIP, f"upd@{label.replica}"))
         return out
@@ -336,20 +339,29 @@ def _prog_steps(system, env, store: FrozenDict, p: Prog) -> list[tuple[Any, Froz
             return [(env, store, p.second, "seq-done")]
         return [
             (env2, store2, Seq(p2, p.second), act)
-            for env2, store2, p2, act in _prog_steps(system, env, store, p.first)
+            for env2, store2, p2, act in _prog_steps(system, env, env_steps, store, p.first)
         ]
     raise TypeError(f"not a program: {p!r}")
 
 
-def client_steps(system, cs: ClientState) -> tuple[list[ClientState], bool]:
-    """Successors of a client state and whether it has terminated."""
+def client_steps(
+    system, cs: ClientState, memo: dict | None = None
+) -> tuple[list[ClientState], bool]:
+    """Successors of a client state and whether it has terminated.  A memo,
+    when given, caches successor lists by environment configuration across
+    calls, so client states that share an environment step it once."""
     if prog_terminated(cs.prog, cs.store):
         return ([], True)
+    env_steps = None if memo is None else memo.get(cs.env)
+    if env_steps is None:
+        env_steps = system.steps(cs.env)
+        if memo is not None:
+            memo[cs.env] = env_steps
     out = []
-    for label, env2 in system.steps(cs.env):
+    for label, env2 in env_steps:
         if label.is_silent:
             out.append(ClientState(env2, cs.store, cs.prog))
-    for env2, store2, p2, _ in _prog_steps(system, cs.env, cs.store, cs.prog):
+    for env2, store2, p2, _ in _prog_steps(system, cs.env, env_steps, cs.store, cs.prog):
         out.append(ClientState(env2, store2, p2))
     return (out, False)
 
@@ -375,11 +387,12 @@ def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
     parents: dict = {k0: None}
     queue = deque([(cs, 0)])
     explored = 1
+    env_steps: dict = {}  # dropped on return, so no configuration outlives the search
     while queue:
         c, d = queue.popleft()
         if d >= step_bound:
             continue
-        succs, _ = client_steps(system, c)
+        succs, _ = client_steps(system, c, env_steps)
         kc = key(c)
         for c2 in succs:
             k2 = key(c2)

@@ -8,7 +8,7 @@ discipline is relaxed to reliable-only broadcast).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .core import (
@@ -35,13 +35,14 @@ RELIABLE_ONLY = "reliable-only"
 DISCIPLINES = (CAUSAL, RELIABLE_ONLY)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class OpConfig:
     """Global op-based configuration: trace, replica states, in-flight buffer,
     plus clock/sequence plumbing and derived bookkeeping kept in lockstep.
 
-    Not slotted: systems stash computed successor lists and summaries on the
-    instance, which exploration re-reads heavily."""
+    Successor lists are never stored on the instance: a stored list would keep
+    every configuration generated from it alive.  Only the summary is cached,
+    because dedup reads it for every generated configuration."""
 
     trace: Trace
     states: FrozenDict            # ReplicaId -> S
@@ -52,6 +53,7 @@ class OpConfig:
     delivered: FrozenDict         # ReplicaId -> frozenset[Message], incl. self-applied
     delivered_values: FrozenDict  # ReplicaId -> frozenset[payload]
     used_ops: frozenset           # {(ReplicaId, Op)} update events so far
+    _summary: tuple | None = field(default=None, init=False, repr=False)
 
 
 def op_init(obj: OpObject, roster: tuple[ReplicaId, ...]) -> OpConfig:
@@ -221,20 +223,15 @@ class OpSystem:
         return op_init(self.obj, self.roster)
 
     def steps(self, c: OpConfig) -> list[tuple[Label, OpConfig]]:
-        cached = getattr(c, "_steps", None)
-        if cached is not None:
-            return cached
-        succ = op_system_steps(
+        return op_system_steps(
             self.obj, self.roster, c, self.discipline, used_gate=not self.repeat_ops
         )
-        object.__setattr__(c, "_steps", succ)
-        return succ
 
     def summary(self, c: OpConfig) -> tuple:
         """Behavior-determining quotient of a configuration: replica states,
         buffer, sent/delivered bookkeeping and the used-ops gate.  Traces are
         deliberately excluded (they only grow)."""
-        cached = getattr(c, "_summary", None)
+        cached = c._summary
         if cached is None:
             cached = (c.states, c.buffer, c.sent, c.delivered, c.used_ops)
             object.__setattr__(c, "_summary", cached)

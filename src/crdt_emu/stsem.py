@@ -8,7 +8,7 @@ state value, never by message wrapper identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .core import (
@@ -34,11 +34,11 @@ ATOMIC_BROADCAST = "atomic"
 MODES = (SEPARATE_SEND, ATOMIC_BROADCAST)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StConfig:
     """Global state-based configuration.  Buffer payloads are states; the
     derived sets track sent and per-replica delivered payload values.
-    Not slotted: successor lists and summaries are stashed on the instance."""
+    Only the summary is cached on the instance, never successor lists."""
 
     trace: Trace
     states: FrozenDict            # ReplicaId -> S
@@ -47,6 +47,7 @@ class StConfig:
     sent_values: frozenset        # {state payload}
     delivered_values: FrozenDict  # ReplicaId -> frozenset[state payload]
     used_ops: frozenset           # {(ReplicaId, Op)}
+    _summary: tuple | None = field(default=None, init=False, repr=False)
 
 
 def st_init(obj: StObject, roster: tuple[ReplicaId, ...]) -> StConfig:
@@ -218,17 +219,12 @@ class StSystem:
         return st_init(self.obj, self.roster)
 
     def steps(self, c: StConfig) -> list[tuple[Label, StConfig]]:
-        cached = getattr(c, "_steps", None)
-        if cached is not None:
-            return cached
-        succ = st_system_steps(
+        return st_system_steps(
             self.obj, self.roster, c, self.mode, used_gate=not self.repeat_ops
         )
-        object.__setattr__(c, "_steps", succ)
-        return succ
 
     def summary(self, c: StConfig) -> tuple:
-        cached = getattr(c, "_summary", None)
+        cached = c._summary
         if cached is None:
             buffer_values = frozenset((r, m.payload) for r, m in c.buffer)
             cached = (c.states, buffer_values, c.sent_values, c.delivered_values, c.used_ops)

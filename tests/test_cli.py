@@ -71,6 +71,8 @@ def test_load_scenario_rejects_bad_configs(tmp_path, broken):
 def test_cli_usage_error_is_exit_3(tmp_path, capsys):
     assert main(["check", "--scenario", str(tmp_path / "missing.scenario")]) == 3
     assert main(["frobnicate"]) == 3
+    assert main(["check", "--scenario", scenario_path("thm-4-2"), "--depth", "-1"]) == 3
+    assert main(["explore", "--scenario", scenario_path("thm-4-2"), "--depth", "x"]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -169,8 +171,41 @@ def test_reports_stable_across_runs(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_workers_env_validation(monkeypatch):
-    monkeypatch.setenv("CRDT_EMU_WORKERS", "zero")
-    assert main(["check", "--scenario", scenario_path("thm-4-2")]) == 3
-    monkeypatch.setenv("CRDT_EMU_WORKERS", "0")
-    assert main(["check", "--scenario", scenario_path("thm-4-2")]) == 3
+def sim_entry(**over):
+    return [dict({"name": "sim", "relation": "R1", "direction": "host-by-guest"}, **over)]
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        {"checks": sim_entry(step_bound="x")},
+        {"checks": sim_entry(step_bound=-1)},
+        {"checks": sim_entry(tau_budget=1.5)},
+        {"checks": sim_entry(relation="R9")},
+        {"checks": sim_entry(direction="guest-by-host")},  # R1 is host-by-guest
+        {"checks": sim_entry(direction="sideways")},
+        {"checks": sim_entry(relation="Q1")},  # Q1 needs st-to-op
+        {"checks": [{"name": "sim", "relaton": "R2", "direction": "guest-by-host"}]},
+        {"checks": [{"name": "approx", "program": "p.prog", "step_bound": 4}]},
+        {"checks": [{"name": "frobnicate"}]},
+        {"checks": [{"name": ["sim"]}]},
+        {"checks": [{"name": "bisim"}], "emulate": None},
+        {"checks": [{"name": "convergence"}]},  # object is not history-augmented
+        {
+            "checks": [{"name": "convergence", "side": "left"}],
+            "object": {"name": "gset-op", "augment": True},
+        },
+        {"bounds": {"step_bound": "x"}},
+        {"bounds": {"step_bund": 4}},
+        {"client": {"store": {"x": "one"}}},
+        {"client": {"programme": "p.prog"}},
+        {"object": {"name": "gset-op", "augmnet": True}},
+        {"broadcast_mod": "atomic"},
+    ],
+)
+def test_bad_scenario_entries_exit_3(tmp_path, capsys, broken):
+    path = write_scenario(tmp_path, base_scenario(**broken))
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+    assert main(["check", "--scenario", path]) == 3
+    assert "error:" in capsys.readouterr().err

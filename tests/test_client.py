@@ -164,6 +164,21 @@ def test_qry_gated_loop_terminates_via_delivery():
     assert t.witness
 
 
+def test_search_steps_each_environment_once():
+    stepped = []
+
+    class Counting(OpSystem):
+        def steps(self, c):
+            stepped.append(c)
+            return super().steps(c)
+
+    host = Counting(gset_op((1, 2)), ("r1", "r2"))
+    prog = parse_program("x := 1; upd(add 1); upd(add 2); while (x < 2) { x := qry(sum) }")
+    t = can_terminate(host, ClientState(host.init(), FrozenDict(), prog), 12)
+    assert t.terminates
+    assert len(stepped) == len({id(c) for c in stepped}) > 1
+
+
 # --- approximation ----------------------------------------------------------------------
 
 

@@ -279,3 +279,15 @@ def test_system_steps_unfiltered_allow_op_reuse():
     c2 = [cfg for l, cfg in succ if l.kind == "update" and l.replica == "r1"][0]
     again = op_system_steps(obj, ("r1", "r2"), c2)
     assert any(l.kind == "update" and l.replica == "r1" for l, _ in again)
+
+
+def test_steps_store_nothing_on_the_configuration():
+    # A stored successor list would keep every generated configuration alive.
+    system = OpSystem(gset_op((5, 42)), ("r1", "r2"))
+    c = system.init()
+    (_, c2), *_ = system.steps(c)
+    system.steps(c2)
+    for cfg in (c, c2):
+        assert not hasattr(cfg, "_steps")
+        assert not hasattr(cfg, "__dict__")
+    assert system.summary(c2) is system.summary(c2)

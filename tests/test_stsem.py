@@ -123,3 +123,15 @@ def test_init_rejects_bad_rosters():
 
     with pytest.raises(ValueError):
         st_init(gset_st((1,)), ())
+
+
+def test_steps_store_nothing_on_the_configuration():
+    # A stored successor list would keep every generated configuration alive.
+    system = StSystem(guest(), ("r1", "r2"))
+    c = system.init()
+    (_, c2), *_ = system.steps(c)
+    system.steps(c2)
+    for cfg in (c, c2):
+        assert not hasattr(cfg, "_steps")
+        assert not hasattr(cfg, "__dict__")
+    assert system.summary(c2) is system.summary(c2)
