@@ -29,8 +29,8 @@ from .core import (
     render,
     render_event,
 )
-from .emulation import interp, subsets_smallest_first
-from .objects import OpObject, StObject, check_concurrent_commutation
+from .emulation import interp
+from .objects import OpObject, StObject, check_concurrent_commutation, st_leq
 from .opsem import OpConfig, OpSystem, op_mk_deliver, op_mk_query, op_mk_update
 from .stsem import (
     ATOMIC_BROADCAST,
@@ -461,50 +461,53 @@ class Relation:
         return None
 
     def _deliverable_merge_exists(self, H: frozenset, r: ReplicaId, op_c: OpConfig) -> bool:
-        # There must be a deliverable set whose delivery simulates merging H:
-        # Delivered(r) ∪ U = Delivered(r) ∪ H.  (A deliverable set is disjoint
-        # from Delivered(r), so effectively U is the undelivered part of H.)
+        """Some deliverable U has Delivered(r) ∪ U = Delivered(r) ∪ H.
+
+        A deliverable set is disjoint from Delivered(r), so the only candidate
+        is U = H − Delivered(r).  It has a deliverable ordering iff each member
+        is buffered for r and all its causal predecessors are in
+        Delivered(r) ∪ U: happens-before is acyclic, so delivering U in any
+        causal order then meets every gate."""
         have = op_c.delivered[r]
-        target = have | H
-        candidates = sorted(
-            (m for r2, m in op_c.buffer if r2 == r and m in H),
-            key=lambda m: m.sort_key(),
+        closed = have | H
+        buffer = op_c.buffer
+        sent = op_c.sent
+        return all(
+            (r, m) in buffer and self._downset(m, sent) <= closed
+            for m in H
+            if m not in have
         )
-        for U in subsets_smallest_first(candidates):
-            Uf = frozenset(U)
-            if have | Uf != target:
-                continue
-            if (
-                _deliverable_ordering(Uf, r, op_c.buffer, op_c.sent, have)
-                is not None
-            ):
-                return True
-        return False
 
     # Q1: state-based host simulated by join-guest
 
     def _q1(self, st_c: StConfig, op_c: OpConfig) -> str | None:
+        """Besides state agreement, merging any buffered host state must be
+        matched by delivering some set C of the guest's buffered payloads:
+        op state ⊔ ⊔C = target.  Such a C exists iff joining the op state
+        with every buffered payload p ≤ target gives the target: any witness
+        C has only members ≤ target, so the join of all of them is ≥ the
+        target and ≤ it.  The running join only grows and stays ≤ target, so
+        it can stop once it reaches the target.  This relies on the lattice
+        laws (associative, commutative, idempotent join) that
+        ``test_st_lattice_laws_on_reachable_states`` checks."""
         for r in self.roster:
             if st_c.states[r] != op_c.states[r]:
                 return "state-agreement"
         obj: StObject = self.paired.host.obj  # type: ignore[assignment]
         payloads: dict[ReplicaId, list] = {}
-        for r, m in sorted(op_c.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
+        for r, m in op_c.buffer:
             payloads.setdefault(r, []).append(m.payload)
         for r, m in st_c.buffer:
             target = obj.join(st_c.states[r], m.payload)
             if target == st_c.states[r]:
                 continue
-            base = op_c.states[r]
-            found = False
-            for C in subsets_smallest_first(payloads.get(r, [])):
-                acc = base
-                for s in C:
-                    acc = obj.join(acc, s)
-                if acc == target:
-                    found = True
-                    break
-            if not found:
+            acc = op_c.states[r]
+            for p in payloads.get(r, ()):
+                if st_leq(obj, p, target):
+                    acc = obj.join(acc, p)
+                    if acc == target:
+                        break
+            else:
                 return "buffer-mergeable"
         return None
 

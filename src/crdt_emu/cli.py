@@ -217,6 +217,15 @@ def load_scenario(path: str | Path) -> Scenario:
             len(op) >= 1 and isinstance(op[0], str),
             f"malformed operation {op!r}",
         )
+        # JSON true/false would pass as the integers 1/0 and render as booleans.
+        _require(
+            not any(isinstance(x, bool) for x in op),
+            f"operation arguments must not be booleans, got {op!r}",
+        )
+    _require(
+        len(set(op_universe)) == len(op_universe),
+        "op_universe lists an operation twice",
+    )
     query_universe = tuple(data.get("query_universe", ("sum",)))
     _require(query_universe == ("sum",), "only the sum query is available")
 
@@ -351,7 +360,7 @@ def _load_program(scenario: Scenario, rel_path: str) -> client.Prog:
 def _run_approx(
     scenario: Scenario, paired: PairedSystem, prog: client.Prog, bound: int
 ) -> dict[str, Verdict]:
-    store = FrozenDict(scenario.client_store)
+    store = FrozenDict.of(scenario.client_store)
     return {
         "host-to-guest": client.check_approximation(
             paired.host, paired.guest, store, prog, bound, bound

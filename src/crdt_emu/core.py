@@ -3,6 +3,19 @@ machinery shared by the op-based and state-based semantics.
 
 Everything here is an immutable value; traces are persistent cons lists so
 exploration branches share structure instead of copying.
+
+Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
+hash-consing*, 2006): the factories ``FrozenDict.of``/``FrozenDict.set``,
+``VectorClock.make`` (behind ``of``/``tick``/``join``), ``Message.make``, the
+``Input``/``Output``/``Label`` static constructors and ``Event.of`` return the
+one live object per equal content, so configurations reached along different
+paths share their maps, clocks, messages and events.  Each class has its own
+table from content key to a weak reference; an entry disappears with the last
+object that refers to its value, so the tables need no size bound and never
+keep a finished check's values alive.  Identity is only a speed-up: ``__eq__``
+and ``__hash__`` stay structural, and the plain constructors still build
+equal, non-canonical values.  Frozensets (replica states, buffers) cannot be
+weakly referenced and are not interned.
 """
 
 from __future__ import annotations
@@ -10,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Any, Iterator, Mapping
+from weakref import KeyedRef
 
 ReplicaId = str
 Op = tuple          # operation token, e.g. ("add", 5) or ("inc",)
@@ -23,10 +37,79 @@ class Ordering(Enum):
     CONCURRENT = "concurrent"
 
 
+# --- hash-consing ---------------------------------------------------------------
+
+
+class _InternTable:
+    """Content key -> weak reference to the canonical value with that content.
+
+    The reference's callback drops the entry when the value dies, so the table
+    holds only values that something else still references."""
+
+    __slots__ = ("refs", "_drop")
+
+    def __init__(self):
+        refs: dict = {}
+        self.refs = refs
+
+        def drop(ref, refs=refs):
+            if refs.get(ref.key) is ref:
+                del refs[ref.key]
+
+        self._drop = drop
+
+    def canon(self, key, build, *args):
+        """The live value stored under key, else ``build(*args)`` stored."""
+        ref = self.refs.get(key)
+        if ref is not None:
+            hit = ref()
+            if hit is not None:
+                return hit
+        value = build(*args)
+        self.refs[key] = KeyedRef(value, self._drop, key)
+        return value
+
+    def __len__(self) -> int:
+        return len(self.refs)
+
+
+_FROZEN_DICTS = _InternTable()
+_CLOCKS = _InternTable()
+_MESSAGE_IDS = _InternTable()
+_MESSAGES = _InternTable()
+_INPUTS = _InternTable()
+_OUTPUTS = _InternTable()
+_LABELS = _InternTable()
+_EVENTS = _InternTable()
+
+_TABLES = {
+    "FrozenDict": _FROZEN_DICTS,
+    "VectorClock": _CLOCKS,
+    "MessageId": _MESSAGE_IDS,
+    "Message": _MESSAGES,
+    "Input": _INPUTS,
+    "Output": _OUTPUTS,
+    "Label": _LABELS,
+    "Event": _EVENTS,
+}
+
+
+def intern_table_sizes() -> dict[str, int]:
+    """Live entries per hash-consing table."""
+    return {name: len(table) for name, table in _TABLES.items()}
+
+
+class _Weak:
+    """Slotted base that lets slotted dataclasses be weakly referenced (the
+    ``weakref_slot`` dataclass option needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
 class FrozenDict(Mapping):
     """Immutable, hashable mapping with deterministic (sorted-key) iteration."""
 
-    __slots__ = ("_map", "_items", "_hash")
+    __slots__ = ("_map", "_items", "_hash", "__weakref__")
 
     def __init__(self, mapping: Mapping | tuple = ()):
         m = dict(mapping)
@@ -34,13 +117,24 @@ class FrozenDict(Mapping):
         self._items = tuple(sorted(m.items(), key=lambda kv: kv[0]))
         self._hash = hash(self._items)
 
-    @classmethod
-    def _from_sorted(cls, items: tuple) -> "FrozenDict":
-        self = cls.__new__(cls)
+    @staticmethod
+    def _from_sorted(items: tuple) -> "FrozenDict":
+        """The canonical map with these key-sorted items."""
+        return _FROZEN_DICTS.canon(items, FrozenDict._build, items)
+
+    @staticmethod
+    def _build(items: tuple) -> "FrozenDict":
+        self = FrozenDict.__new__(FrozenDict)
         self._map = dict(items)
         self._items = items
         self._hash = hash(items)
         return self
+
+    @staticmethod
+    def of(mapping: Mapping) -> "FrozenDict":
+        """The canonical map equal to ``mapping``."""
+        items = tuple(sorted(dict(mapping).items(), key=lambda kv: kv[0]))
+        return FrozenDict._from_sorted(items)
 
     def __getitem__(self, key):
         return self._map[key]
@@ -81,7 +175,7 @@ class FrozenDict(Mapping):
 
 
 @dataclass(frozen=True, slots=True)
-class VectorClock:
+class VectorClock(_Weak):
     """Per-replica counters; absent entries read as 0.
 
     Pointwise comparison of clocks is the partial order used for the
@@ -91,8 +185,13 @@ class VectorClock:
     entries: tuple[tuple[ReplicaId, int], ...] = ()
 
     @staticmethod
+    def make(entries: tuple[tuple[ReplicaId, int], ...]) -> "VectorClock":
+        """The canonical clock with these replica-sorted, positive entries."""
+        return _CLOCKS.canon(entries, VectorClock, entries)
+
+    @staticmethod
     def of(mapping: Mapping[ReplicaId, int]) -> "VectorClock":
-        return VectorClock(tuple(sorted((r, n) for r, n in mapping.items() if n > 0)))
+        return VectorClock.make(tuple(sorted((r, n) for r, n in mapping.items() if n > 0)))
 
     def get(self, r: ReplicaId) -> int:
         for rr, n in self.entries:
@@ -104,10 +203,10 @@ class VectorClock:
         entries = self.entries
         for i, (rr, n) in enumerate(entries):
             if rr == r:
-                return VectorClock(entries[:i] + ((r, n + 1),) + entries[i + 1 :])
+                return VectorClock.make(entries[:i] + ((r, n + 1),) + entries[i + 1 :])
             if rr > r:
-                return VectorClock(entries[:i] + ((r, 1),) + entries[i:])
-        return VectorClock(entries + ((r, 1),))
+                return VectorClock.make(entries[:i] + ((r, 1),) + entries[i:])
+        return VectorClock.make(entries + ((r, 1),))
 
     def join(self, other: "VectorClock") -> "VectorClock":
         if not other.entries:
@@ -118,7 +217,7 @@ class VectorClock:
         for r, n in other.entries:
             if n > m.get(r, 0):
                 m[r] = n
-        return VectorClock(tuple(sorted(m.items())))
+        return VectorClock.make(tuple(sorted(m.items())))
 
     def compare(self, other: "VectorClock") -> Ordering:
         le = ge = True
@@ -147,7 +246,7 @@ def vc_compare(a: VectorClock, b: VectorClock) -> Ordering:
 
 
 @dataclass(frozen=True, slots=True)
-class MessageId:
+class MessageId(_Weak):
     origin: ReplicaId
     seq: int
 
@@ -156,13 +255,14 @@ class MessageId:
 
 
 @dataclass(frozen=True, slots=True)
-class Message:
+class Message(_Weak):
     """A broadcast payload stamped with a unique (origin, seq) id and the
     sender's clock at send time.
 
     Within a single execution ids are never reused, so id equality and
     structural equality coincide there; structural equality is used so that
-    messages from different exploration branches never collide.
+    messages from different exploration branches never collide.  Messages
+    built by ``make`` are hash-consed, so equality is usually an identity hit.
     """
 
     id: MessageId
@@ -172,6 +272,12 @@ class Message:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.id, self.clock, self.payload)))
+
+    @staticmethod
+    def make(origin: ReplicaId, seq: int, clock: VectorClock, payload: Any) -> "Message":
+        """The canonical message with this id, clock and payload."""
+        key = (origin, seq, clock, payload)
+        return _MESSAGES.canon(key, _new_message, origin, seq, clock, payload)
 
     def __hash__(self) -> int:
         return self._hash
@@ -191,6 +297,10 @@ class Message:
 
     def sort_key(self) -> tuple:
         return self.id.sort_key()
+
+
+def _new_message(origin: ReplicaId, seq: int, clock: VectorClock, payload: Any) -> Message:
+    return Message(_MESSAGE_IDS.canon((origin, seq), MessageId, origin, seq), clock, payload)
 
 
 def happens_before(m1: Message, m2: Message) -> bool:
@@ -215,7 +325,7 @@ OUT_SEND = "send"
 
 
 @dataclass(frozen=True, slots=True)
-class Input:
+class Input(_Weak):
     kind: str
     op: Op | None = None
     query: QueryId | None = None
@@ -227,19 +337,19 @@ class Input:
 
     @staticmethod
     def upd(op: Op) -> "Input":
-        return Input(IN_UPD, op=op)
+        return _INPUTS.canon((IN_UPD, op), Input, IN_UPD, op)
 
     @staticmethod
     def qry(q: QueryId) -> "Input":
-        return Input(IN_QRY, query=q)
+        return _INPUTS.canon((IN_QRY, q), Input, IN_QRY, None, q)
 
     @staticmethod
     def dlvr(m: Message) -> "Input":
-        return Input(IN_DLVR, message=m)
+        return _INPUTS.canon((IN_DLVR, m), Input, IN_DLVR, None, None, m)
 
 
 @dataclass(frozen=True, slots=True)
-class Output:
+class Output(_Weak):
     kind: str
     value: Any = None
     message: Message | None = None
@@ -250,11 +360,11 @@ class Output:
 
     @staticmethod
     def ret(v: Any) -> "Output":
-        return Output(OUT_RET, value=v)
+        return _OUTPUTS.canon((OUT_RET, v), Output, OUT_RET, v)
 
     @staticmethod
     def send(m: Message) -> "Output":
-        return Output(OUT_SEND, message=m)
+        return _OUTPUTS.canon((OUT_SEND, m), Output, OUT_SEND, None, m)
 
 
 INPUT_NONE = Input(IN_NONE)
@@ -262,12 +372,17 @@ OUTPUT_NONE = Output(OUT_NONE)
 
 
 @dataclass(frozen=True, slots=True)
-class Event:
+class Event(_Weak):
     """One replica transition: (replica, input, output)."""
 
     replica: ReplicaId
     input: Input
     output: Output
+
+    @staticmethod
+    def of(r: ReplicaId, i: Input, o: Output) -> "Event":
+        """The canonical event with these parts."""
+        return _EVENTS.canon((r, i, o), Event, r, i, o)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -309,7 +424,7 @@ LBL_TAU = "tau"
 
 
 @dataclass(frozen=True, slots=True)
-class Label:
+class Label(_Weak):
     """System-level transition label; tau labels are the silent ones."""
 
     kind: str
@@ -321,15 +436,15 @@ class Label:
 
     @staticmethod
     def update(r: ReplicaId, op: Op) -> "Label":
-        return Label(LBL_UPDATE, replica=r, op=op)
+        return _LABELS.canon((LBL_UPDATE, r, op), Label, LBL_UPDATE, r, op)
 
     @staticmethod
     def qry(r: ReplicaId, q: QueryId, v: Any) -> "Label":
-        return Label(LBL_QUERY, replica=r, query=q, value=v)
+        return _LABELS.canon((LBL_QUERY, r, q, v), Label, LBL_QUERY, r, None, q, v)
 
     @staticmethod
     def tau(kind: str, r: ReplicaId) -> "Label":
-        return Label(LBL_TAU, replica=r, silent=kind)
+        return _LABELS.canon((LBL_TAU, r, kind), Label, LBL_TAU, r, None, None, None, kind)
 
     @property
     def is_silent(self) -> bool:

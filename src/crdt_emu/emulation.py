@@ -13,11 +13,10 @@ so all message effects commute and identity is by payload value.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from typing import Any, Iterator
 
-from .core import Message, MessageId, Op, QueryId, ReplicaId, VectorClock, happens_before
+from .core import Message, Op, QueryId, ReplicaId, VectorClock, happens_before
 from .objects import IDENTITY_VALUE, OpObject, StObject
 
 MessageSetState = frozenset  # frozenset[Message]
@@ -93,10 +92,10 @@ def interp_is_order_independent(h: MessageSetState, obj: OpObject) -> bool:
 
 def _mint(r: ReplicaId, h: MessageSetState, payload: Any) -> Message:
     own = sum(1 for m in h if m.id.origin == r)
-    clock = VectorClock()
+    clock = VectorClock.make(())
     for m in h:
         clock = clock.join(m.clock)
-    return Message(MessageId(r, own + 1), clock.tick(r), payload)
+    return Message.make(r, own + 1, clock.tick(r), payload)
 
 
 def op_to_st(obj: OpObject) -> StObject:
@@ -147,10 +146,3 @@ def st_to_op(obj: StObject) -> OpObject:
         query=obj.query,
         message_identity=IDENTITY_VALUE,
     )
-
-
-def subsets_smallest_first(items: list, max_size: int | None = None) -> Iterator[tuple]:
-    """Deterministic subset enumeration in increasing size order."""
-    n = len(items) if max_size is None else min(len(items), max_size)
-    for k in range(n + 1):
-        yield from itertools.combinations(items, k)

@@ -88,14 +88,14 @@ def _gcounter_join(a: FrozenDict, b: FrozenDict) -> FrozenDict:
     m = dict(a.items())
     for r, n in b.items():
         m[r] = max(m.get(r, 0), n)
-    return FrozenDict(m)
+    return FrozenDict.of(m)
 
 
 def gcounter_st() -> StObject:
     """State-based grow-only counter: replica->count maps joined pointwise."""
     return StObject(
         name="gcounter-st",
-        initial=FrozenDict(),
+        initial=FrozenDict.of({}),
         ops=(("inc",),),
         queries=("sum",),
         update=lambda r, op, s: s.set(r, s.get(r, 0) + 1),

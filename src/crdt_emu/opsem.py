@@ -17,7 +17,6 @@ from .core import (
     Input,
     Label,
     Message,
-    MessageId,
     Op,
     Output,
     QueryId,
@@ -64,13 +63,13 @@ def op_init(obj: OpObject, roster: tuple[ReplicaId, ...]) -> OpConfig:
     empty = frozenset()
     return OpConfig(
         trace=TRACE_EMPTY,
-        states=FrozenDict({r: obj.initial for r in roster}),
+        states=FrozenDict.of({r: obj.initial for r in roster}),
         buffer=frozenset(),
-        clocks=FrozenDict({r: VectorClock() for r in roster}),
-        seqs=FrozenDict({r: 0 for r in roster}),
+        clocks=FrozenDict.of({r: VectorClock.make(()) for r in roster}),
+        seqs=FrozenDict.of({r: 0 for r in roster}),
         sent=frozenset(),
-        delivered=FrozenDict({r: empty for r in roster}),
-        delivered_values=FrozenDict({r: empty for r in roster}),
+        delivered=FrozenDict.of({r: empty for r in roster}),
+        delivered_values=FrozenDict.of({r: empty for r in roster}),
         used_ops=frozenset(),
     )
 
@@ -81,7 +80,7 @@ def op_replica_step(
     s: Any,
     i: Input,
     *,
-    clock: VectorClock = VectorClock(),
+    clock: VectorClock = VectorClock.make(()),
     seq: int = 0,
 ) -> tuple[Any, Output] | None:
     """The replica state machine: qry is stuttering, dlvr applies the effect,
@@ -93,7 +92,7 @@ def op_replica_step(
         return (obj.effect(i.message.payload, s), Output.none())
     if i.kind == "upd":
         payload = obj.prep(r, i.op, s)
-        m = Message(MessageId(r, seq + 1), clock.tick(r), payload)
+        m = Message.make(r, seq + 1, clock.tick(r), payload)
         return (obj.effect(payload, s), Output.send(m))
     return None
 
@@ -124,9 +123,9 @@ def op_mk_update(
     s = c.states[r]
     payload = obj.prep(r, op, s)
     clock = c.clocks[r].tick(r)
-    m = Message(MessageId(r, c.seqs[r] + 1), clock, payload)
+    m = Message.make(r, c.seqs[r] + 1, clock, payload)
     s2 = obj.effect(payload, s)
-    e = Event(r, Input.upd(op), Output.send(m))
+    e = Event.of(r, Input.upd(op), Output.send(m))
     cfg = OpConfig(
         trace=c.trace.append(e),
         states=c.states.set(r, s2),
@@ -143,7 +142,7 @@ def op_mk_update(
 
 def op_mk_query(obj: OpObject, c: OpConfig, r: ReplicaId, q) -> tuple[Label, OpConfig]:
     v = obj.query(q, c.states[r])
-    e = Event(r, Input.qry(q), Output.ret(v))
+    e = Event.of(r, Input.qry(q), Output.ret(v))
     cfg = OpConfig(
         trace=c.trace.append(e),
         states=c.states,
@@ -165,7 +164,7 @@ def op_mk_deliver(
     if (r, m) not in c.buffer or not _delivery_enabled(obj, c, r, m, discipline):
         return None
     s2 = obj.effect(m.payload, c.states[r])
-    e = Event(r, Input.dlvr(m), Output.none())
+    e = Event.of(r, Input.dlvr(m), Output.none())
     cfg = OpConfig(
         trace=c.trace.append(e),
         states=c.states.set(r, s2),

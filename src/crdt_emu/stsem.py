@@ -17,7 +17,6 @@ from .core import (
     Input,
     Label,
     Message,
-    MessageId,
     Op,
     Output,
     QueryId,
@@ -58,11 +57,11 @@ def st_init(obj: StObject, roster: tuple[ReplicaId, ...]) -> StConfig:
     empty = frozenset()
     return StConfig(
         trace=TRACE_EMPTY,
-        states=FrozenDict({r: obj.initial for r in roster}),
+        states=FrozenDict.of({r: obj.initial for r in roster}),
         buffer=frozenset(),
-        seqs=FrozenDict({r: 0 for r in roster}),
+        seqs=FrozenDict.of({r: 0 for r in roster}),
         sent_values=frozenset(),
-        delivered_values=FrozenDict({r: empty for r in roster}),
+        delivered_values=FrozenDict.of({r: empty for r in roster}),
         used_ops=frozenset(),
     )
 
@@ -79,7 +78,7 @@ def st_replica_step(
     if i.kind == "upd":
         return (obj.update(r, i.op, s), Output.none())
     if i.kind == "none":
-        m = Message(MessageId(r, 0), VectorClock(), s)
+        m = _wrap(r, 0, s)
         return (s, Output.send(m))
     return None
 
@@ -87,7 +86,7 @@ def st_replica_step(
 def _wrap(r: ReplicaId, seq: int, state: Any) -> Message:
     # State payloads get a fresh wrapper id for bookkeeping; no clock is
     # maintained since nothing orders state-based sends causally.
-    return Message(MessageId(r, seq), VectorClock(), state)
+    return Message.make(r, seq, VectorClock.make(()), state)
 
 
 def st_mk_update(
@@ -97,7 +96,7 @@ def st_mk_update(
     s2 = obj.update(r, op, c.states[r])
     if mode == ATOMIC_BROADCAST:
         m = _wrap(r, c.seqs[r] + 1, s2)
-        e = Event(r, Input.upd(op), Output.send(m))
+        e = Event.of(r, Input.upd(op), Output.send(m))
         cfg = StConfig(
             trace=c.trace.append(e),
             states=c.states.set(r, s2),
@@ -108,7 +107,7 @@ def st_mk_update(
             used_ops=c.used_ops | {(r, op)},
         )
     else:
-        e = Event(r, Input.upd(op), Output.none())
+        e = Event.of(r, Input.upd(op), Output.none())
         cfg = StConfig(
             trace=c.trace.append(e),
             states=c.states.set(r, s2),
@@ -123,7 +122,7 @@ def st_mk_update(
 
 def st_mk_query(obj: StObject, c: StConfig, r: ReplicaId, q) -> tuple[Label, StConfig]:
     v = obj.query(q, c.states[r])
-    e = Event(r, Input.qry(q), Output.ret(v))
+    e = Event.of(r, Input.qry(q), Output.ret(v))
     cfg = StConfig(
         trace=c.trace.append(e),
         states=c.states,
@@ -141,7 +140,7 @@ def st_mk_send(
 ) -> tuple[Label, StConfig]:
     s = c.states[r]
     m = _wrap(r, c.seqs[r] + 1, s)
-    e = Event(r, Input.none(), Output.send(m))
+    e = Event.of(r, Input.none(), Output.send(m))
     cfg = StConfig(
         trace=c.trace.append(e),
         states=c.states,
@@ -161,7 +160,7 @@ def st_mk_deliver(
     if (r, m) not in c.buffer or m.payload in c.delivered_values[r]:
         return None
     s2 = obj.join(c.states[r], m.payload)
-    e = Event(r, Input.dlvr(m), Output.none())
+    e = Event.of(r, Input.dlvr(m), Output.none())
     cfg = StConfig(
         trace=c.trace.append(e),
         states=c.states.set(r, s2),

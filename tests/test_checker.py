@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 
 from crdt_emu.checker import (
@@ -7,6 +9,7 @@ from crdt_emu.checker import (
     HOST_BY_GUEST,
     PairedSystem,
     Relation,
+    _deliverable_ordering,
     check_causal_safety,
     check_commutation,
     check_strong_convergence,
@@ -21,7 +24,7 @@ from crdt_emu.checker import (
     weak_successors,
     weak_traces,
 )
-from crdt_emu.core import Event, Input, Label, Output, TRACE_EMPTY
+from crdt_emu.core import Event, Input, Label, Output, TRACE_EMPTY, canon_key
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import augment_history_op, break_query, gcounter_st, gset_op, gset_st
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
@@ -195,6 +198,100 @@ def test_mergeable_check_examples():
     assert mergeable_check((), "r1", b)
     assert mergeable_check([s], "r1", b)
     assert not mergeable_check([frozenset({6})], "r1", b)
+
+
+# --- closed-form clauses against subset enumeration ---------------------------------------
+
+
+class SubsetSearchRelation(Relation):
+    """Reference membership: the R2/bowtie and Q1 buffer clauses decided by
+    enumerating every candidate subset, smallest first."""
+
+    def _deliverable_merge_exists(self, H, r, op_c):
+        have = op_c.delivered[r]
+        target = have | H
+        candidates = sorted(
+            (m for r2, m in op_c.buffer if r2 == r and m in H), key=lambda m: m.sort_key()
+        )
+        for k in range(len(candidates) + 1):
+            for U in itertools.combinations(candidates, k):
+                Uf = frozenset(U)
+                if have | Uf != target:
+                    continue
+                if _deliverable_ordering(Uf, r, op_c.buffer, op_c.sent, have) is not None:
+                    return True
+        return False
+
+    def _q1(self, st_c, op_c):
+        for r in self.roster:
+            if st_c.states[r] != op_c.states[r]:
+                return "state-agreement"
+        obj = self.paired.host.obj
+        for r, m in st_c.buffer:
+            target = obj.join(st_c.states[r], m.payload)
+            if target == st_c.states[r]:
+                continue
+            payloads = sorted(
+                (m2.payload for r2, m2 in op_c.buffer if r2 == r), key=canon_key
+            )
+            if not any(
+                functools.reduce(obj.join, C, op_c.states[r]) == target
+                for k in range(len(payloads) + 1)
+                for C in itertools.combinations(payloads, k)
+            ):
+                return "buffer-mergeable"
+        return None
+
+
+def _assert_clauses_match_reference(p, rel_id, a_nodes, b_nodes):
+    rel, ref = Relation(rel_id, p), SubsetSearchRelation(rel_id, p)
+    verdicts = set()
+    for a, b in itertools.product(a_nodes, b_nodes):
+        got = rel.clause(a, b)
+        assert got == ref.clause(a, b)
+        verdicts.add(got)
+    return verdicts
+
+
+def test_r2_and_bowtie_closed_form_match_subset_search():
+    obj = gset_op((1, 2))
+    host = explore(OpSystem(obj, ROSTER2), 6).nodes
+    for mode, rel_id, depth in (("separate-send", "R2", 5), (ATOMIC_BROADCAST, "bowtie", 6)):
+        p = paired_gset((1, 2), mode=mode)
+        guest = explore(p.guest, depth).nodes
+        if rel_id == "R2":
+            verdicts = _assert_clauses_match_reference(p, rel_id, guest, host)
+        else:
+            verdicts = _assert_clauses_match_reference(p, rel_id, host, guest)
+        assert None in verdicts
+        # Every guest state, buffered state and (not causally closed) single
+        # message, as H, against every host configuration.
+        rel, ref = Relation(rel_id, p), SubsetSearchRelation(rel_id, p)
+        hs = {m.payload for c in guest for _, m in c.buffer}
+        hs |= {c.states[r] for c in guest for r in ROSTER2}
+        hs |= {frozenset({m}) for H in hs for m in H}
+        outcomes = set()
+        for H, op_c, r in itertools.product(hs, host, ROSTER2):
+            got = rel._deliverable_merge_exists(H, r, op_c)
+            assert got == ref._deliverable_merge_exists(H, r, op_c)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+
+def test_q1_closed_form_matches_subset_search():
+    # Three gset values give pairs where some buffered payloads are below
+    # the target but do not reach it, and pairs that fail the buffer clause.
+    for obj, depth, failing in (
+        (gset_st((1, 2, 3)), 5, {"buffer-mergeable"}),
+        (gcounter_st(), 6, set()),
+    ):
+        host = StSystem(obj, ROSTER2)
+        guest = OpSystem(st_to_op(obj), ROSTER2)
+        p = PairedSystem(host=host, guest=guest, direction="st-to-op")
+        verdicts = _assert_clauses_match_reference(
+            p, "Q1", explore(host, depth).nodes, explore(guest, depth).nodes
+        )
+        assert {None} | failing <= verdicts
 
 
 # --- weak simulation ---------------------------------------------------------------------

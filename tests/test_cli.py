@@ -201,6 +201,9 @@ def sim_entry(**over):
         {"client": {"programme": "p.prog"}},
         {"object": {"name": "gset-op", "augmnet": True}},
         {"broadcast_mod": "atomic"},
+        {"op_universe": [["add", True]]},
+        {"op_universe": [["add", 1], ["add", 1]]},
+        {"op_universe": [["add", 1], ["add", True]]},
     ],
 )
 def test_bad_scenario_entries_exit_3(tmp_path, capsys, broken):

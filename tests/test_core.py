@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 from hypothesis import given, settings
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 
 from crdt_emu.core import (
     Event,
+    FrozenDict,
     Input,
+    Label,
+    Message,
+    MessageId,
     Ordering,
     Output,
     TRACE_EMPTY,
@@ -18,10 +23,15 @@ from crdt_emu.core import (
     downset,
     enabled,
     happens_before,
+    intern_table_sizes,
     satisfies_causal_delivery,
     sent,
     vc_compare,
 )
+from crdt_emu.checker import explore
+from crdt_emu.emulation import _mint
+from crdt_emu.objects import gset_op
+from crdt_emu.opsem import OpSystem, op_init, op_mk_update
 from conftest import msg
 
 import pytest
@@ -238,3 +248,83 @@ def test_bcast_by_value_dedups(m1):
     once = bcast("r1", m1, frozenset(), roster, by_value=True)
     again = bcast("r1", other, once, roster, by_value=True)
     assert again == once
+
+
+# --- hash-consing ----------------------------------------------------------------
+
+
+def test_set_in_either_order_gives_one_map():
+    empty = FrozenDict.of({})
+    ab = empty.set("a", 1).set("b", 2)
+    assert ab is empty.set("b", 2).set("a", 1)
+    assert ab is FrozenDict.of({"b": 2, "a": 1})
+    assert ab.set("a", 1) is ab
+
+
+def test_tick_then_join_gives_one_clock():
+    zero = VectorClock.of({})
+    both = zero.tick("r1").join(zero.tick("r2"))
+    assert both is zero.tick("r2").join(zero.tick("r1"))
+    assert both is zero.tick("r1").tick("r2")
+    assert both is VectorClock.of({"r1": 1, "r2": 1, "r3": 0})
+
+
+def test_op_host_and_message_set_guest_mint_one_message():
+    obj = gset_op((5, 42))
+    host = op_init(obj, ("r1", "r2"))
+    _, after = op_mk_update(obj, ("r1", "r2"), host, "r1", ("add", 5))
+    (m,) = after.sent
+    assert _mint("r1", frozenset(), 5) is m
+    assert Message.make("r1", 1, VectorClock.of({"r1": 1}), 5) is m
+
+
+def test_different_paths_share_maps_clocks_and_events():
+    obj = gset_op((5, 42))
+    roster = ("r1", "r2")
+    c0 = op_init(obj, roster)
+    _, a1 = op_mk_update(obj, roster, c0, "r1", ("add", 5))
+    _, a2 = op_mk_update(obj, roster, a1, "r2", ("add", 42))
+    _, b1 = op_mk_update(obj, roster, c0, "r2", ("add", 42))
+    _, b2 = op_mk_update(obj, roster, b1, "r1", ("add", 5))
+    assert a2 is not b2
+    for name in ("states", "clocks", "seqs", "delivered", "delivered_values"):
+        assert getattr(a2, name) is getattr(b2, name)
+    assert a2.trace.head is b1.trace.head
+    assert b2.trace.head is a1.trace.head
+
+
+def test_plain_constructors_give_equal_values():
+    m = Message.make("r1", 1, VectorClock.of({"r1": 1}), 5)
+    pairs = [
+        (FrozenDict({"a": 1}), FrozenDict.of({"a": 1})),
+        (VectorClock((("r1", 1),)), VectorClock.of({"r1": 1})),
+        (MessageId("r1", 1), m.id),
+        (Message(MessageId("r1", 1), VectorClock((("r1", 1),)), 5), m),
+        (Input("upd", op=("add", 5)), Input.upd(("add", 5))),
+        (Input("qry", query="sum"), Input.qry("sum")),
+        (Input("dlvr", message=m), Input.dlvr(m)),
+        (Output("send", message=m), Output.send(m)),
+        (Output("ret", value=5), Output.ret(5)),
+        (Label("update", replica="r1", op=("add", 5)), Label.update("r1", ("add", 5))),
+        (Label("query", replica="r1", query="sum", value=5), Label.qry("r1", "sum", 5)),
+        (Label("tau", replica="r1", silent="dlvr"), Label.tau("dlvr", "r1")),
+        (Event("r1", Input.upd(("add", 5)), Output.send(m)),
+         Event.of("r1", Input.upd(("add", 5)), Output.send(m))),
+    ]
+    for plain, canonical in pairs:
+        assert plain is not canonical
+        assert plain == canonical and canonical == plain
+        assert hash(plain) == hash(canonical)
+        assert len({plain, canonical}) == 1
+
+
+def test_intern_tables_empty_out_after_exploration():
+    gc.collect()
+    before = intern_table_sizes()
+    graph = explore(OpSystem(gset_op((5, 42)), ("r1", "r2")), 5)
+    during = intern_table_sizes()
+    assert all(during[k] > before[k] for k in ("FrozenDict", "Message", "Event"))
+    del graph
+    gc.collect()
+    after = intern_table_sizes()
+    assert all(after[k] <= before[k] for k in before), (before, after)
