@@ -892,53 +892,55 @@ def _bisim_game(A, B, a0, b0, depth: int, tau_budget: int) -> GameWitness | None
     minimal distinguishing experiment (host-side attacks preferred on ties);
     in particular no attack on the spine can be an idle self-loop."""
     memo: dict = {}
-
-    def dist(a, b, d: int) -> GameWitness | None:
-        key = (A.summary(a), B.summary(b))
-        hit = memo.get(key)
-        if hit is not None:
-            kind, val = hit
-            if kind == "sep" and val.depth_needed <= d:
-                return val
-            if kind == "nosep" and val >= d:
-                return None
-        if d <= 0:
-            return None
-        for side, X, x, Y, y in (("host", A, a, B, b), ("guest", B, b, A, a)):
-            for label, x2 in _cached_steps(X, x):
-                responses = weak_matches(
-                    Y, y, label, tau_budget, lambda _: True, first_only=False
-                )
-                subs = []
-                survived = False
-                needed = 1
-                for y2, evs in responses:
-                    na, nb = (x2, y2) if side == "host" else (y2, x2)
-                    w = dist(na, nb, d - 1)
-                    if w is None:
-                        survived = True
-                        break
-                    subs.append((evs, w))
-                    needed = max(needed, w.depth_needed + 1)
-                if survived:
-                    continue
-                evidence = None
-                if label.kind == "query" and not responses:
-                    evidence = _evidence(X, x2, Y, y, label, tau_budget)
-                witness = GameWitness(
-                    side, label, x2.trace.head, x2, y, subs, evidence, needed
-                )
-                memo[key] = ("sep", witness)
-                return witness
-        prev = memo.get(key)
-        if prev is None or (prev[0] == "nosep" and prev[1] < d):
-            memo[key] = ("nosep", d)
-        return None
-
     for d in range(1, depth + 1):
-        w = dist(a0, b0, d)
+        w = _distinguish(A, B, tau_budget, memo, a0, b0, d)
         if w is not None:
             return w
+    return None
+
+
+def _distinguish(A, B, tau_budget: int, memo: dict, a, b, d: int) -> GameWitness | None:
+    """A game witness of depth at most d separating a from b, or None.  The
+    memo is the caller's, so it is freed when the game returns."""
+    key = (A.summary(a), B.summary(b))
+    hit = memo.get(key)
+    if hit is not None:
+        kind, val = hit
+        if kind == "sep" and val.depth_needed <= d:
+            return val
+        if kind == "nosep" and val >= d:
+            return None
+    if d <= 0:
+        return None
+    for side, X, x, Y, y in (("host", A, a, B, b), ("guest", B, b, A, a)):
+        for label, x2 in _cached_steps(X, x):
+            responses = weak_matches(
+                Y, y, label, tau_budget, lambda _: True, first_only=False
+            )
+            subs = []
+            survived = False
+            needed = 1
+            for y2, evs in responses:
+                na, nb = (x2, y2) if side == "host" else (y2, x2)
+                w = _distinguish(A, B, tau_budget, memo, na, nb, d - 1)
+                if w is None:
+                    survived = True
+                    break
+                subs.append((evs, w))
+                needed = max(needed, w.depth_needed + 1)
+            if survived:
+                continue
+            evidence = None
+            if label.kind == "query" and not responses:
+                evidence = _evidence(X, x2, Y, y, label, tau_budget)
+            witness = GameWitness(
+                side, label, x2.trace.head, x2, y, subs, evidence, needed
+            )
+            memo[key] = ("sep", witness)
+            return witness
+    prev = memo.get(key)
+    if prev is None or (prev[0] == "nosep" and prev[1] < d):
+        memo[key] = ("nosep", d)
     return None
 
 
@@ -1113,29 +1115,30 @@ def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
     adj: dict[int, list] = {}
     for i, label, j in graph.edges:
         adj.setdefault(i, []).append((label.obs_key(), j))
-    memo: dict = {}
+    return _suffixes(adj, max_len, {}, 0, step_bound)
 
-    def suffixes(i: int, budget: int) -> frozenset:
-        key = (i, budget)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = {()}
-        if budget > 0:
-            for obs, j in adj.get(i, ()):
-                sub = suffixes(j, budget - 1)
-                if obs is None:
-                    out |= sub
-                elif max_len > 0:
-                    out.add((obs,))
-                    for t in sub:
-                        if len(t) < max_len:
-                            out.add((obs,) + t)
-        result = frozenset(out)
-        memo[key] = result
-        return result
 
-    return suffixes(0, step_bound)
+def _suffixes(adj: dict, max_len: int, memo: dict, i: int, budget: int) -> frozenset:
+    """Observable label sequences of length <= max_len from node i within
+    budget raw steps; memo is the caller's, keyed by (node, budget)."""
+    key = (i, budget)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    out = {()}
+    if budget > 0:
+        for obs, j in adj.get(i, ()):
+            sub = _suffixes(adj, max_len, memo, j, budget - 1)
+            if obs is None:
+                out |= sub
+            elif max_len > 0:
+                out.add((obs,))
+                for t in sub:
+                    if len(t) < max_len:
+                        out.add((obs,) + t)
+    result = frozenset(out)
+    memo[key] = result
+    return result
 
 
 def _render_trace(tr: tuple) -> list:

@@ -40,13 +40,12 @@ from .checker import (
 from .core import FrozenDict, render
 from .emulation import op_to_st, st_to_op
 from .objects import (
+    BUILTIN_OBJECTS,
     OpObject,
     StObject,
     augment_history_op,
     augment_history_st,
-    gcounter_st,
-    gset_op,
-    gset_st,
+    break_query,
 )
 from .opsem import CAUSAL, DISCIPLINES, OpSystem
 from .stsem import MODES, SEPARATE_SEND, StSystem
@@ -185,7 +184,7 @@ def load_scenario(path: str | Path) -> Scenario:
     _known_keys(obj, ("name", "augment"), "object")
     object_name = obj["name"]
     _require(
-        object_name in ("gset-op", "gset-st", "gcounter-st"),
+        isinstance(object_name, str) and object_name in BUILTIN_OBJECTS,
         f"unknown object {object_name!r}",
     )
 
@@ -274,22 +273,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _build_object(scenario: Scenario) -> OpObject | StObject:
-    name = scenario.object_name
-    if name in ("gset-op", "gset-st"):
-        values = []
-        for op in scenario.op_universe:
-            _require(
-                op[0] == "add" and len(op) == 2 and isinstance(op[1], int),
-                f"{name} supports add[k] operations only, got {op!r}",
-            )
-            values.append(op[1])
-        _require(len(values) > 0, "op_universe must list at least one operation")
-        base = gset_op(tuple(values)) if name == "gset-op" else gset_st(tuple(values))
-    else:
-        for op in scenario.op_universe:
-            _require(op == ("inc",), f"gcounter-st supports inc only, got {op!r}")
-        _require(len(scenario.op_universe) == 1, "gcounter-st op_universe is [['inc']]")
-        base = gcounter_st()
+    try:
+        base = BUILTIN_OBJECTS[scenario.object_name](scenario.op_universe)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     if scenario.augment:
         if isinstance(base, OpObject):
             return augment_history_op(base)
@@ -297,41 +284,31 @@ def _build_object(scenario: Scenario) -> OpObject | StObject:
     return base
 
 
+def _system(obj: OpObject | StObject, scenario: Scenario) -> OpSystem | StSystem:
+    if isinstance(obj, OpObject):
+        return OpSystem(
+            obj, scenario.roster, discipline=scenario.discipline,
+            repeat_ops=scenario.repeat_ops,
+        )
+    return StSystem(
+        obj, scenario.roster, mode=scenario.broadcast_mode,
+        repeat_ops=scenario.repeat_ops,
+    )
+
+
 def build_systems(scenario: Scenario) -> tuple[Any, PairedSystem | None]:
     """Host system, plus the paired host/guest systems when emulation is on."""
     base = _build_object(scenario)
-    if isinstance(base, OpObject):
-        host = OpSystem(
-            base, scenario.roster, discipline=scenario.discipline,
-            repeat_ops=scenario.repeat_ops,
-        )
-    else:
-        host = StSystem(
-            base, scenario.roster, mode=scenario.broadcast_mode,
-            repeat_ops=scenario.repeat_ops,
-        )
+    host = _system(base, scenario)
     if scenario.emulate is None:
         return host, None
     if scenario.emulate == OP_TO_ST:
         guest_obj = op_to_st(base)  # type: ignore[arg-type]
-        if scenario.broken_guest:
-            from .objects import break_query
-
-            guest_obj = break_query(guest_obj)
-        guest = StSystem(
-            guest_obj, scenario.roster, mode=scenario.broadcast_mode,
-            repeat_ops=scenario.repeat_ops,
-        )
     else:
         guest_obj = st_to_op(base)  # type: ignore[arg-type]
-        if scenario.broken_guest:
-            from dataclasses import replace
-
-            guest_obj = replace(guest_obj, query=lambda q, s: 0, name=guest_obj.name + "+broken")
-        guest = OpSystem(
-            guest_obj, scenario.roster, discipline=scenario.discipline,
-            repeat_ops=scenario.repeat_ops,
-        )
+    if scenario.broken_guest:
+        guest_obj = break_query(guest_obj)
+    guest = _system(guest_obj, scenario)
     return host, PairedSystem(host=host, guest=guest, direction=scenario.emulate)
 
 
@@ -510,12 +487,19 @@ def cmd_explore(args) -> int:
 
 def cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.depth is not None:
-        scenario.bounds.step_bound = args.depth
-    if args.max_trace_len is not None:
-        scenario.bounds.max_trace_len = args.max_trace_len
-    if args.tau_budget is not None:
-        scenario.bounds.tau_budget = args.tau_budget
+    # A bound given as a flag replaces the scenario's and every check entry's
+    # own, so the report header states the bound each check ran at.
+    flags = {
+        "step_bound": args.depth,
+        "max_trace_len": args.max_trace_len,
+        "tau_budget": args.tau_budget,
+    }
+    given = {k: v for k, v in flags.items() if v is not None}
+    for k, v in given.items():
+        setattr(scenario.bounds, k, v)
+    scenario.checks = tuple(
+        {k: v for k, v in entry.items() if k not in given} for entry in scenario.checks
+    )
     if not scenario.checks:
         raise ScenarioError("scenario lists no checks")
     report, code = run_scenario(scenario, prune=not args.no_prune)

@@ -7,15 +7,15 @@ exploration branches share structure instead of copying.
 Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, 2006): the factories ``FrozenDict.of``/``FrozenDict.set``,
 ``VectorClock.make`` (behind ``of``/``tick``/``join``), ``Message.make``, the
-``Input``/``Output``/``Label`` static constructors and ``Event.of`` return the
-one live object per equal content, so configurations reached along different
-paths share their maps, clocks, messages and events.  Each class has its own
-table from content key to a weak reference; an entry disappears with the last
-object that refers to its value, so the tables need no size bound and never
-keep a finished check's values alive.  Identity is only a speed-up: ``__eq__``
-and ``__hash__`` stay structural, and the plain constructors still build
-equal, non-canonical values.  Frozensets (replica states, buffers) cannot be
-weakly referenced and are not interned.
+``Input``/``Output``/``Label`` static constructors, ``Event.of`` and
+``canon_set`` return the one live object per equal content, so configurations
+reached along different paths share their maps, clocks, messages, events and
+frozensets (buffers, sent sets, used-op sets).  Each class has its own table
+holding weak references; an entry disappears with the last object that refers
+to its value, so the tables need no size bound and never keep a finished
+check's values alive.  Identity is only a speed-up: ``__eq__`` and
+``__hash__`` stay structural, and the plain constructors still build equal,
+non-canonical values.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Any, Iterator, Mapping
-from weakref import KeyedRef
+from weakref import KeyedRef, ref
 
 ReplicaId = str
 Op = tuple          # operation token, e.g. ("add", 5) or ("inc",)
@@ -73,6 +73,42 @@ class _InternTable:
         return len(self.refs)
 
 
+class _SetTable:
+    """Weak reference to the canonical frozenset -> that same reference.
+
+    A frozenset is its own content key.  A weak reference hashes as its
+    referent and, while both referents live, compares as they do, so a
+    candidate is looked up through ``ref(candidate)`` without keeping it.
+    A dead reference still hashes as before and equals only itself, which
+    lets its callback find and drop the entry."""
+
+    __slots__ = ("refs", "_drop")
+
+    def __init__(self):
+        refs: dict = {}
+        self.refs = refs
+
+        def drop(dead, refs=refs):
+            if refs.get(dead) is dead:
+                del refs[dead]
+
+        self._drop = drop
+
+    def canon(self, s: frozenset) -> frozenset:
+        """The live set equal to s, else s stored as canonical."""
+        hit = self.refs.get(ref(s))
+        if hit is not None:
+            live = hit()
+            if live is not None:
+                return live
+        key = ref(s, self._drop)
+        self.refs[key] = key
+        return s
+
+    def __len__(self) -> int:
+        return len(self.refs)
+
+
 _FROZEN_DICTS = _InternTable()
 _CLOCKS = _InternTable()
 _MESSAGE_IDS = _InternTable()
@@ -81,6 +117,7 @@ _INPUTS = _InternTable()
 _OUTPUTS = _InternTable()
 _LABELS = _InternTable()
 _EVENTS = _InternTable()
+_FROZENSETS = _SetTable()
 
 _TABLES = {
     "FrozenDict": _FROZEN_DICTS,
@@ -91,7 +128,13 @@ _TABLES = {
     "Output": _OUTPUTS,
     "Label": _LABELS,
     "Event": _EVENTS,
+    "frozenset": _FROZENSETS,
 }
+
+
+def canon_set(s: frozenset) -> frozenset:
+    """The canonical frozenset equal to s."""
+    return _FROZENSETS.canon(s)
 
 
 def intern_table_sizes() -> dict[str, int]:
@@ -548,12 +591,13 @@ def bcast(
     roster: tuple[ReplicaId, ...],
     by_value: bool = False,
 ) -> frozenset[tuple[ReplicaId, Message]]:
-    """Add one copy of m per destination replica other than the sender."""
+    """Add one copy of m per destination replica other than the sender; the
+    result is canonical."""
     out = buffer
     for r2 in roster:
         if r2 != r:
             out = buffer_add(out, r2, m, by_value)
-    return out
+    return canon_set(out)
 
 
 # --- canonical ordering / rendering ------------------------------------------

@@ -43,16 +43,27 @@ def interp(h: MessageSetState, obj: OpObject) -> Any:
     not depend on the peeling choice; the checker verifies that separately
     rather than assuming it.
     """
-    if not h:
-        return obj.initial
-    memo = _interp_memo.setdefault(obj, {})
-    cached = memo.get(h)
-    if cached is not None or h in memo:
-        return cached
-    m = min(max_set(h), key=lambda m: m.sort_key())
-    result = obj.effect(m.payload, interp(h - {m}, obj))
-    memo[h] = result
-    return result
+    return _interp(h, obj, _interp_memo.setdefault(obj, {}))
+
+
+def _interp(h: MessageSetState, obj: OpObject, memo: dict) -> Any:
+    """``interp`` with the object's memo in hand: peel down to the largest
+    memoized (or empty) subset, then apply the peeled effects back up,
+    memoizing every set on the way."""
+    peeled = []
+    while h:
+        state = memo.get(h)
+        if state is not None or h in memo:
+            break
+        m = min(max_set(h), key=Message.sort_key)
+        peeled.append((h, m))
+        h = h - {m}
+    else:
+        state = obj.initial
+    for whole, m in reversed(peeled):
+        state = obj.effect(m.payload, state)
+        memo[whole] = state
+    return state
 
 
 def linear_extensions(h: MessageSetState) -> Iterator[tuple[Message, ...]]:
@@ -103,23 +114,12 @@ def op_to_st(obj: OpObject) -> StObject:
     union, with updates inserting freshly prepped messages."""
     memo = _interp_memo.setdefault(obj, {})
 
-    def interp_local(h: MessageSetState) -> Any:
-        if not h:
-            return obj.initial
-        cached = memo.get(h)
-        if cached is not None or h in memo:
-            return cached
-        m = min(max_set(h), key=lambda m: m.sort_key())
-        result = obj.effect(m.payload, interp_local(h - {m}))
-        memo[h] = result
-        return result
-
     def update(r: ReplicaId, op: Op, h: MessageSetState) -> MessageSetState:
-        payload = obj.prep(r, op, interp_local(h))
+        payload = obj.prep(r, op, _interp(h, obj, memo))
         return h | {_mint(r, h, payload)}
 
     def query(q: QueryId, h: MessageSetState) -> Any:
-        return obj.query(q, interp_local(h))
+        return obj.query(q, _interp(h, obj, memo))
 
     return StObject(
         name=obj.name + "->st",

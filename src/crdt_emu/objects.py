@@ -22,7 +22,12 @@ IDENTITY_ID = "id"
 IDENTITY_VALUE = "value"
 
 
-@dataclass(frozen=True)
+# Object definitions compare and hash by identity: their functions compare by
+# identity anyway, and the interpretation memo looks an object up on every
+# top-level ``emulation.interp`` call.
+
+
+@dataclass(frozen=True, eq=False)
 class OpObject:
     name: str
     initial: Any
@@ -34,7 +39,7 @@ class OpObject:
     message_identity: str = IDENTITY_ID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StObject:
     name: str
     initial: Any
@@ -104,10 +109,30 @@ def gcounter_st() -> StObject:
     )
 
 
-BUILTIN_OBJECTS: dict[str, Callable[..., OpObject | StObject]] = {
-    "gset-op": gset_op,
-    "gset-st": gset_st,
-    "gcounter-st": gcounter_st,
+def _add_values(name: str, ops: tuple[Op, ...]) -> tuple[int, ...]:
+    for op in ops:
+        if not (op[0] == "add" and len(op) == 2 and isinstance(op[1], int)):
+            raise ValueError(f"{name} supports add[k] operations only, got {op!r}")
+    if not ops:
+        raise ValueError("op_universe must list at least one operation")
+    return tuple(op[1] for op in ops)
+
+
+def _gcounter_for(ops: tuple[Op, ...]) -> StObject:
+    for op in ops:
+        if op != ("inc",):
+            raise ValueError(f"gcounter-st supports inc only, got {op!r}")
+    if len(ops) != 1:
+        raise ValueError("gcounter-st op_universe is [['inc']]")
+    return gcounter_st()
+
+
+# Shipped objects by scenario name.  Each entry builds its object over the
+# given operation universe and raises ValueError on operations it lacks.
+BUILTIN_OBJECTS: dict[str, Callable[[tuple[Op, ...]], OpObject | StObject]] = {
+    "gset-op": lambda ops: gset_op(_add_values("gset-op", ops)),
+    "gset-st": lambda ops: gset_st(_add_values("gset-st", ops)),
+    "gcounter-st": _gcounter_for,
 }
 
 
@@ -178,7 +203,7 @@ def strip_history_value(v: Any) -> Any:
     return v[0]
 
 
-def break_query(o: StObject, value: Any = 0) -> StObject:
+def break_query(o: OpObject | StObject, value: Any = 0) -> OpObject | StObject:
     """Pathological guest for negative tests: queries return a constant."""
     return replace(o, name=o.name + "+broken", query=lambda q, s: value)
 

@@ -25,6 +25,7 @@ from .core import (
     TRACE_EMPTY,
     VectorClock,
     bcast,
+    canon_set,
     happens_before,
 )
 from .objects import IDENTITY_VALUE, OpObject
@@ -60,17 +61,17 @@ def op_init(obj: OpObject, roster: tuple[ReplicaId, ...]) -> OpConfig:
         raise ValueError("op_init: empty replica roster")
     if len(set(roster)) != len(roster):
         raise ValueError("op_init: duplicate replica ids")
-    empty = frozenset()
+    empty = canon_set(frozenset())
     return OpConfig(
         trace=TRACE_EMPTY,
         states=FrozenDict.of({r: obj.initial for r in roster}),
-        buffer=frozenset(),
+        buffer=empty,
         clocks=FrozenDict.of({r: VectorClock.make(()) for r in roster}),
         seqs=FrozenDict.of({r: 0 for r in roster}),
-        sent=frozenset(),
+        sent=empty,
         delivered=FrozenDict.of({r: empty for r in roster}),
         delivered_values=FrozenDict.of({r: empty for r in roster}),
-        used_ops=frozenset(),
+        used_ops=empty,
     )
 
 
@@ -132,10 +133,10 @@ def op_mk_update(
         buffer=bcast(r, m, c.buffer, roster, obj.message_identity == IDENTITY_VALUE),
         clocks=c.clocks.set(r, clock),
         seqs=c.seqs.set(r, c.seqs[r] + 1),
-        sent=c.sent | {m},
+        sent=canon_set(c.sent | {m}),
         delivered=c.delivered.set(r, c.delivered[r] | {m}),
         delivered_values=c.delivered_values.set(r, c.delivered_values[r] | {payload}),
-        used_ops=c.used_ops | {(r, op)},
+        used_ops=canon_set(c.used_ops | {(r, op)}),
     )
     return (Label.update(r, op), cfg)
 
@@ -168,7 +169,7 @@ def op_mk_deliver(
     cfg = OpConfig(
         trace=c.trace.append(e),
         states=c.states.set(r, s2),
-        buffer=c.buffer - {(r, m)},
+        buffer=canon_set(c.buffer - {(r, m)}),
         clocks=c.clocks.set(r, c.clocks[r].join(m.clock)),
         seqs=c.seqs,
         sent=c.sent,

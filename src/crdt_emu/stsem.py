@@ -25,6 +25,7 @@ from .core import (
     TRACE_EMPTY,
     VectorClock,
     bcast,
+    canon_set,
 )
 from .objects import StObject
 
@@ -54,15 +55,15 @@ def st_init(obj: StObject, roster: tuple[ReplicaId, ...]) -> StConfig:
         raise ValueError("st_init: empty replica roster")
     if len(set(roster)) != len(roster):
         raise ValueError("st_init: duplicate replica ids")
-    empty = frozenset()
+    empty = canon_set(frozenset())
     return StConfig(
         trace=TRACE_EMPTY,
         states=FrozenDict.of({r: obj.initial for r in roster}),
-        buffer=frozenset(),
+        buffer=empty,
         seqs=FrozenDict.of({r: 0 for r in roster}),
-        sent_values=frozenset(),
+        sent_values=empty,
         delivered_values=FrozenDict.of({r: empty for r in roster}),
-        used_ops=frozenset(),
+        used_ops=empty,
     )
 
 
@@ -102,9 +103,9 @@ def st_mk_update(
             states=c.states.set(r, s2),
             buffer=bcast(r, m, c.buffer, roster, by_value=True),
             seqs=c.seqs.set(r, c.seqs[r] + 1),
-            sent_values=c.sent_values | {s2},
+            sent_values=canon_set(c.sent_values | {s2}),
             delivered_values=c.delivered_values,
-            used_ops=c.used_ops | {(r, op)},
+            used_ops=canon_set(c.used_ops | {(r, op)}),
         )
     else:
         e = Event.of(r, Input.upd(op), Output.none())
@@ -115,7 +116,7 @@ def st_mk_update(
             seqs=c.seqs,
             sent_values=c.sent_values,
             delivered_values=c.delivered_values,
-            used_ops=c.used_ops | {(r, op)},
+            used_ops=canon_set(c.used_ops | {(r, op)}),
         )
     return (Label.update(r, op), cfg)
 
@@ -146,7 +147,7 @@ def st_mk_send(
         states=c.states,
         buffer=bcast(r, m, c.buffer, roster, by_value=True),
         seqs=c.seqs.set(r, c.seqs[r] + 1),
-        sent_values=c.sent_values | {s},
+        sent_values=canon_set(c.sent_values | {s}),
         delivered_values=c.delivered_values,
         used_ops=c.used_ops,
     )
@@ -164,7 +165,7 @@ def st_mk_deliver(
     cfg = StConfig(
         trace=c.trace.append(e),
         states=c.states.set(r, s2),
-        buffer=c.buffer - {(r, m)},
+        buffer=canon_set(c.buffer - {(r, m)}),
         seqs=c.seqs,
         sent_values=c.sent_values,
         delivered_values=c.delivered_values.set(r, c.delivered_values[r] | {m.payload}),
@@ -225,7 +226,7 @@ class StSystem:
     def summary(self, c: StConfig) -> tuple:
         cached = c._summary
         if cached is None:
-            buffer_values = frozenset((r, m.payload) for r, m in c.buffer)
+            buffer_values = canon_set(frozenset((r, m.payload) for r, m in c.buffer))
             cached = (c.states, buffer_values, c.sent_values, c.delivered_values, c.used_ops)
             object.__setattr__(c, "_summary", cached)
         return cached

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 
@@ -26,9 +27,17 @@ from crdt_emu.checker import (
 )
 from crdt_emu.core import Event, Input, Label, Output, TRACE_EMPTY, canon_key
 from crdt_emu.emulation import op_to_st, st_to_op
-from crdt_emu.objects import augment_history_op, break_query, gcounter_st, gset_op, gset_st
-from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
-from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
+from crdt_emu.objects import (
+    OpObject,
+    StObject,
+    augment_history_op,
+    break_query,
+    gcounter_st,
+    gset_op,
+    gset_st,
+)
+from crdt_emu.opsem import RELIABLE_ONLY, OpConfig, OpSystem
+from crdt_emu.stsem import ATOMIC_BROADCAST, StConfig, StSystem
 from conftest import msg
 
 import pytest
@@ -536,3 +545,33 @@ def test_commutation_sweep():
     host = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"))
     v = check_commutation(host, step_bound=5)
     assert v.passed and v.stats["pairs_checked"] > 0
+
+
+# --- memory ---------------------------------------------------------------------------
+
+
+def _run_checks_and_drop_them():
+    assert check_weak_bisimulation(paired_gset(), step_bound=8).outcome == "counterexample"
+    assert check_trace_equivalence(paired_gset((1, 2)), max_len=3, step_bound=8).passed
+    assert check_weak_simulation(paired_gset(), "R1", HOST_BY_GUEST, step_bound=5).passed
+
+
+def test_finished_checks_leave_no_cyclic_garbage():
+    """A check's search state is freed by reference counting when it returns:
+    with the cyclic GC off, a collection afterwards finds no configuration,
+    system or object among what it would reclaim."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        _run_checks_and_drop_them()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        kinds = (OpConfig, StConfig, OpSystem, StSystem, OpObject, StObject)
+        found = sorted({type(o).__name__ for o in gc.garbage if isinstance(o, kinds)})
+        gc.garbage.clear()
+    finally:
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
+    assert found == []

@@ -91,6 +91,27 @@ def test_check_exit_codes_and_report(tmp_path, capsys):
         assert "stats" in c["verdict"] and "bounds" in c["verdict"]
 
 
+def test_bound_flags_override_check_entries(tmp_path):
+    checks = [
+        {"name": "sim", "relation": "R1", "direction": "host-by-guest",
+         "step_bound": 2, "tau_budget": 3},
+        {"name": "traces", "step_bound": 2, "max_trace_len": 2},
+    ]
+    path = write_scenario(tmp_path, base_scenario(checks=checks))
+    out = tmp_path / "report.json"
+    code = main(
+        ["check", "--scenario", path, "--depth", "1", "--tau-budget", "5",
+         "--max-trace-len", "1", "--out", str(out)]
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["bounds"] == {"step_bound": 1, "max_trace_len": 1, "tau_budget": 5}
+    sim, traces = (c["verdict"] for c in report["checks"])
+    assert sim["bounds"] == {"step_bound": 1, "tau_budget": 5, "relation": "R1"}
+    assert sim["stats"]["max_depth"] == 1
+    assert traces["bounds"] == {"max_trace_len": 1, "step_bound": 1}
+
+
 def test_check_counterexample_exit_code(tmp_path):
     code = main(
         ["check", "--scenario", scenario_path("ex-2-5-no-causal"), "--depth", "6",

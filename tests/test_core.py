@@ -30,8 +30,9 @@ from crdt_emu.core import (
 )
 from crdt_emu.checker import explore
 from crdt_emu.emulation import _mint
-from crdt_emu.objects import gset_op
+from crdt_emu.objects import gset_op, gset_st
 from crdt_emu.opsem import OpSystem, op_init, op_mk_update
+from crdt_emu.stsem import StSystem, st_init, st_mk_deliver, st_mk_send, st_mk_update
 from conftest import msg
 
 import pytest
@@ -287,10 +288,36 @@ def test_different_paths_share_maps_clocks_and_events():
     _, b1 = op_mk_update(obj, roster, c0, "r2", ("add", 42))
     _, b2 = op_mk_update(obj, roster, b1, "r1", ("add", 5))
     assert a2 is not b2
-    for name in ("states", "clocks", "seqs", "delivered", "delivered_values"):
+    for name in (
+        "states", "buffer", "clocks", "seqs", "sent", "delivered", "delivered_values",
+        "used_ops",
+    ):
         assert getattr(a2, name) is getattr(b2, name)
     assert a2.trace.head is b1.trace.head
     assert b2.trace.head is a1.trace.head
+
+
+def test_different_paths_share_state_based_sets_and_maps():
+    obj = gset_st((5, 42))
+    roster = ("r1", "r2")
+
+    def run(first, second):
+        c = st_init(obj, roster)
+        for r, op in (first, second):
+            _, c = st_mk_update(obj, roster, c, r, op, "separate-send")
+            _, c = st_mk_send(roster, c, r)
+        m = next(m for r, m in c.buffer if r == "r1")
+        _, c = st_mk_deliver(obj, c, "r1", m)
+        return c
+
+    a = run(("r1", ("add", 5)), ("r2", ("add", 42)))
+    b = run(("r2", ("add", 42)), ("r1", ("add", 5)))
+    assert a is not b
+    for name in ("states", "buffer", "seqs", "sent_values", "delivered_values", "used_ops"):
+        assert getattr(a, name) is getattr(b, name)
+    system = StSystem(obj, roster)
+    assert system.summary(a) is not system.summary(b)
+    assert system.summary(a)[1] is system.summary(b)[1]
 
 
 def test_plain_constructors_give_equal_values():

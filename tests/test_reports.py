@@ -1,8 +1,7 @@
 """Golden reports: every shipped scenario that lists checks must produce the
 same report, ``wall_time_s`` aside, as the one stored in ``tests/golden``.
 
-``thm-4-2-3rid`` is left out because it takes about a minute.  After a change
-that is meant to alter a report, rewrite the files with
+After a change that is meant to alter a report, rewrite the files with
 
     PYTHONPATH=src python tests/test_reports.py
 
@@ -22,14 +21,13 @@ from crdt_emu.cli import load_scenario, run_scenario
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SLOW = {"thm-4-2-3rid"}
 
 
 def _checked_scenarios() -> list[str]:
     return sorted(
         path.stem
         for path in SCENARIOS.glob("*.scenario")
-        if path.stem not in SLOW and json.loads(path.read_text()).get("checks")
+        if json.loads(path.read_text()).get("checks")
     )
 
 
