@@ -2,9 +2,10 @@
 
 The checker explores configuration LTSs to a step bound, decides membership
 in the candidate simulation relations, and verifies weak simulations and the
-weak bisimulation by playing the matching game: for each reachable related
-pair and each single step of the simulated side it finds a saturated matching
-step on the other side that lands back in the relation.  Constructive
+weak bisimulation by playing one matching game: for each reachable related
+pair and each single step of an attacking side (one side for a simulation,
+both for the bisimulation) it finds a saturated matching step on the other
+side that lands back in the relation.  Constructive
 matchers (the moves the relations were designed around) are tried first; a
 bounded search over weak successors is the fallback.  All verdicts are
 evidence at the stated bounds, not unbounded guarantees.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .core import (
     Event,
@@ -578,16 +579,17 @@ def _st_deliver_of_payload(D, cfg, r: ReplicaId, payload) -> list | None:
 
 
 def constructive_match(
-    rel: Relation,
+    recipe: str,
+    paired: PairedSystem,
     defender_system,
     a_cfg,
     label: Label,
     a2_cfg,
     b_cfg,
 ) -> list | None:
-    """The canonical defender moves for each attacker step; returns the
-    chain of defender steps or None when the recipe does not apply."""
-    rel_id = rel.id
+    """The canonical defender moves for each attacker step under the named
+    relation's recipe; returns the chain of defender steps or None when the
+    recipe does not apply.  Guest steps of the bowtie use the R2 recipe."""
     event = a2_cfg.trace.head
     r = label.replica
     D = defender_system
@@ -595,9 +597,9 @@ def constructive_match(
     if label.kind == "update":
         if not D.repeat_ops and (r, label.op) in b_cfg.used_ops:
             return None
-        if rel_id in ("R2", "Q1"):
+        if recipe in ("R2", "Q1"):
             return [op_mk_update(D.obj, D.roster, b_cfg, r, label.op)]
-        if rel_id == "bowtie" and D.mode == ATOMIC_BROADCAST:
+        if recipe == "bowtie" and D.mode == ATOMIC_BROADCAST:
             return [st_mk_update(D.obj, D.roster, b_cfg, r, label.op, D.mode)]
         # R1/Q2 (and bowtie in separate mode): update then send
         step1 = st_mk_update(D.obj, D.roster, b_cfg, r, label.op, D.mode)
@@ -620,14 +622,14 @@ def constructive_match(
         return None
     m = event.input.message
 
-    if rel_id in ("R1", "bowtie"):
+    if recipe in ("R1", "bowtie"):
         return _st_deliver_of_payload(D, b_cfg, r, downset_of(m, a_cfg.sent))
 
-    if rel_id == "R2":
+    if recipe == "R2":
         return _op_deliver_chain(D, b_cfg, r, set(m.payload) - set(b_cfg.delivered[r]))
 
-    if rel_id == "Q1":
-        obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
+    if recipe == "Q1":
+        obj: StObject = paired.host.obj  # type: ignore[assignment]
         target = obj.join(a_cfg.states[r], m.payload)
         if target == b_cfg.states[r]:
             return []
@@ -648,30 +650,9 @@ def constructive_match(
             if cur.states[r] == target:
                 return chain
 
-    if rel_id == "Q2":
+    if recipe == "Q2":
         return _st_deliver_of_payload(D, b_cfg, r, m.payload)
 
-    return None
-
-
-# bowtie obligations in the guest-to-host direction reuse the R2 recipes
-def _bowtie_guest_match(defender_system, defender_cfg, label, attacker_post):
-    event = attacker_post.trace.head
-    r = label.replica
-    D = defender_system
-    if label.kind == "update":
-        if not D.repeat_ops and (r, label.op) in defender_cfg.used_ops:
-            return None
-        return [op_mk_update(D.obj, D.roster, defender_cfg, r, label.op)]
-    if label.kind == "query":
-        step = op_mk_query(D.obj, defender_cfg, r, label.query)
-        return [step] if step[0].obs_key() == label.obs_key() else None
-    if event.input.kind == "dlvr":
-        H = event.input.message.payload
-        wanted = set(H) - set(defender_cfg.delivered[r])
-        return _op_deliver_chain(D, defender_cfg, r, wanted)
-    if event.output.kind == "send":
-        return []
     return None
 
 
@@ -737,6 +718,105 @@ def default_tau_budget(paired: PairedSystem) -> int:
     return 2 * len(paired.host.roster)
 
 
+class _Miss(NamedTuple):
+    """The first obligation that no defender move discharges."""
+
+    a_events: tuple[Event, ...]   # path to the attacked pair, first side
+    b_events: tuple[Event, ...]   # path to the attacked pair, second side
+    side: str                     # the attacker's side of the relation: "a" | "b"
+    label: Label
+    attacker_post: Any
+    landing: Any                  # where the constructive chain ends
+    defender: Any                 # the defender's configuration it started from
+
+
+def _play_obligations(
+    paired: PairedSystem,
+    rel: Relation,
+    obligations: tuple[tuple[str, str], ...],
+    a0,
+    b0,
+    step_bound: int,
+    tau_budget: int,
+    max_pairs: int,
+    stats: dict,
+    bounds: dict,
+    audit: bool = False,
+) -> Verdict | _Miss:
+    """Breadth-first matching game over related pairs (a, b), a on the
+    relation's first side, from the related initial pair (a0, b0).  Each
+    obligation (attacker side, recipe) asks that every single step of that
+    side's configuration be answered by a weak step of the other side that
+    lands back in the relation: the recipe's constructive chain first, the
+    bounded weak-successor search as fallback.  Returns the PASS or
+    BOUND_EXHAUSTED verdict, or the first obligation no move discharges.
+    The pair budget is checked as each new pair is added, so at most
+    max_pairs + 1 pairs are counted."""
+    A, B = paired.side(rel.a_side), paired.side(rel.b_side)
+    key0 = (A.summary(a0), B.summary(b0))
+    # pair key -> (parent key, attacker side, attacker event, defender events)
+    parents: dict = {key0: None}
+    queue = deque([(a0, b0, 0, key0)])
+    stats["pairs"] = 1
+    while queue:
+        a, b, depth, key = queue.popleft()
+        stats["max_depth"] = max(stats["max_depth"], depth)
+        if depth >= step_bound:
+            continue
+        for side, recipe in obligations:
+            X, x, Y, y = (A, a, B, b) if side == "a" else (B, b, A, a)
+            for label, x2 in X.steps(x):
+                stats["obligations"] += 1
+                accept = (
+                    (lambda yy: rel.holds(x2, yy)) if side == "a"
+                    else (lambda yy: rel.holds(yy, x2))
+                )
+                landing = None
+                chain = constructive_match(recipe, paired, Y, x, label, x2, y)
+                if chain is not None:
+                    cand = chain[-1][1] if chain else y
+                    if accept(cand):
+                        landing = cand
+                        chain_events = tuple(c.trace.head for _, c in chain)
+                        stats["matcher_matched"] += 1
+                        if audit and not weak_matches(Y, y, label, tau_budget, accept):
+                            stats["matcher_fallback_disagreements"] += 1
+                if landing is None:
+                    found = weak_matches(Y, y, label, tau_budget, accept)
+                    if not found:
+                        near = chain[-1][1] if chain else y
+                        return _Miss(*_path_events(parents, key), side, label, x2, near, y)
+                    landing, chain_events = found[0]
+                    stats["fallback_matched"] += 1
+                a2, b2 = (x2, landing) if side == "a" else (landing, x2)
+                key2 = (A.summary(a2), B.summary(b2))
+                if key2 not in parents:
+                    parents[key2] = (key, side, x2.trace.head, chain_events)
+                    stats["pairs"] += 1
+                    queue.append((a2, b2, depth + 1, key2))
+                    if stats["pairs"] > max_pairs:
+                        return Verdict(
+                            BOUND_EXHAUSTED, stats, bounds, detail="pair budget exceeded"
+                        )
+    total = stats["matcher_matched"] + stats["fallback_matched"]
+    stats["matcher_fraction"] = stats["matcher_matched"] / total if total else 1.0
+    return Verdict(PASS, stats, bounds)
+
+
+def _path_events(parents: dict, key) -> tuple[tuple[Event, ...], tuple[Event, ...]]:
+    """The events of both sides along the parents path to the pair key."""
+    a_evs: list[Event] = []
+    b_evs: list[Event] = []
+    while parents[key] is not None:
+        key, side, attacker_event, defender_events = parents[key]
+        x_evs, y_evs = (a_evs, b_evs) if side == "a" else (b_evs, a_evs)
+        x_evs.append(attacker_event)
+        y_evs.extend(reversed(defender_events))
+    a_evs.reverse()
+    b_evs.reverse()
+    return tuple(a_evs), tuple(b_evs)
+
+
 def check_weak_simulation(
     paired: PairedSystem,
     rel_id: str | None = None,
@@ -785,90 +865,29 @@ def check_weak_simulation(
             witness={"failed_clause": clause0, "at": "initial-configurations"},
             detail="initial configurations are not related",
         )
-
-    key0 = (A.summary(a0), B.summary(b0))
-    visited = {key0}
-    parents: dict = {key0: None}
-    queue = deque([(a0, b0, 0, key0)])
-    stats["pairs"] = 1
-
-    def path_events(key) -> tuple[tuple[Event, ...], tuple[Event, ...]]:
-        a_evs: list[Event] = []
-        b_evs: list[Event] = []
-        while parents[key] is not None:
-            key, a_e, b_es = parents[key]
-            a_evs.append(a_e)
-            b_evs.extend(reversed(b_es))
-        a_evs.reverse()
-        b_evs.reverse()
-        return tuple(a_evs), tuple(b_evs)
-
-    while queue:
-        a, b, depth, key = queue.popleft()
-        stats["max_depth"] = max(stats["max_depth"], depth)
-        if depth >= step_bound:
-            continue
-        for label, a2 in A.steps(a):
-            stats["obligations"] += 1
-            landing = None
-            chain_events: tuple[Event, ...] = ()
-            chain = constructive_match(rel, B, a, label, a2, b)
-            if chain is not None:
-                cand = chain[-1][1] if chain else b
-                if rel.clause(a2, cand) is None:
-                    landing = cand
-                    chain_events = tuple(c.trace.head for _, c in chain)
-                    stats["matcher_matched"] += 1
-                    if audit_matchers:
-                        found = weak_matches(
-                            B, b, label, tau_budget, lambda bb: rel.holds(a2, bb)
-                        )
-                        if not found:
-                            stats["matcher_fallback_disagreements"] += 1
-            if landing is None:
-                found = weak_matches(
-                    B, b, label, tau_budget, lambda bb: rel.holds(a2, bb)
-                )
-                if found:
-                    landing, chain_events = found[0]
-                    stats["fallback_matched"] += 1
-                else:
-                    a_evs, b_evs = path_events(key)
-                    near = chain[-1][1] if chain else b
-                    cex = SimCounterexample(
-                        a_events=a_evs + (a2.trace.head,),
-                        b_events=b_evs,
-                        unmatched_label=label,
-                        unmatched_event=a2.trace.head,
-                        clause=rel.clause(a2, near),
-                        evidence=_evidence(A, a2, B, b, label, tau_budget),
-                    )
-                    return Verdict(
-                        COUNTEREXAMPLE,
-                        stats,
-                        bounds,
-                        witness=cex.to_witness(a_name, b_name),
-                        raw=cex,
-                        detail=f"unmatched {a_name} step",
-                    )
-            key2 = (A.summary(a2), B.summary(landing))
-            if key2 not in visited:
-                visited.add(key2)
-                parents[key2] = (key, a2.trace.head, chain_events)
-                stats["pairs"] += 1
-                queue.append((a2, landing, depth + 1, key2))
-                if stats["pairs"] > max_pairs:
-                    return Verdict(
-                        BOUND_EXHAUSTED,
-                        stats,
-                        bounds,
-                        detail="pair budget exceeded",
-                    )
-    total = stats["matcher_matched"] + stats["fallback_matched"]
-    stats["matcher_fraction"] = (
-        stats["matcher_matched"] / total if total else 1.0
+    miss = _play_obligations(
+        paired, rel, (("a", rel_id),), a0, b0,
+        step_bound, tau_budget, max_pairs, stats, bounds, audit_matchers,
     )
-    return Verdict(PASS, stats, bounds)
+    if isinstance(miss, Verdict):
+        return miss
+    a2 = miss.attacker_post
+    cex = SimCounterexample(
+        a_events=miss.a_events + (a2.trace.head,),
+        b_events=miss.b_events,
+        unmatched_label=miss.label,
+        unmatched_event=a2.trace.head,
+        clause=rel.clause(a2, miss.landing),
+        evidence=_evidence(A, a2, B, miss.defender, miss.label, tau_budget),
+    )
+    return Verdict(
+        COUNTEREXAMPLE,
+        stats,
+        bounds,
+        witness=cex.to_witness(a_name, b_name),
+        raw=cex,
+        detail=f"unmatched {a_name} step",
+    )
 
 
 # --- weak bisimulation ---------------------------------------------------------------
@@ -975,78 +994,21 @@ def check_weak_bisimulation(
     a0, b0 = A.init(), B.init()
     stats = {"pairs": 0, "obligations": 0, "max_depth": 0, "matcher_matched": 0, "fallback_matched": 0}
 
-    failure = None
-    if rel.clause(a0, b0) is not None:
-        failure = ("initial-configurations", rel.clause(a0, b0))
+    clause0 = rel.clause(a0, b0)
+    if clause0 is not None:
+        failure = ("initial-configurations", clause0)
     else:
-        key0 = (A.summary(a0), B.summary(b0))
-        visited = {key0}
-        queue = deque([(a0, b0, 0)])
-        stats["pairs"] = 1
-        while queue and failure is None:
-            a, b, depth = queue.popleft()
-            stats["max_depth"] = max(stats["max_depth"], depth)
-            if depth >= step_bound:
-                continue
-            # host obligations
-            for label, a2 in A.steps(a):
-                stats["obligations"] += 1
-                landing = None
-                chain = constructive_match(rel, B, a, label, a2, b)
-                if chain is not None:
-                    cand = chain[-1][1] if chain else b
-                    if rel.clause(a2, cand) is None:
-                        landing = cand
-                        stats["matcher_matched"] += 1
-                if landing is None:
-                    found = weak_matches(
-                        B, b, label, tau_budget, lambda bb: rel.holds(a2, bb)
-                    )
-                    if found:
-                        landing = found[0][0]
-                        stats["fallback_matched"] += 1
-                    else:
-                        failure = ("host-step-unmatched", rel.clause(a2, b))
-                        break
-                key2 = (A.summary(a2), B.summary(landing))
-                if key2 not in visited:
-                    visited.add(key2)
-                    stats["pairs"] += 1
-                    queue.append((a2, landing, depth + 1))
-            if failure is not None:
-                break
-            # guest obligations
-            for label, b2 in B.steps(b):
-                stats["obligations"] += 1
-                landing = None
-                chain = _bowtie_guest_match(A, a, label, b2)
-                if chain is not None:
-                    cand = chain[-1][1] if chain else a
-                    if rel.clause(cand, b2) is None:
-                        landing = cand
-                        stats["matcher_matched"] += 1
-                if landing is None:
-                    found = weak_matches(
-                        A, a, label, tau_budget, lambda aa: rel.holds(aa, b2)
-                    )
-                    if found:
-                        landing = found[0][0]
-                        stats["fallback_matched"] += 1
-                    else:
-                        failure = ("guest-step-unmatched", rel.clause(a, b2))
-                        break
-                key2 = (A.summary(landing), B.summary(b2))
-                if key2 not in visited:
-                    visited.add(key2)
-                    stats["pairs"] += 1
-                    queue.append((landing, b2, depth + 1))
-            if stats["pairs"] > max_pairs:
-                return Verdict(BOUND_EXHAUSTED, stats, bounds, detail="pair budget exceeded")
-
-    if failure is None:
-        total = stats["matcher_matched"] + stats["fallback_matched"]
-        stats["matcher_fraction"] = stats["matcher_matched"] / total if total else 1.0
-        return Verdict(PASS, stats, bounds)
+        miss = _play_obligations(
+            paired, rel, (("a", "bowtie"), ("b", "R2")), a0, b0,
+            step_bound, tau_budget, max_pairs, stats, bounds,
+        )
+        if isinstance(miss, Verdict):
+            return miss
+        # the clause against the defender's configuration before it answered
+        if miss.side == "a":
+            failure = ("host-step-unmatched", rel.clause(miss.attacker_post, miss.defender))
+        else:
+            failure = ("guest-step-unmatched", rel.clause(miss.defender, miss.attacker_post))
 
     game = _bisim_game(A, B, a0, b0, step_bound, tau_budget)
     if game is None:

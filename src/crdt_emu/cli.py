@@ -554,26 +554,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crdt-emu", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--depth", type=_bound_arg, default=None, help="step bound override")
-        p.add_argument("--max-trace-len", type=_bound_arg, default=None)
-        p.add_argument("--tau-budget", type=_bound_arg, default=None)
-        p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--no-prune", action="store_true", help="disable summary pruning")
-
     p_explore = sub.add_parser("explore", help="dump the bounded transition graph")
-    common(p_explore)
     p_explore.set_defaults(fn=cmd_explore)
-
     p_check = sub.add_parser("check", help="run the scenario's checks")
-    common(p_check)
     p_check.set_defaults(fn=cmd_check)
-
     p_client = sub.add_parser("run-client", help="client-program approximation check")
-    common(p_client)
-    p_client.add_argument("--program", default=None, help="client program file")
     p_client.set_defaults(fn=cmd_run_client)
+
+    # Each flag only on the subcommands that read it, so any other use is a
+    # usage error rather than silently ignored.
+    for p in (p_explore, p_check, p_client):
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
+        p.add_argument("--out", default=None, help="write the report to a file")
+    for p in (p_explore, p_check):
+        p.add_argument("--depth", type=_bound_arg, default=None, help="step bound override")
+        p.add_argument("--no-prune", action="store_true", help="disable summary pruning")
+    p_check.add_argument("--max-trace-len", type=_bound_arg, default=None)
+    p_check.add_argument("--tau-budget", type=_bound_arg, default=None)
+    p_client.add_argument("--program", default=None, help="client program file")
     return parser
 
 

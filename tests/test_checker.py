@@ -11,12 +11,14 @@ from crdt_emu.checker import (
     PairedSystem,
     Relation,
     _deliverable_ordering,
+    _play_obligations,
     check_causal_safety,
     check_commutation,
     check_strong_convergence,
     check_trace_equivalence,
     check_weak_bisimulation,
     check_weak_simulation,
+    default_tau_budget,
     deliverable_check,
     explore,
     in_relation,
@@ -351,10 +353,23 @@ def test_sim_counterexample_report_replays_from_rendered_events():
 
 
 def test_matcher_and_fallback_agree_when_audited():
+    """The R1 simulation, and both directions of the atomic bowtie through
+    the shared driver: host steps answered by the bowtie recipe, guest steps
+    by the R2 recipe."""
     p = paired_gset((1, 2))
-    v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=4, audit_matchers=True)
-    assert v.passed
-    assert v.stats["matcher_fallback_disagreements"] == 0
+    sim = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=4, audit_matchers=True)
+    q = paired_gset((1, 2), mode=ATOMIC_BROADCAST)
+    stats = dict.fromkeys(("pairs", "obligations", "max_depth", "matcher_matched",
+                           "fallback_matched", "matcher_fallback_disagreements"), 0)
+    bisim = _play_obligations(
+        q, Relation("bowtie", q), (("a", "bowtie"), ("b", "R2")), q.host.init(), q.guest.init(),
+        4, default_tau_budget(q), 2_000_000, stats, {}, audit=True,
+    )
+    for v in (sim, bisim):
+        assert v.passed
+        assert v.stats["obligations"] > 0
+        assert v.stats["matcher_fraction"] == 1.0
+        assert v.stats["matcher_fallback_disagreements"] == 0
 
 
 def test_simulation_pass_implies_trace_inclusion():
@@ -388,6 +403,15 @@ def test_bisim_atomic_passes():
     p = paired_gset(mode=ATOMIC_BROADCAST)
     v = check_weak_bisimulation(p, step_bound=6)
     assert v.passed
+
+
+def test_bisim_bound_exhaustion_on_tiny_pair_budget():
+    """Like the simulation check, the bisimulation stops as soon as the
+    pair count passes its budget, mid-way through a pair's obligations."""
+    p = paired_gset(mode=ATOMIC_BROADCAST)
+    v = check_weak_bisimulation(p, step_bound=6, max_pairs=3)
+    assert v.outcome == "bound-exhausted"
+    assert v.stats["pairs"] == 4
 
 
 def test_bisim_separate_send_counterexample_values():

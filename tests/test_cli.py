@@ -75,6 +75,17 @@ def test_cli_usage_error_is_exit_3(tmp_path, capsys):
     assert main(["explore", "--scenario", scenario_path("thm-4-2"), "--depth", "x"]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
+    # flags a subcommand would ignore are not registered on it
+    for command, name, flag in [
+        ("run-client", "cor-5-3-client", ["--depth", "2"]),
+        ("run-client", "cor-5-3-client", ["--max-trace-len", "2"]),
+        ("run-client", "cor-5-3-client", ["--tau-budget", "2"]),
+        ("run-client", "cor-5-3-client", ["--no-prune"]),
+        ("explore", "thm-4-2", ["--max-trace-len", "2"]),
+        ("explore", "thm-4-2", ["--tau-budget", "2"]),
+    ]:
+        assert main([command, "--scenario", scenario_path(name), *flag]) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_exit_codes_and_report(tmp_path, capsys):
