@@ -1,21 +1,26 @@
 """Bounded checking of the paired CRDT transition systems.
 
-The checker explores configuration LTSs to a step bound, decides membership
-in the candidate simulation relations, and verifies weak simulations and the
-weak bisimulation by playing one matching game: for each reachable related
-pair and each single step of an attacking side (one side for a simulation,
-both for the bisimulation) it finds a saturated matching step on the other
-side that lands back in the relation.  Constructive
-matchers (the moves the relations were designed around) are tried first; a
-bounded search over weak successors is the fallback.  All verdicts are
-evidence at the stated bounds, not unbounded guarantees.
+One breadth-first search, ``breadth_first``, walks a single system's
+configurations to a step bound.  ``explore`` drains it into a ``Graph``, and
+the causal-safety sweep stops it at the first violating configuration; the
+convergence and commutation sweeps and the weak-trace sets read the graph.
+Each sweep ends in a pass or a counterexample.
+
+The checker decides membership in the candidate simulation relations, and
+verifies weak simulations and the weak bisimulation by playing one matching
+game: for each reachable related pair and each single step of an attacking
+side (one side for a simulation, both for the bisimulation) it finds a
+saturated matching step on the other side that lands back in the relation.
+Constructive matchers (the moves the relations were designed around) are
+tried first; a bounded search over weak successors is the fallback.  All
+verdicts are evidence at the stated bounds, not unbounded guarantees.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     Event,
@@ -117,11 +122,12 @@ def render_label(l: Label) -> dict:
 
 @dataclass
 class Graph:
-    nodes: list
-    edges: list[tuple[int, Label, int]]
-    depths: list[int]
-    parents: list[tuple[int, Event] | None]
-    truncated: bool
+    """Configurations in breadth-first order with their depths, and every
+    step taken between them as (from index, label, to index)."""
+
+    nodes: list = field(default_factory=list)
+    edges: list[tuple[int, Label, int]] = field(default_factory=list)
+    depths: list[int] = field(default_factory=list)
 
     @property
     def stats(self) -> dict:
@@ -129,66 +135,45 @@ class Graph:
             "states": len(self.nodes),
             "edges": len(self.edges),
             "max_depth": max(self.depths, default=0),
-            "truncated": self.truncated,
         }
 
-    def path_events(self, idx: int) -> list[Event]:
-        out: list[Event] = []
-        while True:
-            link = self.parents[idx]
-            if link is None:
-                break
-            idx, e = link
-            out.append(e)
-        out.reverse()
-        return out
 
-
-def explore(
-    system,
-    step_bound: int,
-    prune: bool = True,
-    max_states: int | None = None,
-) -> Graph:
-    """Breadth-first exploration of all configurations reachable within
-    step_bound steps.  With pruning, configurations are identified by their
-    behavior-determining summary; without it the result is the raw tree."""
+def breadth_first(system, step_bound: int, graph: Graph, prune: bool = True) -> Iterator[int]:
+    """The one search over a single system: breadth-first over the
+    configurations reachable within step_bound steps, filling graph.  Each
+    node's index is yielded as the node is taken, before it is expanded, so
+    a caller that stops iterating stops the search.  With pruning,
+    configurations are identified by their behavior-determining summary;
+    without it the graph is the raw tree.  A node's trace is its path."""
     if step_bound < 0:
-        raise ValueError("explore: negative step bound")
+        raise ValueError("breadth_first: negative step bound")
+    nodes, edges, depths = graph.nodes, graph.edges, graph.depths
     init = system.init()
-    nodes = [init]
-    depths = [0]
-    parents: list[tuple[int, Event] | None] = [None]
-    keys: dict = {system.summary(init): 0} if prune else {}
-    edges: list[tuple[int, Label, int]] = []
-    truncated = False
-    queue = deque([0])
-    while queue and not truncated:
-        i = queue.popleft()
-        if depths[i] >= step_bound:
-            continue
-        for label, c2 in system.steps(nodes[i]):
-            if prune:
-                key = system.summary(c2)
-                j = keys.get(key)
-                if j is None:
-                    j = len(nodes)
-                    keys[key] = j
+    nodes.append(init)
+    depths.append(0)
+    keys = {system.summary(init): 0}
+    i = 0
+    while i < len(nodes):  # the nodes list is the queue
+        yield i
+        if depths[i] < step_bound:
+            for label, c2 in system.steps(nodes[i]):
+                j = len(nodes)
+                if prune:
+                    j = keys.setdefault(system.summary(c2), j)
+                if j == len(nodes):
                     nodes.append(c2)
                     depths.append(depths[i] + 1)
-                    parents.append((i, c2.trace.head))
-                    queue.append(j)
-            else:
-                j = len(nodes)
-                nodes.append(c2)
-                depths.append(depths[i] + 1)
-                parents.append((i, c2.trace.head))
-                queue.append(j)
-            edges.append((i, label, j))
-            if max_states is not None and len(nodes) > max_states:
-                truncated = True
-                break
-    return Graph(nodes, edges, depths, parents, truncated)
+                edges.append((i, label, j))
+        i += 1
+
+
+def explore(system, step_bound: int, prune: bool = True) -> Graph:
+    """All configurations reachable within step_bound steps, with the steps
+    between them."""
+    graph = Graph()
+    for _ in breadth_first(system, step_bound, graph, prune):
+        pass
+    return graph
 
 
 # --- weak successors -------------------------------------------------------------
@@ -357,13 +342,6 @@ def mergeable_check(C: Iterable, r: ReplicaId, b: frozenset) -> bool:
     """Every state in C is buffered for r (compared by payload value)."""
     at_r = {canon_key(m.payload) for r2, m in b if r2 == r}
     return all(canon_key(s) in at_r for s in C)
-
-
-def downclose(U: Iterable[Message], sent: frozenset[Message]) -> frozenset[Message]:
-    out: set[Message] = set()
-    for m in U:
-        out |= downset_of(m, sent)
-    return frozenset(out)
 
 
 # --- relations --------------------------------------------------------------------
@@ -1141,22 +1119,17 @@ def check_trace_equivalence(
 # --- convergence and causal sweeps ---------------------------------------------------
 
 
-def check_strong_convergence(
-    system,
-    step_bound: int = 8,
-    max_states: int | None = None,
-    prune: bool = True,
-) -> Verdict:
+def check_strong_convergence(system, step_bound: int = 8, prune: bool = True) -> Verdict:
     """On a history-augmented object: replicas with equal history components
     must report equal value components, at every reachable configuration."""
-    graph = explore(system, step_bound, prune=prune, max_states=max_states)
+    graph = explore(system, step_bound, prune=prune)
     bounds = {"step_bound": step_bound}
     stats = dict(graph.stats)
     probe = system.query_value(graph.nodes[0], system.roster[0], system.obj.queries[0])
     if not (isinstance(probe, tuple) and len(probe) == 2):
         raise ValueError("strong-convergence sweep requires a history-augmented object")
     checked = 0
-    for idx, cfg in enumerate(graph.nodes):
+    for cfg in graph.nodes:
         for q in system.obj.queries:
             seen: dict = {}
             for r in system.roster:
@@ -1165,7 +1138,7 @@ def check_strong_convergence(
                 other = seen.get(h)
                 if other is not None and other[1] != v:
                     witness = {
-                        "events": [render_event(e) for e in graph.path_events(idx)],
+                        "events": [render_event(e) for e in cfg.trace.events()],
                         "replicas": [other[0], r],
                         "query": q,
                         "values": [render(other[1]), render(v)],
@@ -1178,76 +1151,45 @@ def check_strong_convergence(
                     )
                 seen.setdefault(h, (r, v))
     stats["checked"] = checked
-    if graph.truncated:
-        return Verdict(BOUND_EXHAUSTED, stats, bounds, detail="state budget exceeded")
     return Verdict(PASS, stats, bounds)
 
 
-def check_causal_safety(
-    system, step_bound: int = 8, max_states: int | None = None, prune: bool = True
-) -> Verdict:
-    """Every reachable trace satisfies causal delivery order.  The sweep is
-    breadth-first and stops at the first violating configuration."""
+def check_causal_safety(system, step_bound: int = 8, prune: bool = True) -> Verdict:
+    """Every reachable trace satisfies causal delivery order.  The sweep
+    stops at the first violating configuration."""
     from .core import satisfies_causal_delivery
 
     if system.kind != "op":
         raise ValueError("causal safety sweep runs on an op-based system")
     bounds = {"step_bound": step_bound, "discipline": system.discipline}
-    init = system.init()
-    seen = {system.summary(init)}
-    queue = deque([(init, 0)])
-    states = edges = 0
-    truncated = False
-    while queue:
-        cfg, d = queue.popleft()
-        states += 1
+    graph = Graph()
+    for i in breadth_first(system, step_bound, graph, prune):
+        cfg = graph.nodes[i]
         # Only the newest event can introduce a violation, but the check is
         # the full pairwise definition for fidelity.
         if not satisfies_causal_delivery(cfg.trace):
+            # the configurations taken so far and the steps of those expanded
             return Verdict(
                 COUNTEREXAMPLE,
-                {"states": states, "edges": edges},
+                {"states": i + 1, "edges": len(graph.edges)},
                 bounds,
                 witness={"events": [render_event(e) for e in cfg.trace.events()]},
                 raw=cfg,
                 detail="reachable trace violates causal delivery order",
             )
-        if d >= step_bound:
-            continue
-        for _, c2 in system.steps(cfg):
-            edges += 1
-            if prune:
-                key = system.summary(c2)
-                if key in seen:
-                    continue
-                seen.add(key)
-            queue.append((c2, d + 1))
-        if max_states is not None and states > max_states:
-            truncated = True
-            break
-    stats = {"states": states, "edges": edges}
-    if truncated:
-        return Verdict(BOUND_EXHAUSTED, stats, bounds, detail="state budget exceeded")
-    return Verdict(PASS, stats, bounds)
+    return Verdict(PASS, {"states": len(graph.nodes), "edges": len(graph.edges)}, bounds)
 
 
-def check_commutation(
-    system,
-    step_bound: int = 8,
-    max_states: int | None = None,
-    prune: bool = True,
-) -> Verdict:
+def check_commutation(system, step_bound: int = 8, prune: bool = True) -> Verdict:
     """Concurrent buffered messages commute at every explored configuration."""
     if system.kind != "op":
         raise ValueError("commutation sweep runs on an op-based system")
-    graph = explore(system, step_bound, prune=prune, max_states=max_states)
+    graph = explore(system, step_bound, prune=prune)
     bounds = {"step_bound": step_bound}
     report = check_concurrent_commutation(system.obj, graph.nodes)
     stats = dict(graph.stats)
     stats["pairs_checked"] = report.pairs_checked
     if report.ok:
-        if graph.truncated:
-            return Verdict(BOUND_EXHAUSTED, stats, bounds, detail="state budget exceeded")
         return Verdict(PASS, stats, bounds)
     r, m1, m2, one, two = report.violations[0]
     return Verdict(

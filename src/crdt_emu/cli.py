@@ -376,6 +376,10 @@ def run_check(
     if name == "traces":
         _require(paired is not None, "traces check needs an emulate directive")
         max_len = entry.get("max_trace_len", bounds.max_trace_len)
+        _require(
+            max_len <= step_bound,
+            f"traces check: max_trace_len {max_len} exceeds step_bound {step_bound}",
+        )
         v = check_trace_equivalence(paired, max_len=max_len, step_bound=step_bound)
         return [({"name": name, "max_trace_len": max_len}, v)]
     if name == "convergence":

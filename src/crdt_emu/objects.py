@@ -198,11 +198,6 @@ def augment_history_st(o: StObject) -> StObject:
     )
 
 
-def strip_history_value(v: Any) -> Any:
-    """Project an augmented query value (v, h) back to the base value."""
-    return v[0]
-
-
 def break_query(o: OpObject | StObject, value: Any = 0) -> OpObject | StObject:
     """Pathological guest for negative tests: queries return a constant."""
     return replace(o, name=o.name + "+broken", query=lambda q, s: value)

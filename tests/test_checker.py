@@ -27,7 +27,9 @@ from crdt_emu.checker import (
     weak_successors,
     weak_traces,
 )
-from crdt_emu.core import Event, Input, Label, Output, TRACE_EMPTY, canon_key
+from crdt_emu.core import (
+    Event, Input, Label, Output, TRACE_EMPTY, canon_key, render, render_event,
+)
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import (
     OpObject,
@@ -91,8 +93,12 @@ def test_explore_no_prune_is_a_tree():
     pruned = explore(p.host, 3)
     tree = explore(p.host, 3, prune=False)
     assert len(tree.nodes) >= len(pruned.nodes)
-    # every non-root tree node has exactly one parent
-    assert all(tree.parents[i] is not None for i in range(1, len(tree.nodes)))
+    # every non-root tree node is the target of exactly one edge ...
+    assert sorted(j for _, _, j in tree.edges) == list(range(1, len(tree.nodes)))
+    # ... and extends the trace of an earlier node by one event
+    index = {id(cfg.trace): i for i, cfg in enumerate(tree.nodes)}
+    for i, cfg in enumerate(tree.nodes[1:], start=1):
+        assert index[id(cfg.trace.tail)] < i
 
 
 def test_summary_determines_successors():
@@ -569,6 +575,40 @@ def test_commutation_sweep():
     host = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"))
     v = check_commutation(host, step_bound=5)
     assert v.passed and v.stats["pairs_checked"] > 0
+
+
+def overwrite_register() -> OpObject:
+    """The last delivered set wins, so concurrent sets do not commute."""
+    return OpObject(
+        name="register",
+        initial=0,
+        ops=(("set", 1), ("set", 2)),
+        queries=("get",),
+        prep=lambda r, op, s: op[1],
+        effect=lambda p, s: p,
+        query=lambda q, s: s,
+    )
+
+
+def test_commutation_refutes_an_overwrite_register():
+    v = check_commutation(OpSystem(overwrite_register(), ("r1", "r2", "r3")), step_bound=3)
+    assert v.outcome == "counterexample"
+    assert sorted(v.witness["results"]) == [1, 2]
+
+
+def test_convergence_refutes_an_augmented_overwrite_register():
+    """The witness's events replay from init to a configuration where the
+    two named replicas share a history and report the differing values."""
+    system = OpSystem(augment_history_op(overwrite_register()), ROSTER2)
+    v = check_strong_convergence(system, step_bound=6)
+    assert v.outcome == "counterexample"
+    w = v.witness
+    cfg = system.init()
+    for event in w["events"]:
+        (cfg,) = [c2 for _, c2 in system.steps(cfg) if render_event(c2.trace.head) == event]
+    (v1, h1), (v2, h2) = (system.query_value(cfg, r, w["query"]) for r in w["replicas"])
+    assert h1 == h2 and render(h1) == w["history"]
+    assert v1 != v2 and [render(v1), render(v2)] == w["values"]
 
 
 # --- memory ---------------------------------------------------------------------------

@@ -123,6 +123,16 @@ def test_bound_flags_override_check_entries(tmp_path):
     assert traces["bounds"] == {"max_trace_len": 1, "step_bound": 1}
 
 
+def test_trace_length_past_the_step_bound_exits_3(tmp_path, capsys):
+    """A traces check whose max_trace_len exceeds its step_bound is a
+    configuration error, whether the bound comes from a flag or an entry."""
+    assert main(["check", "--scenario", scenario_path("cor-4-5-traces"), "--depth", "2"]) == 3
+    assert "max_trace_len 3 exceeds step_bound 2" in capsys.readouterr().err
+    path = write_scenario(tmp_path, base_scenario(checks=[{"name": "traces", "step_bound": 2}]))
+    assert main(["check", "--scenario", path]) == 3
+    assert "max_trace_len 3 exceeds step_bound 2" in capsys.readouterr().err
+
+
 def test_check_counterexample_exit_code(tmp_path):
     code = main(
         ["check", "--scenario", scenario_path("ex-2-5-no-causal"), "--depth", "6",

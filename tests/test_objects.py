@@ -132,10 +132,9 @@ def test_augmentation_is_conservative():
     aug_system = OpSystem(augment_history_op(base), ("r1", "r2"))
     base_system = OpSystem(base, ("r1", "r2"))
     graph = explore(aug_system, 4)
-    for idx in range(len(graph.nodes)):
-        events = graph.path_events(idx)
+    for node in graph.nodes:
         cfg = base_system.init()
-        for e in events:
+        for e in node.trace.events():
             candidates = [
                 c2
                 for _, c2 in base_system.steps(cfg)
@@ -144,7 +143,7 @@ def test_augmentation_is_conservative():
             assert candidates, f"no base step for {e}"
             cfg = candidates[0]
         for r in ("r1", "r2"):
-            assert graph.nodes[idx].states[r][0] == cfg.states[r]
+            assert node.states[r][0] == cfg.states[r]
 
 
 def _erases_to(aug_event, base_event):

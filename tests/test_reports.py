@@ -1,5 +1,7 @@
 """Golden reports: every shipped scenario that lists checks must produce the
 same report, ``wall_time_s`` aside, as the one stored in ``tests/golden``.
+The scenarios in ``NO_PRUNE`` are also checked with summary pruning off, as
+``crdt-emu check --no-prune`` runs them, against ``tests/golden/no-prune``.
 
 After a change that is meant to alter a report, rewrite the files with
 
@@ -21,6 +23,7 @@ from crdt_emu.cli import load_scenario, run_scenario
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+NO_PRUNE = ("ex-2-5-no-causal",)
 
 
 def _checked_scenarios() -> list[str]:
@@ -31,8 +34,8 @@ def _checked_scenarios() -> list[str]:
     )
 
 
-def _report(name: str) -> dict:
-    report, _ = run_scenario(load_scenario(SCENARIOS / f"{name}.scenario"))
+def _report(name: str, prune: bool = True) -> dict:
+    report, _ = run_scenario(load_scenario(SCENARIOS / f"{name}.scenario"), prune=prune)
     report.pop("wall_time_s")
     return json.loads(json.dumps(report))
 
@@ -47,9 +50,20 @@ def test_report_matches_golden(name):
     assert _report(name) == golden
 
 
+@pytest.mark.parametrize("name", NO_PRUNE)
+def test_unpruned_report_matches_golden(name):
+    golden = json.loads((GOLDEN / "no-prune" / f"{name}.json").read_text())
+    assert _report(name, prune=False) == golden
+
+
+def _write(path: Path, report: dict) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path.relative_to(GOLDEN)}", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
     for name in _checked_scenarios():
-        text = json.dumps(_report(name), indent=1, sort_keys=True) + "\n"
-        (GOLDEN / f"{name}.json").write_text(text)
-        print(f"wrote {name}.json", file=sys.stderr)
+        _write(GOLDEN / f"{name}.json", _report(name))
+    for name in NO_PRUNE:
+        _write(GOLDEN / "no-prune" / f"{name}.json", _report(name, prune=False))
