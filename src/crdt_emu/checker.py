@@ -179,30 +179,34 @@ def explore(system, step_bound: int, prune: bool = True) -> Graph:
 # --- weak successors -------------------------------------------------------------
 
 
-def _cached_steps(system, cfg):
+@dataclass(slots=True)
+class Side:
+    """One system of a check with the check's two caches for it, both keyed
+    by summary: successor lists and silent balls.  Each side has its own,
+    because the host's and the guest's summaries can compare equal."""
+
+    system: Any
+    steps: dict = field(default_factory=dict)
+    balls: dict = field(default_factory=dict)
+
+
+def _cached_steps(side: Side, cfg):
     """Successor list shared between configurations with equal summaries.
     Sound because the summary determines the applicable rules (a tested
     lemma); the representatives' traces may differ, which only shows in
     bookkeeping fields of reported events."""
-    cache = getattr(system, "_steps_by_summary", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(system, "_steps_by_summary", cache)
-    key = system.summary(cfg)
-    hit = cache.get(key)
+    key = side.system.summary(cfg)
+    hit = side.steps.get(key)
     if hit is None:
-        hit = system.steps(cfg)
-        cache[key] = hit
+        hit = side.system.steps(cfg)
+        side.steps[key] = hit
     return hit
 
 
-def _silent_ball(system, cfg, budget: int) -> list[tuple[Any, tuple[Event, ...]]]:
+def _silent_ball(side: Side, cfg, budget: int) -> list[tuple[Any, tuple[Event, ...]]]:
     """Configurations reachable by at most budget silent steps, including cfg
     itself, in BFS order, deduplicated by summary."""
-    cache = getattr(system, "_balls_by_summary", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(system, "_balls_by_summary", cache)
+    system, cache = side.system, side.balls
     ball_key = (system.summary(cfg), budget)
     hit = cache.get(ball_key)
     if hit is not None:
@@ -213,7 +217,7 @@ def _silent_ball(system, cfg, budget: int) -> list[tuple[Any, tuple[Event, ...]]
     for _ in range(budget):
         nxt = []
         for c, evs in frontier:
-            for label, c2 in _cached_steps(system, c):
+            for label, c2 in _cached_steps(side, c):
                 if not label.is_silent:
                     continue
                 key = system.summary(c2)
@@ -231,7 +235,7 @@ def _silent_ball(system, cfg, budget: int) -> list[tuple[Any, tuple[Event, ...]]
 
 
 def weak_matches(
-    system,
+    side,
     cfg,
     label: Label,
     tau_budget: int,
@@ -240,12 +244,13 @@ def weak_matches(
 ) -> list[tuple[Any, tuple[Event, ...]]]:
     """Weak transitions cfg ==label==> cfg' with accept(cfg'), where the total
     number of silent steps is bounded by tau_budget.  Silent labels may be
-    matched by zero steps."""
+    matched by zero steps.  side is a check's Side, or a bare system."""
+    side = side if isinstance(side, Side) else Side(side)  # one-shot: fresh caches
     results: list[tuple[Any, tuple[Event, ...]]] = []
     seen_landings = set()
 
     def emit(c2, evs) -> bool:
-        key = system.summary(c2)
+        key = side.system.summary(c2)
         if key in seen_landings:
             return False
         if accept(c2):
@@ -254,7 +259,7 @@ def weak_matches(
             return first_only
         return False
 
-    ball = _silent_ball(system, cfg, tau_budget)
+    ball = _silent_ball(side, cfg, tau_budget)
     if label.is_silent:
         for c1, evs in ball:
             if emit(c1, evs):
@@ -264,11 +269,11 @@ def weak_matches(
     want = label.obs_key()
     for c1, evs in ball:
         used = len(evs)
-        for l2, c2 in _cached_steps(system, c1):
+        for l2, c2 in _cached_steps(side, c1):
             if l2.obs_key() != want:
                 continue
             mid_evs = evs + (c2.trace.head,)
-            for c3, evs3 in _silent_ball(system, c2, tau_budget - used):
+            for c3, evs3 in _silent_ball(side, c2, tau_budget - used):
                 if emit(c3, mid_evs + evs3):
                     return results
     return results
@@ -282,12 +287,13 @@ def weak_successors(system, cfg, label: Label | None, tau_budget: int) -> list:
     return [c for c, _ in found]
 
 
-def attainable_query_values(system, cfg, r: ReplicaId, q: QueryId, tau_budget: int) -> list:
+def attainable_query_values(side, cfg, r: ReplicaId, q: QueryId, tau_budget: int) -> list:
     """Query values weakly reachable at replica r (current value included)."""
+    side = side if isinstance(side, Side) else Side(side)  # as in weak_matches
     vals = []
     seen = set()
-    for c1, _ in _silent_ball(system, cfg, tau_budget):
-        v = system.query_value(c1, r, q)
+    for c1, _ in _silent_ball(side, cfg, tau_budget):
+        v = side.system.query_value(c1, r, q)
         k = canon_key(v)
         if k not in seen:
             seen.add(k)
@@ -637,21 +643,21 @@ def constructive_match(
 # --- weak simulation check ----------------------------------------------------------
 
 
-def _evidence(attacker_system, a2_cfg, defender_system, b_cfg, label: Label, tau_budget: int):
+def _evidence(attacker: Side, a2_cfg, defender: Side, b_cfg, label: Label, tau_budget: int):
     """Query-level explanation of an unmatched step: the value now observable
     on the attacker side versus what the defender could still offer."""
     r = label.replica
     if r is None:
         return None
-    queries = (label.query,) if label.kind == "query" else attacker_system.obj.queries
+    queries = (label.query,) if label.kind == "query" else attacker.system.obj.queries
     for q in queries:
         if q is None:
             continue
-        attacker_value = attacker_system.query_value(a2_cfg, r, q)
-        options = attainable_query_values(defender_system, b_cfg, r, q, tau_budget)
+        attacker_value = attacker.system.query_value(a2_cfg, r, q)
+        options = attainable_query_values(defender, b_cfg, r, q, tau_budget)
         if any(canon_key(v) == canon_key(attacker_value) for v in options):
             continue
-        current = defender_system.query_value(b_cfg, r, q)
+        current = defender.system.query_value(b_cfg, r, q)
         return {
             "replica": r,
             "query": q,
@@ -696,6 +702,27 @@ def default_tau_budget(paired: PairedSystem) -> int:
     return 2 * len(paired.host.roster)
 
 
+class Search:
+    """One paired check's search: its fixed inputs, the counters and bounds
+    it reports, and the relation's two sides with their caches.  A check
+    creates it and drops it on return, so no cache outlives the check."""
+
+    def __init__(self, rel: Relation, step_bound: int, tau_budget: int | None,
+                 max_pairs: int, audit: bool = False):
+        if tau_budget is None:
+            tau_budget = default_tau_budget(rel.paired)
+        self.rel = rel
+        self.step_bound = step_bound
+        self.tau_budget = tau_budget
+        self.max_pairs = max_pairs
+        self.audit = audit
+        counters = ("pairs", "obligations", "max_depth", "matcher_matched", "fallback_matched")
+        self.stats = dict.fromkeys(counters, 0)
+        self.bounds = {"step_bound": step_bound, "tau_budget": tau_budget, "relation": rel.id}
+        self.a = Side(rel.paired.side(rel.a_side))   # the relation's first side
+        self.b = Side(rel.paired.side(rel.b_side))
+
+
 class _Miss(NamedTuple):
     """The first obligation that no defender move discharges."""
 
@@ -709,17 +736,7 @@ class _Miss(NamedTuple):
 
 
 def _play_obligations(
-    paired: PairedSystem,
-    rel: Relation,
-    obligations: tuple[tuple[str, str], ...],
-    a0,
-    b0,
-    step_bound: int,
-    tau_budget: int,
-    max_pairs: int,
-    stats: dict,
-    bounds: dict,
-    audit: bool = False,
+    search: Search, obligations: tuple[tuple[str, str], ...], a0, b0
 ) -> Verdict | _Miss:
     """Breadth-first matching game over related pairs (a, b), a on the
     relation's first side, from the related initial pair (a0, b0).  Each
@@ -730,8 +747,9 @@ def _play_obligations(
     BOUND_EXHAUSTED verdict, or the first obligation no move discharges.
     The pair budget is checked as each new pair is added, so at most
     max_pairs + 1 pairs are counted."""
-    A, B = paired.side(rel.a_side), paired.side(rel.b_side)
-    key0 = (A.summary(a0), B.summary(b0))
+    rel, stats, tau_budget = search.rel, search.stats, search.tau_budget
+    A, B = search.a, search.b
+    key0 = (A.system.summary(a0), B.system.summary(b0))
     # pair key -> (parent key, attacker side, attacker event, defender events)
     parents: dict = {key0: None}
     queue = deque([(a0, b0, 0, key0)])
@@ -739,25 +757,25 @@ def _play_obligations(
     while queue:
         a, b, depth, key = queue.popleft()
         stats["max_depth"] = max(stats["max_depth"], depth)
-        if depth >= step_bound:
+        if depth >= search.step_bound:
             continue
         for side, recipe in obligations:
             X, x, Y, y = (A, a, B, b) if side == "a" else (B, b, A, a)
-            for label, x2 in X.steps(x):
+            for label, x2 in X.system.steps(x):
                 stats["obligations"] += 1
                 accept = (
                     (lambda yy: rel.holds(x2, yy)) if side == "a"
                     else (lambda yy: rel.holds(yy, x2))
                 )
                 landing = None
-                chain = constructive_match(recipe, paired, Y, x, label, x2, y)
+                chain = constructive_match(recipe, rel.paired, Y.system, x, label, x2, y)
                 if chain is not None:
                     cand = chain[-1][1] if chain else y
                     if accept(cand):
                         landing = cand
                         chain_events = tuple(c.trace.head for _, c in chain)
                         stats["matcher_matched"] += 1
-                        if audit and not weak_matches(Y, y, label, tau_budget, accept):
+                        if search.audit and not weak_matches(Y, y, label, tau_budget, accept):
                             stats["matcher_fallback_disagreements"] += 1
                 if landing is None:
                     found = weak_matches(Y, y, label, tau_budget, accept)
@@ -767,18 +785,18 @@ def _play_obligations(
                     landing, chain_events = found[0]
                     stats["fallback_matched"] += 1
                 a2, b2 = (x2, landing) if side == "a" else (landing, x2)
-                key2 = (A.summary(a2), B.summary(b2))
+                key2 = (A.system.summary(a2), B.system.summary(b2))
                 if key2 not in parents:
                     parents[key2] = (key, side, x2.trace.head, chain_events)
                     stats["pairs"] += 1
                     queue.append((a2, b2, depth + 1, key2))
-                    if stats["pairs"] > max_pairs:
+                    if stats["pairs"] > search.max_pairs:
                         return Verdict(
-                            BOUND_EXHAUSTED, stats, bounds, detail="pair budget exceeded"
+                            BOUND_EXHAUSTED, stats, search.bounds, detail="pair budget exceeded"
                         )
     total = stats["matcher_matched"] + stats["fallback_matched"]
     stats["matcher_fraction"] = stats["matcher_matched"] / total if total else 1.0
-    return Verdict(PASS, stats, bounds)
+    return Verdict(PASS, stats, search.bounds)
 
 
 def _path_events(parents: dict, key) -> tuple[tuple[Event, ...], tuple[Event, ...]]:
@@ -819,34 +837,19 @@ def check_weak_simulation(
     expect_a = "host" if which == HOST_BY_GUEST else "guest"
     if a_name != expect_a:
         raise ValueError(f"relation {rel_id} checks the {a_name}-by-{b_name} direction")
-    A = paired.side(a_name)
-    B = paired.side(b_name)
-    if tau_budget is None:
-        tau_budget = default_tau_budget(paired)
-
-    bounds = {"step_bound": step_bound, "tau_budget": tau_budget, "relation": rel_id}
-    a0, b0 = A.init(), B.init()
-    stats = {
-        "pairs": 0,
-        "obligations": 0,
-        "max_depth": 0,
-        "matcher_matched": 0,
-        "fallback_matched": 0,
-        "matcher_fallback_disagreements": 0,
-    }
+    search = Search(rel, step_bound, tau_budget, max_pairs, audit_matchers)
+    search.stats["matcher_fallback_disagreements"] = 0
+    a0, b0 = search.a.system.init(), search.b.system.init()
     clause0 = rel.clause(a0, b0)
     if clause0 is not None:
         return Verdict(
             COUNTEREXAMPLE,
-            stats,
-            bounds,
+            search.stats,
+            search.bounds,
             witness={"failed_clause": clause0, "at": "initial-configurations"},
             detail="initial configurations are not related",
         )
-    miss = _play_obligations(
-        paired, rel, (("a", rel_id),), a0, b0,
-        step_bound, tau_budget, max_pairs, stats, bounds, audit_matchers,
-    )
+    miss = _play_obligations(search, (("a", rel_id),), a0, b0)
     if isinstance(miss, Verdict):
         return miss
     a2 = miss.attacker_post
@@ -856,12 +859,12 @@ def check_weak_simulation(
         unmatched_label=miss.label,
         unmatched_event=a2.trace.head,
         clause=rel.clause(a2, miss.landing),
-        evidence=_evidence(A, a2, B, miss.defender, miss.label, tau_budget),
+        evidence=_evidence(search.a, a2, search.b, miss.defender, miss.label, search.tau_budget),
     )
     return Verdict(
         COUNTEREXAMPLE,
-        stats,
-        bounds,
+        search.stats,
+        search.bounds,
         witness=cex.to_witness(a_name, b_name),
         raw=cex,
         detail=f"unmatched {a_name} step",
@@ -883,23 +886,24 @@ class GameWitness:
     depth_needed: int
 
 
-def _bisim_game(A, B, a0, b0, depth: int, tau_budget: int) -> GameWitness | None:
-    """Bounded weak-bisimilarity game between the two systems.  Searched by
+def _bisim_game(search: Search, a0, b0) -> GameWitness | None:
+    """Bounded weak-bisimilarity game between the two sides.  Searched by
     iterative deepening on the attack depth, so the first witness found is a
     minimal distinguishing experiment (host-side attacks preferred on ties);
     in particular no attack on the spine can be an idle self-loop."""
     memo: dict = {}
-    for d in range(1, depth + 1):
-        w = _distinguish(A, B, tau_budget, memo, a0, b0, d)
+    for d in range(1, search.step_bound + 1):
+        w = _distinguish(search, memo, a0, b0, d)
         if w is not None:
             return w
     return None
 
 
-def _distinguish(A, B, tau_budget: int, memo: dict, a, b, d: int) -> GameWitness | None:
+def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None:
     """A game witness of depth at most d separating a from b, or None.  The
     memo is the caller's, so it is freed when the game returns."""
-    key = (A.summary(a), B.summary(b))
+    A, B, tau_budget = search.a, search.b, search.tau_budget
+    key = (A.system.summary(a), B.system.summary(b))
     hit = memo.get(key)
     if hit is not None:
         kind, val = hit
@@ -919,7 +923,7 @@ def _distinguish(A, B, tau_budget: int, memo: dict, a, b, d: int) -> GameWitness
             needed = 1
             for y2, evs in responses:
                 na, nb = (x2, y2) if side == "host" else (y2, x2)
-                w = _distinguish(A, B, tau_budget, memo, na, nb, d - 1)
+                w = _distinguish(search, memo, na, nb, d - 1)
                 if w is None:
                     survived = True
                     break
@@ -965,21 +969,15 @@ def check_weak_bisimulation(
     if paired.direction != OP_TO_ST:
         raise ValueError("bisimulation check pairs an op host with a message-set guest")
     rel = Relation("bowtie", paired)
-    A, B = paired.host, paired.guest
-    if tau_budget is None:
-        tau_budget = default_tau_budget(paired)
-    bounds = {"step_bound": step_bound, "tau_budget": tau_budget, "relation": "bowtie"}
-    a0, b0 = A.init(), B.init()
-    stats = {"pairs": 0, "obligations": 0, "max_depth": 0, "matcher_matched": 0, "fallback_matched": 0}
+    search = Search(rel, step_bound, tau_budget, max_pairs)
+    A, B = search.a, search.b   # host, guest
+    a0, b0 = A.system.init(), B.system.init()
 
     clause0 = rel.clause(a0, b0)
     if clause0 is not None:
         failure = ("initial-configurations", clause0)
     else:
-        miss = _play_obligations(
-            paired, rel, (("a", "bowtie"), ("b", "R2")), a0, b0,
-            step_bound, tau_budget, max_pairs, stats, bounds,
-        )
+        miss = _play_obligations(search, (("a", "bowtie"), ("b", "R2")), a0, b0)
         if isinstance(miss, Verdict):
             return miss
         # the clause against the defender's configuration before it answered
@@ -988,12 +986,12 @@ def check_weak_bisimulation(
         else:
             failure = ("guest-step-unmatched", rel.clause(miss.defender, miss.attacker_post))
 
-    game = _bisim_game(A, B, a0, b0, step_bound, tau_budget)
+    game = _bisim_game(search, a0, b0)
     if game is None:
         return Verdict(
             COUNTEREXAMPLE,
-            stats,
-            bounds,
+            search.stats,
+            search.bounds,
             witness={"failed_clause": failure[1], "at": failure[0]},
             detail="relation fails at bound; no behavioral distinction found at bound",
         )
@@ -1015,7 +1013,9 @@ def check_weak_bisimulation(
     if evidence is None and leaf.label.kind == "query":
         X = A if leaf.side == "host" else B
         Y = B if leaf.side == "host" else A
-        evidence = _evidence(X, leaf.attacker_cfg, Y, leaf.defender_cfg, leaf.label, tau_budget)
+        evidence = _evidence(
+            X, leaf.attacker_cfg, Y, leaf.defender_cfg, leaf.label, search.tau_budget
+        )
     witness = {
         "host_events": [render_event(e) for e in host_events],
         "guest_events": [render_event(e) for e in guest_events],
@@ -1031,8 +1031,8 @@ def check_weak_bisimulation(
         witness["distinguishing_query"] = evidence
     return Verdict(
         COUNTEREXAMPLE,
-        stats,
-        bounds,
+        search.stats,
+        search.bounds,
         witness=witness,
         raw=game,
         detail="initial configurations are not weakly bisimilar at bound",
@@ -1209,7 +1209,7 @@ def check_commutation(system, step_bound: int = 8, prune: bool = True) -> Verdic
 
 
 def replay_simulation_counterexample(
-    paired: PairedSystem, rel_id: str, which: str, cex: SimCounterexample, tau_budget: int
+    paired: PairedSystem, rel_id: str, cex: SimCounterexample, tau_budget: int
 ) -> bool:
     """Re-execute a counterexample's paths from the initial configurations and
     confirm the reported obligation still fails."""

@@ -101,6 +101,13 @@ def _bound(value: Any, what: str) -> int:
     return value
 
 
+def _flag(d: dict, key: str, where: str) -> bool:
+    """A JSON boolean, so that "false" or 0 cannot switch an option on or off."""
+    value = d.get(key, False)
+    _require(isinstance(value, bool), f"{where}{key} must be true or false, got {value!r}")
+    return value
+
+
 # Every key a scenario may carry is read, so any other key is a typo that
 # would otherwise silently fall back to a default.
 _SCENARIO_KEYS = (
@@ -175,7 +182,14 @@ def load_scenario(path: str | Path) -> Scenario:
     _require(isinstance(data, dict), "scenario must be a JSON object")
     _known_keys(data, _SCENARIO_KEYS, "scenario")
 
-    roster = tuple(data.get("roster", ()))
+    name = data.get("name", path.stem)
+    _require(isinstance(name, str), f"name must be a string, got {name!r}")
+    roster = data.get("roster", [])
+    _require(
+        isinstance(roster, list) and all(isinstance(r, str) and r for r in roster),
+        f"roster must be a list of non-empty replica id strings, got {roster!r}",
+    )
+    roster = tuple(roster)
     _require(len(roster) > 0, "roster must be non-empty")
     _require(len(set(roster)) == len(roster), "roster has duplicate replica ids")
 
@@ -210,10 +224,11 @@ def load_scenario(path: str | Path) -> Scenario:
     mode = data.get("broadcast_mode", SEPARATE_SEND)
     _require(mode in MODES, f"unknown broadcast mode {mode!r}")
 
-    op_universe = tuple(tuple(op) for op in data.get("op_universe", ()))
-    for op in op_universe:
+    ops = data.get("op_universe", [])
+    _require(isinstance(ops, list), f"op_universe must be a list, got {ops!r}")
+    for op in ops:
         _require(
-            len(op) >= 1 and isinstance(op[0], str),
+            isinstance(op, list) and len(op) >= 1 and isinstance(op[0], str),
             f"malformed operation {op!r}",
         )
         # JSON true/false would pass as the integers 1/0 and render as booleans.
@@ -221,12 +236,17 @@ def load_scenario(path: str | Path) -> Scenario:
             not any(isinstance(x, bool) for x in op),
             f"operation arguments must not be booleans, got {op!r}",
         )
+        _require(
+            all(isinstance(x, (str, int, float)) for x in op),
+            f"operation arguments must be strings or numbers, got {op!r}",
+        )
+    op_universe = tuple(tuple(op) for op in ops)
     _require(
         len(set(op_universe)) == len(op_universe),
         "op_universe lists an operation twice",
     )
-    query_universe = tuple(data.get("query_universe", ("sum",)))
-    _require(query_universe == ("sum",), "only the sum query is available")
+    _require(data.get("query_universe", ["sum"]) == ["sum"], "only the sum query is available")
+    query_universe = ("sum",)
 
     b = data.get("bounds", {})
     _require(isinstance(b, dict), "bounds must be a JSON object")
@@ -241,33 +261,39 @@ def load_scenario(path: str | Path) -> Scenario:
         client_bound=_bound(b.get("client_bound", 16), "bounds.client_bound"),
     )
 
-    augment = obj.get("augment", False)
-    checks = tuple(data.get("checks", ()))
+    augment = _flag(obj, "augment", "object.")
+    checks = data.get("checks", [])
+    _require(isinstance(checks, list), f"checks must be a list, got {checks!r}")
+    checks = tuple(checks)
     for c in checks:
         _check_entry(c, emulate, augment)
 
     client_cfg = data.get("client", {}) or {}
     _require(isinstance(client_cfg, dict), "client must be a JSON object")
     _known_keys(client_cfg, ("program", "store"), "client")
+    program = client_cfg.get("program")
+    _require(
+        program is None or isinstance(program, str),
+        f"client.program must be a path string, got {program!r}",
+    )
+    store = client_cfg.get("store", {})
+    _require(isinstance(store, dict), f"client.store must be a JSON object, got {store!r}")
     return Scenario(
-        name=data.get("name", path.stem),
+        name=name,
         roster=roster,
         object_name=object_name,
-        augment=bool(augment),
+        augment=augment,
         emulate=emulate,
         discipline=discipline,
         broadcast_mode=mode,
-        broken_guest=bool(data.get("broken_guest", False)),
-        repeat_ops=bool(data.get("repeat_ops", False)),
+        broken_guest=_flag(data, "broken_guest", ""),
+        repeat_ops=_flag(data, "repeat_ops", ""),
         op_universe=op_universe,
         query_universe=query_universe,
         bounds=bounds,
         checks=checks,
-        client_program=client_cfg.get("program"),
-        client_store={
-            str(k): _bound(v, f"client.store.{k}")
-            for k, v in (client_cfg.get("store") or {}).items()
-        },
+        client_program=program,
+        client_store={str(k): _bound(v, f"client.store.{k}") for k, v in store.items()},
         base_dir=path.parent,
     )
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import gc
 import itertools
@@ -10,6 +11,7 @@ from crdt_emu.checker import (
     HOST_BY_GUEST,
     PairedSystem,
     Relation,
+    Search,
     _deliverable_ordering,
     _play_obligations,
     check_causal_safety,
@@ -337,7 +339,7 @@ def test_reliable_only_r1_counterexample_and_replay():
     assert dq["defender_options"] == [1, 3]
     assert v.witness["failed_clause"] == "delivered-agreement"
     # the recorded witness replays to the same failing obligation
-    assert replay_simulation_counterexample(p, "R1", HOST_BY_GUEST, v.raw, tau_budget=6)
+    assert replay_simulation_counterexample(p, "R1", v.raw, tau_budget=6)
 
 
 def test_sim_counterexample_report_replays_from_rendered_events():
@@ -365,11 +367,10 @@ def test_matcher_and_fallback_agree_when_audited():
     p = paired_gset((1, 2))
     sim = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=4, audit_matchers=True)
     q = paired_gset((1, 2), mode=ATOMIC_BROADCAST)
-    stats = dict.fromkeys(("pairs", "obligations", "max_depth", "matcher_matched",
-                           "fallback_matched", "matcher_fallback_disagreements"), 0)
+    search = Search(Relation("bowtie", q), 4, default_tau_budget(q), 2_000_000, audit=True)
+    search.stats["matcher_fallback_disagreements"] = 0
     bisim = _play_obligations(
-        q, Relation("bowtie", q), (("a", "bowtie"), ("b", "R2")), q.host.init(), q.guest.init(),
-        4, default_tau_budget(q), 2_000_000, stats, {}, audit=True,
+        search, (("a", "bowtie"), ("b", "R2")), q.host.init(), q.guest.init()
     )
     for v in (sim, bisim):
         assert v.passed
@@ -639,3 +640,17 @@ def test_finished_checks_leave_no_cyclic_garbage():
         if enabled:
             gc.enable()
     assert found == []
+
+
+def test_finished_checks_leave_no_cache_on_the_systems():
+    """A paired check's caches belong to its own search value: after a
+    simulation counterexample, its replay and a bisimulation counterexample,
+    every host and guest system holds only its dataclass fields."""
+    sim = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
+    v = check_weak_simulation(sim, "R1", HOST_BY_GUEST, step_bound=8)
+    assert v.outcome == "counterexample"
+    assert replay_simulation_counterexample(sim, "R1", v.raw, tau_budget=6)
+    bisim = paired_gset()
+    assert check_weak_bisimulation(bisim, step_bound=8).outcome == "counterexample"
+    for system in (sim.host, sim.guest, bisim.host, bisim.guest):
+        assert set(vars(system)) == {f.name for f in dataclasses.fields(system)}

@@ -246,6 +246,21 @@ def sim_entry(**over):
         {"op_universe": [["add", True]]},
         {"op_universe": [["add", 1], ["add", 1]]},
         {"op_universe": [["add", 1], ["add", True]]},
+        # values of the wrong JSON type
+        {"broken_guest": "no"},
+        {"repeat_ops": "false"},
+        {"object": {"name": "gset-op", "augment": "false"}},
+        {"roster": "ab"},
+        {"roster": ["r1", 2]},
+        {"roster": ["r1", ["x"]]},
+        {"roster": ["r1", ""]},
+        {"client": {"store": [1]}},
+        {"name": 5},
+        {"op_universe": [5]},
+        {"op_universe": [["add", [1]]]},
+        {"query_universe": 5},
+        {"checks": 5},
+        {"client": {"program": 5}},
     ],
 )
 def test_bad_scenario_entries_exit_3(tmp_path, capsys, broken):

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from crdt_emu.checker import explore
-from crdt_emu.core import FrozenDict
+from crdt_emu.core import FrozenDict, Message, happens_before
 from crdt_emu.emulation import (
     interp,
     interp_is_order_independent,
@@ -12,7 +14,7 @@ from crdt_emu.emulation import (
     op_to_st,
     st_to_op,
 )
-from crdt_emu.objects import gcounter_st, gset_op
+from crdt_emu.objects import gcounter_st, gset_op, gset_st
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
 from conftest import msg
@@ -177,3 +179,51 @@ def test_interp_order_independent_on_reachable_guest_states():
             seen.add(h)
             assert interp_is_order_independent(h, obj)
     assert len(seen) > 1
+
+
+# --- happens-before by the origin component -------------------------------------
+
+
+def _messages(value, out: set) -> set:
+    """Every message inside a configuration field, payloads included."""
+    if isinstance(value, Message):
+        out.add(value)
+        _messages(value.payload, out)
+    elif isinstance(value, FrozenDict):
+        for _, v in value.items():
+            _messages(v, out)
+    elif isinstance(value, (frozenset, tuple)):
+        for v in value:
+            _messages(v, out)
+    return out
+
+
+R3 = ("r1", "r2", "r3")
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        OpSystem(gset_op((1, 2)), R3),
+        StSystem(op_to_st(gset_op((1, 2))), R3),  # messages minted by the guest
+        OpSystem(st_to_op(gset_st((1, 2))), R3),
+    ],
+    ids=["op-host", "op-to-st-guest", "st-to-op-guest"],
+)
+def test_origin_component_decides_happens_before(system):
+    """Every clocked message has clock[origin] == seq, and within one
+    reachable configuration m2 happens before m iff m2 != m and
+    m.clock[m2.origin] >= m2.seq (Schwarz & Mattern, 1994).  Across
+    configurations the rule does not hold: two executions can mint the same
+    (origin, seq) with different payloads."""
+    ordered = 0
+    for cfg in explore(system, 6).nodes:
+        sent = cfg.sent if system.kind == "op" else cfg.sent_values
+        msgs = [m for m in _messages((cfg.states, cfg.buffer, sent), set()) if m.clock.entries]
+        for m in msgs:
+            assert m.clock.get(m.id.origin) == m.id.seq
+        for m2, m in itertools.product(msgs, repeat=2):
+            before = happens_before(m2, m)
+            assert (m2 != m and m.clock.get(m2.id.origin) >= m2.id.seq) == before
+            ordered += before
+    assert ordered > 0
