@@ -21,6 +21,7 @@ from .checker import (
     COUNTEREXAMPLE,
     PASS,
     Verdict,
+    collector_paused,
 )
 from .core import FrozenDict, Op, QueryId, render, render_event
 
@@ -423,6 +424,7 @@ def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
     return Termination(False, step_bound, explored, None)
 
 
+@collector_paused
 def check_approximation(
     sys_k,
     sys_l,

@@ -351,6 +351,19 @@ def happens_before(m1: Message, m2: Message) -> bool:
     return vc_compare(m1.clock, m2.clock) is Ordering.LESS
 
 
+def causal_past(m: Message) -> dict[ReplicaId, int]:
+    """The highest seq that m's sender had seen from each origin when it sent
+    m: m's clock with m's own send taken back out (clock[origin] == seq for
+    every minted message).  For two messages of one execution, m2 happens
+    before m iff causal_past(m).get(m2.id.origin, 0) >= m2.id.seq (Schwarz &
+    Mattern, 1994).  Two executions can mint the same (origin, seq) with
+    different payloads, so never compare messages of different
+    configurations, or keep the result in a cache shared across them."""
+    past = dict(m.clock.entries)
+    past[m.id.origin] = m.id.seq - 1
+    return past
+
+
 def concurrent(m1: Message, m2: Message) -> bool:
     return not happens_before(m1, m2) and not happens_before(m2, m1)
 

@@ -9,11 +9,14 @@ import json
 from crdt_emu.checker import (
     GUEST_BY_HOST,
     HOST_BY_GUEST,
+    Graph,
     PairedSystem,
     Relation,
     Search,
     _deliverable_ordering,
+    _newest_delivery_inverts,
     _play_obligations,
+    breadth_first,
     check_causal_safety,
     check_commutation,
     check_strong_convergence,
@@ -29,21 +32,22 @@ from crdt_emu.checker import (
     weak_successors,
     weak_traces,
 )
+from crdt_emu.client import check_approximation, parse_program
 from crdt_emu.core import (
-    Event, Input, Label, Output, TRACE_EMPTY, canon_key, render, render_event,
+    Event, FrozenDict, Input, Label, Output, TRACE_EMPTY, canon_key, render, render_event,
+    satisfies_causal_delivery,
 )
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import (
     OpObject,
-    StObject,
     augment_history_op,
     break_query,
     gcounter_st,
     gset_op,
     gset_st,
 )
-from crdt_emu.opsem import RELIABLE_ONLY, OpConfig, OpSystem
-from crdt_emu.stsem import ATOMIC_BROADCAST, StConfig, StSystem
+from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
+from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
 from conftest import msg
 
 import pytest
@@ -568,6 +572,38 @@ def test_causal_safety_pass_and_fail():
     assert v.witness["events"]
 
 
+def _causal_safety_by_definition(system, step_bound: int, prune: bool):
+    """The causal-safety sweep with the full pairwise definition at every
+    node: (states taken, edges, events of the first violating trace)."""
+    graph = Graph()
+    for i in breadth_first(system, step_bound, graph, prune):
+        t = graph.nodes[i].trace
+        if not satisfies_causal_delivery(t):
+            return i + 1, len(graph.edges), [render_event(e) for e in t.events()]
+    return len(graph.nodes), len(graph.edges), None
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+@pytest.mark.parametrize("discipline", ["causal", RELIABLE_ONLY])
+def test_newest_event_decides_causal_safety(discipline, prune):
+    """Checking only a trace's newest event gives the full definition's
+    answer on every node whose parent's trace is safe, and so the sweep
+    stops where the sweep by definition stops, with the same witness."""
+    system = OpSystem(gset_op((1,)), ("r1", "r2", "r3"), discipline=discipline)
+    violations = 0
+    for cfg in explore(system, 5, prune).nodes:
+        t = cfg.trace
+        if t.tail is None or satisfies_causal_delivery(t.tail):
+            violates = not satisfies_causal_delivery(t)
+            assert _newest_delivery_inverts(t) == violates
+            violations += violates
+    assert (violations > 0) == (discipline == RELIABLE_ONLY)
+    v = check_causal_safety(system, 5, prune)
+    states, edges, events = _causal_safety_by_definition(system, 5, prune)
+    assert (v.stats["states"], v.stats["edges"]) == (states, edges)
+    assert (v.witness or {}).get("events") == events
+
+
 def test_causal_safety_depth_zero():
     assert check_causal_safety(paired_gset().host, step_bound=0).passed
 
@@ -616,30 +652,60 @@ def test_convergence_refutes_an_augmented_overwrite_register():
 
 
 def _run_checks_and_drop_them():
+    """Every entry point that runs with the cyclic collector paused."""
     assert check_weak_bisimulation(paired_gset(), step_bound=8).outcome == "counterexample"
     assert check_trace_equivalence(paired_gset((1, 2)), max_len=3, step_bound=8).passed
     assert check_weak_simulation(paired_gset(), "R1", HOST_BY_GUEST, step_bound=5).passed
+    augmented = OpSystem(augment_history_op(gset_op((5, 42))), ROSTER2)
+    assert check_strong_convergence(augmented, step_bound=5).passed
+    free = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
+    assert check_causal_safety(free, step_bound=8).outcome == "counterexample"
+    assert check_commutation(paired_gset((1, 2)).host, step_bound=4).passed
+    assert explore(paired_gset().guest, 5).nodes
+    p = paired_gset((1,))
+    prog = parse_program("upd(add 1); x := qry(sum); while (x = 0) { x := qry(sum) }")
+    assert check_approximation(p.host, p.guest, FrozenDict(), prog, 12, 12).passed
 
 
 def test_finished_checks_leave_no_cyclic_garbage():
-    """A check's search state is freed by reference counting when it returns:
-    with the cyclic GC off, a collection afterwards finds no configuration,
-    system or object among what it would reclaim."""
+    """A check's search state is freed by reference counting when it returns,
+    which is what makes running checks with the cyclic collector paused
+    sound: with the collector off, a collection after every entry point has
+    run and returned finds nothing at all to reclaim."""
     enabled, debug = gc.isenabled(), gc.get_debug()
     gc.collect()
     gc.disable()
     try:
         _run_checks_and_drop_them()
         gc.set_debug(gc.DEBUG_SAVEALL)
-        gc.collect()
-        kinds = (OpConfig, StConfig, OpSystem, StSystem, OpObject, StObject)
-        found = sorted({type(o).__name__ for o in gc.garbage if isinstance(o, kinds)})
+        unreachable = gc.collect()
+        found = sorted({type(o).__name__ for o in gc.garbage})
         gc.garbage.clear()
     finally:
         gc.set_debug(debug)
         if enabled:
             gc.enable()
-    assert found == []
+    assert (unreachable, found) == (0, [])
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_checks_restore_the_collector_state(collector_on):
+    """A check pauses the cyclic collector only while it runs: the caller's
+    setting holds after the check returns and after it raises."""
+    enabled = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        system = paired_gset().host
+        assert check_causal_safety(system, step_bound=2).passed
+        assert gc.isenabled() == collector_on
+        with pytest.raises(ValueError):
+            explore(system, -1)
+        assert gc.isenabled() == collector_on
+        with pytest.raises(ValueError):
+            check_causal_safety(paired_gset().guest, step_bound=2)
+        assert gc.isenabled() == collector_on
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_finished_checks_leave_no_cache_on_the_systems():

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from crdt_emu.checker import explore
-from crdt_emu.core import FrozenDict, Message, happens_before
+from crdt_emu.core import FrozenDict, Message, causal_past, happens_before
 from crdt_emu.emulation import (
     interp,
     interp_is_order_independent,
@@ -213,7 +213,8 @@ R3 = ("r1", "r2", "r3")
 def test_origin_component_decides_happens_before(system):
     """Every clocked message has clock[origin] == seq, and within one
     reachable configuration m2 happens before m iff m2 != m and
-    m.clock[m2.origin] >= m2.seq (Schwarz & Mattern, 1994).  Across
+    m.clock[m2.origin] >= m2.seq (Schwarz & Mattern, 1994), as
+    core.causal_past decides it.  Across
     configurations the rule does not hold: two executions can mint the same
     (origin, seq) with different payloads."""
     ordered = 0
@@ -225,5 +226,6 @@ def test_origin_component_decides_happens_before(system):
         for m2, m in itertools.product(msgs, repeat=2):
             before = happens_before(m2, m)
             assert (m2 != m and m.clock.get(m2.id.origin) >= m2.id.seq) == before
+            assert (causal_past(m).get(m2.id.origin, 0) >= m2.id.seq) == before
             ordered += before
     assert ordered > 0

@@ -6,13 +6,16 @@ from crdt_emu.checker import explore
 from crdt_emu.core import (
     Input,
     VectorClock,
+    happens_before,
     satisfies_causal_delivery,
 )
-from crdt_emu.objects import gset_op
+from crdt_emu.emulation import st_to_op
+from crdt_emu.objects import IDENTITY_VALUE, gset_op, gset_st
 from crdt_emu.opsem import (
     CAUSAL,
     RELIABLE_ONLY,
     OpSystem,
+    _delivery_enabled,
     op_init,
     op_replica_step,
     op_system_steps,
@@ -269,6 +272,41 @@ def test_clock_order_characterizes_event_happens_before():
             for m2, j in send_idx.items():
                 if m1 is not m2:
                     assert happens_before(m1, m2) == reach[i][j]
+
+
+def _gate_by_happens_before(obj, c, r, m) -> bool:
+    """The causal delivery gate as defined: m not yet delivered at r (by id,
+    or by payload under value identity), and every sent causal predecessor
+    of m, by happens_before, already delivered there."""
+    by_value = obj.message_identity == IDENTITY_VALUE
+    if (m.payload in c.delivered_values[r]) if by_value else (m in c.delivered[r]):
+        return False
+    dlv = c.delivered_values[r] if by_value else c.delivered[r]
+    return all(
+        (m2.payload if by_value else m2) in dlv for m2 in c.sent if happens_before(m2, m)
+    )
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        OpSystem(gset_op((1, 2)), ("r1", "r2", "r3")),
+        OpSystem(st_to_op(gset_st((1, 2))), ("r1", "r2", "r3")),
+        # reachable without the gate, so buffers hold out-of-order messages
+        OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY),
+    ],
+    ids=["op-host", "st-to-op-guest", "reliable-only-host"],
+)
+def test_origin_component_gate_agrees_with_happens_before(system):
+    """On every buffered (r, m) of every configuration reachable at depth 6,
+    the causal gate decides as the happens_before-based definition."""
+    decided = {True: 0, False: 0}
+    for c in explore(system, 6).nodes:
+        for r, m in c.buffer:
+            want = _gate_by_happens_before(system.obj, c, r, m)
+            assert _delivery_enabled(system.obj, c, r, m, CAUSAL) == want
+            decided[want] += 1
+    assert decided[True] and decided[False]
 
 
 def test_system_steps_unfiltered_allow_op_reuse():
