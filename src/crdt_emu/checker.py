@@ -591,7 +591,7 @@ def _st_deliver_of_payload(D, cfg, r: ReplicaId, payload) -> list | None:
 
 def constructive_match(
     recipe: str,
-    paired: PairedSystem,
+    rel: Relation,
     defender_system,
     a_cfg,
     label: Label,
@@ -600,7 +600,8 @@ def constructive_match(
 ) -> list | None:
     """The canonical defender moves for each attacker step under the named
     relation's recipe; returns the chain of defender steps or None when the
-    recipe does not apply.  Guest steps of the bowtie use the R2 recipe."""
+    recipe does not apply.  Guest steps of the bowtie use the R2 recipe.
+    rel is the check's relation, whose downset memo the R1 recipe shares."""
     event = a2_cfg.trace.head
     r = label.replica
     D = defender_system
@@ -634,13 +635,13 @@ def constructive_match(
     m = event.input.message
 
     if recipe in ("R1", "bowtie"):
-        return _st_deliver_of_payload(D, b_cfg, r, downset_of(m, a_cfg.sent))
+        return _st_deliver_of_payload(D, b_cfg, r, rel._downset(m, a_cfg.sent))
 
     if recipe == "R2":
         return _op_deliver_chain(D, b_cfg, r, set(m.payload) - set(b_cfg.delivered[r]))
 
     if recipe == "Q1":
-        obj: StObject = paired.host.obj  # type: ignore[assignment]
+        obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
         target = obj.join(a_cfg.states[r], m.payload)
         if target == b_cfg.states[r]:
             return []
@@ -772,8 +773,13 @@ def _play_obligations(
     lands back in the relation: the recipe's constructive chain first, the
     bounded weak-successor search as fallback.  Returns the PASS or
     BOUND_EXHAUSTED verdict, or the first obligation no move discharges.
-    The pair budget is checked as each new pair is added, so at most
-    max_pairs + 1 pairs are counted."""
+    A landing on a visited pair key is accepted without deciding the clause
+    again: the key was admitted only after its clause held, and the clause
+    reads nothing of a configuration but its summary
+    (``tests/test_checker.py::test_clause_is_a_function_of_the_summaries``),
+    so each related pair's clause is decided once.  The pair budget is
+    checked as each new pair is added, so at most max_pairs + 1 pairs are
+    counted."""
     rel, stats, tau_budget = search.rel, search.stats, search.tau_budget
     A, B = search.a, search.b
     key0 = (A.system.summary(a0), B.system.summary(b0))
@@ -790,15 +796,22 @@ def _play_obligations(
             X, x, Y, y = (A, a, B, b) if side == "a" else (B, b, A, a)
             for label, x2 in X.system.steps(x):
                 stats["obligations"] += 1
-                accept = (
-                    (lambda yy: rel.holds(x2, yy)) if side == "a"
-                    else (lambda yy: rel.holds(yy, x2))
-                )
+                kx = X.system.summary(x2)
+                if side == "a":
+                    pair_key = lambda yy: (kx, Y.system.summary(yy))
+                    holds = lambda yy: rel.holds(x2, yy)
+                else:
+                    pair_key = lambda yy: (Y.system.summary(yy), kx)
+                    holds = lambda yy: rel.holds(yy, x2)
+                # the one acceptance test of the matcher, fallback and audit
+                accept = lambda yy: pair_key(yy) in parents or holds(yy)
                 landing = None
-                chain = constructive_match(recipe, rel.paired, Y.system, x, label, x2, y)
+                chain = constructive_match(recipe, rel, Y.system, x, label, x2, y)
                 if chain is not None:
                     cand = chain[-1][1] if chain else y
-                    if accept(cand):
+                    key2 = pair_key(cand)
+                    new = key2 not in parents
+                    if not new or holds(cand):
                         landing = cand
                         chain_events = tuple(c.trace.head for _, c in chain)
                         stats["matcher_matched"] += 1
@@ -810,12 +823,13 @@ def _play_obligations(
                         near = chain[-1][1] if chain else y
                         return _Miss(*_path_events(parents, key), side, label, x2, near, y)
                     landing, chain_events = found[0]
+                    key2 = pair_key(landing)
+                    new = key2 not in parents
                     stats["fallback_matched"] += 1
-                a2, b2 = (x2, landing) if side == "a" else (landing, x2)
-                key2 = (A.system.summary(a2), B.system.summary(b2))
-                if key2 not in parents:
+                if new:
                     parents[key2] = (key, side, x2.trace.head, chain_events)
                     stats["pairs"] += 1
+                    a2, b2 = (x2, landing) if side == "a" else (landing, x2)
                     queue.append((a2, b2, depth + 1, key2))
                     if stats["pairs"] > search.max_pairs:
                         return Verdict(

@@ -564,9 +564,27 @@ def cmd_run_client(args) -> int:
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ScenarioError(f"cannot write report: {exc}") from exc
     else:
         print(text)
+
+
+def _check_report_path(out: str) -> None:
+    """Fail before any check runs if the report file cannot be opened for
+    writing, rather than after the run with an error that would exit 1.  A
+    file this test creates is removed again; an existing one is untouched."""
+    path = Path(out)
+    existed = path.exists()
+    try:
+        with path.open("a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ScenarioError(f"cannot write report: {exc}") from exc
+    if not existed:
+        path.unlink()
 
 
 def _bound_arg(text: str) -> int:
@@ -609,6 +627,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out:
+            _check_report_path(args.out)
         return args.fn(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

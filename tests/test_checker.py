@@ -317,6 +317,64 @@ def test_q1_closed_form_matches_subset_search():
         assert {None} | failing <= verdicts
 
 
+def _summary_classes(system, depth):
+    """The unpruned reachable configurations, grouped by summary."""
+    classes = {}
+    for cfg in explore(system, depth, prune=False).nodes:
+        classes.setdefault(system.summary(cfg), []).append(cfg)
+    return list(classes.values())
+
+
+def _broken_guest_pair():
+    obj = gset_op((1, 2))
+    guest = StSystem(break_query(op_to_st(obj)), ROSTER2)
+    return PairedSystem(host=OpSystem(obj, ROSTER2), guest=guest, direction="op-to-st")
+
+
+def _gset_st_pair():
+    obj = gset_st((1, 2))
+    return PairedSystem(StSystem(obj, ROSTER2), OpSystem(st_to_op(obj), ROSTER2), "st-to-op")
+
+
+@pytest.mark.parametrize(
+    "rel_id, make_pair",
+    [
+        ("R1", lambda: paired_gset((1, 2))),
+        ("R1", lambda: paired_gset((1, 2), discipline=RELIABLE_ONLY)),
+        ("R1", _broken_guest_pair),
+        ("R2", lambda: paired_gset((1, 2))),
+        ("R2", lambda: paired_gset((1, 2), discipline=RELIABLE_ONLY)),
+        ("bowtie", lambda: paired_gset((1, 2), mode=ATOMIC_BROADCAST)),
+        ("bowtie", lambda: paired_gset((1, 2))),
+        ("Q1", paired_gcounter),
+        ("Q2", paired_gcounter),
+        ("Q1", _gset_st_pair),
+        ("Q2", _gset_st_pair),
+    ],
+    ids=["R1", "R1-reliable-only", "R1-broken-guest", "R2", "R2-reliable-only",
+         "bowtie-atomic", "bowtie-separate-send", "Q1-gcounter", "Q2-gcounter",
+         "Q1-gset", "Q2-gset"],
+)
+def test_clause_is_a_function_of_the_summaries(rel_id, make_pair):
+    """The premise of deciding each related pair once: configurations with
+    equal summaries, whose traces (and, on the state-based side, wrapper
+    ids) differ, give the same clause against every configuration of the
+    other side.  Each summary class of the unpruned depth-4 graph is checked
+    rep by rep against the first rep of every other-side class, both ways."""
+    p = make_pair()
+    rel = Relation(rel_id, p)
+    a_classes = _summary_classes(p.side(rel.a_side), 4)
+    b_classes = _summary_classes(p.side(rel.b_side), 4)
+    assert any(len(c) > 1 for c in a_classes) and any(len(c) > 1 for c in b_classes)
+    verdicts = set()
+    for a_reps, b_reps in itertools.product(a_classes, b_classes):
+        want = rel.clause(a_reps[0], b_reps[0])
+        assert all(rel.clause(a, b_reps[0]) == want for a in a_reps[1:])
+        assert all(rel.clause(a_reps[0], b) == want for b in b_reps[1:])
+        verdicts.add(want)
+    assert None in verdicts and len(verdicts) > 1
+
+
 # --- weak simulation ---------------------------------------------------------------------
 
 
@@ -381,6 +439,28 @@ def test_matcher_and_fallback_agree_when_audited():
         assert v.stats["obligations"] > 0
         assert v.stats["matcher_fraction"] == 1.0
         assert v.stats["matcher_fallback_disagreements"] == 0
+
+
+def test_each_related_pair_is_decided_once(monkeypatch):
+    """A landing on a visited pair key is accepted without deciding the
+    clause again.  With every obligation discharged by the constructive
+    matcher, the clause then runs once for the initial pair and once for
+    each new pair: exactly stats["pairs"] times, not once per obligation."""
+    calls = []
+    clause = Relation.clause
+    monkeypatch.setattr(
+        Relation, "clause", lambda self, a, b: calls.append(self.id) or clause(self, a, b)
+    )
+    for rel_id, run in (
+        ("R1", lambda: check_weak_simulation(paired_gset(), "R1", HOST_BY_GUEST, step_bound=5)),
+        ("Q1", lambda: check_weak_simulation(paired_gcounter(), "Q1", HOST_BY_GUEST, step_bound=5)),
+        ("bowtie", lambda: check_weak_bisimulation(paired_gset(mode=ATOMIC_BROADCAST), step_bound=5)),
+    ):
+        calls.clear()
+        v = run()
+        assert v.passed and v.stats["matcher_fraction"] == 1.0
+        assert v.stats["obligations"] > v.stats["pairs"]
+        assert calls == [rel_id] * v.stats["pairs"]
 
 
 def test_simulation_pass_implies_trace_inclusion():

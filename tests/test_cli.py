@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from crdt_emu import cli
 from crdt_emu.cli import (
     ScenarioError,
     build_systems,
@@ -86,6 +90,52 @@ def test_cli_usage_error_is_exit_3(tmp_path, capsys):
     ]:
         assert main([command, "--scenario", scenario_path(name), *flag]) == 3
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_python_m_crdt_emu_runs_the_cli(tmp_path):
+    """The package runs as ``python -m crdt_emu`` without the console script."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "crdt_emu", *args],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+
+    helped = run("--help")
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: crdt-emu")
+    assert run().returncode == 3
+    missing = run("check", "--scenario", str(tmp_path / "missing.scenario"))
+    assert missing.returncode == 3 and "error:" in missing.stderr
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "command, name", [("check", "thm-4-2"), ("explore", "thm-4-2"), ("run-client", "cor-5-3-client")]
+)
+def test_unwritable_report_path_exits_3_before_any_check(
+    tmp_path, capsys, monkeypatch, command, name, target
+):
+    out = tmp_path / "no-such-dir" / "r.json" if target == "missing-directory" else tmp_path
+
+    def must_not_run(path):
+        raise AssertionError("the scenario was loaded before the report path was checked")
+
+    monkeypatch.setattr(cli, "load_scenario", must_not_run)
+    assert main([command, "--scenario", scenario_path(name), "--out", str(out)]) == 3
+    assert "cannot write report" in capsys.readouterr().err
+
+
+def test_report_path_check_leaves_no_file(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["check", "--scenario", str(tmp_path / "missing.scenario"),
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    out.write_text("kept", encoding="utf-8")
+    assert main(["check", "--scenario", str(tmp_path / "missing.scenario"),
+                 "--out", str(out)]) == 3
+    assert out.read_text(encoding="utf-8") == "kept"
 
 
 def test_check_exit_codes_and_report(tmp_path, capsys):
