@@ -268,8 +268,8 @@ def load_scenario(path: str | Path) -> Scenario:
     for c in checks:
         _check_entry(c, emulate, augment)
 
-    client_cfg = data.get("client", {}) or {}
-    _require(isinstance(client_cfg, dict), "client must be a JSON object")
+    client_cfg = data.get("client", {})
+    _require(isinstance(client_cfg, dict), f"client must be a JSON object, got {client_cfg!r}")
     _known_keys(client_cfg, ("program", "store"), "client")
     program = client_cfg.get("program")
     _require(
@@ -347,6 +347,8 @@ def _op_side(scenario: Scenario, host, paired: PairedSystem | None):
 
 
 def _load_program(scenario: Scenario, rel_path: str) -> client.Prog:
+    """Parse a client program whose updates and queries all lie in the
+    scenario's universes."""
     path = Path(rel_path)
     if not path.is_absolute():
         path = scenario.base_dir / path
@@ -355,9 +357,21 @@ def _load_program(scenario: Scenario, rel_path: str) -> client.Prog:
     except OSError as exc:
         raise ScenarioError(f"cannot read client program: {exc}") from exc
     try:
-        return client.parse_program(text)
+        prog = client.parse_program(text)
     except client.ParseError as exc:
         raise ScenarioError(f"client program {path}: {exc}") from exc
+    todo = [prog]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, client.Seq):
+            todo += (p.first, p.second)
+        elif isinstance(p, client.While):
+            todo.append(p.body)
+        elif isinstance(p, client.Upd) and p.op not in scenario.op_universe:
+            raise ScenarioError(f"client program {path}: upd {p.op!r} is not in op_universe")
+        elif isinstance(p, client.Qry) and p.query not in scenario.query_universe:
+            raise ScenarioError(f"client program {path}: qry {p.query!r} is not in query_universe")
+    return prog
 
 
 def _run_approx(
@@ -447,18 +461,12 @@ def exit_code_for(verdicts: list[Verdict]) -> int:
     return 0
 
 
-def run_scenario(
-    scenario: Scenario,
-    only_checks: list[str] | None = None,
-    prune: bool = True,
-) -> tuple[dict, int]:
+def run_scenario(scenario: Scenario, prune: bool = True) -> tuple[dict, int]:
     host, paired = build_systems(scenario)
     started = time.monotonic()
     rows = []
     verdicts = []
     for entry in scenario.checks:
-        if only_checks and entry["name"] not in only_checks:
-            continue
         for params, v in run_check(scenario, entry, host, paired, prune=prune):
             rows.append({"check": params, "verdict": v.to_report()})
             verdicts.append(v)

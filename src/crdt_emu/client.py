@@ -310,37 +310,36 @@ def prog_terminated(p: Prog, store: FrozenDict) -> bool:
 
 def _prog_steps(
     system, env, env_steps: list, store: FrozenDict, p: Prog
-) -> list[tuple[Any, FrozenDict, Prog, str]]:
-    """Program-driven successors as (env', store', prog', action) tuples;
+) -> list[tuple[Any, FrozenDict, Prog]]:
+    """Program-driven successors as (env', store', prog') tuples;
     excludes the environment-only silent rule.  env_steps is
     system.steps(env)."""
     if isinstance(p, Skip):
         return []
     if isinstance(p, Asn):
         v = eval_expr(p.expr, store)
-        return [(env, store.set(p.var, v), SKIP, "asn")]
+        return [(env, store.set(p.var, v), SKIP)]
     if isinstance(p, While):
         if eval_expr(p.cond, store) == 0:
             return []
-        return [(env, store, Seq(p.body, p), "while-step")]
+        return [(env, store, Seq(p.body, p))]
     if isinstance(p, Upd):
-        out = []
-        for label, env2 in env_steps:
-            if label.kind == "update" and label.op == p.op:
-                out.append((env2, store, SKIP, f"upd@{label.replica}"))
-        return out
+        return [
+            (env2, store, SKIP)
+            for label, env2 in env_steps
+            if label.kind == "update" and label.op == p.op
+        ]
     if isinstance(p, Qry):
-        out = []
-        for r in system.roster:
-            v = system.query_value(env, r, p.query)
-            out.append((env, store.set(p.var, v), SKIP, f"qry@{r}"))
-        return out
+        return [
+            (env, store.set(p.var, system.query_value(env, r, p.query)), SKIP)
+            for r in system.roster
+        ]
     if isinstance(p, Seq):
         if prog_terminated(p.first, store):
-            return [(env, store, p.second, "seq-done")]
+            return [(env, store, p.second)]
         return [
-            (env2, store2, Seq(p2, p.second), act)
-            for env2, store2, p2, act in _prog_steps(system, env, env_steps, store, p.first)
+            (env2, store2, Seq(p2, p.second))
+            for env2, store2, p2 in _prog_steps(system, env, env_steps, store, p.first)
         ]
     raise TypeError(f"not a program: {p!r}")
 
@@ -362,7 +361,7 @@ def client_steps(
     for label, env2 in env_steps:
         if label.is_silent:
             out.append(ClientState(env2, cs.store, cs.prog))
-    for env2, store2, p2, _ in _prog_steps(system, cs.env, env_steps, cs.store, cs.prog):
+    for env2, store2, p2 in _prog_steps(system, cs.env, env_steps, cs.store, cs.prog):
         out.append(ClientState(env2, store2, p2))
     return (out, False)
 

@@ -279,9 +279,6 @@ class VectorClock(_Weak):
             return Ordering.GREATER
         return Ordering.CONCURRENT
 
-    def as_dict(self) -> dict[ReplicaId, int]:
-        return dict(self.entries)
-
 
 def vc_compare(a: VectorClock, b: VectorClock) -> Ordering:
     """Decide the pointwise partial order between two clocks."""
@@ -353,15 +350,27 @@ def happens_before(m1: Message, m2: Message) -> bool:
 
 def causal_past(m: Message) -> dict[ReplicaId, int]:
     """The highest seq that m's sender had seen from each origin when it sent
-    m: m's clock with m's own send taken back out (clock[origin] == seq for
-    every minted message).  For two messages of one execution, m2 happens
-    before m iff causal_past(m).get(m2.id.origin, 0) >= m2.id.seq (Schwarz &
-    Mattern, 1994).  Two executions can mint the same (origin, seq) with
-    different payloads, so never compare messages of different
-    configurations, or keep the result in a cache shared across them."""
+    m: m's clock with m's own send taken back out (clock[origin] == seq
+    holds by construction of ``mint``).  For two messages of one execution,
+    m2 happens before m iff causal_past(m).get(m2.id.origin, 0) >= m2.id.seq
+    (Schwarz & Mattern, 1994).  Two executions can mint the same
+    (origin, seq) with different payloads, so never compare messages of
+    different configurations, or keep the result in a cache shared across
+    them."""
     past = dict(m.clock.entries)
     past[m.id.origin] = m.id.seq - 1
     return past
+
+
+def mint(r: ReplicaId, consumed: frozenset[Message], payload: Any) -> Message:
+    """The message r sends with this payload after consuming exactly the
+    messages in consumed: its clock is their clocks' join ticked at r, and
+    its seq is that clock's r entry."""
+    clock = VectorClock.make(())
+    for m in consumed:
+        clock = clock.join(m.clock)
+    clock = clock.tick(r)
+    return Message.make(r, clock.get(r), clock, payload)
 
 
 def concurrent(m1: Message, m2: Message) -> bool:

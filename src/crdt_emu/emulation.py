@@ -2,10 +2,11 @@
 
 Op-based to state-based: guest states are finite message sets under union;
 a guest update interprets its current set back into a host state, preps a
-fresh message against it, and inserts it.  The minted message carries the
-same (origin, seq) id and clock the op-based host would have minted in the
-matched execution: both are recoverable from the message set itself, because
-a replica's state holds exactly the messages it has consumed.
+fresh message against it, and inserts it.  Host and guest mint with one
+function, ``core.mint``, from the messages the replica has consumed: the
+host's delivered set, the guest's state.  So the guest's message carries the
+same (origin, seq) id and clock the op-based host mints in the matched
+execution.
 
 State-based to op-based: guest messages *are* host states; effect is join,
 so all message effects commute and identity is by payload value.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import weakref
 from typing import Any, Iterator
 
-from .core import Message, Op, QueryId, ReplicaId, VectorClock, happens_before
+from .core import Message, Op, QueryId, ReplicaId, happens_before, mint
 from .objects import IDENTITY_VALUE, OpObject, StObject
 
 MessageSetState = frozenset  # frozenset[Message]
@@ -101,14 +102,6 @@ def interp_is_order_independent(h: MessageSetState, obj: OpObject) -> bool:
     )
 
 
-def _mint(r: ReplicaId, h: MessageSetState, payload: Any) -> Message:
-    own = sum(1 for m in h if m.id.origin == r)
-    clock = VectorClock.make(())
-    for m in h:
-        clock = clock.join(m.clock)
-    return Message.make(r, own + 1, clock.tick(r), payload)
-
-
 def op_to_st(obj: OpObject) -> StObject:
     """Construct the state-based guest of an op-based host: message sets under
     union, with updates inserting freshly prepped messages."""
@@ -116,7 +109,7 @@ def op_to_st(obj: OpObject) -> StObject:
 
     def update(r: ReplicaId, op: Op, h: MessageSetState) -> MessageSetState:
         payload = obj.prep(r, op, _interp(h, obj, memo))
-        return h | {_mint(r, h, payload)}
+        return h | {mint(r, h, payload)}
 
     def query(q: QueryId, h: MessageSetState) -> Any:
         return obj.query(q, _interp(h, obj, memo))

@@ -23,11 +23,11 @@ from .core import (
     ReplicaId,
     Trace,
     TRACE_EMPTY,
-    VectorClock,
     bcast,
     canon_set,
     causal_past,
     happens_before,  # noqa: F401  perfbench/tracer.py counts calls through this name
+    mint,
 )
 from .objects import IDENTITY_VALUE, OpObject
 
@@ -39,7 +39,9 @@ DISCIPLINES = (CAUSAL, RELIABLE_ONLY)
 @dataclass(frozen=True, eq=False, slots=True)
 class OpConfig:
     """Global op-based configuration: trace, replica states, in-flight buffer,
-    plus clock/sequence plumbing and derived bookkeeping kept in lockstep.
+    the messages sent and those each replica consumed, and the used-ops gate.
+    Nothing derivable from these is stored: a replica's next message is
+    minted from its delivered set (``core.mint``).
 
     Successor lists are never stored on the instance: a stored list would keep
     every configuration generated from it alive.  Only the summary is cached,
@@ -48,11 +50,8 @@ class OpConfig:
     trace: Trace
     states: FrozenDict            # ReplicaId -> S
     buffer: frozenset             # {(ReplicaId, Message)}
-    clocks: FrozenDict            # ReplicaId -> VectorClock
-    seqs: FrozenDict              # ReplicaId -> send counter
-    sent: frozenset               # {Message}
+    sent: frozenset               # {Message}, the union of delivered
     delivered: FrozenDict         # ReplicaId -> frozenset[Message], incl. self-applied
-    delivered_values: FrozenDict  # ReplicaId -> frozenset[payload]
     used_ops: frozenset           # {(ReplicaId, Op)} update events so far
     _summary: tuple | None = field(default=None, init=False, repr=False)
 
@@ -67,11 +66,8 @@ def op_init(obj: OpObject, roster: tuple[ReplicaId, ...]) -> OpConfig:
         trace=TRACE_EMPTY,
         states=FrozenDict.of({r: obj.initial for r in roster}),
         buffer=empty,
-        clocks=FrozenDict.of({r: VectorClock.make(()) for r in roster}),
-        seqs=FrozenDict.of({r: 0 for r in roster}),
         sent=empty,
         delivered=FrozenDict.of({r: empty for r in roster}),
-        delivered_values=FrozenDict.of({r: empty for r in roster}),
         used_ops=empty,
     )
 
@@ -81,21 +77,18 @@ def op_replica_step(
     r: ReplicaId,
     s: Any,
     i: Input,
-    *,
-    clock: VectorClock = VectorClock.make(()),
-    seq: int = 0,
+    consumed: frozenset = frozenset(),
 ) -> tuple[Any, Output] | None:
     """The replica state machine: qry is stuttering, dlvr applies the effect,
-    upd preps a message, applies it locally and emits it.  The clock/seq
-    context stamps the minted message; it defaults to a fresh replica."""
+    upd preps a message, applies it locally and emits it.  The message is
+    minted from the messages the replica has consumed (none by default)."""
     if i.kind == "qry":
         return (s, Output.ret(obj.query(i.query, s)))
     if i.kind == "dlvr":
         return (obj.effect(i.message.payload, s), Output.none())
     if i.kind == "upd":
         payload = obj.prep(r, i.op, s)
-        m = Message.make(r, seq + 1, clock.tick(r), payload)
-        return (obj.effect(payload, s), Output.send(m))
+        return (obj.effect(payload, s), Output.send(mint(r, consumed, payload)))
     return None
 
 
@@ -103,14 +96,13 @@ def _delivery_enabled(
     obj: OpObject, c: OpConfig, r: ReplicaId, m: Message, discipline: str
 ) -> bool:
     by_value = obj.message_identity == IDENTITY_VALUE
+    dlv = c.delivered[r]
     if by_value:
-        if m.payload in c.delivered_values[r]:
-            return False
-    elif m in c.delivered[r]:
+        dlv = {m2.payload for m2 in dlv}
+    if (m.payload if by_value else m) in dlv:
         return False
     if discipline == RELIABLE_ONLY:
         return True
-    dlv = c.delivered_values[r] if by_value else c.delivered[r]
     # m and c.sent come from one configuration, so the origin component
     # decides happens-before; tests compare this gate with happens_before.
     past = causal_past(m)
@@ -125,21 +117,15 @@ def op_mk_update(
     obj: OpObject, roster: tuple[ReplicaId, ...], c: OpConfig, r: ReplicaId, op
 ) -> tuple[Label, OpConfig]:
     """One OpUpdate rule instance: prep, self-apply, broadcast."""
-    s = c.states[r]
-    payload = obj.prep(r, op, s)
-    clock = c.clocks[r].tick(r)
-    m = Message.make(r, c.seqs[r] + 1, clock, payload)
-    s2 = obj.effect(payload, s)
-    e = Event.of(r, Input.upd(op), Output.send(m))
+    i = Input.upd(op)
+    s2, out = op_replica_step(obj, r, c.states[r], i, c.delivered[r])
+    m = out.message
     cfg = OpConfig(
-        trace=c.trace.append(e),
+        trace=c.trace.append(Event.of(r, i, out)),
         states=c.states.set(r, s2),
         buffer=bcast(r, m, c.buffer, roster, obj.message_identity == IDENTITY_VALUE),
-        clocks=c.clocks.set(r, clock),
-        seqs=c.seqs.set(r, c.seqs[r] + 1),
         sent=canon_set(c.sent | {m}),
         delivered=c.delivered.set(r, c.delivered[r] | {m}),
-        delivered_values=c.delivered_values.set(r, c.delivered_values[r] | {payload}),
         used_ops=canon_set(c.used_ops | {(r, op)}),
     )
     return (Label.update(r, op), cfg)
@@ -152,11 +138,8 @@ def op_mk_query(obj: OpObject, c: OpConfig, r: ReplicaId, q) -> tuple[Label, OpC
         trace=c.trace.append(e),
         states=c.states,
         buffer=c.buffer,
-        clocks=c.clocks,
-        seqs=c.seqs,
         sent=c.sent,
         delivered=c.delivered,
-        delivered_values=c.delivered_values,
         used_ops=c.used_ops,
     )
     return (Label.qry(r, q, v), cfg)
@@ -174,11 +157,8 @@ def op_mk_deliver(
         trace=c.trace.append(e),
         states=c.states.set(r, s2),
         buffer=canon_set(c.buffer - {(r, m)}),
-        clocks=c.clocks.set(r, c.clocks[r].join(m.clock)),
-        seqs=c.seqs,
         sent=c.sent,
         delivered=c.delivered.set(r, c.delivered[r] | {m}),
-        delivered_values=c.delivered_values.set(r, c.delivered_values[r] | {m.payload}),
         used_ops=c.used_ops,
     )
     return (Label.tau("dlvr", r), cfg)
@@ -233,11 +213,11 @@ class OpSystem:
 
     def summary(self, c: OpConfig) -> tuple:
         """Behavior-determining quotient of a configuration: replica states,
-        buffer, sent/delivered bookkeeping and the used-ops gate.  Traces are
-        deliberately excluded (they only grow)."""
+        buffer, delivered sets and the used-ops gate.  Traces are deliberately
+        excluded (they only grow), and so is sent, the union of delivered."""
         cached = c._summary
         if cached is None:
-            cached = (c.states, c.buffer, c.sent, c.delivered, c.used_ops)
+            cached = (c.states, c.buffer, c.delivered, c.used_ops)
             object.__setattr__(c, "_summary", cached)
         return cached
 

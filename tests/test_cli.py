@@ -224,6 +224,35 @@ def test_run_client_exit_codes(tmp_path):
     assert main(["run-client", "--scenario", scenario_path("cor-5-3-broken"), "--out", out]) == 1
 
 
+OUT_OF_UNIVERSE_PROGRAMS = [
+    "x := qry(bogus)",
+    "upd(add 7)",
+    "upd(frob)",
+    "x := qry(sum); while (x < 1) { upd(add 1); upd(add 7) }",
+    "while (x < 1) { x := qry(max) }",
+]
+
+
+def client_scenario(tmp_path: Path, text: str) -> str:
+    (tmp_path / "p.prog").write_text(text, encoding="utf-8")
+    return write_scenario(
+        tmp_path,
+        base_scenario(
+            bounds={"step_bound": 4},
+            checks=[{"name": "approx", "program": "p.prog"}],
+            client={"program": "p.prog"},
+        ),
+    )
+
+
+@pytest.mark.parametrize("text", OUT_OF_UNIVERSE_PROGRAMS)
+@pytest.mark.parametrize("command", ["run-client", "check"])
+def test_client_program_outside_the_universes_exits_3(tmp_path, capsys, command, text):
+    path = client_scenario(tmp_path, text)
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "r.json")]) == 3
+    assert "universe" in capsys.readouterr().err
+
+
 def test_explore_dump_consistency(tmp_path):
     out = tmp_path / "dump.json"
     code = main(
@@ -311,6 +340,11 @@ def sim_entry(**over):
         {"query_universe": 5},
         {"checks": 5},
         {"client": {"program": 5}},
+        {"client": False},
+        {"client": 0},
+        {"client": ""},
+        {"client": []},
+        {"client": None},
     ],
 )
 def test_bad_scenario_entries_exit_3(tmp_path, capsys, broken):

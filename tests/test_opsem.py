@@ -55,8 +55,8 @@ def test_replica_step_none_input_has_no_rule():
 
 def test_replica_step_deterministic():
     obj = gset_op((5,))
-    a = op_replica_step(obj, "r1", frozenset(), Input.upd(("add", 5)), clock=VectorClock(), seq=0)
-    b = op_replica_step(obj, "r1", frozenset(), Input.upd(("add", 5)), clock=VectorClock(), seq=0)
+    a = op_replica_step(obj, "r1", frozenset(), Input.upd(("add", 5)))
+    b = op_replica_step(obj, "r1", frozenset(), Input.upd(("add", 5)))
     assert a == b
 
 
@@ -279,9 +279,9 @@ def _gate_by_happens_before(obj, c, r, m) -> bool:
     or by payload under value identity), and every sent causal predecessor
     of m, by happens_before, already delivered there."""
     by_value = obj.message_identity == IDENTITY_VALUE
-    if (m.payload in c.delivered_values[r]) if by_value else (m in c.delivered[r]):
+    dlv = {m2.payload for m2 in c.delivered[r]} if by_value else c.delivered[r]
+    if (m.payload if by_value else m) in dlv:
         return False
-    dlv = c.delivered_values[r] if by_value else c.delivered[r]
     return all(
         (m2.payload if by_value else m2) in dlv for m2 in c.sent if happens_before(m2, m)
     )
@@ -307,6 +307,35 @@ def test_origin_component_gate_agrees_with_happens_before(system):
             assert _delivery_enabled(system.obj, c, r, m, CAUSAL) == want
             decided[want] += 1
     assert decided[True] and decided[False]
+
+
+def test_minted_message_follows_from_delivered():
+    """On every configuration of the pruned depth-6 and unpruned depth-4
+    graphs, sent is the union of delivered, and each update step at r sends
+    the message whose clock is the join of delivered[r]'s clocks ticked at r
+    and whose seq counts r's own messages in delivered[r], plus one."""
+    roster = ("r1", "r2", "r3")
+    systems = [
+        OpSystem(gset_op((1, 2)), roster),
+        OpSystem(gset_op((1, 2)), roster, discipline=RELIABLE_ONLY),
+        OpSystem(st_to_op(gset_st((1, 2))), roster),
+    ]
+    updates = 0
+    for system in systems:
+        for bound, prune in ((6, True), (4, False)):
+            for c in explore(system, bound, prune=prune).nodes:
+                assert c.sent == frozenset().union(*c.delivered.values())
+                for label, c2 in system.steps(c):
+                    if label.kind != "update":
+                        continue
+                    r, m = label.replica, c2.trace.head.output.message
+                    clock = VectorClock.of({})
+                    for m2 in c.delivered[r]:
+                        clock = clock.join(m2.clock)
+                    assert m.clock == clock.tick(r)
+                    assert m.id.seq == 1 + sum(m2.id.origin == r for m2 in c.delivered[r])
+                    updates += 1
+    assert updates
 
 
 def test_system_steps_unfiltered_allow_op_reuse():
