@@ -372,9 +372,8 @@ def deliverable_check(
 
 
 def mergeable_check(C: Iterable, r: ReplicaId, b: frozenset) -> bool:
-    """Every state in C is buffered for r (compared by payload value)."""
-    at_r = {canon_key(m.payload) for r2, m in b if r2 == r}
-    return all(canon_key(s) in at_r for s in C)
+    """Every state in C is buffered for r."""
+    return all((r, s) in b for s in C)
 
 
 # --- relations --------------------------------------------------------------------
@@ -443,12 +442,8 @@ class Relation:
         for r in self.roster:
             if op_c.states[r] != interp(st_c.states[r], obj):
                 return "state-agreement"
-        buffered: dict[ReplicaId, set] = {}
-        for r, m in st_c.buffer:
-            buffered.setdefault(r, set()).add(m.payload)
         for r, m in op_c.buffer:
-            ds = self._downset(m, op_c.sent)
-            if ds not in buffered.get(r, ()):
+            if (r, self._downset(m, op_c.sent)) not in st_c.buffer:
                 return "buffer-downset"
         return None
 
@@ -467,8 +462,8 @@ class Relation:
         for r in self.roster:
             if interp(st_c.states[r], obj) != op_c.states[r]:
                 return "state-agreement"
-        for r, m in st_c.buffer:
-            if not self._deliverable_merge_exists(m.payload, r, op_c):
+        for r, s in st_c.buffer:
+            if not self._deliverable_merge_exists(s, r, op_c):
                 return "buffer-deliverable"
         return None
 
@@ -509,8 +504,8 @@ class Relation:
         payloads: dict[ReplicaId, list] = {}
         for r, m in op_c.buffer:
             payloads.setdefault(r, []).append(m.payload)
-        for r, m in st_c.buffer:
-            target = obj.join(st_c.states[r], m.payload)
+        for r, s in st_c.buffer:
+            target = obj.join(st_c.states[r], s)
             if target == st_c.states[r]:
                 continue
             acc = op_c.states[r]
@@ -529,9 +524,7 @@ class Relation:
         for r in self.roster:
             if op_c.states[r] != st_c.states[r]:
                 return "state-agreement"
-        op_vals = frozenset((r, canon_key(m.payload)) for r, m in op_c.buffer)
-        st_vals = frozenset((r, canon_key(m.payload)) for r, m in st_c.buffer)
-        if op_vals != st_vals:
+        if {(r, m.payload) for r, m in op_c.buffer} != st_c.buffer:
             return "buffer-agreement"
         return None
 
@@ -544,8 +537,8 @@ class Relation:
         bad = self._r1(op_c, st_c)
         if bad is not None:
             return bad
-        for r, m in st_c.buffer:
-            if not self._deliverable_merge_exists(m.payload, r, op_c):
+        for r, s in st_c.buffer:
+            if not self._deliverable_merge_exists(s, r, op_c):
                 return "buffer-deliverable-converse"
         return None
 
@@ -581,12 +574,9 @@ def _op_deliver_chain(D, cfg, r: ReplicaId, wanted) -> list | None:
     return chain
 
 
-def _st_deliver_of_payload(D, cfg, r: ReplicaId, payload) -> list | None:
-    for r2, m in sorted(cfg.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
-        if r2 == r and m.payload == payload:
-            step = st_mk_deliver(D.obj, cfg, r, m)
-            return [step] if step is not None else None
-    return None
+def _st_deliver(D, cfg, r: ReplicaId, s) -> list | None:
+    step = st_mk_deliver(D.obj, cfg, r, s)
+    return None if step is None else [step]
 
 
 def constructive_match(
@@ -632,17 +622,19 @@ def constructive_match(
 
     if event.input.kind != "dlvr":
         return None
+    # The delivered message on an op-based attacker, the state on a
+    # state-based one (R2 and Q1).
     m = event.input.message
 
     if recipe in ("R1", "bowtie"):
-        return _st_deliver_of_payload(D, b_cfg, r, rel._downset(m, a_cfg.sent))
+        return _st_deliver(D, b_cfg, r, rel._downset(m, a_cfg.sent))
 
     if recipe == "R2":
-        return _op_deliver_chain(D, b_cfg, r, set(m.payload) - set(b_cfg.delivered[r]))
+        return _op_deliver_chain(D, b_cfg, r, set(m) - set(b_cfg.delivered[r]))
 
     if recipe == "Q1":
         obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
-        target = obj.join(a_cfg.states[r], m.payload)
+        target = obj.join(a_cfg.states[r], m)
         if target == b_cfg.states[r]:
             return []
         chain: list = []
@@ -663,7 +655,7 @@ def constructive_match(
                 return chain
 
     if recipe == "Q2":
-        return _st_deliver_of_payload(D, b_cfg, r, m.payload)
+        return _st_deliver(D, b_cfg, r, m.payload)
 
     return None
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 from weakref import KeyedRef, ref
 
 ReplicaId = str
@@ -391,10 +391,14 @@ OUT_SEND = "send"
 
 @dataclass(frozen=True, slots=True)
 class Input(_Weak):
+    """A replica's input.  A dlvr input's ``message`` is the delivered
+    ``Message`` on op-based events and the delivered state itself on
+    state-based ones."""
+
     kind: str
     op: Op | None = None
     query: QueryId | None = None
-    message: Message | None = None
+    message: Message | Any = None
 
     @staticmethod
     def none() -> "Input":
@@ -409,15 +413,19 @@ class Input(_Weak):
         return _INPUTS.canon((IN_QRY, q), Input, IN_QRY, None, q)
 
     @staticmethod
-    def dlvr(m: Message) -> "Input":
+    def dlvr(m: Message | Any) -> "Input":
         return _INPUTS.canon((IN_DLVR, m), Input, IN_DLVR, None, None, m)
 
 
 @dataclass(frozen=True, slots=True)
 class Output(_Weak):
+    """A replica's output.  A send output's ``message`` is the broadcast
+    ``Message`` on op-based events and the sent state itself on
+    state-based ones."""
+
     kind: str
     value: Any = None
-    message: Message | None = None
+    message: Message | Any = None
 
     @staticmethod
     def none() -> "Output":
@@ -428,7 +436,7 @@ class Output(_Weak):
         return _OUTPUTS.canon((OUT_RET, v), Output, OUT_RET, v)
 
     @staticmethod
-    def send(m: Message) -> "Output":
+    def send(m: Message | Any) -> "Output":
         return _OUTPUTS.canon((OUT_SEND, m), Output, OUT_SEND, None, m)
 
 
@@ -479,6 +487,20 @@ class Trace:
 
 
 TRACE_EMPTY = Trace(None, None, 0)
+
+
+def replay(system, events: Iterable[Event]):
+    """Re-execute a recorded event list on an op- or state-based system from
+    its initial configuration; raises if some event is not a legal step."""
+    c = system.init()
+    for e in events:
+        for _, c2 in system.steps(c):
+            if c2.trace.head == e:
+                c = c2
+                break
+        else:
+            raise ValueError(f"replay: event {e} is not a legal step here")
+    return c
 
 
 # --- labels -----------------------------------------------------------------

@@ -10,7 +10,7 @@ the strong-convergence transfer check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .core import FrozenDict, Op, QueryId, ReplicaId
 
@@ -58,8 +58,10 @@ def st_leq(obj: StObject, a: Any, b: Any) -> bool:
 # --- shipped objects ----------------------------------------------------------
 
 
-def _sum_query(q: QueryId, s: frozenset) -> int:
-    return sum(s)
+def _sum_query(q: QueryId, values: Iterable[int]) -> int:
+    if q != "sum":
+        raise ValueError(f"unknown query {q!r}: this object answers only 'sum'")
+    return sum(values)
 
 
 def gset_op(values: tuple[int, ...] = (5, 42)) -> OpObject:
@@ -105,7 +107,7 @@ def gcounter_st() -> StObject:
         queries=("sum",),
         update=lambda r, op, s: s.set(r, s.get(r, 0) + 1),
         join=_gcounter_join,
-        query=lambda q, s: sum(n for _, n in s.items()),
+        query=lambda q, s: _sum_query(q, (n for _, n in s.items())),
     )
 
 

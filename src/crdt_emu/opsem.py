@@ -28,6 +28,7 @@ from .core import (
     causal_past,
     happens_before,  # noqa: F401  perfbench/tracer.py counts calls through this name
     mint,
+    replay,
 )
 from .objects import IDENTITY_VALUE, OpObject
 
@@ -225,14 +226,4 @@ class OpSystem:
         return self.obj.query(q, c.states[r])
 
     def replay(self, events: Iterable[Event]) -> OpConfig:
-        """Re-execute a recorded event list from init; raises if some event is
-        not a legal step."""
-        c = self.init()
-        for e in events:
-            for _, c2 in self.steps(c):
-                if c2.trace.head == e:
-                    c = c2
-                    break
-            else:
-                raise ValueError(f"replay: event {e} is not a legal step here")
-        return c
+        return replay(self, events)

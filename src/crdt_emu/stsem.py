@@ -2,8 +2,10 @@
 
 Updates are local; states travel in separate silent send steps (the default
 mode) or atomically with the update (the broadcast variant used by the weak
-bisimulation result).  Deliveries merge and are deduplicated by the payload
-state value, never by message wrapper identity.
+bisimulation result).  A sent message is the state itself: a send or
+delivery event carries the state, and the buffer holds (replica, state)
+pairs, so a set union deduplicates re-sent equal states and a delivery is
+deduplicated by the state value.
 """
 
 from __future__ import annotations
@@ -16,16 +18,15 @@ from .core import (
     FrozenDict,
     Input,
     Label,
-    Message,
-    Op,
     Output,
     QueryId,
     ReplicaId,
     Trace,
     TRACE_EMPTY,
-    VectorClock,
     bcast,
+    canon_key,
     canon_set,
+    replay,
 )
 from .objects import StObject
 
@@ -36,16 +37,16 @@ MODES = (SEPARATE_SEND, ATOMIC_BROADCAST)
 
 @dataclass(frozen=True, eq=False, slots=True)
 class StConfig:
-    """Global state-based configuration.  Buffer payloads are states; the
-    derived sets track sent and per-replica delivered payload values.
-    Only the summary is cached on the instance, never successor lists."""
+    """Global state-based configuration.  The buffer holds the sent states
+    themselves, one entry per destination and value; the derived sets track
+    the sent states and the states each replica has delivered.  Only the
+    summary is cached on the instance, never successor lists."""
 
     trace: Trace
     states: FrozenDict            # ReplicaId -> S
-    buffer: frozenset             # {(ReplicaId, Message)} payload = state
-    seqs: FrozenDict              # ReplicaId -> send counter (wrapper ids)
-    sent_values: frozenset        # {state payload}
-    delivered_values: FrozenDict  # ReplicaId -> frozenset[state payload]
+    buffer: frozenset             # {(ReplicaId, S)}
+    sent_values: frozenset        # {S}
+    delivered_values: FrozenDict  # ReplicaId -> frozenset[S]
     used_ops: frozenset           # {(ReplicaId, Op)}
     _summary: tuple | None = field(default=None, init=False, repr=False)
 
@@ -60,7 +61,6 @@ def st_init(obj: StObject, roster: tuple[ReplicaId, ...]) -> StConfig:
         trace=TRACE_EMPTY,
         states=FrozenDict.of({r: obj.initial for r in roster}),
         buffer=empty,
-        seqs=FrozenDict.of({r: 0 for r in roster}),
         sent_values=empty,
         delivered_values=FrozenDict.of({r: empty for r in roster}),
         used_ops=empty,
@@ -70,24 +70,18 @@ def st_init(obj: StObject, roster: tuple[ReplicaId, ...]) -> StConfig:
 def st_replica_step(
     obj: StObject, r: ReplicaId, s: Any, i: Input
 ) -> tuple[Any, Output] | None:
-    """Replica state machine: qry stutters, dlvr merges, upd applies the
-    inflationary update, and a none input emits the current state."""
+    """Replica state machine: qry stutters, dlvr merges the delivered state,
+    upd applies the inflationary update, and a none input sends the current
+    state."""
     if i.kind == "qry":
         return (s, Output.ret(obj.query(i.query, s)))
     if i.kind == "dlvr":
-        return (obj.join(s, i.message.payload), Output.none())
+        return (obj.join(s, i.message), Output.none())
     if i.kind == "upd":
         return (obj.update(r, i.op, s), Output.none())
     if i.kind == "none":
-        m = _wrap(r, 0, s)
-        return (s, Output.send(m))
+        return (s, Output.send(s))
     return None
-
-
-def _wrap(r: ReplicaId, seq: int, state: Any) -> Message:
-    # State payloads get a fresh wrapper id for bookkeeping; no clock is
-    # maintained since nothing orders state-based sends causally.
-    return Message.make(r, seq, VectorClock.make(()), state)
 
 
 def st_mk_update(
@@ -96,28 +90,20 @@ def st_mk_update(
     """One StUpdate (or StUpdBC in atomic mode) rule instance."""
     s2 = obj.update(r, op, c.states[r])
     if mode == ATOMIC_BROADCAST:
-        m = _wrap(r, c.seqs[r] + 1, s2)
-        e = Event.of(r, Input.upd(op), Output.send(m))
-        cfg = StConfig(
-            trace=c.trace.append(e),
-            states=c.states.set(r, s2),
-            buffer=bcast(r, m, c.buffer, roster, by_value=True),
-            seqs=c.seqs.set(r, c.seqs[r] + 1),
-            sent_values=canon_set(c.sent_values | {s2}),
-            delivered_values=c.delivered_values,
-            used_ops=canon_set(c.used_ops | {(r, op)}),
-        )
+        e = Event.of(r, Input.upd(op), Output.send(s2))
+        buffer = bcast(r, s2, c.buffer, roster)
+        sent_values = canon_set(c.sent_values | {s2})
     else:
         e = Event.of(r, Input.upd(op), Output.none())
-        cfg = StConfig(
-            trace=c.trace.append(e),
-            states=c.states.set(r, s2),
-            buffer=c.buffer,
-            seqs=c.seqs,
-            sent_values=c.sent_values,
-            delivered_values=c.delivered_values,
-            used_ops=canon_set(c.used_ops | {(r, op)}),
-        )
+        buffer, sent_values = c.buffer, c.sent_values
+    cfg = StConfig(
+        trace=c.trace.append(e),
+        states=c.states.set(r, s2),
+        buffer=buffer,
+        sent_values=sent_values,
+        delivered_values=c.delivered_values,
+        used_ops=canon_set(c.used_ops | {(r, op)}),
+    )
     return (Label.update(r, op), cfg)
 
 
@@ -128,7 +114,6 @@ def st_mk_query(obj: StObject, c: StConfig, r: ReplicaId, q) -> tuple[Label, StC
         trace=c.trace.append(e),
         states=c.states,
         buffer=c.buffer,
-        seqs=c.seqs,
         sent_values=c.sent_values,
         delivered_values=c.delivered_values,
         used_ops=c.used_ops,
@@ -140,13 +125,11 @@ def st_mk_send(
     roster: tuple[ReplicaId, ...], c: StConfig, r: ReplicaId
 ) -> tuple[Label, StConfig]:
     s = c.states[r]
-    m = _wrap(r, c.seqs[r] + 1, s)
-    e = Event.of(r, Input.none(), Output.send(m))
+    e = Event.of(r, Input.none(), Output.send(s))
     cfg = StConfig(
         trace=c.trace.append(e),
         states=c.states,
-        buffer=bcast(r, m, c.buffer, roster, by_value=True),
-        seqs=c.seqs.set(r, c.seqs[r] + 1),
+        buffer=bcast(r, s, c.buffer, roster),
         sent_values=canon_set(c.sent_values | {s}),
         delivered_values=c.delivered_values,
         used_ops=c.used_ops,
@@ -155,23 +138,28 @@ def st_mk_send(
 
 
 def st_mk_deliver(
-    obj: StObject, c: StConfig, r: ReplicaId, m: Message
+    obj: StObject, c: StConfig, r: ReplicaId, s: Any
 ) -> tuple[Label, StConfig] | None:
-    """One StDeliver instance; None when the dedup premise blocks it."""
-    if (r, m) not in c.buffer or m.payload in c.delivered_values[r]:
+    """One StDeliver instance of the state s buffered for r; None when s is
+    not buffered there or the dedup premise blocks it (r has delivered an
+    equal state)."""
+    if (r, s) not in c.buffer or s in c.delivered_values[r]:
         return None
-    s2 = obj.join(c.states[r], m.payload)
-    e = Event.of(r, Input.dlvr(m), Output.none())
+    e = Event.of(r, Input.dlvr(s), Output.none())
     cfg = StConfig(
         trace=c.trace.append(e),
-        states=c.states.set(r, s2),
-        buffer=canon_set(c.buffer - {(r, m)}),
-        seqs=c.seqs,
+        states=c.states.set(r, obj.join(c.states[r], s)),
+        buffer=canon_set(c.buffer - {(r, s)}),
         sent_values=c.sent_values,
-        delivered_values=c.delivered_values.set(r, c.delivered_values[r] | {m.payload}),
+        delivered_values=c.delivered_values.set(r, c.delivered_values[r] | {s}),
         used_ops=c.used_ops,
     )
     return (Label.tau("dlvr", r), cfg)
+
+
+def _delivery_order(entry: tuple) -> tuple:
+    r, s = entry
+    return (r, canon_key(s))
 
 
 def st_system_steps(
@@ -182,8 +170,9 @@ def st_system_steps(
     used_gate: bool = False,
 ) -> list[tuple[Label, StConfig]]:
     """All rule instances applicable to c, in deterministic order (updates,
-    queries, sends, deliveries).  In atomic mode the update rule broadcasts
-    the post-update state itself and there is no separate send rule."""
+    queries, sends, then deliveries by replica and canonical state key).  In
+    atomic mode the update rule broadcasts the post-update state itself and
+    there is no separate send rule."""
     out: list[tuple[Label, StConfig]] = []
     for r in roster:
         for op in obj.ops:
@@ -196,8 +185,8 @@ def st_system_steps(
     if mode == SEPARATE_SEND:
         for r in roster:
             out.append(st_mk_send(roster, c, r))
-    for r, m in sorted(c.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
-        step = st_mk_deliver(obj, c, r, m)
+    for r, s in sorted(c.buffer, key=_delivery_order):
+        step = st_mk_deliver(obj, c, r, s)
         if step is not None:
             out.append(step)
     return out
@@ -224,10 +213,10 @@ class StSystem:
         )
 
     def summary(self, c: StConfig) -> tuple:
+        """Every field of the configuration but the trace, which only grows."""
         cached = c._summary
         if cached is None:
-            buffer_values = canon_set(frozenset((r, m.payload) for r, m in c.buffer))
-            cached = (c.states, buffer_values, c.sent_values, c.delivered_values, c.used_ops)
+            cached = (c.states, c.buffer, c.sent_values, c.delivered_values, c.used_ops)
             object.__setattr__(c, "_summary", cached)
         return cached
 
@@ -235,32 +224,4 @@ class StSystem:
         return self.obj.query(q, c.states[r])
 
     def replay(self, events: Iterable[Event]) -> StConfig:
-        c = self.init()
-        for e in events:
-            for _, c2 in self.steps(c):
-                head = c2.trace.head
-                # Wrapper ids on sent states are bookkeeping; replay matches
-                # sends by payload value.
-                if head == e or _same_modulo_wrapper(head, e):
-                    c = c2
-                    break
-            else:
-                raise ValueError(f"replay: event {e} is not a legal step here")
-        return c
-
-
-def _same_modulo_wrapper(a: Event | None, b: Event) -> bool:
-    if a is None or a.replica != b.replica or a.input.kind != b.input.kind:
-        return False
-    if a.input.kind == "dlvr":
-        return (
-            b.input.message is not None
-            and a.input.message is not None
-            and a.input.message.payload == b.input.message.payload
-        )
-    if a.output.kind == "send" and b.output.kind == "send":
-        return (
-            a.input == b.input
-            and a.output.message.payload == b.output.message.payload
-        )
-    return False
+        return replay(self, events)

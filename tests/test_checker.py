@@ -217,7 +217,7 @@ def test_deliverable_orders_downset_topologically():
 
 def test_mergeable_check_examples():
     s = frozenset({5})
-    b = frozenset({("r1", msg("r2", 1, {}, s))})
+    b = frozenset({("r1", s)})
     assert mergeable_check((), "r1", b)
     assert mergeable_check([s], "r1", b)
     assert not mergeable_check([frozenset({6})], "r1", b)
@@ -250,8 +250,8 @@ class SubsetSearchRelation(Relation):
             if st_c.states[r] != op_c.states[r]:
                 return "state-agreement"
         obj = self.paired.host.obj
-        for r, m in st_c.buffer:
-            target = obj.join(st_c.states[r], m.payload)
+        for r, s in st_c.buffer:
+            target = obj.join(st_c.states[r], s)
             if target == st_c.states[r]:
                 continue
             payloads = sorted(
@@ -290,7 +290,7 @@ def test_r2_and_bowtie_closed_form_match_subset_search():
         # Every guest state, buffered state and (not causally closed) single
         # message, as H, against every host configuration.
         rel, ref = Relation(rel_id, p), SubsetSearchRelation(rel_id, p)
-        hs = {m.payload for c in guest for _, m in c.buffer}
+        hs = {s for c in guest for _, s in c.buffer}
         hs |= {c.states[r] for c in guest for r in ROSTER2}
         hs |= {frozenset({m}) for H in hs for m in H}
         outcomes = set()
@@ -373,6 +373,34 @@ def test_clause_is_a_function_of_the_summaries(rel_id, make_pair):
         assert all(rel.clause(a_reps[0], b) == want for b in b_reps[1:])
         verdicts.add(want)
     assert None in verdicts and len(verdicts) > 1
+
+
+def test_step_events_are_a_function_of_the_summary():
+    """Configurations with equal summaries take the same steps: the same
+    labels with the same events, in the same order.  So a step list cached
+    by summary is exact for every member of the class, attacker moves
+    included.  Counts, per system, the members of the unpruned depth-4
+    graph whose (label, event) list differs from their class's first."""
+    gset, gcounter = gset_st((1, 2)), gcounter_st()
+    systems = {
+        "op-causal": OpSystem(gset_op((1, 2)), ROSTER2),
+        "op-reliable-only": OpSystem(gset_op((1, 2)), ROSTER2, discipline=RELIABLE_ONLY),
+        "op-to-st-separate-send": paired_gset((1, 2)).guest,
+        "op-to-st-atomic": paired_gset((1, 2), mode=ATOMIC_BROADCAST).guest,
+        "gset-st": StSystem(gset, ROSTER2),
+        "gcounter-st": StSystem(gcounter, ROSTER2),
+        "gset-st-to-op": OpSystem(st_to_op(gset), ROSTER2),
+        "gcounter-st-to-op": OpSystem(st_to_op(gcounter), ROSTER2),
+    }
+    differing = {}
+    for name, system in systems.items():
+        differing[name] = 0
+        for reps in _summary_classes(system, 4):
+            first, *rest = (
+                [(label, c2.trace.head) for label, c2 in system.steps(c)] for c in reps
+            )
+            differing[name] += sum(events != first for events in rest)
+    assert differing == dict.fromkeys(systems, 0)
 
 
 # --- weak simulation ---------------------------------------------------------------------
@@ -554,6 +582,10 @@ def _events(rendered):
             return p
         return frozenset(parse_msg(x) for x in p)
 
+    def parse_message(x):
+        # A rendered list is a state-based guest's state, a dict a message.
+        return _parse_payload(x) if isinstance(x, list) else parse_msg(x)
+
     out = []
     for e in rendered:
         i = e["input"]
@@ -562,14 +594,14 @@ def _events(rendered):
         elif i["kind"] == "qry":
             inp = Input.qry(i["query"])
         elif i["kind"] == "dlvr":
-            inp = Input.dlvr(parse_msg(i["message"]))
+            inp = Input.dlvr(parse_message(i["message"]))
         else:
             inp = Input.none()
         o = e["output"]
         if o["kind"] == "ret":
             outp = Output.ret(o["value"])
         elif o["kind"] == "send":
-            outp = Output.send(parse_msg(o["message"]))
+            outp = Output.send(parse_message(o["message"]))
         else:
             outp = Output.none()
         out.append(Event(e["replica"], inp, outp))

@@ -292,6 +292,26 @@ def test_reports_stable_across_runs(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Steps, and so witnesses, are ordered by canonical keys, never by set
+    iteration order: two string-hash seeds give the same report.  The R1
+    witness of this scenario holds state-based sends."""
+    src = Path(cli.__file__).resolve().parent.parent
+    reports = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "crdt_emu", "check",
+             "--scenario", scenario_path("ex-2-5-no-causal"), "--depth", "6"],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        report = json.loads(done.stdout)
+        report.pop("wall_time_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def sim_entry(**over):
     return [dict({"name": "sim", "relation": "R1", "direction": "host-by-guest"}, **over)]
 

@@ -310,7 +310,7 @@ def test_different_paths_share_state_based_sets_and_maps():
     a = run(("r1", ("add", 5)), ("r2", ("add", 42)))
     b = run(("r2", ("add", 42)), ("r1", ("add", 5)))
     assert a is not b
-    for name in ("states", "buffer", "seqs", "sent_values", "delivered_values", "used_ops"):
+    for name in ("states", "buffer", "sent_values", "delivered_values", "used_ops"):
         assert getattr(a, name) is getattr(b, name)
     system = StSystem(obj, roster)
     assert system.summary(a) is not system.summary(b)

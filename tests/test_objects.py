@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from crdt_emu.checker import explore
 from crdt_emu.core import FrozenDict
-from crdt_emu.emulation import op_to_st
+from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import (
     augment_history_op,
     augment_history_st,
+    break_query,
     check_concurrent_commutation,
     gcounter_st,
     gset_op,
@@ -159,6 +162,36 @@ def _erases_to(aug_event, base_event):
     if ai.kind == "qry":
         return ai.query == bi.query
     return True
+
+
+@pytest.mark.parametrize(
+    "make_obj",
+    [
+        lambda: gset_op((1, 2)),
+        lambda: gset_st((1, 2)),
+        gcounter_st,
+        lambda: op_to_st(gset_op((1, 2))),
+        lambda: st_to_op(gset_st((1, 2))),
+        lambda: augment_history_st(gcounter_st()),
+    ],
+    ids=["gset-op", "gset-st", "gcounter-st", "op-to-st", "st-to-op", "gcounter-st+hist"],
+)
+def test_query_outside_the_object_queries_raises(make_obj):
+    obj = make_obj()
+    assert obj.queries == ("sum",)
+    assert obj.query("sum", obj.initial) in (0, (0, frozenset()))
+    with pytest.raises(ValueError, match="nope"):
+        obj.query("nope", obj.initial)
+    # The pathological guest answers every name with its constant.
+    assert break_query(obj, 7).query("nope", obj.initial) == 7
+
+
+def test_query_value_rejects_a_query_outside_the_object():
+    system = OpSystem(gset_op((1, 2)), ("r1",))
+    init = system.init()
+    assert system.query_value(init, "r1", "sum") == 0
+    with pytest.raises(ValueError, match="nope"):
+        system.query_value(init, "r1", "nope")
 
 
 # --- concurrent commutation -----------------------------------------------------------

@@ -10,7 +10,6 @@ from crdt_emu.stsem import (
     st_init,
     st_replica_step,
 )
-from conftest import msg
 
 
 def guest():
@@ -30,14 +29,14 @@ def test_replica_step_none_emits_state():
     s = frozenset({5})
     s2, out = st_replica_step(obj, "r1", s, Input.none())
     assert s2 == s
-    assert out.kind == "send" and out.message.payload == s
+    assert out.kind == "send" and out.message == s
 
 
 def test_replica_step_delivery_merges():
     obj = guest()
     st = obj.update("r1", ("add", 5), frozenset())
     st = obj.update("r1", ("add", 42), st)
-    s2, out = st_replica_step(obj, "r2", frozenset(), Input.dlvr(msg("r1", 1, {}, st)))
+    s2, out = st_replica_step(obj, "r2", frozenset(), Input.dlvr(st))
     assert s2 == st
     assert obj.query("sum", s2) == 47
 
@@ -53,7 +52,7 @@ def test_ex_2_4_script_single_merged_state():
     c = next(
         c2 for l, c2 in system.steps(c) if l.is_silent and l.silent == "send" and l.replica == "r1"
     )
-    entries = [(r, m.payload) for r, m in c.buffer]
+    entries = list(c.buffer)
     assert len(entries) == 1
     r, payload = entries[0]
     assert r == "r2" and len(payload) == 2
@@ -83,9 +82,9 @@ def test_atomic_mode_broadcasts_within_update():
         (l, c2) for l, c2 in system.steps(c) if l.kind == "update" and l.op == ("add", 5)
     )
     assert not label.is_silent
-    (dest, m), = c2.buffer
+    (dest, s), = c2.buffer
     assert dest == "r2"
-    assert obj.query("sum", m.payload) == 5
+    assert obj.query("sum", s) == 5
     assert c2.trace.head.output.kind == "send"
 
 
