@@ -3,6 +3,7 @@ emulation transformers between them, and a bounded checker for the
 simulation, trace, convergence and client-cotermination properties."""
 
 from .core import (
+    Config,
     Event,
     FrozenDict,
     Input,
@@ -11,6 +12,7 @@ from .core import (
     MessageId,
     Ordering,
     Output,
+    System,
     Trace,
     TRACE_EMPTY,
     VectorClock,
@@ -19,6 +21,8 @@ from .core import (
     downset,
     enabled,
     happens_before,
+    initial_config,
+    query_step,
     satisfies_causal_delivery,
     sent,
     vc_compare,
@@ -33,8 +37,8 @@ from .objects import (
     gset_op,
     gset_st,
 )
-from .opsem import OpConfig, OpSystem, op_init, op_replica_step, op_system_steps
-from .stsem import StConfig, StSystem, st_init, st_replica_step, st_system_steps
+from .opsem import OpSystem, op_replica_step, op_system_steps
+from .stsem import StSystem, st_replica_step, st_system_steps
 from .emulation import interp, max_set, op_to_st, st_to_op
 from .checker import (
     PairedSystem,

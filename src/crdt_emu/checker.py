@@ -25,31 +25,26 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
+    Config,
     Event,
     Label,
     Message,
     QueryId,
     ReplicaId,
+    System,
     Trace,
     canon_key,
     causal_past,
     downset_of,
     happens_before,
+    query_step,
     render,
     render_event,
 )
 from .emulation import interp
 from .objects import OpObject, StObject, check_concurrent_commutation, st_leq
-from .opsem import OpConfig, OpSystem, op_mk_deliver, op_mk_query, op_mk_update
-from .stsem import (
-    ATOMIC_BROADCAST,
-    StConfig,
-    StSystem,
-    st_mk_deliver,
-    st_mk_query,
-    st_mk_send,
-    st_mk_update,
-)
+from .opsem import op_mk_deliver, op_mk_update
+from .stsem import ATOMIC_BROADCAST, st_mk_deliver, st_mk_send, st_mk_update
 
 PASS = "pass"
 COUNTEREXAMPLE = "counterexample"
@@ -75,11 +70,11 @@ RELATION_SORTS: dict[str, tuple[str, str, str]] = {
 class PairedSystem:
     """Host and guest LTSs sharing a roster and op/query universes."""
 
-    host: OpSystem | StSystem
-    guest: OpSystem | StSystem
+    host: System
+    guest: System
     direction: str
 
-    def side(self, name: str) -> OpSystem | StSystem:
+    def side(self, name: str) -> System:
         return self.host if name == "host" else self.guest
 
 
@@ -395,7 +390,7 @@ class Relation:
         self._downsets: dict = {}
         self._unions: dict = {}
 
-    def clause(self, a, b) -> str | None:
+    def clause(self, a: Config, b: Config) -> str | None:
         if self.id == "R1":
             return self._r1(a, b)
         if self.id == "R2":
@@ -406,7 +401,7 @@ class Relation:
             return self._q2(a, b)
         return self._bowtie(a, b)
 
-    def holds(self, a, b) -> bool:
+    def holds(self, a: Config, b: Config) -> bool:
         return self.clause(a, b) is None
 
     # helpers
@@ -423,16 +418,16 @@ class Relation:
             self._downsets[key] = cached
         return cached
 
-    def _union_sent(self, st_c: StConfig) -> frozenset[Message]:
-        cached = self._unions.get(st_c.sent_values)
+    def _union_sent(self, st_c: Config) -> frozenset[Message]:
+        cached = self._unions.get(st_c.sent)
         if cached is None:
-            cached = frozenset().union(*st_c.sent_values) if st_c.sent_values else frozenset()
-            self._unions[st_c.sent_values] = cached
+            cached = frozenset().union(*st_c.sent) if st_c.sent else frozenset()
+            self._unions[st_c.sent] = cached
         return cached
 
     # R1: op host simulated by message-set guest
 
-    def _r1(self, op_c: OpConfig, st_c: StConfig) -> str | None:
+    def _r1(self, op_c: Config, st_c: Config) -> str | None:
         if op_c.sent != self._union_sent(st_c):
             return "sent-agreement"
         for r in self.roster:
@@ -449,7 +444,7 @@ class Relation:
 
     # R2: message-set guest simulated by op host
 
-    def _r2(self, st_c: StConfig, op_c: OpConfig) -> str | None:
+    def _r2(self, st_c: Config, op_c: Config) -> str | None:
         # Inclusion, not equality: the update matcher makes the op side send
         # first, and only the inclusion is needed for (and preserved by) the
         # delivery argument.
@@ -467,7 +462,7 @@ class Relation:
                 return "buffer-deliverable"
         return None
 
-    def _deliverable_merge_exists(self, H: frozenset, r: ReplicaId, op_c: OpConfig) -> bool:
+    def _deliverable_merge_exists(self, H: frozenset, r: ReplicaId, op_c: Config) -> bool:
         """Some deliverable U has Delivered(r) ∪ U = Delivered(r) ∪ H.
 
         A deliverable set is disjoint from Delivered(r), so the only candidate
@@ -487,7 +482,7 @@ class Relation:
 
     # Q1: state-based host simulated by join-guest
 
-    def _q1(self, st_c: StConfig, op_c: OpConfig) -> str | None:
+    def _q1(self, st_c: Config, op_c: Config) -> str | None:
         """Besides state agreement, merging any buffered host state must be
         matched by delivering some set C of the guest's buffered payloads:
         op state ⊔ ⊔C = target.  Such a C exists iff joining the op state
@@ -520,7 +515,7 @@ class Relation:
 
     # Q2: join-guest simulated by state-based host (identity matching)
 
-    def _q2(self, op_c: OpConfig, st_c: StConfig) -> str | None:
+    def _q2(self, op_c: Config, st_c: Config) -> str | None:
         for r in self.roster:
             if op_c.states[r] != st_c.states[r]:
                 return "state-agreement"
@@ -533,7 +528,7 @@ class Relation:
     # any pending state is matchable, which tolerates stale entries whose
     # content was already delivered out of order.
 
-    def _bowtie(self, op_c: OpConfig, st_c: StConfig) -> str | None:
+    def _bowtie(self, op_c: Config, st_c: Config) -> str | None:
         bad = self._r1(op_c, st_c)
         if bad is not None:
             return bad
@@ -597,7 +592,7 @@ def constructive_match(
     D = defender_system
 
     if label.kind == "update":
-        if not D.repeat_ops and (r, label.op) in b_cfg.used_ops:
+        if (r, label.op) in b_cfg.used_ops:
             return None
         if recipe in ("R2", "Q1"):
             return [op_mk_update(D.obj, D.roster, b_cfg, r, label.op)]
@@ -609,10 +604,7 @@ def constructive_match(
         return [step1, step2]
 
     if label.kind == "query":
-        if D.kind == "op":
-            step = op_mk_query(D.obj, b_cfg, r, label.query)
-        else:
-            step = st_mk_query(D.obj, b_cfg, r, label.query)
+        step = query_step(D.obj, b_cfg, r, label.query)
         return [step] if step[0].obs_key() == label.obs_key() else None
 
     # silent attacker steps

@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import checker, client
 from .checker import (
@@ -37,7 +37,7 @@ from .checker import (
     explore,
     render_label,
 )
-from .core import FrozenDict, render
+from .core import FrozenDict, System, render
 from .emulation import op_to_st, st_to_op
 from .objects import (
     BUILTIN_OBJECTS,
@@ -73,7 +73,6 @@ class Scenario:
     discipline: str
     broadcast_mode: str
     broken_guest: bool
-    repeat_ops: bool
     op_universe: tuple[tuple, ...]
     query_universe: tuple[str, ...]
     bounds: Bounds
@@ -112,7 +111,7 @@ def _flag(d: dict, key: str, where: str) -> bool:
 # would otherwise silently fall back to a default.
 _SCENARIO_KEYS = (
     "name", "roster", "object", "semantics", "emulate", "discipline",
-    "broadcast_mode", "broken_guest", "repeat_ops", "op_universe",
+    "broadcast_mode", "broken_guest", "op_universe",
     "query_universe", "bounds", "checks", "client",
 )
 # Keys each check entry may carry besides its name, as run_check reads them.
@@ -287,7 +286,6 @@ def load_scenario(path: str | Path) -> Scenario:
         discipline=discipline,
         broadcast_mode=mode,
         broken_guest=_flag(data, "broken_guest", ""),
-        repeat_ops=_flag(data, "repeat_ops", ""),
         op_universe=op_universe,
         query_universe=query_universe,
         bounds=bounds,
@@ -310,19 +308,13 @@ def _build_object(scenario: Scenario) -> OpObject | StObject:
     return base
 
 
-def _system(obj: OpObject | StObject, scenario: Scenario) -> OpSystem | StSystem:
+def _system(obj: OpObject | StObject, scenario: Scenario) -> System:
     if isinstance(obj, OpObject):
-        return OpSystem(
-            obj, scenario.roster, discipline=scenario.discipline,
-            repeat_ops=scenario.repeat_ops,
-        )
-    return StSystem(
-        obj, scenario.roster, mode=scenario.broadcast_mode,
-        repeat_ops=scenario.repeat_ops,
-    )
+        return OpSystem(obj, scenario.roster, discipline=scenario.discipline)
+    return StSystem(obj, scenario.roster, mode=scenario.broadcast_mode)
 
 
-def build_systems(scenario: Scenario) -> tuple[Any, PairedSystem | None]:
+def build_systems(scenario: Scenario) -> tuple[System, PairedSystem | None]:
     """Host system, plus the paired host/guest systems when emulation is on."""
     base = _build_object(scenario)
     host = _system(base, scenario)
@@ -338,7 +330,7 @@ def build_systems(scenario: Scenario) -> tuple[Any, PairedSystem | None]:
     return host, PairedSystem(host=host, guest=guest, direction=scenario.emulate)
 
 
-def _op_side(scenario: Scenario, host, paired: PairedSystem | None):
+def _op_side(host: System, paired: PairedSystem | None) -> System:
     if host.kind == "op":
         return host
     if paired is not None and paired.guest.kind == "op":
@@ -388,14 +380,16 @@ def _run_approx(
     }
 
 
-def run_check(
-    scenario: Scenario,
-    entry: dict,
-    host,
-    paired: PairedSystem | None,
-    prune: bool = True,
-) -> list[tuple[dict, Verdict]]:
-    """Run one scenario check entry; returns (params, verdict) rows."""
+Rows = list[tuple[dict, Verdict]]
+
+
+def _prepare(
+    scenario: Scenario, entry: dict, host: System, paired: PairedSystem | None
+) -> Callable[[bool], Rows]:
+    """Resolve one scenario check entry against the scenario's final bounds
+    and the built systems, raising ScenarioError for a configuration error;
+    returns the function that runs the check, given whether to prune, as
+    (params, verdict) rows."""
     name = entry["name"]
     bounds = scenario.bounds
     step_bound = entry.get("step_bound", bounds.step_bound)
@@ -405,14 +399,20 @@ def run_check(
         _require(paired is not None, "sim check needs an emulate directive")
         which = entry.get("direction", checker.HOST_BY_GUEST)
         rel = entry.get("relation")
-        v = check_weak_simulation(
-            paired, rel, which, step_bound=step_bound, tau_budget=tau_budget
-        )
-        return [({"name": name, "relation": v.bounds["relation"], "direction": which}, v)]
+
+        def sim(prune: bool) -> Rows:
+            v = check_weak_simulation(
+                paired, rel, which, step_bound=step_bound, tau_budget=tau_budget
+            )
+            return [({"name": name, "relation": v.bounds["relation"], "direction": which}, v)]
+
+        return sim
     if name == "bisim":
         _require(paired is not None, "bisim check needs an emulate directive")
-        v = check_weak_bisimulation(paired, step_bound=step_bound, tau_budget=tau_budget)
-        return [({"name": name, "mode": scenario.broadcast_mode}, v)]
+        return lambda prune: [(
+            {"name": name, "mode": scenario.broadcast_mode},
+            check_weak_bisimulation(paired, step_bound=step_bound, tau_budget=tau_budget),
+        )]
     if name == "traces":
         _require(paired is not None, "traces check needs an emulate directive")
         max_len = entry.get("max_trace_len", bounds.max_trace_len)
@@ -420,37 +420,56 @@ def run_check(
             max_len <= step_bound,
             f"traces check: max_trace_len {max_len} exceeds step_bound {step_bound}",
         )
-        v = check_trace_equivalence(paired, max_len=max_len, step_bound=step_bound)
-        return [({"name": name, "max_trace_len": max_len}, v)]
+        return lambda prune: [(
+            {"name": name, "max_trace_len": max_len},
+            check_trace_equivalence(paired, max_len=max_len, step_bound=step_bound),
+        )]
     if name == "convergence":
-        out = []
         sides = entry.get("side", "both" if paired else "host")
-        side_list = ("host", "guest") if sides == "both" else (sides,)
-        for side in side_list:
+        systems = []
+        for side in ("host", "guest") if sides == "both" else (sides,):
             system = host if side == "host" else (paired.guest if paired else None)
             _require(system is not None, f"convergence check: no {side} system")
-            v = check_strong_convergence(system, step_bound=step_bound, prune=prune)
-            out.append(({"name": name, "side": side}, v))
-        return out
+            systems.append((side, system))
+        return lambda prune: [
+            ({"name": name, "side": side},
+             check_strong_convergence(system, step_bound=step_bound, prune=prune))
+            for side, system in systems
+        ]
     if name == "causal":
-        system = _op_side(scenario, host, paired)
-        v = check_causal_safety(system, step_bound=step_bound, prune=prune)
-        return [({"name": name, "discipline": system.discipline}, v)]
+        system = _op_side(host, paired)
+        return lambda prune: [(
+            {"name": name, "discipline": system.discipline},
+            check_causal_safety(system, step_bound=step_bound, prune=prune),
+        )]
     if name == "commutation":
-        system = _op_side(scenario, host, paired)
-        v = check_commutation(system, step_bound=step_bound, prune=prune)
-        return [({"name": name}, v)]
+        system = _op_side(host, paired)
+        return lambda prune: [(
+            {"name": name},
+            check_commutation(system, step_bound=step_bound, prune=prune),
+        )]
     if name == "approx":
         _require(paired is not None, "approx check needs an emulate directive")
         prog_path = entry.get("program", scenario.client_program)
         _require(prog_path is not None, "approx check needs a client program")
         prog = _load_program(scenario, prog_path)
         bound = entry.get("client_bound", bounds.client_bound)
-        out = []
-        for direction, v in _run_approx(scenario, paired, prog, bound).items():
-            out.append(({"name": name, "direction": direction, "program": prog_path}, v))
-        return out
+        return lambda prune: [
+            ({"name": name, "direction": direction, "program": prog_path}, v)
+            for direction, v in _run_approx(scenario, paired, prog, bound).items()
+        ]
     raise ScenarioError(f"unknown check {name!r}")
+
+
+def run_check(
+    scenario: Scenario,
+    entry: dict,
+    host: System,
+    paired: PairedSystem | None,
+    prune: bool = True,
+) -> Rows:
+    """Run one scenario check entry; returns (params, verdict) rows."""
+    return _prepare(scenario, entry, host, paired)(prune)
 
 
 def exit_code_for(verdicts: list[Verdict]) -> int:
@@ -463,11 +482,14 @@ def exit_code_for(verdicts: list[Verdict]) -> int:
 
 def run_scenario(scenario: Scenario, prune: bool = True) -> tuple[dict, int]:
     host, paired = build_systems(scenario)
+    # Every entry is resolved first, so a configuration error in any entry
+    # exits 3 before the first check runs.
+    runs = [_prepare(scenario, entry, host, paired) for entry in scenario.checks]
     started = time.monotonic()
     rows = []
     verdicts = []
-    for entry in scenario.checks:
-        for params, v in run_check(scenario, entry, host, paired, prune=prune):
+    for run in runs:
+        for params, v in run(prune):
             rows.append({"check": params, "verdict": v.to_report()})
             verdicts.append(v)
     report = {

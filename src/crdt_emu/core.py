@@ -1,5 +1,6 @@
-"""Identifiers, vector clocks, messages, events, traces and the causal-order
-machinery shared by the op-based and state-based semantics.
+"""Identifiers, vector clocks, messages, events, traces, the configuration
+type, the system skeleton and query rule, and the causal-order machinery
+shared by the op-based and state-based semantics.
 
 Everything here is an immutable value; traces are persistent cons lists so
 exploration branches share structure instead of copying.
@@ -489,20 +490,6 @@ class Trace:
 TRACE_EMPTY = Trace(None, None, 0)
 
 
-def replay(system, events: Iterable[Event]):
-    """Re-execute a recorded event list on an op- or state-based system from
-    its initial configuration; raises if some event is not a legal step."""
-    c = system.init()
-    for e in events:
-        for _, c2 in system.steps(c):
-            if c2.trace.head == e:
-                c = c2
-                break
-        else:
-            raise ValueError(f"replay: event {e} is not a legal step here")
-    return c
-
-
 # --- labels -----------------------------------------------------------------
 
 LBL_UPDATE = "update"
@@ -544,6 +531,98 @@ class Label(_Weak):
         if self.kind == LBL_QUERY:
             return (LBL_QUERY, self.replica, self.query, self.value)
         return None
+
+
+# --- configurations and the shared rules -----------------------------------
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Config:
+    """A global configuration of either semantics: the trace, each replica's
+    state, the in-flight buffer, the messages sent, those each replica has
+    delivered, and the (replica, op) pairs whose update has fired.  Nothing
+    derivable from these is stored.  The update and delivery rules of both
+    semantics fire the replica step and store its new state; queries go
+    through ``query_step``.
+
+    On op-based systems a message is a clocked ``Message``, and a replica's
+    ``delivered`` set includes the messages its own updates sent and
+    self-applied; its next message is minted from that set (``mint``).  On
+    state-based systems a message is the sent state itself, and
+    ``delivered`` holds only the states the replica received, never its own.
+
+    Successor lists are never stored on the instance: a stored list would keep
+    every configuration generated from it alive.  Only the summary is cached,
+    because dedup reads it for every generated configuration."""
+
+    trace: Trace
+    states: FrozenDict            # ReplicaId -> S
+    buffer: frozenset             # {(ReplicaId, message)}, one per destination
+    sent: frozenset               # {message}
+    delivered: FrozenDict         # ReplicaId -> frozenset[message]
+    used_ops: frozenset           # {(ReplicaId, Op)} update events so far
+    _summary: tuple | None = dc_field(default=None, init=False, repr=False)
+
+
+def initial_config(obj, roster: tuple[ReplicaId, ...]) -> Config:
+    """Every replica at the object's initial state, nothing sent."""
+    if not roster:
+        raise ValueError("initial_config: empty replica roster")
+    if len(set(roster)) != len(roster):
+        raise ValueError("initial_config: duplicate replica ids")
+    empty = canon_set(frozenset())
+    return Config(
+        trace=TRACE_EMPTY,
+        states=FrozenDict.of({r: obj.initial for r in roster}),
+        buffer=empty,
+        sent=empty,
+        delivered=FrozenDict.of({r: empty for r in roster}),
+        used_ops=empty,
+    )
+
+
+def query_step(obj, c: Config, r: ReplicaId, q: QueryId) -> tuple[Label, Config]:
+    """The query rule of both semantics: r answers q from its state, and only
+    the trace changes."""
+    v = obj.query(q, c.states[r])
+    e = Event.of(r, Input.qry(q), Output.ret(v))
+    cfg = Config(c.trace.append(e), c.states, c.buffer, c.sent, c.delivered, c.used_ops)
+    return (Label.qry(r, q, v), cfg)
+
+
+@dataclass(frozen=True)
+class System:
+    """A system LTS over a fixed roster.  A subclass gives its rules
+    (``steps``), the summary that identifies its configurations, and its
+    delivery discipline or broadcast mode.  Its update and delivery rules
+    fire its replica step and take the replica's new state and output from
+    it; the query rule is ``query_step`` and the state-based send emits the
+    current state.  An op-based replica's ``delivered`` set includes its own
+    messages, a state-based replica's does not (see ``Config``).  Each
+    (replica, op) pair fires at most once per execution, which keeps the
+    explored space finite and makes operation occurrences unique."""
+
+    obj: Any
+    roster: tuple[ReplicaId, ...]
+
+    def init(self) -> Config:
+        return initial_config(self.obj, self.roster)
+
+    def query_value(self, c: Config, r: ReplicaId, q: QueryId) -> Any:
+        return self.obj.query(q, c.states[r])
+
+    def replay(self, events: Iterable[Event]) -> Config:
+        """Re-execute a recorded event list from the initial configuration;
+        raises if some event is not a legal step here."""
+        c = self.init()
+        for e in events:
+            for _, c2 in self.steps(c):
+                if c2.trace.head == e:
+                    c = c2
+                    break
+            else:
+                raise ValueError(f"replay: event {e} is not a legal step here")
+        return c
 
 
 # --- trace-level causal machinery -------------------------------------------

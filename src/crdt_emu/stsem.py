@@ -5,28 +5,30 @@ mode) or atomically with the update (the broadcast variant used by the weak
 bisimulation result).  A sent message is the state itself: a send or
 delivery event carries the state, and the buffer holds (replica, state)
 pairs, so a set union deduplicates re-sent equal states and a delivery is
-deduplicated by the state value.
+deduplicated by the state value.  The update and delivery rules fire the
+replica step, ``st_replica_step``, and take the replica's new state and
+output from it; queries are ``core.query_step``.  A replica's ``delivered``
+set holds only the states it received, never its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 from .core import (
+    OUT_SEND,
+    Config,
     Event,
-    FrozenDict,
     Input,
     Label,
     Output,
-    QueryId,
     ReplicaId,
-    Trace,
-    TRACE_EMPTY,
+    System,
     bcast,
     canon_key,
     canon_set,
-    replay,
+    query_step,
 )
 from .objects import StObject
 
@@ -35,123 +37,80 @@ ATOMIC_BROADCAST = "atomic"
 MODES = (SEPARATE_SEND, ATOMIC_BROADCAST)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class StConfig:
-    """Global state-based configuration.  The buffer holds the sent states
-    themselves, one entry per destination and value; the derived sets track
-    the sent states and the states each replica has delivered.  Only the
-    summary is cached on the instance, never successor lists."""
-
-    trace: Trace
-    states: FrozenDict            # ReplicaId -> S
-    buffer: frozenset             # {(ReplicaId, S)}
-    sent_values: frozenset        # {S}
-    delivered_values: FrozenDict  # ReplicaId -> frozenset[S]
-    used_ops: frozenset           # {(ReplicaId, Op)}
-    _summary: tuple | None = field(default=None, init=False, repr=False)
-
-
-def st_init(obj: StObject, roster: tuple[ReplicaId, ...]) -> StConfig:
-    if not roster:
-        raise ValueError("st_init: empty replica roster")
-    if len(set(roster)) != len(roster):
-        raise ValueError("st_init: duplicate replica ids")
-    empty = canon_set(frozenset())
-    return StConfig(
-        trace=TRACE_EMPTY,
-        states=FrozenDict.of({r: obj.initial for r in roster}),
-        buffer=empty,
-        sent_values=empty,
-        delivered_values=FrozenDict.of({r: empty for r in roster}),
-        used_ops=empty,
-    )
-
-
 def st_replica_step(
-    obj: StObject, r: ReplicaId, s: Any, i: Input
+    obj: StObject, r: ReplicaId, s: Any, i: Input, mode: str = SEPARATE_SEND
 ) -> tuple[Any, Output] | None:
     """Replica state machine: qry stutters, dlvr merges the delivered state,
     upd applies the inflationary update, and a none input sends the current
-    state."""
+    state.  mode is the system's broadcast mode: in atomic mode upd also
+    sends the updated state.  ``st_mk_update`` and ``st_mk_deliver`` fire
+    this step; a state the replica sends is never added to its own
+    ``delivered`` set, unlike an op-based replica's message."""
     if i.kind == "qry":
         return (s, Output.ret(obj.query(i.query, s)))
     if i.kind == "dlvr":
         return (obj.join(s, i.message), Output.none())
     if i.kind == "upd":
-        return (obj.update(r, i.op, s), Output.none())
+        s2 = obj.update(r, i.op, s)
+        return (s2, Output.send(s2) if mode == ATOMIC_BROADCAST else Output.none())
     if i.kind == "none":
         return (s, Output.send(s))
     return None
 
 
 def st_mk_update(
-    obj: StObject, roster: tuple[ReplicaId, ...], c: StConfig, r: ReplicaId, op, mode: str
-) -> tuple[Label, StConfig]:
+    obj: StObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op, mode: str
+) -> tuple[Label, Config]:
     """One StUpdate (or StUpdBC in atomic mode) rule instance."""
-    s2 = obj.update(r, op, c.states[r])
-    if mode == ATOMIC_BROADCAST:
-        e = Event.of(r, Input.upd(op), Output.send(s2))
-        buffer = bcast(r, s2, c.buffer, roster)
-        sent_values = canon_set(c.sent_values | {s2})
+    i = Input.upd(op)
+    s2, out = st_replica_step(obj, r, c.states[r], i, mode)
+    if out.kind == OUT_SEND:
+        buffer, sent = bcast(r, s2, c.buffer, roster), canon_set(c.sent | {s2})
     else:
-        e = Event.of(r, Input.upd(op), Output.none())
-        buffer, sent_values = c.buffer, c.sent_values
-    cfg = StConfig(
-        trace=c.trace.append(e),
+        buffer, sent = c.buffer, c.sent
+    cfg = Config(
+        trace=c.trace.append(Event.of(r, i, out)),
         states=c.states.set(r, s2),
         buffer=buffer,
-        sent_values=sent_values,
-        delivered_values=c.delivered_values,
+        sent=sent,
+        delivered=c.delivered,
         used_ops=canon_set(c.used_ops | {(r, op)}),
     )
     return (Label.update(r, op), cfg)
 
 
-def st_mk_query(obj: StObject, c: StConfig, r: ReplicaId, q) -> tuple[Label, StConfig]:
-    v = obj.query(q, c.states[r])
-    e = Event.of(r, Input.qry(q), Output.ret(v))
-    cfg = StConfig(
-        trace=c.trace.append(e),
-        states=c.states,
-        buffer=c.buffer,
-        sent_values=c.sent_values,
-        delivered_values=c.delivered_values,
-        used_ops=c.used_ops,
-    )
-    return (Label.qry(r, q, v), cfg)
-
-
 def st_mk_send(
-    roster: tuple[ReplicaId, ...], c: StConfig, r: ReplicaId
-) -> tuple[Label, StConfig]:
+    roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId
+) -> tuple[Label, Config]:
     s = c.states[r]
     e = Event.of(r, Input.none(), Output.send(s))
-    cfg = StConfig(
+    cfg = Config(
         trace=c.trace.append(e),
         states=c.states,
         buffer=bcast(r, s, c.buffer, roster),
-        sent_values=canon_set(c.sent_values | {s}),
-        delivered_values=c.delivered_values,
+        sent=canon_set(c.sent | {s}),
+        delivered=c.delivered,
         used_ops=c.used_ops,
     )
     return (Label.tau("send", r), cfg)
 
 
 def st_mk_deliver(
-    obj: StObject, c: StConfig, r: ReplicaId, s: Any
-) -> tuple[Label, StConfig] | None:
+    obj: StObject, c: Config, r: ReplicaId, s: Any
+) -> tuple[Label, Config] | None:
     """One StDeliver instance of the state s buffered for r; None when s is
     not buffered there or the dedup premise blocks it (r has delivered an
     equal state)."""
-    if (r, s) not in c.buffer or s in c.delivered_values[r]:
+    if (r, s) not in c.buffer or s in c.delivered[r]:
         return None
-    e = Event.of(r, Input.dlvr(s), Output.none())
-    cfg = StConfig(
-        trace=c.trace.append(e),
-        states=c.states.set(r, obj.join(c.states[r], s)),
+    i = Input.dlvr(s)
+    s2, out = st_replica_step(obj, r, c.states[r], i)
+    cfg = Config(
+        trace=c.trace.append(Event.of(r, i, out)),
+        states=c.states.set(r, s2),
         buffer=canon_set(c.buffer - {(r, s)}),
-        sent_values=c.sent_values,
-        delivered_values=c.delivered_values.set(r, c.delivered_values[r] | {s}),
+        sent=c.sent,
+        delivered=c.delivered.set(r, c.delivered[r] | {s}),
         used_ops=c.used_ops,
     )
     return (Label.tau("dlvr", r), cfg)
@@ -165,23 +124,22 @@ def _delivery_order(entry: tuple) -> tuple:
 def st_system_steps(
     obj: StObject,
     roster: tuple[ReplicaId, ...],
-    c: StConfig,
+    c: Config,
     mode: str = SEPARATE_SEND,
-    used_gate: bool = False,
-) -> list[tuple[Label, StConfig]]:
+) -> list[tuple[Label, Config]]:
     """All rule instances applicable to c, in deterministic order (updates,
-    queries, sends, then deliveries by replica and canonical state key).  In
-    atomic mode the update rule broadcasts the post-update state itself and
-    there is no separate send rule."""
-    out: list[tuple[Label, StConfig]] = []
+    queries, sends, then deliveries by replica and canonical state key).  An
+    update already recorded in used_ops does not fire again.  In atomic mode
+    the update rule broadcasts the post-update state itself and there is no
+    separate send rule."""
+    out: list[tuple[Label, Config]] = []
     for r in roster:
         for op in obj.ops:
-            if used_gate and (r, op) in c.used_ops:
-                continue
-            out.append(st_mk_update(obj, roster, c, r, op, mode))
+            if (r, op) not in c.used_ops:
+                out.append(st_mk_update(obj, roster, c, r, op, mode))
     for r in roster:
         for q in obj.queries:
-            out.append(st_mk_query(obj, c, r, q))
+            out.append(query_step(obj, c, r, q))
     if mode == SEPARATE_SEND:
         for r in roster:
             out.append(st_mk_send(roster, c, r))
@@ -193,35 +151,20 @@ def st_system_steps(
 
 
 @dataclass(frozen=True)
-class StSystem:
-    """A state-based LTS over a fixed roster; same op gating convention as
-    the op-based system."""
+class StSystem(System):
+    """A state-based LTS over a fixed roster in a broadcast mode."""
 
-    obj: StObject
-    roster: tuple[ReplicaId, ...]
     mode: str = SEPARATE_SEND
-    repeat_ops: bool = False
 
     kind = "st"
 
-    def init(self) -> StConfig:
-        return st_init(self.obj, self.roster)
+    def steps(self, c: Config) -> list[tuple[Label, Config]]:
+        return st_system_steps(self.obj, self.roster, c, self.mode)
 
-    def steps(self, c: StConfig) -> list[tuple[Label, StConfig]]:
-        return st_system_steps(
-            self.obj, self.roster, c, self.mode, used_gate=not self.repeat_ops
-        )
-
-    def summary(self, c: StConfig) -> tuple:
+    def summary(self, c: Config) -> tuple:
         """Every field of the configuration but the trace, which only grows."""
         cached = c._summary
         if cached is None:
-            cached = (c.states, c.buffer, c.sent_values, c.delivered_values, c.used_ops)
+            cached = (c.states, c.buffer, c.sent, c.delivered, c.used_ops)
             object.__setattr__(c, "_summary", cached)
         return cached
-
-    def query_value(self, c: StConfig, r: ReplicaId, q: QueryId) -> Any:
-        return self.obj.query(q, c.states[r])
-
-    def replay(self, events: Iterable[Event]) -> StConfig:
-        return replay(self, events)

@@ -183,6 +183,42 @@ def test_trace_length_past_the_step_bound_exits_3(tmp_path, capsys):
     assert "max_trace_len 3 exceeds step_bound 2" in capsys.readouterr().err
 
 
+_AUGMENTED_ST = {"object": {"name": "gset-st", "augment": True}, "emulate": None}
+
+
+@pytest.mark.parametrize(
+    "first, late, over, flags",
+    [
+        ("sim", {"name": "traces", "max_trace_len": 9}, {}, []),
+        ("sim", {"name": "traces"}, {}, ["--max-trace-len", "9"]),
+        (
+            "causal", {"name": "convergence", "side": "guest"},
+            {"object": {"name": "gset-op", "augment": True}, "emulate": None}, [],
+        ),
+        ("convergence", {"name": "causal"}, _AUGMENTED_ST, []),
+        ("convergence", {"name": "commutation"}, _AUGMENTED_ST, []),
+        ("sim", {"name": "approx"}, {}, []),
+        ("sim", {"name": "approx", "program": "missing.prog"}, {}, []),
+    ],
+    ids=["traces-entry", "traces-flag", "convergence-no-guest", "causal-no-op-side",
+         "commutation-no-op-side", "approx-no-program", "approx-unreadable-program"],
+)
+def test_configuration_errors_are_found_before_any_check_runs(
+    tmp_path, monkeypatch, capsys, first, late, over, flags
+):
+    """An entry that cannot run exits 3 before the valid entry listed ahead
+    of it has run."""
+    calls = []
+    for name in dir(cli):
+        if name.startswith("check_"):
+            monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: calls.append(_n))
+    first_entry = sim_entry()[0] if first == "sim" else {"name": first}
+    path = write_scenario(tmp_path, base_scenario(checks=[first_entry, late], **over))
+    assert main(["check", "--scenario", path, *flags]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_check_counterexample_exit_code(tmp_path):
     code = main(
         ["check", "--scenario", scenario_path("ex-2-5-no-causal"), "--depth", "6",
@@ -348,6 +384,7 @@ def sim_entry(**over):
         # values of the wrong JSON type
         {"broken_guest": "no"},
         {"repeat_ops": "false"},
+        {"repeat_ops": True},
         {"object": {"name": "gset-op", "augment": "false"}},
         {"roster": "ab"},
         {"roster": ["r1", 2]},

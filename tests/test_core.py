@@ -23,6 +23,7 @@ from crdt_emu.core import (
     downset,
     enabled,
     happens_before,
+    initial_config,
     intern_table_sizes,
     mint,
     satisfies_causal_delivery,
@@ -30,9 +31,17 @@ from crdt_emu.core import (
     vc_compare,
 )
 from crdt_emu.checker import explore
-from crdt_emu.objects import gset_op, gset_st
-from crdt_emu.opsem import OpSystem, op_init, op_mk_update
-from crdt_emu.stsem import StSystem, st_init, st_mk_deliver, st_mk_send, st_mk_update
+from crdt_emu.emulation import op_to_st, st_to_op
+from crdt_emu.objects import gcounter_st, gset_op, gset_st
+from crdt_emu.opsem import RELIABLE_ONLY, OpSystem, op_mk_update, op_replica_step
+from crdt_emu.stsem import (
+    ATOMIC_BROADCAST,
+    StSystem,
+    st_mk_deliver,
+    st_mk_send,
+    st_mk_update,
+    st_replica_step,
+)
 from conftest import msg
 
 import pytest
@@ -272,7 +281,7 @@ def test_tick_then_join_gives_one_clock():
 
 def test_op_host_and_message_set_guest_mint_one_message():
     obj = gset_op((5, 42))
-    host = op_init(obj, ("r1", "r2"))
+    host = initial_config(obj, ("r1", "r2"))
     _, after = op_mk_update(obj, ("r1", "r2"), host, "r1", ("add", 5))
     (m,) = after.sent
     assert mint("r1", frozenset(), 5) is m
@@ -282,7 +291,7 @@ def test_op_host_and_message_set_guest_mint_one_message():
 def test_different_paths_share_maps_clocks_and_events():
     obj = gset_op((5, 42))
     roster = ("r1", "r2")
-    c0 = op_init(obj, roster)
+    c0 = initial_config(obj, roster)
     _, a1 = op_mk_update(obj, roster, c0, "r1", ("add", 5))
     _, a2 = op_mk_update(obj, roster, a1, "r2", ("add", 42))
     _, b1 = op_mk_update(obj, roster, c0, "r2", ("add", 42))
@@ -299,7 +308,7 @@ def test_different_paths_share_state_based_sets_and_maps():
     roster = ("r1", "r2")
 
     def run(first, second):
-        c = st_init(obj, roster)
+        c = initial_config(obj, roster)
         for r, op in (first, second):
             _, c = st_mk_update(obj, roster, c, r, op, "separate-send")
             _, c = st_mk_send(roster, c, r)
@@ -310,11 +319,46 @@ def test_different_paths_share_state_based_sets_and_maps():
     a = run(("r1", ("add", 5)), ("r2", ("add", 42)))
     b = run(("r2", ("add", 42)), ("r1", ("add", 5)))
     assert a is not b
-    for name in ("states", "buffer", "sent_values", "delivered_values", "used_ops"):
+    for name in ("states", "buffer", "sent", "delivered", "used_ops"):
         assert getattr(a, name) is getattr(b, name)
     system = StSystem(obj, roster)
     assert system.summary(a) is not system.summary(b)
     assert system.summary(a)[1] is system.summary(b)[1]
+
+
+def test_every_system_step_is_its_replica_step():
+    """The system LTS lifts the replica LTS: each step appends one event of
+    one replica r, r's replica step on its old state and the event's input
+    gives its new state and the event's output, no other replica's state
+    changes, and an update fires at most once per (replica, op).  Checked on
+    every step of the unpruned depth-4 graphs of eight 2-replica systems."""
+    roster = ("r1", "r2")
+    gset, gcounter = gset_st((1, 2)), gcounter_st()
+    systems = [
+        OpSystem(gset_op((1, 2)), roster),
+        OpSystem(gset_op((1, 2)), roster, discipline=RELIABLE_ONLY),
+        OpSystem(st_to_op(gset), roster),
+        OpSystem(st_to_op(gcounter), roster),
+        StSystem(gset, roster),
+        StSystem(gset, roster, mode=ATOMIC_BROADCAST),
+        StSystem(op_to_st(gset_op((1, 2))), roster),
+        StSystem(op_to_st(gset_op((1, 2))), roster, mode=ATOMIC_BROADCAST),
+    ]
+    for system in systems:
+        graph = explore(system, 4, prune=False)
+        assert len(graph.edges) > 100
+        for i, label, j in graph.edges:
+            c, c2 = graph.nodes[i], graph.nodes[j]
+            e = c2.trace.head
+            r = e.replica
+            if system.kind == "op":
+                step = op_replica_step(system.obj, r, c.states[r], e.input, c.delivered[r])
+            else:
+                step = st_replica_step(system.obj, r, c.states[r], e.input, system.mode)
+            assert step == (c2.states[r], e.output)
+            assert all(c2.states[r2] == c.states[r2] for r2 in roster if r2 != r)
+            if label.kind == "update":
+                assert (r, label.op) not in c.used_ops
 
 
 def test_plain_constructors_give_equal_values():

@@ -219,8 +219,7 @@ def test_origin_component_decides_happens_before(system):
     (origin, seq) with different payloads."""
     ordered = 0
     for cfg in explore(system, 6).nodes:
-        sent = cfg.sent if system.kind == "op" else cfg.sent_values
-        msgs = [m for m in _messages((cfg.states, cfg.buffer, sent), set()) if m.clock.entries]
+        msgs = [m for m in _messages((cfg.states, cfg.buffer, cfg.sent), set()) if m.clock.entries]
         for m in msgs:
             assert m.clock.get(m.id.origin) == m.id.seq
         for m2, m in itertools.product(msgs, repeat=2):

@@ -7,6 +7,7 @@ from crdt_emu.core import (
     Input,
     VectorClock,
     happens_before,
+    initial_config,
     satisfies_causal_delivery,
 )
 from crdt_emu.emulation import st_to_op
@@ -16,9 +17,7 @@ from crdt_emu.opsem import (
     RELIABLE_ONLY,
     OpSystem,
     _delivery_enabled,
-    op_init,
     op_replica_step,
-    op_system_steps,
 )
 from conftest import msg
 
@@ -63,9 +62,9 @@ def test_replica_step_deterministic():
 def test_init_rejects_bad_rosters():
     obj = gset_op((5,))
     with pytest.raises(ValueError):
-        op_init(obj, ())
+        initial_config(obj, ())
     with pytest.raises(ValueError):
-        op_init(obj, ("r1", "r1"))
+        initial_config(obj, ("r1", "r1"))
 
 
 def test_init_states_and_successors():
@@ -336,16 +335,6 @@ def test_minted_message_follows_from_delivered():
                     assert m.id.seq == 1 + sum(m2.id.origin == r for m2 in c.delivered[r])
                     updates += 1
     assert updates
-
-
-def test_system_steps_unfiltered_allow_op_reuse():
-    # the module-level relation has no op gating
-    obj = gset_op((5,))
-    c = op_init(obj, ("r1", "r2"))
-    succ = op_system_steps(obj, ("r1", "r2"), c)
-    c2 = [cfg for l, cfg in succ if l.kind == "update" and l.replica == "r1"][0]
-    again = op_system_steps(obj, ("r1", "r2"), c2)
-    assert any(l.kind == "update" and l.replica == "r1" for l, _ in again)
 
 
 def test_steps_store_nothing_on_the_configuration():

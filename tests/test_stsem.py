@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 from crdt_emu.checker import explore
-from crdt_emu.core import Input
+from crdt_emu.core import Input, initial_config
 from crdt_emu.emulation import op_to_st
 from crdt_emu.objects import gset_op, gset_st, st_leq
 from crdt_emu.stsem import (
     ATOMIC_BROADCAST,
     StSystem,
-    st_init,
     st_replica_step,
 )
 
@@ -121,7 +120,7 @@ def test_init_rejects_bad_rosters():
     import pytest
 
     with pytest.raises(ValueError):
-        st_init(gset_st((1,)), ())
+        initial_config(gset_st((1,)), ())
 
 
 def test_steps_store_nothing_on_the_configuration():
