@@ -37,6 +37,7 @@ from .core import (
     causal_past,
     downset_of,
     happens_before,
+    intern_scope,
     query_step,
     render,
     render_event,
@@ -116,21 +117,24 @@ def render_label(l: Label) -> dict:
 
 
 def collector_paused(check):
-    """Run check with the interpreter's cyclic garbage collector paused, and
-    restore its state afterwards.  A search allocates millions of short-lived
-    containers and builds no reference cycles, so a finished check is freed
-    by reference counting alone and the collector's scans of those containers
-    reclaim nothing.  ``tests/test_checker.py::
-    test_finished_checks_leave_no_cyclic_garbage`` guards that.  Apply it to
-    plain functions only: on a generator it would cover building the
-    generator, not the search."""
+    """Run check inside the hash-consing scope (``core.intern_scope``), with
+    the interpreter's cyclic garbage collector paused, and restore the
+    collector's state afterwards.  So when the outermost check returns or
+    raises, the intern tables are emptied and hold none of its values.  A
+    search allocates millions of short-lived containers and builds no
+    reference cycles, so a finished check is freed by reference counting
+    alone and the collector's scans of those containers reclaim nothing.
+    ``tests/test_checker.py::test_finished_checks_leave_no_cyclic_garbage``
+    guards that.  Apply it to plain functions only: on a generator it would
+    cover building the generator, not the search."""
+    scoped = intern_scope(check)
 
     @functools.wraps(check)
     def paused(*args, **kwargs):
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return check(*args, **kwargs)
+            return scoped(*args, **kwargs)
         finally:
             if was_enabled:
                 gc.enable()
@@ -301,6 +305,7 @@ def weak_matches(
     return results
 
 
+@intern_scope
 def weak_successors(system, cfg, label: Label | None, tau_budget: int) -> list:
     """All weak successors of cfg under the given label (None or a silent
     label meaning tau), deduplicated by summary."""
@@ -309,6 +314,7 @@ def weak_successors(system, cfg, label: Label | None, tau_budget: int) -> list:
     return [c for c, _ in found]
 
 
+@intern_scope
 def attainable_query_values(side, cfg, r: ReplicaId, q: QueryId, tau_budget: int) -> list:
     """Query values weakly reachable at replica r (current value included)."""
     side = side if isinstance(side, Side) else Side(side)  # as in weak_matches
@@ -1259,6 +1265,7 @@ def check_commutation(system, step_bound: int = 8, prune: bool = True) -> Verdic
 # --- witness replay -------------------------------------------------------------------
 
 
+@intern_scope
 def replay_simulation_counterexample(
     paired: PairedSystem, rel_id: str, cex: SimCounterexample, tau_budget: int
 ) -> bool:

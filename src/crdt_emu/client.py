@@ -23,7 +23,7 @@ from .checker import (
     Verdict,
     collector_paused,
 )
-from .core import FrozenDict, Op, QueryId, render, render_event
+from .core import FrozenDict, Op, QueryId, intern_scope, render, render_event
 
 
 # --- expressions ---------------------------------------------------------------
@@ -374,6 +374,7 @@ class Termination:
     witness: list[dict] | None
 
 
+@intern_scope
 def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
     """Breadth-first search for any execution reaching a terminated program
     state within step_bound steps."""

@@ -9,22 +9,25 @@ Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, 2006): the factories ``FrozenDict.of``/``FrozenDict.set``,
 ``VectorClock.make`` (behind ``of``/``tick``/``join``), ``Message.make``, the
 ``Input``/``Output``/``Label`` static constructors, ``Event.of`` and
-``canon_set`` return the one live object per equal content, so configurations
-reached along different paths share their maps, clocks, messages, events and
-frozensets (buffers, sent sets, used-op sets).  Each class has its own table
-holding weak references; an entry disappears with the last object that refers
-to its value, so the tables need no size bound and never keep a finished
-check's values alive.  Identity is only a speed-up: ``__eq__`` and
-``__hash__`` stay structural, and the plain constructors still build equal,
-non-canonical values.
+``canon_set`` return one object per equal content, so configurations reached
+along different paths share their maps, clocks, messages, events and
+frozensets (buffers, sent sets, used-op sets), and a label, event or clock a
+step builds again is a table hit.  Each class has its own table of plain
+references, whose lifetime is one check: every check, ``explore`` and
+library search runs inside ``intern_scope``, and when the outermost scope
+exits every table is emptied, so a finished check keeps none of its values
+alive.  Identity is only a speed-up: ``__eq__`` and ``__hash__`` stay
+structural, so values that outlive their check (memo keys, verdicts,
+witnesses) stay correct against the next check's canonical values, and the
+plain constructors still build equal, non-canonical values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping
-from weakref import KeyedRef, ref
 
 ReplicaId = str
 Op = tuple          # operation token, e.g. ("add", 5) or ("inc",)
@@ -40,85 +43,18 @@ class Ordering(Enum):
 
 # --- hash-consing ---------------------------------------------------------------
 
-
-class _InternTable:
-    """Content key -> weak reference to the canonical value with that content.
-
-    The reference's callback drops the entry when the value dies, so the table
-    holds only values that something else still references."""
-
-    __slots__ = ("refs", "_drop")
-
-    def __init__(self):
-        refs: dict = {}
-        self.refs = refs
-
-        def drop(ref, refs=refs):
-            if refs.get(ref.key) is ref:
-                del refs[ref.key]
-
-        self._drop = drop
-
-    def canon(self, key, build, *args):
-        """The live value stored under key, else ``build(*args)`` stored."""
-        ref = self.refs.get(key)
-        if ref is not None:
-            hit = ref()
-            if hit is not None:
-                return hit
-        value = build(*args)
-        self.refs[key] = KeyedRef(value, self._drop, key)
-        return value
-
-    def __len__(self) -> int:
-        return len(self.refs)
-
-
-class _SetTable:
-    """Weak reference to the canonical frozenset -> that same reference.
-
-    A frozenset is its own content key.  A weak reference hashes as its
-    referent and, while both referents live, compares as they do, so a
-    candidate is looked up through ``ref(candidate)`` without keeping it.
-    A dead reference still hashes as before and equals only itself, which
-    lets its callback find and drop the entry."""
-
-    __slots__ = ("refs", "_drop")
-
-    def __init__(self):
-        refs: dict = {}
-        self.refs = refs
-
-        def drop(dead, refs=refs):
-            if refs.get(dead) is dead:
-                del refs[dead]
-
-        self._drop = drop
-
-    def canon(self, s: frozenset) -> frozenset:
-        """The live set equal to s, else s stored as canonical."""
-        hit = self.refs.get(ref(s))
-        if hit is not None:
-            live = hit()
-            if live is not None:
-                return live
-        key = ref(s, self._drop)
-        self.refs[key] = key
-        return s
-
-    def __len__(self) -> int:
-        return len(self.refs)
-
-
-_FROZEN_DICTS = _InternTable()
-_CLOCKS = _InternTable()
-_MESSAGE_IDS = _InternTable()
-_MESSAGES = _InternTable()
-_INPUTS = _InternTable()
-_OUTPUTS = _InternTable()
-_LABELS = _InternTable()
-_EVENTS = _InternTable()
-_FROZENSETS = _SetTable()
+# One table per class, content key -> the canonical value with that content;
+# a frozenset is its own key.  Plain dicts: a value stays canonical until the
+# outermost ``intern_scope`` exits and empties every table.
+_FROZEN_DICTS: dict = {}
+_CLOCKS: dict = {}
+_MESSAGE_IDS: dict = {}
+_MESSAGES: dict = {}
+_INPUTS: dict = {}
+_OUTPUTS: dict = {}
+_LABELS: dict = {}
+_EVENTS: dict = {}
+_FROZENSETS: dict = {}
 
 _TABLES = {
     "FrozenDict": _FROZEN_DICTS,
@@ -132,28 +68,53 @@ _TABLES = {
     "frozenset": _FROZENSETS,
 }
 
+_scope_depth = 0
+
+
+def _canon(table: dict, key, build, *args):
+    """The value stored under key, else ``build(*args)`` stored."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build(*args)
+    return value
+
 
 def canon_set(s: frozenset) -> frozenset:
     """The canonical frozenset equal to s."""
-    return _FROZENSETS.canon(s)
+    return _FROZENSETS.setdefault(s, s)
 
 
 def intern_table_sizes() -> dict[str, int]:
-    """Live entries per hash-consing table."""
+    """Entries per hash-consing table."""
     return {name: len(table) for name, table in _TABLES.items()}
 
 
-class _Weak:
-    """Slotted base that lets slotted dataclasses be weakly referenced (the
-    ``weakref_slot`` dataclass option needs Python 3.11)."""
+def intern_scope(search):
+    """Run search inside the hash-consing scope.  Scopes nest by a depth
+    count; when the outermost one exits, by return or by raise, every table
+    is emptied, so a finished search keeps none of its values alive and the
+    next one starts from empty tables.  Apply it to plain functions only: on
+    a generator it would cover building the generator, not the search."""
 
-    __slots__ = ("__weakref__",)
+    @functools.wraps(search)
+    def scoped(*args, **kwargs):
+        global _scope_depth
+        _scope_depth += 1
+        try:
+            return search(*args, **kwargs)
+        finally:
+            _scope_depth -= 1
+            if not _scope_depth:
+                for table in _TABLES.values():
+                    table.clear()
+
+    return scoped
 
 
 class FrozenDict(Mapping):
     """Immutable, hashable mapping with deterministic (sorted-key) iteration."""
 
-    __slots__ = ("_map", "_items", "_hash", "__weakref__")
+    __slots__ = ("_map", "_items", "_hash")
 
     def __init__(self, mapping: Mapping | tuple = ()):
         m = dict(mapping)
@@ -164,7 +125,7 @@ class FrozenDict(Mapping):
     @staticmethod
     def _from_sorted(items: tuple) -> "FrozenDict":
         """The canonical map with these key-sorted items."""
-        return _FROZEN_DICTS.canon(items, FrozenDict._build, items)
+        return _canon(_FROZEN_DICTS, items, FrozenDict._build, items)
 
     @staticmethod
     def _build(items: tuple) -> "FrozenDict":
@@ -219,7 +180,7 @@ class FrozenDict(Mapping):
 
 
 @dataclass(frozen=True, slots=True)
-class VectorClock(_Weak):
+class VectorClock:
     """Per-replica counters; absent entries read as 0.
 
     Pointwise comparison of clocks is the partial order used for the
@@ -231,7 +192,7 @@ class VectorClock(_Weak):
     @staticmethod
     def make(entries: tuple[tuple[ReplicaId, int], ...]) -> "VectorClock":
         """The canonical clock with these replica-sorted, positive entries."""
-        return _CLOCKS.canon(entries, VectorClock, entries)
+        return _canon(_CLOCKS, entries, VectorClock, entries)
 
     @staticmethod
     def of(mapping: Mapping[ReplicaId, int]) -> "VectorClock":
@@ -287,7 +248,7 @@ def vc_compare(a: VectorClock, b: VectorClock) -> Ordering:
 
 
 @dataclass(frozen=True, slots=True)
-class MessageId(_Weak):
+class MessageId:
     origin: ReplicaId
     seq: int
 
@@ -296,7 +257,7 @@ class MessageId(_Weak):
 
 
 @dataclass(frozen=True, slots=True)
-class Message(_Weak):
+class Message:
     """A broadcast payload stamped with a unique (origin, seq) id and the
     sender's clock at send time.
 
@@ -318,7 +279,7 @@ class Message(_Weak):
     def make(origin: ReplicaId, seq: int, clock: VectorClock, payload: Any) -> "Message":
         """The canonical message with this id, clock and payload."""
         key = (origin, seq, clock, payload)
-        return _MESSAGES.canon(key, _new_message, origin, seq, clock, payload)
+        return _canon(_MESSAGES, key, _new_message, origin, seq, clock, payload)
 
     def __hash__(self) -> int:
         return self._hash
@@ -341,7 +302,7 @@ class Message(_Weak):
 
 
 def _new_message(origin: ReplicaId, seq: int, clock: VectorClock, payload: Any) -> Message:
-    return Message(_MESSAGE_IDS.canon((origin, seq), MessageId, origin, seq), clock, payload)
+    return Message(_canon(_MESSAGE_IDS, (origin, seq), MessageId, origin, seq), clock, payload)
 
 
 def happens_before(m1: Message, m2: Message) -> bool:
@@ -366,12 +327,15 @@ def causal_past(m: Message) -> dict[ReplicaId, int]:
 def mint(r: ReplicaId, consumed: frozenset[Message], payload: Any) -> Message:
     """The message r sends with this payload after consuming exactly the
     messages in consumed: its clock is their clocks' join ticked at r, and
-    its seq is that clock's r entry."""
-    clock = VectorClock.make(())
+    its seq is that clock's r entry.  The join is taken in one pass, so only
+    the final clock is built."""
+    top: dict[ReplicaId, int] = {}
     for m in consumed:
-        clock = clock.join(m.clock)
-    clock = clock.tick(r)
-    return Message.make(r, clock.get(r), clock, payload)
+        for rr, n in m.clock.entries:
+            if n > top.get(rr, 0):
+                top[rr] = n
+    seq = top[r] = top.get(r, 0) + 1
+    return Message.make(r, seq, VectorClock.make(tuple(sorted(top.items()))), payload)
 
 
 def concurrent(m1: Message, m2: Message) -> bool:
@@ -391,7 +355,7 @@ OUT_SEND = "send"
 
 
 @dataclass(frozen=True, slots=True)
-class Input(_Weak):
+class Input:
     """A replica's input.  A dlvr input's ``message`` is the delivered
     ``Message`` on op-based events and the delivered state itself on
     state-based ones."""
@@ -407,19 +371,19 @@ class Input(_Weak):
 
     @staticmethod
     def upd(op: Op) -> "Input":
-        return _INPUTS.canon((IN_UPD, op), Input, IN_UPD, op)
+        return _canon(_INPUTS, (IN_UPD, op), Input, IN_UPD, op)
 
     @staticmethod
     def qry(q: QueryId) -> "Input":
-        return _INPUTS.canon((IN_QRY, q), Input, IN_QRY, None, q)
+        return _canon(_INPUTS, (IN_QRY, q), Input, IN_QRY, None, q)
 
     @staticmethod
     def dlvr(m: Message | Any) -> "Input":
-        return _INPUTS.canon((IN_DLVR, m), Input, IN_DLVR, None, None, m)
+        return _canon(_INPUTS, (IN_DLVR, m), Input, IN_DLVR, None, None, m)
 
 
 @dataclass(frozen=True, slots=True)
-class Output(_Weak):
+class Output:
     """A replica's output.  A send output's ``message`` is the broadcast
     ``Message`` on op-based events and the sent state itself on
     state-based ones."""
@@ -434,11 +398,11 @@ class Output(_Weak):
 
     @staticmethod
     def ret(v: Any) -> "Output":
-        return _OUTPUTS.canon((OUT_RET, v), Output, OUT_RET, v)
+        return _canon(_OUTPUTS, (OUT_RET, v), Output, OUT_RET, v)
 
     @staticmethod
     def send(m: Message | Any) -> "Output":
-        return _OUTPUTS.canon((OUT_SEND, m), Output, OUT_SEND, None, m)
+        return _canon(_OUTPUTS, (OUT_SEND, m), Output, OUT_SEND, None, m)
 
 
 INPUT_NONE = Input(IN_NONE)
@@ -446,7 +410,7 @@ OUTPUT_NONE = Output(OUT_NONE)
 
 
 @dataclass(frozen=True, slots=True)
-class Event(_Weak):
+class Event:
     """One replica transition: (replica, input, output)."""
 
     replica: ReplicaId
@@ -456,7 +420,7 @@ class Event(_Weak):
     @staticmethod
     def of(r: ReplicaId, i: Input, o: Output) -> "Event":
         """The canonical event with these parts."""
-        return _EVENTS.canon((r, i, o), Event, r, i, o)
+        return _canon(_EVENTS, (r, i, o), Event, r, i, o)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -498,7 +462,7 @@ LBL_TAU = "tau"
 
 
 @dataclass(frozen=True, slots=True)
-class Label(_Weak):
+class Label:
     """System-level transition label; tau labels are the silent ones."""
 
     kind: str
@@ -510,15 +474,15 @@ class Label(_Weak):
 
     @staticmethod
     def update(r: ReplicaId, op: Op) -> "Label":
-        return _LABELS.canon((LBL_UPDATE, r, op), Label, LBL_UPDATE, r, op)
+        return _canon(_LABELS, (LBL_UPDATE, r, op), Label, LBL_UPDATE, r, op)
 
     @staticmethod
     def qry(r: ReplicaId, q: QueryId, v: Any) -> "Label":
-        return _LABELS.canon((LBL_QUERY, r, q, v), Label, LBL_QUERY, r, None, q, v)
+        return _canon(_LABELS, (LBL_QUERY, r, q, v), Label, LBL_QUERY, r, None, q, v)
 
     @staticmethod
     def tau(kind: str, r: ReplicaId) -> "Label":
-        return _LABELS.canon((LBL_TAU, r, kind), Label, LBL_TAU, r, None, None, None, kind)
+        return _canon(_LABELS, (LBL_TAU, r, kind), Label, LBL_TAU, r, None, None, None, kind)
 
     @property
     def is_silent(self) -> bool:
@@ -611,6 +575,7 @@ class System:
     def query_value(self, c: Config, r: ReplicaId, q: QueryId) -> Any:
         return self.obj.query(q, c.states[r])
 
+    @intern_scope
     def replay(self, events: Iterable[Event]) -> Config:
         """Re-execute a recorded event list from the initial configuration;
         raises if some event is not a legal step here."""

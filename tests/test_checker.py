@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import json
+from pathlib import Path
 
 from crdt_emu.checker import (
     GUEST_BY_HOST,
@@ -16,6 +17,7 @@ from crdt_emu.checker import (
     _deliverable_ordering,
     _newest_delivery_inverts,
     _play_obligations,
+    attainable_query_values,
     breadth_first,
     check_causal_safety,
     check_commutation,
@@ -32,12 +34,13 @@ from crdt_emu.checker import (
     weak_successors,
     weak_traces,
 )
-from crdt_emu.client import check_approximation, parse_program
+from crdt_emu.cli import build_systems, load_scenario
+from crdt_emu.client import ClientState, can_terminate, check_approximation, parse_program
 from crdt_emu.core import (
-    Event, FrozenDict, Input, Label, Output, TRACE_EMPTY, canon_key, render, render_event,
-    satisfies_causal_delivery,
+    Event, FrozenDict, Input, Label, Output, TRACE_EMPTY, canon_key, intern_table_sizes,
+    render, render_event, satisfies_causal_delivery,
 )
-from crdt_emu.emulation import op_to_st, st_to_op
+from crdt_emu.emulation import _interp_memo, op_to_st, st_to_op
 from crdt_emu.objects import (
     OpObject,
     augment_history_op,
@@ -53,6 +56,7 @@ from conftest import msg
 import pytest
 
 ROSTER2 = ("r1", "r2")
+TESTS = Path(__file__).resolve().parent
 
 
 def paired_gset(values=(5, 42), roster=ROSTER2, discipline="causal", mode="separate-send"):
@@ -357,10 +361,10 @@ def _gset_st_pair():
 )
 def test_clause_is_a_function_of_the_summaries(rel_id, make_pair):
     """The premise of deciding each related pair once: configurations with
-    equal summaries, whose traces (and, on the state-based side, wrapper
-    ids) differ, give the same clause against every configuration of the
-    other side.  Each summary class of the unpruned depth-4 graph is checked
-    rep by rep against the first rep of every other-side class, both ways."""
+    equal summaries, whose traces differ, give the same clause against
+    every configuration of the other side.  Each summary class of the
+    unpruned depth-4 graph is checked rep by rep against the first rep of
+    every other-side class, both ways."""
     p = make_pair()
     rel = Relation(rel_id, p)
     a_classes = _summary_classes(p.side(rel.a_side), 4)
@@ -818,6 +822,55 @@ def test_checks_restore_the_collector_state(collector_on):
         assert gc.isenabled() == collector_on
     finally:
         (gc.enable if enabled else gc.disable)()
+
+
+def test_library_searches_leave_the_intern_tables_empty():
+    """The searches a library caller runs outside any check each run in the
+    hash-consing scope of their own: after each returns, every table is
+    empty, even though its arguments were built outside any scope."""
+    sim = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
+    cex = check_weak_simulation(sim, "R1", HOST_BY_GUEST, step_bound=8).raw
+    prog = parse_program("upd(add 1); x := qry(sum)")
+    searches = [
+        (replay_simulation_counterexample, lambda: (sim, "R1", cex, 6)),
+        (weak_successors, lambda: (sim.guest, sim.guest.init(), None, 4)),
+        (attainable_query_values, lambda: (sim.guest, sim.guest.init(), "r1", "sum", 4)),
+        (sim.host.replay, lambda: (cex.a_events,)),
+        (can_terminate, lambda: (sim.host, ClientState(sim.host.init(), FrozenDict(), prog), 6)),
+    ]
+    for search, make_args in searches:
+        args = make_args()
+        assert search(*args)
+        assert not any(intern_table_sizes().values()), search.__name__
+
+
+def test_reports_do_not_depend_on_value_identity():
+    """Identity of hash-consed values is only a speed-up.  A passing R1
+    simulation and the ex-2-5-no-causal R1 counterexample run twice on the
+    same systems.  The tables are emptied between the runs, so the second
+    run builds new canonical values, while the host object's interp memo
+    keeps the first run's message sets and answers the second run's equal,
+    non-identical keys without growing.  Both runs give the same reports."""
+    passing = paired_gset()
+    _, failing = build_systems(load_scenario(TESTS.parent / "scenarios/ex-2-5-no-causal.scenario"))
+
+    def reports():
+        return [
+            check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8).to_report()
+            for p in (passing, failing)
+        ]
+
+    first = reports()
+    assert not any(intern_table_sizes().values())
+    memo = _interp_memo[failing.host.obj]
+    kept = list(memo)
+    assert kept
+    second = reports()
+    assert second == first
+    assert first[0]["outcome"] == "pass"
+    golden = json.loads((TESTS / "golden/ex-2-5-no-causal.json").read_text())
+    assert json.loads(json.dumps(first[1])) == golden["checks"][0]["verdict"]
+    assert [id(k) for k in memo] == [id(k) for k in kept]
 
 
 def test_finished_checks_leave_no_cache_on_the_systems():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import itertools
 
 from hypothesis import given, settings
@@ -30,7 +29,15 @@ from crdt_emu.core import (
     sent,
     vc_compare,
 )
-from crdt_emu.checker import explore
+from crdt_emu.checker import (
+    HOST_BY_GUEST,
+    Graph,
+    PairedSystem,
+    breadth_first,
+    check_strong_convergence,
+    check_weak_simulation,
+    explore,
+)
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import gcounter_st, gset_op, gset_st
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem, op_mk_update, op_replica_step
@@ -386,13 +393,54 @@ def test_plain_constructors_give_equal_values():
         assert len({plain, canonical}) == 1
 
 
-def test_intern_tables_empty_out_after_exploration():
-    gc.collect()
-    before = intern_table_sizes()
-    graph = explore(OpSystem(gset_op((5, 42)), ("r1", "r2")), 5)
+def _tables_empty() -> bool:
+    return not any(intern_table_sizes().values())
+
+
+def test_intern_tables_grow_while_a_search_runs():
+    """Driving the search generator directly, outside any check, the tables
+    keep every value the steps build: they grow as nodes are taken.  The
+    depth-0 explores before and after empty them on return."""
+    explore(OpSystem(gset_op((1,)), ("r1",)), 0)
+    assert _tables_empty()
+    search = breadth_first(OpSystem(gset_op((5, 42)), ("r1", "r2")), 5, Graph())
+    next(search)
+    start = intern_table_sizes()
+    for _ in itertools.islice(search, 50):
+        pass
     during = intern_table_sizes()
-    assert all(during[k] > before[k] for k in ("FrozenDict", "Message", "Event"))
-    del graph
-    gc.collect()
-    after = intern_table_sizes()
-    assert all(after[k] <= before[k] for k in before), (before, after)
+    assert all(during[k] > start[k] for k in ("FrozenDict", "Message", "Label", "Event"))
+    explore(OpSystem(gset_op((1,)), ("r1",)), 0)
+    assert _tables_empty()
+
+
+def test_intern_tables_are_empty_after_a_check_returns():
+    """The tables hold their values for one check: after explore and after a
+    simulation check return, every table is empty, though the returned
+    graph and verdict still hold values the check built."""
+    graph = explore(OpSystem(gset_op((5, 42)), ("r1", "r2")), 5)
+    assert len(graph.nodes) > 1 and _tables_empty()
+    obj, roster = gset_op((5, 42)), ("r1", "r2")
+    paired = PairedSystem(OpSystem(obj, roster), StSystem(op_to_st(obj), roster), "op-to-st")
+    assert check_weak_simulation(paired, "R1", HOST_BY_GUEST, step_bound=5).passed
+    assert _tables_empty()
+
+
+def test_a_raising_check_empties_the_tables_but_its_nested_explore_does_not():
+    """check_strong_convergence explores first and only then finds that the
+    object is not history-augmented and raises.  Its nested explore returns
+    inside the check's scope and leaves the tables as they are, so when the
+    check reads the graph its configurations' maps are still the canonical
+    ones; the raise leaves the outermost scope and empties every table."""
+    seen = []
+
+    class ProbedSystem(OpSystem):
+        def query_value(self, c, r, q):
+            seen.append((intern_table_sizes(), FrozenDict.of(dict(c.states)) is c.states))
+            return super().query_value(c, r, q)
+
+    with pytest.raises(ValueError, match="history-augmented"):
+        check_strong_convergence(ProbedSystem(gset_op((5, 42)), ("r1", "r2")), step_bound=4)
+    assert _tables_empty()
+    [(sizes, canonical)] = seen
+    assert canonical and all(sizes[k] > 0 for k in ("FrozenDict", "Message", "Event"))
