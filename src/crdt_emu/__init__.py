@@ -7,7 +7,6 @@ from .core import (
     Event,
     FrozenDict,
     Input,
-    Label,
     Message,
     MessageId,
     Ordering,

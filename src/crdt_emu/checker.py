@@ -27,7 +27,6 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 from .core import (
     Config,
     Event,
-    Label,
     Message,
     QueryId,
     ReplicaId,
@@ -35,12 +34,14 @@ from .core import (
     Trace,
     canon_key,
     causal_past,
+    delivered,
     downset_of,
     happens_before,
     intern_scope,
     query_step,
     render,
     render_event,
+    sent,
 )
 from .emulation import interp
 from .objects import OpObject, StObject, check_concurrent_commutation, st_leq
@@ -101,19 +102,21 @@ class Verdict:
         return out
 
 
-def render_label(l: Label) -> dict:
-    out: dict[str, Any] = {"kind": l.kind}
-    if l.replica is not None:
-        out["replica"] = l.replica
-    if l.op is not None:
-        out["op"] = list(l.op)
-    if l.query is not None:
-        out["query"] = l.query
-    if l.kind == "query":
-        out["value"] = render(l.value)
-    if l.silent is not None:
-        out["silent"] = l.silent
-    return out
+def _render_obs(obs: tuple) -> dict:
+    """An observable label, ``Event.obs_key`` of an update or query, as JSON."""
+    if obs[0] == "update":
+        return {"kind": "update", "replica": obs[1], "op": list(obs[2])}
+    return {"kind": "query", "replica": obs[1], "query": obs[2], "value": render(obs[3])}
+
+
+def render_label(e: Event) -> dict:
+    """The label of the system step that event e fires, as JSON: its
+    observable update or query, or tau with the silent rule's name."""
+    obs = e.obs_key()
+    if obs is not None:
+        return _render_obs(obs)
+    silent = "dlvr" if e.input.kind == "dlvr" else "send"
+    return {"kind": "tau", "replica": e.replica, "silent": silent}
 
 
 def collector_paused(check):
@@ -148,10 +151,10 @@ def collector_paused(check):
 @dataclass
 class Graph:
     """Configurations in breadth-first order with their depths, and every
-    step taken between them as (from index, label, to index)."""
+    step taken between them as (from index, event, to index)."""
 
     nodes: list = field(default_factory=list)
-    edges: list[tuple[int, Label, int]] = field(default_factory=list)
+    edges: list[tuple[int, Event, int]] = field(default_factory=list)
     depths: list[int] = field(default_factory=list)
 
     @property
@@ -181,14 +184,14 @@ def breadth_first(system, step_bound: int, graph: Graph, prune: bool = True) -> 
     while i < len(nodes):  # the nodes list is the queue
         yield i
         if depths[i] < step_bound:
-            for label, c2 in system.steps(nodes[i]):
+            for c2 in system.steps(nodes[i]):
                 j = len(nodes)
                 if prune:
                     j = keys.setdefault(system.summary(c2), j)
                 if j == len(nodes):
                     nodes.append(c2)
                     depths.append(depths[i] + 1)
-                edges.append((i, label, j))
+                edges.append((i, c2.trace.head, j))
         i += 1
 
 
@@ -218,9 +221,11 @@ class Side:
 
 def _cached_steps(side: Side, cfg):
     """Successor list shared between configurations with equal summaries.
-    Sound because the summary determines the applicable rules (a tested
-    lemma); the representatives' traces may differ, which only shows in
-    bookkeeping fields of reported events."""
+    Sound because the summary determines the applicable rules and each
+    step's event: configurations with equal summaries take the same events
+    to successors with equal summaries
+    (``tests/test_checker.py::test_step_events_are_a_function_of_the_summary``).
+    Only the representatives' older trace events may differ."""
     key = side.system.summary(cfg)
     hit = side.steps.get(key)
     if hit is None:
@@ -243,8 +248,8 @@ def _silent_ball(side: Side, cfg, budget: int) -> list[tuple[Any, tuple[Event, .
     for _ in range(budget):
         nxt = []
         for c, evs in frontier:
-            for label, c2 in _cached_steps(side, c):
-                if not label.is_silent:
+            for c2 in _cached_steps(side, c):
+                if c2.trace.head.obs_key() is not None:
                     continue
                 key = system.summary(c2)
                 if key in seen:
@@ -263,14 +268,15 @@ def _silent_ball(side: Side, cfg, budget: int) -> list[tuple[Any, tuple[Event, .
 def weak_matches(
     side,
     cfg,
-    label: Label,
+    obs: tuple | None,
     tau_budget: int,
     accept: Callable[[Any], bool],
     first_only: bool = True,
 ) -> list[tuple[Any, tuple[Event, ...]]]:
-    """Weak transitions cfg ==label==> cfg' with accept(cfg'), where the total
-    number of silent steps is bounded by tau_budget.  Silent labels may be
-    matched by zero steps.  side is a check's Side, or a bare system."""
+    """Weak transitions cfg ==obs==> cfg' with accept(cfg'), where obs is an
+    observable label (``Event.obs_key``) or None for tau, and the total
+    number of silent steps is bounded by tau_budget.  Tau may be matched by
+    zero steps.  side is a check's Side, or a bare system."""
     side = side if isinstance(side, Side) else Side(side)  # one-shot: fresh caches
     results: list[tuple[Any, tuple[Event, ...]]] = []
     seen_landings = set()
@@ -286,17 +292,16 @@ def weak_matches(
         return False
 
     ball = _silent_ball(side, cfg, tau_budget)
-    if label.is_silent:
+    if obs is None:
         for c1, evs in ball:
             if emit(c1, evs):
                 return results
         return results
 
-    want = label.obs_key()
     for c1, evs in ball:
         used = len(evs)
-        for l2, c2 in _cached_steps(side, c1):
-            if l2.obs_key() != want:
+        for c2 in _cached_steps(side, c1):
+            if c2.trace.head.obs_key() != obs:
                 continue
             mid_evs = evs + (c2.trace.head,)
             for c3, evs3 in _silent_ball(side, c2, tau_budget - used):
@@ -306,11 +311,10 @@ def weak_matches(
 
 
 @intern_scope
-def weak_successors(system, cfg, label: Label | None, tau_budget: int) -> list:
-    """All weak successors of cfg under the given label (None or a silent
-    label meaning tau), deduplicated by summary."""
-    lab = label if label is not None else Label.tau("dlvr", "")
-    found = weak_matches(system, cfg, lab, tau_budget, lambda _: True, first_only=False)
+def weak_successors(system, cfg, obs: tuple | None, tau_budget: int) -> list:
+    """All weak successors of cfg under the observable label obs
+    (``Event.obs_key``; None meaning tau), deduplicated by summary."""
+    found = weak_matches(system, cfg, obs, tau_budget, lambda _: True, first_only=False)
     return [c for c, _ in found]
 
 
@@ -367,8 +371,6 @@ def deliverable_check(
     U: Iterable[Message], r: ReplicaId, t: Trace, b: frozenset
 ) -> tuple[Message, ...] | None:
     """Spec surface over a raw trace and buffer."""
-    from .core import delivered, sent
-
     return _deliverable_ordering(frozenset(U), r, b, sent(t), delivered(r, t))
 
 
@@ -570,7 +572,7 @@ def _op_deliver_chain(D, cfg, r: ReplicaId, wanted) -> list | None:
         if step is None:
             return None
         chain.append(step)
-        cur = step[1]
+        cur = step
         remaining.discard(cur.trace.head.input.message)
     return chain
 
@@ -585,33 +587,33 @@ def constructive_match(
     rel: Relation,
     defender_system,
     a_cfg,
-    label: Label,
     a2_cfg,
     b_cfg,
 ) -> list | None:
-    """The canonical defender moves for each attacker step under the named
-    relation's recipe; returns the chain of defender steps or None when the
-    recipe does not apply.  Guest steps of the bowtie use the R2 recipe.
-    rel is the check's relation, whose downset memo the R1 recipe shares."""
+    """The canonical defender moves for the attacker step a_cfg -> a2_cfg,
+    read off its event, under the named relation's recipe; returns the
+    chain of defender configurations or None when the recipe does not
+    apply.  Guest steps of the bowtie use the R2 recipe.  rel is the
+    check's relation, whose downset memo the R1 recipe shares."""
     event = a2_cfg.trace.head
-    r = label.replica
+    r = event.replica
     D = defender_system
 
-    if label.kind == "update":
-        if (r, label.op) in b_cfg.used_ops:
+    if event.input.kind == "upd":
+        op = event.input.op
+        if (r, op) in b_cfg.used_ops:
             return None
         if recipe in ("R2", "Q1"):
-            return [op_mk_update(D.obj, D.roster, b_cfg, r, label.op)]
+            return [op_mk_update(D.obj, D.roster, b_cfg, r, op)]
         if recipe == "bowtie" and D.mode == ATOMIC_BROADCAST:
-            return [st_mk_update(D.obj, D.roster, b_cfg, r, label.op, D.mode)]
+            return [st_mk_update(D.obj, D.roster, b_cfg, r, op, D.mode)]
         # R1/Q2 (and bowtie in separate mode): update then send
-        step1 = st_mk_update(D.obj, D.roster, b_cfg, r, label.op, D.mode)
-        step2 = st_mk_send(D.roster, step1[1], r)
-        return [step1, step2]
+        updated = st_mk_update(D.obj, D.roster, b_cfg, r, op, D.mode)
+        return [updated, st_mk_send(D.roster, updated, r)]
 
-    if label.kind == "query":
-        step = query_step(D.obj, b_cfg, r, label.query)
-        return [step] if step[0].obs_key() == label.obs_key() else None
+    if event.input.kind == "qry":
+        answered = query_step(D.obj, b_cfg, r, event.input.query)
+        return [answered] if answered.trace.head.obs_key() == event.obs_key() else None
 
     # silent attacker steps
     if event.output.kind == "send" and event.input.kind == "none":
@@ -648,7 +650,7 @@ def constructive_match(
             if step is None:
                 return None
             chain.append(step)
-            cur = step[1]
+            cur = step
             if cur.states[r] == target:
                 return chain
 
@@ -661,16 +663,17 @@ def constructive_match(
 # --- weak simulation check ----------------------------------------------------------
 
 
-def _evidence(attacker: Side, a2_cfg, defender: Side, b_cfg, label: Label, tau_budget: int):
-    """Query-level explanation of an unmatched step: the value now observable
-    on the attacker side versus what the defender could still offer."""
-    r = label.replica
-    if r is None:
-        return None
-    queries = (label.query,) if label.kind == "query" else attacker.system.obj.queries
+def _evidence(attacker: Side, a2_cfg, defender: Side, b_cfg, tau_budget: int):
+    """Query-level explanation of the unmatched attacker step to a2_cfg: the
+    value now observable on the attacker side versus what the defender could
+    still offer."""
+    event = a2_cfg.trace.head
+    r = event.replica
+    if event.input.kind == "qry":
+        queries = (event.input.query,)
+    else:
+        queries = attacker.system.obj.queries
     for q in queries:
-        if q is None:
-            continue
         attacker_value = attacker.system.query_value(a2_cfg, r, q)
         options = attainable_query_values(defender, b_cfg, r, q, tau_budget)
         if any(canon_key(v) == canon_key(attacker_value) for v in options):
@@ -692,8 +695,7 @@ def _evidence(attacker: Side, a2_cfg, defender: Side, b_cfg, label: Label, tau_b
 class SimCounterexample:
     a_events: tuple[Event, ...]
     b_events: tuple[Event, ...]
-    unmatched_label: Label
-    unmatched_event: Event | None
+    unmatched_event: Event
     clause: str | None
     evidence: dict | None
 
@@ -703,10 +705,8 @@ class SimCounterexample:
             b_name + "_events": [render_event(e) for e in self.b_events],
             "unmatched": {
                 "side": a_name,
-                "label": render_label(self.unmatched_label),
-                "event": render_event(self.unmatched_event)
-                if self.unmatched_event
-                else None,
+                "label": render_label(self.unmatched_event),
+                "event": render_event(self.unmatched_event),
             },
         }
         if self.clause:
@@ -747,7 +747,6 @@ class _Miss(NamedTuple):
     a_events: tuple[Event, ...]   # path to the attacked pair, first side
     b_events: tuple[Event, ...]   # path to the attacked pair, second side
     side: str                     # the attacker's side of the relation: "a" | "b"
-    label: Label
     attacker_post: Any
     landing: Any                  # where the constructive chain ends
     defender: Any                 # the defender's configuration it started from
@@ -784,7 +783,7 @@ def _play_obligations(
             continue
         for side, recipe in obligations:
             X, x, Y, y = (A, a, B, b) if side == "a" else (B, b, A, a)
-            for label, x2 in X.system.steps(x):
+            for x2 in X.system.steps(x):
                 stats["obligations"] += 1
                 kx = X.system.summary(x2)
                 if side == "a":
@@ -796,22 +795,24 @@ def _play_obligations(
                 # the one acceptance test of the matcher, fallback and audit
                 accept = lambda yy: pair_key(yy) in parents or holds(yy)
                 landing = None
-                chain = constructive_match(recipe, rel, Y.system, x, label, x2, y)
+                chain = constructive_match(recipe, rel, Y.system, x, x2, y)
                 if chain is not None:
-                    cand = chain[-1][1] if chain else y
+                    cand = chain[-1] if chain else y
                     key2 = pair_key(cand)
                     new = key2 not in parents
                     if not new or holds(cand):
                         landing = cand
-                        chain_events = tuple(c.trace.head for _, c in chain)
+                        chain_events = tuple(c.trace.head for c in chain)
                         stats["matcher_matched"] += 1
-                        if search.audit and not weak_matches(Y, y, label, tau_budget, accept):
+                        if search.audit and not weak_matches(
+                            Y, y, x2.trace.head.obs_key(), tau_budget, accept
+                        ):
                             stats["matcher_fallback_disagreements"] += 1
                 if landing is None:
-                    found = weak_matches(Y, y, label, tau_budget, accept)
+                    found = weak_matches(Y, y, x2.trace.head.obs_key(), tau_budget, accept)
                     if not found:
-                        near = chain[-1][1] if chain else y
-                        return _Miss(*_path_events(parents, key), side, label, x2, near, y)
+                        near = chain[-1] if chain else y
+                        return _Miss(*_path_events(parents, key), side, x2, near, y)
                     landing, chain_events = found[0]
                     key2 = pair_key(landing)
                     new = key2 not in parents
@@ -888,10 +889,9 @@ def check_weak_simulation(
     cex = SimCounterexample(
         a_events=miss.a_events + (a2.trace.head,),
         b_events=miss.b_events,
-        unmatched_label=miss.label,
         unmatched_event=a2.trace.head,
         clause=rel.clause(a2, miss.landing),
-        evidence=_evidence(search.a, a2, search.b, miss.defender, miss.label, search.tau_budget),
+        evidence=_evidence(search.a, a2, search.b, miss.defender, search.tau_budget),
     )
     return Verdict(
         COUNTEREXAMPLE,
@@ -909,7 +909,6 @@ def check_weak_simulation(
 @dataclass
 class GameWitness:
     side: str                      # which system attacked: "host" | "guest"
-    label: Label
     attacker_event: Event
     attacker_cfg: Any
     defender_cfg: Any
@@ -946,9 +945,9 @@ def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None
     if d <= 0:
         return None
     for side, X, x, Y, y in (("host", A, a, B, b), ("guest", B, b, A, a)):
-        for label, x2 in _cached_steps(X, x):
+        for x2 in _cached_steps(X, x):
             responses = weak_matches(
-                Y, y, label, tau_budget, lambda _: True, first_only=False
+                Y, y, x2.trace.head.obs_key(), tau_budget, lambda _: True, first_only=False
             )
             subs = []
             survived = False
@@ -964,11 +963,9 @@ def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None
             if survived:
                 continue
             evidence = None
-            if label.kind == "query" and not responses:
-                evidence = _evidence(X, x2, Y, y, label, tau_budget)
-            witness = GameWitness(
-                side, label, x2.trace.head, x2, y, subs, evidence, needed
-            )
+            if x2.trace.head.input.kind == "qry" and not responses:
+                evidence = _evidence(X, x2, Y, y, tau_budget)
+            witness = GameWitness(side, x2.trace.head, x2, y, subs, evidence, needed)
             memo[key] = ("sep", witness)
             return witness
     prev = memo.get(key)
@@ -1043,19 +1040,17 @@ def check_weak_bisimulation(
             }
         )
     evidence = leaf.evidence
-    if evidence is None and leaf.label.kind == "query":
+    if evidence is None and leaf.attacker_event.input.kind == "qry":
         X = A if leaf.side == "host" else B
         Y = B if leaf.side == "host" else A
-        evidence = _evidence(
-            X, leaf.attacker_cfg, Y, leaf.defender_cfg, leaf.label, search.tau_budget
-        )
+        evidence = _evidence(X, leaf.attacker_cfg, Y, leaf.defender_cfg, search.tau_budget)
     witness = {
         "host_events": [render_event(e) for e in host_events],
         "guest_events": [render_event(e) for e in guest_events],
         "play": play,
         "unmatched": {
             "side": leaf.side,
-            "label": render_label(leaf.label),
+            "label": render_label(leaf.attacker_event),
             "event": render_event(leaf.attacker_event),
         },
         "failed_clause": failure[1],
@@ -1086,8 +1081,8 @@ def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
         raise ValueError("weak_traces: max_len exceeds step_bound")
     graph = explore(system, step_bound)
     adj: dict[int, list] = {}
-    for i, label, j in graph.edges:
-        adj.setdefault(i, []).append((label.obs_key(), j))
+    for i, e, j in graph.edges:
+        adj.setdefault(i, []).append((e.obs_key(), j))
     return _suffixes(adj, max_len, {}, 0, step_bound)
 
 
@@ -1114,18 +1109,6 @@ def _suffixes(adj: dict, max_len: int, memo: dict, i: int, budget: int) -> froze
     return result
 
 
-def _render_trace(tr: tuple) -> list:
-    out = []
-    for obs in tr:
-        if obs[0] == "update":
-            out.append({"kind": "update", "replica": obs[1], "op": list(obs[2])})
-        else:
-            out.append(
-                {"kind": "query", "replica": obs[1], "query": obs[2], "value": render(obs[3])}
-            )
-    return out
-
-
 @collector_paused
 def check_trace_equivalence(
     paired: PairedSystem, max_len: int = 3, step_bound: int = 10
@@ -1144,7 +1127,7 @@ def check_trace_equivalence(
         COUNTEREXAMPLE,
         stats,
         bounds,
-        witness={"trace": _render_trace(tr), "only_in": side},
+        witness={"trace": [_render_obs(obs) for obs in tr], "only_in": side},
         raw=(tr, side),
         detail=f"trace realizable only by the {side}",
     )
@@ -1278,9 +1261,10 @@ def replay_simulation_counterexample(
     b = B.replay(cex.b_events)
     if rel.clause(a, b) is not None:
         return False
-    steps = [(l, c) for l, c in A.steps(a) if c.trace.head == cex.a_events[-1]]
+    steps = [c for c in A.steps(a) if c.trace.head == cex.a_events[-1]]
     if len(steps) != 1:
         return False
-    label, a2 = steps[0]
-    found = weak_matches(B, b, label, tau_budget, lambda bb: rel.holds(a2, bb))
+    (a2,) = steps
+    obs = a2.trace.head.obs_key()
+    found = weak_matches(B, b, obs, tau_budget, lambda bb: rel.holds(a2, bb))
     return not found

@@ -527,8 +527,8 @@ def _dump_system(system, depth: int, prune: bool) -> dict:
             }
         )
     edges = [
-        {"from": i, "label": render_label(label), "to": j}
-        for i, label, j in graph.edges
+        {"from": i, "label": render_label(e), "to": j}
+        for i, e, j in graph.edges
     ]
     return {"nodes": nodes, "edges": edges, "stats": graph.stats}
 

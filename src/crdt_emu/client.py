@@ -326,8 +326,8 @@ def _prog_steps(
     if isinstance(p, Upd):
         return [
             (env2, store, SKIP)
-            for label, env2 in env_steps
-            if label.kind == "update" and label.op == p.op
+            for env2 in env_steps
+            if env2.trace.head.input.kind == "upd" and env2.trace.head.input.op == p.op
         ]
     if isinstance(p, Qry):
         return [
@@ -358,8 +358,8 @@ def client_steps(
         if memo is not None:
             memo[cs.env] = env_steps
     out = []
-    for label, env2 in env_steps:
-        if label.is_silent:
+    for env2 in env_steps:
+        if env2.trace.head.obs_key() is None:
             out.append(ClientState(env2, cs.store, cs.prog))
     for env2, store2, p2 in _prog_steps(system, cs.env, env_steps, cs.store, cs.prog):
         out.append(ClientState(env2, store2, p2))

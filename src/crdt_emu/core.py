@@ -8,18 +8,20 @@ exploration branches share structure instead of copying.
 Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, 2006): the factories ``FrozenDict.of``/``FrozenDict.set``,
 ``VectorClock.make`` (behind ``of``/``tick``/``join``), ``Message.make``, the
-``Input``/``Output``/``Label`` static constructors, ``Event.of`` and
-``canon_set`` return one object per equal content, so configurations reached
-along different paths share their maps, clocks, messages, events and
-frozensets (buffers, sent sets, used-op sets), and a label, event or clock a
-step builds again is a table hit.  Each class has its own table of plain
-references, whose lifetime is one check: every check, ``explore`` and
-library search runs inside ``intern_scope``, and when the outermost scope
-exits every table is emptied, so a finished check keeps none of its values
-alive.  Identity is only a speed-up: ``__eq__`` and ``__hash__`` stay
-structural, so values that outlive their check (memo keys, verdicts,
-witnesses) stay correct against the next check's canonical values, and the
-plain constructors still build equal, non-canonical values.
+``Input``/``Output`` static constructors, ``Event.of`` and ``canon_set``
+return one object per equal content, so configurations reached along
+different paths share their maps, clocks, messages, events and frozensets
+(buffers, sent sets, used-op sets), and an event or clock a step builds
+again is a table hit.  A system step is labelled by its event alone
+(``Event.obs_key``).  Each class has its own table of plain references,
+whose lifetime is one check: every check, ``explore`` and library search
+runs inside ``intern_scope``, and when the outermost scope exits every
+table is emptied, together with the message-set interpretation memo
+(``INTERP_MEMO``), so a finished check keeps none of its values alive.
+Identity is only a speed-up: ``__eq__`` and ``__hash__`` stay structural,
+so values that outlive their check (verdicts, witnesses) stay correct
+against the next check's canonical values, and the plain constructors still
+build equal, non-canonical values.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ _MESSAGE_IDS: dict = {}
 _MESSAGES: dict = {}
 _INPUTS: dict = {}
 _OUTPUTS: dict = {}
-_LABELS: dict = {}
 _EVENTS: dict = {}
 _FROZENSETS: dict = {}
 
@@ -63,10 +64,14 @@ _TABLES = {
     "Message": _MESSAGES,
     "Input": _INPUTS,
     "Output": _OUTPUTS,
-    "Label": _LABELS,
     "Event": _EVENTS,
     "frozenset": _FROZENSETS,
 }
+
+# Interpretation results of ``emulation.interp``: op object -> {message set:
+# state}.  Emptied with the tables, so a later check never compares its
+# message sets with those of an earlier one.
+INTERP_MEMO: dict = {}
 
 _scope_depth = 0
 
@@ -92,9 +97,10 @@ def intern_table_sizes() -> dict[str, int]:
 def intern_scope(search):
     """Run search inside the hash-consing scope.  Scopes nest by a depth
     count; when the outermost one exits, by return or by raise, every table
-    is emptied, so a finished search keeps none of its values alive and the
-    next one starts from empty tables.  Apply it to plain functions only: on
-    a generator it would cover building the generator, not the search."""
+    and ``INTERP_MEMO`` are emptied, so a finished search keeps none of its
+    values alive and the next one starts from empty tables.  Apply it to
+    plain functions only: on a generator it would cover building the
+    generator, not the search."""
 
     @functools.wraps(search)
     def scoped(*args, **kwargs):
@@ -107,6 +113,7 @@ def intern_scope(search):
             if not _scope_depth:
                 for table in _TABLES.values():
                     table.clear()
+                INTERP_MEMO.clear()
 
     return scoped
 
@@ -422,6 +429,17 @@ class Event:
         """The canonical event with these parts."""
         return _canon(_EVENTS, (r, i, o), Event, r, i, o)
 
+    def obs_key(self) -> tuple | None:
+        """The observable label of the system step this event fires, used
+        for weak matching: ("update", r, op) for an upd input, ("query", r,
+        q, v) for a qry input answered ret(v), and None for the silent
+        delivery and send steps."""
+        if self.input.kind == IN_UPD:
+            return ("update", self.replica, self.input.op)
+        if self.input.kind == IN_QRY:
+            return ("query", self.replica, self.input.query, self.output.value)
+        return None
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Trace:
@@ -452,49 +470,6 @@ class Trace:
 
 
 TRACE_EMPTY = Trace(None, None, 0)
-
-
-# --- labels -----------------------------------------------------------------
-
-LBL_UPDATE = "update"
-LBL_QUERY = "query"
-LBL_TAU = "tau"
-
-
-@dataclass(frozen=True, slots=True)
-class Label:
-    """System-level transition label; tau labels are the silent ones."""
-
-    kind: str
-    replica: ReplicaId | None = None
-    op: Op | None = None
-    query: QueryId | None = None
-    value: Any = None
-    silent: str | None = None  # "dlvr" | "send"
-
-    @staticmethod
-    def update(r: ReplicaId, op: Op) -> "Label":
-        return _canon(_LABELS, (LBL_UPDATE, r, op), Label, LBL_UPDATE, r, op)
-
-    @staticmethod
-    def qry(r: ReplicaId, q: QueryId, v: Any) -> "Label":
-        return _canon(_LABELS, (LBL_QUERY, r, q, v), Label, LBL_QUERY, r, None, q, v)
-
-    @staticmethod
-    def tau(kind: str, r: ReplicaId) -> "Label":
-        return _canon(_LABELS, (LBL_TAU, r, kind), Label, LBL_TAU, r, None, None, None, kind)
-
-    @property
-    def is_silent(self) -> bool:
-        return self.kind == LBL_TAU
-
-    def obs_key(self) -> tuple | None:
-        """Observable identity used for weak matching; None for tau."""
-        if self.kind == LBL_UPDATE:
-            return (LBL_UPDATE, self.replica, self.op)
-        if self.kind == LBL_QUERY:
-            return (LBL_QUERY, self.replica, self.query, self.value)
-        return None
 
 
 # --- configurations and the shared rules -----------------------------------
@@ -545,26 +520,27 @@ def initial_config(obj, roster: tuple[ReplicaId, ...]) -> Config:
     )
 
 
-def query_step(obj, c: Config, r: ReplicaId, q: QueryId) -> tuple[Label, Config]:
+def query_step(obj, c: Config, r: ReplicaId, q: QueryId) -> Config:
     """The query rule of both semantics: r answers q from its state, and only
     the trace changes."""
-    v = obj.query(q, c.states[r])
-    e = Event.of(r, Input.qry(q), Output.ret(v))
-    cfg = Config(c.trace.append(e), c.states, c.buffer, c.sent, c.delivered, c.used_ops)
-    return (Label.qry(r, q, v), cfg)
+    e = Event.of(r, Input.qry(q), Output.ret(obj.query(q, c.states[r])))
+    return Config(c.trace.append(e), c.states, c.buffer, c.sent, c.delivered, c.used_ops)
 
 
 @dataclass(frozen=True)
 class System:
     """A system LTS over a fixed roster.  A subclass gives its rules
     (``steps``), the summary that identifies its configurations, and its
-    delivery discipline or broadcast mode.  Its update and delivery rules
-    fire its replica step and take the replica's new state and output from
-    it; the query rule is ``query_step`` and the state-based send emits the
-    current state.  An op-based replica's ``delivered`` set includes its own
-    messages, a state-based replica's does not (see ``Config``).  Each
-    (replica, op) pair fires at most once per execution, which keeps the
-    explored space finite and makes operation occurrences unique."""
+    delivery discipline or broadcast mode.  A rule returns the successor
+    configuration; the step's event, from which its label is read
+    (``Event.obs_key``), is the successor's ``trace.head``.  The update and
+    delivery rules fire its replica step and take the replica's new state
+    and output from it; the query rule is ``query_step`` and the state-based
+    send emits the current state.  An op-based replica's ``delivered`` set
+    includes its own messages, a state-based replica's does not (see
+    ``Config``).  Each (replica, op) pair fires at most once per execution,
+    which keeps the explored space finite and makes operation occurrences
+    unique."""
 
     obj: Any
     roster: tuple[ReplicaId, ...]
@@ -581,7 +557,7 @@ class System:
         raises if some event is not a legal step here."""
         c = self.init()
         for e in events:
-            for _, c2 in self.steps(c):
+            for c2 in self.steps(c):
                 if c2.trace.head == e:
                     c = c2
                     break

@@ -14,18 +14,18 @@ so all message effects commute and identity is by payload value.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Iterator
 
-from .core import Message, Op, QueryId, ReplicaId, happens_before, mint
+from .core import INTERP_MEMO, Message, Op, QueryId, ReplicaId, happens_before, mint
 from .objects import IDENTITY_VALUE, OpObject, StObject
 
 MessageSetState = frozenset  # frozenset[Message]
 
 # Interpretation results per object, keyed by the exact message set.  The
 # checker interprets heavily-overlapping sets, so the peel-one-recurse shape
-# makes most calls a single lookup.
-_interp_memo: "weakref.WeakKeyDictionary[OpObject, dict]" = weakref.WeakKeyDictionary()
+# makes most calls a single lookup.  The memo lives in ``core`` and is
+# emptied with the hash-consing tables when the outermost check returns.
+_interp_memo: "dict[OpObject, dict]" = INTERP_MEMO
 
 
 def max_set(h: MessageSetState) -> frozenset[Message]:
@@ -44,13 +44,16 @@ def interp(h: MessageSetState, obj: OpObject) -> Any:
     not depend on the peeling choice; the checker verifies that separately
     rather than assuming it.
     """
-    return _interp(h, obj, _interp_memo.setdefault(obj, {}))
+    return _interp(h, obj)
 
 
-def _interp(h: MessageSetState, obj: OpObject, memo: dict) -> Any:
-    """``interp`` with the object's memo in hand: peel down to the largest
-    memoized (or empty) subset, then apply the peeled effects back up,
-    memoizing every set on the way."""
+def _interp(h: MessageSetState, obj: OpObject) -> Any:
+    """The body of ``interp``, which the guest's update and query in
+    ``op_to_st`` call directly: peel down to the largest memoized (or empty)
+    subset, then apply the peeled effects back up, memoizing every set on
+    the way.  The object's memo is looked up on each call, never captured,
+    because it is emptied between checks."""
+    memo = _interp_memo.setdefault(obj, {})
     peeled = []
     while h:
         state = memo.get(h)
@@ -105,14 +108,13 @@ def interp_is_order_independent(h: MessageSetState, obj: OpObject) -> bool:
 def op_to_st(obj: OpObject) -> StObject:
     """Construct the state-based guest of an op-based host: message sets under
     union, with updates inserting freshly prepped messages."""
-    memo = _interp_memo.setdefault(obj, {})
 
     def update(r: ReplicaId, op: Op, h: MessageSetState) -> MessageSetState:
-        payload = obj.prep(r, op, _interp(h, obj, memo))
+        payload = obj.prep(r, op, _interp(h, obj))
         return h | {mint(r, h, payload)}
 
     def query(q: QueryId, h: MessageSetState) -> Any:
-        return obj.query(q, _interp(h, obj, memo))
+        return obj.query(q, _interp(h, obj))
 
     return StObject(
         name=obj.name + "->st",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
-from .core import FrozenDict, Op, QueryId, ReplicaId
+from .core import FrozenDict, Op, QueryId, ReplicaId, concurrent
 
 # Message identity regimes for op-based objects.  "id" is the normal case:
 # messages are distinct by (origin, seq).  "value" is used by guests whose
@@ -24,7 +24,7 @@ IDENTITY_VALUE = "value"
 
 # Object definitions compare and hash by identity: their functions compare by
 # identity anyway, and the interpretation memo looks an object up on every
-# top-level ``emulation.interp`` call.
+# interpretation of a message set (``emulation._interp``).
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +221,6 @@ class CommutationReport:
 def check_concurrent_commutation(obj: OpObject, configs) -> CommutationReport:
     """For every sampled configuration, every replica and every pair of
     concurrent messages buffered there: both delivery orders must agree."""
-    from .core import concurrent
-
     checked = 0
     violations = []
     for cfg in configs:

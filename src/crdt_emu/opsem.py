@@ -18,7 +18,6 @@ from .core import (
     Config,
     Event,
     Input,
-    Label,
     Message,
     Output,
     ReplicaId,
@@ -80,12 +79,12 @@ def _delivery_enabled(
 
 def op_mk_update(
     obj: OpObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op
-) -> tuple[Label, Config]:
+) -> Config:
     """One OpUpdate rule instance: prep, self-apply, broadcast."""
     i = Input.upd(op)
     s2, out = op_replica_step(obj, r, c.states[r], i, c.delivered[r])
     m = out.message
-    cfg = Config(
+    return Config(
         trace=c.trace.append(Event.of(r, i, out)),
         states=c.states.set(r, s2),
         buffer=bcast(r, m, c.buffer, roster, obj.message_identity == IDENTITY_VALUE),
@@ -93,18 +92,17 @@ def op_mk_update(
         delivered=c.delivered.set(r, c.delivered[r] | {m}),
         used_ops=canon_set(c.used_ops | {(r, op)}),
     )
-    return (Label.update(r, op), cfg)
 
 
 def op_mk_deliver(
     obj: OpObject, c: Config, r: ReplicaId, m: Message, discipline: str = CAUSAL
-) -> tuple[Label, Config] | None:
+) -> Config | None:
     """One OpDeliver instance; None when the delivery gate blocks it."""
     if (r, m) not in c.buffer or not _delivery_enabled(obj, c, r, m, discipline):
         return None
     i = Input.dlvr(m)
     s2, out = op_replica_step(obj, r, c.states[r], i)
-    cfg = Config(
+    return Config(
         trace=c.trace.append(Event.of(r, i, out)),
         states=c.states.set(r, s2),
         buffer=canon_set(c.buffer - {(r, m)}),
@@ -112,7 +110,6 @@ def op_mk_deliver(
         delivered=c.delivered.set(r, c.delivered[r] | {m}),
         used_ops=c.used_ops,
     )
-    return (Label.tau("dlvr", r), cfg)
 
 
 def op_system_steps(
@@ -120,11 +117,11 @@ def op_system_steps(
     roster: tuple[ReplicaId, ...],
     c: Config,
     discipline: str = CAUSAL,
-) -> list[tuple[Label, Config]]:
+) -> list[Config]:
     """All rule instances applicable to c, in deterministic order (updates,
     then queries, then deliveries).  An update already recorded in used_ops
     does not fire again."""
-    out: list[tuple[Label, Config]] = []
+    out: list[Config] = []
     for r in roster:
         for op in obj.ops:
             if (r, op) not in c.used_ops:
@@ -147,7 +144,7 @@ class OpSystem(System):
 
     kind = "op"
 
-    def steps(self, c: Config) -> list[tuple[Label, Config]]:
+    def steps(self, c: Config) -> list[Config]:
         return op_system_steps(self.obj, self.roster, c, self.discipline)
 
     def summary(self, c: Config) -> tuple:

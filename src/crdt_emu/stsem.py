@@ -21,7 +21,6 @@ from .core import (
     Config,
     Event,
     Input,
-    Label,
     Output,
     ReplicaId,
     System,
@@ -60,7 +59,7 @@ def st_replica_step(
 
 def st_mk_update(
     obj: StObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op, mode: str
-) -> tuple[Label, Config]:
+) -> Config:
     """One StUpdate (or StUpdBC in atomic mode) rule instance."""
     i = Input.upd(op)
     s2, out = st_replica_step(obj, r, c.states[r], i, mode)
@@ -68,7 +67,7 @@ def st_mk_update(
         buffer, sent = bcast(r, s2, c.buffer, roster), canon_set(c.sent | {s2})
     else:
         buffer, sent = c.buffer, c.sent
-    cfg = Config(
+    return Config(
         trace=c.trace.append(Event.of(r, i, out)),
         states=c.states.set(r, s2),
         buffer=buffer,
@@ -76,15 +75,14 @@ def st_mk_update(
         delivered=c.delivered,
         used_ops=canon_set(c.used_ops | {(r, op)}),
     )
-    return (Label.update(r, op), cfg)
 
 
 def st_mk_send(
     roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId
-) -> tuple[Label, Config]:
+) -> Config:
     s = c.states[r]
     e = Event.of(r, Input.none(), Output.send(s))
-    cfg = Config(
+    return Config(
         trace=c.trace.append(e),
         states=c.states,
         buffer=bcast(r, s, c.buffer, roster),
@@ -92,12 +90,11 @@ def st_mk_send(
         delivered=c.delivered,
         used_ops=c.used_ops,
     )
-    return (Label.tau("send", r), cfg)
 
 
 def st_mk_deliver(
     obj: StObject, c: Config, r: ReplicaId, s: Any
-) -> tuple[Label, Config] | None:
+) -> Config | None:
     """One StDeliver instance of the state s buffered for r; None when s is
     not buffered there or the dedup premise blocks it (r has delivered an
     equal state)."""
@@ -105,7 +102,7 @@ def st_mk_deliver(
         return None
     i = Input.dlvr(s)
     s2, out = st_replica_step(obj, r, c.states[r], i)
-    cfg = Config(
+    return Config(
         trace=c.trace.append(Event.of(r, i, out)),
         states=c.states.set(r, s2),
         buffer=canon_set(c.buffer - {(r, s)}),
@@ -113,7 +110,6 @@ def st_mk_deliver(
         delivered=c.delivered.set(r, c.delivered[r] | {s}),
         used_ops=c.used_ops,
     )
-    return (Label.tau("dlvr", r), cfg)
 
 
 def _delivery_order(entry: tuple) -> tuple:
@@ -126,13 +122,13 @@ def st_system_steps(
     roster: tuple[ReplicaId, ...],
     c: Config,
     mode: str = SEPARATE_SEND,
-) -> list[tuple[Label, Config]]:
+) -> list[Config]:
     """All rule instances applicable to c, in deterministic order (updates,
     queries, sends, then deliveries by replica and canonical state key).  An
     update already recorded in used_ops does not fire again.  In atomic mode
     the update rule broadcasts the post-update state itself and there is no
     separate send rule."""
-    out: list[tuple[Label, Config]] = []
+    out: list[Config] = []
     for r in roster:
         for op in obj.ops:
             if (r, op) not in c.used_ops:
@@ -158,7 +154,7 @@ class StSystem(System):
 
     kind = "st"
 
-    def steps(self, c: Config) -> list[tuple[Label, Config]]:
+    def steps(self, c: Config) -> list[Config]:
         return st_system_steps(self.obj, self.roster, c, self.mode)
 
     def summary(self, c: Config) -> tuple:

@@ -34,10 +34,10 @@ from crdt_emu.checker import (
     weak_successors,
     weak_traces,
 )
-from crdt_emu.cli import build_systems, load_scenario
+from crdt_emu.cli import build_systems, load_scenario, run_check
 from crdt_emu.client import ClientState, can_terminate, check_approximation, parse_program
 from crdt_emu.core import (
-    Event, FrozenDict, Input, Label, Output, TRACE_EMPTY, canon_key, intern_table_sizes,
+    Event, FrozenDict, Input, Output, TRACE_EMPTY, canon_key, intern_table_sizes,
     render, render_event, satisfies_causal_delivery,
 )
 from crdt_emu.emulation import _interp_memo, op_to_st, st_to_op
@@ -51,7 +51,7 @@ from crdt_emu.objects import (
 )
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
 from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
-from conftest import msg
+from conftest import msg, stepped
 
 import pytest
 
@@ -120,7 +120,7 @@ def test_summary_determines_successors():
         by_summary = {}
         for cfg in tree.nodes:
             succ = frozenset(
-                (l.obs_key() or ("tau",), system.summary(c2)) for l, c2 in system.steps(cfg)
+                (e.obs_key() or ("tau",), system.summary(c2)) for e, c2 in stepped(system, cfg)
             )
             key = system.summary(cfg)
             if key in by_summary:
@@ -144,17 +144,17 @@ def test_weak_query_successor_after_silent_deliveries():
     guest = p.guest
     c = guest.init()
     for op in (("add", 5), ("add", 42)):
-        c = next(c2 for l, c2 in guest.steps(c) if l.kind == "update" and l.op == op)
-    c = next(c2 for l, c2 in guest.steps(c) if l.is_silent and l.silent == "send")
-    hits = weak_successors(guest, c, Label.qry("r2", "sum", 47), tau_budget=4)
+        c = next(c2 for e, c2 in stepped(guest, c) if e.input.kind == "upd" and e.input.op == op)
+    c = next(c2 for e, c2 in stepped(guest, c) if e.input.kind == "none")
+    hits = weak_successors(guest, c, ("query", "r2", "sum", 47), tau_budget=4)
     assert hits
 
 
 def test_no_weak_update_when_universe_exhausted():
     p = paired_gset((5,))
     host = p.host
-    c = next(c2 for l, c2 in host.steps(host.init()) if l.kind == "update" and l.replica == "r1")
-    hits = weak_successors(host, c, Label.update("r1", ("add", 5)), tau_budget=4)
+    c = next(c2 for e, c2 in stepped(host, host.init()) if e.input.kind == "upd" and e.replica == "r1")
+    hits = weak_successors(host, c, ("update", "r1", ("add", 5)), tau_budget=4)
     assert not hits
 
 
@@ -177,16 +177,16 @@ def test_ex_2_4_divergent_pair_violates_r1():
     host, guest = p.host, p.guest
     a = host.init()
     for op in (("add", 5), ("add", 42)):
-        a = next(c2 for l, c2 in host.steps(a) if l.kind == "update" and l.op == op)
+        a = next(c2 for e, c2 in stepped(host, a) if e.input.kind == "upd" and e.input.op == op)
     a = next(  # deliver only m(5) at r2
         c2
-        for l, c2 in host.steps(a)
-        if l.is_silent and l.replica == "r2" and c2.trace.head.input.message.payload == 5
+        for e, c2 in stepped(host, a)
+        if e.obs_key() is None and e.replica == "r2" and e.input.message.payload == 5
     )
     b = guest.init()
     for op in (("add", 5), ("add", 42)):
-        b = next(c2 for l, c2 in guest.steps(b) if l.kind == "update" and l.op == op)
-    b = next(c2 for l, c2 in guest.steps(b) if l.is_silent and l.silent == "send")
+        b = next(c2 for e, c2 in stepped(guest, b) if e.input.kind == "upd" and e.input.op == op)
+    b = next(c2 for e, c2 in stepped(guest, b) if e.input.kind == "none")
     rel = Relation("R1", p)
     assert rel.clause(a, b) is not None
 
@@ -381,10 +381,10 @@ def test_clause_is_a_function_of_the_summaries(rel_id, make_pair):
 
 def test_step_events_are_a_function_of_the_summary():
     """Configurations with equal summaries take the same steps: the same
-    labels with the same events, in the same order.  So a step list cached
+    events, so the same labels, in the same order.  So a step list cached
     by summary is exact for every member of the class, attacker moves
     included.  Counts, per system, the members of the unpruned depth-4
-    graph whose (label, event) list differs from their class's first."""
+    graph whose event list differs from their class's first."""
     gset, gcounter = gset_st((1, 2)), gcounter_st()
     systems = {
         "op-causal": OpSystem(gset_op((1, 2)), ROSTER2),
@@ -401,7 +401,7 @@ def test_step_events_are_a_function_of_the_summary():
         differing[name] = 0
         for reps in _summary_classes(system, 4):
             first, *rest = (
-                [(label, c2.trace.head) for label, c2 in system.steps(c)] for c in reps
+                [c2.trace.head for c2 in system.steps(c)] for c in reps
             )
             differing[name] += sum(events != first for events in rest)
     assert differing == dict.fromkeys(systems, 0)
@@ -448,10 +448,11 @@ def test_sim_counterexample_report_replays_from_rendered_events():
     b = p.guest.replay(guest_events)
     rel = Relation("R1", p)
     assert rel.holds(a, b)
-    steps = [(l, c) for l, c in p.host.steps(a) if c.trace.head == host_events[-1]]
+    steps = [c for c in p.host.steps(a) if c.trace.head == host_events[-1]]
     assert len(steps) == 1
-    label, a2 = steps[0]
-    assert not weak_matches(p.guest, b, label, 6, lambda bb: rel.holds(a2, bb))
+    (a2,) = steps
+    obs = a2.trace.head.obs_key()
+    assert not weak_matches(p.guest, b, obs, 6, lambda bb: rel.holds(a2, bb))
 
 
 def test_matcher_and_fallback_agree_when_audited():
@@ -471,6 +472,46 @@ def test_matcher_and_fallback_agree_when_audited():
         assert v.stats["obligations"] > 0
         assert v.stats["matcher_fraction"] == 1.0
         assert v.stats["matcher_fallback_disagreements"] == 0
+
+
+# Every passing sim and bisim entry of the shipped 2-replica scenarios, by
+# scenario and relation (None for the bisim entry).  The 3-replica ones stay
+# out: through the fallback alone they take minutes at this bound.
+FALLBACK_ORACLE = (
+    ("thm-4-2", "R1"),
+    ("thm-4-2", "R2"),
+    ("thm-a-2-gset", "Q1"),
+    ("thm-a-2-gset", "Q2"),
+    ("ex-4-7-convergence", "R1"),
+    ("ex-4-7-convergence", "R2"),
+    ("thm-4-9-bisim", None),
+)
+
+
+@pytest.mark.parametrize("name, relation", FALLBACK_ORACLE)
+def test_fallback_alone_agrees_with_the_matchers(name, relation, monkeypatch):
+    """Independent oracle for the constructive matchers: with every matcher
+    answering None, the bounded weak-successor search alone discharges each
+    obligation, and the check at step bound 6 passes with the same related
+    pairs as the matcher run."""
+    scenario = load_scenario(TESTS.parent / f"scenarios/{name}.scenario")
+    host, paired = build_systems(scenario)
+    (entry,) = [
+        e for e in scenario.checks
+        if e["name"] in ("sim", "bisim") and e.get("relation") == relation
+    ]
+    entry = dict(entry, step_bound=6)
+
+    def verdict():
+        ((_, v),) = run_check(scenario, entry, host, paired)
+        return v
+
+    matched = verdict()
+    monkeypatch.setattr("crdt_emu.checker.constructive_match", lambda *args: None)
+    fallback = verdict()
+    assert matched.outcome == fallback.outcome == "pass"
+    assert fallback.stats["pairs"] == matched.stats["pairs"]
+    assert fallback.stats["matcher_matched"] == 0 < matched.stats["matcher_matched"]
 
 
 def test_each_related_pair_is_decided_once(monkeypatch):
@@ -631,12 +672,12 @@ def test_ex_2_5_causal_query_values_at_r3():
     def r3_values(discipline):
         system = OpSystem(obj, ("r1", "r2", "r3"), discipline=discipline)
         c = system.init()
-        c = next(c2 for l, c2 in system.steps(c) if l.kind == "update" and l.replica == "r1")
-        c = next(c2 for l, c2 in system.steps(c) if l.is_silent and l.replica == "r2")
+        c = next(c2 for e, c2 in stepped(system, c) if e.input.kind == "upd" and e.replica == "r1")
+        c = next(c2 for e, c2 in stepped(system, c) if e.obs_key() is None and e.replica == "r2")
         c = next(
             c2
-            for l, c2 in system.steps(c)
-            if l.kind == "update" and l.replica == "r2" and l.op == ("add", 2)
+            for e, c2 in stepped(system, c)
+            if e.input.kind == "upd" and e.replica == "r2" and e.input.op == ("add", 2)
         )
         return set(attainable_query_values(system, c, "r3", "sum", tau_budget=6))
 
@@ -758,7 +799,7 @@ def test_convergence_refutes_an_augmented_overwrite_register():
     w = v.witness
     cfg = system.init()
     for event in w["events"]:
-        (cfg,) = [c2 for _, c2 in system.steps(cfg) if render_event(c2.trace.head) == event]
+        (cfg,) = [c2 for c2 in system.steps(cfg) if render_event(c2.trace.head) == event]
     (v1, h1), (v2, h2) = (system.query_value(cfg, r, w["query"]) for r in w["replicas"])
     assert h1 == h2 and render(h1) == w["history"]
     assert v1 != v2 and [render(v1), render(v2)] == w["values"]
@@ -847,30 +888,26 @@ def test_library_searches_leave_the_intern_tables_empty():
 def test_reports_do_not_depend_on_value_identity():
     """Identity of hash-consed values is only a speed-up.  A passing R1
     simulation and the ex-2-5-no-causal R1 counterexample run twice on the
-    same systems.  The tables are emptied between the runs, so the second
-    run builds new canonical values, while the host object's interp memo
-    keeps the first run's message sets and answers the second run's equal,
-    non-identical keys without growing.  Both runs give the same reports."""
+    same systems.  The tables and the interp memo are emptied after each
+    check, so the second run builds new canonical values and interprets its
+    message sets afresh.  Both runs give the same reports."""
     passing = paired_gset()
     _, failing = build_systems(load_scenario(TESTS.parent / "scenarios/ex-2-5-no-causal.scenario"))
 
     def reports():
-        return [
-            check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8).to_report()
-            for p in (passing, failing)
-        ]
+        out = []
+        for p in (passing, failing):
+            out.append(check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8).to_report())
+            assert not any(intern_table_sizes().values())
+            assert not _interp_memo
+        return out
 
     first = reports()
-    assert not any(intern_table_sizes().values())
-    memo = _interp_memo[failing.host.obj]
-    kept = list(memo)
-    assert kept
     second = reports()
     assert second == first
     assert first[0]["outcome"] == "pass"
     golden = json.loads((TESTS / "golden/ex-2-5-no-causal.json").read_text())
     assert json.loads(json.dumps(first[1])) == golden["checks"][0]["verdict"]
-    assert [id(k) for k in memo] == [id(k) for k in kept]
 
 
 def test_finished_checks_leave_no_cache_on_the_systems():

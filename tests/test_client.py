@@ -28,6 +28,7 @@ from crdt_emu.emulation import op_to_st
 from crdt_emu.objects import break_query, gset_op
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
+from conftest import stepped
 
 
 def env_pair(values=(1,), roster=("r1", "r2")):
@@ -113,9 +114,9 @@ def test_query_reads_replica_value_and_keeps_env():
     host = OpSystem(obj, ("r1", "r2"))
     c = host.init()
     for op in (("add", 5), ("add", 42)):
-        c = next(c2 for l, c2 in host.steps(c) if l.kind == "update" and l.replica == "r1" and l.op == op)
+        c = next(c2 for e, c2 in stepped(host, c) if e.obs_key() == ("update", "r1", op))
     for _ in range(2):
-        c = next(c2 for l, c2 in host.steps(c) if l.is_silent and l.replica == "r2")
+        c = next(c2 for e, c2 in stepped(host, c) if e.obs_key() is None and e.replica == "r2")
     cs = ClientState(c, FrozenDict(), Qry("x", "sum"))
     succ, _ = client_steps(host, cs)
     qry_succs = [s for s in succ if s.prog == Skip() ]

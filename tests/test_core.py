@@ -9,7 +9,6 @@ from crdt_emu.core import (
     Event,
     FrozenDict,
     Input,
-    Label,
     Message,
     MessageId,
     Ordering,
@@ -289,7 +288,7 @@ def test_tick_then_join_gives_one_clock():
 def test_op_host_and_message_set_guest_mint_one_message():
     obj = gset_op((5, 42))
     host = initial_config(obj, ("r1", "r2"))
-    _, after = op_mk_update(obj, ("r1", "r2"), host, "r1", ("add", 5))
+    after = op_mk_update(obj, ("r1", "r2"), host, "r1", ("add", 5))
     (m,) = after.sent
     assert mint("r1", frozenset(), 5) is m
     assert Message.make("r1", 1, VectorClock.of({"r1": 1}), 5) is m
@@ -299,10 +298,10 @@ def test_different_paths_share_maps_clocks_and_events():
     obj = gset_op((5, 42))
     roster = ("r1", "r2")
     c0 = initial_config(obj, roster)
-    _, a1 = op_mk_update(obj, roster, c0, "r1", ("add", 5))
-    _, a2 = op_mk_update(obj, roster, a1, "r2", ("add", 42))
-    _, b1 = op_mk_update(obj, roster, c0, "r2", ("add", 42))
-    _, b2 = op_mk_update(obj, roster, b1, "r1", ("add", 5))
+    a1 = op_mk_update(obj, roster, c0, "r1", ("add", 5))
+    a2 = op_mk_update(obj, roster, a1, "r2", ("add", 42))
+    b1 = op_mk_update(obj, roster, c0, "r2", ("add", 42))
+    b2 = op_mk_update(obj, roster, b1, "r1", ("add", 5))
     assert a2 is not b2
     for name in ("states", "buffer", "sent", "delivered", "used_ops"):
         assert getattr(a2, name) is getattr(b2, name)
@@ -317,10 +316,10 @@ def test_different_paths_share_state_based_sets_and_maps():
     def run(first, second):
         c = initial_config(obj, roster)
         for r, op in (first, second):
-            _, c = st_mk_update(obj, roster, c, r, op, "separate-send")
-            _, c = st_mk_send(roster, c, r)
+            c = st_mk_update(obj, roster, c, r, op, "separate-send")
+            c = st_mk_send(roster, c, r)
         m = next(m for r, m in c.buffer if r == "r1")
-        _, c = st_mk_deliver(obj, c, "r1", m)
+        c = st_mk_deliver(obj, c, "r1", m)
         return c
 
     a = run(("r1", ("add", 5)), ("r2", ("add", 42)))
@@ -354,7 +353,7 @@ def test_every_system_step_is_its_replica_step():
     for system in systems:
         graph = explore(system, 4, prune=False)
         assert len(graph.edges) > 100
-        for i, label, j in graph.edges:
+        for i, _, j in graph.edges:
             c, c2 = graph.nodes[i], graph.nodes[j]
             e = c2.trace.head
             r = e.replica
@@ -364,8 +363,8 @@ def test_every_system_step_is_its_replica_step():
                 step = st_replica_step(system.obj, r, c.states[r], e.input, system.mode)
             assert step == (c2.states[r], e.output)
             assert all(c2.states[r2] == c.states[r2] for r2 in roster if r2 != r)
-            if label.kind == "update":
-                assert (r, label.op) not in c.used_ops
+            if e.input.kind == "upd":
+                assert (r, e.input.op) not in c.used_ops
 
 
 def test_plain_constructors_give_equal_values():
@@ -380,9 +379,6 @@ def test_plain_constructors_give_equal_values():
         (Input("dlvr", message=m), Input.dlvr(m)),
         (Output("send", message=m), Output.send(m)),
         (Output("ret", value=5), Output.ret(5)),
-        (Label("update", replica="r1", op=("add", 5)), Label.update("r1", ("add", 5))),
-        (Label("query", replica="r1", query="sum", value=5), Label.qry("r1", "sum", 5)),
-        (Label("tau", replica="r1", silent="dlvr"), Label.tau("dlvr", "r1")),
         (Event("r1", Input.upd(("add", 5)), Output.send(m)),
          Event.of("r1", Input.upd(("add", 5)), Output.send(m))),
     ]
@@ -409,7 +405,7 @@ def test_intern_tables_grow_while_a_search_runs():
     for _ in itertools.islice(search, 50):
         pass
     during = intern_table_sizes()
-    assert all(during[k] > start[k] for k in ("FrozenDict", "Message", "Label", "Event"))
+    assert all(during[k] > start[k] for k in ("FrozenDict", "Message", "Event"))
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
 

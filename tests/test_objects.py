@@ -140,7 +140,7 @@ def test_augmentation_is_conservative():
         for e in node.trace.events():
             candidates = [
                 c2
-                for _, c2 in base_system.steps(cfg)
+                for c2 in base_system.steps(cfg)
                 if _erases_to(e, c2.trace.head)
             ]
             assert candidates, f"no base step for {e}"

@@ -19,7 +19,7 @@ from crdt_emu.opsem import (
     _delivery_enabled,
     op_replica_step,
 )
-from conftest import msg
+from conftest import msg, stepped
 
 import pytest
 
@@ -72,17 +72,17 @@ def test_init_states_and_successors():
     system = OpSystem(obj, ("r1", "r2"))
     c = system.init()
     assert all(c.states[r] == frozenset() for r in ("r1", "r2"))
-    succ = system.steps(c)
-    assert not any(l.is_silent for l, _ in succ)
-    updates = [l for l, _ in succ if l.kind == "update"]
+    succ = stepped(system, c)
+    assert not any(e.obs_key() is None for e, _ in succ)
+    updates = [e for e, _ in succ if e.input.kind == "upd"]
     assert len(updates) == 2 * 2  # |roster| * |op universe|
 
 
 def test_update_broadcasts_to_other_replicas():
     obj = gset_op((5, 42))
     system = OpSystem(obj, ("r1", "r2"))
-    label, c = system.steps(system.init())[0]
-    assert label.op == ("add", 5)
+    c = system.steps(system.init())[0]
+    assert c.trace.head.input.op == ("add", 5)
     (dest, m), = c.buffer
     assert dest == "r2" and m.payload == 5
 
@@ -100,15 +100,15 @@ def test_causal_gate_blocks_out_of_order_delivery():
             ("update", "r2", ("add", 2)),
         ]
         for kind, r, x in script:
-            for l, c2 in system.steps(c):
-                if kind == "update" and l.kind == "update" and l.replica == r and l.op == x:
+            for e, c2 in stepped(system, c):
+                if kind == "update" and e.obs_key() == ("update", r, x):
                     c = c2
                     break
                 if (
                     kind == "dlvr"
-                    and l.is_silent
-                    and l.replica == r
-                    and c2.trace.head.input.message.payload == x
+                    and e.obs_key() is None
+                    and e.replica == r
+                    and e.input.message.payload == x
                 ):
                     c = c2
                     break
@@ -118,17 +118,17 @@ def test_causal_gate_blocks_out_of_order_delivery():
 
     system, c = run(CAUSAL)
     m2_at_r3 = [
-        l
-        for l, c2 in system.steps(c)
-        if l.is_silent and l.replica == "r3" and c2.trace.head.input.message.payload == 2
+        e
+        for e, c2 in stepped(system, c)
+        if e.obs_key() is None and e.replica == "r3" and e.input.message.payload == 2
     ]
     assert not m2_at_r3
 
     system, c = run(RELIABLE_ONLY)
     m2_at_r3 = [
-        l
-        for l, c2 in system.steps(c)
-        if l.is_silent and l.replica == "r3" and c2.trace.head.input.message.payload == 2
+        e
+        for e, c2 in stepped(system, c)
+        if e.obs_key() is None and e.replica == "r3" and e.input.message.payload == 2
     ]
     assert m2_at_r3
 
@@ -145,10 +145,10 @@ def test_buffer_conservation_and_sent_growth():
     obj = gset_op((1, 2))
     system = OpSystem(obj, ("r1", "r2"))
     graph = explore(system, 5)
-    for i, label, j in graph.edges:
+    for i, e, j in graph.edges:
         pre, post = graph.nodes[i], graph.nodes[j]
         assert pre.sent <= post.sent
-        if label.is_silent:
+        if e.obs_key() is None:
             removed = pre.buffer - post.buffer
             assert len(removed) == 1
             assert post.buffer <= pre.buffer
@@ -159,28 +159,28 @@ def test_concurrent_delivery_diamond():
     system = OpSystem(obj, ("r1", "r2", "r3"))
     c = system.init()
     # two concurrent updates, then both messages sit in r3's buffer
-    c = next(c2 for l, c2 in system.steps(c) if l.kind == "update" and l.replica == "r1")
+    c = next(c2 for e, c2 in stepped(system, c) if e.input.kind == "upd" and e.replica == "r1")
     c = next(
         c2
-        for l, c2 in system.steps(c)
-        if l.kind == "update" and l.replica == "r2" and l.op == ("add", 2)
+        for e, c2 in stepped(system, c)
+        if e.input.kind == "upd" and e.replica == "r2" and e.input.op == ("add", 2)
     )
     deliveries = [
         (c2.trace.head.input.message, c2)
-        for l, c2 in system.steps(c)
-        if l.is_silent and l.replica == "r3"
+        for e, c2 in stepped(system, c)
+        if e.obs_key() is None and e.replica == "r3"
     ]
     assert len(deliveries) == 2
     (ma, ca), (mb, cb) = deliveries
     ca2 = next(
         c2
-        for l, c2 in system.steps(ca)
-        if l.is_silent and l.replica == "r3" and c2.trace.head.input.message == mb
+        for e, c2 in stepped(system, ca)
+        if e.obs_key() is None and e.replica == "r3" and e.input.message == mb
     )
     cb2 = next(
         c2
-        for l, c2 in system.steps(cb)
-        if l.is_silent and l.replica == "r3" and c2.trace.head.input.message == ma
+        for e, c2 in stepped(system, cb)
+        if e.obs_key() is None and e.replica == "r3" and e.input.message == ma
     )
     assert ca2.states["r3"] == cb2.states["r3"] == {1, 2}
 
@@ -324,10 +324,10 @@ def test_minted_message_follows_from_delivered():
         for bound, prune in ((6, True), (4, False)):
             for c in explore(system, bound, prune=prune).nodes:
                 assert c.sent == frozenset().union(*c.delivered.values())
-                for label, c2 in system.steps(c):
-                    if label.kind != "update":
+                for e, c2 in stepped(system, c):
+                    if e.input.kind != "upd":
                         continue
-                    r, m = label.replica, c2.trace.head.output.message
+                    r, m = e.replica, e.output.message
                     clock = VectorClock.of({})
                     for m2 in c.delivered[r]:
                         clock = clock.join(m2.clock)
@@ -341,7 +341,7 @@ def test_steps_store_nothing_on_the_configuration():
     # A stored successor list would keep every generated configuration alive.
     system = OpSystem(gset_op((5, 42)), ("r1", "r2"))
     c = system.init()
-    (_, c2), *_ = system.steps(c)
+    c2, *_ = system.steps(c)
     system.steps(c2)
     for cfg in (c, c2):
         assert not hasattr(cfg, "_steps")

@@ -2,6 +2,8 @@
 same report, ``wall_time_s`` aside, as the one stored in ``tests/golden``.
 The scenarios in ``NO_PRUNE`` are also checked with summary pruning off, as
 ``crdt-emu check --no-prune`` runs them, against ``tests/golden/no-prune``.
+The scenarios in ``EXPLORED`` are dumped as ``crdt-emu explore --depth 2``
+dumps them, nodes and labelled edges, against ``tests/golden/explore``.
 
 After a change that is meant to alter a report, rewrite the files with
 
@@ -14,16 +16,21 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from crdt_emu.cli import load_scenario, run_scenario
+from crdt_emu.cli import load_scenario, main, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NO_PRUNE = ("ex-2-5-no-causal",)
+# Every edge label shape (update, query, silent delivery, silent send) shows
+# on ex-2-4-bisim; thm-4-9-bisim's updates are atomic.
+EXPLORED = ("ex-2-4-bisim", "thm-4-9-bisim")
+EXPLORE_DEPTH = 2
 
 
 def _checked_scenarios() -> list[str]:
@@ -38,6 +45,13 @@ def _report(name: str, prune: bool = True) -> dict:
     report, _ = run_scenario(load_scenario(SCENARIOS / f"{name}.scenario"), prune=prune)
     report.pop("wall_time_s")
     return json.loads(json.dumps(report))
+
+
+def _explore_dump(name: str, out: Path) -> dict:
+    argv = ["explore", "--scenario", str(SCENARIOS / f"{name}.scenario"),
+            "--depth", str(EXPLORE_DEPTH), "--out", str(out)]
+    assert main(argv) == 0
+    return json.loads(out.read_text())
 
 
 def test_every_checked_scenario_has_a_golden_report():
@@ -56,6 +70,12 @@ def test_unpruned_report_matches_golden(name):
     assert _report(name, prune=False) == golden
 
 
+@pytest.mark.parametrize("name", EXPLORED)
+def test_explore_dump_matches_golden(name, tmp_path):
+    golden = json.loads((GOLDEN / "explore" / f"{name}.json").read_text())
+    assert _explore_dump(name, tmp_path / "dump.json") == golden
+
+
 def _write(path: Path, report: dict) -> None:
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
@@ -67,3 +87,7 @@ if __name__ == "__main__":
         _write(GOLDEN / f"{name}.json", _report(name))
     for name in NO_PRUNE:
         _write(GOLDEN / "no-prune" / f"{name}.json", _report(name, prune=False))
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in EXPLORED:
+            dump = _explore_dump(name, Path(scratch) / "dump.json")
+            _write(GOLDEN / "explore" / f"{name}.json", dump)

@@ -9,6 +9,7 @@ from crdt_emu.stsem import (
     StSystem,
     st_replica_step,
 )
+from conftest import stepped
 
 
 def guest():
@@ -45,11 +46,9 @@ def test_ex_2_4_script_single_merged_state():
     system = StSystem(obj, ("r1", "r2"))
     c = system.init()
     for op in (("add", 5), ("add", 42)):
-        c = next(
-            c2 for l, c2 in system.steps(c) if l.kind == "update" and l.replica == "r1" and l.op == op
-        )
+        c = next(c2 for e, c2 in stepped(system, c) if e.obs_key() == ("update", "r1", op))
     c = next(
-        c2 for l, c2 in system.steps(c) if l.is_silent and l.silent == "send" and l.replica == "r1"
+        c2 for e, c2 in stepped(system, c) if e.input.kind == "none" and e.replica == "r1"
     )
     entries = list(c.buffer)
     assert len(entries) == 1
@@ -62,14 +61,14 @@ def test_deliver_dedups_identical_state_value():
     obj = gset_st((7,))
     system = StSystem(obj, ("r1", "r2"))
     c = system.init()
-    c = next(c2 for l, c2 in system.steps(c) if l.kind == "update" and l.replica == "r1")
-    c = next(c2 for l, c2 in system.steps(c) if l.is_silent and l.silent == "send" and l.replica == "r1")
-    c = next(c2 for l, c2 in system.steps(c) if l.is_silent and l.silent == "dlvr" and l.replica == "r2")
+    c = next(c2 for e, c2 in stepped(system, c) if e.input.kind == "upd" and e.replica == "r1")
+    c = next(c2 for e, c2 in stepped(system, c) if e.input.kind == "none" and e.replica == "r1")
+    c = next(c2 for e, c2 in stepped(system, c) if e.input.kind == "dlvr" and e.replica == "r2")
     # re-broadcast of the same state value is buffered at most once and
     # cannot be redelivered at r2
-    c = next(c2 for l, c2 in system.steps(c) if l.is_silent and l.silent == "send" and l.replica == "r1")
+    c = next(c2 for e, c2 in stepped(system, c) if e.input.kind == "none" and e.replica == "r1")
     assert not any(
-        l.is_silent and l.silent == "dlvr" and l.replica == "r2" for l, _ in system.steps(c)
+        e.input.kind == "dlvr" and e.replica == "r2" for e, _ in stepped(system, c)
     )
 
 
@@ -77,10 +76,10 @@ def test_atomic_mode_broadcasts_within_update():
     obj = guest()
     system = StSystem(obj, ("r1", "r2"), mode=ATOMIC_BROADCAST)
     c = system.init()
-    label, c2 = next(
-        (l, c2) for l, c2 in system.steps(c) if l.kind == "update" and l.op == ("add", 5)
+    e, c2 = next(
+        (e, c2) for e, c2 in stepped(system, c) if e.input.kind == "upd" and e.input.op == ("add", 5)
     )
-    assert not label.is_silent
+    assert e.obs_key() is not None
     (dest, s), = c2.buffer
     assert dest == "r2"
     assert obj.query("sum", s) == 5
@@ -90,19 +89,19 @@ def test_atomic_mode_broadcasts_within_update():
 def test_atomic_mode_has_no_silent_sends():
     system = StSystem(guest(), ("r1", "r2"), mode=ATOMIC_BROADCAST)
     graph = explore(system, 5)
-    for _, label, _ in graph.edges:
-        if label.is_silent:
-            assert label.silent == "dlvr"
+    for _, e, _ in graph.edges:
+        if e.obs_key() is None:
+            assert e.input.kind == "dlvr"
 
 
 def test_send_leaves_state_unchanged_and_deliver_removes_one_entry():
     system = StSystem(guest(), ("r1", "r2"))
     graph = explore(system, 5)
-    for i, label, j in graph.edges:
+    for i, e, j in graph.edges:
         pre, post = graph.nodes[i], graph.nodes[j]
-        if label.is_silent and label.silent == "send":
+        if e.input.kind == "none":
             assert pre.states == post.states
-        if label.is_silent and label.silent == "dlvr":
+        if e.input.kind == "dlvr":
             assert len(pre.buffer - post.buffer) == 1
 
 
@@ -127,7 +126,7 @@ def test_steps_store_nothing_on_the_configuration():
     # A stored successor list would keep every generated configuration alive.
     system = StSystem(guest(), ("r1", "r2"))
     c = system.init()
-    (_, c2), *_ = system.steps(c)
+    c2, *_ = system.steps(c)
     system.steps(c2)
     for cfg in (c, c2):
         assert not hasattr(cfg, "_steps")
