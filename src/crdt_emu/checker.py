@@ -11,9 +11,10 @@ verifies weak simulations and the weak bisimulation by playing one matching
 game: for each reachable related pair and each single step of an attacking
 side (one side for a simulation, both for the bisimulation) it finds a
 saturated matching step on the other side that lands back in the relation.
-Constructive matchers (the moves the relations were designed around) are
-tried first; a bounded search over weak successors is the fallback.  All
-verdicts are evidence at the stated bounds, not unbounded guarantees.
+A constructive matcher (the defender's canonical move, which its semantics
+fixes) is tried first; a bounded search over weak successors is the
+fallback.  All verdicts are evidence at the stated bounds, not unbounded
+guarantees.
 """
 
 from __future__ import annotations
@@ -382,12 +383,39 @@ def mergeable_check(C: Iterable, r: ReplicaId, b: frozenset) -> bool:
 # --- relations --------------------------------------------------------------------
 
 
+def _sorts(rel_id: str) -> tuple[str, str, str]:
+    sorts = RELATION_SORTS.get(rel_id) if isinstance(rel_id, str) else None
+    if sorts is None:
+        raise ValueError(f"unknown relation {rel_id!r}")
+    return sorts
+
+
+def sim_relation(emulate: str, which: str, rel_id: str | None = None) -> str:
+    """The relation that a weak-simulation check in direction which runs on
+    a pair emulating in direction emulate: rel_id if it fits both, or by
+    default the first listed relation that does.  Raises ValueError for an
+    unknown direction or relation, or a relation that does not fit."""
+    if which not in (HOST_BY_GUEST, GUEST_BY_HOST):
+        raise ValueError(f"unknown direction {which!r}")
+    if emulate not in (OP_TO_ST, ST_TO_OP):
+        raise ValueError(f"unknown emulation direction {emulate!r}")
+    if rel_id is None:
+        return next(r for r, (a, b, d) in RELATION_SORTS.items()
+                    if d == emulate and f"{a}-by-{b}" == which)
+    a_side, b_side, direction = _sorts(rel_id)
+    if direction != emulate:
+        raise ValueError(f"relation {rel_id} needs emulate {direction!r}")
+    if which != f"{a_side}-by-{b_side}":
+        raise ValueError(f"relation {rel_id} checks the {a_side}-by-{b_side} direction")
+    return rel_id
+
+
 class Relation:
     """Membership test for one of the candidate relations, with the first
     failing clause reported for diagnostics."""
 
     def __init__(self, rel_id: str, paired: PairedSystem):
-        sort_a, sort_b, direction = RELATION_SORTS[rel_id]
+        sort_a, sort_b, direction = _sorts(rel_id)
         if paired.direction != direction:
             raise ValueError(f"relation {rel_id} pairs with direction {direction}")
         self.id = rel_id
@@ -577,87 +605,71 @@ def _op_deliver_chain(D, cfg, r: ReplicaId, wanted) -> list | None:
     return chain
 
 
-def _st_deliver(D, cfg, r: ReplicaId, s) -> list | None:
-    step = st_mk_deliver(D.obj, cfg, r, s)
-    return None if step is None else [step]
-
-
-def constructive_match(
-    recipe: str,
-    rel: Relation,
-    defender_system,
-    a_cfg,
-    a2_cfg,
-    b_cfg,
-) -> list | None:
-    """The canonical defender moves for the attacker step a_cfg -> a2_cfg,
-    read off its event, under the named relation's recipe; returns the
-    chain of defender configurations or None when the recipe does not
-    apply.  Guest steps of the bowtie use the R2 recipe.  rel is the
-    check's relation, whose downset memo the R1 recipe shares."""
+def constructive_match(rel: Relation, defender, a_cfg, a2_cfg, b_cfg) -> list | None:
+    """The canonical defender moves for the attacker step a_cfg -> a2_cfg:
+    the weak move of the defender's own LTS that answers the step's event,
+    fixed by the defender's semantics (op- or state-based, and its
+    broadcast mode) and the emulation direction.  Returns the chain of
+    defender configurations, or None when there is no such move.  rel is
+    the check's relation, whose downset memo the op-to-st delivery shares."""
     event = a2_cfg.trace.head
     r = event.replica
-    D = defender_system
+    D = defender
+    kind = event.input.kind
 
-    if event.input.kind == "upd":
+    if kind == "upd":
         op = event.input.op
         if (r, op) in b_cfg.used_ops:
             return None
-        if recipe in ("R2", "Q1"):
+        if D.kind == "op":
             return [op_mk_update(D.obj, D.roster, b_cfg, r, op)]
-        if recipe == "bowtie" and D.mode == ATOMIC_BROADCAST:
-            return [st_mk_update(D.obj, D.roster, b_cfg, r, op, D.mode)]
-        # R1/Q2 (and bowtie in separate mode): update then send
         updated = st_mk_update(D.obj, D.roster, b_cfg, r, op, D.mode)
+        if D.mode == ATOMIC_BROADCAST:
+            return [updated]  # the update broadcasts its state itself
         return [updated, st_mk_send(D.roster, updated, r)]
 
-    if event.input.kind == "qry":
+    if kind == "qry":
         answered = query_step(D.obj, b_cfg, r, event.input.query)
         return [answered] if answered.trace.head.obs_key() == event.obs_key() else None
 
-    # silent attacker steps
-    if event.output.kind == "send" and event.input.kind == "none":
-        # StSend matched by the reflexive step (R2/Q1)
-        return []
-
-    if event.input.kind != "dlvr":
-        return None
+    if kind != "dlvr":
+        # a state-based send is matched by the reflexive step
+        return [] if event.output.kind == "send" else None
     # The delivered message on an op-based attacker, the state on a
-    # state-based one (R2 and Q1).
+    # state-based one.
     m = event.input.message
+    op_to_st = rel.paired.direction == OP_TO_ST
 
-    if recipe in ("R1", "bowtie"):
-        return _st_deliver(D, b_cfg, r, rel._downset(m, a_cfg.sent))
+    if D.kind == "st":
+        s = rel._downset(m, a_cfg.sent) if op_to_st else m.payload
+        step = st_mk_deliver(D.obj, b_cfg, r, s)
+        return None if step is None else [step]
 
-    if recipe == "R2":
+    if op_to_st:
         return _op_deliver_chain(D, b_cfg, r, set(m) - set(b_cfg.delivered[r]))
 
-    if recipe == "Q1":
-        obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
-        target = obj.join(a_cfg.states[r], m)
-        if target == b_cfg.states[r]:
-            return []
-        chain: list = []
-        cur = b_cfg
-        while True:
-            step = None
-            for r2, m2 in sorted(cur.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
-                if r2 != r or obj.join(target, m2.payload) != target:
-                    continue
-                step = op_mk_deliver(D.obj, cur, r, m2, D.discipline)
-                if step is not None:
-                    break
-            if step is None:
-                return None
-            chain.append(step)
-            cur = step
-            if cur.states[r] == target:
-                return chain
-
-    if recipe == "Q2":
-        return _st_deliver(D, b_cfg, r, m.payload)
-
-    return None
+    # st-to-op: deliver buffered payloads below the joined state until the
+    # defender reaches it
+    obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
+    target = obj.join(a_cfg.states[r], m)
+    if target == b_cfg.states[r]:
+        return []
+    chain: list = []
+    cur = b_cfg
+    while True:
+        step = None
+        for r2, m2 in sorted(cur.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
+            if r2 != r or obj.join(target, m2.payload) != target:
+                continue
+            step = op_mk_deliver(D.obj, cur, r, m2, D.discipline)
+            if step is not None:
+                break
+        if step is None:
+            return None
+        chain.append(step)
+        cur = step
+        if cur.states[r] == target:
+            return chain
 
 
 # --- weak simulation check ----------------------------------------------------------
@@ -693,20 +705,20 @@ def _evidence(attacker: Side, a2_cfg, defender: Side, b_cfg, tau_budget: int):
 
 @dataclass
 class SimCounterexample:
-    a_events: tuple[Event, ...]
+    a_events: tuple[Event, ...]   # ends with the unmatched step
     b_events: tuple[Event, ...]
-    unmatched_event: Event
     clause: str | None
     evidence: dict | None
 
     def to_witness(self, a_name: str, b_name: str) -> dict:
+        unmatched = self.a_events[-1]
         out = {
             a_name + "_events": [render_event(e) for e in self.a_events],
             b_name + "_events": [render_event(e) for e in self.b_events],
             "unmatched": {
                 "side": a_name,
-                "label": render_label(self.unmatched_event),
-                "event": render_event(self.unmatched_event),
+                "label": render_label(unmatched),
+                "event": render_event(unmatched),
             },
         }
         if self.clause:
@@ -752,16 +764,15 @@ class _Miss(NamedTuple):
     defender: Any                 # the defender's configuration it started from
 
 
-def _play_obligations(
-    search: Search, obligations: tuple[tuple[str, str], ...], a0, b0
-) -> Verdict | _Miss:
+def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Verdict | _Miss:
     """Breadth-first matching game over related pairs (a, b), a on the
-    relation's first side, from the related initial pair (a0, b0).  Each
-    obligation (attacker side, recipe) asks that every single step of that
-    side's configuration be answered by a weak step of the other side that
-    lands back in the relation: the recipe's constructive chain first, the
-    bounded weak-successor search as fallback.  Returns the PASS or
-    BOUND_EXHAUSTED verdict, or the first obligation no move discharges.
+    relation's first side, from the related initial pair (a0, b0).  For each
+    attacking side, "a" or "b", every single step of that side's
+    configuration must be answered by a weak move of the other side's LTS
+    that lands back in the relation: the constructive chain, which the
+    defender's semantics fixes, first, the bounded weak-successor search as
+    fallback.  Returns the PASS or BOUND_EXHAUSTED verdict, or the first
+    obligation no move discharges.
     A landing on a visited pair key is accepted without deciding the clause
     again: the key was admitted only after its clause held, and the clause
     reads nothing of a configuration but its summary
@@ -781,7 +792,7 @@ def _play_obligations(
         stats["max_depth"] = max(stats["max_depth"], depth)
         if depth >= search.step_bound:
             continue
-        for side, recipe in obligations:
+        for side in attackers:
             X, x, Y, y = (A, a, B, b) if side == "a" else (B, b, A, a)
             for x2 in X.system.steps(x):
                 stats["obligations"] += 1
@@ -795,7 +806,7 @@ def _play_obligations(
                 # the one acceptance test of the matcher, fallback and audit
                 accept = lambda yy: pair_key(yy) in parents or holds(yy)
                 landing = None
-                chain = constructive_match(recipe, rel, Y.system, x, x2, y)
+                chain = constructive_match(rel, Y.system, x, x2, y)
                 if chain is not None:
                     cand = chain[-1] if chain else y
                     key2 = pair_key(cand)
@@ -857,19 +868,8 @@ def check_weak_simulation(
 ) -> Verdict:
     """Check that the candidate relation is a weak simulation on all related
     pairs co-reachable within step_bound attacker steps."""
-    if which not in (HOST_BY_GUEST, GUEST_BY_HOST):
-        raise ValueError(f"unknown direction {which!r}")
-    if rel_id is None:
-        if which == HOST_BY_GUEST:
-            rel_id = "R1" if paired.direction == OP_TO_ST else "Q1"
-        else:
-            rel_id = "R2" if paired.direction == OP_TO_ST else "Q2"
-    rel = Relation(rel_id, paired)
-    a_name = rel.a_side
-    b_name = rel.b_side
-    expect_a = "host" if which == HOST_BY_GUEST else "guest"
-    if a_name != expect_a:
-        raise ValueError(f"relation {rel_id} checks the {a_name}-by-{b_name} direction")
+    rel = Relation(sim_relation(paired.direction, which, rel_id), paired)
+    a_name, b_name = rel.a_side, rel.b_side
     search = Search(rel, step_bound, tau_budget, max_pairs, audit_matchers)
     search.stats["matcher_fallback_disagreements"] = 0
     a0, b0 = search.a.system.init(), search.b.system.init()
@@ -882,14 +882,13 @@ def check_weak_simulation(
             witness={"failed_clause": clause0, "at": "initial-configurations"},
             detail="initial configurations are not related",
         )
-    miss = _play_obligations(search, (("a", rel_id),), a0, b0)
+    miss = _play_obligations(search, ("a",), a0, b0)
     if isinstance(miss, Verdict):
         return miss
     a2 = miss.attacker_post
     cex = SimCounterexample(
         a_events=miss.a_events + (a2.trace.head,),
         b_events=miss.b_events,
-        unmatched_event=a2.trace.head,
         clause=rel.clause(a2, miss.landing),
         evidence=_evidence(search.a, a2, search.b, miss.defender, search.tau_budget),
     )
@@ -909,8 +908,7 @@ def check_weak_simulation(
 @dataclass
 class GameWitness:
     side: str                      # which system attacked: "host" | "guest"
-    attacker_event: Event
-    attacker_cfg: Any
+    attacker_cfg: Any              # after the attack, its trace.head
     defender_cfg: Any
     responses: list                # [(events, sub GameWitness)]
     evidence: dict | None
@@ -965,7 +963,7 @@ def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None
             evidence = None
             if x2.trace.head.input.kind == "qry" and not responses:
                 evidence = _evidence(X, x2, Y, y, tau_budget)
-            witness = GameWitness(side, x2.trace.head, x2, y, subs, evidence, needed)
+            witness = GameWitness(side, x2, y, subs, evidence, needed)
             memo[key] = ("sep", witness)
             return witness
     prev = memo.get(key)
@@ -980,10 +978,10 @@ def _witness_spine(w: GameWitness) -> tuple[list[tuple[str, Event, tuple[Event, 
     node = w
     while True:
         if not node.responses:
-            spine.append((node.side, node.attacker_event, ()))
+            spine.append((node.side, node.attacker_cfg.trace.head, ()))
             return spine, node
         evs, sub = node.responses[0]
-        spine.append((node.side, node.attacker_event, evs))
+        spine.append((node.side, node.attacker_cfg.trace.head, evs))
         node = sub
 
 
@@ -1007,7 +1005,7 @@ def check_weak_bisimulation(
     if clause0 is not None:
         failure = ("initial-configurations", clause0)
     else:
-        miss = _play_obligations(search, (("a", "bowtie"), ("b", "R2")), a0, b0)
+        miss = _play_obligations(search, ("a", "b"), a0, b0)
         if isinstance(miss, Verdict):
             return miss
         # the clause against the defender's configuration before it answered
@@ -1039,8 +1037,9 @@ def check_weak_bisimulation(
                 "response": [render_event(e) for e in defender_events],
             }
         )
+    unmatched = leaf.attacker_cfg.trace.head
     evidence = leaf.evidence
-    if evidence is None and leaf.attacker_event.input.kind == "qry":
+    if evidence is None and unmatched.input.kind == "qry":
         X = A if leaf.side == "host" else B
         Y = B if leaf.side == "host" else A
         evidence = _evidence(X, leaf.attacker_cfg, Y, leaf.defender_cfg, search.tau_budget)
@@ -1050,8 +1049,8 @@ def check_weak_bisimulation(
         "play": play,
         "unmatched": {
             "side": leaf.side,
-            "label": render_label(leaf.attacker_event),
-            "event": render_event(leaf.attacker_event),
+            "label": render_label(unmatched),
+            "event": render_event(unmatched),
         },
         "failed_clause": failure[1],
     }

@@ -21,10 +21,8 @@ from . import checker, client
 from .checker import (
     BOUND_EXHAUSTED,
     COUNTEREXAMPLE,
-    GUEST_BY_HOST,
     HOST_BY_GUEST,
     OP_TO_ST,
-    RELATION_SORTS,
     ST_TO_OP,
     PairedSystem,
     Verdict,
@@ -143,23 +141,10 @@ def _check_entry(c: Any, emulate: str | None, augment: bool) -> None:
     if name in ("sim", "traces", "approx"):
         _require(emulate is not None, f"{name} check needs an emulate directive")
     if name == "sim":
-        which = c.get("direction", HOST_BY_GUEST)
-        _require(
-            which in (HOST_BY_GUEST, GUEST_BY_HOST),
-            f"sim check: unknown direction {which!r}",
-        )
-        rel = c.get("relation")
-        if rel is not None:
-            _require(rel in RELATION_SORTS, f"sim check: unknown relation {rel!r}")
-            a_side, b_side, rel_emulate = RELATION_SORTS[rel]
-            _require(
-                rel_emulate == emulate,
-                f"sim check: relation {rel} needs emulate {rel_emulate!r}",
-            )
-            _require(
-                which == f"{a_side}-by-{b_side}",
-                f"sim check: relation {rel} checks the {a_side}-by-{b_side} direction",
-            )
+        try:
+            checker.sim_relation(emulate, c.get("direction", HOST_BY_GUEST), c.get("relation"))
+        except ValueError as exc:
+            raise ScenarioError(f"sim check: {exc}") from exc
     if name == "bisim":
         _require(emulate == OP_TO_ST, "bisim check needs op-to-st emulation")
     if name == "convergence":

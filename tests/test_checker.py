@@ -25,12 +25,14 @@ from crdt_emu.checker import (
     check_trace_equivalence,
     check_weak_bisimulation,
     check_weak_simulation,
+    constructive_match,
     default_tau_budget,
     deliverable_check,
     explore,
     in_relation,
     mergeable_check,
     replay_simulation_counterexample,
+    sim_relation,
     weak_successors,
     weak_traces,
 )
@@ -424,6 +426,35 @@ def test_q1_and_q2_pass_small():
     assert check_weak_simulation(q, "Q2", GUEST_BY_HOST, step_bound=5).passed
 
 
+def test_sim_relation_defaults_and_rejects():
+    """The one resolver of a simulation check's relation: the default per
+    emulation and check direction, and a ValueError for a relation that is
+    unknown, of the wrong type, or does not fit."""
+    assert [
+        sim_relation(emulate, which)
+        for emulate in ("op-to-st", "st-to-op")
+        for which in (HOST_BY_GUEST, GUEST_BY_HOST)
+    ] == ["R1", "R2", "Q1", "Q2"]
+    assert sim_relation("op-to-st", HOST_BY_GUEST, "bowtie") == "bowtie"
+    for rel_id, which in (("R9", HOST_BY_GUEST), (["R1"], HOST_BY_GUEST),
+                          ("R1", GUEST_BY_HOST), ("Q1", HOST_BY_GUEST), ("R1", "sideways")):
+        with pytest.raises(ValueError):
+            sim_relation("op-to-st", which, rel_id)
+    with pytest.raises(ValueError):
+        sim_relation("sideways", HOST_BY_GUEST)
+
+
+def test_unknown_relation_is_a_value_error():
+    p = paired_gset()
+    for call in (
+        lambda: check_weak_simulation(p, "R9"),
+        lambda: in_relation(p, "R9", p.host.init(), p.guest.init()),
+        lambda: Relation("R9", p),
+    ):
+        with pytest.raises(ValueError, match="unknown relation 'R9'"):
+            call()
+
+
 def test_reliable_only_r1_counterexample_and_replay():
     p = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
     v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8)
@@ -457,16 +488,14 @@ def test_sim_counterexample_report_replays_from_rendered_events():
 
 def test_matcher_and_fallback_agree_when_audited():
     """The R1 simulation, and both directions of the atomic bowtie through
-    the shared driver: host steps answered by the bowtie recipe, guest steps
-    by the R2 recipe."""
+    the shared driver: each side's steps answered by the moves that the
+    other side's semantics fixes, the atomic guest's update with no send."""
     p = paired_gset((1, 2))
     sim = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=4, audit_matchers=True)
     q = paired_gset((1, 2), mode=ATOMIC_BROADCAST)
     search = Search(Relation("bowtie", q), 4, default_tau_budget(q), 2_000_000, audit=True)
     search.stats["matcher_fallback_disagreements"] = 0
-    bisim = _play_obligations(
-        search, (("a", "bowtie"), ("b", "R2")), q.host.init(), q.guest.init()
-    )
+    bisim = _play_obligations(search, ("a", "b"), q.host.init(), q.guest.init())
     for v in (sim, bisim):
         assert v.passed
         assert v.stats["obligations"] > 0
@@ -512,6 +541,80 @@ def test_fallback_alone_agrees_with_the_matchers(name, relation, monkeypatch):
     assert matched.outcome == fallback.outcome == "pass"
     assert fallback.stats["pairs"] == matched.stats["pairs"]
     assert fallback.stats["matcher_matched"] == 0 < matched.stats["matcher_matched"]
+
+
+def _illegal_matcher_steps(monkeypatch) -> list:
+    """Wrap the constructive matcher so that every step of every chain it
+    returns is checked against the defender's own LTS: its event must be
+    among the events of the defender's steps from the chain's previous
+    configuration.  Returns the list the illegal events are appended to."""
+    illegal = []
+
+    def audited(rel, defender, a_cfg, a2_cfg, b_cfg):
+        chain = constructive_match(rel, defender, a_cfg, a2_cfg, b_cfg)
+        prev = b_cfg
+        for c in chain or ():
+            if c.trace.head not in [c2.trace.head for c2 in defender.steps(prev)]:
+                illegal.append(c.trace.head)
+            prev = c
+        return chain
+
+    monkeypatch.setattr("crdt_emu.checker.constructive_match", audited)
+    return illegal
+
+
+@pytest.mark.parametrize("name, relation", FALLBACK_ORACLE)
+def test_matcher_chains_are_defender_moves_on_shipped_entries(name, relation, monkeypatch):
+    """Legal-move oracle for the constructive matchers on the passing 2-replica
+    shipped entries at step bound 5: every answer is a run of the
+    defender's own LTS."""
+    illegal = _illegal_matcher_steps(monkeypatch)
+    scenario = load_scenario(TESTS.parent / f"scenarios/{name}.scenario")
+    host, paired = build_systems(scenario)
+    (entry,) = [
+        e for e in scenario.checks
+        if e["name"] in ("sim", "bisim") and e.get("relation") == relation
+    ]
+    ((_, v),) = run_check(scenario, dict(entry, step_bound=5), host, paired)
+    assert v.passed and v.stats["matcher_matched"] > 0
+    assert illegal == []
+
+
+def _atomic(paired: PairedSystem) -> PairedSystem:
+    """paired with its state-based side in atomic broadcast mode."""
+    side = "guest" if paired.direction == "op-to-st" else "host"
+    st = dataclasses.replace(paired.side(side), mode=ATOMIC_BROADCAST)
+    return dataclasses.replace(paired, **{side: st})
+
+
+@pytest.mark.parametrize(
+    "rel_id, which, make_pair, outcome, pairs",
+    [
+        ("R1", HOST_BY_GUEST, lambda: _atomic(_broken_guest_pair()), "counterexample", 8),
+        ("Q2", GUEST_BY_HOST, lambda: _atomic(_gset_st_pair()), "pass", 147),
+    ],
+    ids=["R1-atomic-broken-guest", "Q2-atomic-gset"],
+)
+def test_matcher_chains_are_defender_moves_in_atomic_mode(
+    rel_id, which, make_pair, outcome, pairs, monkeypatch
+):
+    """An atomic-mode state-based defender has no separate send step, so its
+    answer to an update is the update alone."""
+    illegal = _illegal_matcher_steps(monkeypatch)
+    p = make_pair()
+    v = check_weak_simulation(p, rel_id, which, step_bound=5)
+    assert (v.outcome, v.stats["pairs"]) == (outcome, pairs)
+    assert illegal == []
+
+
+def test_atomic_mode_r1_counterexample_replays():
+    """The witness of a simulation against an atomic-mode guest holds only
+    steps of that guest, so it replays."""
+    p = _atomic(_broken_guest_pair())
+    v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=6)
+    assert v.outcome == "counterexample"
+    p.guest.replay(v.raw.b_events)
+    assert replay_simulation_counterexample(p, "R1", v.raw, default_tau_budget(p))
 
 
 def test_each_related_pair_is_decided_once(monkeypatch):

@@ -402,6 +402,7 @@ def sim_entry(**over):
         {"client": ""},
         {"client": []},
         {"client": None},
+        {"checks": sim_entry(relation=["R1"])},  # a relation that is not a string
     ],
 )
 def test_bad_scenario_entries_exit_3(tmp_path, capsys, broken):
