@@ -34,6 +34,7 @@ from .core import (
     System,
     Trace,
     canon_key,
+    canon_set,
     causal_past,
     delivered,
     downset_of,
@@ -211,13 +212,15 @@ def explore(system, step_bound: int, prune: bool = True) -> Graph:
 
 @dataclass(slots=True)
 class Side:
-    """One system of a check with the check's two caches for it, both keyed
-    by summary: successor lists and silent balls.  Each side has its own,
+    """One system of a check with the check's three caches for it, all keyed
+    by summary: successor lists, silent balls, and the constructive answers
+    this side gave as defender (``_answer_memo``).  Each side has its own,
     because the host's and the guest's summaries can compare equal."""
 
     system: Any
     steps: dict = field(default_factory=dict)
     balls: dict = field(default_factory=dict)
+    answers: dict = field(default_factory=dict)
 
 
 def _cached_steps(side: Side, cfg):
@@ -450,7 +453,7 @@ class Relation:
         key = (m, sent)
         cached = self._downsets.get(key)
         if cached is None:
-            cached = downset_of(m, sent)
+            cached = canon_set(downset_of(m, sent))
             self._downsets[key] = cached
         return cached
 
@@ -672,6 +675,61 @@ def constructive_match(rel: Relation, defender, a_cfg, a2_cfg, b_cfg) -> list | 
             return chain
 
 
+_UNASKED = object()   # a move key absent from an answer memo
+
+
+def _answer_memo(defender: Side, summary) -> dict | None:
+    """The answers that the defender gave from this summary, to be read and
+    extended, or None on the summary's first expanded pair, where nothing is
+    kept: a summary that defends a single pair never reads its answers, and
+    in R1 every summary, in Q2 and the bowtie check almost every one,
+    defends a single pair."""
+    answers = defender.answers
+    if summary not in answers:
+        answers[summary] = None
+        return None
+    memo = answers[summary]
+    if memo is None:
+        memo = answers[summary] = {}
+    return memo
+
+
+def _move_key(rel: Relation, defender, a_cfg, event):
+    """What ``constructive_match`` reads of the attacker step a_cfg --event->
+    besides the defender's configuration: the (replica, op) of an update,
+    the (replica, query, value) of a query, a state-based send itself, and
+    for a delivery the value the defender's move is derived from."""
+    if event.input.kind != "dlvr":
+        return event.obs_key() or event
+    r, m = event.replica, event.input.message
+    if rel.paired.direction == OP_TO_ST:
+        return ("dlvr", r, rel._downset(m, a_cfg.sent) if defender.kind == "st" else m)
+    if defender.kind == "st":
+        return ("dlvr", r, m.payload)
+    return ("dlvr", r, rel.paired.host.obj.join(a_cfg.states[r], m))
+
+
+def _answer(rel: Relation, defender, memo: dict | None, a_cfg, a2_cfg, b_cfg):
+    """The constructive answer to the attacker step a_cfg -> a2_cfg from
+    b_cfg, as (the chain's last configuration, or None for the empty chain;
+    the chain's events), or None when there is no such move.  Read from memo
+    when b_cfg's summary has answered the same move before: the answer's
+    landing summary and events are a function of the defender's summary and
+    the move key
+    (``tests/test_checker.py::test_memo_answers_equal_fresh_matches``)."""
+    if memo is not None:
+        key = _move_key(rel, defender, a_cfg, a2_cfg.trace.head)
+        hit = memo.get(key, _UNASKED)
+        if hit is not _UNASKED:
+            return hit
+    chain = constructive_match(rel, defender, a_cfg, a2_cfg, b_cfg)
+    answer = None if chain is None else (
+        chain[-1] if chain else None, tuple(c.trace.head for c in chain))
+    if memo is not None:
+        memo[key] = answer
+    return answer
+
+
 # --- weak simulation check ----------------------------------------------------------
 
 
@@ -771,8 +829,11 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
     configuration must be answered by a weak move of the other side's LTS
     that lands back in the relation: the constructive chain, which the
     defender's semantics fixes, first, the bounded weak-successor search as
-    fallback.  Returns the PASS or BOUND_EXHAUSTED verdict, or the first
-    obligation no move discharges.
+    fallback.  Returns the PASS or BOUND_EXHAUSTED verdict, both with the
+    matcher/fallback split, or the first obligation no move discharges.
+    The defender's constructive answers are kept per defender summary from
+    its second expanded pair on (``_answer_memo``), so a summary that
+    defends many pairs answers each move once.
     A landing on a visited pair key is accepted without deciding the clause
     again: the key was admitted only after its clause held, and the clause
     reads nothing of a configuration but its summary
@@ -794,6 +855,7 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
             continue
         for side in attackers:
             X, x, Y, y = (A, a, B, b) if side == "a" else (B, b, A, a)
+            memo = _answer_memo(Y, key[1] if side == "a" else key[0])
             for x2 in X.system.steps(x):
                 stats["obligations"] += 1
                 kx = X.system.summary(x2)
@@ -806,14 +868,16 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
                 # the one acceptance test of the matcher, fallback and audit
                 accept = lambda yy: pair_key(yy) in parents or holds(yy)
                 landing = None
-                chain = constructive_match(rel, Y.system, x, x2, y)
-                if chain is not None:
-                    cand = chain[-1] if chain else y
+                cand = y   # where the constructive chain ends
+                answer = _answer(rel, Y.system, memo, x, x2, y)
+                if answer is not None:
+                    end, chain_events = answer
+                    if end is not None:
+                        cand = end
                     key2 = pair_key(cand)
                     new = key2 not in parents
                     if not new or holds(cand):
                         landing = cand
-                        chain_events = tuple(c.trace.head for c in chain)
                         stats["matcher_matched"] += 1
                         if search.audit and not weak_matches(
                             Y, y, x2.trace.head.obs_key(), tau_budget, accept
@@ -822,8 +886,7 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
                 if landing is None:
                     found = weak_matches(Y, y, x2.trace.head.obs_key(), tau_budget, accept)
                     if not found:
-                        near = chain[-1] if chain else y
-                        return _Miss(*_path_events(parents, key), side, x2, near, y)
+                        return _Miss(*_path_events(parents, key), side, x2, cand, y)
                     landing, chain_events = found[0]
                     key2 = pair_key(landing)
                     new = key2 not in parents
@@ -834,12 +897,17 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
                     a2, b2 = (x2, landing) if side == "a" else (landing, x2)
                     queue.append((a2, b2, depth + 1, key2))
                     if stats["pairs"] > search.max_pairs:
-                        return Verdict(
-                            BOUND_EXHAUSTED, stats, search.bounds, detail="pair budget exceeded"
-                        )
+                        return _verdict(search, BOUND_EXHAUSTED, "pair budget exceeded")
+    return _verdict(search, PASS)
+
+
+def _verdict(search: Search, outcome: str, detail: str | None = None) -> Verdict:
+    """The driver's verdict, its stats completed by the share of obligations
+    that the constructive matchers discharged."""
+    stats = search.stats
     total = stats["matcher_matched"] + stats["fallback_matched"]
     stats["matcher_fraction"] = stats["matcher_matched"] / total if total else 1.0
-    return Verdict(PASS, stats, search.bounds)
+    return Verdict(outcome, stats, search.bounds, detail=detail)
 
 
 def _path_events(parents: dict, key) -> tuple[tuple[Event, ...], tuple[Event, ...]]:

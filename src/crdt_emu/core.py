@@ -371,6 +371,13 @@ class Input:
     op: Op | None = None
     query: QueryId | None = None
     message: Message | Any = None
+    _hash: int = dc_field(init=False, repr=False, compare=False, default=0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.op, self.query, self.message)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def none() -> "Input":
@@ -398,6 +405,13 @@ class Output:
     kind: str
     value: Any = None
     message: Message | Any = None
+    _hash: int = dc_field(init=False, repr=False, compare=False, default=0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.value, self.message)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def none() -> "Output":

@@ -7,6 +7,7 @@ import itertools
 import json
 from pathlib import Path
 
+from crdt_emu import checker
 from crdt_emu.checker import (
     GUEST_BY_HOST,
     HOST_BY_GUEST,
@@ -39,8 +40,8 @@ from crdt_emu.checker import (
 from crdt_emu.cli import build_systems, load_scenario, run_check
 from crdt_emu.client import ClientState, can_terminate, check_approximation, parse_program
 from crdt_emu.core import (
-    Event, FrozenDict, Input, Output, TRACE_EMPTY, canon_key, intern_table_sizes,
-    render, render_event, satisfies_causal_delivery,
+    Event, FrozenDict, Input, Output, TRACE_EMPTY, canon_key, intern_scope,
+    intern_table_sizes, render, render_event, satisfies_causal_delivery,
 )
 from crdt_emu.emulation import _interp_memo, op_to_st, st_to_op
 from crdt_emu.objects import (
@@ -580,6 +581,78 @@ def test_matcher_chains_are_defender_moves_on_shipped_entries(name, relation, mo
     assert illegal == []
 
 
+def _shipped_verdict(name: str, relation: str | None, step_bound: int):
+    """The verdict of a shipped scenario's sim or bisim entry at step_bound."""
+    scenario = load_scenario(TESTS.parent / f"scenarios/{name}.scenario")
+    host, paired = build_systems(scenario)
+    (entry,) = [
+        e for e in scenario.checks
+        if e["name"] in ("sim", "bisim") and e.get("relation") == relation
+    ]
+    ((_, v),) = run_check(scenario, dict(entry, step_bound=step_bound), host, paired)
+    return v
+
+
+@pytest.mark.parametrize(
+    "name, relation, step_bound",
+    [(name, relation, 5) for name, relation in FALLBACK_ORACLE] + [("thm-4-2-3rid", "R2", 4)],
+)
+def test_memo_answers_equal_fresh_matches(name, relation, step_bound, monkeypatch):
+    """Premise of the driver's answer memo: every answer read back for a
+    defender summary and move key has the landing summary and the events of
+    a fresh constructive match from the current defender configuration.  A
+    read-back answer is one that leaves its memo the same size."""
+    answer = checker._answer
+    answered, differ = [], []
+
+    def audited(rel, defender, memo, a_cfg, a2_cfg, b_cfg):
+        size = None if memo is None else len(memo)
+        got = answer(rel, defender, memo, a_cfg, a2_cfg, b_cfg)
+        answered.append(1)
+        if size is not None and len(memo) == size:
+            chain = constructive_match(rel, defender, a_cfg, a2_cfg, b_cfg)
+            fresh = None if chain is None else (
+                defender.summary(chain[-1] if chain else b_cfg),
+                tuple(c.trace.head for c in chain))
+            kept = None if got is None else (
+                defender.summary(b_cfg if got[0] is None else got[0]), got[1])
+            if kept != fresh:
+                differ.append((a2_cfg.trace.head, kept, fresh))
+        return got
+
+    monkeypatch.setattr("crdt_emu.checker._answer", audited)
+    v = _shipped_verdict(name, relation, step_bound)
+    assert v.passed and len(answered) == v.stats["obligations"]
+    assert differ == []
+
+
+def test_answer_memo_keeps_answers_only_where_they_are_reused(monkeypatch):
+    """On thm-4-2 R1 every defender summary defends one expanded pair, so no
+    summary keeps an answer and the matcher answers every obligation.  On R2
+    a summary defends many pairs: answers are kept, and most obligations
+    are answered from them, without calling the matcher."""
+    calls = []
+    monkeypatch.setattr(
+        "crdt_emu.checker.constructive_match",
+        lambda *args: calls.append(1) or constructive_match(*args),
+    )
+    _, paired = build_systems(load_scenario(TESTS.parent / "scenarios/thm-4-2.scenario"))
+
+    @intern_scope
+    def play(rel_id):
+        calls.clear()
+        search = Search(Relation(rel_id, paired), 8, None, 2_000_000)
+        v = _play_obligations(search, ("a",), search.a.system.init(), search.b.system.init())
+        assert v.passed and v.stats["matcher_fraction"] == 1.0
+        kept = [memo for memo in search.b.answers.values() if memo]
+        return kept, v.stats["obligations"] - len(calls), v.stats["obligations"]
+
+    kept, read_back, _ = play("R1")
+    assert kept == [] and read_back == 0
+    kept, read_back, obligations = play("R2")
+    assert kept and read_back > obligations // 2
+
+
 def _atomic(paired: PairedSystem) -> PairedSystem:
     """paired with its state-based side in atomic broadcast mode."""
     side = "guest" if paired.direction == "op-to-st" else "host"
@@ -661,6 +734,7 @@ def test_bound_exhaustion_on_tiny_pair_budget():
     p = paired_gset((1, 2))
     v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=6, max_pairs=3)
     assert v.outcome == "bound-exhausted"
+    assert v.stats["matcher_fraction"] == 1.0
 
 
 # --- weak bisimulation -------------------------------------------------------------------
@@ -679,6 +753,7 @@ def test_bisim_bound_exhaustion_on_tiny_pair_budget():
     v = check_weak_bisimulation(p, step_bound=6, max_pairs=3)
     assert v.outcome == "bound-exhausted"
     assert v.stats["pairs"] == 4
+    assert v.stats["matcher_fraction"] == 1.0
 
 
 def test_bisim_separate_send_counterexample_values():

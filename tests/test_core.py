@@ -22,6 +22,7 @@ from crdt_emu.core import (
     enabled,
     happens_before,
     initial_config,
+    intern_scope,
     intern_table_sizes,
     mint,
     satisfies_causal_delivery,
@@ -387,6 +388,26 @@ def test_plain_constructors_give_equal_values():
         assert plain == canonical and canonical == plain
         assert hash(plain) == hash(canonical)
         assert len({plain, canonical}) == 1
+
+
+def test_inputs_and_outputs_outlive_their_scope():
+    """Input and Output cache their hashes.  Values built inside a scope
+    that has since exited still compare and hash equal to the canonical
+    values that the next scope builds, as set members and as dict keys."""
+    m = Message(MessageId("r1", 1), VectorClock((("r1", 1),)), frozenset({5}))
+
+    @intern_scope
+    def build():
+        return [Input.upd(("add", 5)), Input.qry("sum"), Input.dlvr(m),
+                Output.ret(frozenset({5})), Output.send(m)]
+
+    before, after = build(), build()
+    for old, new in zip(before, after):
+        assert old is not new
+        assert old == new and new == old
+        assert hash(old) == hash(new)
+        assert {old: 1}[new] == 1 and len({old, new}) == 1
+    assert hash(Event.of("r1", before[0], before[4])) == hash(Event("r1", after[0], after[4]))
 
 
 def _tables_empty() -> bool:
