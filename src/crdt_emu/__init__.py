@@ -8,8 +8,6 @@ from .core import (
     FrozenDict,
     Input,
     Message,
-    MessageId,
-    Ordering,
     Output,
     System,
     Trace,
@@ -24,7 +22,6 @@ from .core import (
     query_step,
     satisfies_causal_delivery,
     sent,
-    vc_compare,
 )
 from .objects import (
     OpObject,

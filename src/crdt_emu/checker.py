@@ -35,7 +35,6 @@ from .core import (
     Trace,
     canon_key,
     canon_set,
-    causal_past,
     delivered,
     downset_of,
     happens_before,
@@ -1245,17 +1244,16 @@ def _newest_delivery_inverts(t: Trace) -> bool:
     causal delivery order, this holds iff t violates it; the full pairwise
     definition, core.satisfies_causal_delivery, is the reference that tests
     compare this with.  The messages of one trace come from one execution,
-    so they are ordered by the origin component (core.causal_past)."""
+    so core.happens_before orders them."""
     e = t.head
     if e is None or e.input.kind != "dlvr":
         return False
     r, m = e.replica, e.input.message
-    origin, seq = m.id.origin, m.id.seq
     node = t.tail
     while node.head is not None:
         e2 = node.head
         if e2.replica == r and e2.input.kind == "dlvr":
-            if causal_past(e2.input.message).get(origin, 0) >= seq:
+            if happens_before(m, e2.input.message):
                 return True
         node = node.tail
     return False

@@ -159,7 +159,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
@@ -331,7 +331,7 @@ def _load_program(scenario: Scenario, rel_path: str) -> client.Prog:
         path = scenario.base_dir / path
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read client program: {exc}") from exc
     try:
         prog = client.parse_program(text)

@@ -1,6 +1,8 @@
-"""Identifiers, vector clocks, messages, events, traces, the configuration
-type, the system skeleton and query rule, and the causal-order machinery
-shared by the op-based and state-based semantics.
+"""Vector clocks, messages (origin, clock, payload), events, traces, the
+configuration type, the system skeleton and query rule, and the causal order
+shared by the op-based and state-based semantics: one rule,
+``happens_before``, orders the messages of an execution by the origin
+component of the later one's clock.
 
 Everything here is an immutable value; traces are persistent cons lists so
 exploration branches share structure instead of copying.
@@ -28,19 +30,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping
 
 ReplicaId = str
 Op = tuple          # operation token, e.g. ("add", 5) or ("inc",)
 QueryId = str
-
-
-class Ordering(Enum):
-    EQUAL = "equal"
-    LESS = "less"
-    GREATER = "greater"
-    CONCURRENT = "concurrent"
 
 
 # --- hash-consing ---------------------------------------------------------------
@@ -50,7 +44,6 @@ class Ordering(Enum):
 # outermost ``intern_scope`` exits and empties every table.
 _FROZEN_DICTS: dict = {}
 _CLOCKS: dict = {}
-_MESSAGE_IDS: dict = {}
 _MESSAGES: dict = {}
 _INPUTS: dict = {}
 _OUTPUTS: dict = {}
@@ -60,7 +53,6 @@ _FROZENSETS: dict = {}
 _TABLES = {
     "FrozenDict": _FROZEN_DICTS,
     "VectorClock": _CLOCKS,
-    "MessageId": _MESSAGE_IDS,
     "Message": _MESSAGES,
     "Input": _INPUTS,
     "Output": _OUTPUTS,
@@ -188,11 +180,8 @@ class FrozenDict(Mapping):
 
 @dataclass(frozen=True, slots=True)
 class VectorClock:
-    """Per-replica counters; absent entries read as 0.
-
-    Pointwise comparison of clocks is the partial order used for the
-    happens-before relation on messages.
-    """
+    """Per-replica counters; absent entries read as 0.  A message carries
+    its sender's clock at send time, and ``happens_before`` reads it."""
 
     entries: tuple[tuple[ReplicaId, int], ...] = ()
 
@@ -231,62 +220,32 @@ class VectorClock:
                 m[r] = n
         return VectorClock.make(tuple(sorted(m.items())))
 
-    def compare(self, other: "VectorClock") -> Ordering:
-        le = ge = True
-        keys = {r for r, _ in self.entries} | {r for r, _ in other.entries}
-        for r in keys:
-            a, b = self.get(r), other.get(r)
-            if a < b:
-                ge = False
-            elif a > b:
-                le = False
-        if le and ge:
-            return Ordering.EQUAL
-        if le:
-            return Ordering.LESS
-        if ge:
-            return Ordering.GREATER
-        return Ordering.CONCURRENT
-
-
-def vc_compare(a: VectorClock, b: VectorClock) -> Ordering:
-    """Decide the pointwise partial order between two clocks."""
-    return a.compare(b)
-
-
-@dataclass(frozen=True, slots=True)
-class MessageId:
-    origin: ReplicaId
-    seq: int
-
-    def sort_key(self) -> tuple:
-        return (self.origin, self.seq)
-
 
 @dataclass(frozen=True, slots=True)
 class Message:
-    """A broadcast payload stamped with a unique (origin, seq) id and the
-    sender's clock at send time.
-
-    Within a single execution ids are never reused, so id equality and
-    structural equality coincide there; structural equality is used so that
+    """A broadcast payload stamped with its origin replica and the origin's
+    clock at send time.  Its ``seq``, the clock's origin entry, is read once
+    at construction: it numbers the origin's sends, so within one execution
+    (origin, seq) tells two messages apart.  Equality is structural, so that
     messages from different exploration branches never collide.  Messages
     built by ``make`` are hash-consed, so equality is usually an identity hit.
     """
 
-    id: MessageId
+    origin: ReplicaId
     clock: VectorClock
     payload: Any
+    seq: int = dc_field(init=False, repr=False, compare=False, default=0)
     _hash: int = dc_field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.id, self.clock, self.payload)))
+        object.__setattr__(self, "seq", self.clock.get(self.origin))
+        object.__setattr__(self, "_hash", hash((self.origin, self.clock, self.payload)))
 
     @staticmethod
-    def make(origin: ReplicaId, seq: int, clock: VectorClock, payload: Any) -> "Message":
-        """The canonical message with this id, clock and payload."""
-        key = (origin, seq, clock, payload)
-        return _canon(_MESSAGES, key, _new_message, origin, seq, clock, payload)
+    def make(origin: ReplicaId, clock: VectorClock, payload: Any) -> "Message":
+        """The canonical message with this origin, clock and payload."""
+        key = (origin, clock, payload)
+        return _canon(_MESSAGES, key, Message, origin, clock, payload)
 
     def __hash__(self) -> int:
         return self._hash
@@ -299,35 +258,34 @@ class Message:
         if self._hash != other._hash:
             return False
         return (
-            self.id == other.id
+            self.origin == other.origin
             and self.clock == other.clock
             and self.payload == other.payload
         )
 
     def sort_key(self) -> tuple:
-        return self.id.sort_key()
-
-
-def _new_message(origin: ReplicaId, seq: int, clock: VectorClock, payload: Any) -> Message:
-    return Message(_canon(_MESSAGE_IDS, (origin, seq), MessageId, origin, seq), clock, payload)
+        return (self.origin, self.seq)
 
 
 def happens_before(m1: Message, m2: Message) -> bool:
-    """m1 is a strict causal predecessor of m2 (clock strictly below)."""
-    return vc_compare(m1.clock, m2.clock) is Ordering.LESS
+    """m1 is a strict causal predecessor of m2: m2's sender had consumed m1
+    when it sent m2, that is, m2's clock at m1's origin, less m2's own send
+    when the two origins are equal, reaches m1's seq (Schwarz & Mattern,
+    1994).  The rule holds for two messages of one execution, where each
+    origin's clocks rise with its sends.  Two executions can mint the same
+    (origin, seq) with different payloads, so never compare messages of
+    different configurations, or keep the result in a cache shared across
+    them."""
+    return m2.clock.get(m1.origin) - (m1.origin == m2.origin) >= m1.seq
 
 
 def causal_past(m: Message) -> dict[ReplicaId, int]:
     """The highest seq that m's sender had seen from each origin when it sent
-    m: m's clock with m's own send taken back out (clock[origin] == seq
-    holds by construction of ``mint``).  For two messages of one execution,
-    m2 happens before m iff causal_past(m).get(m2.id.origin, 0) >= m2.id.seq
-    (Schwarz & Mattern, 1994).  Two executions can mint the same
-    (origin, seq) with different payloads, so never compare messages of
-    different configurations, or keep the result in a cache shared across
-    them."""
+    m: m's clock with m's own send taken back out.  For two messages of one
+    execution, m2 happens before m iff causal_past(m).get(m2.origin, 0) >=
+    m2.seq, the rule of ``happens_before`` read once for every m2."""
     past = dict(m.clock.entries)
-    past[m.id.origin] = m.id.seq - 1
+    past[m.origin] = m.seq - 1
     return past
 
 
@@ -341,8 +299,8 @@ def mint(r: ReplicaId, consumed: frozenset[Message], payload: Any) -> Message:
         for rr, n in m.clock.entries:
             if n > top.get(rr, 0):
                 top[rr] = n
-    seq = top[r] = top.get(r, 0) + 1
-    return Message.make(r, seq, VectorClock.make(tuple(sorted(top.items()))), payload)
+    top[r] = top.get(r, 0) + 1
+    return Message.make(r, VectorClock.make(tuple(sorted(top.items()))), payload)
 
 
 def concurrent(m1: Message, m2: Message) -> bool:
@@ -614,7 +572,7 @@ def downset(m: Message, t: Trace) -> frozenset[Message]:
     """m together with its causal predecessors among the sent messages."""
     s = sent(t)
     if m not in s:
-        raise ValueError(f"downset: message {m.id} was never sent in this trace")
+        raise ValueError(f"downset: message {m.sort_key()} was never sent in this trace")
     return downset_of(m, s)
 
 
@@ -692,12 +650,10 @@ def canon_key(v: Any) -> tuple:
         return (2, v)
     if isinstance(v, str):
         return (3, v)
-    if isinstance(v, MessageId):
-        return (4, v.origin, v.seq)
     if isinstance(v, VectorClock):
         return (5, v.entries)
     if isinstance(v, Message):
-        return (6, v.id.origin, v.id.seq, v.clock.entries, canon_key(v.payload))
+        return (6, v.origin, v.seq, v.clock.entries, canon_key(v.payload))
     if isinstance(v, tuple):
         return (7, tuple(canon_key(x) for x in v))
     if isinstance(v, frozenset):
@@ -711,14 +667,12 @@ def render(v: Any) -> Any:
     """Render a value as JSON-compatible data, deterministically ordered."""
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, MessageId):
-        return {"origin": v.origin, "seq": v.seq}
     if isinstance(v, VectorClock):
         return {r: n for r, n in v.entries}
     if isinstance(v, Message):
         return {
-            "origin": v.id.origin,
-            "seq": v.id.seq,
+            "origin": v.origin,
+            "seq": v.seq,
             "clock": render(v.clock),
             "payload": render(v.payload),
         }

@@ -5,8 +5,7 @@ a guest update interprets its current set back into a host state, preps a
 fresh message against it, and inserts it.  Host and guest mint with one
 function, ``core.mint``, from the messages the replica has consumed: the
 host's delivered set, the guest's state.  So the guest's message carries the
-same (origin, seq) id and clock the op-based host mints in the matched
-execution.
+same origin and clock the op-based host mints in the matched execution.
 
 State-based to op-based: guest messages *are* host states; effect is join,
 so all message effects commute and identity is by payload value.

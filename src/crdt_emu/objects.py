@@ -15,7 +15,8 @@ from typing import Any, Callable, Iterable
 from .core import FrozenDict, Op, QueryId, ReplicaId, concurrent
 
 # Message identity regimes for op-based objects.  "id" is the normal case:
-# messages are distinct by (origin, seq).  "value" is used by guests whose
+# messages are distinct as (origin, clock, payload) values, and within one
+# execution by their origin and seq.  "value" is used by guests whose
 # messages *are* lattice states: buffer membership and delivery dedup then key
 # on the payload value, mirroring the state-based dedup premise.
 IDENTITY_ID = "id"

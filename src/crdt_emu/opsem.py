@@ -25,7 +25,6 @@ from .core import (
     bcast,
     canon_set,
     causal_past,
-    happens_before,  # noqa: F401  perfbench/tracer.py counts calls through this name
     mint,
     query_step,
 )
@@ -67,11 +66,12 @@ def _delivery_enabled(
         return False
     if discipline == RELIABLE_ONLY:
         return True
-    # m and c.sent come from one configuration, so the origin component
-    # decides happens-before; tests compare this gate with happens_before.
+    # m and c.sent come from one configuration, so core.happens_before's
+    # origin-component rule orders them; m's causal past is read once for
+    # all of c.sent, and tests compare this gate with happens_before.
     past = causal_past(m)
     for m2 in c.sent:
-        if past.get(m2.id.origin, 0) >= m2.id.seq:
+        if past.get(m2.origin, 0) >= m2.seq:
             if (m2.payload if by_value else m2) not in dlv:
                 return False
     return True

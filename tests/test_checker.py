@@ -210,8 +210,8 @@ def test_deliverable_empty_set():
 
 
 def test_deliverable_orders_downset_topologically():
-    m1 = msg("r1", 1, {"r1": 1}, 1)
-    m2 = msg("r2", 1, {"r1": 1, "r2": 1}, 2)
+    m1 = msg("r1", {"r1": 1}, 1)
+    m2 = msg("r2", {"r1": 1, "r2": 1}, 2)
     t = TRACE_EMPTY
     t = t.append(Event("r1", Input.upd(("add", 1)), Output.send(m1)))
     t = t.append(Event("r2", Input.dlvr(m1), Output.none()))
@@ -791,14 +791,12 @@ def test_bisim_play_replays_on_both_systems():
 def _events(rendered):
     # reconstruct event objects by replaying the rendered forms through the
     # systems is heavier than needed; here we just re-parse identity fields
-    from crdt_emu.core import Event, Input, Message, MessageId, Output, VectorClock
+    from crdt_emu.core import Event, Input, Message, Output, VectorClock
 
     def parse_msg(d):
-        return Message(
-            MessageId(d["origin"], d["seq"]),
-            VectorClock.of(d["clock"]),
-            _parse_payload(d["payload"]),
-        )
+        m = Message(d["origin"], VectorClock.of(d["clock"]), _parse_payload(d["payload"]))
+        assert m.seq == d["seq"]
+        return m
 
     def _parse_payload(p):
         if isinstance(p, int):

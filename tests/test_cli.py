@@ -260,6 +260,32 @@ def test_run_client_exit_codes(tmp_path):
     assert main(["run-client", "--scenario", scenario_path("cor-5-3-broken"), "--out", out]) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "explore", "run-client"])
+def test_scenario_that_is_not_utf8_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "s.scenario"
+    path.write_bytes(b"\xff\xfe" + json.dumps(base_scenario()).encode("utf-16-le"))
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert "cannot read scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["run-client"], ["run-client", "--program", "bad.prog"], ["check"]]
+)
+def test_client_program_that_is_not_utf8_exits_3(tmp_path, capsys, command):
+    for name in ("p.prog", "bad.prog"):
+        (tmp_path / name).write_bytes(b"\xff\xfe" + "upd(add 1)".encode("utf-16-le"))
+    path = write_scenario(
+        tmp_path,
+        base_scenario(
+            bounds={"step_bound": 4},
+            checks=[{"name": "approx", "program": "p.prog"}],
+            client={"program": "p.prog"},
+        ),
+    )
+    assert main([*command, "--scenario", path, "--out", str(tmp_path / "r.json")]) == 3
+    assert "cannot read client program" in capsys.readouterr().err
+
+
 OUT_OF_UNIVERSE_PROGRAMS = [
     "x := qry(bogus)",
     "upd(add 7)",

@@ -10,8 +10,6 @@ from crdt_emu.core import (
     FrozenDict,
     Input,
     Message,
-    MessageId,
-    Ordering,
     Output,
     TRACE_EMPTY,
     VectorClock,
@@ -27,7 +25,6 @@ from crdt_emu.core import (
     mint,
     satisfies_causal_delivery,
     sent,
-    vc_compare,
 )
 from crdt_emu.checker import (
     HOST_BY_GUEST,
@@ -49,7 +46,7 @@ from crdt_emu.stsem import (
     st_mk_update,
     st_replica_step,
 )
-from conftest import msg
+from conftest import clock_before, msg
 
 import pytest
 
@@ -58,20 +55,22 @@ def vc(d):
     return VectorClock.of(d)
 
 
-# --- vc_compare ----------------------------------------------------------------
+# --- the pointwise clock order (conftest.clock_before) ---------------------------
+# The reference that the happens-before tests compare the package rule with.
 
 
 def test_vc_compare_identity():
-    assert vc_compare(vc({}), vc({})) is Ordering.EQUAL
+    assert not clock_before(vc({}), vc({}))
 
 
 def test_vc_compare_pointwise_dominance():
-    assert vc_compare(vc({"r1": 1}), vc({"r1": 1, "r2": 1})) is Ordering.LESS
-    assert vc_compare(vc({"r1": 1, "r2": 1}), vc({"r1": 1})) is Ordering.GREATER
+    assert clock_before(vc({"r1": 1}), vc({"r1": 1, "r2": 1}))
+    assert not clock_before(vc({"r1": 1, "r2": 1}), vc({"r1": 1}))
 
 
 def test_vc_compare_incomparable():
-    assert vc_compare(vc({"r1": 1}), vc({"r2": 1})) is Ordering.CONCURRENT
+    assert not clock_before(vc({"r1": 1}), vc({"r2": 1}))
+    assert not clock_before(vc({"r2": 1}), vc({"r1": 1}))
 
 
 clocks = st.fixed_dictionaries(
@@ -82,23 +81,20 @@ clocks = st.fixed_dictionaries(
 @given(clocks)
 @settings(max_examples=150, derandomize=True)
 def test_vc_compare_reflexive(a):
-    assert vc_compare(a, a) is Ordering.EQUAL
+    assert not clock_before(a, a)
 
 
 @given(clocks, clocks)
 @settings(max_examples=150, derandomize=True)
 def test_vc_compare_antisymmetric(a, b):
-    if vc_compare(a, b) is Ordering.LESS:
-        assert vc_compare(b, a) is Ordering.GREATER
-    if vc_compare(a, b) is Ordering.EQUAL:
-        assert a == b
+    assert not (clock_before(a, b) and clock_before(b, a))
 
 
 @given(clocks, clocks, clocks)
 @settings(max_examples=150, derandomize=True)
 def test_vc_compare_transitive(a, b, c):
-    if vc_compare(a, b) is Ordering.LESS and vc_compare(b, c) is Ordering.LESS:
-        assert vc_compare(a, c) is Ordering.LESS
+    if clock_before(a, b) and clock_before(b, c):
+        assert clock_before(a, c)
 
 
 # --- happens_before -------------------------------------------------------------
@@ -173,7 +169,7 @@ def test_downset_two_chain(m1, m2):
 
 
 def test_downset_excludes_concurrent(m1, m2, m3):
-    big = msg("r3", 2, {"r1": 1, "r3": 2}, 9)  # m1 < big, m3 < big, m2 concurrent
+    big = msg("r3", {"r1": 1, "r3": 2}, 9)  # m1 < big, m3 < big, m2 concurrent
     t = trace_of(
         upd_event("r1", ("add", 1), m1),
         upd_event("r3", ("add", 3), m3),
@@ -260,7 +256,7 @@ def test_bcast_idempotent(m1):
 
 
 def test_bcast_by_value_dedups(m1):
-    other = msg("r1", 2, {"r1": 2}, m1.payload)
+    other = msg("r1", {"r1": 2}, m1.payload)
     roster = ("r1", "r2")
     once = bcast("r1", m1, frozenset(), roster, by_value=True)
     again = bcast("r1", other, once, roster, by_value=True)
@@ -292,7 +288,7 @@ def test_op_host_and_message_set_guest_mint_one_message():
     after = op_mk_update(obj, ("r1", "r2"), host, "r1", ("add", 5))
     (m,) = after.sent
     assert mint("r1", frozenset(), 5) is m
-    assert Message.make("r1", 1, VectorClock.of({"r1": 1}), 5) is m
+    assert Message.make("r1", VectorClock.of({"r1": 1}), 5) is m
 
 
 def test_different_paths_share_maps_clocks_and_events():
@@ -369,12 +365,11 @@ def test_every_system_step_is_its_replica_step():
 
 
 def test_plain_constructors_give_equal_values():
-    m = Message.make("r1", 1, VectorClock.of({"r1": 1}), 5)
+    m = Message.make("r1", VectorClock.of({"r1": 1}), 5)
     pairs = [
         (FrozenDict({"a": 1}), FrozenDict.of({"a": 1})),
         (VectorClock((("r1", 1),)), VectorClock.of({"r1": 1})),
-        (MessageId("r1", 1), m.id),
-        (Message(MessageId("r1", 1), VectorClock((("r1", 1),)), 5), m),
+        (Message("r1", VectorClock((("r1", 1),)), 5), m),
         (Input("upd", op=("add", 5)), Input.upd(("add", 5))),
         (Input("qry", query="sum"), Input.qry("sum")),
         (Input("dlvr", message=m), Input.dlvr(m)),
@@ -394,7 +389,7 @@ def test_inputs_and_outputs_outlive_their_scope():
     """Input and Output cache their hashes.  Values built inside a scope
     that has since exited still compare and hash equal to the canonical
     values that the next scope builds, as set members and as dict keys."""
-    m = Message(MessageId("r1", 1), VectorClock((("r1", 1),)), frozenset({5}))
+    m = Message("r1", VectorClock((("r1", 1),)), frozenset({5}))
 
     @intern_scope
     def build():

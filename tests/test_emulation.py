@@ -17,13 +17,13 @@ from crdt_emu.emulation import (
 from crdt_emu.objects import gcounter_st, gset_op, gset_st
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
-from conftest import msg, stepped
+from conftest import clock_before, msg, stepped
 
 
 def chain():
-    m1 = msg("r1", 1, {"r1": 1}, 1)
-    m2 = msg("r2", 1, {"r1": 1, "r2": 1}, 2)
-    m3 = msg("r3", 1, {"r3": 1}, 3)
+    m1 = msg("r1", {"r1": 1}, 1)
+    m2 = msg("r2", {"r1": 1, "r2": 1}, 2)
+    m3 = msg("r3", {"r3": 1}, 3)
     return m1, m2, m3
 
 
@@ -48,12 +48,12 @@ def test_interp_empty_is_initial():
 
 def test_interp_example_values():
     obj = gset_op((5, 42))
-    m5 = msg("r1", 1, {"r1": 1}, 5)
-    m42 = msg("r1", 2, {"r1": 2}, 42)
+    m5 = msg("r1", {"r1": 1}, 5)
+    m42 = msg("r1", {"r1": 2}, 42)
     h = frozenset({m5, m42})
     assert interp(h, obj) == {5, 42}
     assert obj.query("sum", interp(h, obj)) == 47
-    assert obj.query("sum", interp(frozenset({msg('r1', 1, {'r1': 1}, 1)}), obj)) == 1
+    assert obj.query("sum", interp(frozenset({msg('r1', {'r1': 1}, 1)}), obj)) == 1
 
 
 def test_op_to_st_update_inserts_prepped_message():
@@ -61,7 +61,7 @@ def test_op_to_st_update_inserts_prepped_message():
     guest = op_to_st(obj)
     h1 = guest.update("r1", ("add", 5), frozenset())
     (m,) = h1
-    assert m.payload == 5 and m.id.origin == "r1" and m.id.seq == 1
+    assert m.payload == 5 and m.origin == "r1" and m.seq == 1
     # inflation: the old state is contained in the new one
     assert frozenset() <= h1
 
@@ -211,20 +211,19 @@ R3 = ("r1", "r2", "r3")
     ids=["op-host", "op-to-st-guest", "st-to-op-guest"],
 )
 def test_origin_component_decides_happens_before(system):
-    """Every clocked message has clock[origin] == seq, and within one
-    reachable configuration m2 happens before m iff m2 != m and
-    m.clock[m2.origin] >= m2.seq (Schwarz & Mattern, 1994), as
-    core.causal_past decides it.  Across
-    configurations the rule does not hold: two executions can mint the same
-    (origin, seq) with different payloads."""
+    """Within one reachable configuration, (origin, seq) tells clocked
+    messages apart, and the origin-component rule (Schwarz & Mattern, 1994)
+    of core.happens_before and core.causal_past orders two of them as the
+    pointwise clock order does.  Across configurations the rule does not
+    hold: two executions can mint the same (origin, seq) with different
+    payloads."""
     ordered = 0
     for cfg in explore(system, 6).nodes:
         msgs = [m for m in _messages((cfg.states, cfg.buffer, cfg.sent), set()) if m.clock.entries]
-        for m in msgs:
-            assert m.clock.get(m.id.origin) == m.id.seq
+        assert len({m.sort_key() for m in msgs}) == len(msgs)
         for m2, m in itertools.product(msgs, repeat=2):
-            before = happens_before(m2, m)
-            assert (m2 != m and m.clock.get(m2.id.origin) >= m2.id.seq) == before
-            assert (causal_past(m).get(m2.id.origin, 0) >= m2.id.seq) == before
+            before = clock_before(m2.clock, m.clock)
+            assert happens_before(m2, m) == before
+            assert (causal_past(m).get(m2.origin, 0) >= m2.seq) == before
             ordered += before
     assert ordered > 0

@@ -158,7 +158,7 @@ def _erases_to(aug_event, base_event):
     if ai.kind == "upd":
         return ai.op == bi.op
     if ai.kind == "dlvr":
-        return ai.message.id == bi.message.id and ai.message.payload[0] == bi.message.payload
+        return ai.message.sort_key() == bi.message.sort_key() and ai.message.payload[0] == bi.message.payload
     if ai.kind == "qry":
         return ai.query == bi.query
     return True

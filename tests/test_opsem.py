@@ -19,7 +19,7 @@ from crdt_emu.opsem import (
     _delivery_enabled,
     op_replica_step,
 )
-from conftest import msg, stepped
+from conftest import clock_before, msg, stepped
 
 import pytest
 
@@ -34,7 +34,7 @@ def test_replica_step_update_preps_then_applies():
 
 def test_replica_step_delivery_applies_effect():
     obj = gset_op((5, 42))
-    s2, out = op_replica_step(obj, "r2", frozenset({5}), Input.dlvr(msg("r1", 2, {"r1": 2}, 42)))
+    s2, out = op_replica_step(obj, "r2", frozenset({5}), Input.dlvr(msg("r1", {"r1": 2}, 42)))
     assert s2 == {5, 42}
     assert out.kind == "none"
 
@@ -234,13 +234,27 @@ def test_delivered_subset_of_sent_on_reachable_traces():
         assert cfg.sent == s
 
 
-def test_clock_order_characterizes_event_happens_before():
-    """On explored traces, the clock order between two sent messages coincides
-    with happens-before between their send events (program order, send-to-
-    deliver edges, transitivity)."""
-    from crdt_emu.core import happens_before
+# The three systems whose delivered sets the causal gate decides on: causal
+# delivery, reliable-only delivery (a replica's delivered set need not be
+# causally closed) and value-identity messages.
+GATE_SYSTEMS = pytest.mark.parametrize(
+    "system",
+    [
+        OpSystem(gset_op((1, 2)), ("r1", "r2", "r3")),
+        OpSystem(st_to_op(gset_st((1, 2))), ("r1", "r2", "r3")),
+        # reachable without the gate, so buffers hold out-of-order messages
+        OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY),
+    ],
+    ids=["op-host", "st-to-op-guest", "reliable-only-host"],
+)
 
-    system = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"))
+
+@GATE_SYSTEMS
+def test_clock_order_characterizes_event_happens_before(system):
+    """On explored traces, happens-before between two sent messages, by the
+    package's origin-component rule and by the pointwise clock order alike,
+    coincides with happens-before between their send events (program order,
+    send-to-deliver edges, transitivity)."""
     graph = explore(system, 6)
     for cfg in graph.nodes:
         events = cfg.trace.events()
@@ -271,38 +285,32 @@ def test_clock_order_characterizes_event_happens_before():
             for m2, j in send_idx.items():
                 if m1 is not m2:
                     assert happens_before(m1, m2) == reach[i][j]
+                    assert clock_before(m1.clock, m2.clock) == reach[i][j]
 
 
-def _gate_by_happens_before(obj, c, r, m) -> bool:
+def _gate_by_clock_order(obj, c, r, m) -> bool:
     """The causal delivery gate as defined: m not yet delivered at r (by id,
     or by payload under value identity), and every sent causal predecessor
-    of m, by happens_before, already delivered there."""
+    of m, by the pointwise clock order, already delivered there."""
     by_value = obj.message_identity == IDENTITY_VALUE
     dlv = {m2.payload for m2 in c.delivered[r]} if by_value else c.delivered[r]
     if (m.payload if by_value else m) in dlv:
         return False
     return all(
-        (m2.payload if by_value else m2) in dlv for m2 in c.sent if happens_before(m2, m)
+        (m2.payload if by_value else m2) in dlv
+        for m2 in c.sent
+        if clock_before(m2.clock, m.clock)
     )
 
 
-@pytest.mark.parametrize(
-    "system",
-    [
-        OpSystem(gset_op((1, 2)), ("r1", "r2", "r3")),
-        OpSystem(st_to_op(gset_st((1, 2))), ("r1", "r2", "r3")),
-        # reachable without the gate, so buffers hold out-of-order messages
-        OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY),
-    ],
-    ids=["op-host", "st-to-op-guest", "reliable-only-host"],
-)
+@GATE_SYSTEMS
 def test_origin_component_gate_agrees_with_happens_before(system):
     """On every buffered (r, m) of every configuration reachable at depth 6,
-    the causal gate decides as the happens_before-based definition."""
+    the causal gate decides as the definition by the clock order."""
     decided = {True: 0, False: 0}
     for c in explore(system, 6).nodes:
         for r, m in c.buffer:
-            want = _gate_by_happens_before(system.obj, c, r, m)
+            want = _gate_by_clock_order(system.obj, c, r, m)
             assert _delivery_enabled(system.obj, c, r, m, CAUSAL) == want
             decided[want] += 1
     assert decided[True] and decided[False]
@@ -332,7 +340,7 @@ def test_minted_message_follows_from_delivered():
                     for m2 in c.delivered[r]:
                         clock = clock.join(m2.clock)
                     assert m.clock == clock.tick(r)
-                    assert m.id.seq == 1 + sum(m2.id.origin == r for m2 in c.delivered[r])
+                    assert m.seq == 1 + sum(m2.origin == r for m2 in c.delivered[r])
                     updates += 1
     assert updates
 

@@ -21,7 +21,7 @@ def test_replica_step_update_inserts_message():
     s2, out = st_replica_step(obj, "r1", frozenset(), Input.upd(("add", 5)))
     assert out.kind == "none"
     (m,) = s2
-    assert m.payload == 5 and m.id.origin == "r1"
+    assert m.payload == 5 and m.origin == "r1"
 
 
 def test_replica_step_none_emits_state():
