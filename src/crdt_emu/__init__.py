@@ -10,8 +10,6 @@ from .core import (
     Message,
     Output,
     System,
-    Trace,
-    TRACE_EMPTY,
     VectorClock,
     bcast,
     delivered,

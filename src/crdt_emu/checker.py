@@ -23,7 +23,7 @@ import functools
 import gc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     Config,
@@ -31,8 +31,8 @@ from .core import (
     Message,
     QueryId,
     ReplicaId,
+    Step,
     System,
-    Trace,
     canon_key,
     canon_set,
     delivered,
@@ -151,12 +151,23 @@ def collector_paused(check):
 
 @dataclass
 class Graph:
-    """Configurations in breadth-first order with their depths, and every
-    step taken between them as (from index, event, to index)."""
+    """Configurations in breadth-first order with their depths, every step
+    taken between them as (from index, event, to index), and for each node
+    the index of the edge that first reached it (-1 for the initial node)."""
 
     nodes: list = field(default_factory=list)
     edges: list[tuple[int, Event, int]] = field(default_factory=list)
     depths: list[int] = field(default_factory=list)
+    parents: list[int] = field(default_factory=list)
+
+    def path(self, i: int) -> tuple[Event, ...]:
+        """The events of the path that first reached node i, oldest first."""
+        events = []
+        while (k := self.parents[i]) >= 0:
+            i, e, _ = self.edges[k]
+            events.append(e)
+        events.reverse()
+        return tuple(events)
 
     @property
     def stats(self) -> dict:
@@ -171,28 +182,30 @@ def breadth_first(system, step_bound: int, graph: Graph, prune: bool = True) -> 
     """The one search over a single system: breadth-first over the
     configurations reachable within step_bound steps, filling graph.  Each
     node's index is yielded as the node is taken, before it is expanded, so
-    a caller that stops iterating stops the search.  With pruning,
-    configurations are identified by their behavior-determining summary;
-    without it the graph is the raw tree.  A node's trace is its path."""
+    a caller that stops iterating stops the search.  With pruning, equal
+    configurations are one node; without it the graph is the raw tree.  A
+    node's history is its path (``Graph.path``)."""
     if step_bound < 0:
         raise ValueError("breadth_first: negative step bound")
-    nodes, edges, depths = graph.nodes, graph.edges, graph.depths
+    nodes, edges, depths, parents = graph.nodes, graph.edges, graph.depths, graph.parents
     init = system.init()
     nodes.append(init)
     depths.append(0)
-    keys = {system.summary(init): 0}
+    parents.append(-1)
+    keys = {init: 0}
     i = 0
     while i < len(nodes):  # the nodes list is the queue
         yield i
         if depths[i] < step_bound:
-            for c2 in system.steps(nodes[i]):
+            for e, c2 in system.steps(nodes[i]):
                 j = len(nodes)
                 if prune:
-                    j = keys.setdefault(system.summary(c2), j)
+                    j = keys.setdefault(c2, j)
                 if j == len(nodes):
                     nodes.append(c2)
                     depths.append(depths[i] + 1)
-                edges.append((i, c2.trace.head, j))
+                    parents.append(len(edges))
+                edges.append((i, e, j))
         i += 1
 
 
@@ -212,9 +225,9 @@ def explore(system, step_bound: int, prune: bool = True) -> Graph:
 @dataclass(slots=True)
 class Side:
     """One system of a check with the check's three caches for it, all keyed
-    by summary: successor lists, silent balls, and the constructive answers
-    this side gave as defender (``_answer_memo``).  Each side has its own,
-    because the host's and the guest's summaries can compare equal."""
+    by configuration: successor lists, silent balls, and the constructive
+    answers this side gave as defender (``_answer_memo``).  Each side has
+    its own, because a host and a guest configuration can compare equal."""
 
     system: Any
     steps: dict = field(default_factory=dict)
@@ -222,43 +235,35 @@ class Side:
     answers: dict = field(default_factory=dict)
 
 
-def _cached_steps(side: Side, cfg):
-    """Successor list shared between configurations with equal summaries.
-    Sound because the summary determines the applicable rules and each
-    step's event: configurations with equal summaries take the same events
-    to successors with equal summaries
-    (``tests/test_checker.py::test_step_events_are_a_function_of_the_summary``).
-    Only the representatives' older trace events may differ."""
-    key = side.system.summary(cfg)
-    hit = side.steps.get(key)
+def _cached_steps(side: Side, cfg) -> list[Step]:
+    """The steps of cfg, computed once per configuration.  Sound because a
+    step reads nothing outside its configuration, which the step-events
+    premise test in ``tests/test_checker.py`` checks on unpruned trees."""
+    hit = side.steps.get(cfg)
     if hit is None:
-        hit = side.system.steps(cfg)
-        side.steps[key] = hit
+        hit = side.steps[cfg] = side.system.steps(cfg)
     return hit
 
 
 def _silent_ball(side: Side, cfg, budget: int) -> list[tuple[Any, tuple[Event, ...]]]:
     """Configurations reachable by at most budget silent steps, including cfg
-    itself, in BFS order, deduplicated by summary."""
-    system, cache = side.system, side.balls
-    ball_key = (system.summary(cfg), budget)
+    itself, in BFS order, each with the events of the first path found."""
+    cache = side.balls
+    ball_key = (cfg, budget)
     hit = cache.get(ball_key)
     if hit is not None:
         return hit
     out = [(cfg, ())]
-    seen = {system.summary(cfg)}
+    seen = {cfg}
     frontier = [(cfg, ())]
     for _ in range(budget):
         nxt = []
         for c, evs in frontier:
-            for c2 in _cached_steps(side, c):
-                if c2.trace.head.obs_key() is not None:
+            for e, c2 in _cached_steps(side, c):
+                if e.obs_key() is not None or c2 in seen:
                     continue
-                key = system.summary(c2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                item = (c2, evs + (c2.trace.head,))
+                seen.add(c2)
+                item = (c2, evs + (e,))
                 out.append(item)
                 nxt.append(item)
         if not nxt:
@@ -285,11 +290,10 @@ def weak_matches(
     seen_landings = set()
 
     def emit(c2, evs) -> bool:
-        key = side.system.summary(c2)
-        if key in seen_landings:
+        if c2 in seen_landings:
             return False
         if accept(c2):
-            seen_landings.add(key)
+            seen_landings.add(c2)
             results.append((c2, evs))
             return first_only
         return False
@@ -303,10 +307,10 @@ def weak_matches(
 
     for c1, evs in ball:
         used = len(evs)
-        for c2 in _cached_steps(side, c1):
-            if c2.trace.head.obs_key() != obs:
+        for e, c2 in _cached_steps(side, c1):
+            if e.obs_key() != obs:
                 continue
-            mid_evs = evs + (c2.trace.head,)
+            mid_evs = evs + (e,)
             for c3, evs3 in _silent_ball(side, c2, tau_budget - used):
                 if emit(c3, mid_evs + evs3):
                     return results
@@ -316,7 +320,7 @@ def weak_matches(
 @intern_scope
 def weak_successors(system, cfg, obs: tuple | None, tau_budget: int) -> list:
     """All weak successors of cfg under the observable label obs
-    (``Event.obs_key``; None meaning tau), deduplicated by summary."""
+    (``Event.obs_key``; None meaning tau), without duplicates."""
     found = weak_matches(system, cfg, obs, tau_budget, lambda _: True, first_only=False)
     return [c for c, _ in found]
 
@@ -371,9 +375,9 @@ def _deliverable_ordering(
 
 
 def deliverable_check(
-    U: Iterable[Message], r: ReplicaId, t: Trace, b: frozenset
+    U: Iterable[Message], r: ReplicaId, t: Sequence[Event], b: frozenset
 ) -> tuple[Message, ...] | None:
-    """Spec surface over a raw trace and buffer."""
+    """Spec surface over a trace, oldest event first, and a buffer."""
     return _deliverable_ordering(frozenset(U), r, b, sent(t), delivered(r, t))
 
 
@@ -587,10 +591,10 @@ def in_relation(paired: PairedSystem, rel_id: str, host_cfg, guest_cfg) -> bool:
 # --- constructive matchers ---------------------------------------------------------
 
 
-def _op_deliver_chain(D, cfg, r: ReplicaId, wanted) -> list | None:
+def _op_deliver_chain(D, cfg, r: ReplicaId, wanted) -> list[Step] | None:
     """Deliver exactly `wanted` at r through enabled OpDeliver steps,
     smallest-first among those currently enabled."""
-    chain: list = []
+    chain: list[Step] = []
     cur = cfg
     remaining = set(wanted)
     while remaining:
@@ -602,19 +606,18 @@ def _op_deliver_chain(D, cfg, r: ReplicaId, wanted) -> list | None:
         if step is None:
             return None
         chain.append(step)
-        cur = step
-        remaining.discard(cur.trace.head.input.message)
+        cur = step[1]
+        remaining.discard(m)
     return chain
 
 
-def constructive_match(rel: Relation, defender, a_cfg, a2_cfg, b_cfg) -> list | None:
-    """The canonical defender moves for the attacker step a_cfg -> a2_cfg:
+def constructive_match(rel: Relation, defender, a_cfg, event, b_cfg) -> list[Step] | None:
+    """The canonical defender moves for the attacker step a_cfg --event->:
     the weak move of the defender's own LTS that answers the step's event,
     fixed by the defender's semantics (op- or state-based, and its
     broadcast mode) and the emulation direction.  Returns the chain of
-    defender configurations, or None when there is no such move.  rel is
-    the check's relation, whose downset memo the op-to-st delivery shares."""
-    event = a2_cfg.trace.head
+    defender steps, or None when there is no such move.  rel is the check's
+    relation, whose downset memo the op-to-st delivery shares."""
     r = event.replica
     D = defender
     kind = event.input.kind
@@ -628,11 +631,11 @@ def constructive_match(rel: Relation, defender, a_cfg, a2_cfg, b_cfg) -> list | 
         updated = st_mk_update(D.obj, D.roster, b_cfg, r, op, D.mode)
         if D.mode == ATOMIC_BROADCAST:
             return [updated]  # the update broadcasts its state itself
-        return [updated, st_mk_send(D.roster, updated, r)]
+        return [updated, st_mk_send(D.roster, updated[1], r)]
 
     if kind == "qry":
         answered = query_step(D.obj, b_cfg, r, event.input.query)
-        return [answered] if answered.trace.head.obs_key() == event.obs_key() else None
+        return [answered] if answered[0].obs_key() == event.obs_key() else None
 
     if kind != "dlvr":
         # a state-based send is matched by the reflexive step
@@ -656,7 +659,7 @@ def constructive_match(rel: Relation, defender, a_cfg, a2_cfg, b_cfg) -> list | 
     target = obj.join(a_cfg.states[r], m)
     if target == b_cfg.states[r]:
         return []
-    chain: list = []
+    chain: list[Step] = []
     cur = b_cfg
     while True:
         step = None
@@ -669,7 +672,7 @@ def constructive_match(rel: Relation, defender, a_cfg, a2_cfg, b_cfg) -> list | 
         if step is None:
             return None
         chain.append(step)
-        cur = step
+        cur = step[1]
         if cur.states[r] == target:
             return chain
 
@@ -677,19 +680,19 @@ def constructive_match(rel: Relation, defender, a_cfg, a2_cfg, b_cfg) -> list | 
 _UNASKED = object()   # a move key absent from an answer memo
 
 
-def _answer_memo(defender: Side, summary) -> dict | None:
-    """The answers that the defender gave from this summary, to be read and
-    extended, or None on the summary's first expanded pair, where nothing is
-    kept: a summary that defends a single pair never reads its answers, and
-    in R1 every summary, in Q2 and the bowtie check almost every one,
-    defends a single pair."""
+def _answer_memo(defender: Side, cfg) -> dict | None:
+    """The answers that the defender gave from this configuration, to be
+    read and extended, or None on the configuration's first expanded pair,
+    where nothing is kept: a configuration that defends a single pair never
+    reads its answers, and in R1 every configuration, in Q2 and the bowtie
+    check almost every one, defends a single pair."""
     answers = defender.answers
-    if summary not in answers:
-        answers[summary] = None
+    if cfg not in answers:
+        answers[cfg] = None
         return None
-    memo = answers[summary]
+    memo = answers[cfg]
     if memo is None:
-        memo = answers[summary] = {}
+        memo = answers[cfg] = {}
     return memo
 
 
@@ -708,22 +711,21 @@ def _move_key(rel: Relation, defender, a_cfg, event):
     return ("dlvr", r, rel.paired.host.obj.join(a_cfg.states[r], m))
 
 
-def _answer(rel: Relation, defender, memo: dict | None, a_cfg, a2_cfg, b_cfg):
-    """The constructive answer to the attacker step a_cfg -> a2_cfg from
+def _answer(rel: Relation, defender, memo: dict | None, a_cfg, event, b_cfg):
+    """The constructive answer to the attacker step a_cfg --event-> from
     b_cfg, as (the chain's last configuration, or None for the empty chain;
     the chain's events), or None when there is no such move.  Read from memo
-    when b_cfg's summary has answered the same move before: the answer's
-    landing summary and events are a function of the defender's summary and
-    the move key
+    when b_cfg has answered the same move before: the answer's landing and
+    events are a function of the defender's configuration and the move key
     (``tests/test_checker.py::test_memo_answers_equal_fresh_matches``)."""
     if memo is not None:
-        key = _move_key(rel, defender, a_cfg, a2_cfg.trace.head)
+        key = _move_key(rel, defender, a_cfg, event)
         hit = memo.get(key, _UNASKED)
         if hit is not _UNASKED:
             return hit
-    chain = constructive_match(rel, defender, a_cfg, a2_cfg, b_cfg)
+    chain = constructive_match(rel, defender, a_cfg, event, b_cfg)
     answer = None if chain is None else (
-        chain[-1] if chain else None, tuple(c.trace.head for c in chain))
+        chain[-1][1] if chain else None, tuple(e for e, _ in chain))
     if memo is not None:
         memo[key] = answer
     return answer
@@ -732,11 +734,10 @@ def _answer(rel: Relation, defender, memo: dict | None, a_cfg, a2_cfg, b_cfg):
 # --- weak simulation check ----------------------------------------------------------
 
 
-def _evidence(attacker: Side, a2_cfg, defender: Side, b_cfg, tau_budget: int):
-    """Query-level explanation of the unmatched attacker step to a2_cfg: the
-    value now observable on the attacker side versus what the defender could
-    still offer."""
-    event = a2_cfg.trace.head
+def _evidence(attacker: Side, event, a2_cfg, defender: Side, b_cfg, tau_budget: int):
+    """Query-level explanation of the unmatched attacker step --event->
+    a2_cfg: the value now observable on the attacker side versus what the
+    defender could still offer."""
     r = event.replica
     if event.input.kind == "qry":
         queries = (event.input.query,)
@@ -816,6 +817,7 @@ class _Miss(NamedTuple):
     a_events: tuple[Event, ...]   # path to the attacked pair, first side
     b_events: tuple[Event, ...]   # path to the attacked pair, second side
     side: str                     # the attacker's side of the relation: "a" | "b"
+    attacker_event: Event
     attacker_post: Any
     landing: Any                  # where the constructive chain ends
     defender: Any                 # the defender's configuration it started from
@@ -830,45 +832,46 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
     defender's semantics fixes, first, the bounded weak-successor search as
     fallback.  Returns the PASS or BOUND_EXHAUSTED verdict, both with the
     matcher/fallback split, or the first obligation no move discharges.
-    The defender's constructive answers are kept per defender summary from
-    its second expanded pair on (``_answer_memo``), so a summary that
-    defends many pairs answers each move once.
+    A pair key is the pair (a, b) itself.  The defender's constructive
+    answers are kept per defender configuration from its second expanded
+    pair on (``_answer_memo``), so a configuration that defends many pairs
+    answers each move once.
     A landing on a visited pair key is accepted without deciding the clause
     again: the key was admitted only after its clause held, and the clause
-    reads nothing of a configuration but its summary
+    reads nothing outside the two configurations
     (``tests/test_checker.py::test_clause_is_a_function_of_the_summaries``),
     so each related pair's clause is decided once.  The pair budget is
     checked as each new pair is added, so at most max_pairs + 1 pairs are
     counted."""
     rel, stats, tau_budget = search.rel, search.stats, search.tau_budget
     A, B = search.a, search.b
-    key0 = (A.system.summary(a0), B.system.summary(b0))
+    key0 = (a0, b0)
     # pair key -> (parent key, attacker side, attacker event, defender events)
     parents: dict = {key0: None}
-    queue = deque([(a0, b0, 0, key0)])
+    queue = deque([(key0, 0)])
     stats["pairs"] = 1
     while queue:
-        a, b, depth, key = queue.popleft()
+        key, depth = queue.popleft()
         stats["max_depth"] = max(stats["max_depth"], depth)
         if depth >= search.step_bound:
             continue
+        a, b = key
         for side in attackers:
             X, x, Y, y = (A, a, B, b) if side == "a" else (B, b, A, a)
-            memo = _answer_memo(Y, key[1] if side == "a" else key[0])
-            for x2 in X.system.steps(x):
+            memo = _answer_memo(Y, y)
+            for event, x2 in X.system.steps(x):
                 stats["obligations"] += 1
-                kx = X.system.summary(x2)
                 if side == "a":
-                    pair_key = lambda yy: (kx, Y.system.summary(yy))
+                    pair_key = lambda yy: (x2, yy)
                     holds = lambda yy: rel.holds(x2, yy)
                 else:
-                    pair_key = lambda yy: (Y.system.summary(yy), kx)
+                    pair_key = lambda yy: (yy, x2)
                     holds = lambda yy: rel.holds(yy, x2)
                 # the one acceptance test of the matcher, fallback and audit
                 accept = lambda yy: pair_key(yy) in parents or holds(yy)
                 landing = None
                 cand = y   # where the constructive chain ends
-                answer = _answer(rel, Y.system, memo, x, x2, y)
+                answer = _answer(rel, Y.system, memo, x, event, y)
                 if answer is not None:
                     end, chain_events = answer
                     if end is not None:
@@ -879,22 +882,21 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
                         landing = cand
                         stats["matcher_matched"] += 1
                         if search.audit and not weak_matches(
-                            Y, y, x2.trace.head.obs_key(), tau_budget, accept
+                            Y, y, event.obs_key(), tau_budget, accept
                         ):
                             stats["matcher_fallback_disagreements"] += 1
                 if landing is None:
-                    found = weak_matches(Y, y, x2.trace.head.obs_key(), tau_budget, accept)
+                    found = weak_matches(Y, y, event.obs_key(), tau_budget, accept)
                     if not found:
-                        return _Miss(*_path_events(parents, key), side, x2, cand, y)
+                        return _Miss(*_path_events(parents, key), side, event, x2, cand, y)
                     landing, chain_events = found[0]
                     key2 = pair_key(landing)
                     new = key2 not in parents
                     stats["fallback_matched"] += 1
                 if new:
-                    parents[key2] = (key, side, x2.trace.head, chain_events)
+                    parents[key2] = (key, side, event, chain_events)
                     stats["pairs"] += 1
-                    a2, b2 = (x2, landing) if side == "a" else (landing, x2)
-                    queue.append((a2, b2, depth + 1, key2))
+                    queue.append((key2, depth + 1))
                     if stats["pairs"] > search.max_pairs:
                         return _verdict(search, BOUND_EXHAUSTED, "pair budget exceeded")
     return _verdict(search, PASS)
@@ -954,10 +956,11 @@ def check_weak_simulation(
         return miss
     a2 = miss.attacker_post
     cex = SimCounterexample(
-        a_events=miss.a_events + (a2.trace.head,),
+        a_events=miss.a_events + (miss.attacker_event,),
         b_events=miss.b_events,
         clause=rel.clause(a2, miss.landing),
-        evidence=_evidence(search.a, a2, search.b, miss.defender, search.tau_budget),
+        evidence=_evidence(search.a, miss.attacker_event, a2, search.b, miss.defender,
+                           search.tau_budget),
     )
     return Verdict(
         COUNTEREXAMPLE,
@@ -975,7 +978,8 @@ def check_weak_simulation(
 @dataclass
 class GameWitness:
     side: str                      # which system attacked: "host" | "guest"
-    attacker_cfg: Any              # after the attack, its trace.head
+    attacker_event: Event
+    attacker_cfg: Any              # after the attack
     defender_cfg: Any
     responses: list                # [(events, sub GameWitness)]
     evidence: dict | None
@@ -999,7 +1003,7 @@ def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None
     """A game witness of depth at most d separating a from b, or None.  The
     memo is the caller's, so it is freed when the game returns."""
     A, B, tau_budget = search.a, search.b, search.tau_budget
-    key = (A.system.summary(a), B.system.summary(b))
+    key = (a, b)
     hit = memo.get(key)
     if hit is not None:
         kind, val = hit
@@ -1010,9 +1014,9 @@ def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None
     if d <= 0:
         return None
     for side, X, x, Y, y in (("host", A, a, B, b), ("guest", B, b, A, a)):
-        for x2 in _cached_steps(X, x):
+        for event, x2 in _cached_steps(X, x):
             responses = weak_matches(
-                Y, y, x2.trace.head.obs_key(), tau_budget, lambda _: True, first_only=False
+                Y, y, event.obs_key(), tau_budget, lambda _: True, first_only=False
             )
             subs = []
             survived = False
@@ -1028,9 +1032,9 @@ def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None
             if survived:
                 continue
             evidence = None
-            if x2.trace.head.input.kind == "qry" and not responses:
-                evidence = _evidence(X, x2, Y, y, tau_budget)
-            witness = GameWitness(side, x2, y, subs, evidence, needed)
+            if event.input.kind == "qry" and not responses:
+                evidence = _evidence(X, event, x2, Y, y, tau_budget)
+            witness = GameWitness(side, event, x2, y, subs, evidence, needed)
             memo[key] = ("sep", witness)
             return witness
     prev = memo.get(key)
@@ -1045,10 +1049,10 @@ def _witness_spine(w: GameWitness) -> tuple[list[tuple[str, Event, tuple[Event, 
     node = w
     while True:
         if not node.responses:
-            spine.append((node.side, node.attacker_cfg.trace.head, ()))
+            spine.append((node.side, node.attacker_event, ()))
             return spine, node
         evs, sub = node.responses[0]
-        spine.append((node.side, node.attacker_cfg.trace.head, evs))
+        spine.append((node.side, node.attacker_event, evs))
         node = sub
 
 
@@ -1104,12 +1108,13 @@ def check_weak_bisimulation(
                 "response": [render_event(e) for e in defender_events],
             }
         )
-    unmatched = leaf.attacker_cfg.trace.head
+    unmatched = leaf.attacker_event
     evidence = leaf.evidence
     if evidence is None and unmatched.input.kind == "qry":
         X = A if leaf.side == "host" else B
         Y = B if leaf.side == "host" else A
-        evidence = _evidence(X, leaf.attacker_cfg, Y, leaf.defender_cfg, search.tau_budget)
+        evidence = _evidence(X, unmatched, leaf.attacker_cfg, Y, leaf.defender_cfg,
+                             search.tau_budget)
     witness = {
         "host_events": [render_event(e) for e in host_events],
         "guest_events": [render_event(e) for e in guest_events],
@@ -1140,9 +1145,10 @@ def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
     """All observable label sequences of length <= max_len realizable within
     step_bound raw steps.
 
-    Computed over the summary-quotient graph with memoized suffix sets; a node
-    is unexpanded only at graph depth step_bound, where no raw budget can
-    remain on any path, so the quotient loses no traces."""
+    Computed over the pruned graph, one node per distinct configuration,
+    with memoized suffix sets; a node is unexpanded only at graph depth
+    step_bound, where no raw budget can remain on any path, so the pruning
+    loses no traces."""
     if max_len > step_bound:
         raise ValueError("weak_traces: max_len exceeds step_bound")
     graph = explore(system, step_bound)
@@ -1213,7 +1219,7 @@ def check_strong_convergence(system, step_bound: int = 8, prune: bool = True) ->
     if not (isinstance(probe, tuple) and len(probe) == 2):
         raise ValueError("strong-convergence sweep requires a history-augmented object")
     checked = 0
-    for cfg in graph.nodes:
+    for i, cfg in enumerate(graph.nodes):
         for q in system.obj.queries:
             seen: dict = {}
             for r in system.roster:
@@ -1222,7 +1228,7 @@ def check_strong_convergence(system, step_bound: int = 8, prune: bool = True) ->
                 other = seen.get(h)
                 if other is not None and other[1] != v:
                     witness = {
-                        "events": [render_event(e) for e in cfg.trace.events()],
+                        "events": [render_event(e) for e in graph.path(i)],
                         "replicas": [other[0], r],
                         "query": q,
                         "values": [render(other[1]), render(v)],
@@ -1238,24 +1244,26 @@ def check_strong_convergence(system, step_bound: int = 8, prune: bool = True) ->
     return Verdict(PASS, stats, bounds)
 
 
-def _newest_delivery_inverts(t: Trace) -> bool:
-    """The newest event of t delivers at some replica r a causal predecessor
-    of a message r delivered earlier in t.  For a t whose prefix satisfies
-    causal delivery order, this holds iff t violates it; the full pairwise
-    definition, core.satisfies_causal_delivery, is the reference that tests
-    compare this with.  The messages of one trace come from one execution,
-    so core.happens_before orders them."""
-    e = t.head
-    if e is None or e.input.kind != "dlvr":
+def _newest_delivery_inverts(graph: Graph, i: int) -> bool:
+    """The newest event of node i's path (``Graph.path``) delivers at some
+    replica r a causal predecessor of a message r delivered earlier on that
+    path.  For a path whose prefix satisfies causal delivery order, this
+    holds iff the path violates it; the full pairwise definition,
+    core.satisfies_causal_delivery, is the reference that tests compare this
+    with.  The messages of one path come from one execution, so
+    core.happens_before orders them."""
+    parents, edges = graph.parents, graph.edges
+    if parents[i] < 0:
+        return False
+    i, e, _ = edges[parents[i]]
+    if e.input.kind != "dlvr":
         return False
     r, m = e.replica, e.input.message
-    node = t.tail
-    while node.head is not None:
-        e2 = node.head
+    while (k := parents[i]) >= 0:
+        i, e2, _ = edges[k]
         if e2.replica == r and e2.input.kind == "dlvr":
             if happens_before(m, e2.input.message):
                 return True
-        node = node.tail
     return False
 
 
@@ -1263,21 +1271,21 @@ def _newest_delivery_inverts(t: Trace) -> bool:
 def check_causal_safety(system, step_bound: int = 8, prune: bool = True) -> Verdict:
     """Every reachable trace satisfies causal delivery order.  The sweep
     stops at the first violating configuration.  Each node is taken before
-    it is expanded, so every node's trace extends a trace already found
-    safe, and checking its newest event decides the whole trace."""
+    it is expanded, so every node's path extends a path already found safe,
+    and checking its newest event decides the whole path."""
     if system.kind != "op":
         raise ValueError("causal safety sweep runs on an op-based system")
     bounds = {"step_bound": step_bound, "discipline": system.discipline}
     graph = Graph()
     for i in breadth_first(system, step_bound, graph, prune):
         cfg = graph.nodes[i]
-        if _newest_delivery_inverts(cfg.trace):
+        if _newest_delivery_inverts(graph, i):
             # the configurations taken so far and the steps of those expanded
             return Verdict(
                 COUNTEREXAMPLE,
                 {"states": i + 1, "edges": len(graph.edges)},
                 bounds,
-                witness={"events": [render_event(e) for e in cfg.trace.events()]},
+                witness={"events": [render_event(e) for e in graph.path(i)]},
                 raw=cfg,
                 detail="reachable trace violates causal delivery order",
             )
@@ -1326,10 +1334,10 @@ def replay_simulation_counterexample(
     b = B.replay(cex.b_events)
     if rel.clause(a, b) is not None:
         return False
-    steps = [c for c in A.steps(a) if c.trace.head == cex.a_events[-1]]
+    steps = [c for e, c in A.steps(a) if e == cex.a_events[-1]]
     if len(steps) != 1:
         return False
     (a2,) = steps
-    obs = a2.trace.head.obs_key()
+    obs = cex.a_events[-1].obs_key()
     found = weak_matches(B, b, obs, tau_budget, lambda bb: rel.holds(a2, bb))
     return not found

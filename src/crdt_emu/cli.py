@@ -163,6 +163,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario JSON is nested too deeply") from exc
     _require(isinstance(data, dict), "scenario must be a JSON object")
     _known_keys(data, _SCENARIO_KEYS, "scenario")
 
@@ -323,9 +325,14 @@ def _op_side(host: System, paired: PairedSystem | None) -> System:
     raise ScenarioError("this check needs an op-based side")
 
 
+MAX_PROGRAM_DEPTH = 200   # syntax-tree levels of a client program
+
+
 def _load_program(scenario: Scenario, rel_path: str) -> client.Prog:
     """Parse a client program whose updates and queries all lie in the
-    scenario's universes."""
+    scenario's universes and whose syntax tree, expressions included, is at
+    most MAX_PROGRAM_DEPTH levels deep: the client search hashes, compares
+    and prints programs recursively."""
     path = Path(rel_path)
     if not path.is_absolute():
         path = scenario.base_dir / path
@@ -337,13 +344,24 @@ def _load_program(scenario: Scenario, rel_path: str) -> client.Prog:
         prog = client.parse_program(text)
     except client.ParseError as exc:
         raise ScenarioError(f"client program {path}: {exc}") from exc
-    todo = [prog]
+    except RecursionError as exc:
+        raise ScenarioError(f"client program {path}: nested too deeply to parse") from exc
+    todo = [(prog, 1)]
     while todo:
-        p = todo.pop()
+        p, depth = todo.pop()
+        if depth > MAX_PROGRAM_DEPTH:
+            raise ScenarioError(
+                f"client program {path}: syntax tree deeper than {MAX_PROGRAM_DEPTH} levels"
+            )
+        depth += 1
         if isinstance(p, client.Seq):
-            todo += (p.first, p.second)
+            todo += ((p.first, depth), (p.second, depth))
         elif isinstance(p, client.While):
-            todo.append(p.body)
+            todo += ((p.cond, depth), (p.body, depth))
+        elif isinstance(p, client.Asn):
+            todo.append((p.expr, depth))
+        elif isinstance(p, client.Bin):
+            todo += ((p.left, depth), (p.right, depth))
         elif isinstance(p, client.Upd) and p.op not in scenario.op_universe:
             raise ScenarioError(f"client program {path}: upd {p.op!r} is not in op_universe")
         elif isinstance(p, client.Qry) and p.query not in scenario.query_universe:

@@ -23,7 +23,7 @@ from .checker import (
     Verdict,
     collector_paused,
 )
-from .core import FrozenDict, Op, QueryId, intern_scope, render, render_event
+from .core import Event, FrozenDict, Op, QueryId, intern_scope, render, render_event
 
 
 # --- expressions ---------------------------------------------------------------
@@ -310,46 +310,47 @@ def prog_terminated(p: Prog, store: FrozenDict) -> bool:
 
 def _prog_steps(
     system, env, env_steps: list, store: FrozenDict, p: Prog
-) -> list[tuple[Any, FrozenDict, Prog]]:
-    """Program-driven successors as (env', store', prog') tuples;
-    excludes the environment-only silent rule.  env_steps is
-    system.steps(env)."""
+) -> list[tuple[Event | None, Any, FrozenDict, Prog]]:
+    """Program-driven successors as (env event, env', store', prog') tuples,
+    where the event is None when the environment did not step; excludes the
+    environment-only silent rule.  env_steps is system.steps(env)."""
     if isinstance(p, Skip):
         return []
     if isinstance(p, Asn):
         v = eval_expr(p.expr, store)
-        return [(env, store.set(p.var, v), SKIP)]
+        return [(None, env, store.set(p.var, v), SKIP)]
     if isinstance(p, While):
         if eval_expr(p.cond, store) == 0:
             return []
-        return [(env, store, Seq(p.body, p))]
+        return [(None, env, store, Seq(p.body, p))]
     if isinstance(p, Upd):
         return [
-            (env2, store, SKIP)
-            for env2 in env_steps
-            if env2.trace.head.input.kind == "upd" and env2.trace.head.input.op == p.op
+            (e, env2, store, SKIP)
+            for e, env2 in env_steps
+            if e.input.kind == "upd" and e.input.op == p.op
         ]
     if isinstance(p, Qry):
         return [
-            (env, store.set(p.var, system.query_value(env, r, p.query)), SKIP)
+            (None, env, store.set(p.var, system.query_value(env, r, p.query)), SKIP)
             for r in system.roster
         ]
     if isinstance(p, Seq):
         if prog_terminated(p.first, store):
-            return [(env, store, p.second)]
+            return [(None, env, store, p.second)]
         return [
-            (env2, store2, Seq(p2, p.second))
-            for env2, store2, p2 in _prog_steps(system, env, env_steps, store, p.first)
+            (e, env2, store2, Seq(p2, p.second))
+            for e, env2, store2, p2 in _prog_steps(system, env, env_steps, store, p.first)
         ]
     raise TypeError(f"not a program: {p!r}")
 
 
 def client_steps(
     system, cs: ClientState, memo: dict | None = None
-) -> tuple[list[ClientState], bool]:
-    """Successors of a client state and whether it has terminated.  A memo,
-    when given, caches successor lists by environment configuration across
-    calls, so client states that share an environment step it once."""
+) -> tuple[list[tuple[Event | None, ClientState]], bool]:
+    """Successors of a client state, each with the environment's event or
+    None when the environment did not step, and whether it has terminated.
+    A memo, when given, caches step lists by environment configuration
+    across calls, so client states that share an environment step it once."""
     if prog_terminated(cs.prog, cs.store):
         return ([], True)
     env_steps = None if memo is None else memo.get(cs.env)
@@ -357,12 +358,13 @@ def client_steps(
         env_steps = system.steps(cs.env)
         if memo is not None:
             memo[cs.env] = env_steps
-    out = []
-    for env2 in env_steps:
-        if env2.trace.head.obs_key() is None:
-            out.append(ClientState(env2, cs.store, cs.prog))
-    for env2, store2, p2 in _prog_steps(system, cs.env, env_steps, cs.store, cs.prog):
-        out.append(ClientState(env2, store2, p2))
+    out = [
+        (e, ClientState(env2, cs.store, cs.prog))
+        for e, env2 in env_steps
+        if e.obs_key() is None
+    ]
+    for e, env2, store2, p2 in _prog_steps(system, cs.env, env_steps, cs.store, cs.prog):
+        out.append((e, ClientState(env2, store2, p2)))
     return (out, False)
 
 
@@ -377,15 +379,11 @@ class Termination:
 @intern_scope
 def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
     """Breadth-first search for any execution reaching a terminated program
-    state within step_bound steps."""
-
-    def key(c: ClientState):
-        return (system.summary(c.env), c.store, c.prog)
-
+    state within step_bound steps.  Client states are their own keys."""
     if prog_terminated(cs.prog, cs.store):
         return Termination(True, 0, 1, [])
-    k0 = key(cs)
-    parents: dict = {k0: None}
+    # client state -> (parent client state, the environment's event or None)
+    parents: dict = {cs: None}
     queue = deque([(cs, 0)])
     explored = 1
     env_steps: dict = {}  # dropped on return, so no configuration outlives the search
@@ -394,30 +392,24 @@ def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
         if d >= step_bound:
             continue
         succs, _ = client_steps(system, c, env_steps)
-        kc = key(c)
-        for c2 in succs:
-            k2 = key(c2)
-            if k2 in parents:
+        for env_event, c2 in succs:
+            if c2 in parents:
                 continue
-            parents[k2] = (kc, c, c2)
+            parents[c2] = (c, env_event)
             explored += 1
             if prog_terminated(c2.prog, c2.store):
                 witness = []
-                node = k2
+                node = c2
                 while parents[node] is not None:
-                    node, prev, cur = parents[node]
-                    env_event = (
-                        cur.env.trace.head
-                        if cur.env.trace.length > prev.env.trace.length
-                        else None
-                    )
+                    prev, env_event = parents[node]
                     witness.append(
                         {
-                            "prog": program_to_text(cur.prog),
-                            "store": {k: render(v) for k, v in cur.store.items()},
+                            "prog": program_to_text(node.prog),
+                            "store": {k: render(v) for k, v in node.store.items()},
                             "env_event": render_event(env_event) if env_event else None,
                         }
                     )
+                    node = prev
                 witness.reverse()
                 return Termination(True, d + 1, explored, witness)
             queue.append((c2, d + 1))

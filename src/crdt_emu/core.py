@@ -1,11 +1,12 @@
-"""Vector clocks, messages (origin, clock, payload), events, traces, the
+"""Vector clocks, messages (origin, clock, payload), events, the
 configuration type, the system skeleton and query rule, and the causal order
 shared by the op-based and state-based semantics: one rule,
 ``happens_before``, orders the messages of an execution by the origin
 component of the later one's clock.
 
-Everything here is an immutable value; traces are persistent cons lists so
-exploration branches share structure instead of copying.
+Everything here is an immutable value.  A configuration holds no history: a
+step is an (event, configuration) pair, and a trace is the sequence of
+events along a path, which the searches rebuild from the parents they keep.
 
 Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, 2006): the factories ``FrozenDict.of``/``FrozenDict.set``,
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 ReplicaId = str
 Op = tuple          # operation token, e.g. ("add", 5) or ("inc",)
@@ -413,66 +414,33 @@ class Event:
         return None
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Trace:
-    """Append-only event trace as a persistent cons list (newest at head)."""
-
-    head: Event | None
-    tail: "Trace | None"
-    length: int
-
-    def append(self, e: Event) -> "Trace":
-        return Trace(e, self, self.length + 1)
-
-    def events(self) -> tuple[Event, ...]:
-        """Materialize oldest-first."""
-        out = []
-        node = self
-        while node.head is not None:
-            out.append(node.head)
-            node = node.tail  # type: ignore[assignment]
-        out.reverse()
-        return tuple(out)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events())
-
-    def __len__(self) -> int:
-        return self.length
-
-
-TRACE_EMPTY = Trace(None, None, 0)
-
-
 # --- configurations and the shared rules -----------------------------------
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Config:
-    """A global configuration of either semantics: the trace, each replica's
-    state, the in-flight buffer, the messages sent, those each replica has
-    delivered, and the (replica, op) pairs whose update has fired.  Nothing
-    derivable from these is stored.  The update and delivery rules of both
-    semantics fire the replica step and store its new state; queries go
-    through ``query_step``.
+class Config(NamedTuple):
+    """A global configuration of either semantics: each replica's state, the
+    in-flight buffer, the messages sent, those each replica has delivered,
+    and the (replica, op) pairs whose update has fired.  It holds no history:
+    a step is an (event, configuration) pair, and a search that reports a
+    path keeps the events along it.  A configuration is its own dedup, cache
+    and pair key.  The update and delivery rules of both semantics fire the
+    replica step and store its new state; queries go through ``query_step``.
 
     On op-based systems a message is a clocked ``Message``, and a replica's
     ``delivered`` set includes the messages its own updates sent and
-    self-applied; its next message is minted from that set (``mint``).  On
-    state-based systems a message is the sent state itself, and
-    ``delivered`` holds only the states the replica received, never its own.
+    self-applied; its next message is minted from that set (``mint``), and
+    ``sent`` is the union of the ``delivered`` sets.  On state-based systems
+    a message is the sent state itself, and ``delivered`` holds only the
+    states the replica received, never its own."""
 
-    Successor lists are never stored on the instance: a stored list would keep
-    every configuration generated from it alive.  Only the summary is cached,
-    because dedup reads it for every generated configuration."""
-
-    trace: Trace
     states: FrozenDict            # ReplicaId -> S
     buffer: frozenset             # {(ReplicaId, message)}, one per destination
     sent: frozenset               # {message}
     delivered: FrozenDict         # ReplicaId -> frozenset[message]
     used_ops: frozenset           # {(ReplicaId, Op)} update events so far
-    _summary: tuple | None = dc_field(default=None, init=False, repr=False)
+
+
+Step = tuple[Event, Config]       # a rule instance: its event and successor
 
 
 def initial_config(obj, roster: tuple[ReplicaId, ...]) -> Config:
@@ -483,7 +451,6 @@ def initial_config(obj, roster: tuple[ReplicaId, ...]) -> Config:
         raise ValueError("initial_config: duplicate replica ids")
     empty = canon_set(frozenset())
     return Config(
-        trace=TRACE_EMPTY,
         states=FrozenDict.of({r: obj.initial for r in roster}),
         buffer=empty,
         sent=empty,
@@ -492,27 +459,24 @@ def initial_config(obj, roster: tuple[ReplicaId, ...]) -> Config:
     )
 
 
-def query_step(obj, c: Config, r: ReplicaId, q: QueryId) -> Config:
-    """The query rule of both semantics: r answers q from its state, and only
-    the trace changes."""
-    e = Event.of(r, Input.qry(q), Output.ret(obj.query(q, c.states[r])))
-    return Config(c.trace.append(e), c.states, c.buffer, c.sent, c.delivered, c.used_ops)
+def query_step(obj, c: Config, r: ReplicaId, q: QueryId) -> Step:
+    """The query rule of both semantics: r answers q from its state, and the
+    configuration stays c itself."""
+    return (Event.of(r, Input.qry(q), Output.ret(obj.query(q, c.states[r]))), c)
 
 
 @dataclass(frozen=True)
 class System:
     """A system LTS over a fixed roster.  A subclass gives its rules
-    (``steps``), the summary that identifies its configurations, and its
-    delivery discipline or broadcast mode.  A rule returns the successor
-    configuration; the step's event, from which its label is read
-    (``Event.obs_key``), is the successor's ``trace.head``.  The update and
-    delivery rules fire its replica step and take the replica's new state
-    and output from it; the query rule is ``query_step`` and the state-based
-    send emits the current state.  An op-based replica's ``delivered`` set
-    includes its own messages, a state-based replica's does not (see
-    ``Config``).  Each (replica, op) pair fires at most once per execution,
-    which keeps the explored space finite and makes operation occurrences
-    unique."""
+    (``steps``) and its delivery discipline or broadcast mode.  A rule
+    returns the step as (event, successor configuration); the step's label
+    is read off its event (``Event.obs_key``).  The update and delivery
+    rules fire its replica step and take the replica's new state and output
+    from it; the query rule is ``query_step`` and the state-based send emits
+    the current state.  An op-based replica's ``delivered`` set includes its
+    own messages, a state-based replica's does not (see ``Config``).  Each
+    (replica, op) pair fires at most once per execution, which keeps the
+    explored space finite and makes operation occurrences unique."""
 
     obj: Any
     roster: tuple[ReplicaId, ...]
@@ -529,8 +493,8 @@ class System:
         raises if some event is not a legal step here."""
         c = self.init()
         for e in events:
-            for c2 in self.steps(c):
-                if c2.trace.head == e:
+            for e2, c2 in self.steps(c):
+                if e2 == e:
                     c = c2
                     break
             else:
@@ -539,9 +503,12 @@ class System:
 
 
 # --- trace-level causal machinery -------------------------------------------
+# A trace is a sequence of events, oldest first.  These functions define the
+# causal notions on it; tests compare the facts a configuration stores with
+# them.
 
 
-def sent(t: Trace) -> frozenset[Message]:
+def sent(t: Sequence[Event]) -> frozenset[Message]:
     """All messages carried by a send output anywhere in the trace."""
     out = set()
     for e in t:
@@ -550,7 +517,7 @@ def sent(t: Trace) -> frozenset[Message]:
     return frozenset(out)
 
 
-def delivered(r: ReplicaId, t: Trace) -> frozenset[Message]:
+def delivered(r: ReplicaId, t: Sequence[Event]) -> frozenset[Message]:
     """Messages r consumed: dlvr events plus messages r generated and
     self-applied during upd events."""
     out = set()
@@ -568,7 +535,7 @@ def downset_of(m: Message, sent_set: frozenset[Message]) -> frozenset[Message]:
     return frozenset(m2 for m2 in sent_set if happens_before(m2, m)) | {m}
 
 
-def downset(m: Message, t: Trace) -> frozenset[Message]:
+def downset(m: Message, t: Sequence[Event]) -> frozenset[Message]:
     """m together with its causal predecessors among the sent messages."""
     s = sent(t)
     if m not in s:
@@ -576,7 +543,7 @@ def downset(m: Message, t: Trace) -> frozenset[Message]:
     return downset_of(m, s)
 
 
-def enabled(r: ReplicaId, m: Message, t: Trace) -> bool:
+def enabled(r: ReplicaId, m: Message, t: Sequence[Event]) -> bool:
     """Deliverability of m at r: not yet delivered there, and every causal
     predecessor already consumed by r (delivered or self-generated)."""
     dlvrd = set()
@@ -592,7 +559,7 @@ def enabled(r: ReplicaId, m: Message, t: Trace) -> bool:
     return True
 
 
-def satisfies_causal_delivery(t: Trace) -> bool:
+def satisfies_causal_delivery(t: Sequence[Event]) -> bool:
     """No replica's dlvr events invert the causal order (brute force over
     all pairs of dlvr events per replica)."""
     per_replica: dict[ReplicaId, list[Message]] = {}

@@ -21,6 +21,7 @@ from .core import (
     Message,
     Output,
     ReplicaId,
+    Step,
     System,
     bcast,
     canon_set,
@@ -79,13 +80,12 @@ def _delivery_enabled(
 
 def op_mk_update(
     obj: OpObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op
-) -> Config:
+) -> Step:
     """One OpUpdate rule instance: prep, self-apply, broadcast."""
     i = Input.upd(op)
     s2, out = op_replica_step(obj, r, c.states[r], i, c.delivered[r])
     m = out.message
-    return Config(
-        trace=c.trace.append(Event.of(r, i, out)),
+    return Event.of(r, i, out), Config(
         states=c.states.set(r, s2),
         buffer=bcast(r, m, c.buffer, roster, obj.message_identity == IDENTITY_VALUE),
         sent=canon_set(c.sent | {m}),
@@ -96,14 +96,13 @@ def op_mk_update(
 
 def op_mk_deliver(
     obj: OpObject, c: Config, r: ReplicaId, m: Message, discipline: str = CAUSAL
-) -> Config | None:
+) -> Step | None:
     """One OpDeliver instance; None when the delivery gate blocks it."""
     if (r, m) not in c.buffer or not _delivery_enabled(obj, c, r, m, discipline):
         return None
     i = Input.dlvr(m)
     s2, out = op_replica_step(obj, r, c.states[r], i)
-    return Config(
-        trace=c.trace.append(Event.of(r, i, out)),
+    return Event.of(r, i, out), Config(
         states=c.states.set(r, s2),
         buffer=canon_set(c.buffer - {(r, m)}),
         sent=c.sent,
@@ -117,11 +116,11 @@ def op_system_steps(
     roster: tuple[ReplicaId, ...],
     c: Config,
     discipline: str = CAUSAL,
-) -> list[Config]:
+) -> list[Step]:
     """All rule instances applicable to c, in deterministic order (updates,
     then queries, then deliveries).  An update already recorded in used_ops
     does not fire again."""
-    out: list[Config] = []
+    out: list[Step] = []
     for r in roster:
         for op in obj.ops:
             if (r, op) not in c.used_ops:
@@ -144,15 +143,5 @@ class OpSystem(System):
 
     kind = "op"
 
-    def steps(self, c: Config) -> list[Config]:
+    def steps(self, c: Config) -> list[Step]:
         return op_system_steps(self.obj, self.roster, c, self.discipline)
-
-    def summary(self, c: Config) -> tuple:
-        """Behavior-determining quotient of a configuration: replica states,
-        buffer, delivered sets and the used-ops gate.  Traces are deliberately
-        excluded (they only grow), and so is sent, the union of delivered."""
-        cached = c._summary
-        if cached is None:
-            cached = (c.states, c.buffer, c.delivered, c.used_ops)
-            object.__setattr__(c, "_summary", cached)
-        return cached

@@ -23,6 +23,7 @@ from .core import (
     Input,
     Output,
     ReplicaId,
+    Step,
     System,
     bcast,
     canon_key,
@@ -59,7 +60,7 @@ def st_replica_step(
 
 def st_mk_update(
     obj: StObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op, mode: str
-) -> Config:
+) -> Step:
     """One StUpdate (or StUpdBC in atomic mode) rule instance."""
     i = Input.upd(op)
     s2, out = st_replica_step(obj, r, c.states[r], i, mode)
@@ -67,8 +68,7 @@ def st_mk_update(
         buffer, sent = bcast(r, s2, c.buffer, roster), canon_set(c.sent | {s2})
     else:
         buffer, sent = c.buffer, c.sent
-    return Config(
-        trace=c.trace.append(Event.of(r, i, out)),
+    return Event.of(r, i, out), Config(
         states=c.states.set(r, s2),
         buffer=buffer,
         sent=sent,
@@ -79,11 +79,9 @@ def st_mk_update(
 
 def st_mk_send(
     roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId
-) -> Config:
+) -> Step:
     s = c.states[r]
-    e = Event.of(r, Input.none(), Output.send(s))
-    return Config(
-        trace=c.trace.append(e),
+    return Event.of(r, Input.none(), Output.send(s)), Config(
         states=c.states,
         buffer=bcast(r, s, c.buffer, roster),
         sent=canon_set(c.sent | {s}),
@@ -94,7 +92,7 @@ def st_mk_send(
 
 def st_mk_deliver(
     obj: StObject, c: Config, r: ReplicaId, s: Any
-) -> Config | None:
+) -> Step | None:
     """One StDeliver instance of the state s buffered for r; None when s is
     not buffered there or the dedup premise blocks it (r has delivered an
     equal state)."""
@@ -102,8 +100,7 @@ def st_mk_deliver(
         return None
     i = Input.dlvr(s)
     s2, out = st_replica_step(obj, r, c.states[r], i)
-    return Config(
-        trace=c.trace.append(Event.of(r, i, out)),
+    return Event.of(r, i, out), Config(
         states=c.states.set(r, s2),
         buffer=canon_set(c.buffer - {(r, s)}),
         sent=c.sent,
@@ -122,13 +119,13 @@ def st_system_steps(
     roster: tuple[ReplicaId, ...],
     c: Config,
     mode: str = SEPARATE_SEND,
-) -> list[Config]:
+) -> list[Step]:
     """All rule instances applicable to c, in deterministic order (updates,
     queries, sends, then deliveries by replica and canonical state key).  An
     update already recorded in used_ops does not fire again.  In atomic mode
     the update rule broadcasts the post-update state itself and there is no
     separate send rule."""
-    out: list[Config] = []
+    out: list[Step] = []
     for r in roster:
         for op in obj.ops:
             if (r, op) not in c.used_ops:
@@ -154,13 +151,5 @@ class StSystem(System):
 
     kind = "st"
 
-    def steps(self, c: Config) -> list[Config]:
+    def steps(self, c: Config) -> list[Step]:
         return st_system_steps(self.obj, self.roster, c, self.mode)
-
-    def summary(self, c: Config) -> tuple:
-        """Every field of the configuration but the trace, which only grows."""
-        cached = c._summary
-        if cached is None:
-            cached = (c.states, c.buffer, c.sent, c.delivered, c.used_ops)
-            object.__setattr__(c, "_summary", cached)
-        return cached

@@ -32,8 +32,3 @@ def m3():
     # concurrent with both m1 and m2
     return msg("r3", {"r3": 1}, 3)
 
-
-def stepped(system, c) -> list:
-    """The successors of c as (event, configuration) pairs: a step's event
-    is its successor's newest trace event."""
-    return [(c2.trace.head, c2) for c2 in system.steps(c)]

@@ -40,7 +40,7 @@ from crdt_emu.checker import (
 from crdt_emu.cli import build_systems, load_scenario, run_check
 from crdt_emu.client import ClientState, can_terminate, check_approximation, parse_program
 from crdt_emu.core import (
-    Event, FrozenDict, Input, Output, TRACE_EMPTY, canon_key, intern_scope,
+    Event, FrozenDict, Input, Output, canon_key, intern_scope,
     intern_table_sizes, render, render_event, satisfies_causal_delivery,
 )
 from crdt_emu.emulation import _interp_memo, op_to_st, st_to_op
@@ -54,7 +54,7 @@ from crdt_emu.objects import (
 )
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
 from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
-from conftest import msg, stepped
+from conftest import msg
 
 import pytest
 
@@ -108,28 +108,43 @@ def test_explore_no_prune_is_a_tree():
     assert len(tree.nodes) >= len(pruned.nodes)
     # every non-root tree node is the target of exactly one edge ...
     assert sorted(j for _, _, j in tree.edges) == list(range(1, len(tree.nodes)))
-    # ... and extends the trace of an earlier node by one event
-    index = {id(cfg.trace): i for i, cfg in enumerate(tree.nodes)}
-    for i, cfg in enumerate(tree.nodes[1:], start=1):
-        assert index[id(cfg.trace.tail)] < i
+    # ... and its parent edge, that edge, leaves an earlier node
+    assert tree.parents[0] == -1
+    for i in range(1, len(tree.nodes)):
+        src, _, dst = tree.edges[tree.parents[i]]
+        assert dst == i and src < i
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+@pytest.mark.parametrize("side", ["host", "guest"])
+def test_paths_are_the_configurations_histories(side, prune):
+    """A node's path, rebuilt from the graph's parents, replays from the
+    initial configuration to the node itself, one event per level."""
+    system = paired_gset((1, 2)).side(side)
+    graph = explore(system, 4, prune=prune)
+    for i, cfg in enumerate(graph.nodes):
+        path = graph.path(i)
+        assert system.replay(path) == cfg
+        assert len(path) == graph.depths[i]
 
 
 def test_summary_determines_successors():
-    """The dedup summary is behavior-determining: configs with equal summaries
-    have identical successor (label, summary) sets."""
+    """Dedup by configuration loses nothing: the pruned graph's nodes are the
+    unpruned tree's distinct configurations, and the edges out of each
+    expanded node are the steps of every tree node equal to it, whatever
+    path reached that tree node."""
     p = paired_gset((1, 2))
     for system in (p.host, p.guest):
+        graph = explore(system, 4)
         tree = explore(system, 4, prune=False)
-        by_summary = {}
-        for cfg in tree.nodes:
-            succ = frozenset(
-                (e.obs_key() or ("tau",), system.summary(c2)) for e, c2 in stepped(system, cfg)
-            )
-            key = system.summary(cfg)
-            if key in by_summary:
-                assert by_summary[key] == succ
-            else:
-                by_summary[key] = succ
+        assert set(graph.nodes) == set(tree.nodes)
+        assert len(graph.nodes) < len(tree.nodes)
+        out = {}
+        for i, e, j in graph.edges:
+            out.setdefault(graph.nodes[i], []).append((e, graph.nodes[j]))
+        for cfg, depth in zip(tree.nodes, tree.depths):
+            if depth < 4:
+                assert system.steps(cfg) == out[cfg]
 
 
 # --- weak successors ---------------------------------------------------------------
@@ -139,7 +154,7 @@ def test_weak_tau_successors_include_self():
     p = paired_gset()
     init = p.host.init()
     succ = weak_successors(p.host, init, None, tau_budget=4)
-    assert any(p.host.summary(c) == p.host.summary(init) for c in succ)
+    assert init in succ
 
 
 def test_weak_query_successor_after_silent_deliveries():
@@ -147,8 +162,8 @@ def test_weak_query_successor_after_silent_deliveries():
     guest = p.guest
     c = guest.init()
     for op in (("add", 5), ("add", 42)):
-        c = next(c2 for e, c2 in stepped(guest, c) if e.input.kind == "upd" and e.input.op == op)
-    c = next(c2 for e, c2 in stepped(guest, c) if e.input.kind == "none")
+        c = next(c2 for e, c2 in guest.steps(c) if e.input.kind == "upd" and e.input.op == op)
+    c = next(c2 for e, c2 in guest.steps(c) if e.input.kind == "none")
     hits = weak_successors(guest, c, ("query", "r2", "sum", 47), tau_budget=4)
     assert hits
 
@@ -156,7 +171,7 @@ def test_weak_query_successor_after_silent_deliveries():
 def test_no_weak_update_when_universe_exhausted():
     p = paired_gset((5,))
     host = p.host
-    c = next(c2 for e, c2 in stepped(host, host.init()) if e.input.kind == "upd" and e.replica == "r1")
+    c = next(c2 for e, c2 in host.steps(host.init()) if e.input.kind == "upd" and e.replica == "r1")
     hits = weak_successors(host, c, ("update", "r1", ("add", 5)), tau_budget=4)
     assert not hits
 
@@ -180,16 +195,16 @@ def test_ex_2_4_divergent_pair_violates_r1():
     host, guest = p.host, p.guest
     a = host.init()
     for op in (("add", 5), ("add", 42)):
-        a = next(c2 for e, c2 in stepped(host, a) if e.input.kind == "upd" and e.input.op == op)
+        a = next(c2 for e, c2 in host.steps(a) if e.input.kind == "upd" and e.input.op == op)
     a = next(  # deliver only m(5) at r2
         c2
-        for e, c2 in stepped(host, a)
+        for e, c2 in host.steps(a)
         if e.obs_key() is None and e.replica == "r2" and e.input.message.payload == 5
     )
     b = guest.init()
     for op in (("add", 5), ("add", 42)):
-        b = next(c2 for e, c2 in stepped(guest, b) if e.input.kind == "upd" and e.input.op == op)
-    b = next(c2 for e, c2 in stepped(guest, b) if e.input.kind == "none")
+        b = next(c2 for e, c2 in guest.steps(b) if e.input.kind == "upd" and e.input.op == op)
+    b = next(c2 for e, c2 in guest.steps(b) if e.input.kind == "none")
     rel = Relation("R1", p)
     assert rel.clause(a, b) is not None
 
@@ -206,16 +221,17 @@ def test_relation_direction_validation():
 
 
 def test_deliverable_empty_set():
-    assert deliverable_check((), "r1", TRACE_EMPTY, frozenset()) == ()
+    assert deliverable_check((), "r1", (), frozenset()) == ()
 
 
 def test_deliverable_orders_downset_topologically():
     m1 = msg("r1", {"r1": 1}, 1)
     m2 = msg("r2", {"r1": 1, "r2": 1}, 2)
-    t = TRACE_EMPTY
-    t = t.append(Event("r1", Input.upd(("add", 1)), Output.send(m1)))
-    t = t.append(Event("r2", Input.dlvr(m1), Output.none()))
-    t = t.append(Event("r2", Input.upd(("add", 2)), Output.send(m2)))
+    t = (
+        Event("r1", Input.upd(("add", 1)), Output.send(m1)),
+        Event("r2", Input.dlvr(m1), Output.none()),
+        Event("r2", Input.upd(("add", 2)), Output.send(m2)),
+    )
     b = frozenset({("r3", m1), ("r3", m2)})
     assert deliverable_check({m1, m2}, "r3", t, b) == (m1, m2)
     # a message whose undelivered predecessor is outside U is not deliverable
@@ -324,11 +340,13 @@ def test_q1_closed_form_matches_subset_search():
         assert {None} | failing <= verdicts
 
 
-def _summary_classes(system, depth):
-    """The unpruned reachable configurations, grouped by summary."""
+def _config_classes(system, depth):
+    """The nodes of the unpruned tree, grouped by configuration value: each
+    class holds the distinct objects of one configuration, reached along
+    different paths."""
     classes = {}
     for cfg in explore(system, depth, prune=False).nodes:
-        classes.setdefault(system.summary(cfg), []).append(cfg)
+        classes.setdefault(cfg, []).append(cfg)
     return list(classes.values())
 
 
@@ -363,15 +381,16 @@ def _gset_st_pair():
          "Q1-gset", "Q2-gset"],
 )
 def test_clause_is_a_function_of_the_summaries(rel_id, make_pair):
-    """The premise of deciding each related pair once: configurations with
-    equal summaries, whose traces differ, give the same clause against
-    every configuration of the other side.  Each summary class of the
+    """The premise of deciding each related pair once: equal configurations,
+    reached along different paths, give the same clause against every
+    configuration of the other side, so the clause reads nothing outside
+    the two configurations.  Each class of equal configurations of the
     unpruned depth-4 graph is checked rep by rep against the first rep of
     every other-side class, both ways."""
     p = make_pair()
     rel = Relation(rel_id, p)
-    a_classes = _summary_classes(p.side(rel.a_side), 4)
-    b_classes = _summary_classes(p.side(rel.b_side), 4)
+    a_classes = _config_classes(p.side(rel.a_side), 4)
+    b_classes = _config_classes(p.side(rel.b_side), 4)
     assert any(len(c) > 1 for c in a_classes) and any(len(c) > 1 for c in b_classes)
     verdicts = set()
     for a_reps, b_reps in itertools.product(a_classes, b_classes):
@@ -383,11 +402,12 @@ def test_clause_is_a_function_of_the_summaries(rel_id, make_pair):
 
 
 def test_step_events_are_a_function_of_the_summary():
-    """Configurations with equal summaries take the same steps: the same
-    events, so the same labels, in the same order.  So a step list cached
-    by summary is exact for every member of the class, attacker moves
-    included.  Counts, per system, the members of the unpruned depth-4
-    graph whose event list differs from their class's first."""
+    """Equal configurations, reached along different paths, take the same
+    steps: the same events, so the same labels, to the same successors, in
+    the same order.  So a step list cached by configuration is exact for
+    every member of the class, attacker moves included.  Counts, per
+    system, the members of the unpruned depth-4 graph whose step list
+    differs from their class's first."""
     gset, gcounter = gset_st((1, 2)), gcounter_st()
     systems = {
         "op-causal": OpSystem(gset_op((1, 2)), ROSTER2),
@@ -402,10 +422,8 @@ def test_step_events_are_a_function_of_the_summary():
     differing = {}
     for name, system in systems.items():
         differing[name] = 0
-        for reps in _summary_classes(system, 4):
-            first, *rest = (
-                [c2.trace.head for c2 in system.steps(c)] for c in reps
-            )
+        for reps in _config_classes(system, 4):
+            first, *rest = (system.steps(c) for c in reps)
             differing[name] += sum(events != first for events in rest)
     assert differing == dict.fromkeys(systems, 0)
 
@@ -480,10 +498,10 @@ def test_sim_counterexample_report_replays_from_rendered_events():
     b = p.guest.replay(guest_events)
     rel = Relation("R1", p)
     assert rel.holds(a, b)
-    steps = [c for c in p.host.steps(a) if c.trace.head == host_events[-1]]
+    steps = [c for e, c in p.host.steps(a) if e == host_events[-1]]
     assert len(steps) == 1
     (a2,) = steps
-    obs = a2.trace.head.obs_key()
+    obs = host_events[-1].obs_key()
     assert not weak_matches(p.guest, b, obs, 6, lambda bb: rel.holds(a2, bb))
 
 
@@ -551,13 +569,13 @@ def _illegal_matcher_steps(monkeypatch) -> list:
     configuration.  Returns the list the illegal events are appended to."""
     illegal = []
 
-    def audited(rel, defender, a_cfg, a2_cfg, b_cfg):
-        chain = constructive_match(rel, defender, a_cfg, a2_cfg, b_cfg)
+    def audited(rel, defender, a_cfg, event, b_cfg):
+        chain = constructive_match(rel, defender, a_cfg, event, b_cfg)
         prev = b_cfg
-        for c in chain or ():
-            if c.trace.head not in [c2.trace.head for c2 in defender.steps(prev)]:
-                illegal.append(c.trace.head)
-            prev = c
+        for step in chain or ():
+            if step not in defender.steps(prev):
+                illegal.append(step[0])
+            prev = step[1]
         return chain
 
     monkeypatch.setattr("crdt_emu.checker.constructive_match", audited)
@@ -599,25 +617,25 @@ def _shipped_verdict(name: str, relation: str | None, step_bound: int):
 )
 def test_memo_answers_equal_fresh_matches(name, relation, step_bound, monkeypatch):
     """Premise of the driver's answer memo: every answer read back for a
-    defender summary and move key has the landing summary and the events of
-    a fresh constructive match from the current defender configuration.  A
+    defender configuration and move key has the landing and the events of a
+    fresh constructive match from the current defender configuration.  A
     read-back answer is one that leaves its memo the same size."""
     answer = checker._answer
     answered, differ = [], []
 
-    def audited(rel, defender, memo, a_cfg, a2_cfg, b_cfg):
+    def audited(rel, defender, memo, a_cfg, event, b_cfg):
         size = None if memo is None else len(memo)
-        got = answer(rel, defender, memo, a_cfg, a2_cfg, b_cfg)
+        got = answer(rel, defender, memo, a_cfg, event, b_cfg)
         answered.append(1)
         if size is not None and len(memo) == size:
-            chain = constructive_match(rel, defender, a_cfg, a2_cfg, b_cfg)
+            chain = constructive_match(rel, defender, a_cfg, event, b_cfg)
             fresh = None if chain is None else (
-                defender.summary(chain[-1] if chain else b_cfg),
-                tuple(c.trace.head for c in chain))
+                chain[-1][1] if chain else b_cfg,
+                tuple(e for e, _ in chain))
             kept = None if got is None else (
-                defender.summary(b_cfg if got[0] is None else got[0]), got[1])
+                b_cfg if got[0] is None else got[0], got[1])
             if kept != fresh:
-                differ.append((a2_cfg.trace.head, kept, fresh))
+                differ.append((event, kept, fresh))
         return got
 
     monkeypatch.setattr("crdt_emu.checker._answer", audited)
@@ -627,10 +645,10 @@ def test_memo_answers_equal_fresh_matches(name, relation, step_bound, monkeypatc
 
 
 def test_answer_memo_keeps_answers_only_where_they_are_reused(monkeypatch):
-    """On thm-4-2 R1 every defender summary defends one expanded pair, so no
-    summary keeps an answer and the matcher answers every obligation.  On R2
-    a summary defends many pairs: answers are kept, and most obligations
-    are answered from them, without calling the matcher."""
+    """On thm-4-2 R1 every defender configuration defends one expanded pair,
+    so none keeps an answer and the matcher answers every obligation.  On
+    R2 a configuration defends many pairs: answers are kept, and most
+    obligations are answered from them, without calling the matcher."""
     calls = []
     monkeypatch.setattr(
         "crdt_emu.checker.constructive_match",
@@ -848,11 +866,11 @@ def test_ex_2_5_causal_query_values_at_r3():
     def r3_values(discipline):
         system = OpSystem(obj, ("r1", "r2", "r3"), discipline=discipline)
         c = system.init()
-        c = next(c2 for e, c2 in stepped(system, c) if e.input.kind == "upd" and e.replica == "r1")
-        c = next(c2 for e, c2 in stepped(system, c) if e.obs_key() is None and e.replica == "r2")
+        c = next(c2 for e, c2 in system.steps(c) if e.input.kind == "upd" and e.replica == "r1")
+        c = next(c2 for e, c2 in system.steps(c) if e.obs_key() is None and e.replica == "r2")
         c = next(
             c2
-            for e, c2 in stepped(system, c)
+            for e, c2 in system.steps(c)
             if e.input.kind == "upd" and e.replica == "r2" and e.input.op == ("add", 2)
         )
         return set(attainable_query_values(system, c, "r3", "sum", tau_budget=6))
@@ -910,25 +928,26 @@ def _causal_safety_by_definition(system, step_bound: int, prune: bool):
     node: (states taken, edges, events of the first violating trace)."""
     graph = Graph()
     for i in breadth_first(system, step_bound, graph, prune):
-        t = graph.nodes[i].trace
+        t = graph.path(i)
         if not satisfies_causal_delivery(t):
-            return i + 1, len(graph.edges), [render_event(e) for e in t.events()]
+            return i + 1, len(graph.edges), [render_event(e) for e in t]
     return len(graph.nodes), len(graph.edges), None
 
 
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("discipline", ["causal", RELIABLE_ONLY])
 def test_newest_event_decides_causal_safety(discipline, prune):
-    """Checking only a trace's newest event gives the full definition's
-    answer on every node whose parent's trace is safe, and so the sweep
+    """Checking only a path's newest event gives the full definition's
+    answer on every node whose parent's path is safe, and so the sweep
     stops where the sweep by definition stops, with the same witness."""
     system = OpSystem(gset_op((1,)), ("r1", "r2", "r3"), discipline=discipline)
     violations = 0
-    for cfg in explore(system, 5, prune).nodes:
-        t = cfg.trace
-        if t.tail is None or satisfies_causal_delivery(t.tail):
+    graph = explore(system, 5, prune)
+    for i in range(len(graph.nodes)):
+        t = graph.path(i)
+        if not t or satisfies_causal_delivery(t[:-1]):
             violates = not satisfies_causal_delivery(t)
-            assert _newest_delivery_inverts(t) == violates
+            assert _newest_delivery_inverts(graph, i) == violates
             violations += violates
     assert (violations > 0) == (discipline == RELIABLE_ONLY)
     v = check_causal_safety(system, 5, prune)
@@ -975,7 +994,7 @@ def test_convergence_refutes_an_augmented_overwrite_register():
     w = v.witness
     cfg = system.init()
     for event in w["events"]:
-        (cfg,) = [c2 for c2 in system.steps(cfg) if render_event(c2.trace.head) == event]
+        (cfg,) = [c2 for e, c2 in system.steps(cfg) if render_event(e) == event]
     (v1, h1), (v2, h2) = (system.query_value(cfg, r, w["query"]) for r in w["replicas"])
     assert h1 == h2 and render(h1) == w["history"]
     assert v1 != v2 and [render(v1), render(v2)] == w["values"]

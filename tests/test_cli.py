@@ -315,6 +315,51 @@ def test_client_program_outside_the_universes_exits_3(tmp_path, capsys, command,
     assert "universe" in capsys.readouterr().err
 
 
+def test_scenario_nested_too_deeply_exits_3(tmp_path, capsys):
+    path = tmp_path / "s.scenario"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # fails in the parser
+        ("x := " + "(" * 300 + "1" + ")" * 300, "nested too deeply to parse"),
+        # parses, but the client search would recurse through 600 levels
+        ("skip; " * 599 + "skip", "deeper than 200 levels"),
+        # one level past the limit, in an expression
+        ("x := " + "1 + " * 199 + "1", "deeper than 200 levels"),
+    ],
+    ids=["parentheses", "statements", "expression"],
+)
+def test_client_program_nested_too_deeply_exits_3(tmp_path, capsys, text, message):
+    path = client_scenario(tmp_path, text)
+    assert main(["run-client", "--scenario", path, "--out", str(tmp_path / "r.json")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_client_program_at_the_depth_limit_runs(tmp_path):
+    """200 statements make a syntax tree of exactly 200 levels; one more
+    statement is a configuration error."""
+    (tmp_path / "p.prog").write_text("skip; " * 199 + "skip", encoding="utf-8")
+    path = write_scenario(
+        tmp_path,
+        base_scenario(
+            bounds={"step_bound": 4, "client_bound": 200},
+            checks=[{"name": "approx", "program": "p.prog"}],
+            client={"program": "p.prog"},
+        ),
+    )
+    out = tmp_path / "r.json"
+    assert main(["run-client", "--scenario", path, "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [c["verdict"]["outcome"] for c in report["checks"]] == ["pass", "pass"]
+    (tmp_path / "p.prog").write_text("skip; " * 200 + "skip", encoding="utf-8")
+    assert main(["run-client", "--scenario", path, "--out", str(out)]) == 3
+
+
 def test_explore_dump_consistency(tmp_path):
     out = tmp_path / "dump.json"
     code = main(

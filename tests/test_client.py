@@ -28,7 +28,6 @@ from crdt_emu.emulation import op_to_st
 from crdt_emu.objects import break_query, gset_op
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
-from conftest import stepped
 
 
 def env_pair(values=(1,), roster=("r1", "r2")):
@@ -114,15 +113,15 @@ def test_query_reads_replica_value_and_keeps_env():
     host = OpSystem(obj, ("r1", "r2"))
     c = host.init()
     for op in (("add", 5), ("add", 42)):
-        c = next(c2 for e, c2 in stepped(host, c) if e.obs_key() == ("update", "r1", op))
+        c = next(c2 for e, c2 in host.steps(c) if e.obs_key() == ("update", "r1", op))
     for _ in range(2):
-        c = next(c2 for e, c2 in stepped(host, c) if e.obs_key() is None and e.replica == "r2")
+        c = next(c2 for e, c2 in host.steps(c) if e.obs_key() is None and e.replica == "r2")
     cs = ClientState(c, FrozenDict(), Qry("x", "sum"))
     succ, _ = client_steps(host, cs)
-    qry_succs = [s for s in succ if s.prog == Skip() ]
-    assert any(s.store.get("x") == 47 for s in qry_succs)
+    qry_succs = [(e, s) for e, s in succ if s.prog == Skip()]
+    assert any(s.store.get("x") == 47 for _, s in qry_succs)
     # the environment configuration is untouched by a client query
-    assert all(s.env is c for s in qry_succs)
+    assert all(e is None and s.env is c for e, s in qry_succs)
 
 
 def test_pure_rules_are_deterministic():
@@ -130,15 +129,16 @@ def test_pure_rules_are_deterministic():
     init = host.init()
     for prog in (Asn("x", Lit(3)), While(Lit(1), Skip()), Seq(Skip(), Asn("y", Lit(1)))):
         succ, _ = client_steps(host, ClientState(init, FrozenDict(), prog))
-        pure = [s for s in succ if s.env is init]
-        assert len(pure) == 1
+        pure = [e for e, s in succ if s.env is init]
+        assert pure == [None]
 
 
 def test_upd_served_by_any_replica():
     host, _ = env_pair((1,))
     succ, _ = client_steps(host, ClientState(host.init(), FrozenDict(), Upd(("add", 1))))
-    served = [s for s in succ if s.prog == Skip()]
+    served = [e for e, s in succ if s.prog == Skip()]
     assert len(served) == 2  # either replica may serve it
+    assert {e.replica for e in served} == {"r1", "r2"}
 
 
 # --- termination ----------------------------------------------------------------------

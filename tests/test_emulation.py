@@ -17,7 +17,7 @@ from crdt_emu.emulation import (
 from crdt_emu.objects import gcounter_st, gset_op, gset_st
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
-from conftest import clock_before, msg, stepped
+from conftest import clock_before, msg
 
 
 def chain():
@@ -83,11 +83,11 @@ def test_op_to_st_minted_identity_matches_host_execution():
     host = OpSystem(obj, ("r1", "r2"))
     guest = op_to_st(obj)
     c = host.init()
-    c = next(c2 for e, c2 in stepped(host, c) if e.input.kind == "upd" and e.replica == "r1")
-    c = next(c2 for e, c2 in stepped(host, c) if e.obs_key() is None and e.replica == "r2")
+    c = next(c2 for e, c2 in host.steps(c) if e.input.kind == "upd" and e.replica == "r1")
+    c = next(c2 for e, c2 in host.steps(c) if e.obs_key() is None and e.replica == "r2")
     c = next(
         c2
-        for e, c2 in stepped(host, c)
+        for e, c2 in host.steps(c)
         if e.input.kind == "upd" and e.replica == "r2" and e.input.op == ("add", 2)
     )
     host_sent = sorted(c.sent, key=lambda m: m.sort_key())

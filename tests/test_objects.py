@@ -135,13 +135,13 @@ def test_augmentation_is_conservative():
     aug_system = OpSystem(augment_history_op(base), ("r1", "r2"))
     base_system = OpSystem(base, ("r1", "r2"))
     graph = explore(aug_system, 4)
-    for node in graph.nodes:
+    for i, node in enumerate(graph.nodes):
         cfg = base_system.init()
-        for e in node.trace.events():
+        for e in graph.path(i):
             candidates = [
                 c2
-                for c2 in base_system.steps(cfg)
-                if _erases_to(e, c2.trace.head)
+                for e2, c2 in base_system.steps(cfg)
+                if _erases_to(e, e2)
             ]
             assert candidates, f"no base step for {e}"
             cfg = candidates[0]

@@ -19,7 +19,7 @@ from crdt_emu.opsem import (
     _delivery_enabled,
     op_replica_step,
 )
-from conftest import clock_before, msg, stepped
+from conftest import clock_before, msg
 
 import pytest
 
@@ -72,7 +72,7 @@ def test_init_states_and_successors():
     system = OpSystem(obj, ("r1", "r2"))
     c = system.init()
     assert all(c.states[r] == frozenset() for r in ("r1", "r2"))
-    succ = stepped(system, c)
+    succ = system.steps(c)
     assert not any(e.obs_key() is None for e, _ in succ)
     updates = [e for e, _ in succ if e.input.kind == "upd"]
     assert len(updates) == 2 * 2  # |roster| * |op universe|
@@ -81,8 +81,8 @@ def test_init_states_and_successors():
 def test_update_broadcasts_to_other_replicas():
     obj = gset_op((5, 42))
     system = OpSystem(obj, ("r1", "r2"))
-    c = system.steps(system.init())[0]
-    assert c.trace.head.input.op == ("add", 5)
+    e, c = system.steps(system.init())[0]
+    assert e.input.op == ("add", 5)
     (dest, m), = c.buffer
     assert dest == "r2" and m.payload == 5
 
@@ -100,7 +100,7 @@ def test_causal_gate_blocks_out_of_order_delivery():
             ("update", "r2", ("add", 2)),
         ]
         for kind, r, x in script:
-            for e, c2 in stepped(system, c):
+            for e, c2 in system.steps(c):
                 if kind == "update" and e.obs_key() == ("update", r, x):
                     c = c2
                     break
@@ -119,7 +119,7 @@ def test_causal_gate_blocks_out_of_order_delivery():
     system, c = run(CAUSAL)
     m2_at_r3 = [
         e
-        for e, c2 in stepped(system, c)
+        for e, c2 in system.steps(c)
         if e.obs_key() is None and e.replica == "r3" and e.input.message.payload == 2
     ]
     assert not m2_at_r3
@@ -127,7 +127,7 @@ def test_causal_gate_blocks_out_of_order_delivery():
     system, c = run(RELIABLE_ONLY)
     m2_at_r3 = [
         e
-        for e, c2 in stepped(system, c)
+        for e, c2 in system.steps(c)
         if e.obs_key() is None and e.replica == "r3" and e.input.message.payload == 2
     ]
     assert m2_at_r3
@@ -137,8 +137,8 @@ def test_prop_3_7_causal_sweep():
     obj = gset_op((1, 2))
     system = OpSystem(obj, ("r1", "r2", "r3"))
     graph = explore(system, 6)
-    for cfg in graph.nodes:
-        assert satisfies_causal_delivery(cfg.trace)
+    for i in range(len(graph.nodes)):
+        assert satisfies_causal_delivery(graph.path(i))
 
 
 def test_buffer_conservation_and_sent_growth():
@@ -159,27 +159,27 @@ def test_concurrent_delivery_diamond():
     system = OpSystem(obj, ("r1", "r2", "r3"))
     c = system.init()
     # two concurrent updates, then both messages sit in r3's buffer
-    c = next(c2 for e, c2 in stepped(system, c) if e.input.kind == "upd" and e.replica == "r1")
+    c = next(c2 for e, c2 in system.steps(c) if e.input.kind == "upd" and e.replica == "r1")
     c = next(
         c2
-        for e, c2 in stepped(system, c)
+        for e, c2 in system.steps(c)
         if e.input.kind == "upd" and e.replica == "r2" and e.input.op == ("add", 2)
     )
     deliveries = [
-        (c2.trace.head.input.message, c2)
-        for e, c2 in stepped(system, c)
+        (e.input.message, c2)
+        for e, c2 in system.steps(c)
         if e.obs_key() is None and e.replica == "r3"
     ]
     assert len(deliveries) == 2
     (ma, ca), (mb, cb) = deliveries
     ca2 = next(
         c2
-        for e, c2 in stepped(system, ca)
+        for e, c2 in system.steps(ca)
         if e.obs_key() is None and e.replica == "r3" and e.input.message == mb
     )
     cb2 = next(
         c2
-        for e, c2 in stepped(system, cb)
+        for e, c2 in system.steps(cb)
         if e.obs_key() is None and e.replica == "r3" and e.input.message == ma
     )
     assert ca2.states["r3"] == cb2.states["r3"] == {1, 2}
@@ -189,7 +189,7 @@ def test_reliable_only_violates_causal_delivery_somewhere():
     obj = gset_op((1, 2))
     system = OpSystem(obj, ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
     graph = explore(system, 6)
-    assert any(not satisfies_causal_delivery(cfg.trace) for cfg in graph.nodes)
+    assert any(not satisfies_causal_delivery(graph.path(i)) for i in range(len(graph.nodes)))
 
 
 def test_downsets_are_downward_closed_on_reachable_traces():
@@ -212,26 +212,14 @@ def test_enabled_delivery_preserves_causal_safety():
     system = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"))
     graph = explore(system, 5)
     checked = 0
-    for cfg in graph.nodes:
+    for i, cfg in enumerate(graph.nodes):
+        t = graph.path(i)
         for r, m in sorted(cfg.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
-            if enabled(r, m, cfg.trace):
-                extended = cfg.trace.append(Event(r, Input.dlvr(m), Output.none()))
+            if enabled(r, m, t):
+                extended = t + (Event(r, Input.dlvr(m), Output.none()),)
                 assert satisfies_causal_delivery(extended)
                 checked += 1
     assert checked > 0
-
-
-def test_delivered_subset_of_sent_on_reachable_traces():
-    from crdt_emu.core import delivered, sent
-
-    system = OpSystem(gset_op((1, 2)), ("r1", "r2"))
-    graph = explore(system, 5)
-    for cfg in graph.nodes:
-        s = sent(cfg.trace)
-        for r in ("r1", "r2"):
-            assert delivered(r, cfg.trace) <= s
-            assert cfg.delivered[r] == delivered(r, cfg.trace)
-        assert cfg.sent == s
 
 
 # The three systems whose delivered sets the causal gate decides on: causal
@@ -250,14 +238,35 @@ GATE_SYSTEMS = pytest.mark.parametrize(
 
 
 @GATE_SYSTEMS
+def test_delivered_subset_of_sent_on_reachable_traces(system):
+    """The stored sent and delivered sets are those of the node's path, and
+    sent is the union of the delivered sets: so a configuration's five
+    fields identify it exactly as its states, buffer, delivered sets and
+    used ops do."""
+    from crdt_emu.core import delivered, sent
+
+    graph = explore(system, 5)
+    for i, cfg in enumerate(graph.nodes):
+        t = graph.path(i)
+        s = sent(t)
+        for r in system.roster:
+            assert delivered(r, t) <= s
+            assert cfg.delivered[r] == delivered(r, t)
+        assert cfg.sent == s
+        assert cfg.sent == frozenset().union(*cfg.delivered.values())
+
+
+
+
+@GATE_SYSTEMS
 def test_clock_order_characterizes_event_happens_before(system):
     """On explored traces, happens-before between two sent messages, by the
     package's origin-component rule and by the pointwise clock order alike,
     coincides with happens-before between their send events (program order,
     send-to-deliver edges, transitivity)."""
     graph = explore(system, 6)
-    for cfg in graph.nodes:
-        events = cfg.trace.events()
+    for i in range(len(graph.nodes)):
+        events = graph.path(i)
         n = len(events)
         reach = [[False] * n for _ in range(n)]
         for i in range(n):
@@ -332,7 +341,7 @@ def test_minted_message_follows_from_delivered():
         for bound, prune in ((6, True), (4, False)):
             for c in explore(system, bound, prune=prune).nodes:
                 assert c.sent == frozenset().union(*c.delivered.values())
-                for e, c2 in stepped(system, c):
+                for e, c2 in system.steps(c):
                     if e.input.kind != "upd":
                         continue
                     r, m = e.replica, e.output.message
@@ -349,9 +358,8 @@ def test_steps_store_nothing_on_the_configuration():
     # A stored successor list would keep every generated configuration alive.
     system = OpSystem(gset_op((5, 42)), ("r1", "r2"))
     c = system.init()
-    c2, *_ = system.steps(c)
+    (_, c2), *_ = system.steps(c)
     system.steps(c2)
     for cfg in (c, c2):
         assert not hasattr(cfg, "_steps")
         assert not hasattr(cfg, "__dict__")
-    assert system.summary(c2) is system.summary(c2)
