@@ -51,6 +51,7 @@ from .checker import (
 )
 from .client import (
     ClientState,
+    ClientSystem,
     can_terminate,
     check_approximation,
     client_steps,

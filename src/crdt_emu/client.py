@@ -3,26 +3,21 @@
 A small imperative language (skip, assignment, sequencing, while, CRDT update
 and query) stepped against a configuration of one of the system semantics.
 The environment may take silent steps at any time; updates and queries are
-served by a nondeterministically chosen replica.  Termination search is a
-bounded breadth-first reachability of a terminated program state, and the
-approximation check compares possible termination across two environments.
+served by a nondeterministically chosen replica.  A program composed with
+its environment is one more system (``ClientSystem``); termination search
+is a bounded ``breadth_first`` walk of it to a terminated program state, and
+the approximation check compares possible termination across two
+environments.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from .checker import (
-    BOUND_EXHAUSTED,
-    COUNTEREXAMPLE,
-    PASS,
-    Verdict,
-    collector_paused,
-)
+from .checker import BOUND_EXHAUSTED, COUNTEREXAMPLE, PASS, Graph, Verdict, breadth_first
 from .core import Event, FrozenDict, Op, QueryId, intern_scope, render, render_event
 
 
@@ -344,79 +339,92 @@ def _prog_steps(
     raise TypeError(f"not a program: {p!r}")
 
 
-def client_steps(
-    system, cs: ClientState, memo: dict | None = None
-) -> tuple[list[tuple[Event | None, ClientState]], bool]:
-    """Successors of a client state, each with the environment's event or
-    None when the environment did not step, and whether it has terminated.
-    A memo, when given, caches step lists by environment configuration
-    across calls, so client states that share an environment step it once."""
-    if prog_terminated(cs.prog, cs.store):
-        return ([], True)
-    env_steps = None if memo is None else memo.get(cs.env)
-    if env_steps is None:
-        env_steps = system.steps(cs.env)
-        if memo is not None:
-            memo[cs.env] = env_steps
-    out = [
-        (e, ClientState(env2, cs.store, cs.prog))
-        for e, env2 in env_steps
-        if e.obs_key() is None
-    ]
-    for e, env2, store2, p2 in _prog_steps(system, cs.env, env_steps, cs.store, cs.prog):
-        out.append((e, ClientState(env2, store2, p2)))
-    return (out, False)
+class ClientSystem:
+    """A client program composed with its CRDT environment system env, as
+    one more system for ``checker.breadth_first``: its configurations are
+    client states, starting from start.  The environment's step list is
+    kept per environment configuration in this value, so client states
+    that share an environment step it once; the cache goes when the value
+    does."""
+
+    def __init__(self, env, start: ClientState):
+        self.env = env
+        self.start = start
+        self._env_steps: dict = {}
+
+    def init(self) -> ClientState:
+        return self.start
+
+    def steps(self, cs: ClientState) -> list[tuple[Event | None, ClientState]]:
+        """Successors of a client state, each with the environment's event
+        or None when the environment did not step: the environment's silent
+        steps, then the program's.  None once the program has terminated
+        (``prog_terminated``)."""
+        if prog_terminated(cs.prog, cs.store):
+            return []
+        env_steps = self._env_steps.get(cs.env)
+        if env_steps is None:
+            env_steps = self._env_steps[cs.env] = self.env.steps(cs.env)
+        out = [
+            (e, ClientState(env2, cs.store, cs.prog))
+            for e, env2 in env_steps
+            if e.obs_key() is None
+        ]
+        for e, env2, store2, p2 in _prog_steps(self.env, cs.env, env_steps, cs.store, cs.prog):
+            out.append((e, ClientState(env2, store2, p2)))
+        return out
+
+
+def client_steps(system, cs: ClientState) -> list[tuple[Event | None, ClientState]]:
+    """``ClientSystem.steps`` of cs over the environment system, with a
+    cache of its own."""
+    return ClientSystem(system, cs).steps(cs)
 
 
 @dataclass
 class Termination:
     terminates: bool
-    steps: int
     states_explored: int
     witness: list[dict] | None
 
 
 @intern_scope
 def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
-    """Breadth-first search for any execution reaching a terminated program
-    state within step_bound steps.  Client states are their own keys."""
-    if prog_terminated(cs.prog, cs.store):
-        return Termination(True, 0, 1, [])
-    # client state -> (parent client state, the environment's event or None)
-    parents: dict = {cs: None}
-    queue = deque([(cs, 0)])
-    explored = 1
-    env_steps: dict = {}  # dropped on return, so no configuration outlives the search
-    while queue:
-        c, d = queue.popleft()
-        if d >= step_bound:
-            continue
-        succs, _ = client_steps(system, c, env_steps)
-        for env_event, c2 in succs:
-            if c2 in parents:
-                continue
-            parents[c2] = (c, env_event)
-            explored += 1
-            if prog_terminated(c2.prog, c2.store):
-                witness = []
-                node = c2
-                while parents[node] is not None:
-                    prev, env_event = parents[node]
-                    witness.append(
-                        {
-                            "prog": program_to_text(node.prog),
-                            "store": {k: render(v) for k, v in node.store.items()},
-                            "env_event": render_event(env_event) if env_event else None,
-                        }
-                    )
-                    node = prev
-                witness.reverse()
-                return Termination(True, d + 1, explored, witness)
-            queue.append((c2, d + 1))
-    return Termination(False, step_bound, explored, None)
+    """Whether some execution from cs reaches a terminated program state
+    within step_bound steps: a ``breadth_first`` walk of the client system,
+    stopped at the first terminated client state it takes.  Client states
+    are numbered in the order they are found, so that state's index plus
+    one is the number of client states found when it was; with no such
+    state, every client state within the bound is counted.  The witness is
+    the path that first reached it.  A negative bound raises ValueError."""
+    graph = Graph()
+    for i in breadth_first(ClientSystem(system, cs), step_bound, graph):
+        node = graph.nodes[i]
+        if prog_terminated(node.prog, node.store):
+            return Termination(True, i + 1, _witness(graph, i))
+    return Termination(False, len(graph.nodes), None)
 
 
-@collector_paused
+def _witness(graph: Graph, i: int) -> list[dict]:
+    """The client states along the path that first reached node i, after
+    the initial one, each with the environment's event into it."""
+    witness = []
+    while (edge := graph.parents[i]) >= 0:
+        prev, env_event, _ = graph.edges[edge]
+        node = graph.nodes[i]
+        witness.append(
+            {
+                "prog": program_to_text(node.prog),
+                "store": {k: render(v) for k, v in node.store.items()},
+                "env_event": render_event(env_event) if env_event else None,
+            }
+        )
+        i = prev
+    witness.reverse()
+    return witness
+
+
+@intern_scope
 def check_approximation(
     sys_k,
     sys_l,
@@ -449,7 +457,6 @@ def check_approximation(
         stats,
         bounds,
         witness={"program": program_to_text(prog), "k_witness": tk.witness},
-        raw=tk,
         detail="K terminates but L cannot within bound",
     )
 

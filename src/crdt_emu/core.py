@@ -18,9 +18,10 @@ different paths share their maps, clocks, messages, events and frozensets
 again is a table hit.  A system step is labelled by its event alone
 (``Event.obs_key``).  Each class has its own table of plain references,
 whose lifetime is one check: every check, ``explore`` and library search
-runs inside ``intern_scope``, and when the outermost scope exits every
-table is emptied, together with the message-set interpretation memo
-(``INTERP_MEMO``), so a finished check keeps none of its values alive.
+runs inside ``intern_scope``, which also pauses the cyclic garbage
+collector, and when the outermost scope exits every table is emptied,
+together with the message-set interpretation memo (``INTERP_MEMO``), so a
+finished check keeps none of its values alive.
 Identity is only a speed-up: ``__eq__`` and ``__hash__`` stay structural,
 so values that outlive their check (verdicts, witnesses) stay correct
 against the next check's canonical values, and the plain constructors still
@@ -30,6 +31,7 @@ build equal, non-canonical values.
 from __future__ import annotations
 
 import functools
+import gc
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -88,16 +90,24 @@ def intern_table_sizes() -> dict[str, int]:
 
 
 def intern_scope(search):
-    """Run search inside the hash-consing scope.  Scopes nest by a depth
-    count; when the outermost one exits, by return or by raise, every table
-    and ``INTERP_MEMO`` are emptied, so a finished search keeps none of its
-    values alive and the next one starts from empty tables.  Apply it to
-    plain functions only: on a generator it would cover building the
-    generator, not the search."""
+    """Run search inside the hash-consing scope, with the interpreter's
+    cyclic garbage collector paused.  Scopes nest by a depth count; when the
+    outermost one exits, by return or by raise, every table and
+    ``INTERP_MEMO`` are emptied, so a finished search keeps none of its
+    values alive and the next one starts from empty tables.  Each scope
+    restores the caller's collector setting as it exits.  A search allocates
+    millions of short-lived containers and builds no reference cycles, so it
+    is freed by reference counting alone and the collector's scans of those
+    containers would reclaim nothing
+    (``tests/test_checker.py::test_finished_checks_leave_no_cyclic_garbage``).
+    Apply it to plain functions only: on a generator it would cover building
+    the generator, not the search."""
 
     @functools.wraps(search)
     def scoped(*args, **kwargs):
         global _scope_depth
+        collector_was_on = gc.isenabled()
+        gc.disable()
         _scope_depth += 1
         try:
             return search(*args, **kwargs)
@@ -107,6 +117,8 @@ def intern_scope(search):
                 for table in _TABLES.values():
                     table.clear()
                 INTERP_MEMO.clear()
+            if collector_was_on:
+                gc.enable()
 
     return scoped
 

@@ -38,7 +38,7 @@ from crdt_emu.checker import (
     weak_traces,
 )
 from crdt_emu.cli import build_systems, load_scenario, run_check
-from crdt_emu.client import ClientState, can_terminate, check_approximation, parse_program
+from crdt_emu.client import SKIP, ClientState, can_terminate, check_approximation, parse_program
 from crdt_emu.core import (
     Event, FrozenDict, Input, Output, canon_key, intern_scope,
     intern_table_sizes, render, render_event, satisfies_causal_delivery,
@@ -1040,10 +1040,25 @@ def test_finished_checks_leave_no_cyclic_garbage():
     assert (unreachable, found) == (0, [])
 
 
+def _library_searches():
+    """The searches a library caller runs outside any check, each with a
+    function that builds its arguments outside any scope."""
+    sim = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
+    cex = check_weak_simulation(sim, "R1", HOST_BY_GUEST, step_bound=8).raw
+    prog = parse_program("upd(add 1); x := qry(sum)")
+    return [
+        (replay_simulation_counterexample, lambda: (sim, "R1", cex, 6)),
+        (weak_successors, lambda: (sim.guest, sim.guest.init(), None, 4)),
+        (attainable_query_values, lambda: (sim.guest, sim.guest.init(), "r1", "sum", 4)),
+        (sim.host.replay, lambda: (cex.a_events,)),
+        (can_terminate, lambda: (sim.host, ClientState(sim.host.init(), FrozenDict(), prog), 6)),
+    ]
+
+
 @pytest.mark.parametrize("collector_on", [True, False])
 def test_checks_restore_the_collector_state(collector_on):
-    """A check pauses the cyclic collector only while it runs: the caller's
-    setting holds after the check returns and after it raises."""
+    """A check or library search pauses the cyclic collector only while it
+    runs: the caller's setting holds after it returns and after it raises."""
     enabled = gc.isenabled()
     (gc.enable if collector_on else gc.disable)()
     try:
@@ -1056,6 +1071,12 @@ def test_checks_restore_the_collector_state(collector_on):
         with pytest.raises(ValueError):
             check_causal_safety(paired_gset().guest, step_bound=2)
         assert gc.isenabled() == collector_on
+        for search, make_args in _library_searches():
+            assert search(*make_args())
+            assert gc.isenabled() == collector_on, search.__name__
+        with pytest.raises(ValueError):
+            can_terminate(system, ClientState(system.init(), FrozenDict(), SKIP), -1)
+        assert gc.isenabled() == collector_on
     finally:
         (gc.enable if enabled else gc.disable)()
 
@@ -1064,17 +1085,7 @@ def test_library_searches_leave_the_intern_tables_empty():
     """The searches a library caller runs outside any check each run in the
     hash-consing scope of their own: after each returns, every table is
     empty, even though its arguments were built outside any scope."""
-    sim = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
-    cex = check_weak_simulation(sim, "R1", HOST_BY_GUEST, step_bound=8).raw
-    prog = parse_program("upd(add 1); x := qry(sum)")
-    searches = [
-        (replay_simulation_counterexample, lambda: (sim, "R1", cex, 6)),
-        (weak_successors, lambda: (sim.guest, sim.guest.init(), None, 4)),
-        (attainable_query_values, lambda: (sim.guest, sim.guest.init(), "r1", "sum", 4)),
-        (sim.host.replay, lambda: (cex.a_events,)),
-        (can_terminate, lambda: (sim.host, ClientState(sim.host.init(), FrozenDict(), prog), 6)),
-    ]
-    for search, make_args in searches:
+    for search, make_args in _library_searches():
         args = make_args()
         assert search(*args)
         assert not any(intern_table_sizes().values()), search.__name__

@@ -23,7 +23,7 @@ from crdt_emu.client import (
     program_to_text,
     prog_terminated,
 )
-from crdt_emu.core import FrozenDict
+from crdt_emu.core import FrozenDict, render_event
 from crdt_emu.emulation import op_to_st
 from crdt_emu.objects import break_query, gset_op
 from crdt_emu.opsem import OpSystem
@@ -97,15 +97,14 @@ def test_eval_comparisons_yield_bits():
 
 def test_skip_is_terminal():
     host, _ = env_pair()
-    succ, terminal = client_steps(host, ClientState(host.init(), FrozenDict(), Skip()))
-    assert terminal and not succ
+    cs = ClientState(host.init(), FrozenDict(), Skip())
+    assert prog_terminated(cs.prog, cs.store) and not client_steps(host, cs)
 
 
 def test_while_zero_guard_is_terminal():
     host, _ = env_pair()
     cs = ClientState(host.init(), FrozenDict(), While(Lit(0), Skip()))
-    succ, terminal = client_steps(host, cs)
-    assert terminal
+    assert prog_terminated(cs.prog, cs.store) and not client_steps(host, cs)
 
 
 def test_query_reads_replica_value_and_keeps_env():
@@ -117,7 +116,7 @@ def test_query_reads_replica_value_and_keeps_env():
     for _ in range(2):
         c = next(c2 for e, c2 in host.steps(c) if e.obs_key() is None and e.replica == "r2")
     cs = ClientState(c, FrozenDict(), Qry("x", "sum"))
-    succ, _ = client_steps(host, cs)
+    succ = client_steps(host, cs)
     qry_succs = [(e, s) for e, s in succ if s.prog == Skip()]
     assert any(s.store.get("x") == 47 for _, s in qry_succs)
     # the environment configuration is untouched by a client query
@@ -128,14 +127,14 @@ def test_pure_rules_are_deterministic():
     host, _ = env_pair()
     init = host.init()
     for prog in (Asn("x", Lit(3)), While(Lit(1), Skip()), Seq(Skip(), Asn("y", Lit(1)))):
-        succ, _ = client_steps(host, ClientState(init, FrozenDict(), prog))
+        succ = client_steps(host, ClientState(init, FrozenDict(), prog))
         pure = [e for e, s in succ if s.env is init]
         assert pure == [None]
 
 
 def test_upd_served_by_any_replica():
     host, _ = env_pair((1,))
-    succ, _ = client_steps(host, ClientState(host.init(), FrozenDict(), Upd(("add", 1))))
+    succ = client_steps(host, ClientState(host.init(), FrozenDict(), Upd(("add", 1))))
     served = [e for e, s in succ if s.prog == Skip()]
     assert len(served) == 2  # either replica may serve it
     assert {e.replica for e in served} == {"r1", "r2"}
@@ -163,6 +162,48 @@ def test_qry_gated_loop_terminates_via_delivery():
     t = can_terminate(host, ClientState(host.init(), FrozenDict(), prog), 16)
     assert t.terminates
     assert t.witness
+
+
+def test_negative_bound_raises():
+    host, _ = env_pair()
+    for prog in (Skip(), While(Lit(1), Skip())):
+        with pytest.raises(ValueError):
+            can_terminate(host, ClientState(host.init(), FrozenDict(), prog), -1)
+
+
+def _env_events(system, witness):
+    """The environment events of a termination witness, read back as the
+    steps of system whose rendering they are, from its initial
+    configuration on."""
+    c = system.init()
+    events = []
+    for entry in witness:
+        if entry["env_event"] is None:
+            continue
+        e, c = next((e, c2) for e, c2 in system.steps(c)
+                    if render_event(e) == entry["env_event"])
+        events.append(e)
+    return events, c
+
+
+@pytest.mark.parametrize("side", ["host", "guest"])
+def test_termination_witnesses_replay(side):
+    """Over a generated corpus, each terminating witness is an execution of
+    the composed system: its environment events replay from the initial
+    configuration, and it ends in a terminated program."""
+    system = dict(zip(("host", "guest"), env_pair((1, 2))))[side]
+    programs = generate_programs((("add", 1), ("add", 2)), ("sum",), 60, 5, seed=3)
+    terminating = 0
+    for prog in programs:
+        t = can_terminate(system, ClientState(system.init(), FrozenDict(), prog), 10)
+        if not t.terminates:
+            continue
+        terminating += 1
+        events, env = _env_events(system, t.witness)
+        assert system.replay(events) == env
+        last = t.witness[-1] if t.witness else {"prog": program_to_text(prog), "store": {}}
+        assert prog_terminated(parse_program(last["prog"]), FrozenDict(last["store"]))
+    assert 0 < terminating < len(programs)
 
 
 def test_search_steps_each_environment_once():
