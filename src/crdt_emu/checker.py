@@ -1114,42 +1114,85 @@ def check_weak_bisimulation(
 
 def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
     """All observable label sequences of length <= max_len realizable within
-    step_bound raw steps.
+    step_bound raw steps.  A negative max_len, or one above step_bound,
+    raises ValueError.
 
-    Computed over the pruned graph, one node per distinct configuration,
-    with memoized suffix sets; a node is unexpanded only at graph depth
-    step_bound, where no raw budget can remain on any path, so the pruning
-    loses no traces."""
+    Computed over the pruned graph, one node per distinct configuration; a
+    node is unexpanded only at graph depth step_bound, where no raw budget
+    can remain on any path, so the pruning loses no traces.  Only the
+    observable label and target of each edge are kept, and the graph goes
+    once they are read.  The suffix set of each (node, budget) pair is an
+    int bitset over one index of the traces this call has met
+    (``_TraceIndex``): a silent edge adds its target's set with ``|``, and
+    prepending a label is done once per (label, set).  Only the initial
+    node's set is decoded into traces."""
+    if max_len < 0:
+        raise ValueError("weak_traces: negative max_len")
     if max_len > step_bound:
         raise ValueError("weak_traces: max_len exceeds step_bound")
     graph = explore(system, step_bound)
+    labels: dict = {}  # one tuple per observable label, shared by its edges
     adj: dict[int, list] = {}
     for i, e, j in graph.edges:
-        adj.setdefault(i, []).append((e.obs_key(), j))
-    return _suffixes(adj, max_len, {}, 0, step_bound)
+        obs = e.obs_key()
+        if obs is not None:
+            obs = labels.setdefault(obs, obs)
+        adj.setdefault(i, []).append((obs, j))
+    del graph
+    index = _TraceIndex(max_len)
+    memo: list[dict[int, int]] = [{} for _ in range(step_bound + 1)]
+    return frozenset(index.members(_suffixes(adj, index, memo, 0, step_bound)))
 
 
-def _suffixes(adj: dict, max_len: int, memo: dict, i: int, budget: int) -> frozenset:
-    """Observable label sequences of length <= max_len from node i within
-    budget raw steps; memo is the caller's, keyed by (node, budget)."""
-    key = (i, budget)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = {()}
+class _TraceIndex:
+    """The traces of one ``weak_traces`` call, each numbered once: bit k of
+    a trace set stands for ``traces[k]``, and bit 0 for the empty trace,
+    which every suffix set holds."""
+
+    def __init__(self, max_len: int):
+        self.max_len = max_len
+        self.traces: list[tuple] = [()]
+        self.bits: dict[tuple, int] = {(): 0}
+        self.prepended: dict[tuple, int] = {}
+
+    def prepend(self, obs: tuple, suffixes: int) -> int:
+        """The set of obs followed by each member of suffixes shorter than
+        max_len, computed once per (obs, suffixes)."""
+        key = (obs, suffixes)
+        out = self.prepended.get(key)
+        if out is None:
+            out = 0
+            for t in self.members(suffixes):
+                if len(t) < self.max_len:
+                    t2 = (obs,) + t
+                    k = self.bits.setdefault(t2, len(self.traces))
+                    if k == len(self.traces):
+                        self.traces.append(t2)
+                    out |= 1 << k
+            self.prepended[key] = out
+        return out
+
+    def members(self, trace_set: int) -> list[tuple]:
+        """The traces of a trace set, in index order."""
+        traces = self.traces[: trace_set.bit_length()]
+        return [t for k, t in enumerate(traces) if trace_set >> k & 1]
+
+
+def _suffixes(adj: dict, index: _TraceIndex, memo: list, i: int, budget: int) -> int:
+    """The set of observable label sequences of length <= max_len from node
+    i within budget raw steps, as a bitset over index; memo[budget] is the
+    caller's, keyed by node."""
+    by_node = memo[budget]
+    out = by_node.get(i)
+    if out is not None:
+        return out
+    out = 1
     if budget > 0:
         for obs, j in adj.get(i, ()):
-            sub = _suffixes(adj, max_len, memo, j, budget - 1)
-            if obs is None:
-                out |= sub
-            elif max_len > 0:
-                out.add((obs,))
-                for t in sub:
-                    if len(t) < max_len:
-                        out.add((obs,) + t)
-    result = frozenset(out)
-    memo[key] = result
-    return result
+            sub = _suffixes(adj, index, memo, j, budget - 1)
+            out |= sub if obs is None else index.prepend(obs, sub)
+    by_node[i] = out
+    return out
 
 
 @intern_scope

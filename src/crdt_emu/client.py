@@ -392,16 +392,21 @@ class Termination:
 def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
     """Whether some execution from cs reaches a terminated program state
     within step_bound steps: a ``breadth_first`` walk of the client system,
-    stopped at the first terminated client state it takes.  Client states
-    are numbered in the order they are found, so that state's index plus
-    one is the number of client states found when it was; with no such
-    state, every client state within the bound is counted.  The witness is
-    the path that first reached it.  A negative bound raises ValueError."""
+    stopped at the first terminated client state it finds.  Each client
+    state is tested when the walk appends it, so no state queued ahead of
+    it is expanded.  Client states are numbered in the order they are
+    found, so that state's index plus one is the number of client states
+    found when it was; with no such state, every client state within the
+    bound is counted.  The witness is the path that first reached it.  A
+    negative bound raises ValueError."""
     graph = Graph()
-    for i in breadth_first(ClientSystem(system, cs), step_bound, graph):
-        node = graph.nodes[i]
-        if prog_terminated(node.prog, node.store):
-            return Termination(True, i + 1, _witness(graph, i))
+    tested = 0
+    for _ in breadth_first(ClientSystem(system, cs), step_bound, graph):
+        for i in range(tested, len(graph.nodes)):
+            node = graph.nodes[i]
+            if prog_terminated(node.prog, node.store):
+                return Termination(True, i + 1, _witness(graph, i))
+        tested = len(graph.nodes)
     return Termination(False, len(graph.nodes), None)
 
 

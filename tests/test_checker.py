@@ -855,6 +855,37 @@ def test_weak_traces_len_zero():
     assert weak_traces(p.host, 0, 4) == {()}
 
 
+def test_weak_traces_rejects_a_negative_length():
+    """A negative length bound is an error, as one above the step bound is,
+    not an empty check that passes."""
+    p = paired_gset()
+    with pytest.raises(ValueError, match="negative max_len"):
+        weak_traces(p.host, -1, 4)
+    with pytest.raises(ValueError, match="negative max_len"):
+        check_trace_equivalence(p, max_len=-1, step_bound=4)
+    with pytest.raises(ValueError, match="exceeds step_bound"):
+        weak_traces(p.host, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [lambda: paired_gset((1, 2)), paired_gcounter, _broken_guest_pair],
+    ids=["gset", "gcounter", "broken-guest"],
+)
+@pytest.mark.parametrize("side", ["host", "guest"])
+def test_weak_traces_are_the_labels_of_the_unpruned_paths(make_pair, side):
+    """Independent oracle for the memoized trace sets: the observable labels
+    read off the path to every node of the raw tree, cut to each length."""
+    system = make_pair().side(side)
+    graph = explore(system, 5, prune=False)
+    read = {
+        tuple(obs for e in graph.path(i) if (obs := e.obs_key()) is not None)
+        for i in range(len(graph.nodes))
+    }
+    for max_len in range(4):
+        assert weak_traces(system, max_len, 5) == {t for t in read if len(t) <= max_len}
+
+
 def test_ex_2_5_causal_query_values_at_r3():
     """From the prefix where the first add causally precedes the second
     (r2 delivers before updating), r3 can observe sums 1 and 3 under causal

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from crdt_emu.checker import explore
 from crdt_emu.client import (
     Asn,
     Bin,
     ClientState,
+    ClientSystem,
     Lit,
     ParseError,
     Qry,
@@ -219,6 +221,26 @@ def test_search_steps_each_environment_once():
     t = can_terminate(host, ClientState(host.init(), FrozenDict(), prog), 12)
     assert t.terminates
     assert len(stepped) == len({id(c) for c in stepped}) > 1
+
+
+@pytest.mark.parametrize("side", ["host", "guest"])
+def test_search_stops_where_the_terminated_state_is_found(side, monkeypatch):
+    """The search stops once the first terminated client state is appended,
+    so it expands exactly the client states up to that state's parent."""
+    system = dict(zip(("host", "guest"), env_pair((1,))))[side]
+    prog = parse_program("upd(add 1); x := qry(sum); while (x < 1) { x := qry(sum) }")
+    cs = ClientState(system.init(), FrozenDict(), prog)
+    graph = explore(ClientSystem(system, cs), 16)
+    calls = []
+    steps = ClientSystem.steps
+    monkeypatch.setattr(ClientSystem, "steps", lambda self, c: calls.append(c) or steps(self, c))
+    t = can_terminate(system, cs, 16)
+    assert t.terminates
+    found = t.states_explored - 1
+    terminated = [i for i, c in enumerate(graph.nodes) if prog_terminated(c.prog, c.store)]
+    assert terminated[0] == found
+    parent = graph.edges[graph.parents[found]][0]
+    assert len(calls) == parent + 1 < found
 
 
 # --- approximation ----------------------------------------------------------------------
