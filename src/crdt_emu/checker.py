@@ -2,7 +2,7 @@
 
 One breadth-first search, ``breadth_first``, walks a single system's
 configurations to a step bound.  ``explore`` drains it into a ``Graph``, and
-the causal-safety sweep stops it at the first violating configuration; the
+the causal-safety sweep stops it at the first violating step; the
 convergence and commutation sweeps and the weak-trace sets read the graph.
 Each sweep ends in a pass or a counterexample.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -150,13 +151,15 @@ class Graph:
         }
 
 
-def breadth_first(system, step_bound: int, graph: Graph, prune: bool = True) -> Iterator[int]:
+def breadth_first(system, step_bound: int, graph: Graph) -> Iterator[int]:
     """The one search over a single system: breadth-first over the
-    configurations reachable within step_bound steps, filling graph.  Each
-    node's index is yielded as the node is taken, before it is expanded, so
-    a caller that stops iterating stops the search.  With pruning, equal
-    configurations are one node; without it the graph is the raw tree.  A
-    node's history is its path (``Graph.path``)."""
+    configurations reachable within step_bound steps, filling graph, with
+    equal configurations one node.  Each node's index is yielded as the node
+    is taken, before it is expanded, so a caller that stops iterating stops
+    the search.  The finished graph holds every configuration reachable
+    within the bound and every step out of each one below it, so a property
+    of one configuration or of one step is decided on it exactly.  A node's
+    history is the path that first reached it (``Graph.path``)."""
     if step_bound < 0:
         raise ValueError("breadth_first: negative step bound")
     nodes, edges, depths, parents = graph.nodes, graph.edges, graph.depths, graph.parents
@@ -170,9 +173,7 @@ def breadth_first(system, step_bound: int, graph: Graph, prune: bool = True) -> 
         yield i
         if depths[i] < step_bound:
             for e, c2 in system.steps(nodes[i]):
-                j = len(nodes)
-                if prune:
-                    j = keys.setdefault(c2, j)
+                j = keys.setdefault(c2, len(nodes))
                 if j == len(nodes):
                     nodes.append(c2)
                     depths.append(depths[i] + 1)
@@ -182,11 +183,11 @@ def breadth_first(system, step_bound: int, graph: Graph, prune: bool = True) -> 
 
 
 @intern_scope
-def explore(system, step_bound: int, prune: bool = True) -> Graph:
+def explore(system, step_bound: int) -> Graph:
     """All configurations reachable within step_bound steps, with the steps
     between them."""
     graph = Graph()
-    for _ in breadth_first(system, step_bound, graph, prune):
+    for _ in breadth_first(system, step_bound, graph):
         pass
     return graph
 
@@ -210,7 +211,7 @@ class Side:
 def _cached_steps(side: Side, cfg) -> list[Step]:
     """The steps of cfg, computed once per configuration.  Sound because a
     step reads nothing outside its configuration, which the step-events
-    premise test in ``tests/test_checker.py`` checks on unpruned trees."""
+    premise test in ``tests/test_checker.py`` checks on raw trees."""
     hit = side.steps.get(cfg)
     if hit is None:
         hit = side.steps[cfg] = side.system.steps(cfg)
@@ -1117,12 +1118,12 @@ def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
     step_bound raw steps.  A negative max_len, or one above step_bound,
     raises ValueError.
 
-    Computed over the pruned graph, one node per distinct configuration; a
-    node is unexpanded only at graph depth step_bound, where no raw budget
-    can remain on any path, so the pruning loses no traces.  Only the
-    observable label and target of each edge are kept, and the graph goes
-    once they are read.  The suffix set of each (node, budget) pair is an
-    int bitset over one index of the traces this call has met
+    Computed over the graph, one node per distinct configuration; a node is
+    unexpanded only at graph depth step_bound, where no raw budget can
+    remain on any path, so merging equal configurations loses no traces.
+    Only the observable label and target of each edge are kept, and the
+    graph goes once they are read.  The suffix set of each (node, budget)
+    pair is an int bitset over one index of the traces this call has met
     (``_TraceIndex``): a silent edge adds its target's set with ``|``, and
     prepending a label is done once per (label, set).  Only the initial
     node's set is decoded into traces."""
@@ -1222,10 +1223,10 @@ def check_trace_equivalence(
 
 
 @intern_scope
-def check_strong_convergence(system, step_bound: int = 8, prune: bool = True) -> Verdict:
+def check_strong_convergence(system, step_bound: int = 8) -> Verdict:
     """On a history-augmented object: replicas with equal history components
     must report equal value components, at every reachable configuration."""
-    graph = explore(system, step_bound, prune=prune)
+    graph = explore(system, step_bound)
     bounds = {"step_bound": step_bound}
     stats = dict(graph.stats)
     probe = system.query_value(graph.nodes[0], system.roster[0], system.obj.queries[0])
@@ -1257,58 +1258,57 @@ def check_strong_convergence(system, step_bound: int = 8, prune: bool = True) ->
     return Verdict(PASS, stats, bounds)
 
 
-def _newest_delivery_inverts(graph: Graph, i: int) -> bool:
-    """The newest event of node i's path (``Graph.path``) delivers at some
-    replica r a causal predecessor of a message r delivered earlier on that
-    path.  For a path whose prefix satisfies causal delivery order, this
-    holds iff the path violates it; the full pairwise definition,
-    core.satisfies_causal_delivery, is the reference that tests compare this
-    with.  The messages of one path come from one execution, so
-    core.happens_before orders them."""
-    parents, edges = graph.parents, graph.edges
-    if parents[i] < 0:
-        return False
-    i, e, _ = edges[parents[i]]
-    if e.input.kind != "dlvr":
-        return False
-    r, m = e.replica, e.input.message
-    while (k := parents[i]) >= 0:
-        i, e2, _ = edges[k]
-        if e2.replica == r and e2.input.kind == "dlvr":
-            if happens_before(m, e2.input.message):
-                return True
-    return False
+def _inverts(c: Config, e: Event) -> bool:
+    """Delivery event e, fired at configuration c, inverts causal delivery
+    order: e's message happens before a message its replica r has already
+    delivered.  The messages of ``c.delivered[r]`` and e's come from one
+    configuration, so core.happens_before orders them.  That set also holds
+    r's own messages, but each one's clock joins those r had consumed, so
+    one of them follows e's message only if a message r received does."""
+    m = e.input.message
+    return any(happens_before(m, m2) for m2 in c.delivered[e.replica])
 
 
 @intern_scope
-def check_causal_safety(system, step_bound: int = 8, prune: bool = True) -> Verdict:
-    """Every reachable trace satisfies causal delivery order.  The sweep
-    stops at the first violating configuration.  Each node is taken before
-    it is expanded, so every node's path extends a path already found safe,
-    and checking its newest event decides the whole path."""
+def check_causal_safety(system, step_bound: int = 8) -> Verdict:
+    """Every trace of at most step_bound steps satisfies causal delivery
+    order.  A trace first violates it at one delivery step, and whether a
+    step does is a fact of that step and its source configuration
+    (``_inverts``).  So each step is tested as ``breadth_first`` adds it,
+    and the sweep stops at the first violating one.  Steps are added in
+    breadth-first order, so its witness, the path to the step's source and
+    the step, is a shortest violating trace.  The full pairwise definition,
+    core.satisfies_causal_delivery, is the reference that tests compare
+    this with."""
     if system.kind != "op":
         raise ValueError("causal safety sweep runs on an op-based system")
     bounds = {"step_bound": step_bound, "discipline": system.discipline}
     graph = Graph()
-    for i in breadth_first(system, step_bound, graph, prune):
-        if _newest_delivery_inverts(graph, i):
-            # the configurations taken so far and the steps of those expanded
-            return Verdict(
-                COUNTEREXAMPLE,
-                {"states": i + 1, "edges": len(graph.edges)},
-                bounds,
-                witness={"events": [render_event(e) for e in graph.path(i)]},
-                detail="reachable trace violates causal delivery order",
-            )
-    return Verdict(PASS, {"states": len(graph.nodes), "edges": len(graph.edges)}, bounds)
+    nodes, edges = graph.nodes, graph.edges
+    tested = 0
+    # Each yield follows one node's expansion; the extra pass tests the
+    # steps of the last node expanded.
+    for _ in chain(breadth_first(system, step_bound, graph), (None,)):
+        for i, e, _ in edges[tested:]:
+            if e.input.kind == "dlvr" and _inverts(nodes[i], e):
+                # the configurations found so far and the steps taken
+                return Verdict(
+                    COUNTEREXAMPLE,
+                    {"states": len(nodes), "edges": len(edges)},
+                    bounds,
+                    witness={"events": [render_event(x) for x in graph.path(i) + (e,)]},
+                    detail="reachable trace violates causal delivery order",
+                )
+        tested = len(edges)
+    return Verdict(PASS, {"states": len(nodes), "edges": len(edges)}, bounds)
 
 
 @intern_scope
-def check_commutation(system, step_bound: int = 8, prune: bool = True) -> Verdict:
+def check_commutation(system, step_bound: int = 8) -> Verdict:
     """Concurrent buffered messages commute at every explored configuration."""
     if system.kind != "op":
         raise ValueError("commutation sweep runs on an op-based system")
-    graph = explore(system, step_bound, prune=prune)
+    graph = explore(system, step_bound)
     bounds = {"step_bound": step_bound}
     report = check_concurrent_commutation(system.obj, graph.nodes)
     stats = dict(graph.stats)

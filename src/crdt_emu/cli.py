@@ -388,11 +388,10 @@ Rows = list[tuple[dict, Verdict]]
 
 def _prepare(
     scenario: Scenario, entry: dict, host: System, paired: PairedSystem | None
-) -> Callable[[bool], Rows]:
+) -> Callable[[], Rows]:
     """Resolve one scenario check entry against the scenario's final bounds
     and the built systems, raising ScenarioError for a configuration error;
-    returns the function that runs the check, given whether to prune, as
-    (params, verdict) rows."""
+    returns the function that runs the check as (params, verdict) rows."""
     name = entry["name"]
     bounds = scenario.bounds
     step_bound = entry.get("step_bound", bounds.step_bound)
@@ -403,7 +402,7 @@ def _prepare(
         which = entry.get("direction", checker.HOST_BY_GUEST)
         rel = entry.get("relation")
 
-        def sim(prune: bool) -> Rows:
+        def sim() -> Rows:
             v = check_weak_simulation(
                 paired, rel, which, step_bound=step_bound, tau_budget=tau_budget
             )
@@ -412,7 +411,7 @@ def _prepare(
         return sim
     if name == "bisim":
         _require(paired is not None, "bisim check needs an emulate directive")
-        return lambda prune: [(
+        return lambda: [(
             {"name": name, "mode": scenario.broadcast_mode},
             check_weak_bisimulation(paired, step_bound=step_bound, tau_budget=tau_budget),
         )]
@@ -423,7 +422,7 @@ def _prepare(
             max_len <= step_bound,
             f"traces check: max_trace_len {max_len} exceeds step_bound {step_bound}",
         )
-        return lambda prune: [(
+        return lambda: [(
             {"name": name, "max_trace_len": max_len},
             check_trace_equivalence(paired, max_len=max_len, step_bound=step_bound),
         )]
@@ -434,22 +433,22 @@ def _prepare(
             system = host if side == "host" else (paired.guest if paired else None)
             _require(system is not None, f"convergence check: no {side} system")
             systems.append((side, system))
-        return lambda prune: [
+        return lambda: [
             ({"name": name, "side": side},
-             check_strong_convergence(system, step_bound=step_bound, prune=prune))
+             check_strong_convergence(system, step_bound=step_bound))
             for side, system in systems
         ]
     if name == "causal":
         system = _op_side(host, paired)
-        return lambda prune: [(
+        return lambda: [(
             {"name": name, "discipline": system.discipline},
-            check_causal_safety(system, step_bound=step_bound, prune=prune),
+            check_causal_safety(system, step_bound=step_bound),
         )]
     if name == "commutation":
         system = _op_side(host, paired)
-        return lambda prune: [(
+        return lambda: [(
             {"name": name},
-            check_commutation(system, step_bound=step_bound, prune=prune),
+            check_commutation(system, step_bound=step_bound),
         )]
     if name == "approx":
         _require(paired is not None, "approx check needs an emulate directive")
@@ -457,7 +456,7 @@ def _prepare(
         _require(prog_path is not None, "approx check needs a client program")
         prog = _load_program(scenario, prog_path)
         bound = entry.get("client_bound", bounds.client_bound)
-        return lambda prune: [
+        return lambda: [
             ({"name": name, "direction": direction, "program": prog_path}, v)
             for direction, v in _run_approx(scenario, paired, prog, bound).items()
         ]
@@ -469,10 +468,10 @@ def run_check(
     entry: dict,
     host: System,
     paired: PairedSystem | None,
-    prune: bool = True,
 ) -> Rows:
-    """Run one scenario check entry; returns (params, verdict) rows."""
-    return _prepare(scenario, entry, host, paired)(prune)
+    """Run one scenario check entry at its resolved bounds; returns
+    (params, verdict) rows, one per side or direction checked."""
+    return _prepare(scenario, entry, host, paired)()
 
 
 def exit_code_for(verdicts: list[Verdict]) -> int:
@@ -483,7 +482,7 @@ def exit_code_for(verdicts: list[Verdict]) -> int:
     return 0
 
 
-def run_scenario(scenario: Scenario, prune: bool = True) -> tuple[dict, int]:
+def run_scenario(scenario: Scenario) -> tuple[dict, int]:
     host, paired = build_systems(scenario)
     # Every entry is resolved first, so a configuration error in any entry
     # exits 3 before the first check runs.
@@ -492,7 +491,7 @@ def run_scenario(scenario: Scenario, prune: bool = True) -> tuple[dict, int]:
     rows = []
     verdicts = []
     for run in runs:
-        for params, v in run(prune):
+        for params, v in run():
             rows.append({"check": params, "verdict": v.to_report()})
             verdicts.append(v)
     report = {
@@ -511,8 +510,8 @@ def run_scenario(scenario: Scenario, prune: bool = True) -> tuple[dict, int]:
 # --- explore dump ---------------------------------------------------------------
 
 
-def _dump_system(system, depth: int, prune: bool) -> dict:
-    graph = explore(system, depth, prune=prune)
+def _dump_system(system, depth: int) -> dict:
+    graph = explore(system, depth)
     nodes = []
     for idx, cfg in enumerate(graph.nodes):
         nodes.append(
@@ -541,9 +540,9 @@ def cmd_explore(args) -> int:
     depth = args.depth if args.depth is not None else scenario.bounds.step_bound
     host, paired = build_systems(scenario)
     dump: dict[str, Any] = {"scenario": scenario.name, "depth": depth, "systems": {}}
-    dump["systems"]["host"] = _dump_system(host, depth, not args.no_prune)
+    dump["systems"]["host"] = _dump_system(host, depth)
     if paired is not None:
-        dump["systems"]["guest"] = _dump_system(paired.guest, depth, not args.no_prune)
+        dump["systems"]["guest"] = _dump_system(paired.guest, depth)
     _emit(dump, args.out)
     return 0
 
@@ -565,7 +564,7 @@ def cmd_check(args) -> int:
     )
     if not scenario.checks:
         raise ScenarioError("scenario lists no checks")
-    report, code = run_scenario(scenario, prune=not args.no_prune)
+    report, code = run_scenario(scenario)
     _emit(report, args.out)
     return code
 
@@ -649,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to a file")
     for p in (p_explore, p_check):
         p.add_argument("--depth", type=_bound_arg, default=None, help="step bound override")
-        p.add_argument("--no-prune", action="store_true", help="disable summary pruning")
     p_check.add_argument("--max-trace-len", type=_bound_arg, default=None)
     p_check.add_argument("--tau-budget", type=_bound_arg, default=None)
     p_client.add_argument("--program", default=None, help="client program file")

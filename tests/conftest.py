@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from crdt_emu.checker import Graph
 from crdt_emu.core import Message, VectorClock
 
 
@@ -14,6 +15,30 @@ def clock_before(a: VectorClock, b: VectorClock) -> bool:
     b's.  A reference for happens-before that does not use the package's
     origin-component rule (``core.happens_before``)."""
     return a != b and all(n <= b.get(r) for r, n in a.entries)
+
+
+def raw_tree(system, depth: int) -> Graph:
+    """The unpruned tree of system to depth, in breadth-first order: one
+    node per path of at most depth steps from the initial configuration, so
+    equal configurations reached along different paths are distinct nodes,
+    and every node but the root is the target of exactly its parent edge.
+    Built by its own loop, not ``checker.breadth_first``, so that tests can
+    hold the package's search, which keeps one node per configuration,
+    against it."""
+    tree = Graph()
+    tree.nodes.append(system.init())
+    tree.depths.append(0)
+    tree.parents.append(-1)
+    i = 0
+    while i < len(tree.nodes):
+        if tree.depths[i] < depth:
+            for e, c2 in system.steps(tree.nodes[i]):
+                tree.parents.append(len(tree.edges))
+                tree.edges.append((i, e, len(tree.nodes)))
+                tree.nodes.append(c2)
+                tree.depths.append(tree.depths[i] + 1)
+        i += 1
+    return tree
 
 
 @pytest.fixture

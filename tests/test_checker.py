@@ -11,15 +11,12 @@ from crdt_emu import checker
 from crdt_emu.checker import (
     GUEST_BY_HOST,
     HOST_BY_GUEST,
-    Graph,
     PairedSystem,
     Relation,
     Search,
     _deliverable_ordering,
-    _newest_delivery_inverts,
     _play_obligations,
     attainable_query_values,
-    breadth_first,
     check_causal_safety,
     check_commutation,
     check_strong_convergence,
@@ -54,7 +51,7 @@ from crdt_emu.objects import (
 )
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
 from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
-from conftest import msg
+from conftest import msg, raw_tree
 
 import pytest
 
@@ -101,27 +98,12 @@ def test_explore_contains_ex_2_4_prefix():
     assert frozenset({5, 42}) in states
 
 
-def test_explore_no_prune_is_a_tree():
-    p = paired_gset((5,))
-    pruned = explore(p.host, 3)
-    tree = explore(p.host, 3, prune=False)
-    assert len(tree.nodes) >= len(pruned.nodes)
-    # every non-root tree node is the target of exactly one edge ...
-    assert sorted(j for _, _, j in tree.edges) == list(range(1, len(tree.nodes)))
-    # ... and its parent edge, that edge, leaves an earlier node
-    assert tree.parents[0] == -1
-    for i in range(1, len(tree.nodes)):
-        src, _, dst = tree.edges[tree.parents[i]]
-        assert dst == i and src < i
-
-
-@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("side", ["host", "guest"])
-def test_paths_are_the_configurations_histories(side, prune):
+def test_paths_are_the_configurations_histories(side):
     """A node's path, rebuilt from the graph's parents, replays from the
     initial configuration to the node itself, one event per level."""
     system = paired_gset((1, 2)).side(side)
-    graph = explore(system, 4, prune=prune)
+    graph = explore(system, 4)
     for i, cfg in enumerate(graph.nodes):
         path = graph.path(i)
         assert system.replay(path) == cfg
@@ -129,14 +111,14 @@ def test_paths_are_the_configurations_histories(side, prune):
 
 
 def test_summary_determines_successors():
-    """Dedup by configuration loses nothing: the pruned graph's nodes are the
-    unpruned tree's distinct configurations, and the edges out of each
-    expanded node are the steps of every tree node equal to it, whatever
-    path reached that tree node."""
+    """Dedup by configuration loses nothing: the graph's nodes are the raw
+    tree's distinct configurations, and the edges out of each expanded node
+    are the steps of every tree node equal to it, whatever path reached that
+    tree node."""
     p = paired_gset((1, 2))
     for system in (p.host, p.guest):
         graph = explore(system, 4)
-        tree = explore(system, 4, prune=False)
+        tree = raw_tree(system, 4)
         assert set(graph.nodes) == set(tree.nodes)
         assert len(graph.nodes) < len(tree.nodes)
         out = {}
@@ -341,11 +323,11 @@ def test_q1_closed_form_matches_subset_search():
 
 
 def _config_classes(system, depth):
-    """The nodes of the unpruned tree, grouped by configuration value: each
-    class holds the distinct objects of one configuration, reached along
+    """The nodes of the raw tree, grouped by configuration value: each class
+    holds the distinct objects of one configuration, reached along
     different paths."""
     classes = {}
-    for cfg in explore(system, depth, prune=False).nodes:
+    for cfg in raw_tree(system, depth).nodes:
         classes.setdefault(cfg, []).append(cfg)
     return list(classes.values())
 
@@ -385,7 +367,7 @@ def test_clause_is_a_function_of_the_summaries(rel_id, make_pair):
     reached along different paths, give the same clause against every
     configuration of the other side, so the clause reads nothing outside
     the two configurations.  Each class of equal configurations of the
-    unpruned depth-4 graph is checked rep by rep against the first rep of
+    depth-4 raw tree is checked rep by rep against the first rep of
     every other-side class, both ways."""
     p = make_pair()
     rel = Relation(rel_id, p)
@@ -406,7 +388,7 @@ def test_step_events_are_a_function_of_the_summary():
     steps: the same events, so the same labels, to the same successors, in
     the same order.  So a step list cached by configuration is exact for
     every member of the class, attacker moves included.  Counts, per
-    system, the members of the unpruned depth-4 graph whose step list
+    system, the members of the depth-4 raw tree whose step list
     differs from their class's first."""
     gset, gcounter = gset_st((1, 2)), gcounter_st()
     systems = {
@@ -877,7 +859,7 @@ def test_weak_traces_are_the_labels_of_the_unpruned_paths(make_pair, side):
     """Independent oracle for the memoized trace sets: the observable labels
     read off the path to every node of the raw tree, cut to each length."""
     system = make_pair().side(side)
-    graph = explore(system, 5, prune=False)
+    graph = raw_tree(system, 5)
     read = {
         tuple(obs for e in graph.path(i) if (obs := e.obs_key()) is not None)
         for i in range(len(graph.nodes))
@@ -954,37 +936,61 @@ def test_causal_safety_pass_and_fail():
     assert v.witness["events"]
 
 
-def _causal_safety_by_definition(system, step_bound: int, prune: bool):
-    """The causal-safety sweep with the full pairwise definition at every
-    node: (states taken, edges, events of the first violating trace)."""
-    graph = Graph()
-    for i in breadth_first(system, step_bound, graph, prune):
-        t = graph.path(i)
-        if not satisfies_causal_delivery(t):
-            return i + 1, len(graph.edges), [render_event(e) for e in t]
-    return len(graph.nodes), len(graph.edges), None
+def _shortest_causal_violation(system, depth: int) -> tuple[Event, ...] | None:
+    """Causal safety by definition: the first path of the raw tree to depth,
+    in breadth-first order, that core.satisfies_causal_delivery rejects, so
+    a shortest violating trace; None if every path satisfies it."""
+    tree = raw_tree(system, depth)
+    for i in range(len(tree.nodes)):
+        path = tree.path(i)
+        if not satisfies_causal_delivery(path):
+            return path
+    return None
 
 
-@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def _witness_events(system, rendered: list[dict]) -> list[Event]:
+    """The events of a rendered witness, each read off the one step from the
+    configuration before it that renders the same."""
+    events, cfg = [], system.init()
+    for event in rendered:
+        ((e, cfg),) = [(e, c2) for e, c2 in system.steps(cfg) if render_event(e) == event]
+        events.append(e)
+    return events
+
+
 @pytest.mark.parametrize("discipline", ["causal", RELIABLE_ONLY])
-def test_newest_event_decides_causal_safety(discipline, prune):
-    """Checking only a path's newest event gives the full definition's
-    answer on every node whose parent's path is safe, and so the sweep
-    stops where the sweep by definition stops, with the same witness."""
-    system = OpSystem(gset_op((1,)), ("r1", "r2", "r3"), discipline=discipline)
-    violations = 0
-    graph = explore(system, 5, prune)
-    for i in range(len(graph.nodes)):
-        t = graph.path(i)
-        if not t or satisfies_causal_delivery(t[:-1]):
-            violates = not satisfies_causal_delivery(t)
-            assert _newest_delivery_inverts(graph, i) == violates
-            violations += violates
-    assert (violations > 0) == (discipline == RELIABLE_ONLY)
-    v = check_causal_safety(system, 5, prune)
-    states, edges, events = _causal_safety_by_definition(system, 5, prune)
-    assert (v.stats["states"], v.stats["edges"]) == (states, edges)
-    assert (v.witness or {}).get("events") == events
+@pytest.mark.parametrize(
+    "make_obj, roster",
+    [
+        (lambda: gset_op((1,)), ("a", "b", "c")),
+        (lambda: gset_op((1,)), ("c", "b", "a")),
+        (lambda: gset_op((1, 2)), ("a", "b", "c")),
+        (lambda: gset_op((1, 2)), ("c", "b", "a")),
+        (lambda: st_to_op(gcounter_st()), ("a", "b", "c")),
+    ],
+    ids=["gset1-abc", "gset1-cba", "gset12-abc", "gset12-cba", "gcounter-st-to-op"],
+)
+def test_causal_safety_matches_the_definition_on_the_raw_tree(make_obj, roster, discipline):
+    """At bounds 3 to 5, the sweep gives the outcome of the definition on
+    the raw tree, and a witness of the shortest violating length that
+    replays, with only its last event breaking causal order.  The
+    reliable-only G-set of (1, 2) at bound 4 is the case a sweep that tests
+    only the first path into each configuration passes: its 4-event
+    violation reaches its configuration over a non-tree edge."""
+    system = OpSystem(make_obj(), roster, discipline=discipline)
+    shortest = _shortest_causal_violation(system, 5)
+    assert (shortest is None) == (discipline == "causal")
+    for bound in (3, 4, 5):
+        v = check_causal_safety(system, bound)
+        if shortest is None or len(shortest) > bound:
+            assert v.passed
+            continue
+        assert v.outcome == "counterexample"
+        events = _witness_events(system, v.witness["events"])
+        assert len(events) == len(shortest)
+        system.replay(events)
+        assert satisfies_causal_delivery(events[:-1])
+        assert not satisfies_causal_delivery(events)
 
 
 def test_causal_safety_depth_zero():

@@ -85,6 +85,8 @@ def test_cli_usage_error_is_exit_3(tmp_path, capsys):
         ("run-client", "cor-5-3-client", ["--max-trace-len", "2"]),
         ("run-client", "cor-5-3-client", ["--tau-budget", "2"]),
         ("run-client", "cor-5-3-client", ["--no-prune"]),
+        ("explore", "thm-4-2", ["--no-prune"]),
+        ("check", "thm-4-2", ["--no-prune"]),
         ("explore", "thm-4-2", ["--max-trace-len", "2"]),
         ("explore", "thm-4-2", ["--tau-budget", "2"]),
     ]:

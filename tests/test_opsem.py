@@ -19,7 +19,7 @@ from crdt_emu.opsem import (
     _delivery_enabled,
     op_replica_step,
 )
-from conftest import clock_before, msg
+from conftest import clock_before, msg, raw_tree
 
 import pytest
 
@@ -134,11 +134,15 @@ def test_causal_gate_blocks_out_of_order_delivery():
 
 
 def test_prop_3_7_causal_sweep():
+    """Under the causal discipline every step of the graph, appended to the
+    path that reached its source, gives a trace in causal delivery order.
+    Every trace within the bound ends in such a step, whichever path it
+    takes into the source."""
     obj = gset_op((1, 2))
     system = OpSystem(obj, ("r1", "r2", "r3"))
     graph = explore(system, 6)
-    for i in range(len(graph.nodes)):
-        assert satisfies_causal_delivery(graph.path(i))
+    for i, e, _ in graph.edges:
+        assert satisfies_causal_delivery(graph.path(i) + (e,))
 
 
 def test_buffer_conservation_and_sent_growth():
@@ -326,8 +330,8 @@ def test_origin_component_gate_agrees_with_happens_before(system):
 
 
 def test_minted_message_follows_from_delivered():
-    """On every configuration of the pruned depth-6 and unpruned depth-4
-    graphs, sent is the union of delivered, and each update step at r sends
+    """On every configuration of the depth-6 graph and the depth-4 raw
+    tree, sent is the union of delivered, and each update step at r sends
     the message whose clock is the join of delivered[r]'s clocks ticked at r
     and whose seq counts r's own messages in delivered[r], plus one."""
     roster = ("r1", "r2", "r3")
@@ -338,8 +342,8 @@ def test_minted_message_follows_from_delivered():
     ]
     updates = 0
     for system in systems:
-        for bound, prune in ((6, True), (4, False)):
-            for c in explore(system, bound, prune=prune).nodes:
+        for graph in (explore(system, 6), raw_tree(system, 4)):
+            for c in graph.nodes:
                 assert c.sent == frozenset().union(*c.delivered.values())
                 for e, c2 in system.steps(c):
                     if e.input.kind != "upd":

@@ -1,7 +1,5 @@
 """Golden reports: every shipped scenario that lists checks must produce the
 same report, ``wall_time_s`` aside, as the one stored in ``tests/golden``.
-The scenarios in ``NO_PRUNE`` are also checked with summary pruning off, as
-``crdt-emu check --no-prune`` runs them, against ``tests/golden/no-prune``.
 The scenarios in ``EXPLORED`` are dumped as ``crdt-emu explore --depth 2``
 dumps them, nodes and labelled edges, against ``tests/golden/explore``.
 
@@ -26,7 +24,6 @@ from crdt_emu.cli import load_scenario, main, run_scenario
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-NO_PRUNE = ("ex-2-5-no-causal",)
 # Every edge label shape (update, query, silent delivery, silent send) shows
 # on ex-2-4-bisim; thm-4-9-bisim's updates are atomic.
 EXPLORED = ("ex-2-4-bisim", "thm-4-9-bisim")
@@ -41,8 +38,8 @@ def _checked_scenarios() -> list[str]:
     )
 
 
-def _report(name: str, prune: bool = True) -> dict:
-    report, _ = run_scenario(load_scenario(SCENARIOS / f"{name}.scenario"), prune=prune)
+def _report(name: str) -> dict:
+    report, _ = run_scenario(load_scenario(SCENARIOS / f"{name}.scenario"))
     report.pop("wall_time_s")
     return json.loads(json.dumps(report))
 
@@ -64,12 +61,6 @@ def test_report_matches_golden(name):
     assert _report(name) == golden
 
 
-@pytest.mark.parametrize("name", NO_PRUNE)
-def test_unpruned_report_matches_golden(name):
-    golden = json.loads((GOLDEN / "no-prune" / f"{name}.json").read_text())
-    assert _report(name, prune=False) == golden
-
-
 @pytest.mark.parametrize("name", EXPLORED)
 def test_explore_dump_matches_golden(name, tmp_path):
     golden = json.loads((GOLDEN / "explore" / f"{name}.json").read_text())
@@ -85,8 +76,6 @@ def _write(path: Path, report: dict) -> None:
 if __name__ == "__main__":
     for name in _checked_scenarios():
         _write(GOLDEN / f"{name}.json", _report(name))
-    for name in NO_PRUNE:
-        _write(GOLDEN / "no-prune" / f"{name}.json", _report(name, prune=False))
     with tempfile.TemporaryDirectory() as scratch:
         for name in EXPLORED:
             dump = _explore_dump(name, Path(scratch) / "dump.json")
