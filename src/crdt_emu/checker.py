@@ -198,7 +198,8 @@ def explore(system, step_bound: int) -> Graph:
 @dataclass(slots=True)
 class Side:
     """One system of a check with the check's three caches for it, all keyed
-    by configuration: successor lists, silent balls, and the constructive
+    by configuration: successor lists, silent balls (one per configuration,
+    whatever budgets it is read to, ``_silent_ball``), and the constructive
     answers this side gave as defender (``_answer_memo``).  Each side has
     its own, because a host and a guest configuration can compare equal."""
 
@@ -218,36 +219,78 @@ def _cached_steps(side: Side, cfg) -> list[Step]:
     return hit
 
 
-def _silent_ball(side: Side, cfg, budget: int) -> list[tuple[Any, tuple[Event, ...]]]:
+def _grow(side: Side, ball: tuple) -> bool:
+    """Add the next layer to a ball (``_silent_ball``): the silent
+    successors of its frontier, the last layer, that are not yet in it.
+    False when the frontier is empty, so the ball is closed."""
+    items, ends, seen = ball
+    start = ends[-2] if len(ends) > 1 else 0
+    if start == ends[-1]:
+        return False
+    for k in range(start, ends[-1]):
+        c, evs = items[k]
+        for e, c2 in _cached_steps(side, c):
+            if e.obs_key() is not None or c2 in seen:
+                continue
+            seen.add(c2)
+            items.append((c2, evs + (e,)))
+    ends.append(len(items))
+    return True
+
+
+def _silent_ball(side: Side, cfg, budget: int) -> Iterator[tuple[Any, tuple[Event, ...]]]:
     """Configurations reachable by at most budget silent steps, including cfg
     itself, in BFS order, each with the events of the first path found.
-    Kept as its own loop, not a ``breadth_first`` walk of the silent steps:
-    that walk also keeps a ``Graph`` of every silent edge, and on the
-    refuting separate-send bisimulation check it ran about 30% slower and
-    took about 12% more peak memory."""
-    cache = side.balls
-    ball_key = (cfg, budget)
-    hit = cache.get(ball_key)
-    if hit is not None:
-        return hit
-    out = [(cfg, ())]
-    seen = {cfg}
-    frontier = [(cfg, ())]
-    for _ in range(budget):
-        nxt = []
-        for c, evs in frontier:
-            for e, c2 in _cached_steps(side, c):
-                if e.obs_key() is not None or c2 in seen:
-                    continue
-                seen.add(c2)
-                item = (c2, evs + (e,))
-                out.append(item)
-                nxt.append(item)
-        if not nxt:
-            break
-        frontier = nxt
-    cache[ball_key] = out
-    return out
+    The ball for a budget is a prefix of the ball for any larger one, so
+    each configuration keeps one ball in ``Side.balls``, (items, ends,
+    seen): the items found so far in BFS order, the item count at the end
+    of each layer built, and the items' configurations.  A layer is grown
+    only when a reader passes the last one built.  A reader indexes into
+    the item list rather than holding an iterator over it, so another
+    reader of the same ball, such as one entered through a query step,
+    whose target is its source, may grow the ball meanwhile.  A negative
+    budget raises ValueError."""
+    if budget < 0:
+        raise ValueError("negative tau budget")
+    ball = side.balls.get(cfg)
+    if ball is None:
+        ball = side.balls[cfg] = ([(cfg, ())], [1], {cfg})
+    items, ends, _ = ball
+    i = 0
+    for layer in range(budget + 1):
+        if layer == len(ends) and not _grow(side, ball):
+            return
+        end = ends[layer]
+        while i < end:
+            yield items[i]
+            i += 1
+
+
+def weak_moves(side: Side, cfg, obs: tuple | None,
+               tau_budget: int) -> Iterator[tuple[Any, tuple[Event, ...]]]:
+    """The weak transitions cfg ==obs==> cfg', where obs is an observable
+    label (``Event.obs_key``) or None for tau, and the total number of
+    silent steps is bounded by tau_budget; tau may be matched by zero
+    steps.  Each landing cfg' is yielded once, with the events of the first
+    path found: for an observable label, the silent ball of cfg in BFS
+    order, each member's obs steps in step order, and the silent ball after
+    each to the budget left.  Lazy, so a reader that stops early builds
+    only the balls it read.  A negative tau_budget raises ValueError on the
+    first read."""
+    if obs is None:
+        yield from _silent_ball(side, cfg, tau_budget)
+        return
+    landed = set()
+    for c1, evs in _silent_ball(side, cfg, tau_budget):
+        used = len(evs)
+        for e, c2 in _cached_steps(side, c1):
+            if e.obs_key() != obs:
+                continue
+            mid_evs = evs + (e,)
+            for c3, evs3 in _silent_ball(side, c2, tau_budget - used):
+                if c3 not in landed:
+                    landed.add(c3)
+                    yield c3, mid_evs + evs3
 
 
 def weak_matches(
@@ -258,53 +301,34 @@ def weak_matches(
     accept: Callable[[Any], bool],
     first_only: bool = True,
 ) -> list[tuple[Any, tuple[Event, ...]]]:
-    """Weak transitions cfg ==obs==> cfg' with accept(cfg'), where obs is an
-    observable label (``Event.obs_key``) or None for tau, and the total
-    number of silent steps is bounded by tau_budget.  Tau may be matched by
-    zero steps.  side is a check's Side, or a bare system."""
+    """The weak moves (``weak_moves``) of cfg under obs whose landing
+    accept holds of, in their order; only the first when first_only.  accept
+    must not change its answer during the call, since each landing is
+    tested once.  side is a check's Side, or a bare system.  A negative
+    tau_budget raises ValueError."""
     side = side if isinstance(side, Side) else Side(side)  # one-shot: fresh caches
     results: list[tuple[Any, tuple[Event, ...]]] = []
-    seen_landings = set()
-
-    def emit(c2, evs) -> bool:
-        if c2 in seen_landings:
-            return False
-        if accept(c2):
-            seen_landings.add(c2)
-            results.append((c2, evs))
-            return first_only
-        return False
-
-    ball = _silent_ball(side, cfg, tau_budget)
-    if obs is None:
-        for c1, evs in ball:
-            if emit(c1, evs):
-                return results
-        return results
-
-    for c1, evs in ball:
-        used = len(evs)
-        for e, c2 in _cached_steps(side, c1):
-            if e.obs_key() != obs:
-                continue
-            mid_evs = evs + (e,)
-            for c3, evs3 in _silent_ball(side, c2, tau_budget - used):
-                if emit(c3, mid_evs + evs3):
-                    return results
+    for move in weak_moves(side, cfg, obs, tau_budget):
+        if accept(move[0]):
+            results.append(move)
+            if first_only:
+                break
     return results
 
 
 @intern_scope
 def weak_successors(system, cfg, obs: tuple | None, tau_budget: int) -> list:
     """All weak successors of cfg under the observable label obs
-    (``Event.obs_key``; None meaning tau), without duplicates."""
+    (``Event.obs_key``; None meaning tau), without duplicates.  A negative
+    tau_budget raises ValueError."""
     found = weak_matches(system, cfg, obs, tau_budget, lambda _: True, first_only=False)
     return [c for c, _ in found]
 
 
 @intern_scope
 def attainable_query_values(side, cfg, r: ReplicaId, q: QueryId, tau_budget: int) -> list:
-    """Query values weakly reachable at replica r (current value included)."""
+    """Query values weakly reachable at replica r (current value included).
+    A negative tau_budget raises ValueError."""
     side = side if isinstance(side, Side) else Side(side)  # as in weak_matches
     vals = []
     seen = set()
@@ -772,6 +796,8 @@ class Search:
                  max_pairs: int, audit: bool = False):
         if tau_budget is None:
             tau_budget = default_tau_budget(rel.paired)
+        if tau_budget < 0:
+            raise ValueError("negative tau budget")
         self.rel = rel
         self.step_bound = step_bound
         self.tau_budget = tau_budget
@@ -973,8 +999,11 @@ def _bisim_game(search: Search, a0, b0) -> GameWitness | None:
 
 
 def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None:
-    """A game witness of depth at most d separating a from b, or None.  The
-    memo is the caller's, so it is freed when the game returns."""
+    """A game witness of depth at most d separating a from b, or None.  An
+    attack separates when every weak response to it loses; the responses
+    are read lazily (``weak_moves``), and the attack is given up at the
+    first one that survives, so the rest are never built.  The memo is the
+    caller's, so it is freed when the game returns."""
     A, B, tau_budget = search.a, search.b, search.tau_budget
     key = (a, b)
     hit = memo.get(key)
@@ -988,28 +1017,22 @@ def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None
         return None
     for side, X, x, Y, y in (("host", A, a, B, b), ("guest", B, b, A, a)):
         for event, x2 in _cached_steps(X, x):
-            responses = weak_matches(
-                Y, y, event.obs_key(), tau_budget, lambda _: True, first_only=False
-            )
             subs = []
-            survived = False
             needed = 1
-            for y2, evs in responses:
+            for y2, evs in weak_moves(Y, y, event.obs_key(), tau_budget):
                 na, nb = (x2, y2) if side == "host" else (y2, x2)
                 w = _distinguish(search, memo, na, nb, d - 1)
                 if w is None:
-                    survived = True
-                    break
+                    break   # this response survives the attack
                 subs.append((evs, w))
                 needed = max(needed, w.depth_needed + 1)
-            if survived:
-                continue
-            evidence = None
-            if event.input.kind == "qry" and not responses:
-                evidence = _evidence(X, event, x2, Y, y, tau_budget)
-            witness = GameWitness(side, event, x2, y, subs, evidence, needed)
-            memo[key] = ("sep", witness)
-            return witness
+            else:
+                evidence = None
+                if event.input.kind == "qry" and not subs:
+                    evidence = _evidence(X, event, x2, Y, y, tau_budget)
+                witness = GameWitness(side, event, x2, y, subs, evidence, needed)
+                memo[key] = ("sep", witness)
+                return witness
     prev = memo.get(key)
     if prev is None or (prev[0] == "nosep" and prev[1] < d):
         memo[key] = ("nosep", d)

@@ -41,6 +41,56 @@ def raw_tree(system, depth: int) -> Graph:
     return tree
 
 
+def eager_ball(steps, cfg, budget: int, cache: dict) -> list:
+    """The silent ball of cfg to budget, built whole: configurations
+    reachable by at most budget silent steps, cfg first, in BFS order, each
+    with the events of the first path found.  steps maps a configuration to
+    its steps, and cache is the caller's, keyed by (cfg, budget).  The
+    reference for ``checker._silent_ball``, which
+    builds one ball per configuration a layer at a time."""
+    hit = cache.get((cfg, budget))
+    if hit is not None:
+        return hit
+    out = [(cfg, ())]
+    seen = {cfg}
+    frontier = [(cfg, ())]
+    for _ in range(budget):
+        nxt = []
+        for c, evs in frontier:
+            for e, c2 in steps(c):
+                if e.obs_key() is not None or c2 in seen:
+                    continue
+                seen.add(c2)
+                item = (c2, evs + (e,))
+                out.append(item)
+                nxt.append(item)
+        if not nxt:
+            break
+        frontier = nxt
+    cache[(cfg, budget)] = out
+    return out
+
+
+def eager_moves(steps, cfg, obs, budget: int, cache: dict) -> list:
+    """Every weak move cfg ==obs==> cfg' within budget silent steps (obs
+    None for tau), each landing once with the events of the first path
+    found, enumerated over whole balls.  The reference for
+    ``checker.weak_moves``."""
+    ball = eager_ball(steps, cfg, budget, cache)
+    if obs is None:
+        return list(ball)
+    out, landed = [], set()
+    for c1, evs in ball:
+        for e, c2 in steps(c1):
+            if e.obs_key() != obs:
+                continue
+            for c3, evs3 in eager_ball(steps, c2, budget - len(evs), cache):
+                if c3 not in landed:
+                    landed.add(c3)
+                    out.append((c3, evs + (e,) + evs3))
+    return out
+
+
 @pytest.fixture
 def m1():
     return msg("r1", {"r1": 1}, 1)

@@ -14,6 +14,7 @@ from crdt_emu.checker import (
     PairedSystem,
     Relation,
     Search,
+    Side,
     _deliverable_ordering,
     _play_obligations,
     attainable_query_values,
@@ -31,6 +32,8 @@ from crdt_emu.checker import (
     mergeable_check,
     replay_simulation_counterexample,
     sim_relation,
+    weak_matches,
+    weak_moves,
     weak_successors,
     weak_traces,
 )
@@ -51,7 +54,7 @@ from crdt_emu.objects import (
 )
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
 from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
-from conftest import msg, raw_tree
+from conftest import eager_ball, eager_moves, msg, raw_tree
 
 import pytest
 
@@ -156,6 +159,100 @@ def test_no_weak_update_when_universe_exhausted():
     c = next(c2 for e, c2 in host.steps(host.init()) if e.input.kind == "upd" and e.replica == "r1")
     hits = weak_successors(host, c, ("update", "r1", ("add", 5)), tau_budget=4)
     assert not hits
+
+
+def test_a_negative_tau_budget_is_a_value_error():
+    """A negative tau budget is an error at every entry point that takes
+    one, not a budget of 0 (or, to a lazily grown ball, no limit at all)."""
+    p = paired_gset()
+    guest, init = p.guest, p.guest.init()
+    calls = {
+        "search": lambda: Search(Relation("R1", p), 4, -1, 2_000_000),
+        "sim": lambda: check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=4, tau_budget=-1),
+        "bisim": lambda: check_weak_bisimulation(p, step_bound=4, tau_budget=-1),
+        "weak_moves": lambda: list(weak_moves(Side(guest), init, None, -1)),
+        "weak_moves-obs": lambda: list(
+            weak_moves(Side(guest), init, ("update", "r1", ("add", 5)), -1)),
+        "weak_matches": lambda: weak_matches(guest, init, None, -1, lambda _: True),
+        "weak_successors": lambda: weak_successors(guest, init, None, -1),
+        "attainable_query_values": lambda: attainable_query_values(guest, init, "r1", "sum", -1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="negative tau budget"):
+            call()
+            pytest.fail(name)
+
+
+def _ex_2_4_configurations(side: str, depth: int = 4):
+    """ex-2-4-bisim's system on side, every configuration within depth steps
+    of its initial one, and every observable label of a step among them."""
+    _, paired = build_systems(load_scenario(TESTS.parent / "scenarios/ex-2-4-bisim.scenario"))
+    system = paired.side(side)
+    graph = explore(system, depth)
+    labels = sorted({obs for _, e, _ in graph.edges if (obs := e.obs_key()) is not None},
+                    key=canon_key)
+    return system, graph.nodes, [None, *labels]
+
+
+@pytest.mark.parametrize("side", ["host", "guest"])
+@intern_scope
+def test_lazy_weak_moves_equal_the_eager_enumeration(side):
+    """Oracle for the lazily grown silent balls: on every configuration
+    within depth 4 of ex-2-4-bisim's op host and separate-send guest, for
+    every tau budget 0-4, tau and every observable label, ``weak_moves``
+    yields the landings, paths and order of the whole-ball enumeration.
+    Each order of budgets has one Side for all its reads, so its balls are
+    warmed in that order and by the configurations read before; a query
+    step lands on its source, so the query labels re-enter a ball
+    mid-read."""
+    system, nodes, labels = _ex_2_4_configurations(side)
+    steps, cache = functools.cache(system.steps), {}
+    orders = {"ascending": range(5), "descending": range(4, -1, -1)}
+    for order, budgets in orders.items():
+        lazy = Side(system)
+        for cfg in nodes:
+            for budget in budgets:
+                for obs in labels:
+                    got = list(weak_moves(lazy, cfg, obs, budget))
+                    assert got == eager_moves(steps, cfg, obs, budget, cache), order
+
+
+@pytest.mark.parametrize("side", ["host", "guest"])
+@intern_scope
+def test_a_ball_grown_mid_read_reads_as_the_eager_ball(side):
+    """A reader of a ball that another reader grows while the first is
+    suspended still reads exactly its own budget's layers."""
+    system, nodes, _ = _ex_2_4_configurations(side)
+    steps, cache, lazy_steps = functools.cache(system.steps), {}, {}
+    for cfg in nodes:
+        for outer, inner in itertools.product(range(5), repeat=2):
+            reader = Side(system, steps=lazy_steps)   # a cold ball
+            first = iter(checker._silent_ball(reader, cfg, outer))
+            head = next(first)
+            assert list(checker._silent_ball(reader, cfg, inner)) == eager_ball(
+                steps, cfg, inner, cache)
+            assert [head, *first] == eager_ball(steps, cfg, outer, cache)
+
+
+@intern_scope
+def test_the_bisim_game_builds_only_the_responses_it_reads():
+    """On ex-2-4-bisim the game gives the witness that the full response
+    lists gave, while building the defender's responses only up to the
+    first that survives: 67 host and 1,890 guest step lists, and 109 host
+    and 1,948 guest silent balls, where building every response kept 325,
+    15,192, 315 and 20,096."""
+    _, paired = build_systems(load_scenario(TESTS.parent / "scenarios/ex-2-4-bisim.scenario"))
+    search = Search(Relation("bowtie", paired), 8, None, 2_000_000)
+    game = checker._bisim_game(search, search.a.system.init(), search.b.system.init())
+    spine, _ = checker._witness_spine(game)
+    play = [{"attacker": side, "event": render_event(e),
+             "response": [render_event(r) for r in response]}
+            for side, e, response in spine]
+    golden = json.loads((TESTS / "golden/ex-2-4-bisim.json").read_text())
+    (check,) = golden["checks"]
+    assert json.loads(json.dumps(play)) == check["verdict"]["witness"]["play"]
+    assert (len(search.a.steps), len(search.b.steps)) == (67, 1_890)
+    assert (len(search.a.balls), len(search.b.balls)) == (109, 1_948)
 
 
 # --- relations ------------------------------------------------------------------------
@@ -504,12 +601,13 @@ def test_matcher_and_fallback_agree_when_audited():
         assert v.stats["matcher_fallback_disagreements"] == 0
 
 
-# Every passing sim and bisim entry of the shipped 2-replica scenarios, by
-# scenario and relation (None for the bisim entry).  The 3-replica ones stay
-# out: through the fallback alone they take minutes at this bound.
+# Every passing sim and bisim entry of the shipped scenarios, by scenario
+# and relation (None for the bisim entry).
 FALLBACK_ORACLE = (
     ("thm-4-2", "R1"),
     ("thm-4-2", "R2"),
+    ("thm-4-2-3rid", "R1"),
+    ("thm-4-2-3rid", "R2"),
     ("thm-a-2-gset", "Q1"),
     ("thm-a-2-gset", "Q2"),
     ("ex-4-7-convergence", "R1"),
@@ -566,7 +664,7 @@ def _illegal_matcher_steps(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name, relation", FALLBACK_ORACLE)
 def test_matcher_chains_are_defender_moves_on_shipped_entries(name, relation, monkeypatch):
-    """Legal-move oracle for the constructive matchers on the passing 2-replica
+    """Legal-move oracle for the constructive matchers on the passing
     shipped entries at step bound 5: every answer is a run of the
     defender's own LTS."""
     illegal = _illegal_matcher_steps(monkeypatch)
