@@ -12,14 +12,9 @@ from .core import (
     System,
     VectorClock,
     bcast,
-    delivered,
-    downset,
-    enabled,
     happens_before,
     initial_config,
     query_step,
-    satisfies_causal_delivery,
-    sent,
 )
 from .objects import (
     OpObject,
@@ -42,11 +37,7 @@ from .checker import (
     check_trace_equivalence,
     check_weak_bisimulation,
     check_weak_simulation,
-    deliverable_check,
     explore,
-    in_relation,
-    mergeable_check,
-    weak_successors,
     weak_traces,
 )
 from .client import (
@@ -54,7 +45,6 @@ from .client import (
     ClientSystem,
     can_terminate,
     check_approximation,
-    client_steps,
     eval_expr,
     parse_program,
     program_to_text,

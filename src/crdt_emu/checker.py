@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .core import (
     Config,
@@ -34,14 +34,12 @@ from .core import (
     System,
     canon_key,
     canon_set,
-    delivered,
     downset_of,
     happens_before,
     intern_scope,
     query_step,
     render,
     render_event,
-    sent,
 )
 from .emulation import interp
 from .objects import OpObject, StObject, check_concurrent_commutation, st_leq
@@ -294,42 +292,27 @@ def weak_moves(side: Side, cfg, obs: tuple | None,
 
 
 def weak_matches(
-    side,
+    side: Side,
     cfg,
     obs: tuple | None,
     tau_budget: int,
     accept: Callable[[Any], bool],
-    first_only: bool = True,
-) -> list[tuple[Any, tuple[Event, ...]]]:
-    """The weak moves (``weak_moves``) of cfg under obs whose landing
-    accept holds of, in their order; only the first when first_only.  accept
-    must not change its answer during the call, since each landing is
-    tested once.  side is a check's Side, or a bare system.  A negative
-    tau_budget raises ValueError."""
-    side = side if isinstance(side, Side) else Side(side)  # one-shot: fresh caches
-    results: list[tuple[Any, tuple[Event, ...]]] = []
+) -> tuple[Any, tuple[Event, ...]] | None:
+    """The first weak move (``weak_moves``) of cfg under obs whose landing
+    accept holds of, or None.  accept must not change its answer during the
+    call, since each landing is tested once.  A negative tau_budget raises
+    ValueError."""
     for move in weak_moves(side, cfg, obs, tau_budget):
         if accept(move[0]):
-            results.append(move)
-            if first_only:
-                break
-    return results
+            return move
+    return None
 
 
 @intern_scope
-def weak_successors(system, cfg, obs: tuple | None, tau_budget: int) -> list:
-    """All weak successors of cfg under the observable label obs
-    (``Event.obs_key``; None meaning tau), without duplicates.  A negative
-    tau_budget raises ValueError."""
-    found = weak_matches(system, cfg, obs, tau_budget, lambda _: True, first_only=False)
-    return [c for c, _ in found]
-
-
-@intern_scope
-def attainable_query_values(side, cfg, r: ReplicaId, q: QueryId, tau_budget: int) -> list:
-    """Query values weakly reachable at replica r (current value included).
-    A negative tau_budget raises ValueError."""
-    side = side if isinstance(side, Side) else Side(side)  # as in weak_matches
+def attainable_query_values(side: Side, cfg, r: ReplicaId, q: QueryId, tau_budget: int) -> list:
+    """Query values weakly reachable at replica r (current value included),
+    read off side's silent ball of cfg.  A negative tau_budget raises
+    ValueError."""
     vals = []
     seen = set()
     for c1, _ in _silent_ball(side, cfg, tau_budget):
@@ -339,52 +322,6 @@ def attainable_query_values(side, cfg, r: ReplicaId, q: QueryId, tau_budget: int
             seen.add(k)
             vals.append(v)
     return sorted(vals, key=canon_key)
-
-
-# --- deliverable / mergeable ------------------------------------------------------
-
-
-def _deliverable_ordering(
-    U: frozenset[Message],
-    r: ReplicaId,
-    buffer: frozenset,
-    sent: frozenset[Message],
-    consumed: frozenset[Message],
-) -> tuple[Message, ...] | None:
-    """A linearization of U deliverable at r: each element buffered for r and
-    enabled once the previous prefix has been delivered."""
-    for m in U:
-        if (r, m) not in buffer:
-            return None
-    done: list[Message] = []
-    have = set(consumed)
-    remaining = set(U)
-    while remaining:
-        pick = None
-        for m in sorted(remaining, key=lambda m: m.sort_key()):
-            if m in have:
-                return None  # would re-deliver
-            if all(m2 in have for m2 in sent if happens_before(m2, m)):
-                pick = m
-                break
-        if pick is None:
-            return None
-        done.append(pick)
-        have.add(pick)
-        remaining.remove(pick)
-    return tuple(done)
-
-
-def deliverable_check(
-    U: Iterable[Message], r: ReplicaId, t: Sequence[Event], b: frozenset
-) -> tuple[Message, ...] | None:
-    """Spec surface over a trace, oldest event first, and a buffer."""
-    return _deliverable_ordering(frozenset(U), r, b, sent(t), delivered(r, t))
-
-
-def mergeable_check(C: Iterable, r: ReplicaId, b: frozenset) -> bool:
-    """Every state in C is buffered for r."""
-    return all((r, s) in b for s in C)
 
 
 # --- relations --------------------------------------------------------------------
@@ -589,14 +526,6 @@ class Relation:
         return None
 
 
-def in_relation(paired: PairedSystem, rel_id: str, host_cfg, guest_cfg) -> bool:
-    """Spec surface: membership with arguments given as (host, guest)."""
-    rel = Relation(rel_id, paired)
-    if rel.a_side == "host":
-        return rel.holds(host_cfg, guest_cfg)
-    return rel.holds(guest_cfg, host_cfg)
-
-
 # --- constructive matchers ---------------------------------------------------------
 
 
@@ -796,6 +725,8 @@ class Search:
                  max_pairs: int, audit: bool = False):
         if tau_budget is None:
             tau_budget = default_tau_budget(rel.paired)
+        if step_bound < 0:
+            raise ValueError("negative step bound")
         if tau_budget < 0:
             raise ValueError("negative tau budget")
         self.rel = rel
@@ -880,15 +811,15 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
                     if not new or holds(cand):
                         landing = cand
                         stats["matcher_matched"] += 1
-                        if search.audit and not weak_matches(
+                        if search.audit and weak_matches(
                             Y, y, event.obs_key(), tau_budget, accept
-                        ):
+                        ) is None:
                             stats["matcher_fallback_disagreements"] += 1
                 if landing is None:
                     found = weak_matches(Y, y, event.obs_key(), tau_budget, accept)
-                    if not found:
+                    if found is None:
                         return _Miss(*_path_events(parents, key), side, event, x2, cand, y)
-                    landing, chain_events = found[0]
+                    landing, chain_events = found
                     key2 = pair_key(landing)
                     new = key2 not in parents
                     stats["fallback_matched"] += 1
@@ -981,7 +912,6 @@ class GameWitness:
     attacker_cfg: Any              # after the attack
     defender_cfg: Any
     responses: list                # [(events, sub GameWitness)]
-    evidence: dict | None
     depth_needed: int
 
 
@@ -1027,10 +957,7 @@ def _distinguish(search: Search, memo: dict, a, b, d: int) -> GameWitness | None
                 subs.append((evs, w))
                 needed = max(needed, w.depth_needed + 1)
             else:
-                evidence = None
-                if event.input.kind == "qry" and not subs:
-                    evidence = _evidence(X, event, x2, Y, y, tau_budget)
-                witness = GameWitness(side, event, x2, y, subs, evidence, needed)
+                witness = GameWitness(side, event, x2, y, subs, needed)
                 memo[key] = ("sep", witness)
                 return witness
     prev = memo.get(key)
@@ -1105,10 +1032,9 @@ def check_weak_bisimulation(
             }
         )
     unmatched = leaf.attacker_event
-    evidence = leaf.evidence
-    if evidence is None and unmatched.input.kind == "qry":
-        X = A if leaf.side == "host" else B
-        Y = B if leaf.side == "host" else A
+    evidence = None
+    if unmatched.input.kind == "qry":
+        X, Y = (A, B) if leaf.side == "host" else (B, A)
         evidence = _evidence(X, unmatched, leaf.attacker_cfg, Y, leaf.defender_cfg,
                              search.tau_budget)
     witness = {
@@ -1301,8 +1227,8 @@ def check_causal_safety(system, step_bound: int = 8) -> Verdict:
     and the sweep stops at the first violating one.  Steps are added in
     breadth-first order, so its witness, the path to the step's source and
     the step, is a shortest violating trace.  The full pairwise definition,
-    core.satisfies_causal_delivery, is the reference that tests compare
-    this with."""
+    ``satisfies_causal_delivery`` in ``tests/reference.py``, is the
+    reference that tests compare this with."""
     if system.kind != "op":
         raise ValueError("causal safety sweep runs on an op-based system")
     bounds = {"step_bound": step_bound, "discipline": system.discipline}
@@ -1350,28 +1276,3 @@ def check_commutation(system, step_bound: int = 8) -> Verdict:
         },
         detail="concurrent effects fail to commute",
     )
-
-
-# --- witness replay -------------------------------------------------------------------
-
-
-@intern_scope
-def replay_simulation_counterexample(
-    paired: PairedSystem, rel_id: str, cex: SimCounterexample, tau_budget: int
-) -> bool:
-    """Re-execute a counterexample's paths from the initial configurations and
-    confirm the reported obligation still fails."""
-    rel = Relation(rel_id, paired)
-    A = paired.side(rel.a_side)
-    B = paired.side(rel.b_side)
-    a = A.replay(cex.a_events[:-1])
-    b = B.replay(cex.b_events)
-    if rel.clause(a, b) is not None:
-        return False
-    steps = [c for e, c in A.steps(a) if e == cex.a_events[-1]]
-    if len(steps) != 1:
-        return False
-    (a2,) = steps
-    obs = cex.a_events[-1].obs_key()
-    found = weak_matches(B, b, obs, tau_budget, lambda bb: rel.holds(a2, bb))
-    return not found

@@ -390,15 +390,17 @@ def _prepare(
     scenario: Scenario, entry: dict, host: System, paired: PairedSystem | None
 ) -> Callable[[], Rows]:
     """Resolve one scenario check entry against the scenario's final bounds
-    and the built systems, raising ScenarioError for a configuration error;
-    returns the function that runs the check as (params, verdict) rows."""
+    and the built systems, raising ScenarioError for a configuration error
+    (``_check_entry``, as ``load_scenario`` does, then what only the built
+    systems tell); returns the function that runs the check as (params,
+    verdict) rows."""
+    _check_entry(entry, scenario.emulate, scenario.augment)
     name = entry["name"]
     bounds = scenario.bounds
     step_bound = entry.get("step_bound", bounds.step_bound)
     tau_budget = entry.get("tau_budget", bounds.tau_budget)
 
     if name == "sim":
-        _require(paired is not None, "sim check needs an emulate directive")
         which = entry.get("direction", checker.HOST_BY_GUEST)
         rel = entry.get("relation")
 
@@ -410,13 +412,11 @@ def _prepare(
 
         return sim
     if name == "bisim":
-        _require(paired is not None, "bisim check needs an emulate directive")
         return lambda: [(
             {"name": name, "mode": scenario.broadcast_mode},
             check_weak_bisimulation(paired, step_bound=step_bound, tau_budget=tau_budget),
         )]
     if name == "traces":
-        _require(paired is not None, "traces check needs an emulate directive")
         max_len = entry.get("max_trace_len", bounds.max_trace_len)
         _require(
             max_len <= step_bound,
@@ -450,17 +450,15 @@ def _prepare(
             {"name": name},
             check_commutation(system, step_bound=step_bound),
         )]
-    if name == "approx":
-        _require(paired is not None, "approx check needs an emulate directive")
-        prog_path = entry.get("program", scenario.client_program)
-        _require(prog_path is not None, "approx check needs a client program")
-        prog = _load_program(scenario, prog_path)
-        bound = entry.get("client_bound", bounds.client_bound)
-        return lambda: [
-            ({"name": name, "direction": direction, "program": prog_path}, v)
-            for direction, v in _run_approx(scenario, paired, prog, bound).items()
-        ]
-    raise ScenarioError(f"unknown check {name!r}")
+    # approx, the one check name left
+    prog_path = entry.get("program", scenario.client_program)
+    _require(prog_path is not None, "approx check needs a client program")
+    prog = _load_program(scenario, prog_path)
+    bound = entry.get("client_bound", bounds.client_bound)
+    return lambda: [
+        ({"name": name, "direction": direction, "program": prog_path}, v)
+        for direction, v in _run_approx(scenario, paired, prog, bound).items()
+    ]
 
 
 def run_check(

@@ -12,7 +12,6 @@ environments.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from typing import Any
@@ -375,12 +374,6 @@ class ClientSystem:
         return out
 
 
-def client_steps(system, cs: ClientState) -> list[tuple[Event | None, ClientState]]:
-    """``ClientSystem.steps`` of cs over the environment system, with a
-    cache of its own."""
-    return ClientSystem(system, cs).steps(cs)
-
-
 @dataclass
 class Termination:
     terminates: bool
@@ -464,47 +457,3 @@ def check_approximation(
         witness={"program": program_to_text(prog), "k_witness": tk.witness},
         detail="K terminates but L cannot within bound",
     )
-
-
-# --- program corpus -------------------------------------------------------------------
-
-
-def generate_programs(
-    ops: tuple[Op, ...],
-    queries: tuple[QueryId, ...],
-    count: int,
-    max_depth: int = 4,
-    seed: int = 2024,
-) -> list[Prog]:
-    """Deterministic random corpus of programs over the given universes."""
-    rng = random.Random(seed)
-    variables = ("x", "y")
-
-    def gen_expr(depth: int) -> Expr:
-        if depth <= 0 or rng.random() < 0.5:
-            if rng.random() < 0.5:
-                return Lit(rng.randrange(0, 4))
-            return Var(rng.choice(variables))
-        op = rng.choice(("+", "-", "*", "=", "<"))
-        return Bin(op, gen_expr(depth - 1), gen_expr(depth - 1))
-
-    def gen_prog(depth: int) -> Prog:
-        choices = ["skip", "asn", "upd", "qry", "seq"]
-        if depth > 1:
-            choices.append("while")
-        kind = rng.choice(choices)
-        if kind == "skip":
-            return SKIP
-        if kind == "asn":
-            return Asn(rng.choice(variables), gen_expr(depth - 1))
-        if kind == "upd":
-            return Upd(rng.choice(ops))
-        if kind == "qry":
-            return Qry(rng.choice(variables), rng.choice(queries))
-        if kind == "seq":
-            return Seq(gen_prog(depth - 1), gen_prog(depth - 1))
-        # loops get a guard that is usually already false or soon falsified
-        guard = Bin("<", Var(rng.choice(variables)), Lit(rng.randrange(0, 3)))
-        return While(guard, gen_prog(depth - 1))
-
-    return [gen_prog(max_depth) for _ in range(count)]

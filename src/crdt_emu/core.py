@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 ReplicaId = str
 Op = tuple          # operation token, e.g. ("add", 5) or ("inc",)
@@ -514,76 +514,9 @@ class System:
         return c
 
 
-# --- trace-level causal machinery -------------------------------------------
-# A trace is a sequence of events, oldest first.  These functions define the
-# causal notions on it; tests compare the facts a configuration stores with
-# them.
-
-
-def sent(t: Sequence[Event]) -> frozenset[Message]:
-    """All messages carried by a send output anywhere in the trace."""
-    out = set()
-    for e in t:
-        if e.output.kind == OUT_SEND:
-            out.add(e.output.message)
-    return frozenset(out)
-
-
-def delivered(r: ReplicaId, t: Sequence[Event]) -> frozenset[Message]:
-    """Messages r consumed: dlvr events plus messages r generated and
-    self-applied during upd events."""
-    out = set()
-    for e in t:
-        if e.replica != r:
-            continue
-        if e.input.kind == IN_DLVR:
-            out.add(e.input.message)
-        elif e.input.kind == IN_UPD and e.output.kind == OUT_SEND:
-            out.add(e.output.message)
-    return frozenset(out)
-
-
 def downset_of(m: Message, sent_set: frozenset[Message]) -> frozenset[Message]:
+    """m together with its causal predecessors among sent_set."""
     return frozenset(m2 for m2 in sent_set if happens_before(m2, m)) | {m}
-
-
-def downset(m: Message, t: Sequence[Event]) -> frozenset[Message]:
-    """m together with its causal predecessors among the sent messages."""
-    s = sent(t)
-    if m not in s:
-        raise ValueError(f"downset: message {m.sort_key()} was never sent in this trace")
-    return downset_of(m, s)
-
-
-def enabled(r: ReplicaId, m: Message, t: Sequence[Event]) -> bool:
-    """Deliverability of m at r: not yet delivered there, and every causal
-    predecessor already consumed by r (delivered or self-generated)."""
-    dlvrd = set()
-    for e in t:
-        if e.replica == r and e.input.kind == IN_DLVR:
-            dlvrd.add(e.input.message)
-    if m in dlvrd:
-        return False
-    consumed = delivered(r, t)
-    for m2 in sent(t):
-        if happens_before(m2, m) and m2 not in consumed:
-            return False
-    return True
-
-
-def satisfies_causal_delivery(t: Sequence[Event]) -> bool:
-    """No replica's dlvr events invert the causal order (brute force over
-    all pairs of dlvr events per replica)."""
-    per_replica: dict[ReplicaId, list[Message]] = {}
-    for e in t:
-        if e.input.kind == IN_DLVR:
-            per_replica.setdefault(e.replica, []).append(e.input.message)
-    for msgs in per_replica.values():
-        for i, mi in enumerate(msgs):
-            for mj in msgs[i + 1 :]:
-                if happens_before(mj, mi):
-                    return False
-    return True
 
 
 def buffer_add(

@@ -13,7 +13,7 @@ so all message effects commute and identity is by payload value.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 from .core import INTERP_MEMO, Message, Op, QueryId, ReplicaId, happens_before, mint
 from .objects import IDENTITY_VALUE, OpObject, StObject
@@ -40,8 +40,9 @@ def interp(h: MessageSetState, obj: OpObject) -> Any:
     on top of the interpretation of the rest.
 
     Concurrent effects commute for a law-abiding object, so the result does
-    not depend on the peeling choice; the checker verifies that separately
-    rather than assuming it.
+    not depend on the peeling choice; the commutation sweep checks that, and
+    the tests hold interp against every linear extension of the causal
+    order.
     """
     return _interp(h, obj)
 
@@ -67,41 +68,6 @@ def _interp(h: MessageSetState, obj: OpObject) -> Any:
         state = obj.effect(m.payload, state)
         memo[whole] = state
     return state
-
-
-def linear_extensions(h: MessageSetState) -> Iterator[tuple[Message, ...]]:
-    """All orderings of h consistent with the happens-before order."""
-    msgs = sorted(h, key=lambda m: m.sort_key())
-
-    def rec(remaining: list[Message], acc: list[Message]) -> Iterator[tuple[Message, ...]]:
-        if not remaining:
-            yield tuple(acc)
-            return
-        for m in remaining:
-            if any(happens_before(m2, m) for m2 in remaining if m2 is not m):
-                continue
-            rest = [m2 for m2 in remaining if m2 is not m]
-            acc.append(m)
-            yield from rec(rest, acc)
-            acc.pop()
-
-    yield from rec(msgs, [])
-
-
-def interp_under_order(order: tuple[Message, ...], obj: OpObject) -> Any:
-    s = obj.initial
-    for m in order:
-        s = obj.effect(m.payload, s)
-    return s
-
-
-def interp_is_order_independent(h: MessageSetState, obj: OpObject) -> bool:
-    """Brute-force check that every linear extension of the causal order
-    yields the same interpretation (and that interp agrees with them)."""
-    expected = interp(h, obj)
-    return all(
-        interp_under_order(order, obj) == expected for order in linear_extensions(h)
-    )
 
 
 def op_to_st(obj: OpObject) -> StObject:

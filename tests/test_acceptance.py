@@ -25,13 +25,9 @@ from crdt_emu.checker import (
     explore,
     weak_traces,
 )
-from crdt_emu.client import check_approximation, generate_programs
+from crdt_emu.client import check_approximation
 from crdt_emu.core import FrozenDict
-from crdt_emu.emulation import (
-    interp_is_order_independent,
-    op_to_st,
-    st_to_op,
-)
+from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import (
     augment_history_op,
     break_query,
@@ -41,6 +37,7 @@ from crdt_emu.objects import (
 )
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
 from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
+from reference import generate_programs, interp_is_order_independent
 
 STEP_BOUND = 8
 TRACE_BOUND = 10

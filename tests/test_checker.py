@@ -15,7 +15,6 @@ from crdt_emu.checker import (
     Relation,
     Search,
     Side,
-    _deliverable_ordering,
     _play_obligations,
     attainable_query_values,
     check_causal_safety,
@@ -26,22 +25,17 @@ from crdt_emu.checker import (
     check_weak_simulation,
     constructive_match,
     default_tau_budget,
-    deliverable_check,
     explore,
-    in_relation,
-    mergeable_check,
-    replay_simulation_counterexample,
     sim_relation,
     weak_matches,
     weak_moves,
-    weak_successors,
     weak_traces,
 )
 from crdt_emu.cli import build_systems, load_scenario, run_check
 from crdt_emu.client import SKIP, ClientState, can_terminate, check_approximation, parse_program
 from crdt_emu.core import (
     Event, FrozenDict, Input, Output, canon_key, intern_scope,
-    intern_table_sizes, render, render_event, satisfies_causal_delivery,
+    intern_table_sizes, render, render_event,
 )
 from crdt_emu.emulation import _interp_memo, op_to_st, st_to_op
 from crdt_emu.objects import (
@@ -55,6 +49,13 @@ from crdt_emu.objects import (
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
 from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
 from conftest import eager_ball, eager_moves, msg, raw_tree
+from reference import (
+    delivered,
+    deliverable_ordering,
+    replay_simulation_counterexample,
+    satisfies_causal_delivery,
+    sent,
+)
 
 import pytest
 
@@ -138,7 +139,7 @@ def test_summary_determines_successors():
 def test_weak_tau_successors_include_self():
     p = paired_gset()
     init = p.host.init()
-    succ = weak_successors(p.host, init, None, tau_budget=4)
+    succ = [c for c, _ in weak_moves(Side(p.host), init, None, tau_budget=4)]
     assert init in succ
 
 
@@ -149,7 +150,7 @@ def test_weak_query_successor_after_silent_deliveries():
     for op in (("add", 5), ("add", 42)):
         c = next(c2 for e, c2 in guest.steps(c) if e.input.kind == "upd" and e.input.op == op)
     c = next(c2 for e, c2 in guest.steps(c) if e.input.kind == "none")
-    hits = weak_successors(guest, c, ("query", "r2", "sum", 47), tau_budget=4)
+    hits = list(weak_moves(Side(guest), c, ("query", "r2", "sum", 47), tau_budget=4))
     assert hits
 
 
@@ -157,7 +158,7 @@ def test_no_weak_update_when_universe_exhausted():
     p = paired_gset((5,))
     host = p.host
     c = next(c2 for e, c2 in host.steps(host.init()) if e.input.kind == "upd" and e.replica == "r1")
-    hits = weak_successors(host, c, ("update", "r1", ("add", 5)), tau_budget=4)
+    hits = list(weak_moves(Side(host), c, ("update", "r1", ("add", 5)), tau_budget=4))
     assert not hits
 
 
@@ -173,14 +174,32 @@ def test_a_negative_tau_budget_is_a_value_error():
         "weak_moves": lambda: list(weak_moves(Side(guest), init, None, -1)),
         "weak_moves-obs": lambda: list(
             weak_moves(Side(guest), init, ("update", "r1", ("add", 5)), -1)),
-        "weak_matches": lambda: weak_matches(guest, init, None, -1, lambda _: True),
-        "weak_successors": lambda: weak_successors(guest, init, None, -1),
-        "attainable_query_values": lambda: attainable_query_values(guest, init, "r1", "sum", -1),
+        "weak_matches": lambda: weak_matches(Side(guest), init, None, -1, lambda _: True),
+        "attainable_query_values": lambda: attainable_query_values(
+            Side(guest), init, "r1", "sum", -1),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match="negative tau budget"):
             call()
             pytest.fail(name)
+
+
+def test_a_negative_step_bound_is_a_value_error():
+    """A negative step bound is an error, not a search that stops before
+    its first obligation and passes: the ex-2-4-bisim pair and the
+    cor-4-5 broken guest, both refuted at bound 8, raise at bound -1."""
+    scenarios = TESTS.parent / "scenarios"
+    _, bisim = build_systems(load_scenario(scenarios / "ex-2-4-bisim.scenario"))
+    _, broken = build_systems(load_scenario(scenarios / "cor-4-5-broken-guest.scenario"))
+    assert check_weak_bisimulation(bisim, step_bound=8).outcome == "counterexample"
+    assert check_weak_simulation(broken, "R1", step_bound=8).outcome == "counterexample"
+    for call in (
+        lambda: Search(Relation("R1", broken), -1, None, 2_000_000),
+        lambda: check_weak_bisimulation(bisim, step_bound=-1),
+        lambda: check_weak_simulation(broken, "R1", step_bound=-1),
+    ):
+        with pytest.raises(ValueError, match="negative step bound"):
+            call()
 
 
 def _ex_2_4_configurations(side: str, depth: int = 4):
@@ -260,11 +279,11 @@ def test_the_bisim_game_builds_only_the_responses_it_reads():
 
 def test_initial_configurations_related():
     p = paired_gset()
-    assert in_relation(p, "R1", p.host.init(), p.guest.init())
-    assert in_relation(p, "R2", p.host.init(), p.guest.init())
+    assert Relation("R1", p).holds(p.host.init(), p.guest.init())
+    assert Relation("R2", p).holds(p.guest.init(), p.host.init())
     q = paired_gcounter()
-    assert in_relation(q, "Q1", q.host.init(), q.guest.init())
-    assert in_relation(q, "Q2", q.host.init(), q.guest.init())
+    assert Relation("Q1", q).holds(q.host.init(), q.guest.init())
+    assert Relation("Q2", q).holds(q.guest.init(), q.host.init())
 
 
 def test_ex_2_4_divergent_pair_violates_r1():
@@ -296,11 +315,12 @@ def test_relation_direction_validation():
         check_weak_simulation(p, "R1", GUEST_BY_HOST, step_bound=2)
 
 
-# --- deliverable / mergeable ------------------------------------------------------------
+# --- deliverable ------------------------------------------------------------------------
 
 
 def test_deliverable_empty_set():
-    assert deliverable_check((), "r1", (), frozenset()) == ()
+    none = frozenset()
+    assert deliverable_ordering(none, "r1", none, sent(()), delivered("r1", ())) == ()
 
 
 def test_deliverable_orders_downset_topologically():
@@ -312,17 +332,10 @@ def test_deliverable_orders_downset_topologically():
         Event("r2", Input.upd(("add", 2)), Output.send(m2)),
     )
     b = frozenset({("r3", m1), ("r3", m2)})
-    assert deliverable_check({m1, m2}, "r3", t, b) == (m1, m2)
+    consumed = delivered("r3", t)
+    assert deliverable_ordering(frozenset({m1, m2}), "r3", b, sent(t), consumed) == (m1, m2)
     # a message whose undelivered predecessor is outside U is not deliverable
-    assert deliverable_check({m2}, "r3", t, b) is None
-
-
-def test_mergeable_check_examples():
-    s = frozenset({5})
-    b = frozenset({("r1", s)})
-    assert mergeable_check((), "r1", b)
-    assert mergeable_check([s], "r1", b)
-    assert not mergeable_check([frozenset({6})], "r1", b)
+    assert deliverable_ordering(frozenset({m2}), "r3", b, sent(t), consumed) is None
 
 
 # --- closed-form clauses against subset enumeration ---------------------------------------
@@ -343,7 +356,7 @@ class SubsetSearchRelation(Relation):
                 Uf = frozenset(U)
                 if have | Uf != target:
                     continue
-                if _deliverable_ordering(Uf, r, op_c.buffer, op_c.sent, have) is not None:
+                if deliverable_ordering(Uf, r, op_c.buffer, op_c.sent, have) is not None:
                     return True
         return False
 
@@ -546,7 +559,6 @@ def test_unknown_relation_is_a_value_error():
     p = paired_gset()
     for call in (
         lambda: check_weak_simulation(p, "R9"),
-        lambda: in_relation(p, "R9", p.host.init(), p.guest.init()),
         lambda: Relation("R9", p),
     ):
         with pytest.raises(ValueError, match="unknown relation 'R9'"):
@@ -567,8 +579,6 @@ def test_reliable_only_r1_counterexample_and_replay():
 
 def test_sim_counterexample_report_replays_from_rendered_events():
     """Round-trip: the JSON witness alone reproduces the failing obligation."""
-    from crdt_emu.checker import Relation, weak_matches
-
     p = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
     v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8)
     host_events = _events(v.witness["host_events"])
@@ -581,7 +591,7 @@ def test_sim_counterexample_report_replays_from_rendered_events():
     assert len(steps) == 1
     (a2,) = steps
     obs = host_events[-1].obs_key()
-    assert not weak_matches(p.guest, b, obs, 6, lambda bb: rel.holds(a2, bb))
+    assert weak_matches(Side(p.guest), b, obs, 6, lambda bb: rel.holds(a2, bb)) is None
 
 
 def test_matcher_and_fallback_agree_when_audited():
@@ -970,8 +980,6 @@ def test_ex_2_5_causal_query_values_at_r3():
     """From the prefix where the first add causally precedes the second
     (r2 delivers before updating), r3 can observe sums 1 and 3 under causal
     delivery, and additionally 2 when the causal gate is dropped."""
-    from crdt_emu.checker import attainable_query_values
-
     obj = gset_op((1, 2))
 
     def r3_values(discipline):
@@ -984,7 +992,7 @@ def test_ex_2_5_causal_query_values_at_r3():
             for e, c2 in system.steps(c)
             if e.input.kind == "upd" and e.replica == "r2" and e.input.op == ("add", 2)
         )
-        return set(attainable_query_values(system, c, "r3", "sum", tau_budget=6))
+        return set(attainable_query_values(Side(system), c, "r3", "sum", tau_budget=6))
 
     assert r3_values("causal") == {0, 1, 3}
     assert r3_values(RELIABLE_ONLY) == {0, 1, 2, 3}
@@ -1036,8 +1044,9 @@ def test_causal_safety_pass_and_fail():
 
 def _shortest_causal_violation(system, depth: int) -> tuple[Event, ...] | None:
     """Causal safety by definition: the first path of the raw tree to depth,
-    in breadth-first order, that core.satisfies_causal_delivery rejects, so
-    a shortest violating trace; None if every path satisfies it."""
+    in breadth-first order, that reference.satisfies_causal_delivery
+    rejects, so a shortest violating trace; None if every path satisfies
+    it."""
     tree = raw_tree(system, depth)
     for i in range(len(tree.nodes)):
         path = tree.path(i)
@@ -1183,8 +1192,7 @@ def _library_searches():
     prog = parse_program("upd(add 1); x := qry(sum)")
     return [
         (replay_simulation_counterexample, lambda: (sim, "R1", cex, 6)),
-        (weak_successors, lambda: (sim.guest, sim.guest.init(), None, 4)),
-        (attainable_query_values, lambda: (sim.guest, sim.guest.init(), "r1", "sum", 4)),
+        (attainable_query_values, lambda: (Side(sim.guest), sim.guest.init(), "r1", "sum", 4)),
         (sim.host.replay, lambda: (cex.a_events,)),
         (can_terminate, lambda: (sim.host, ClientState(sim.host.init(), FrozenDict(), prog), 6)),
     ]

@@ -14,6 +14,7 @@ from crdt_emu.cli import (
     build_systems,
     load_scenario,
     main,
+    run_check,
     run_scenario,
 )
 
@@ -484,3 +485,22 @@ def test_bad_scenario_entries_exit_3(tmp_path, capsys, broken):
         load_scenario(path)
     assert main(["check", "--scenario", path]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"name": "sim", "relaton": "R2"},
+        {"name": "sim", "relation": "R1", "step_bound": -2},
+        {"name": "sim", "relation": "R2"},  # R2 is guest-by-host
+    ],
+)
+def test_run_check_validates_its_entry(tmp_path, entry):
+    """run_check, which callers may hand an entry that no scenario file
+    carried, rejects it as load_scenario would, with a configuration error:
+    no misspelled key runs the default relation, and no negative bound
+    passes."""
+    scenario = load_scenario(write_scenario(tmp_path, base_scenario()))
+    host, paired = build_systems(scenario)
+    with pytest.raises(ScenarioError):
+        run_check(scenario, entry, host, paired)

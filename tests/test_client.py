@@ -18,9 +18,7 @@ from crdt_emu.client import (
     While,
     can_terminate,
     check_approximation,
-    client_steps,
     eval_expr,
-    generate_programs,
     parse_program,
     program_to_text,
     prog_terminated,
@@ -30,6 +28,7 @@ from crdt_emu.emulation import op_to_st
 from crdt_emu.objects import break_query, gset_op
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
+from reference import generate_programs
 
 
 def env_pair(values=(1,), roster=("r1", "r2")):
@@ -100,13 +99,13 @@ def test_eval_comparisons_yield_bits():
 def test_skip_is_terminal():
     host, _ = env_pair()
     cs = ClientState(host.init(), FrozenDict(), Skip())
-    assert prog_terminated(cs.prog, cs.store) and not client_steps(host, cs)
+    assert prog_terminated(cs.prog, cs.store) and not ClientSystem(host, cs).steps(cs)
 
 
 def test_while_zero_guard_is_terminal():
     host, _ = env_pair()
     cs = ClientState(host.init(), FrozenDict(), While(Lit(0), Skip()))
-    assert prog_terminated(cs.prog, cs.store) and not client_steps(host, cs)
+    assert prog_terminated(cs.prog, cs.store) and not ClientSystem(host, cs).steps(cs)
 
 
 def test_query_reads_replica_value_and_keeps_env():
@@ -118,7 +117,7 @@ def test_query_reads_replica_value_and_keeps_env():
     for _ in range(2):
         c = next(c2 for e, c2 in host.steps(c) if e.obs_key() is None and e.replica == "r2")
     cs = ClientState(c, FrozenDict(), Qry("x", "sum"))
-    succ = client_steps(host, cs)
+    succ = ClientSystem(host, cs).steps(cs)
     qry_succs = [(e, s) for e, s in succ if s.prog == Skip()]
     assert any(s.store.get("x") == 47 for _, s in qry_succs)
     # the environment configuration is untouched by a client query
@@ -129,14 +128,16 @@ def test_pure_rules_are_deterministic():
     host, _ = env_pair()
     init = host.init()
     for prog in (Asn("x", Lit(3)), While(Lit(1), Skip()), Seq(Skip(), Asn("y", Lit(1)))):
-        succ = client_steps(host, ClientState(init, FrozenDict(), prog))
+        cs = ClientState(init, FrozenDict(), prog)
+        succ = ClientSystem(host, cs).steps(cs)
         pure = [e for e, s in succ if s.env is init]
         assert pure == [None]
 
 
 def test_upd_served_by_any_replica():
     host, _ = env_pair((1,))
-    succ = client_steps(host, ClientState(host.init(), FrozenDict(), Upd(("add", 1))))
+    cs = ClientState(host.init(), FrozenDict(), Upd(("add", 1)))
+    succ = ClientSystem(host, cs).steps(cs)
     served = [e for e, s in succ if s.prog == Skip()]
     assert len(served) == 2  # either replica may serve it
     assert {e.replica for e in served} == {"r1", "r2"}

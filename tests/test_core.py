@@ -14,16 +14,11 @@ from crdt_emu.core import (
     VectorClock,
     bcast,
     concurrent,
-    delivered,
-    downset,
-    enabled,
     happens_before,
     initial_config,
     intern_scope,
     intern_table_sizes,
     mint,
-    satisfies_causal_delivery,
-    sent,
 )
 from crdt_emu.checker import (
     HOST_BY_GUEST,
@@ -46,6 +41,7 @@ from crdt_emu.stsem import (
     st_replica_step,
 )
 from conftest import clock_before, msg, raw_tree
+from reference import delivered, downset, enabled, satisfies_causal_delivery, sent
 
 import pytest
 

