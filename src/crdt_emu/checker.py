@@ -157,7 +157,11 @@ def breadth_first(system, step_bound: int, graph: Graph) -> Iterator[int]:
     the search.  The finished graph holds every configuration reachable
     within the bound and every step out of each one below it, so a property
     of one configuration or of one step is decided on it exactly.  A node's
-    history is the path that first reached it (``Graph.path``)."""
+    history is the path that first reached it (``Graph.path``).  A step
+    whose successor is its source object, as every query step's is
+    (``core.query_step``), is recorded as the self-loop (i, e, i) without
+    hashing the configuration; any other successor is looked up in the key
+    table, so a step back to an equal configuration is a self-loop too."""
     if step_bound < 0:
         raise ValueError("breadth_first: negative step bound")
     nodes, edges, depths, parents = graph.nodes, graph.edges, graph.depths, graph.parents
@@ -170,7 +174,11 @@ def breadth_first(system, step_bound: int, graph: Graph) -> Iterator[int]:
     while i < len(nodes):  # the nodes list is the queue
         yield i
         if depths[i] < step_bound:
-            for e, c2 in system.steps(nodes[i]):
+            c = nodes[i]
+            for e, c2 in system.steps(c):
+                if c2 is c:  # a stuttering step, such as a query: no lookup
+                    edges.append((i, e, i))
+                    continue
                 j = keys.setdefault(c2, len(nodes))
                 if j == len(nodes):
                     nodes.append(c2)

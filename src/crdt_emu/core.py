@@ -17,11 +17,14 @@ different paths share their maps, clocks, messages, events and frozensets
 (buffers, sent sets, used-op sets), and an event or clock a step builds
 again is a table hit.  A system step is labelled by its event alone
 (``Event.obs_key``).  Each class has its own table of plain references,
-whose lifetime is one check: every check, ``explore`` and library search
-runs inside ``intern_scope``, which also pauses the cyclic garbage
-collector, and when the outermost scope exits every table is emptied,
-together with the message-set interpretation memo (``INTERP_MEMO``), so a
-finished check keeps none of its values alive.
+and two more tables keep what the steps derive from those values: a
+canonical buffer's delivery order (``delivery_order``) and a query's event
+per (object, replica, query, replica state) (``query_step``), so neither is
+recomputed for every successor.  Every table's lifetime is one check: every
+check, ``explore`` and library search runs inside ``intern_scope``, which
+also pauses the cyclic garbage collector, and when the outermost scope
+exits every table is emptied, together with the message-set interpretation
+memo (``INTERP_MEMO``), so a finished check keeps none of its values alive.
 Identity is only a speed-up: ``__eq__`` and ``__hash__`` stay structural,
 so values that outlive their check (verdicts, witnesses) stay correct
 against the next check's canonical values, and the plain constructors still
@@ -52,6 +55,11 @@ _INPUTS: dict = {}
 _OUTPUTS: dict = {}
 _EVENTS: dict = {}
 _FROZENSETS: dict = {}
+# Derived facts, looked up as often as the values they come from: canonical
+# buffer -> its entries in delivery order (``delivery_order``), and (object,
+# replica, query, replica state) -> the query's event (``query_step``).
+_DELIVERY_ORDERS: dict = {}
+_QUERY_EVENTS: dict = {}
 
 _TABLES = {
     "FrozenDict": _FROZEN_DICTS,
@@ -61,6 +69,8 @@ _TABLES = {
     "Output": _OUTPUTS,
     "Event": _EVENTS,
     "frozenset": _FROZENSETS,
+    "delivery_order": _DELIVERY_ORDERS,
+    "query_step": _QUERY_EVENTS,
 }
 
 # Interpretation results of ``emulation.interp``: op object -> {message set:
@@ -473,8 +483,16 @@ def initial_config(obj, roster: tuple[ReplicaId, ...]) -> Config:
 
 def query_step(obj, c: Config, r: ReplicaId, q: QueryId) -> Step:
     """The query rule of both semantics: r answers q from its state, and the
-    configuration stays c itself."""
-    return (Event.of(r, Input.qry(q), Output.ret(obj.query(q, c.states[r]))), c)
+    configuration stays c itself, so a search records the step as a
+    self-loop without looking c up.  The event is a function of (obj, r, q,
+    r's state); it is built and the query evaluated once per check scope,
+    and every later step from an equal state is a table hit."""
+    s = c.states[r]
+    key = (obj, r, q, s)
+    e = _QUERY_EVENTS.get(key)
+    if e is None:
+        e = _QUERY_EVENTS[key] = Event.of(r, Input.qry(q), Output.ret(obj.query(q, s)))
+    return (e, c)
 
 
 @dataclass(frozen=True)
@@ -546,6 +564,23 @@ def bcast(
         if r2 != r:
             out = buffer_add(out, r2, m, by_value)
     return canon_set(out)
+
+
+def _delivery_key(entry: tuple) -> tuple:
+    r, m = entry
+    return (r, m.sort_key() if isinstance(m, Message) else canon_key(m))
+
+
+def delivery_order(buffer: frozenset) -> tuple:
+    """The entries of a canonical buffer in the order both semantics try
+    their deliveries: by destination replica, then by message, an op-based
+    ``Message`` by its origin and seq, a state-based state by ``canon_key``.
+    Sorted once per buffer per check scope; every later expansion of a
+    configuration with this buffer is a table hit."""
+    order = _DELIVERY_ORDERS.get(buffer)
+    if order is None:
+        order = _DELIVERY_ORDERS[buffer] = tuple(sorted(buffer, key=_delivery_key))
+    return order
 
 
 # --- canonical ordering / rendering ------------------------------------------

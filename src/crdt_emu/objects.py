@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
-from .core import FrozenDict, Op, QueryId, ReplicaId, concurrent
+from .core import FrozenDict, Op, QueryId, ReplicaId, concurrent, delivery_order
 
 # Message identity regimes for op-based objects.  "id" is the normal case:
 # messages are distinct as (origin, clock, payload) values, and within one
@@ -226,7 +226,7 @@ def check_concurrent_commutation(obj: OpObject, configs) -> CommutationReport:
     violations = []
     for cfg in configs:
         by_replica: dict[ReplicaId, list] = {}
-        for r, m in sorted(cfg.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
+        for r, m in delivery_order(cfg.buffer):
             by_replica.setdefault(r, []).append(m)
         for r, msgs in by_replica.items():
             s = cfg.states[r]

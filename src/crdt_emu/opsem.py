@@ -26,6 +26,7 @@ from .core import (
     bcast,
     canon_set,
     causal_past,
+    delivery_order,
     mint,
     query_step,
 )
@@ -86,11 +87,11 @@ def op_mk_update(
     s2, out = op_replica_step(obj, r, c.states[r], i, c.delivered[r])
     m = out.message
     return Event.of(r, i, out), Config(
-        states=c.states.set(r, s2),
-        buffer=bcast(r, m, c.buffer, roster, obj.message_identity == IDENTITY_VALUE),
-        sent=canon_set(c.sent | {m}),
-        delivered=c.delivered.set(r, c.delivered[r] | {m}),
-        used_ops=canon_set(c.used_ops | {(r, op)}),
+        c.states.set(r, s2),
+        bcast(r, m, c.buffer, roster, obj.message_identity == IDENTITY_VALUE),
+        canon_set(c.sent | {m}),
+        c.delivered.set(r, c.delivered[r] | {m}),
+        canon_set(c.used_ops | {(r, op)}),
     )
 
 
@@ -103,11 +104,11 @@ def op_mk_deliver(
     i = Input.dlvr(m)
     s2, out = op_replica_step(obj, r, c.states[r], i)
     return Event.of(r, i, out), Config(
-        states=c.states.set(r, s2),
-        buffer=canon_set(c.buffer - {(r, m)}),
-        sent=c.sent,
-        delivered=c.delivered.set(r, c.delivered[r] | {m}),
-        used_ops=c.used_ops,
+        c.states.set(r, s2),
+        canon_set(c.buffer - {(r, m)}),
+        c.sent,
+        c.delivered.set(r, c.delivered[r] | {m}),
+        c.used_ops,
     )
 
 
@@ -118,8 +119,13 @@ def op_system_steps(
     discipline: str = CAUSAL,
 ) -> list[Step]:
     """All rule instances applicable to c, in deterministic order (updates,
-    then queries, then deliveries).  An update already recorded in used_ops
-    does not fire again."""
+    then queries, then deliveries in ``core.delivery_order``).  An update
+    already recorded in used_ops does not fire again.  The buffer's order
+    and each query's event come from the check scope's tables, so only the
+    first configuration with a given buffer sorts it and only the first
+    with a given replica state evaluates a query there; each query step's
+    successor is c itself.  Every delivery still goes through
+    ``op_mk_deliver``."""
     out: list[Step] = []
     for r in roster:
         for op in obj.ops:
@@ -128,7 +134,7 @@ def op_system_steps(
     for r in roster:
         for q in obj.queries:
             out.append(query_step(obj, c, r, q))
-    for r, m in sorted(c.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
+    for r, m in delivery_order(c.buffer):
         step = op_mk_deliver(obj, c, r, m, discipline)
         if step is not None:
             out.append(step)

@@ -26,8 +26,8 @@ from .core import (
     Step,
     System,
     bcast,
-    canon_key,
     canon_set,
+    delivery_order,
     query_step,
 )
 from .objects import StObject
@@ -69,11 +69,11 @@ def st_mk_update(
     else:
         buffer, sent = c.buffer, c.sent
     return Event.of(r, i, out), Config(
-        states=c.states.set(r, s2),
-        buffer=buffer,
-        sent=sent,
-        delivered=c.delivered,
-        used_ops=canon_set(c.used_ops | {(r, op)}),
+        c.states.set(r, s2),
+        buffer,
+        sent,
+        c.delivered,
+        canon_set(c.used_ops | {(r, op)}),
     )
 
 
@@ -82,11 +82,11 @@ def st_mk_send(
 ) -> Step:
     s = c.states[r]
     return Event.of(r, Input.none(), Output.send(s)), Config(
-        states=c.states,
-        buffer=bcast(r, s, c.buffer, roster),
-        sent=canon_set(c.sent | {s}),
-        delivered=c.delivered,
-        used_ops=c.used_ops,
+        c.states,
+        bcast(r, s, c.buffer, roster),
+        canon_set(c.sent | {s}),
+        c.delivered,
+        c.used_ops,
     )
 
 
@@ -101,17 +101,12 @@ def st_mk_deliver(
     i = Input.dlvr(s)
     s2, out = st_replica_step(obj, r, c.states[r], i)
     return Event.of(r, i, out), Config(
-        states=c.states.set(r, s2),
-        buffer=canon_set(c.buffer - {(r, s)}),
-        sent=c.sent,
-        delivered=c.delivered.set(r, c.delivered[r] | {s}),
-        used_ops=c.used_ops,
+        c.states.set(r, s2),
+        canon_set(c.buffer - {(r, s)}),
+        c.sent,
+        c.delivered.set(r, c.delivered[r] | {s}),
+        c.used_ops,
     )
-
-
-def _delivery_order(entry: tuple) -> tuple:
-    r, s = entry
-    return (r, canon_key(s))
 
 
 def st_system_steps(
@@ -121,10 +116,13 @@ def st_system_steps(
     mode: str = SEPARATE_SEND,
 ) -> list[Step]:
     """All rule instances applicable to c, in deterministic order (updates,
-    queries, sends, then deliveries by replica and canonical state key).  An
-    update already recorded in used_ops does not fire again.  In atomic mode
-    the update rule broadcasts the post-update state itself and there is no
-    separate send rule."""
+    queries, sends, then deliveries by replica and canonical state key,
+    ``core.delivery_order``).  An update already recorded in used_ops does
+    not fire again.  In atomic mode the update rule broadcasts the
+    post-update state itself and there is no separate send rule.  As on
+    op-based systems, the buffer's order and the query events are read from
+    the check scope's tables, each query step's successor is c itself, and
+    every delivery goes through ``st_mk_deliver``."""
     out: list[Step] = []
     for r in roster:
         for op in obj.ops:
@@ -136,7 +134,7 @@ def st_system_steps(
     if mode == SEPARATE_SEND:
         for r in roster:
             out.append(st_mk_send(roster, c, r))
-    for r, s in sorted(c.buffer, key=_delivery_order):
+    for r, s in delivery_order(c.buffer):
         step = st_mk_deliver(obj, c, r, s)
         if step is not None:
             out.append(step)

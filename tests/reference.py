@@ -9,6 +9,9 @@ definitions live here, as oracles that share no rule with it: messages are
 ordered by ``conftest.clock_before``, the pointwise order on their clocks,
 not by the origin-component rule of ``core.happens_before``.
 
+``reference_steps`` builds a configuration's step list through the rule
+functions, but without the check scope's delivery-order and query tables.
+
 A trace is a sequence of events, oldest first.
 """
 
@@ -21,17 +24,26 @@ from crdt_emu.checker import PairedSystem, Relation, SimCounterexample, Side, we
 from crdt_emu.client import SKIP, Asn, Bin, Expr, Lit, Prog, Qry, Seq, Upd, Var, While
 from crdt_emu.core import (
     IN_DLVR,
+    IN_QRY,
     IN_UPD,
+    OUT_RET,
     OUT_SEND,
+    Config,
     Event,
+    Input,
     Message,
     Op,
+    Output,
     QueryId,
     ReplicaId,
+    Step,
+    canon_key,
     intern_scope,
 )
 from crdt_emu.emulation import interp
 from crdt_emu.objects import OpObject
+from crdt_emu.opsem import op_mk_deliver, op_mk_update
+from crdt_emu.stsem import SEPARATE_SEND, st_mk_deliver, st_mk_send, st_mk_update
 from conftest import clock_before
 
 
@@ -175,6 +187,41 @@ def interp_is_order_independent(h: frozenset[Message], obj: OpObject) -> bool:
     return all(
         interp_under_order(order, obj) == expected for order in linear_extensions(h)
     )
+
+
+# --- the step kernel -------------------------------------------------------------
+
+
+def reference_steps(system, c: Config) -> list[Step]:
+    """The steps of c on an op-based or state-based system, in the rules'
+    order (updates, queries, state-based sends, deliveries), built through
+    the rule functions but without ``core.delivery_order`` or the query
+    table: the buffer is sorted afresh on every call, an op-based message
+    by its (origin, seq) and a state-based state by ``canon_key``, and each
+    query event is built anew from plain constructors."""
+    obj, roster = system.obj, system.roster
+    out: list[Step] = []
+    for r in roster:
+        for op in obj.ops:
+            if (r, op) in c.used_ops:
+                continue
+            if system.kind == "op":
+                out.append(op_mk_update(obj, roster, c, r, op))
+            else:
+                out.append(st_mk_update(obj, roster, c, r, op, system.mode))
+    for r in roster:
+        for q in obj.queries:
+            answer = Output(OUT_RET, obj.query(q, c.states[r]))
+            out.append((Event(r, Input(IN_QRY, query=q), answer), c))
+    if system.kind == "op":
+        for r, m in sorted(c.buffer, key=lambda rm: (rm[0], rm[1].origin, rm[1].seq)):
+            out.append(op_mk_deliver(obj, c, r, m, system.discipline))
+    else:
+        if system.mode == SEPARATE_SEND:
+            out.extend(st_mk_send(roster, c, r) for r in roster)
+        for r, s in sorted(c.buffer, key=lambda rs: (rs[0], canon_key(rs[1]))):
+            out.append(st_mk_deliver(obj, c, r, s))
+    return [step for step in out if step is not None]
 
 
 # --- witness replay ------------------------------------------------------------

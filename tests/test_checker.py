@@ -52,6 +52,7 @@ from conftest import eager_ball, eager_moves, msg, raw_tree
 from reference import (
     delivered,
     deliverable_ordering,
+    reference_steps,
     replay_simulation_counterexample,
     satisfies_causal_delivery,
     sent,
@@ -61,6 +62,7 @@ import pytest
 
 ROSTER2 = ("r1", "r2")
 TESTS = Path(__file__).resolve().parent
+SHIPPED = sorted((TESTS.parent / "scenarios").glob("*.scenario"))
 
 
 def paired_gset(values=(5, 42), roster=ROSTER2, discipline="causal", mode="separate-send"):
@@ -131,6 +133,79 @@ def test_summary_determines_successors():
         for cfg, depth in zip(tree.nodes, tree.depths):
             if depth < 4:
                 assert system.steps(cfg) == out[cfg]
+
+
+@intern_scope
+def _keyed_bfs(system, step_bound: int) -> checker.Graph:
+    """Breadth-first over system to step_bound with every successor looked
+    up in one key table, stuttering ones included: the reference for
+    ``breadth_first``, which records a step back to its own source as a
+    self-loop without the lookup."""
+    g = checker.Graph()
+    g.nodes.append(system.init())
+    g.depths.append(0)
+    g.parents.append(-1)
+    keys = {g.nodes[0]: 0}
+    i = 0
+    while i < len(g.nodes):
+        if g.depths[i] < step_bound:
+            for e, c2 in system.steps(g.nodes[i]):
+                j = keys.get(c2)
+                if j is None:
+                    j = keys[c2] = len(g.nodes)
+                    g.nodes.append(c2)
+                    g.depths.append(g.depths[i] + 1)
+                    g.parents.append(len(g.edges))
+                g.edges.append((i, e, j))
+        i += 1
+    return g
+
+
+@pytest.mark.parametrize("side", ["host", "guest"])
+def test_explore_equals_a_search_that_looks_every_successor_up(side):
+    """The 2-replica op host and the separate-send state-based guest:
+    explore's nodes, depths, parents and edges, query self-loops included,
+    are those of a search that dedups every successor through its key
+    table."""
+    system = paired_gset((1, 2)).side(side)
+    graph = explore(system, 5)
+    assert graph == _keyed_bfs(system, 5)
+    assert any(i == j and e.input.kind == "qry" for i, e, j in graph.edges)
+
+
+@intern_scope
+def _kernel_mismatches(system, step_bound: int) -> tuple[int, list]:
+    """The configurations explore reaches within step_bound whose step list
+    differs from ``reference.reference_steps``, with the number reached.
+    The tables explore filled stay live in this scope, so the package's
+    step lists are read from them."""
+    graph = explore(system, step_bound)
+    bad = [c for c in graph.nodes if system.steps(c) != reference_steps(system, c)]
+    return len(graph.nodes), bad
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_step_lists_equal_the_reference_kernel(path):
+    """On the host and guest of every shipped scenario, every configuration
+    explore reaches at bound 5 has the step list the reference builds
+    without per-scope tables: the same events and successors, in the same
+    order."""
+    host, paired = build_systems(load_scenario(path))
+    for system in (host, paired.guest) if paired else (host,):
+        reached, bad = _kernel_mismatches(system, 5)
+        assert reached > 1 and not bad, (path.stem, system.kind, len(bad))
+
+
+def test_the_kernel_oracle_covers_every_discipline_and_mode():
+    """The shipped scenarios run the reference kernel on causal and
+    reliable-only op systems and on separate-send and atomic state-based
+    ones."""
+    seen = set()
+    for path in SHIPPED:
+        host, paired = build_systems(load_scenario(path))
+        for system in (host, paired.guest) if paired else (host,):
+            seen.add(system.discipline if system.kind == "op" else system.mode)
+    assert seen == {"causal", RELIABLE_ONLY, "separate-send", ATOMIC_BROADCAST}
 
 
 # --- weak successors ---------------------------------------------------------------

@@ -396,8 +396,9 @@ def _tables_empty() -> bool:
 
 def test_intern_tables_grow_while_a_search_runs():
     """Driving the search generator directly, outside any check, the tables
-    keep every value the steps build: they grow as nodes are taken.  The
-    depth-0 explores before and after empty them on return."""
+    keep every value the steps build, buffers' delivery orders and query
+    events included: they grow as nodes are taken.  The depth-0 explores
+    before and after empty them on return."""
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
     search = breadth_first(OpSystem(gset_op((5, 42)), ("r1", "r2")), 5, Graph())
@@ -406,7 +407,8 @@ def test_intern_tables_grow_while_a_search_runs():
     for _ in itertools.islice(search, 50):
         pass
     during = intern_table_sizes()
-    assert all(during[k] > start[k] for k in ("FrozenDict", "Message", "Event"))
+    grown = ("FrozenDict", "Message", "Event", "delivery_order", "query_step")
+    assert all(during[k] > start[k] for k in grown)
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
 
