@@ -375,6 +375,8 @@ class Relation:
         self.a_side = sort_a
         self.b_side = sort_b
         self.roster = paired.host.roster
+        op_side = paired.host if direction == OP_TO_ST else paired.guest
+        self._op_obj: OpObject = op_side.obj  # type: ignore[assignment]
         self._downsets: dict = {}
         self._unions: dict = {}
         self._payloads: dict = {}
@@ -394,10 +396,6 @@ class Relation:
         return self.clause(a, b) is None
 
     # helpers
-
-    def _op_obj(self) -> OpObject:
-        sys = self.paired.host if self.paired.direction == OP_TO_ST else self.paired.guest
-        return sys.obj  # type: ignore[return-value]
 
     def _downset(self, m: Message, sent: frozenset[Message]) -> frozenset[Message]:
         key = (m, sent)
@@ -431,7 +429,7 @@ class Relation:
         for r in self.roster:
             if op_c.delivered[r] != st_c.states[r]:
                 return "delivered-agreement"
-        obj = self._op_obj()
+        obj = self._op_obj
         for r in self.roster:
             if op_c.states[r] != interp(st_c.states[r], obj):
                 return "state-agreement"
@@ -451,7 +449,7 @@ class Relation:
         for r in self.roster:
             if st_c.states[r] != op_c.delivered[r]:
                 return "delivered-agreement"
-        obj = self._op_obj()
+        obj = self._op_obj
         for r in self.roster:
             if interp(st_c.states[r], obj) != op_c.states[r]:
                 return "state-agreement"
@@ -558,19 +556,20 @@ def _op_deliver_chain(D, cfg, r: ReplicaId, candidates, done) -> list[Step] | No
     return chain
 
 
-def constructive_match(rel: Relation, defender, a_cfg, event, b_cfg) -> list[Step] | None:
-    """The canonical defender moves for the attacker step a_cfg --event->:
-    the weak move of the defender's own LTS that answers the step's event,
-    fixed by the defender's semantics (op- or state-based, and its
-    broadcast mode) and the emulation direction.  Returns the chain of
-    defender steps, or None when there is no such move.  rel is the check's
-    relation, whose downset memo the op-to-st delivery shares."""
-    r = event.replica
+def constructive_match(rel: Relation, defender, key, b_cfg) -> list[Step] | None:
+    """The canonical defender moves from b_cfg that answer the attacker step
+    whose move key (``_move_key``) is key: the weak move of the defender's
+    own LTS that its semantics (op- or state-based, and its broadcast mode)
+    and the emulation direction fix.  Returns the chain of defender steps,
+    or None when there is no such move.  It reads nothing of the attacker
+    but the key, so the chain is a function of key and b_cfg."""
     D = defender
-    kind = event.input.kind
+    if isinstance(key, Event):
+        return []   # a state-based send is matched by the reflexive step
+    tag, r = key[0], key[1]
 
-    if kind == "upd":
-        op = event.input.op
+    if tag == "update":
+        op = key[2]
         if (r, op) in b_cfg.used_ops:
             return None
         if D.kind == "op":
@@ -580,35 +579,43 @@ def constructive_match(rel: Relation, defender, a_cfg, event, b_cfg) -> list[Ste
             return [updated]  # the update broadcasts its state itself
         return [updated, st_mk_send(D.roster, updated[1], r)]
 
-    if kind == "qry":
-        answered = query_step(D.obj, b_cfg, r, event.input.query)
-        return [answered] if answered[0].obs_key() == event.obs_key() else None
+    if tag == "query":
+        answered = query_step(D.obj, b_cfg, r, key[2])
+        return [answered] if answered[0].obs_key() == key else None
 
-    if kind != "dlvr":
-        # a state-based send is matched by the reflexive step
-        return [] if event.output.kind == "send" else None
-    # The delivered message on an op-based attacker, the state on a
-    # state-based one.
-    m = event.input.message
-    op_to_st = rel.paired.direction == OP_TO_ST
-
+    x = key[2]   # a delivery: what the defender delivers, or reaches, at r
     if D.kind == "st":
-        s = rel._downset(m, a_cfg.sent) if op_to_st else m.payload
-        step = st_mk_deliver(D.obj, b_cfg, r, s)
+        step = st_mk_deliver(D.obj, b_cfg, r, x)
         return None if step is None else [step]
 
-    if op_to_st:
+    if rel.paired.direction == OP_TO_ST:
         # deliver the messages of the delivered state that r lacks
-        wanted = m - b_cfg.delivered[r]
+        wanted = x - b_cfg.delivered[r]
         return _op_deliver_chain(D, b_cfg, r, wanted, lambda c: wanted <= c.delivered[r])
 
     # st-to-op: deliver buffered payloads below the joined state until the
     # defender reaches it
     obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
-    target = obj.join(a_cfg.states[r], m)
-    below = [m2 for r2, m2 in b_cfg.buffer
-             if r2 == r and obj.join(target, m2.payload) == target]
-    return _op_deliver_chain(D, b_cfg, r, below, lambda c: c.states[r] == target)
+    below = [m for r2, m in b_cfg.buffer
+             if r2 == r and obj.join(x, m.payload) == x]
+    return _op_deliver_chain(D, b_cfg, r, below, lambda c: c.states[r] == x)
+
+
+def _move_key(rel: Relation, defender, a_cfg, event):
+    """The move key of the attacker step a_cfg --event->, all that the
+    defender's answer (``constructive_match``) reads of the attacker: the
+    label (``Event.obs_key``) of an update or a query, a state-based send
+    itself, or ("dlvr", r, x) for a delivery at r, where x is the downset,
+    payload, message set or joined state that the defender's move is
+    derived from, by the emulation direction and the defender's kind."""
+    if event.input.kind != "dlvr":
+        return event.obs_key() or event
+    r, m = event.replica, event.input.message
+    if rel.paired.direction == OP_TO_ST:
+        return ("dlvr", r, rel._downset(m, a_cfg.sent) if defender.kind == "st" else m)
+    if defender.kind == "st":
+        return ("dlvr", r, m.payload)
+    return ("dlvr", r, rel.paired.host.obj.join(a_cfg.states[r], m))
 
 
 _UNASKED = object()   # a move key absent from an answer memo
@@ -630,38 +637,19 @@ def _answer_memo(defender: Side, cfg) -> dict | None:
     return memo
 
 
-def _move_key(rel: Relation, defender, a_cfg, event):
-    """What ``constructive_match`` reads of the attacker step a_cfg --event->
-    besides the defender's configuration: the (replica, op) of an update,
-    the (replica, query, value) of a query, a state-based send itself, and
-    for a delivery the value the defender's move is derived from."""
-    if event.input.kind != "dlvr":
-        return event.obs_key() or event
-    r, m = event.replica, event.input.message
-    if rel.paired.direction == OP_TO_ST:
-        return ("dlvr", r, rel._downset(m, a_cfg.sent) if defender.kind == "st" else m)
-    if defender.kind == "st":
-        return ("dlvr", r, m.payload)
-    return ("dlvr", r, rel.paired.host.obj.join(a_cfg.states[r], m))
-
-
-def _answer(rel: Relation, defender, memo: dict | None, a_cfg, event, b_cfg):
-    """The constructive answer to the attacker step a_cfg --event-> from
-    b_cfg, as (the chain's last configuration, or None for the empty chain;
-    the chain's events), or None when there is no such move.  Read from memo
-    when b_cfg has answered the same move before: the answer's landing and
-    events are a function of the defender's configuration and the move key
-    (``tests/test_checker.py::test_memo_answers_equal_fresh_matches``)."""
-    if memo is not None:
-        key = _move_key(rel, defender, a_cfg, event)
-        hit = memo.get(key, _UNASKED)
-        if hit is not _UNASKED:
-            return hit
-    chain = constructive_match(rel, defender, a_cfg, event, b_cfg)
-    answer = None if chain is None else (
-        chain[-1][1] if chain else None, tuple(e for e, _ in chain))
-    if memo is not None:
-        memo[key] = answer
+def _answer(rel: Relation, defender, memo: dict | None, key, b_cfg):
+    """The constructive answer from b_cfg to the attacker step whose move key
+    is key, as (the chain's last configuration, b_cfg itself for the empty
+    chain; the chain's events), or None when there is no such move.  The
+    matcher reads only key and b_cfg, so memo, b_cfg's answers
+    (``_answer_memo``) or None, keeps each answer by its key."""
+    answer = _UNASKED if memo is None else memo.get(key, _UNASKED)
+    if answer is _UNASKED:
+        chain = constructive_match(rel, defender, key, b_cfg)
+        answer = None if chain is None else (
+            chain[-1][1] if chain else b_cfg, tuple(e for e, _ in chain))
+        if memo is not None:
+            memo[key] = answer
     return answer
 
 
@@ -729,8 +717,7 @@ class Search:
     it reports, and the relation's two sides with their caches.  A check
     creates it and drops it on return, so no cache outlives the check."""
 
-    def __init__(self, rel: Relation, step_bound: int, tau_budget: int | None,
-                 max_pairs: int, audit: bool = False):
+    def __init__(self, rel: Relation, step_bound: int, tau_budget: int | None, max_pairs: int):
         if tau_budget is None:
             tau_budget = default_tau_budget(rel.paired)
         if step_bound < 0:
@@ -741,7 +728,6 @@ class Search:
         self.step_bound = step_bound
         self.tau_budget = tau_budget
         self.max_pairs = max_pairs
-        self.audit = audit
         counters = ("pairs", "obligations", "max_depth", "matcher_matched", "fallback_matched")
         self.stats = dict.fromkeys(counters, 0)
         self.bounds = {"step_bound": step_bound, "tau_budget": tau_budget, "relation": rel.id}
@@ -770,12 +756,13 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
     defender's semantics fixes, first, the bounded weak-successor search as
     fallback.  Returns the PASS or BOUND_EXHAUSTED verdict, both with the
     matcher/fallback split, or the first obligation no move discharges.
-    A pair key is the pair (a, b) itself.  The defender's constructive
-    answers are kept per defender configuration from its second expanded
-    pair on (``_answer_memo``), so a configuration that defends many pairs
-    answers each move once.
-    A landing on a visited pair key is accepted without deciding the clause
-    again: the key was admitted only after its clause held, and the clause
+    A pair key is the pair (a, b) itself.  The constructive answer is read
+    off the attacker step's move key (``_move_key``) and kept by it per
+    defender configuration from its second expanded pair on
+    (``_answer_memo``), so a configuration that defends many pairs answers
+    each move once.  Either answer's landing passes one test: one on a
+    visited pair key is accepted without deciding the clause again, since
+    the key was admitted only after its clause held, and the clause
     reads nothing outside the two configurations
     (``tests/test_checker.py::test_clause_is_a_function_of_the_summaries``),
     so each related pair's clause is decided once.  The pair budget is
@@ -799,40 +786,23 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
             memo = _answer_memo(Y, y)
             for event, x2 in X.system.steps(x):
                 stats["obligations"] += 1
-                if side == "a":
-                    pair_key = lambda yy: (x2, yy)
-                    holds = lambda yy: rel.holds(x2, yy)
+                pair = (lambda yy: (x2, yy)) if side == "a" else (lambda yy: (yy, x2))
+                move = _answer(rel, Y.system, memo, _move_key(rel, Y.system, x, event), y)
+                end = y if move is None else move[0]   # where the constructive chain ends
+                key2 = pair(end)
+                new = key2 not in parents
+                if move is not None and (not new or rel.holds(*key2)):
+                    stats["matcher_matched"] += 1
                 else:
-                    pair_key = lambda yy: (yy, x2)
-                    holds = lambda yy: rel.holds(yy, x2)
-                # the one acceptance test of the matcher, fallback and audit
-                accept = lambda yy: pair_key(yy) in parents or holds(yy)
-                landing = None
-                cand = y   # where the constructive chain ends
-                answer = _answer(rel, Y.system, memo, x, event, y)
-                if answer is not None:
-                    end, chain_events = answer
-                    if end is not None:
-                        cand = end
-                    key2 = pair_key(cand)
-                    new = key2 not in parents
-                    if not new or holds(cand):
-                        landing = cand
-                        stats["matcher_matched"] += 1
-                        if search.audit and weak_matches(
-                            Y, y, event.obs_key(), tau_budget, accept
-                        ) is None:
-                            stats["matcher_fallback_disagreements"] += 1
-                if landing is None:
-                    found = weak_matches(Y, y, event.obs_key(), tau_budget, accept)
-                    if found is None:
-                        return _Miss(*_path_events(parents, key), side, event, x2, cand, y)
-                    landing, chain_events = found
-                    key2 = pair_key(landing)
+                    move = weak_matches(Y, y, event.obs_key(), tau_budget,
+                                        lambda yy: pair(yy) in parents or rel.holds(*pair(yy)))
+                    if move is None:
+                        return _Miss(*_path_events(parents, key), side, event, x2, end, y)
+                    key2 = pair(move[0])
                     new = key2 not in parents
                     stats["fallback_matched"] += 1
                 if new:
-                    parents[key2] = (key, side, event, chain_events)
+                    parents[key2] = (key, side, event, move[1])
                     stats["pairs"] += 1
                     queue.append((key2, depth + 1))
                     if stats["pairs"] > search.max_pairs:
@@ -871,14 +841,12 @@ def check_weak_simulation(
     step_bound: int = 8,
     tau_budget: int | None = None,
     max_pairs: int = 2_000_000,
-    audit_matchers: bool = False,
 ) -> Verdict:
     """Check that the candidate relation is a weak simulation on all related
     pairs co-reachable within step_bound attacker steps."""
     rel = Relation(sim_relation(paired.direction, which, rel_id), paired)
     a_name, b_name = rel.a_side, rel.b_side
-    search = Search(rel, step_bound, tau_budget, max_pairs, audit_matchers)
-    search.stats["matcher_fallback_disagreements"] = 0
+    search = Search(rel, step_bound, tau_budget, max_pairs)
     a0, b0 = search.a.system.init(), search.b.system.init()
     clause0 = rel.clause(a0, b0)
     if clause0 is not None:

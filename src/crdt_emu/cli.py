@@ -145,6 +145,11 @@ def _check_entry(c: Any, emulate: str | None, augment: bool) -> None:
             checker.sim_relation(emulate, c.get("direction", HOST_BY_GUEST), c.get("relation"))
         except ValueError as exc:
             raise ScenarioError(f"sim check: {exc}") from exc
+    if name == "approx" and "program" in c:
+        _require(
+            isinstance(c["program"], str),
+            f"approx check: program must be a path string, got {c['program']!r}",
+        )
     if name == "bisim":
         _require(emulate == OP_TO_ST, "bisim check needs op-to-st emulation")
     if name == "convergence":

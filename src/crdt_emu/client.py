@@ -432,7 +432,10 @@ def check_approximation(
     bound_l: int,
 ) -> Verdict:
     """If the program can terminate in the K environment, it must also be able
-    to terminate in the L environment."""
+    to terminate in the L environment.  A negative bound raises ValueError
+    before either environment is searched."""
+    if bound_k < 0 or bound_l < 0:
+        raise ValueError("check_approximation: negative step bound")
     bounds = {"bound_k": bound_k, "bound_l": bound_l}
     cs_k = ClientState(sys_k.init(), store, prog)
     tk = can_terminate(sys_k, cs_k, bound_k)

@@ -10,7 +10,7 @@ events along a path, which the searches rebuild from the parents they keep.
 
 Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, 2006): the factories ``FrozenDict.of``/``FrozenDict.set``,
-``VectorClock.make`` (behind ``of``/``tick``/``join``), ``Message.make``, the
+``VectorClock.make`` (behind ``of``), ``Message.make``, the
 ``Input``/``Output`` static constructors, ``Event.of`` and ``canon_set``
 return one object per equal content, so configurations reached along
 different paths share their maps, clocks, messages, events and frozensets
@@ -222,26 +222,6 @@ class VectorClock:
             if rr == r:
                 return n
         return 0
-
-    def tick(self, r: ReplicaId) -> "VectorClock":
-        entries = self.entries
-        for i, (rr, n) in enumerate(entries):
-            if rr == r:
-                return VectorClock.make(entries[:i] + ((r, n + 1),) + entries[i + 1 :])
-            if rr > r:
-                return VectorClock.make(entries[:i] + ((r, 1),) + entries[i:])
-        return VectorClock.make(entries + ((r, 1),))
-
-    def join(self, other: "VectorClock") -> "VectorClock":
-        if not other.entries:
-            return self
-        if not self.entries:
-            return other
-        m = dict(self.entries)
-        for r, n in other.entries:
-            if n > m.get(r, 0):
-                m[r] = n
-        return VectorClock.make(tuple(sorted(m.items())))
 
 
 @dataclass(frozen=True, slots=True)

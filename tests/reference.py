@@ -12,6 +12,9 @@ not by the origin-component rule of ``core.happens_before``.
 ``reference_steps`` builds a configuration's step list through the rule
 functions, but without the check scope's delivery-order and query tables.
 
+``clock_tick`` and ``clock_join`` build the clock that ``core.mint`` gives
+a message by ticking and joining plain entry maps.
+
 A trace is a sequence of events, oldest first.
 """
 
@@ -37,6 +40,7 @@ from crdt_emu.core import (
     QueryId,
     ReplicaId,
     Step,
+    VectorClock,
     canon_key,
     intern_scope,
 )
@@ -50,6 +54,21 @@ from conftest import clock_before
 def before(m1: Message, m2: Message) -> bool:
     """m1 causally precedes m2, read off their clocks pointwise."""
     return clock_before(m1.clock, m2.clock)
+
+
+def clock_tick(clock: VectorClock, r: ReplicaId) -> VectorClock:
+    """clock with r's entry one higher."""
+    entries = dict(clock.entries)
+    entries[r] = entries.get(r, 0) + 1
+    return VectorClock.of(entries)
+
+
+def clock_join(c1: VectorClock, c2: VectorClock) -> VectorClock:
+    """The pointwise maximum of two clocks."""
+    entries = dict(c1.entries)
+    for r, n in c2.entries:
+        entries[r] = max(n, entries.get(r, 0))
+    return VectorClock.of(entries)
 
 
 # --- trace-level causal machinery -------------------------------------------

@@ -669,21 +669,43 @@ def test_sim_counterexample_report_replays_from_rendered_events():
     assert weak_matches(Side(p.guest), b, obs, 6, lambda bb: rel.holds(a2, bb)) is None
 
 
-def test_matcher_and_fallback_agree_when_audited():
-    """The R1 simulation, and both directions of the atomic bowtie through
-    the shared driver: each side's steps answered by the moves that the
-    other side's semantics fixes, the atomic guest's update with no send."""
-    p = paired_gset((1, 2))
-    sim = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=4, audit_matchers=True)
-    q = paired_gset((1, 2), mode=ATOMIC_BROADCAST)
-    search = Search(Relation("bowtie", q), 4, default_tau_budget(q), 2_000_000, audit=True)
-    search.stats["matcher_fallback_disagreements"] = 0
-    bisim = _play_obligations(search, ("a", "b"), q.host.init(), q.guest.init())
+def _answers_off_the_weak_moves(monkeypatch) -> tuple[list, list]:
+    """Wrap the constructive matcher so that the landing of every chain it
+    returns is held against the fallback's moves: it must be a landing of
+    ``weak_moves`` from the same defender configuration, under the move
+    key's label (tau for a delivery or a send), within the default tau
+    budget.  Returns the list each checked answer is appended to and the
+    list of the answers that fail."""
+    checked, failed = [], []
+
+    def audited(rel, defender, key, b_cfg):
+        chain = constructive_match(rel, defender, key, b_cfg)
+        if chain is not None:
+            landing = chain[-1][1] if chain else b_cfg
+            obs = key if isinstance(key, tuple) and key[0] != "dlvr" else None
+            moves = weak_moves(Side(defender), b_cfg, obs, default_tau_budget(rel.paired))
+            checked.append(key)
+            if landing not in (c for c, _ in moves):
+                failed.append((key, landing))
+        return chain
+
+    monkeypatch.setattr("crdt_emu.checker.constructive_match", audited)
+    return checked, failed
+
+
+def test_matcher_answers_are_weak_moves(monkeypatch):
+    """Matcher against fallback on the R1 simulation and both directions of
+    the atomic bowtie: each side's steps are answered by the moves that the
+    other side's semantics fixes, the atomic guest's update with no send,
+    and each answer lands where a weak move of the defender does."""
+    checked, failed = _answers_off_the_weak_moves(monkeypatch)
+    sim = check_weak_simulation(paired_gset((1, 2)), "R1", HOST_BY_GUEST, step_bound=4)
+    bisim = check_weak_bisimulation(paired_gset((1, 2), mode=ATOMIC_BROADCAST), step_bound=4)
     for v in (sim, bisim):
         assert v.passed
         assert v.stats["obligations"] > 0
         assert v.stats["matcher_fraction"] == 1.0
-        assert v.stats["matcher_fallback_disagreements"] == 0
+    assert checked and failed == []
 
 
 # Every passing sim and bisim entry of the shipped scenarios, by scenario
@@ -734,8 +756,8 @@ def _illegal_matcher_steps(monkeypatch) -> list:
     configuration.  Returns the list the illegal events are appended to."""
     illegal = []
 
-    def audited(rel, defender, a_cfg, event, b_cfg):
-        chain = constructive_match(rel, defender, a_cfg, event, b_cfg)
+    def audited(rel, defender, key, b_cfg):
+        chain = constructive_match(rel, defender, key, b_cfg)
         prev = b_cfg
         for step in chain or ():
             if step not in defender.steps(prev):
@@ -788,19 +810,17 @@ def test_memo_answers_equal_fresh_matches(name, relation, step_bound, monkeypatc
     answer = checker._answer
     answered, differ = [], []
 
-    def audited(rel, defender, memo, a_cfg, event, b_cfg):
+    def audited(rel, defender, memo, key, b_cfg):
         size = None if memo is None else len(memo)
-        got = answer(rel, defender, memo, a_cfg, event, b_cfg)
+        got = answer(rel, defender, memo, key, b_cfg)
         answered.append(1)
         if size is not None and len(memo) == size:
-            chain = constructive_match(rel, defender, a_cfg, event, b_cfg)
+            chain = constructive_match(rel, defender, key, b_cfg)
             fresh = None if chain is None else (
                 chain[-1][1] if chain else b_cfg,
                 tuple(e for e, _ in chain))
-            kept = None if got is None else (
-                b_cfg if got[0] is None else got[0], got[1])
-            if kept != fresh:
-                differ.append((event, kept, fresh))
+            if got != fresh:
+                differ.append((key, got, fresh))
         return got
 
     monkeypatch.setattr("crdt_emu.checker._answer", audited)

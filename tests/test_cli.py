@@ -477,6 +477,7 @@ def sim_entry(**over):
         {"client": []},
         {"client": None},
         {"checks": sim_entry(relation=["R1"])},  # a relation that is not a string
+        {"checks": [{"name": "approx", "program": 5}]},
     ],
 )
 def test_bad_scenario_entries_exit_3(tmp_path, capsys, broken):

@@ -168,10 +168,15 @@ def test_qry_gated_loop_terminates_via_delivery():
 
 
 def test_negative_bound_raises():
-    host, _ = env_pair()
+    """A negative bound raises whether or not the program can terminate,
+    so it is rejected before any search."""
+    host, guest = env_pair()
     for prog in (Skip(), While(Lit(1), Skip())):
         with pytest.raises(ValueError):
             can_terminate(host, ClientState(host.init(), FrozenDict(), prog), -1)
+        for bound_k, bound_l in ((-1, 5), (5, -1)):
+            with pytest.raises(ValueError):
+                check_approximation(host, guest, FrozenDict(), prog, bound_k, bound_l)
 
 
 def _env_events(system, witness):

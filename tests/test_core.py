@@ -262,12 +262,13 @@ def test_set_in_either_order_gives_one_map():
     assert ab.set("a", 1) is ab
 
 
-def test_tick_then_join_gives_one_clock():
-    zero = VectorClock.of({})
-    both = zero.tick("r1").join(zero.tick("r2"))
-    assert both is zero.tick("r2").join(zero.tick("r1"))
-    assert both is zero.tick("r1").tick("r2")
-    assert both is VectorClock.of({"r1": 1, "r2": 1, "r3": 0})
+def test_mint_gives_the_canonical_clock():
+    """A minted clock, the join of the consumed clocks ticked at the sender,
+    is the one canonical clock of its positive entries."""
+    a, b = mint("r1", frozenset(), 1), mint("r2", frozenset(), 2)
+    assert a.clock is VectorClock.of({"r1": 1, "r2": 0})
+    assert mint("r3", frozenset({a, b}), 3).clock is VectorClock.of({"r1": 1, "r2": 1, "r3": 1})
+    assert mint("r1", frozenset({a, b}), 3).clock is VectorClock.of({"r2": 1, "r1": 2})
 
 
 def test_op_host_and_message_set_guest_mint_one_message():
