@@ -68,11 +68,20 @@ RELATION_SORTS: dict[str, tuple[str, str, str]] = {
 
 @dataclass(frozen=True)
 class PairedSystem:
-    """Host and guest LTSs sharing a roster and op/query universes."""
+    """Host and guest LTSs sharing a roster and op/query universes.  The
+    relations compare the two sides' per-replica tuples position by
+    position, so the rosters must be equal, in the same order."""
 
     host: System
     guest: System
     direction: str
+
+    def __post_init__(self):
+        if self.host.roster != self.guest.roster:
+            raise ValueError(
+                f"host roster {self.host.roster!r} and guest roster "
+                f"{self.guest.roster!r} differ"
+            )
 
     def side(self, name: str) -> System:
         return self.host if name == "host" else self.guest
@@ -426,12 +435,11 @@ class Relation:
     def _r1(self, op_c: Config, st_c: Config) -> str | None:
         if op_c.sent != self._union_sent(st_c):
             return "sent-agreement"
-        for r in self.roster:
-            if op_c.delivered[r] != st_c.states[r]:
-                return "delivered-agreement"
+        if op_c.delivered != st_c.states:
+            return "delivered-agreement"
         obj = self._op_obj
-        for r in self.roster:
-            if op_c.states[r] != interp(st_c.states[r], obj):
+        for s_op, s_st in zip(op_c.states, st_c.states):
+            if s_op != interp(s_st, obj):
                 return "state-agreement"
         for r, m in op_c.buffer:
             if (r, self._downset(m, op_c.sent)) not in st_c.buffer:
@@ -446,12 +454,11 @@ class Relation:
         # delivery argument.
         if not self._union_sent(st_c) <= op_c.sent:
             return "sent-agreement"
-        for r in self.roster:
-            if st_c.states[r] != op_c.delivered[r]:
-                return "delivered-agreement"
+        if st_c.states != op_c.delivered:
+            return "delivered-agreement"
         obj = self._op_obj
-        for r in self.roster:
-            if interp(st_c.states[r], obj) != op_c.states[r]:
+        for s_st, s_op in zip(st_c.states, op_c.states):
+            if interp(s_st, obj) != s_op:
                 return "state-agreement"
         for r, s in st_c.buffer:
             if not self._deliverable_merge_exists(s, r, op_c):
@@ -466,7 +473,7 @@ class Relation:
         is buffered for r and all its causal predecessors are in
         Delivered(r) ∪ U: happens-before is acyclic, so delivering U in any
         causal order then meets every gate."""
-        have = op_c.delivered[r]
+        have = op_c.delivered[self.roster.index(r)]
         closed = have | H
         buffer = op_c.buffer
         sent = op_c.sent
@@ -488,16 +495,16 @@ class Relation:
         it can stop once it reaches the target.  This relies on the lattice
         laws (associative, commutative, idempotent join) that
         ``test_st_lattice_laws_on_reachable_states`` checks."""
-        for r in self.roster:
-            if st_c.states[r] != op_c.states[r]:
-                return "state-agreement"
+        if st_c.states != op_c.states:
+            return "state-agreement"
         obj: StObject = self.paired.host.obj  # type: ignore[assignment]
         payloads = self._payloads_by_replica(op_c)
         for r, s in st_c.buffer:
-            target = obj.join(st_c.states[r], s)
-            if target == st_c.states[r]:
+            k = self.roster.index(r)
+            target = obj.join(st_c.states[k], s)
+            if target == st_c.states[k]:
                 continue
-            acc = op_c.states[r]
+            acc = op_c.states[k]
             for p in payloads.get(r, ()):
                 if st_leq(obj, p, target):
                     acc = obj.join(acc, p)
@@ -510,9 +517,8 @@ class Relation:
     # Q2: join-guest simulated by state-based host (identity matching)
 
     def _q2(self, op_c: Config, st_c: Config) -> str | None:
-        for r in self.roster:
-            if op_c.states[r] != st_c.states[r]:
-                return "state-agreement"
+        if op_c.states != st_c.states:
+            return "state-agreement"
         if {(r, m.payload) for r, m in op_c.buffer} != st_c.buffer:
             return "buffer-agreement"
         return None
@@ -545,7 +551,7 @@ def _op_deliver_chain(D, cfg, r: ReplicaId, candidates, done) -> list[Step] | No
     while not done(cur):
         step = None
         for m in sorted(remaining, key=Message.sort_key):
-            step = op_mk_deliver(D.obj, cur, r, m, D.discipline)
+            step = op_mk_deliver(D.obj, D.roster, cur, r, m, D.discipline)
             if step is not None:
                 break
         if step is None:
@@ -580,25 +586,26 @@ def constructive_match(rel: Relation, defender, key, b_cfg) -> list[Step] | None
         return [updated, st_mk_send(D.roster, updated[1], r)]
 
     if tag == "query":
-        answered = query_step(D.obj, b_cfg, r, key[2])
+        answered = query_step(D.obj, D.roster, b_cfg, r, key[2])
         return [answered] if answered[0].obs_key() == key else None
 
     x = key[2]   # a delivery: what the defender delivers, or reaches, at r
     if D.kind == "st":
-        step = st_mk_deliver(D.obj, b_cfg, r, x)
+        step = st_mk_deliver(D.obj, D.roster, b_cfg, r, x)
         return None if step is None else [step]
 
+    k = D.roster.index(r)
     if rel.paired.direction == OP_TO_ST:
         # deliver the messages of the delivered state that r lacks
-        wanted = x - b_cfg.delivered[r]
-        return _op_deliver_chain(D, b_cfg, r, wanted, lambda c: wanted <= c.delivered[r])
+        wanted = x - b_cfg.delivered[k]
+        return _op_deliver_chain(D, b_cfg, r, wanted, lambda c: wanted <= c.delivered[k])
 
     # st-to-op: deliver buffered payloads below the joined state until the
     # defender reaches it
     obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
     below = [m for r2, m in b_cfg.buffer
              if r2 == r and obj.join(x, m.payload) == x]
-    return _op_deliver_chain(D, b_cfg, r, below, lambda c: c.states[r] == x)
+    return _op_deliver_chain(D, b_cfg, r, below, lambda c: c.states[k] == x)
 
 
 def _move_key(rel: Relation, defender, a_cfg, event):
@@ -615,7 +622,7 @@ def _move_key(rel: Relation, defender, a_cfg, event):
         return ("dlvr", r, rel._downset(m, a_cfg.sent) if defender.kind == "st" else m)
     if defender.kind == "st":
         return ("dlvr", r, m.payload)
-    return ("dlvr", r, rel.paired.host.obj.join(a_cfg.states[r], m))
+    return ("dlvr", r, rel.paired.host.obj.join(a_cfg.states[rel.roster.index(r)], m))
 
 
 _UNASKED = object()   # a move key absent from an answer memo
@@ -1183,15 +1190,16 @@ def check_strong_convergence(system, step_bound: int = 8) -> Verdict:
     return Verdict(PASS, stats, bounds)
 
 
-def _inverts(c: Config, e: Event) -> bool:
-    """Delivery event e, fired at configuration c, inverts causal delivery
-    order: e's message happens before a message its replica r has already
-    delivered.  The messages of ``c.delivered[r]`` and e's come from one
-    configuration, so core.happens_before orders them.  That set also holds
-    r's own messages, but each one's clock joins those r had consumed, so
-    one of them follows e's message only if a message r received does."""
+def _inverts(roster: tuple[ReplicaId, ...], c: Config, e: Event) -> bool:
+    """Delivery event e, fired at configuration c of a system over roster,
+    inverts causal delivery order: e's message happens before a message its
+    replica r has already delivered, one of ``c.delivered`` at r's roster
+    position.  Those messages and e's come from one configuration, so
+    core.happens_before orders them.  That set also holds r's own messages,
+    but each one's clock joins those r had consumed, so one of them follows
+    e's message only if a message r received does."""
     m = e.input.message
-    return any(happens_before(m, m2) for m2 in c.delivered[e.replica])
+    return any(happens_before(m, m2) for m2 in c.delivered[roster.index(e.replica)])
 
 
 @intern_scope
@@ -1215,7 +1223,7 @@ def check_causal_safety(system, step_bound: int = 8) -> Verdict:
     # steps of the last node expanded.
     for _ in chain(breadth_first(system, step_bound, graph), (None,)):
         for i, e, _ in edges[tested:]:
-            if e.input.kind == "dlvr" and _inverts(nodes[i], e):
+            if e.input.kind == "dlvr" and _inverts(system.roster, nodes[i], e):
                 # the configurations found so far and the steps taken
                 return Verdict(
                     COUNTEREXAMPLE,
@@ -1235,7 +1243,7 @@ def check_commutation(system, step_bound: int = 8) -> Verdict:
         raise ValueError("commutation sweep runs on an op-based system")
     graph = explore(system, step_bound)
     bounds = {"step_bound": step_bound}
-    report = check_concurrent_commutation(system.obj, graph.nodes)
+    report = check_concurrent_commutation(system.obj, system.roster, graph.nodes)
     stats = dict(graph.stats)
     stats["pairs_checked"] = report.pairs_checked
     if report.ok:

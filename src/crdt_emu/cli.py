@@ -521,7 +521,7 @@ def _dump_system(system, depth: int) -> dict:
             {
                 "id": idx,
                 "depth": graph.depths[idx],
-                "states": {r: render(cfg.states[r]) for r in system.roster},
+                "states": {r: render(s) for r, s in zip(system.roster, cfg.states)},
                 "buffer": sorted(
                     (
                         {"to": r, "message": render(m)}

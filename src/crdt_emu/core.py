@@ -7,20 +7,23 @@ component of the later one's clock.
 Everything here is an immutable value.  A configuration holds no history: a
 step is an (event, configuration) pair, and a trace is the sequence of
 events along a path, which the searches rebuild from the parents they keep.
+A replica is a position in its system's roster: a configuration keeps its
+replicas' states and delivered sets as tuples in roster order.
 
 Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
-hash-consing*, 2006): the factories ``FrozenDict.of``/``FrozenDict.set``,
-``VectorClock.make`` (behind ``of``), ``Message.make``, the
-``Input``/``Output`` static constructors, ``Event.of`` and ``canon_set``
-return one object per equal content, so configurations reached along
-different paths share their maps, clocks, messages, events and frozensets
-(buffers, sent sets, used-op sets), and an event or clock a step builds
-again is a table hit.  A system step is labelled by its event alone
-(``Event.obs_key``).  Each class has its own table of plain references,
-and two more tables keep what the steps derive from those values: a
-canonical buffer's delivery order (``delivery_order``) and a query's event
-per (object, replica, query, replica state) (``query_step``), so neither is
-recomputed for every successor.  Every table's lifetime is one check: every
+hash-consing*, 2006): the factories ``replace_at``,
+``FrozenDict.of``/``FrozenDict.set``, ``VectorClock.make`` (behind ``of``),
+``Message.make``, the ``Input``/``Output`` static constructors,
+``Event.of`` and ``canon_set`` return one object per equal content, so
+configurations reached along different paths share their per-replica
+tuples, clocks, messages, events, maps (a G-counter's states) and
+frozensets (buffers, sent sets, delivered sets, used-op sets), and an event
+or clock a step builds again is a table hit.  A system step is labelled by
+its event alone (``Event.obs_key``).  Each class has its own table of plain
+references, and two more tables keep what the steps derive from those
+values: a canonical buffer's delivery order (``delivery_order``) and a
+query's event per (object, replica, query, replica state) (``query_step``),
+so neither is recomputed for every successor.  Every table's lifetime is one check: every
 check, ``explore`` and library search runs inside ``intern_scope``, which
 also pauses the cyclic garbage collector, and when the outermost scope
 exits every table is emptied, together with the message-set interpretation
@@ -46,8 +49,9 @@ QueryId = str
 # --- hash-consing ---------------------------------------------------------------
 
 # One table per class, content key -> the canonical value with that content;
-# a frozenset is its own key.  Plain dicts: a value stays canonical until the
-# outermost ``intern_scope`` exits and empties every table.
+# a frozenset, and a configuration's per-replica tuple, is its own key.
+# Plain dicts: a value stays canonical until the outermost ``intern_scope``
+# exits and empties every table.
 _FROZEN_DICTS: dict = {}
 _CLOCKS: dict = {}
 _MESSAGES: dict = {}
@@ -55,6 +59,7 @@ _INPUTS: dict = {}
 _OUTPUTS: dict = {}
 _EVENTS: dict = {}
 _FROZENSETS: dict = {}
+_TUPLES: dict = {}
 # Derived facts, looked up as often as the values they come from: canonical
 # buffer -> its entries in delivery order (``delivery_order``), and (object,
 # replica, query, replica state) -> the query's event (``query_step``).
@@ -69,6 +74,7 @@ _TABLES = {
     "Output": _OUTPUTS,
     "Event": _EVENTS,
     "frozenset": _FROZENSETS,
+    "tuple": _TUPLES,
     "delivery_order": _DELIVERY_ORDERS,
     "query_step": _QUERY_EVENTS,
 }
@@ -92,6 +98,12 @@ def _canon(table: dict, key, build, *args):
 def canon_set(s: frozenset) -> frozenset:
     """The canonical frozenset equal to s."""
     return _FROZENSETS.setdefault(s, s)
+
+
+def replace_at(t: tuple, k: int, v) -> tuple:
+    """The canonical tuple equal to t with position k replaced by v."""
+    t = t[:k] + (v,) + t[k + 1 :]
+    return _TUPLES.setdefault(t, t)
 
 
 def intern_table_sizes() -> dict[str, int]:
@@ -422,11 +434,16 @@ class Event:
 class Config(NamedTuple):
     """A global configuration of either semantics: each replica's state, the
     in-flight buffer, the messages sent, those each replica has delivered,
-    and the (replica, op) pairs whose update has fired.  It holds no history:
-    a step is an (event, configuration) pair, and a search that reports a
-    path keeps the events along it.  A configuration is its own dedup, cache
-    and pair key.  The update and delivery rules of both semantics fire the
-    replica step and store its new state; queries go through ``query_step``.
+    and the (replica, op) pairs whose update has fired.  A replica is a
+    position in its system's roster: ``states`` and ``delivered`` are
+    canonical tuples in roster order, and a rule that changes one replica
+    replaces one position (``replace_at``).  Buffer entries, ``used_ops``
+    and events keep replica ids, and ``System.query_value`` reads a state
+    by id.  It holds no history: a step is an (event, configuration) pair,
+    and a search that reports a path keeps the events along it.  A
+    configuration is its own dedup, cache and pair key.  The update and
+    delivery rules of both semantics fire the replica step and store its
+    new state; queries go through ``query_step``.
 
     On op-based systems a message is a clocked ``Message``, and a replica's
     ``delivered`` set includes the messages its own updates sent and
@@ -435,10 +452,10 @@ class Config(NamedTuple):
     a message is the sent state itself, and ``delivered`` holds only the
     states the replica received, never its own."""
 
-    states: FrozenDict            # ReplicaId -> S
+    states: tuple                 # S per replica, roster order
     buffer: frozenset             # {(ReplicaId, message)}, one per destination
     sent: frozenset               # {message}
-    delivered: FrozenDict         # ReplicaId -> frozenset[message]
+    delivered: tuple              # frozenset[message] per replica, roster order
     used_ops: frozenset           # {(ReplicaId, Op)} update events so far
 
 
@@ -452,22 +469,27 @@ def initial_config(obj, roster: tuple[ReplicaId, ...]) -> Config:
     if len(set(roster)) != len(roster):
         raise ValueError("initial_config: duplicate replica ids")
     empty = canon_set(frozenset())
+    states = (obj.initial,) * len(roster)
+    delivered = (empty,) * len(roster)
     return Config(
-        states=FrozenDict.of({r: obj.initial for r in roster}),
+        states=_TUPLES.setdefault(states, states),
         buffer=empty,
         sent=empty,
-        delivered=FrozenDict.of({r: empty for r in roster}),
+        delivered=_TUPLES.setdefault(delivered, delivered),
         used_ops=empty,
     )
 
 
-def query_step(obj, c: Config, r: ReplicaId, q: QueryId) -> Step:
-    """The query rule of both semantics: r answers q from its state, and the
-    configuration stays c itself, so a search records the step as a
-    self-loop without looking c up.  The event is a function of (obj, r, q,
-    r's state); it is built and the query evaluated once per check scope,
-    and every later step from an equal state is a table hit."""
-    s = c.states[r]
+def query_step(
+    obj, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, q: QueryId
+) -> Step:
+    """The query rule of both semantics: r answers q from its state, read at
+    r's position in roster, and the configuration stays c itself, so a
+    search records the step as a self-loop without looking c up.  The
+    event is a function of (obj, r, q, r's state); it is built and the query
+    evaluated once per check scope, and every later step from an equal state
+    is a table hit."""
+    s = c.states[roster.index(r)]
     key = (obj, r, q, s)
     e = _QUERY_EVENTS.get(key)
     if e is None:
@@ -495,7 +517,8 @@ class System:
         return initial_config(self.obj, self.roster)
 
     def query_value(self, c: Config, r: ReplicaId, q: QueryId) -> Any:
-        return self.obj.query(q, c.states[r])
+        """The value of q at replica r, read by id."""
+        return self.obj.query(q, c.states[self.roster.index(r)])
 
     @intern_scope
     def replay(self, events: Iterable[Event]) -> Config:

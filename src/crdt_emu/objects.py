@@ -219,9 +219,13 @@ class CommutationReport:
         return not self.violations
 
 
-def check_concurrent_commutation(obj: OpObject, configs) -> CommutationReport:
-    """For every sampled configuration, every replica and every pair of
-    concurrent messages buffered there: both delivery orders must agree."""
+def check_concurrent_commutation(
+    obj: OpObject, roster: tuple[ReplicaId, ...], configs
+) -> CommutationReport:
+    """For every sampled configuration of a system over roster, every
+    replica and every pair of concurrent messages buffered there: both
+    delivery orders must agree.  A replica's state is read at its roster
+    position."""
     checked = 0
     violations = []
     for cfg in configs:
@@ -229,7 +233,7 @@ def check_concurrent_commutation(obj: OpObject, configs) -> CommutationReport:
         for r, m in delivery_order(cfg.buffer):
             by_replica.setdefault(r, []).append(m)
         for r, msgs in by_replica.items():
-            s = cfg.states[r]
+            s = cfg.states[roster.index(r)]
             for i, m1 in enumerate(msgs):
                 for m2 in msgs[i + 1 :]:
                     if not concurrent(m1, m2):

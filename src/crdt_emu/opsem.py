@@ -5,8 +5,10 @@ broadcast, all in one observable step), queries (observable, stuttering,
 ``core.query_step``) and deliveries (silent, gated by the causal-delivery
 predicate unless the discipline is relaxed to reliable-only broadcast).  The
 update and delivery rules fire the replica step, ``op_replica_step``, and
-take the replica's new state and output from it.  A replica's ``delivered``
-set includes the messages its own updates sent and self-applied.
+take the replica's new state and output from it, and replace the
+replica's roster position in the configuration's ``states`` and
+``delivered`` tuples (``core.replace_at``).  A replica's ``delivered`` set
+includes the messages its own updates sent and self-applied.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     delivery_order,
     mint,
     query_step,
+    replace_at,
 )
 from .objects import IDENTITY_VALUE, OpObject
 
@@ -58,10 +61,11 @@ def op_replica_step(
 
 
 def _delivery_enabled(
-    obj: OpObject, c: Config, r: ReplicaId, m: Message, discipline: str
+    obj: OpObject, c: Config, k: int, m: Message, discipline: str
 ) -> bool:
+    """The delivery gate of m at the replica in roster position k."""
     by_value = obj.message_identity == IDENTITY_VALUE
-    dlv = c.delivered[r]
+    dlv = c.delivered[k]
     if by_value:
         dlv = {m2.payload for m2 in dlv}
     if (m.payload if by_value else m) in dlv:
@@ -83,31 +87,39 @@ def op_mk_update(
     obj: OpObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op
 ) -> Step:
     """One OpUpdate rule instance: prep, self-apply, broadcast."""
+    k = roster.index(r)
     i = Input.upd(op)
-    s2, out = op_replica_step(obj, r, c.states[r], i, c.delivered[r])
+    dlv = c.delivered[k]
+    s2, out = op_replica_step(obj, r, c.states[k], i, dlv)
     m = out.message
     return Event.of(r, i, out), Config(
-        c.states.set(r, s2),
+        replace_at(c.states, k, s2),
         bcast(r, m, c.buffer, roster, obj.message_identity == IDENTITY_VALUE),
         canon_set(c.sent | {m}),
-        c.delivered.set(r, c.delivered[r] | {m}),
+        replace_at(c.delivered, k, canon_set(dlv | {m})),
         canon_set(c.used_ops | {(r, op)}),
     )
 
 
 def op_mk_deliver(
-    obj: OpObject, c: Config, r: ReplicaId, m: Message, discipline: str = CAUSAL
+    obj: OpObject,
+    roster: tuple[ReplicaId, ...],
+    c: Config,
+    r: ReplicaId,
+    m: Message,
+    discipline: str = CAUSAL,
 ) -> Step | None:
     """One OpDeliver instance; None when the delivery gate blocks it."""
-    if (r, m) not in c.buffer or not _delivery_enabled(obj, c, r, m, discipline):
+    k = roster.index(r)
+    if (r, m) not in c.buffer or not _delivery_enabled(obj, c, k, m, discipline):
         return None
     i = Input.dlvr(m)
-    s2, out = op_replica_step(obj, r, c.states[r], i)
+    s2, out = op_replica_step(obj, r, c.states[k], i)
     return Event.of(r, i, out), Config(
-        c.states.set(r, s2),
+        replace_at(c.states, k, s2),
         canon_set(c.buffer - {(r, m)}),
         c.sent,
-        c.delivered.set(r, c.delivered[r] | {m}),
+        replace_at(c.delivered, k, canon_set(c.delivered[k] | {m})),
         c.used_ops,
     )
 
@@ -133,9 +145,9 @@ def op_system_steps(
                 out.append(op_mk_update(obj, roster, c, r, op))
     for r in roster:
         for q in obj.queries:
-            out.append(query_step(obj, c, r, q))
+            out.append(query_step(obj, roster, c, r, q))
     for r, m in delivery_order(c.buffer):
-        step = op_mk_deliver(obj, c, r, m, discipline)
+        step = op_mk_deliver(obj, roster, c, r, m, discipline)
         if step is not None:
             out.append(step)
     return out

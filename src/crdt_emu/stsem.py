@@ -7,8 +7,10 @@ delivery event carries the state, and the buffer holds (replica, state)
 pairs, so a set union deduplicates re-sent equal states and a delivery is
 deduplicated by the state value.  The update and delivery rules fire the
 replica step, ``st_replica_step``, and take the replica's new state and
-output from it; queries are ``core.query_step``.  A replica's ``delivered``
-set holds only the states it received, never its own.
+output from it, replacing the replica's roster position in the
+configuration's tuples (``core.replace_at``); queries are
+``core.query_step``.  A replica's ``delivered`` set holds only the states it
+received, never its own.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     canon_set,
     delivery_order,
     query_step,
+    replace_at,
 )
 from .objects import StObject
 
@@ -62,14 +65,15 @@ def st_mk_update(
     obj: StObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op, mode: str
 ) -> Step:
     """One StUpdate (or StUpdBC in atomic mode) rule instance."""
+    k = roster.index(r)
     i = Input.upd(op)
-    s2, out = st_replica_step(obj, r, c.states[r], i, mode)
+    s2, out = st_replica_step(obj, r, c.states[k], i, mode)
     if out.kind == OUT_SEND:
         buffer, sent = bcast(r, s2, c.buffer, roster), canon_set(c.sent | {s2})
     else:
         buffer, sent = c.buffer, c.sent
     return Event.of(r, i, out), Config(
-        c.states.set(r, s2),
+        replace_at(c.states, k, s2),
         buffer,
         sent,
         c.delivered,
@@ -80,7 +84,7 @@ def st_mk_update(
 def st_mk_send(
     roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId
 ) -> Step:
-    s = c.states[r]
+    s = c.states[roster.index(r)]
     return Event.of(r, Input.none(), Output.send(s)), Config(
         c.states,
         bcast(r, s, c.buffer, roster),
@@ -91,20 +95,21 @@ def st_mk_send(
 
 
 def st_mk_deliver(
-    obj: StObject, c: Config, r: ReplicaId, s: Any
+    obj: StObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, s: Any
 ) -> Step | None:
     """One StDeliver instance of the state s buffered for r; None when s is
     not buffered there or the dedup premise blocks it (r has delivered an
     equal state)."""
-    if (r, s) not in c.buffer or s in c.delivered[r]:
+    k = roster.index(r)
+    if (r, s) not in c.buffer or s in c.delivered[k]:
         return None
     i = Input.dlvr(s)
-    s2, out = st_replica_step(obj, r, c.states[r], i)
+    s2, out = st_replica_step(obj, r, c.states[k], i)
     return Event.of(r, i, out), Config(
-        c.states.set(r, s2),
+        replace_at(c.states, k, s2),
         canon_set(c.buffer - {(r, s)}),
         c.sent,
-        c.delivered.set(r, c.delivered[r] | {s}),
+        replace_at(c.delivered, k, canon_set(c.delivered[k] | {s})),
         c.used_ops,
     )
 
@@ -130,12 +135,12 @@ def st_system_steps(
                 out.append(st_mk_update(obj, roster, c, r, op, mode))
     for r in roster:
         for q in obj.queries:
-            out.append(query_step(obj, c, r, q))
+            out.append(query_step(obj, roster, c, r, q))
     if mode == SEPARATE_SEND:
         for r in roster:
             out.append(st_mk_send(roster, c, r))
     for r, s in delivery_order(c.buffer):
-        step = st_mk_deliver(obj, c, r, s)
+        step = st_mk_deliver(obj, roster, c, r, s)
         if step is not None:
             out.append(step)
     return out

@@ -9,6 +9,9 @@ definitions live here, as oracles that share no rule with it: messages are
 ordered by ``conftest.clock_before``, the pointwise order on their clocks,
 not by the origin-component rule of ``core.happens_before``.
 
+``by_replica`` reads a configuration's per-replica tuples as maps keyed by
+replica id.
+
 ``reference_steps`` builds a configuration's step list through the rule
 functions, but without the check scope's delivery-order and query tables.
 
@@ -21,7 +24,7 @@ A trace is a sequence of events, oldest first.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from crdt_emu.checker import PairedSystem, Relation, SimCounterexample, Side, weak_matches
 from crdt_emu.client import SKIP, Asn, Bin, Expr, Lit, Prog, Qry, Seq, Upd, Var, While
@@ -69,6 +72,19 @@ def clock_join(c1: VectorClock, c2: VectorClock) -> VectorClock:
     for r, n in c2.entries:
         entries[r] = max(n, entries.get(r, 0))
     return VectorClock.of(entries)
+
+
+class ByReplica(NamedTuple):
+    """A configuration's per-replica fields, keyed by replica id."""
+
+    states: dict
+    delivered: dict
+
+
+def by_replica(system, c: Config) -> ByReplica:
+    """c's ``states`` and ``delivered`` tuples as maps from each replica id
+    of system's roster to the entry at its position."""
+    return ByReplica(dict(zip(system.roster, c.states)), dict(zip(system.roster, c.delivered)))
 
 
 # --- trace-level causal machinery -------------------------------------------
@@ -230,16 +246,16 @@ def reference_steps(system, c: Config) -> list[Step]:
                 out.append(st_mk_update(obj, roster, c, r, op, system.mode))
     for r in roster:
         for q in obj.queries:
-            answer = Output(OUT_RET, obj.query(q, c.states[r]))
+            answer = Output(OUT_RET, obj.query(q, by_replica(system, c).states[r]))
             out.append((Event(r, Input(IN_QRY, query=q), answer), c))
     if system.kind == "op":
         for r, m in sorted(c.buffer, key=lambda rm: (rm[0], rm[1].origin, rm[1].seq)):
-            out.append(op_mk_deliver(obj, c, r, m, system.discipline))
+            out.append(op_mk_deliver(obj, roster, c, r, m, system.discipline))
     else:
         if system.mode == SEPARATE_SEND:
             out.extend(st_mk_send(roster, c, r) for r in roster)
         for r, s in sorted(c.buffer, key=lambda rs: (rs[0], canon_key(rs[1]))):
-            out.append(st_mk_deliver(obj, c, r, s))
+            out.append(st_mk_deliver(obj, roster, c, r, s))
     return [step for step in out if step is not None]
 
 

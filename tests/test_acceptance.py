@@ -37,7 +37,7 @@ from crdt_emu.objects import (
 )
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
 from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
-from reference import generate_programs, interp_is_order_independent
+from reference import by_replica, generate_programs, interp_is_order_independent
 
 STEP_BOUND = 8
 TRACE_BOUND = 10
@@ -297,7 +297,7 @@ def test_criterion_10_interp_well_definedness():
         seen = set()
         for cfg in graph.nodes:
             for r in roster:
-                h = cfg.states[r]
+                h = by_replica(guest_sys, cfg).states[r]
                 if h in seen or len(h) > 6:
                     continue
                 seen.add(h)

@@ -50,6 +50,7 @@ from crdt_emu.opsem import RELIABLE_ONLY, OpSystem
 from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
 from conftest import eager_ball, eager_moves, msg, raw_tree
 from reference import (
+    by_replica,
     delivered,
     deliverable_ordering,
     reference_steps,
@@ -98,7 +99,7 @@ def test_explore_edge_count_matches_successors_at_depth_one():
 def test_explore_contains_ex_2_4_prefix():
     p = paired_gset()
     graph = explore(p.host, 2)
-    states = {cfg.states["r1"] for cfg in graph.nodes}
+    states = {by_replica(p.host, cfg).states["r1"] for cfg in graph.nodes}
     assert frozenset() in states
     assert frozenset({5}) in states
     assert frozenset({5, 42}) in states
@@ -421,7 +422,7 @@ class SubsetSearchRelation(Relation):
     enumerating every candidate subset, smallest first."""
 
     def _deliverable_merge_exists(self, H, r, op_c):
-        have = op_c.delivered[r]
+        have = by_replica(self.paired.host, op_c).delivered[r]
         target = have | H
         candidates = sorted(
             (m for r2, m in op_c.buffer if r2 == r and m in H), key=lambda m: m.sort_key()
@@ -436,19 +437,21 @@ class SubsetSearchRelation(Relation):
         return False
 
     def _q1(self, st_c, op_c):
+        st_states = by_replica(self.paired.host, st_c).states
+        op_states = by_replica(self.paired.guest, op_c).states
         for r in self.roster:
-            if st_c.states[r] != op_c.states[r]:
+            if st_states[r] != op_states[r]:
                 return "state-agreement"
         obj = self.paired.host.obj
         for r, s in st_c.buffer:
-            target = obj.join(st_c.states[r], s)
-            if target == st_c.states[r]:
+            target = obj.join(st_states[r], s)
+            if target == st_states[r]:
                 continue
             payloads = sorted(
                 (m2.payload for r2, m2 in op_c.buffer if r2 == r), key=canon_key
             )
             if not any(
-                functools.reduce(obj.join, C, op_c.states[r]) == target
+                functools.reduce(obj.join, C, op_states[r]) == target
                 for k in range(len(payloads) + 1)
                 for C in itertools.combinations(payloads, k)
             ):
@@ -481,7 +484,7 @@ def test_r2_and_bowtie_closed_form_match_subset_search():
         # message, as H, against every host configuration.
         rel, ref = Relation(rel_id, p), SubsetSearchRelation(rel_id, p)
         hs = {s for c in guest for _, s in c.buffer}
-        hs |= {c.states[r] for c in guest for r in ROSTER2}
+        hs |= {by_replica(p.guest, c).states[r] for c in guest for r in ROSTER2}
         hs |= {frozenset({m}) for H in hs for m in H}
         outcomes = set()
         for H, op_c, r in itertools.product(hs, host, ROSTER2):
@@ -638,6 +641,18 @@ def test_unknown_relation_is_a_value_error():
     ):
         with pytest.raises(ValueError, match="unknown relation 'R9'"):
             call()
+
+
+def test_paired_systems_need_one_roster_in_one_order():
+    """The relations compare host and guest configurations position by
+    position, so a guest roster in another order, or of other replicas, is
+    refused when the pair is built."""
+    obj = gset_op((5, 42))
+    host = OpSystem(obj, ROSTER2)
+    for roster in (ROSTER2[::-1], ("r1", "r3")):
+        with pytest.raises(ValueError, match="roster"):
+            PairedSystem(host=host, guest=StSystem(op_to_st(obj), roster), direction="op-to-st")
+    assert PairedSystem(host, StSystem(op_to_st(obj), ROSTER2), "op-to-st").guest.roster == ROSTER2
 
 
 def test_reliable_only_r1_counterexample_and_replay():

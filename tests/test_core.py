@@ -19,6 +19,7 @@ from crdt_emu.core import (
     intern_scope,
     intern_table_sizes,
     mint,
+    replace_at,
 )
 from crdt_emu.checker import (
     HOST_BY_GUEST,
@@ -305,7 +306,7 @@ def test_different_paths_share_state_based_sets_and_maps():
             _, c = st_mk_update(obj, roster, c, r, op, "separate-send")
             _, c = st_mk_send(roster, c, r)
         m = next(m for r, m in c.buffer if r == "r1")
-        _, c = st_mk_deliver(obj, c, "r1", m)
+        _, c = st_mk_deliver(obj, roster, c, "r1", m)
         return c
 
     a = run(("r1", ("add", 5)), ("r2", ("add", 42)))
@@ -314,14 +315,19 @@ def test_different_paths_share_state_based_sets_and_maps():
     for name in ("states", "buffer", "sent", "delivered", "used_ops"):
         assert getattr(a, name) is getattr(b, name)
     assert a == b and hash(a) == hash(b)
+    # the per-replica tuples are the canonical ones of their content
+    for t in (a.states, a.delivered):
+        assert type(t) is tuple and len(t) == len(roster)
+        assert all(replace_at(t, k, t[k]) is t for k in range(len(roster)))
 
 
 def test_every_system_step_is_its_replica_step():
     """The system LTS lifts the replica LTS: each step appends one event of
     one replica r, r's replica step on its old state and the event's input
     gives its new state and the event's output, no other replica's state
-    changes, and an update fires at most once per (replica, op).  Checked on
-    every step of the depth-4 raw trees of eight 2-replica systems."""
+    changes (r's roster position is the only one of ``states`` that
+    changes), and an update fires at most once per (replica, op).  Checked
+    on every step of the depth-4 raw trees of eight 2-replica systems."""
     roster = ("r1", "r2")
     gset, gcounter = gset_st((1, 2)), gcounter_st()
     systems = [
@@ -340,12 +346,13 @@ def test_every_system_step_is_its_replica_step():
         for i, e, j in graph.edges:
             c, c2 = graph.nodes[i], graph.nodes[j]
             r = e.replica
+            k = roster.index(r)
             if system.kind == "op":
-                step = op_replica_step(system.obj, r, c.states[r], e.input, c.delivered[r])
+                step = op_replica_step(system.obj, r, c.states[k], e.input, c.delivered[k])
             else:
-                step = st_replica_step(system.obj, r, c.states[r], e.input, system.mode)
-            assert step == (c2.states[r], e.output)
-            assert all(c2.states[r2] == c.states[r2] for r2 in roster if r2 != r)
+                step = st_replica_step(system.obj, r, c.states[k], e.input, system.mode)
+            assert step == (c2.states[k], e.output)
+            assert all(c2.states[k2] == c.states[k2] for k2 in range(len(roster)) if k2 != k)
             if e.input.kind == "upd":
                 assert (r, e.input.op) not in c.used_ops
 
@@ -397,18 +404,20 @@ def _tables_empty() -> bool:
 
 def test_intern_tables_grow_while_a_search_runs():
     """Driving the search generator directly, outside any check, the tables
-    keep every value the steps build, buffers' delivery orders and query
-    events included: they grow as nodes are taken.  The depth-0 explores
-    before and after empty them on return."""
+    keep every value the steps build, the configurations' per-replica
+    tuples, buffers' delivery orders and query events included: they grow
+    as nodes are taken.  The G-counter's states are maps, so its search
+    grows the FrozenDict table too.  The depth-0 explores before and after
+    empty them on return."""
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
-    search = breadth_first(OpSystem(gset_op((5, 42)), ("r1", "r2")), 5, Graph())
+    search = breadth_first(OpSystem(st_to_op(gcounter_st()), ("r1", "r2")), 5, Graph())
     next(search)
     start = intern_table_sizes()
     for _ in itertools.islice(search, 50):
         pass
     during = intern_table_sizes()
-    grown = ("FrozenDict", "Message", "Event", "delivery_order", "query_step")
+    grown = ("FrozenDict", "tuple", "Message", "Event", "delivery_order", "query_step")
     assert all(during[k] > start[k] for k in grown)
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
@@ -430,17 +439,20 @@ def test_a_raising_check_empties_the_tables_but_its_nested_explore_does_not():
     """check_strong_convergence explores first and only then finds that the
     object is not history-augmented and raises.  Its nested explore returns
     inside the check's scope and leaves the tables as they are, so when the
-    check reads the graph its configurations' maps are still the canonical
-    ones; the raise leaves the outermost scope and empties every table."""
+    check reads the graph its configurations' per-replica tuples are still
+    the canonical ones; the raise leaves the outermost scope and empties
+    every table.  The G-counter's states are maps, so the check fills the
+    FrozenDict table too."""
     seen = []
 
     class ProbedSystem(OpSystem):
         def query_value(self, c, r, q):
-            seen.append((intern_table_sizes(), FrozenDict.of(dict(c.states)) is c.states))
+            canonical = all(replace_at(t, 0, t[0]) is t for t in (c.states, c.delivered))
+            seen.append((intern_table_sizes(), canonical))
             return super().query_value(c, r, q)
 
     with pytest.raises(ValueError, match="history-augmented"):
-        check_strong_convergence(ProbedSystem(gset_op((5, 42)), ("r1", "r2")), step_bound=4)
+        check_strong_convergence(ProbedSystem(st_to_op(gcounter_st()), ("r1", "r2")), step_bound=4)
     assert _tables_empty()
     [(sizes, canonical)] = seen
-    assert canonical and all(sizes[k] > 0 for k in ("FrozenDict", "Message", "Event"))
+    assert canonical and all(sizes[k] > 0 for k in ("FrozenDict", "tuple", "Message", "Event"))

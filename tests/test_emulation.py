@@ -11,7 +11,7 @@ from crdt_emu.objects import gcounter_st, gset_op, gset_st
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
 from conftest import clock_before, msg
-from reference import interp_is_order_independent, linear_extensions
+from reference import by_replica, interp_is_order_independent, linear_extensions
 
 
 def chain():
@@ -142,10 +142,11 @@ def test_guest_lattice_laws_on_reachable_states():
     states = []
     seen = set()
     for cfg in graph.nodes:
+        by_id = by_replica(guest_sys, cfg).states
         for r in ("r1", "r2"):
-            if cfg.states[r] not in seen:
-                seen.add(cfg.states[r])
-                states.append(cfg.states[r])
+            if by_id[r] not in seen:
+                seen.add(by_id[r])
+                states.append(by_id[r])
     for a in states:
         assert guest_obj.join(a, a) == a
         for b in states:
@@ -167,7 +168,7 @@ def test_interp_order_independent_on_reachable_guest_states():
     seen = set()
     for cfg in graph.nodes:
         for r in ("r1", "r2"):
-            h = cfg.states[r]
+            h = by_replica(guest_sys, cfg).states[r]
             if h in seen or len(h) > 6:
                 continue
             seen.add(h)

@@ -18,6 +18,7 @@ from crdt_emu.objects import (
 )
 from crdt_emu.opsem import OpSystem
 from crdt_emu.stsem import StSystem
+from reference import by_replica
 
 
 def test_gset_op_effect_and_query():
@@ -62,7 +63,7 @@ def reachable_states(system, bound):
     seen = set()
     for cfg in graph.nodes:
         for r in system.roster:
-            s = cfg.states[r]
+            s = by_replica(system, cfg).states[r]
             if s not in seen:
                 seen.add(s)
                 states.append(s)
@@ -145,8 +146,10 @@ def test_augmentation_is_conservative():
             ]
             assert candidates, f"no base step for {e}"
             cfg = candidates[0]
+        aug_states = by_replica(aug_system, node).states
+        base_states = by_replica(base_system, cfg).states
         for r in ("r1", "r2"):
-            assert node.states[r][0] == cfg.states[r]
+            assert aug_states[r][0] == base_states[r]
 
 
 def _erases_to(aug_event, base_event):
@@ -201,7 +204,7 @@ def test_commutation_on_explored_configs():
     obj = gset_op((1, 2))
     system = OpSystem(obj, ("r1", "r2", "r3"))
     graph = explore(system, 5)
-    report = check_concurrent_commutation(obj, graph.nodes)
+    report = check_concurrent_commutation(obj, system.roster, graph.nodes)
     assert report.ok
     assert report.pairs_checked > 0
 
@@ -210,7 +213,7 @@ def test_commutation_vacuous_single_message():
     obj = gset_op((1,))
     system = OpSystem(obj, ("r1", "r2"))
     graph = explore(system, 2)
-    report = check_concurrent_commutation(obj, graph.nodes)
+    report = check_concurrent_commutation(obj, system.roster, graph.nodes)
     assert report.ok
     assert report.pairs_checked == 0
 
@@ -221,5 +224,5 @@ def test_commutation_via_st_to_op_guest():
     obj = st_to_op(gcounter_st())
     system = OpSystem(obj, ("r1", "r2", "r3"))
     graph = explore(system, 6)
-    report = check_concurrent_commutation(obj, graph.nodes)
+    report = check_concurrent_commutation(obj, system.roster, graph.nodes)
     assert report.ok

@@ -19,7 +19,7 @@ from crdt_emu.opsem import (
     op_replica_step,
 )
 from conftest import clock_before, msg, raw_tree
-from reference import clock_join, clock_tick, satisfies_causal_delivery
+from reference import by_replica, clock_join, clock_tick, satisfies_causal_delivery
 
 import pytest
 
@@ -71,7 +71,7 @@ def test_init_states_and_successors():
     obj = gset_op((5, 42))
     system = OpSystem(obj, ("r1", "r2"))
     c = system.init()
-    assert all(c.states[r] == frozenset() for r in ("r1", "r2"))
+    assert all(by_replica(system, c).states[r] == frozenset() for r in ("r1", "r2"))
     succ = system.steps(c)
     assert not any(e.obs_key() is None for e, _ in succ)
     updates = [e for e, _ in succ if e.input.kind == "upd"]
@@ -186,7 +186,7 @@ def test_concurrent_delivery_diamond():
         for e, c2 in system.steps(cb)
         if e.obs_key() is None and e.replica == "r3" and e.input.message == ma
     )
-    assert ca2.states["r3"] == cb2.states["r3"] == {1, 2}
+    assert by_replica(system, ca2).states["r3"] == by_replica(system, cb2).states["r3"] == {1, 2}
 
 
 def test_reliable_only_violates_causal_delivery_somewhere():
@@ -254,11 +254,12 @@ def test_delivered_subset_of_sent_on_reachable_traces(system):
     for i, cfg in enumerate(graph.nodes):
         t = graph.path(i)
         s = sent(t)
+        by_id = by_replica(system, cfg).delivered
         for r in system.roster:
             assert delivered(r, t) <= s
-            assert cfg.delivered[r] == delivered(r, t)
+            assert by_id[r] == delivered(r, t)
         assert cfg.sent == s
-        assert cfg.sent == frozenset().union(*cfg.delivered.values())
+        assert cfg.sent == frozenset().union(*by_id.values())
 
 
 
@@ -302,12 +303,13 @@ def test_clock_order_characterizes_event_happens_before(system):
                     assert clock_before(m1.clock, m2.clock) == reach[i][j]
 
 
-def _gate_by_clock_order(obj, c, r, m) -> bool:
+def _gate_by_clock_order(system, c, r, m) -> bool:
     """The causal delivery gate as defined: m not yet delivered at r (by id,
     or by payload under value identity), and every sent causal predecessor
     of m, by the pointwise clock order, already delivered there."""
-    by_value = obj.message_identity == IDENTITY_VALUE
-    dlv = {m2.payload for m2 in c.delivered[r]} if by_value else c.delivered[r]
+    by_value = system.obj.message_identity == IDENTITY_VALUE
+    have = by_replica(system, c).delivered[r]
+    dlv = {m2.payload for m2 in have} if by_value else have
     if (m.payload if by_value else m) in dlv:
         return False
     return all(
@@ -324,8 +326,9 @@ def test_origin_component_gate_agrees_with_happens_before(system):
     decided = {True: 0, False: 0}
     for c in explore(system, 6).nodes:
         for r, m in c.buffer:
-            want = _gate_by_clock_order(system.obj, c, r, m)
-            assert _delivery_enabled(system.obj, c, r, m, CAUSAL) == want
+            want = _gate_by_clock_order(system, c, r, m)
+            k = system.roster.index(r)
+            assert _delivery_enabled(system.obj, c, k, m, CAUSAL) == want
             decided[want] += 1
     assert decided[True] and decided[False]
 
@@ -345,16 +348,17 @@ def test_minted_message_follows_from_delivered():
     for system in systems:
         for graph in (explore(system, 6), raw_tree(system, 4)):
             for c in graph.nodes:
-                assert c.sent == frozenset().union(*c.delivered.values())
+                by_id = by_replica(system, c).delivered
+                assert c.sent == frozenset().union(*by_id.values())
                 for e, c2 in system.steps(c):
                     if e.input.kind != "upd":
                         continue
                     r, m = e.replica, e.output.message
                     clock = VectorClock.of({})
-                    for m2 in c.delivered[r]:
+                    for m2 in by_id[r]:
                         clock = clock_join(clock, m2.clock)
                     assert m.clock == clock_tick(clock, r)
-                    assert m.seq == 1 + sum(m2.origin == r for m2 in c.delivered[r])
+                    assert m.seq == 1 + sum(m2.origin == r for m2 in by_id[r])
                     updates += 1
     assert updates
 
