@@ -68,20 +68,28 @@ RELATION_SORTS: dict[str, tuple[str, str, str]] = {
 
 @dataclass(frozen=True)
 class PairedSystem:
-    """Host and guest LTSs sharing a roster and op/query universes.  The
-    relations compare the two sides' per-replica tuples position by
-    position, so the rosters must be equal, in the same order."""
+    """Host and guest LTSs of opposite kinds, sharing a roster and op/query
+    universes.  The emulation direction is read off the host's kind
+    (``direction``), so it cannot contradict the systems.  The relations compare the two sides' per-replica
+    tuples position by position, so the rosters must be equal, in the same
+    order.  A pair of one kind, or of two rosters, raises ValueError."""
 
     host: System
     guest: System
-    direction: str
 
     def __post_init__(self):
+        if self.host.kind == self.guest.kind:
+            raise ValueError(f"host and guest are both {self.host.kind}-based")
         if self.host.roster != self.guest.roster:
             raise ValueError(
                 f"host roster {self.host.roster!r} and guest roster "
                 f"{self.guest.roster!r} differ"
             )
+
+    @property
+    def direction(self) -> str:
+        """OP_TO_ST for an op-based host, ST_TO_OP for a state-based one."""
+        return OP_TO_ST if self.host.kind == "op" else ST_TO_OP
 
     def side(self, name: str) -> System:
         return self.host if name == "host" else self.guest
@@ -93,7 +101,6 @@ class Verdict:
     stats: dict
     bounds: dict
     witness: dict | None = None
-    raw: Any = None
     detail: str | None = None
 
     @property
@@ -381,6 +388,7 @@ class Relation:
             raise ValueError(f"relation {rel_id} pairs with direction {direction}")
         self.id = rel_id
         self.paired = paired
+        self.direction = direction
         self.a_side = sort_a
         self.b_side = sort_b
         self.roster = paired.host.roster
@@ -595,7 +603,7 @@ def constructive_match(rel: Relation, defender, key, b_cfg) -> list[Step] | None
         return None if step is None else [step]
 
     k = D.roster.index(r)
-    if rel.paired.direction == OP_TO_ST:
+    if rel.direction == OP_TO_ST:
         # deliver the messages of the delivered state that r lacks
         wanted = x - b_cfg.delivered[k]
         return _op_deliver_chain(D, b_cfg, r, wanted, lambda c: wanted <= c.delivered[k])
@@ -618,7 +626,7 @@ def _move_key(rel: Relation, defender, a_cfg, event):
     if event.input.kind != "dlvr":
         return event.obs_key() or event
     r, m = event.replica, event.input.message
-    if rel.paired.direction == OP_TO_ST:
+    if rel.direction == OP_TO_ST:
         return ("dlvr", r, rel._downset(m, a_cfg.sent) if defender.kind == "st" else m)
     if defender.kind == "st":
         return ("dlvr", r, m.payload)
@@ -690,41 +698,21 @@ def _evidence(attacker: Side, event, a2_cfg, defender: Side, b_cfg, tau_budget: 
     return None
 
 
-@dataclass
-class SimCounterexample:
-    a_events: tuple[Event, ...]   # ends with the unmatched step
-    b_events: tuple[Event, ...]
-    clause: str | None
-    evidence: dict | None
-
-    def to_witness(self, a_name: str, b_name: str) -> dict:
-        unmatched = self.a_events[-1]
-        out = {
-            a_name + "_events": [render_event(e) for e in self.a_events],
-            b_name + "_events": [render_event(e) for e in self.b_events],
-            "unmatched": {
-                "side": a_name,
-                "label": render_label(unmatched),
-                "event": render_event(unmatched),
-            },
-        }
-        if self.clause:
-            out["failed_clause"] = self.clause
-        if self.evidence:
-            out["distinguishing_query"] = self.evidence
-        return out
-
-
 def default_tau_budget(paired: PairedSystem) -> int:
     return 2 * len(paired.host.roster)
 
 
+MAX_PAIRS = 2_000_000   # related pairs a paired check visits before it gives up
+
+
 class Search:
     """One paired check's search: its fixed inputs, the counters and bounds
-    it reports, and the relation's two sides with their caches.  A check
-    creates it and drops it on return, so no cache outlives the check."""
+    it reports, and the relation's two sides with their caches, the first
+    side the relation's first component.  A check creates it and drops it on
+    return, so no cache outlives the check.  The pair budget is the module
+    constant ``MAX_PAIRS``, which the driver reads."""
 
-    def __init__(self, rel: Relation, step_bound: int, tau_budget: int | None, max_pairs: int):
+    def __init__(self, rel: Relation, step_bound: int, tau_budget: int | None):
         if tau_budget is None:
             tau_budget = default_tau_budget(rel.paired)
         if step_bound < 0:
@@ -734,7 +722,6 @@ class Search:
         self.rel = rel
         self.step_bound = step_bound
         self.tau_budget = tau_budget
-        self.max_pairs = max_pairs
         counters = ("pairs", "obligations", "max_depth", "matcher_matched", "fallback_matched")
         self.stats = dict.fromkeys(counters, 0)
         self.bounds = {"step_bound": step_bound, "tau_budget": tau_budget, "relation": rel.id}
@@ -772,9 +759,9 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
     the key was admitted only after its clause held, and the clause
     reads nothing outside the two configurations
     (``tests/test_checker.py::test_clause_is_a_function_of_the_summaries``),
-    so each related pair's clause is decided once.  The pair budget is
-    checked as each new pair is added, so at most max_pairs + 1 pairs are
-    counted."""
+    so each related pair's clause is decided once.  The pair budget,
+    ``MAX_PAIRS``, read at run time, is checked as each new pair is added,
+    so at most MAX_PAIRS + 1 pairs are counted."""
     rel, stats, tau_budget = search.rel, search.stats, search.tau_budget
     A, B = search.a, search.b
     key0 = (a0, b0)
@@ -812,7 +799,7 @@ def _play_obligations(search: Search, attackers: tuple[str, ...], a0, b0) -> Ver
                     parents[key2] = (key, side, event, move[1])
                     stats["pairs"] += 1
                     queue.append((key2, depth + 1))
-                    if stats["pairs"] > search.max_pairs:
+                    if stats["pairs"] > MAX_PAIRS:
                         return _verdict(search, BOUND_EXHAUSTED, "pair budget exceeded")
     return _verdict(search, PASS)
 
@@ -843,17 +830,20 @@ def _path_events(parents: dict, key) -> tuple[tuple[Event, ...], tuple[Event, ..
 @intern_scope
 def check_weak_simulation(
     paired: PairedSystem,
-    rel_id: str | None = None,
-    which: str = HOST_BY_GUEST,
+    rel_id: str,
     step_bound: int = 8,
     tau_budget: int | None = None,
-    max_pairs: int = 2_000_000,
 ) -> Verdict:
-    """Check that the candidate relation is a weak simulation on all related
-    pairs co-reachable within step_bound attacker steps."""
-    rel = Relation(sim_relation(paired.direction, which, rel_id), paired)
+    """Check that the candidate relation rel_id is a weak simulation on all
+    related pairs co-reachable within step_bound attacker steps.  The
+    relation fixes the attacker, its first component (``RELATION_SORTS``),
+    and must fit the pair's emulation direction, else ValueError.  A
+    counterexample's witness holds both sides' rendered events, the
+    attacker's ending with the unmatched step; they replay from the initial
+    configurations."""
+    rel = Relation(rel_id, paired)
     a_name, b_name = rel.a_side, rel.b_side
-    search = Search(rel, step_bound, tau_budget, max_pairs)
+    search = Search(rel, step_bound, tau_budget)
     a0, b0 = search.a.system.init(), search.b.system.init()
     clause0 = rel.clause(a0, b0)
     if clause0 is not None:
@@ -867,20 +857,27 @@ def check_weak_simulation(
     miss = _play_obligations(search, ("a",), a0, b0)
     if isinstance(miss, Verdict):
         return miss
-    a2 = miss.attacker_post
-    cex = SimCounterexample(
-        a_events=miss.a_events + (miss.attacker_event,),
-        b_events=miss.b_events,
-        clause=rel.clause(a2, miss.landing),
-        evidence=_evidence(search.a, miss.attacker_event, a2, search.b, miss.defender,
-                           search.tau_budget),
-    )
+    unmatched, a2 = miss.attacker_event, miss.attacker_post
+    witness = {
+        a_name + "_events": [render_event(e) for e in miss.a_events + (unmatched,)],
+        b_name + "_events": [render_event(e) for e in miss.b_events],
+        "unmatched": {
+            "side": a_name,
+            "label": render_label(unmatched),
+            "event": render_event(unmatched),
+        },
+    }
+    clause = rel.clause(a2, miss.landing)
+    if clause:
+        witness["failed_clause"] = clause
+    evidence = _evidence(search.a, unmatched, a2, search.b, miss.defender, search.tau_budget)
+    if evidence:
+        witness["distinguishing_query"] = evidence
     return Verdict(
         COUNTEREXAMPLE,
         search.stats,
         search.bounds,
-        witness=cex.to_witness(a_name, b_name),
-        raw=cex,
+        witness=witness,
         detail=f"unmatched {a_name} step",
     )
 
@@ -967,14 +964,13 @@ def check_weak_bisimulation(
     paired: PairedSystem,
     step_bound: int = 8,
     tau_budget: int | None = None,
-    max_pairs: int = 2_000_000,
 ) -> Verdict:
     """Check the bowtie relation in both directions; if it fails, search for a
-    genuine behavioral distinction to report."""
-    if paired.direction != OP_TO_ST:
-        raise ValueError("bisimulation check pairs an op host with a message-set guest")
+    genuine behavioral distinction to report.  The bowtie relation pairs an
+    op-based host with a message-set guest, so a state-based host raises
+    ValueError."""
     rel = Relation("bowtie", paired)
-    search = Search(rel, step_bound, tau_budget, max_pairs)
+    search = Search(rel, step_bound, tau_budget)
     A, B = search.a, search.b   # host, guest
     a0, b0 = A.system.init(), B.system.init()
 
@@ -1114,17 +1110,31 @@ class _TraceIndex:
 def _suffixes(adj: dict, index: _TraceIndex, memo: list, i: int, budget: int) -> int:
     """The set of observable label sequences of length <= max_len from node
     i within budget raw steps, as a bitset over index; memo[budget] is the
-    caller's, keyed by node."""
-    by_node = memo[budget]
-    out = by_node.get(i)
-    if out is not None:
-        return out
-    out = 1
-    if budget > 0:
-        for obs, j in adj.get(i, ()):
-            sub = _suffixes(adj, index, memo, j, budget - 1)
-            out |= sub if obs is None else index.prepend(obs, sub)
-    by_node[i] = out
+    caller's, keyed by node.  A depth-first walk over (node, budget) with an
+    explicit stack, so a large budget does not reach the recursion limit:
+    query steps are self-loops, so a walk may stay at one node for the
+    whole budget.  A frame is [node, budget, edge iterator, set so far,
+    label of the edge being followed]; edges are followed in adjacency
+    order and each target's set is folded in as it is finished, so traces
+    are numbered in the same order as by the recursive definition."""
+    stack = [[i, budget, iter(adj.get(i, ()) if budget > 0 else ()), 1, None]]
+    while stack:
+        frame = stack[-1]
+        node, left, edges = frame[0], frame[1], frame[2]
+        for obs, j in edges:
+            sub = memo[left - 1].get(j)
+            if sub is None:   # finish j first, then fold it in
+                frame[4] = obs
+                stack.append([j, left - 1, iter(adj.get(j, ()) if left > 1 else ()), 1, None])
+                break
+            frame[3] |= sub if obs is None else index.prepend(obs, sub)
+        else:
+            stack.pop()
+            out = memo[left][node] = frame[3]
+            if stack:
+                parent = stack[-1]
+                obs = parent[4]
+                parent[3] |= out if obs is None else index.prepend(obs, out)
     return out
 
 

@@ -319,7 +319,7 @@ def build_systems(scenario: Scenario) -> tuple[System, PairedSystem | None]:
     if scenario.broken_guest:
         guest_obj = break_query(guest_obj)
     guest = _system(guest_obj, scenario)
-    return host, PairedSystem(host=host, guest=guest, direction=scenario.emulate)
+    return host, PairedSystem(host=host, guest=guest)
 
 
 def _op_side(host: System, paired: PairedSystem | None) -> System:
@@ -407,15 +407,11 @@ def _prepare(
 
     if name == "sim":
         which = entry.get("direction", checker.HOST_BY_GUEST)
-        rel = entry.get("relation")
-
-        def sim() -> Rows:
-            v = check_weak_simulation(
-                paired, rel, which, step_bound=step_bound, tau_budget=tau_budget
-            )
-            return [({"name": name, "relation": v.bounds["relation"], "direction": which}, v)]
-
-        return sim
+        rel = checker.sim_relation(scenario.emulate, which, entry.get("relation"))
+        return lambda: [(
+            {"name": name, "relation": rel, "direction": which},
+            check_weak_simulation(paired, rel, step_bound=step_bound, tau_budget=tau_budget),
+        )]
     if name == "bisim":
         return lambda: [(
             {"name": name, "mode": scenario.broadcast_mode},

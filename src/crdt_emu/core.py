@@ -265,19 +265,6 @@ class Message:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Message):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return (
-            self.origin == other.origin
-            and self.clock == other.clock
-            and self.payload == other.payload
-        )
-
     def sort_key(self) -> tuple:
         return (self.origin, self.seq)
 
@@ -540,19 +527,6 @@ def downset_of(m: Message, sent_set: frozenset[Message]) -> frozenset[Message]:
     return frozenset(m2 for m2 in sent_set if happens_before(m2, m)) | {m}
 
 
-def buffer_add(
-    buffer: frozenset[tuple[ReplicaId, Message]],
-    dest: ReplicaId,
-    m: Message,
-    by_value: bool,
-) -> frozenset[tuple[ReplicaId, Message]]:
-    if by_value:
-        for r2, m2 in buffer:
-            if r2 == dest and m2.payload == m.payload:
-                return buffer
-    return buffer | {(dest, m)}
-
-
 def bcast(
     r: ReplicaId,
     m: Message,
@@ -560,13 +534,11 @@ def bcast(
     roster: tuple[ReplicaId, ...],
     by_value: bool = False,
 ) -> frozenset[tuple[ReplicaId, Message]]:
-    """Add one copy of m per destination replica other than the sender; the
-    result is canonical."""
-    out = buffer
-    for r2 in roster:
-        if r2 != r:
-            out = buffer_add(out, r2, m, by_value)
-    return canon_set(out)
+    """Add one copy of m per destination replica other than the sender, in
+    one union; by value, a destination that already holds an entry with m's
+    payload gets none.  The result is canonical."""
+    held = {r2 for r2, m2 in buffer if m2.payload == m.payload} if by_value else ()
+    return canon_set(buffer | {(r2, m) for r2 in roster if r2 != r and r2 not in held})
 
 
 def _delivery_key(entry: tuple) -> tuple:

@@ -15,6 +15,9 @@ replica id.
 ``reference_steps`` builds a configuration's step list through the rule
 functions, but without the check scope's delivery-order and query tables.
 
+``parse_events`` rebuilds events from their rendered JSON form, so a
+witness replays from what a report shows.
+
 ``clock_tick`` and ``clock_join`` build the clock that ``core.mint`` gives
 a message by ticking and joining plain entry maps.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 from typing import Any, Iterator, NamedTuple, Sequence
 
-from crdt_emu.checker import PairedSystem, Relation, SimCounterexample, Side, weak_matches
+from crdt_emu.checker import PairedSystem, Relation, Side, weak_matches
 from crdt_emu.client import SKIP, Asn, Bin, Expr, Lit, Prog, Qry, Seq, Upd, Var, While
 from crdt_emu.core import (
     IN_DLVR,
@@ -262,24 +265,69 @@ def reference_steps(system, c: Config) -> list[Step]:
 # --- witness replay ------------------------------------------------------------
 
 
+def parse_events(rendered: list[dict]) -> list[Event]:
+    """The events of a rendered event list (``core.render_event``), rebuilt
+    from their identity fields alone, without stepping any system."""
+
+    def parse_msg(d):
+        m = Message(d["origin"], VectorClock.of(d["clock"]), parse_payload(d["payload"]))
+        assert m.seq == d["seq"]
+        return m
+
+    def parse_payload(p):
+        if isinstance(p, int):
+            return p
+        return frozenset(parse_msg(x) for x in p)
+
+    def parse_message(x):
+        # A rendered list is a state-based guest's state, a dict a message.
+        return parse_payload(x) if isinstance(x, list) else parse_msg(x)
+
+    out = []
+    for e in rendered:
+        i = e["input"]
+        if i["kind"] == "upd":
+            inp = Input.upd(tuple(i["op"]))
+        elif i["kind"] == "qry":
+            inp = Input.qry(i["query"])
+        elif i["kind"] == "dlvr":
+            inp = Input.dlvr(parse_message(i["message"]))
+        else:
+            inp = Input.none()
+        o = e["output"]
+        if o["kind"] == "ret":
+            outp = Output.ret(o["value"])
+        elif o["kind"] == "send":
+            outp = Output.send(parse_message(o["message"]))
+        else:
+            outp = Output.none()
+        out.append(Event(e["replica"], inp, outp))
+    return out
+
+
 @intern_scope
 def replay_simulation_counterexample(
-    paired: PairedSystem, rel_id: str, cex: SimCounterexample, tau_budget: int
+    paired: PairedSystem, rel_id: str, witness: dict, tau_budget: int
 ) -> bool:
-    """Re-execute a counterexample's paths from the initial configurations and
-    confirm the reported obligation still fails."""
+    """Re-execute a simulation counterexample's rendered witness, the one a
+    report shows, from the initial configurations, and confirm the reported
+    obligation still fails: both paths replay to a related pair, the
+    attacker's last event is its one step there, and no weak move of the
+    defender within tau_budget lands back in the relation."""
     rel = Relation(rel_id, paired)
     A = paired.side(rel.a_side)
     B = paired.side(rel.b_side)
-    a = A.replay(cex.a_events[:-1])
-    b = B.replay(cex.b_events)
+    a_events = parse_events(witness[rel.a_side + "_events"])
+    b_events = parse_events(witness[rel.b_side + "_events"])
+    a = A.replay(a_events[:-1])
+    b = B.replay(b_events)
     if rel.clause(a, b) is not None:
         return False
-    steps = [c for e, c in A.steps(a) if e == cex.a_events[-1]]
+    steps = [c for e, c in A.steps(a) if e == a_events[-1]]
     if len(steps) != 1:
         return False
     (a2,) = steps
-    obs = cex.a_events[-1].obs_key()
+    obs = a_events[-1].obs_key()
     found = weak_matches(Side(B), b, obs, tau_budget, lambda bb: rel.holds(a2, bb))
     return found is None
 

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from crdt_emu.checker import (
-    GUEST_BY_HOST,
     HOST_BY_GUEST,
     PairedSystem,
     check_causal_safety,
@@ -23,6 +22,7 @@ from crdt_emu.checker import (
     check_weak_bisimulation,
     check_weak_simulation,
     explore,
+    sim_relation,
     weak_traces,
 )
 from crdt_emu.client import check_approximation
@@ -56,13 +56,13 @@ def gset_pair(values, roster, discipline="causal", mode="separate-send", augment
         obj = augment_history_op(obj)
     host = OpSystem(obj, roster, discipline=discipline)
     guest = StSystem(op_to_st(obj), roster, mode=mode)
-    return PairedSystem(host=host, guest=guest, direction="op-to-st")
+    return PairedSystem(host=host, guest=guest)
 
 
 def st_pair(obj, roster):
     host = StSystem(obj, roster)
     guest = OpSystem(st_to_op(obj), roster)
-    return PairedSystem(host=host, guest=guest, direction="st-to-op")
+    return PairedSystem(host=host, guest=guest)
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -106,11 +106,11 @@ def test_criterion_2_ex_2_5_causal_order():
     roster = ("r1", "r2", "r3")
     free = gset_pair((1, 2), roster, discipline=RELIABLE_ONLY)
     v_free = check_weak_simulation(
-        free, "R1", HOST_BY_GUEST, step_bound=STEP_BOUND, tau_budget=tau(roster)
+        free, "R1", step_bound=STEP_BOUND, tau_budget=tau(roster)
     )
     causal = gset_pair((1, 2), roster)
     v_causal = check_weak_simulation(
-        causal, "R1", HOST_BY_GUEST, step_bound=STEP_BOUND, tau_budget=tau(roster)
+        causal, "R1", step_bound=STEP_BOUND, tau_budget=tau(roster)
     )
     elapsed = time.monotonic() - started
     dq = (v_free.witness or {}).get("distinguishing_query", {})
@@ -135,9 +135,9 @@ def test_criterion_3_thm_4_2_and_4_4():
     details = []
     for roster in ROSTERS:
         paired = gset_pair((1, 2), roster)
-        for rel, which in (("R1", HOST_BY_GUEST), ("R2", GUEST_BY_HOST)):
+        for rel in ("R1", "R2"):
             v = check_weak_simulation(
-                paired, rel, which, step_bound=STEP_BOUND, tau_budget=tau(roster)
+                paired, rel, step_bound=STEP_BOUND, tau_budget=tau(roster)
             )
             frac = v.stats.get("matcher_fraction", 0.0)
             details.append(f"{rel}@{len(roster)}rid {v.outcome} matchers {frac:.3f}")
@@ -154,9 +154,9 @@ def test_criterion_4_thm_a_2_and_a_3():
     for obj_name, obj in (("gcounter", gcounter_st()), ("gset", gset_st((1, 2)))):
         for roster in ROSTERS:
             paired = st_pair(obj, roster)
-            for rel, which in (("Q1", HOST_BY_GUEST), ("Q2", GUEST_BY_HOST)):
+            for rel in ("Q1", "Q2"):
                 v = check_weak_simulation(
-                    paired, rel, which, step_bound=STEP_BOUND, tau_budget=tau(roster)
+                    paired, rel, step_bound=STEP_BOUND, tau_budget=tau(roster)
                 )
                 frac = v.stats.get("matcher_fraction", 0.0)
                 details.append(f"{obj_name}/{rel}@{len(roster)}rid {v.outcome}")
@@ -189,7 +189,6 @@ def test_criterion_6_cor_4_5_trace_equivalence():
     broken = PairedSystem(
         host=OpSystem(obj, ("r1", "r2")),
         guest=StSystem(break_query(op_to_st(obj)), ("r1", "r2")),
-        direction="op-to-st",
     )
     v_bad = check_trace_equivalence(broken, max_len=MAX_TRACE_LEN, step_bound=TRACE_BOUND)
     elapsed = time.monotonic() - started
@@ -228,8 +227,8 @@ def test_criterion_8_ex_4_7_convergence_transfer():
     started = time.monotonic()
     paired = gset_pair((5, 42), ("r1", "r2"), augment=True)
     host_sweep = check_strong_convergence(paired.host, step_bound=STEP_BOUND)
-    r1 = check_weak_simulation(paired, "R1", HOST_BY_GUEST, step_bound=STEP_BOUND)
-    r2 = check_weak_simulation(paired, "R2", GUEST_BY_HOST, step_bound=STEP_BOUND)
+    r1 = check_weak_simulation(paired, "R1", step_bound=STEP_BOUND)
+    r2 = check_weak_simulation(paired, "R2", step_bound=STEP_BOUND)
     guest_sweep = check_strong_convergence(paired.guest, step_bound=STEP_BOUND)
     elapsed = time.monotonic() - started
     transfer_consistent = (not (host_sweep.passed and r1.passed and r2.passed)) or guest_sweep.passed
@@ -266,10 +265,10 @@ def test_criterion_9_thm_5_2_client_corpus():
     ok = True
     details = []
     for direction, host, guest, ops in pairs:
-        paired = PairedSystem(
-            host=host, guest=guest, direction=direction
+        paired = PairedSystem(host=host, guest=guest)
+        sim = check_weak_simulation(
+            paired, sim_relation(direction, HOST_BY_GUEST), step_bound=6
         )
-        sim = check_weak_simulation(paired, None, HOST_BY_GUEST, step_bound=6)
         ok = ok and sim.passed
         programs = generate_programs(ops, ("sum",), 110, max_depth=4)
         assert len(programs) >= 100

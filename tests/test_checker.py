@@ -53,6 +53,7 @@ from reference import (
     by_replica,
     delivered,
     deliverable_ordering,
+    parse_events,
     reference_steps,
     replay_simulation_counterexample,
     satisfies_causal_delivery,
@@ -70,14 +71,14 @@ def paired_gset(values=(5, 42), roster=ROSTER2, discipline="causal", mode="separ
     obj = gset_op(values)
     host = OpSystem(obj, roster, discipline=discipline)
     guest = StSystem(op_to_st(obj), roster, mode=mode)
-    return PairedSystem(host=host, guest=guest, direction="op-to-st")
+    return PairedSystem(host=host, guest=guest)
 
 
 def paired_gcounter(roster=ROSTER2):
     obj = gcounter_st()
     host = StSystem(obj, roster)
     guest = OpSystem(st_to_op(obj), roster)
-    return PairedSystem(host=host, guest=guest, direction="st-to-op")
+    return PairedSystem(host=host, guest=guest)
 
 
 # --- explore -------------------------------------------------------------------
@@ -244,8 +245,8 @@ def test_a_negative_tau_budget_is_a_value_error():
     p = paired_gset()
     guest, init = p.guest, p.guest.init()
     calls = {
-        "search": lambda: Search(Relation("R1", p), 4, -1, 2_000_000),
-        "sim": lambda: check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=4, tau_budget=-1),
+        "search": lambda: Search(Relation("R1", p), 4, -1),
+        "sim": lambda: check_weak_simulation(p, "R1", step_bound=4, tau_budget=-1),
         "bisim": lambda: check_weak_bisimulation(p, step_bound=4, tau_budget=-1),
         "weak_moves": lambda: list(weak_moves(Side(guest), init, None, -1)),
         "weak_moves-obs": lambda: list(
@@ -270,7 +271,7 @@ def test_a_negative_step_bound_is_a_value_error():
     assert check_weak_bisimulation(bisim, step_bound=8).outcome == "counterexample"
     assert check_weak_simulation(broken, "R1", step_bound=8).outcome == "counterexample"
     for call in (
-        lambda: Search(Relation("R1", broken), -1, None, 2_000_000),
+        lambda: Search(Relation("R1", broken), -1, None),
         lambda: check_weak_bisimulation(bisim, step_bound=-1),
         lambda: check_weak_simulation(broken, "R1", step_bound=-1),
     ):
@@ -337,7 +338,7 @@ def test_the_bisim_game_builds_only_the_responses_it_reads():
     and 1,948 guest silent balls, where building every response kept 325,
     15,192, 315 and 20,096."""
     _, paired = build_systems(load_scenario(TESTS.parent / "scenarios/ex-2-4-bisim.scenario"))
-    search = Search(Relation("bowtie", paired), 8, None, 2_000_000)
+    search = Search(Relation("bowtie", paired), 8, None)
     game = checker._bisim_game(search, search.a.system.init(), search.b.system.init())
     spine, _ = checker._witness_spine(game)
     play = [{"attacker": side, "event": render_event(e),
@@ -384,11 +385,17 @@ def test_ex_2_4_divergent_pair_violates_r1():
 
 
 def test_relation_direction_validation():
+    """A relation that does not fit the pair's emulation direction is
+    refused, and a simulation check names no attacking side of its own: R1
+    attacks from the host, so asking for it guest-by-host is refused where
+    an entry's relation and direction are resolved."""
     p = paired_gset()
     with pytest.raises(ValueError):
         Relation("Q1", p)
     with pytest.raises(ValueError):
-        check_weak_simulation(p, "R1", GUEST_BY_HOST, step_bound=2)
+        check_weak_simulation(p, "Q1", step_bound=2)
+    with pytest.raises(ValueError, match="host-by-guest"):
+        sim_relation(p.direction, GUEST_BY_HOST, "R1")
 
 
 # --- deliverable ------------------------------------------------------------------------
@@ -503,7 +510,7 @@ def test_q1_closed_form_matches_subset_search():
     ):
         host = StSystem(obj, ROSTER2)
         guest = OpSystem(st_to_op(obj), ROSTER2)
-        p = PairedSystem(host=host, guest=guest, direction="st-to-op")
+        p = PairedSystem(host=host, guest=guest)
         verdicts = _assert_clauses_match_reference(
             p, "Q1", explore(host, depth).nodes, explore(guest, depth).nodes
         )
@@ -523,12 +530,12 @@ def _config_classes(system, depth):
 def _broken_guest_pair():
     obj = gset_op((1, 2))
     guest = StSystem(break_query(op_to_st(obj)), ROSTER2)
-    return PairedSystem(host=OpSystem(obj, ROSTER2), guest=guest, direction="op-to-st")
+    return PairedSystem(host=OpSystem(obj, ROSTER2), guest=guest)
 
 
 def _gset_st_pair():
     obj = gset_st((1, 2))
-    return PairedSystem(StSystem(obj, ROSTER2), OpSystem(st_to_op(obj), ROSTER2), "st-to-op")
+    return PairedSystem(StSystem(obj, ROSTER2), OpSystem(st_to_op(obj), ROSTER2))
 
 
 @pytest.mark.parametrize(
@@ -603,16 +610,16 @@ def test_step_events_are_a_function_of_the_summary():
 
 def test_r1_and_r2_pass_small():
     p = paired_gset()
-    v1 = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=5)
+    v1 = check_weak_simulation(p, "R1", step_bound=5)
     assert v1.passed and v1.stats["matcher_fraction"] == 1.0
-    v2 = check_weak_simulation(p, "R2", GUEST_BY_HOST, step_bound=5)
+    v2 = check_weak_simulation(p, "R2", step_bound=5)
     assert v2.passed
 
 
 def test_q1_and_q2_pass_small():
     q = paired_gcounter()
-    assert check_weak_simulation(q, "Q1", HOST_BY_GUEST, step_bound=5).passed
-    assert check_weak_simulation(q, "Q2", GUEST_BY_HOST, step_bound=5).passed
+    assert check_weak_simulation(q, "Q1", step_bound=5).passed
+    assert check_weak_simulation(q, "Q2", step_bound=5).passed
 
 
 def test_sim_relation_defaults_and_rejects():
@@ -651,37 +658,40 @@ def test_paired_systems_need_one_roster_in_one_order():
     host = OpSystem(obj, ROSTER2)
     for roster in (ROSTER2[::-1], ("r1", "r3")):
         with pytest.raises(ValueError, match="roster"):
-            PairedSystem(host=host, guest=StSystem(op_to_st(obj), roster), direction="op-to-st")
-    assert PairedSystem(host, StSystem(op_to_st(obj), ROSTER2), "op-to-st").guest.roster == ROSTER2
+            PairedSystem(host=host, guest=StSystem(op_to_st(obj), roster))
+    assert PairedSystem(host, StSystem(op_to_st(obj), ROSTER2)).guest.roster == ROSTER2
+
+
+def test_paired_systems_need_opposite_kinds_and_derive_the_direction():
+    """The emulation direction is the host's kind, not a label that could
+    contradict the two systems: a pair of one kind is refused when it is
+    built, and every shipped paired scenario's pair emulates in the
+    direction its scenario names."""
+    obj = gset_op((5, 42))
+    for host, guest in ((OpSystem(obj, ROSTER2), OpSystem(obj, ROSTER2)),
+                        (StSystem(op_to_st(obj), ROSTER2), StSystem(op_to_st(obj), ROSTER2))):
+        with pytest.raises(ValueError, match="both"):
+            PairedSystem(host, guest)
+    directions = set()
+    for path in SHIPPED:
+        scenario = load_scenario(path)
+        _, paired = build_systems(scenario)
+        if paired is not None:
+            assert paired.direction == scenario.emulate, path.name
+            directions.add(paired.direction)
+    assert directions == {"op-to-st", "st-to-op"}
 
 
 def test_reliable_only_r1_counterexample_and_replay():
     p = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
-    v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8)
+    v = check_weak_simulation(p, "R1", step_bound=8)
     assert v.outcome == "counterexample"
     dq = v.witness["distinguishing_query"]
     assert dq["attacker_value"] == 2
     assert dq["defender_options"] == [1, 3]
     assert v.witness["failed_clause"] == "delivered-agreement"
-    # the recorded witness replays to the same failing obligation
-    assert replay_simulation_counterexample(p, "R1", v.raw, tau_budget=6)
-
-
-def test_sim_counterexample_report_replays_from_rendered_events():
-    """Round-trip: the JSON witness alone reproduces the failing obligation."""
-    p = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
-    v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8)
-    host_events = _events(v.witness["host_events"])
-    guest_events = _events(v.witness["guest_events"])
-    a = p.host.replay(host_events[:-1])
-    b = p.guest.replay(guest_events)
-    rel = Relation("R1", p)
-    assert rel.holds(a, b)
-    steps = [c for e, c in p.host.steps(a) if e == host_events[-1]]
-    assert len(steps) == 1
-    (a2,) = steps
-    obs = host_events[-1].obs_key()
-    assert weak_matches(Side(p.guest), b, obs, 6, lambda bb: rel.holds(a2, bb)) is None
+    # the rendered witness alone replays to the same failing obligation
+    assert replay_simulation_counterexample(p, "R1", v.witness, tau_budget=6)
 
 
 def _answers_off_the_weak_moves(monkeypatch) -> tuple[list, list]:
@@ -714,7 +724,7 @@ def test_matcher_answers_are_weak_moves(monkeypatch):
     other side's semantics fixes, the atomic guest's update with no send,
     and each answer lands where a weak move of the defender does."""
     checked, failed = _answers_off_the_weak_moves(monkeypatch)
-    sim = check_weak_simulation(paired_gset((1, 2)), "R1", HOST_BY_GUEST, step_bound=4)
+    sim = check_weak_simulation(paired_gset((1, 2)), "R1", step_bound=4)
     bisim = check_weak_bisimulation(paired_gset((1, 2), mode=ATOMIC_BROADCAST), step_bound=4)
     for v in (sim, bisim):
         assert v.passed
@@ -859,7 +869,7 @@ def test_answer_memo_keeps_answers_only_where_they_are_reused(monkeypatch):
     @intern_scope
     def play(rel_id):
         calls.clear()
-        search = Search(Relation(rel_id, paired), 8, None, 2_000_000)
+        search = Search(Relation(rel_id, paired), 8, None)
         v = _play_obligations(search, ("a",), search.a.system.init(), search.b.system.init())
         assert v.passed and v.stats["matcher_fraction"] == 1.0
         kept = [memo for memo in search.b.answers.values() if memo]
@@ -879,21 +889,21 @@ def _atomic(paired: PairedSystem) -> PairedSystem:
 
 
 @pytest.mark.parametrize(
-    "rel_id, which, make_pair, outcome, pairs",
+    "rel_id, make_pair, outcome, pairs",
     [
-        ("R1", HOST_BY_GUEST, lambda: _atomic(_broken_guest_pair()), "counterexample", 8),
-        ("Q2", GUEST_BY_HOST, lambda: _atomic(_gset_st_pair()), "pass", 147),
+        ("R1", lambda: _atomic(_broken_guest_pair()), "counterexample", 8),
+        ("Q2", lambda: _atomic(_gset_st_pair()), "pass", 147),
     ],
     ids=["R1-atomic-broken-guest", "Q2-atomic-gset"],
 )
 def test_matcher_chains_are_defender_moves_in_atomic_mode(
-    rel_id, which, make_pair, outcome, pairs, monkeypatch
+    rel_id, make_pair, outcome, pairs, monkeypatch
 ):
     """An atomic-mode state-based defender has no separate send step, so its
     answer to an update is the update alone."""
     illegal = _illegal_matcher_steps(monkeypatch)
     p = make_pair()
-    v = check_weak_simulation(p, rel_id, which, step_bound=5)
+    v = check_weak_simulation(p, rel_id, step_bound=5)
     assert (v.outcome, v.stats["pairs"]) == (outcome, pairs)
     assert illegal == []
 
@@ -902,10 +912,10 @@ def test_atomic_mode_r1_counterexample_replays():
     """The witness of a simulation against an atomic-mode guest holds only
     steps of that guest, so it replays."""
     p = _atomic(_broken_guest_pair())
-    v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=6)
+    v = check_weak_simulation(p, "R1", step_bound=6)
     assert v.outcome == "counterexample"
-    p.guest.replay(v.raw.b_events)
-    assert replay_simulation_counterexample(p, "R1", v.raw, default_tau_budget(p))
+    p.guest.replay(parse_events(v.witness["guest_events"]))
+    assert replay_simulation_counterexample(p, "R1", v.witness, default_tau_budget(p))
 
 
 def test_each_related_pair_is_decided_once(monkeypatch):
@@ -919,8 +929,8 @@ def test_each_related_pair_is_decided_once(monkeypatch):
         Relation, "clause", lambda self, a, b: calls.append(self.id) or clause(self, a, b)
     )
     for rel_id, run in (
-        ("R1", lambda: check_weak_simulation(paired_gset(), "R1", HOST_BY_GUEST, step_bound=5)),
-        ("Q1", lambda: check_weak_simulation(paired_gcounter(), "Q1", HOST_BY_GUEST, step_bound=5)),
+        ("R1", lambda: check_weak_simulation(paired_gset(), "R1", step_bound=5)),
+        ("Q1", lambda: check_weak_simulation(paired_gcounter(), "Q1", step_bound=5)),
         ("bowtie", lambda: check_weak_bisimulation(paired_gset(mode=ATOMIC_BROADCAST), step_bound=5)),
     ):
         calls.clear()
@@ -933,7 +943,7 @@ def test_each_related_pair_is_decided_once(monkeypatch):
 def test_simulation_pass_implies_trace_inclusion():
     """Meta cross-check of the two checkers at a small bound."""
     p = paired_gset((1, 2))
-    assert check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=6).passed
+    assert check_weak_simulation(p, "R1", step_bound=6).passed
     th = weak_traces(p.host, 2, 6)
     tg = weak_traces(p.guest, 2, 6)
     assert th <= tg
@@ -943,14 +953,15 @@ def test_simulation_deterministic_across_runs():
     verdicts = []
     for _ in range(2):
         p = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
-        v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8)
+        v = check_weak_simulation(p, "R1", step_bound=8)
         verdicts.append(json.dumps(v.to_report(), sort_keys=True))
     assert verdicts[0] == verdicts[1]
 
 
-def test_bound_exhaustion_on_tiny_pair_budget():
+def test_bound_exhaustion_on_tiny_pair_budget(monkeypatch):
+    monkeypatch.setattr(checker, "MAX_PAIRS", 3)
     p = paired_gset((1, 2))
-    v = check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=6, max_pairs=3)
+    v = check_weak_simulation(p, "R1", step_bound=6)
     assert v.outcome == "bound-exhausted"
     assert v.stats["matcher_fraction"] == 1.0
 
@@ -964,11 +975,12 @@ def test_bisim_atomic_passes():
     assert v.passed
 
 
-def test_bisim_bound_exhaustion_on_tiny_pair_budget():
+def test_bisim_bound_exhaustion_on_tiny_pair_budget(monkeypatch):
     """Like the simulation check, the bisimulation stops as soon as the
     pair count passes its budget, mid-way through a pair's obligations."""
+    monkeypatch.setattr(checker, "MAX_PAIRS", 3)
     p = paired_gset(mode=ATOMIC_BROADCAST)
-    v = check_weak_bisimulation(p, step_bound=6, max_pairs=3)
+    v = check_weak_bisimulation(p, step_bound=6)
     assert v.outcome == "bound-exhausted"
     assert v.stats["pairs"] == 4
     assert v.stats["matcher_fraction"] == 1.0
@@ -993,7 +1005,7 @@ def test_bisim_trivial_single_replica_no_ops():
     obj = gset_op(())
     host = OpSystem(obj, ("r1",))
     guest = StSystem(op_to_st(obj), ("r1",))
-    p = PairedSystem(host=host, guest=guest, direction="op-to-st")
+    p = PairedSystem(host=host, guest=guest)
     v = check_weak_bisimulation(p, step_bound=4)
     assert v.passed
 
@@ -1001,50 +1013,9 @@ def test_bisim_trivial_single_replica_no_ops():
 def test_bisim_play_replays_on_both_systems():
     p = paired_gset()
     v = check_weak_bisimulation(p, step_bound=8)
-    host_cfg = p.host.replay([e for e in _events(v.witness["host_events"])])
-    guest_cfg = p.guest.replay([e for e in _events(v.witness["guest_events"])])
+    host_cfg = p.host.replay(parse_events(v.witness["host_events"]))
+    guest_cfg = p.guest.replay(parse_events(v.witness["guest_events"]))
     assert host_cfg is not None and guest_cfg is not None
-
-
-def _events(rendered):
-    # reconstruct event objects by replaying the rendered forms through the
-    # systems is heavier than needed; here we just re-parse identity fields
-    from crdt_emu.core import Event, Input, Message, Output, VectorClock
-
-    def parse_msg(d):
-        m = Message(d["origin"], VectorClock.of(d["clock"]), _parse_payload(d["payload"]))
-        assert m.seq == d["seq"]
-        return m
-
-    def _parse_payload(p):
-        if isinstance(p, int):
-            return p
-        return frozenset(parse_msg(x) for x in p)
-
-    def parse_message(x):
-        # A rendered list is a state-based guest's state, a dict a message.
-        return _parse_payload(x) if isinstance(x, list) else parse_msg(x)
-
-    out = []
-    for e in rendered:
-        i = e["input"]
-        if i["kind"] == "upd":
-            inp = Input.upd(tuple(i["op"]))
-        elif i["kind"] == "qry":
-            inp = Input.qry(i["query"])
-        elif i["kind"] == "dlvr":
-            inp = Input.dlvr(parse_message(i["message"]))
-        else:
-            inp = Input.none()
-        o = e["output"]
-        if o["kind"] == "ret":
-            outp = Output.ret(o["value"])
-        elif o["kind"] == "send":
-            outp = Output.send(parse_message(o["message"]))
-        else:
-            outp = Output.none()
-        out.append(Event(e["replica"], inp, outp))
-    return out
 
 
 # --- traces -----------------------------------------------------------------------
@@ -1065,6 +1036,19 @@ def test_weak_traces_rejects_a_negative_length():
         check_trace_equivalence(p, max_len=-1, step_bound=4)
     with pytest.raises(ValueError, match="exceeds step_bound"):
         weak_traces(p.host, 5, 4)
+
+
+def test_weak_traces_past_the_recursion_limit():
+    """The suffix sets are walked with a stack of their own: query steps
+    are self-loops, so at a large step bound the walk stays at one node for
+    most of its budget, deeper than Python's recursion limit.  An atomic
+    one-op pair closes at depth 4, so at bound 1500 it has the traces it
+    has at bound 20, on both sides."""
+    p = paired_gset((1,), mode=ATOMIC_BROADCAST)
+    for system in (p.host, p.guest):
+        assert weak_traces(system, 2, 1500) == weak_traces(system, 2, 20)
+    v = check_trace_equivalence(p, max_len=2, step_bound=1500)
+    assert v.passed and v.stats == {"host_traces": 21, "guest_traces": 21}
 
 
 @pytest.mark.parametrize(
@@ -1115,7 +1099,6 @@ def test_trace_equivalence_pass_and_broken_guest():
     broken = PairedSystem(
         host=OpSystem(obj, ROSTER2),
         guest=StSystem(break_query(op_to_st(obj)), ROSTER2),
-        direction="op-to-st",
     )
     v = check_trace_equivalence(broken, max_len=3, step_bound=8)
     assert v.outcome == "counterexample"
@@ -1261,7 +1244,7 @@ def _run_checks_and_drop_them():
     """Every entry point that runs with the cyclic collector paused."""
     assert check_weak_bisimulation(paired_gset(), step_bound=8).outcome == "counterexample"
     assert check_trace_equivalence(paired_gset((1, 2)), max_len=3, step_bound=8).passed
-    assert check_weak_simulation(paired_gset(), "R1", HOST_BY_GUEST, step_bound=5).passed
+    assert check_weak_simulation(paired_gset(), "R1", step_bound=5).passed
     augmented = OpSystem(augment_history_op(gset_op((5, 42))), ROSTER2)
     assert check_strong_convergence(augmented, step_bound=5).passed
     free = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
@@ -1298,12 +1281,12 @@ def _library_searches():
     """The searches a library caller runs outside any check, each with a
     function that builds its arguments outside any scope."""
     sim = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
-    cex = check_weak_simulation(sim, "R1", HOST_BY_GUEST, step_bound=8).raw
+    cex = check_weak_simulation(sim, "R1", step_bound=8).witness
     prog = parse_program("upd(add 1); x := qry(sum)")
     return [
         (replay_simulation_counterexample, lambda: (sim, "R1", cex, 6)),
         (attainable_query_values, lambda: (Side(sim.guest), sim.guest.init(), "r1", "sum", 4)),
-        (sim.host.replay, lambda: (cex.a_events,)),
+        (sim.host.replay, lambda: (parse_events(cex["host_events"]),)),
         (can_terminate, lambda: (sim.host, ClientState(sim.host.init(), FrozenDict(), prog), 6)),
     ]
 
@@ -1356,7 +1339,7 @@ def test_reports_do_not_depend_on_value_identity():
     def reports():
         out = []
         for p in (passing, failing):
-            out.append(check_weak_simulation(p, "R1", HOST_BY_GUEST, step_bound=8).to_report())
+            out.append(check_weak_simulation(p, "R1", step_bound=8).to_report())
             assert not any(intern_table_sizes().values())
             assert not _interp_memo
         return out
@@ -1374,9 +1357,9 @@ def test_finished_checks_leave_no_cache_on_the_systems():
     simulation counterexample, its replay and a bisimulation counterexample,
     every host and guest system holds only its dataclass fields."""
     sim = paired_gset((1, 2), ("r1", "r2", "r3"), discipline=RELIABLE_ONLY)
-    v = check_weak_simulation(sim, "R1", HOST_BY_GUEST, step_bound=8)
+    v = check_weak_simulation(sim, "R1", step_bound=8)
     assert v.outcome == "counterexample"
-    assert replay_simulation_counterexample(sim, "R1", v.raw, tau_budget=6)
+    assert replay_simulation_counterexample(sim, "R1", v.witness, tau_budget=6)
     bisim = paired_gset()
     assert check_weak_bisimulation(bisim, step_bound=8).outcome == "counterexample"
     for system in (sim.host, sim.guest, bisim.host, bisim.guest):

@@ -22,7 +22,6 @@ from crdt_emu.core import (
     replace_at,
 )
 from crdt_emu.checker import (
-    HOST_BY_GUEST,
     Graph,
     PairedSystem,
     breadth_first,
@@ -430,8 +429,8 @@ def test_intern_tables_are_empty_after_a_check_returns():
     graph = explore(OpSystem(gset_op((5, 42)), ("r1", "r2")), 5)
     assert len(graph.nodes) > 1 and _tables_empty()
     obj, roster = gset_op((5, 42)), ("r1", "r2")
-    paired = PairedSystem(OpSystem(obj, roster), StSystem(op_to_st(obj), roster), "op-to-st")
-    assert check_weak_simulation(paired, "R1", HOST_BY_GUEST, step_bound=5).passed
+    paired = PairedSystem(OpSystem(obj, roster), StSystem(op_to_st(obj), roster))
+    assert check_weak_simulation(paired, "R1", step_bound=5).passed
     assert _tables_empty()
 
 
