@@ -25,21 +25,26 @@ from itertools import chain
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .core import (
+    VALUES,
     Config,
     Event,
-    Message,
     QueryId,
     ReplicaId,
     Step,
     System,
+    bits,
     canon_key,
-    canon_set,
-    downset_of,
+    downset_bits,
+    entries,
+    entry_bit,
     happens_before,
     intern_scope,
+    mask_of,
+    op_bit,
     query_step,
     render,
     render_event,
+    value_bit,
 )
 from .emulation import interp
 from .objects import OpObject, StObject, check_concurrent_commutation, st_leq
@@ -380,7 +385,11 @@ def sim_relation(emulate: str, which: str, rel_id: str | None = None) -> str:
 
 class Relation:
     """Membership test for one of the candidate relations, with the first
-    failing clause reported for diagnostics."""
+    failing clause reported for diagnostics.  Both configurations are read
+    as bitsets over the scope's value index (``core.Config``); a
+    message-set guest's states, frozensets of messages, are read as their
+    messages' bitsets (``message_mask``).  Its caches are keyed by values
+    and bitsets of one check scope, and the relation lives in one check."""
 
     def __init__(self, rel_id: str, paired: PairedSystem):
         sort_a, sort_b, direction = _sorts(rel_id)
@@ -392,11 +401,16 @@ class Relation:
         self.a_side = sort_a
         self.b_side = sort_b
         self.roster = paired.host.roster
+        self.n = len(self.roster)
         op_side = paired.host if direction == OP_TO_ST else paired.guest
         self._op_obj: OpObject = op_side.obj  # type: ignore[assignment]
+        self._masks: dict = {}
+        self._state_masks_memo: dict = {}
         self._downsets: dict = {}
         self._unions: dict = {}
         self._payloads: dict = {}
+        self._payload_buffers: dict = {}
+        self._downset_buffers: dict = {}
 
     def clause(self, a: Config, b: Config) -> str | None:
         if self.id == "R1":
@@ -414,28 +428,72 @@ class Relation:
 
     # helpers
 
-    def _downset(self, m: Message, sent: frozenset[Message]) -> frozenset[Message]:
-        key = (m, sent)
-        cached = self._downsets.get(key)
+    def message_mask(self, h: frozenset) -> int:
+        """The bitset of a message set's messages."""
+        cached = self._masks.get(h)
         if cached is None:
-            cached = canon_set(downset_of(m, sent))
-            self._downsets[key] = cached
+            cached = self._masks[h] = mask_of(h)
         return cached
 
-    def _union_sent(self, st_c: Config) -> frozenset[Message]:
+    def _state_masks(self, st_c: Config) -> tuple:
+        """A message-set configuration's states as bitsets, in roster order,
+        to compare with an op-based configuration's ``delivered``."""
+        cached = self._state_masks_memo.get(st_c.states)
+        if cached is None:
+            cached = tuple(self.message_mask(h) for h in st_c.states)
+            self._state_masks_memo[st_c.states] = cached
+        return cached
+
+    def _downset_state(self, v: int, sent: int) -> int:
+        """The value bit of the message set that is the downset of the
+        message of bit v in the sent set, kept per downset."""
+        ds = downset_bits(v, sent)
+        cached = self._downsets.get(ds)
+        if cached is None:
+            cached = self._downsets[ds] = value_bit(frozenset(VALUES[b] for b in bits(ds)))
+        return cached
+
+    def _union_sent(self, st_c: Config) -> int:
+        """The messages of a message-set configuration's sent states."""
         cached = self._unions.get(st_c.sent)
         if cached is None:
-            cached = frozenset().union(*st_c.sent) if st_c.sent else frozenset()
+            cached = 0
+            for b in bits(st_c.sent):
+                cached |= self.message_mask(VALUES[b])
             self._unions[st_c.sent] = cached
         return cached
 
-    def _payloads_by_replica(self, op_c: Config) -> dict[ReplicaId, list]:
-        """The payloads of op_c's buffer, grouped by destination replica."""
+    def _downset_buffer(self, op_c: Config) -> int:
+        """op_c's buffer with each message replaced by its downset in
+        op_c's sent set, a message-set buffer."""
+        key = (op_c.buffer, op_c.sent)
+        cached = self._downset_buffers.get(key)
+        if cached is None:
+            cached = 0
+            for k, v in entries(op_c.buffer, self.n):
+                cached |= entry_bit(self._downset_state(v, op_c.sent), k, self.n)
+            self._downset_buffers[key] = cached
+        return cached
+
+    def _payloads_by_replica(self, op_c: Config) -> dict[int, list]:
+        """The payloads of op_c's buffer, grouped by destination roster
+        position."""
         cached = self._payloads.get(op_c.buffer)
         if cached is None:
             cached = self._payloads[op_c.buffer] = {}
-            for r, m in op_c.buffer:
-                cached.setdefault(r, []).append(m.payload)
+            for k, v in entries(op_c.buffer, self.n):
+                cached.setdefault(k, []).append(VALUES[v].payload)
+        return cached
+
+    def _payload_buffer(self, op_c: Config) -> int:
+        """op_c's buffer with each message replaced by its payload, a
+        state-based buffer."""
+        cached = self._payload_buffers.get(op_c.buffer)
+        if cached is None:
+            cached = 0
+            for k, v in entries(op_c.buffer, self.n):
+                cached |= entry_bit(value_bit(VALUES[v].payload), k, self.n)
+            self._payload_buffers[op_c.buffer] = cached
         return cached
 
     # R1: op host simulated by message-set guest
@@ -443,15 +501,14 @@ class Relation:
     def _r1(self, op_c: Config, st_c: Config) -> str | None:
         if op_c.sent != self._union_sent(st_c):
             return "sent-agreement"
-        if op_c.delivered != st_c.states:
+        if op_c.delivered != self._state_masks(st_c):
             return "delivered-agreement"
         obj = self._op_obj
         for s_op, s_st in zip(op_c.states, st_c.states):
             if s_op != interp(s_st, obj):
                 return "state-agreement"
-        for r, m in op_c.buffer:
-            if (r, self._downset(m, op_c.sent)) not in st_c.buffer:
-                return "buffer-downset"
+        if self._downset_buffer(op_c) & ~st_c.buffer:
+            return "buffer-downset"
         return None
 
     # R2: message-set guest simulated by op host
@@ -460,35 +517,44 @@ class Relation:
         # Inclusion, not equality: the update matcher makes the op side send
         # first, and only the inclusion is needed for (and preserved by) the
         # delivery argument.
-        if not self._union_sent(st_c) <= op_c.sent:
+        if self._union_sent(st_c) & ~op_c.sent:
             return "sent-agreement"
-        if st_c.states != op_c.delivered:
+        if self._state_masks(st_c) != op_c.delivered:
             return "delivered-agreement"
         obj = self._op_obj
         for s_st, s_op in zip(st_c.states, op_c.states):
             if interp(s_st, obj) != s_op:
                 return "state-agreement"
-        for r, s in st_c.buffer:
-            if not self._deliverable_merge_exists(s, r, op_c):
-                return "buffer-deliverable"
+        if not self._buffer_deliverable(st_c, op_c):
+            return "buffer-deliverable"
         return None
 
-    def _deliverable_merge_exists(self, H: frozenset, r: ReplicaId, op_c: Config) -> bool:
-        """Some deliverable U has Delivered(r) ∪ U = Delivered(r) ∪ H.
+    def _buffer_deliverable(self, st_c: Config, op_c: Config) -> bool:
+        """Every message set buffered on the message-set side has a
+        deliverable merge on the op side (``_deliverable_merge_exists``)."""
+        return all(
+            self._deliverable_merge_exists(self.message_mask(VALUES[v]), k, op_c)
+            for k, v in entries(st_c.buffer, self.n)
+        )
+
+    def _deliverable_merge_exists(self, H: int, k: int, op_c: Config) -> bool:
+        """Some deliverable U has Delivered(r) ∪ U = Delivered(r) ∪ H, for
+        the replica r at roster position k and the message bitset H.
 
         A deliverable set is disjoint from Delivered(r), so the only candidate
         is U = H − Delivered(r).  It has a deliverable ordering iff each member
         is buffered for r and all its causal predecessors are in
         Delivered(r) ∪ U: happens-before is acyclic, so delivering U in any
         causal order then meets every gate."""
-        have = op_c.delivered[self.roster.index(r)]
+        have = op_c.delivered[k]
+        wanted = H & ~have
+        if not wanted:
+            return True
         closed = have | H
-        buffer = op_c.buffer
-        sent = op_c.sent
+        buffer, sent, n = op_c.buffer, op_c.sent, self.n
         return all(
-            (r, m) in buffer and self._downset(m, sent) <= closed
-            for m in H
-            if m not in have
+            buffer & entry_bit(v, k, n) and not downset_bits(v, sent) & ~closed
+            for v in bits(wanted)
         )
 
     # Q1: state-based host simulated by join-guest
@@ -507,13 +573,12 @@ class Relation:
             return "state-agreement"
         obj: StObject = self.paired.host.obj  # type: ignore[assignment]
         payloads = self._payloads_by_replica(op_c)
-        for r, s in st_c.buffer:
-            k = self.roster.index(r)
-            target = obj.join(st_c.states[k], s)
+        for k, v in entries(st_c.buffer, self.n):
+            target = obj.join(st_c.states[k], VALUES[v])
             if target == st_c.states[k]:
                 continue
             acc = op_c.states[k]
-            for p in payloads.get(r, ()):
+            for p in payloads.get(k, ()):
                 if st_leq(obj, p, target):
                     acc = obj.join(acc, p)
                     if acc == target:
@@ -527,7 +592,7 @@ class Relation:
     def _q2(self, op_c: Config, st_c: Config) -> str | None:
         if op_c.states != st_c.states:
             return "state-agreement"
-        if {(r, m.payload) for r, m in op_c.buffer} != st_c.buffer:
+        if self._payload_buffer(op_c) != st_c.buffer:
             return "buffer-agreement"
         return None
 
@@ -540,33 +605,33 @@ class Relation:
         bad = self._r1(op_c, st_c)
         if bad is not None:
             return bad
-        for r, s in st_c.buffer:
-            if not self._deliverable_merge_exists(s, r, op_c):
-                return "buffer-deliverable-converse"
+        if not self._buffer_deliverable(st_c, op_c):
+            return "buffer-deliverable-converse"
         return None
 
 
 # --- constructive matchers ---------------------------------------------------------
 
 
-def _op_deliver_chain(D, cfg, r: ReplicaId, candidates, done) -> list[Step] | None:
-    """Deliver candidates at r through enabled OpDeliver steps, each time
-    the smallest one currently enabled, until done holds of the reached
-    configuration; None when no candidate is enabled before that."""
+def _op_deliver_chain(D, cfg, k: int, candidates: int, done) -> list[Step] | None:
+    """Deliver the messages of the bitset candidates at roster position k
+    through enabled OpDeliver steps, each time the smallest one currently
+    enabled by (origin, seq), until done holds of the reached configuration;
+    None when no candidate is enabled before that."""
     chain: list[Step] = []
     cur = cfg
-    remaining = set(candidates)
+    remaining = sorted(bits(candidates), key=lambda v: VALUES[v].sort_key())
     while not done(cur):
         step = None
-        for m in sorted(remaining, key=Message.sort_key):
-            step = op_mk_deliver(D.obj, D.roster, cur, r, m, D.discipline)
+        for v in remaining:
+            step = op_mk_deliver(D.obj, D.roster, cur, k, v, D.discipline)
             if step is not None:
                 break
         if step is None:
             return None
         chain.append(step)
         cur = step[1]
-        remaining.discard(m)
+        remaining.remove(v)
     return chain
 
 
@@ -580,56 +645,61 @@ def constructive_match(rel: Relation, defender, key, b_cfg) -> list[Step] | None
     D = defender
     if isinstance(key, Event):
         return []   # a state-based send is matched by the reflexive step
-    tag, r = key[0], key[1]
+    tag, k = key[0], D.roster.index(key[1])
 
     if tag == "update":
-        op = key[2]
-        if (r, op) in b_cfg.used_ops:
+        j = D.obj.ops.index(key[2])
+        if b_cfg.used_ops & op_bit(k, j, len(D.obj.ops)):
             return None
         if D.kind == "op":
-            return [op_mk_update(D.obj, D.roster, b_cfg, r, op)]
-        updated = st_mk_update(D.obj, D.roster, b_cfg, r, op, D.mode)
+            return [op_mk_update(D.obj, D.roster, b_cfg, k, j)]
+        updated = st_mk_update(D.obj, D.roster, b_cfg, k, j, D.mode)
         if D.mode == ATOMIC_BROADCAST:
             return [updated]  # the update broadcasts its state itself
-        return [updated, st_mk_send(D.roster, updated[1], r)]
+        return [updated, st_mk_send(D.roster, updated[1], k)]
 
     if tag == "query":
-        answered = query_step(D.obj, D.roster, b_cfg, r, key[2])
+        answered = query_step(D.obj, D.roster, b_cfg, key[1], key[2])
         return [answered] if answered[0].obs_key() == key else None
 
-    x = key[2]   # a delivery: what the defender delivers, or reaches, at r
+    x = key[2]   # a delivery: what the defender delivers, or reaches, at k
     if D.kind == "st":
-        step = st_mk_deliver(D.obj, D.roster, b_cfg, r, x)
+        step = st_mk_deliver(D.obj, D.roster, b_cfg, k, x)
         return None if step is None else [step]
 
-    k = D.roster.index(r)
     if rel.direction == OP_TO_ST:
         # deliver the messages of the delivered state that r lacks
-        wanted = x - b_cfg.delivered[k]
-        return _op_deliver_chain(D, b_cfg, r, wanted, lambda c: wanted <= c.delivered[k])
+        wanted = x & ~b_cfg.delivered[k]
+        return _op_deliver_chain(D, b_cfg, k, wanted, lambda c: not wanted & ~c.delivered[k])
 
     # st-to-op: deliver buffered payloads below the joined state until the
     # defender reaches it
     obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
-    below = [m for r2, m in b_cfg.buffer
-             if r2 == r and obj.join(x, m.payload) == x]
-    return _op_deliver_chain(D, b_cfg, r, below, lambda c: c.states[k] == x)
+    below = 0
+    for k2, v in entries(b_cfg.buffer, len(D.roster)):
+        if k2 == k and obj.join(x, VALUES[v].payload) == x:
+            below |= 1 << v
+    return _op_deliver_chain(D, b_cfg, k, below, lambda c: c.states[k] == x)
 
 
 def _move_key(rel: Relation, defender, a_cfg, event):
     """The move key of the attacker step a_cfg --event->, all that the
     defender's answer (``constructive_match``) reads of the attacker: the
     label (``Event.obs_key``) of an update or a query, a state-based send
-    itself, or ("dlvr", r, x) for a delivery at r, where x is the downset,
-    payload, message set or joined state that the defender's move is
-    derived from, by the emulation direction and the defender's kind."""
+    itself, or ("dlvr", r, x) for a delivery at r, where x is what the
+    defender's move is derived from, by the emulation direction and the
+    defender's kind: the value bit of the delivered message's downset or
+    of its payload for a state-based defender, the bitset of the delivered
+    message set's messages, or the joined state."""
     if event.input.kind != "dlvr":
         return event.obs_key() or event
     r, m = event.replica, event.input.message
     if rel.direction == OP_TO_ST:
-        return ("dlvr", r, rel._downset(m, a_cfg.sent) if defender.kind == "st" else m)
+        if defender.kind == "st":
+            return ("dlvr", r, rel._downset_state(value_bit(m), a_cfg.sent))
+        return ("dlvr", r, rel.message_mask(m))
     if defender.kind == "st":
-        return ("dlvr", r, m.payload)
+        return ("dlvr", r, value_bit(m.payload))
     return ("dlvr", r, rel.paired.host.obj.join(a_cfg.states[rel.roster.index(r)], m))
 
 
@@ -1200,16 +1270,22 @@ def check_strong_convergence(system, step_bound: int = 8) -> Verdict:
     return Verdict(PASS, stats, bounds)
 
 
-def _inverts(roster: tuple[ReplicaId, ...], c: Config, e: Event) -> bool:
+def _inverts(roster: tuple[ReplicaId, ...], c: Config, e: Event, later: dict) -> bool:
     """Delivery event e, fired at configuration c of a system over roster,
     inverts causal delivery order: e's message happens before a message its
     replica r has already delivered, one of ``c.delivered`` at r's roster
     position.  Those messages and e's come from one configuration, so
     core.happens_before orders them.  That set also holds r's own messages,
     but each one's clock joins those r had consumed, so one of them follows
-    e's message only if a message r received does."""
+    e's message only if a message r received does.  later is the caller's
+    memo of the bitset of the sent messages that a message happens before,
+    by (message bit, sent set), so the test is one mask test."""
     m = e.input.message
-    return any(happens_before(m, m2) for m2 in c.delivered[roster.index(e.replica)])
+    key = (value_bit(m), c.sent)
+    after = later.get(key)
+    if after is None:
+        after = later[key] = sum(1 << b for b in bits(c.sent) if happens_before(m, VALUES[b]))
+    return bool(after & c.delivered[roster.index(e.replica)])
 
 
 @intern_scope
@@ -1228,12 +1304,13 @@ def check_causal_safety(system, step_bound: int = 8) -> Verdict:
     bounds = {"step_bound": step_bound, "discipline": system.discipline}
     graph = Graph()
     nodes, edges = graph.nodes, graph.edges
+    later: dict = {}
     tested = 0
     # Each yield follows one node's expansion; the extra pass tests the
     # steps of the last node expanded.
     for _ in chain(breadth_first(system, step_bound, graph), (None,)):
         for i, e, _ in edges[tested:]:
-            if e.input.kind == "dlvr" and _inverts(system.roster, nodes[i], e):
+            if e.input.kind == "dlvr" and _inverts(system.roster, nodes[i], e, later):
                 # the configurations found so far and the steps taken
                 return Verdict(
                     COUNTEREXAMPLE,

@@ -35,7 +35,7 @@ from .checker import (
     explore,
     render_label,
 )
-from .core import FrozenDict, System, render
+from .core import VALUES, FrozenDict, System, entries, intern_scope, render
 from .emulation import op_to_st, st_to_op
 from .objects import (
     BUILTIN_OBJECTS,
@@ -125,9 +125,10 @@ _CHECK_KEYS: dict[str, frozenset[str]] = {
 _INT_KEYS = ("step_bound", "tau_budget", "max_trace_len", "client_bound")
 
 
-def _check_entry(c: Any, emulate: str | None, augment: bool) -> None:
+def _check_entry(c: Any, emulate: str | None, augment: bool) -> str | None:
     """Reject a check entry that run_check would misread or fail on with
-    something other than a verdict."""
+    something other than a verdict.  Returns the relation a sim entry
+    resolves to (``checker.sim_relation``), None for other entries."""
     _require(
         isinstance(c, dict) and isinstance(c.get("name"), str),
         f"malformed check {c!r}",
@@ -140,9 +141,10 @@ def _check_entry(c: Any, emulate: str | None, augment: bool) -> None:
             _bound(c[k], f"{name} check: {k}")
     if name in ("sim", "traces", "approx"):
         _require(emulate is not None, f"{name} check needs an emulate directive")
+    rel = None
     if name == "sim":
         try:
-            checker.sim_relation(emulate, c.get("direction", HOST_BY_GUEST), c.get("relation"))
+            rel = checker.sim_relation(emulate, c.get("direction", HOST_BY_GUEST), c.get("relation"))
         except ValueError as exc:
             raise ScenarioError(f"sim check: {exc}") from exc
     if name == "approx" and "program" in c:
@@ -158,6 +160,7 @@ def _check_entry(c: Any, emulate: str | None, augment: bool) -> None:
             f"convergence check: unknown side {c.get('side')!r}",
         )
         _require(augment, "convergence check needs a history-augmented object")
+    return rel
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -398,16 +401,16 @@ def _prepare(
     and the built systems, raising ScenarioError for a configuration error
     (``_check_entry``, as ``load_scenario`` does, then what only the built
     systems tell); returns the function that runs the check as (params,
-    verdict) rows."""
-    _check_entry(entry, scenario.emulate, scenario.augment)
+    verdict) rows.  A sim entry runs the relation ``_check_entry``
+    resolved."""
+    rel = _check_entry(entry, scenario.emulate, scenario.augment)
     name = entry["name"]
     bounds = scenario.bounds
     step_bound = entry.get("step_bound", bounds.step_bound)
     tau_budget = entry.get("tau_budget", bounds.tau_budget)
 
     if name == "sim":
-        which = entry.get("direction", checker.HOST_BY_GUEST)
-        rel = checker.sim_relation(scenario.emulate, which, entry.get("relation"))
+        which = entry.get("direction", HOST_BY_GUEST)
         return lambda: [(
             {"name": name, "relation": rel, "direction": which},
             check_weak_simulation(paired, rel, step_bound=step_bound, tau_budget=tau_budget),
@@ -509,7 +512,10 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
 # --- explore dump ---------------------------------------------------------------
 
 
+@intern_scope
 def _dump_system(system, depth: int) -> dict:
+    """The bounded graph of system as JSON.  Its configurations are read in
+    the scope that explored them."""
     graph = explore(system, depth)
     nodes = []
     for idx, cfg in enumerate(graph.nodes):
@@ -520,8 +526,8 @@ def _dump_system(system, depth: int) -> dict:
                 "states": {r: render(s) for r, s in zip(system.roster, cfg.states)},
                 "buffer": sorted(
                     (
-                        {"to": r, "message": render(m)}
-                        for r, m in cfg.buffer
+                        {"to": system.roster[k], "message": render(VALUES[v])}
+                        for k, v in entries(cfg.buffer, len(system.roster))
                     ),
                     key=lambda d: json.dumps(d, sort_keys=True),
                 ),

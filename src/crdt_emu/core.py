@@ -8,30 +8,42 @@ Everything here is an immutable value.  A configuration holds no history: a
 step is an (event, configuration) pair, and a trace is the sequence of
 events along a path, which the searches rebuild from the parents they keep.
 A replica is a position in its system's roster: a configuration keeps its
-replicas' states and delivered sets as tuples in roster order.
+replicas' states and delivered sets as tuples in roster order.  Its buffer,
+sent, delivered and used-op sets are int bitsets over the check scope's
+value index (``value_bit``): bit v of a sent or delivered set stands for
+the value the index holds at v, a message on op-based systems and a sent
+state on state-based ones; see ``Config`` for the buffer and used-op bits.
+So a step is a few int operations, and values are looked up in the index
+only to build events, to run the object's functions and to render reports.
 
 Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, 2006): the factories ``replace_at``,
 ``FrozenDict.of``/``FrozenDict.set``, ``VectorClock.make`` (behind ``of``),
-``Message.make``, the ``Input``/``Output`` static constructors,
-``Event.of`` and ``canon_set`` return one object per equal content, so
-configurations reached along different paths share their per-replica
-tuples, clocks, messages, events, maps (a G-counter's states) and
-frozensets (buffers, sent sets, delivered sets, used-op sets), and an event
-or clock a step builds again is a table hit.  A system step is labelled by
-its event alone (``Event.obs_key``).  Each class has its own table of plain
-references, and two more tables keep what the steps derive from those
-values: a canonical buffer's delivery order (``delivery_order``) and a
-query's event per (object, replica, query, replica state) (``query_step``),
-so neither is recomputed for every successor.  Every table's lifetime is one check: every
-check, ``explore`` and library search runs inside ``intern_scope``, which
-also pauses the cyclic garbage collector, and when the outermost scope
-exits every table is emptied, together with the message-set interpretation
-memo (``INTERP_MEMO``), so a finished check keeps none of its values alive.
-Identity is only a speed-up: ``__eq__`` and ``__hash__`` stay structural,
-so values that outlive their check (verdicts, witnesses) stay correct
-against the next check's canonical values, and the plain constructors still
-build equal, non-canonical values.
+``Message.make``, the ``Input``/``Output`` static constructors and
+``Event.of`` return one object per equal content, so configurations reached
+along different paths share their per-replica tuples, clocks, messages,
+events and maps (a G-counter's states), and an event or clock a step builds
+again is a table hit.  A system step is labelled by its event alone
+(``Event.obs_key``).  Each class has its own table of plain references, and
+more tables keep what the steps derive from those values: a buffer's
+delivery order (``delivery_order``), a message's downset in a sent set
+(``downset_bits``), the clock a replica mints from a delivered set
+(``mint_from``), a delivery's or state-based send's event
+(``delivery_event``, ``send_event``) and a query's
+event per (object, replica, query, replica state) (``query_step``), so
+none is recomputed for every successor.  Every table's lifetime is one
+check: every check, ``explore`` and library search runs inside
+``intern_scope``, which also pauses the cyclic garbage collector, and when
+the outermost scope exits every table is emptied, the value index
+included, together with the message-set interpretation memo
+(``INTERP_MEMO``), so a finished check keeps none of its values alive.  So
+an index-form configuration only means something inside the scope that
+built it: code that reads configurations from more than one entry point
+runs them all in one enclosing scope.  Identity is only a speed-up for the
+values themselves: ``__eq__`` and ``__hash__`` stay structural, so values
+that outlive their check (verdicts, witnesses) stay correct against the
+next check's canonical values, and the plain constructors still build
+equal, non-canonical values.
 """
 
 from __future__ import annotations
@@ -49,21 +61,34 @@ QueryId = str
 # --- hash-consing ---------------------------------------------------------------
 
 # One table per class, content key -> the canonical value with that content;
-# a frozenset, and a configuration's per-replica tuple, is its own key.
-# Plain dicts: a value stays canonical until the outermost ``intern_scope``
-# exits and empties every table.
+# a configuration's per-replica tuple is its own key.  Plain dicts: a value
+# stays canonical until the outermost ``intern_scope`` exits and empties
+# every table.
 _FROZEN_DICTS: dict = {}
 _CLOCKS: dict = {}
 _MESSAGES: dict = {}
 _INPUTS: dict = {}
 _OUTPUTS: dict = {}
 _EVENTS: dict = {}
-_FROZENSETS: dict = {}
 _TUPLES: dict = {}
-# Derived facts, looked up as often as the values they come from: canonical
-# buffer -> its entries in delivery order (``delivery_order``), and (object,
-# replica, query, replica state) -> the query's event (``query_step``).
+# The value index: value -> its bit, and bit -> value (``value_bit``).
+_VALUE_BITS: dict = {}
+VALUES: list = []
+# Derived facts, looked up as often as the values they come from: (roster,
+# buffer) -> its entries in delivery order (``delivery_order``), (message
+# bit, sent set) -> the message's downset there (``downset_bits``),
+# (replica, consumed set) -> the clock it mints with (``mint_from``),
+# (replica, value bit) -> the delivery's event (``delivery_event``) and a
+# state-based send's (``send_event``), a
+# message set -> its messages' payloads (``payloads``), and
+# (object, replica, query, replica state) -> the query's event
+# (``query_step``).
 _DELIVERY_ORDERS: dict = {}
+_DOWNSETS: dict = {}
+_MINT_CLOCKS: dict = {}
+_DELIVERY_EVENTS: dict = {}
+_SEND_EVENTS: dict = {}
+_PAYLOAD_SETS: dict = {}
 _QUERY_EVENTS: dict = {}
 
 _TABLES = {
@@ -73,9 +98,15 @@ _TABLES = {
     "Input": _INPUTS,
     "Output": _OUTPUTS,
     "Event": _EVENTS,
-    "frozenset": _FROZENSETS,
     "tuple": _TUPLES,
+    "value_bit": _VALUE_BITS,
+    "value": VALUES,
     "delivery_order": _DELIVERY_ORDERS,
+    "downset": _DOWNSETS,
+    "mint_clock": _MINT_CLOCKS,
+    "delivery_event": _DELIVERY_EVENTS,
+    "send_event": _SEND_EVENTS,
+    "payloads": _PAYLOAD_SETS,
     "query_step": _QUERY_EVENTS,
 }
 
@@ -95,9 +126,31 @@ def _canon(table: dict, key, build, *args):
     return value
 
 
-def canon_set(s: frozenset) -> frozenset:
-    """The canonical frozenset equal to s."""
-    return _FROZENSETS.setdefault(s, s)
+def value_bit(v) -> int:
+    """The bit that stands for value v in this scope's value index; a value
+    met for the first time takes the next free bit.  ``VALUES[b]`` is the
+    value of bit b."""
+    b = _VALUE_BITS.get(v)
+    if b is None:
+        b = _VALUE_BITS[v] = len(VALUES)
+        VALUES.append(v)
+    return b
+
+
+def bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def mask_of(vs: Iterable) -> int:
+    """The bitset of the values vs over this scope's value index."""
+    out = 0
+    for v in vs:
+        out |= 1 << value_bit(v)
+    return out
 
 
 def replace_at(t: tuple, k: int, v) -> tuple:
@@ -281,28 +334,35 @@ def happens_before(m1: Message, m2: Message) -> bool:
     return m2.clock.get(m1.origin) - (m1.origin == m2.origin) >= m1.seq
 
 
-def causal_past(m: Message) -> dict[ReplicaId, int]:
-    """The highest seq that m's sender had seen from each origin when it sent
-    m: m's clock with m's own send taken back out.  For two messages of one
-    execution, m2 happens before m iff causal_past(m).get(m2.origin, 0) >=
-    m2.seq, the rule of ``happens_before`` read once for every m2."""
-    past = dict(m.clock.entries)
-    past[m.origin] = m.seq - 1
-    return past
-
-
-def mint(r: ReplicaId, consumed: frozenset[Message], payload: Any) -> Message:
-    """The message r sends with this payload after consuming exactly the
-    messages in consumed: its clock is their clocks' join ticked at r, and
-    its seq is that clock's r entry.  The join is taken in one pass, so only
-    the final clock is built."""
+def _ticked_join(r: ReplicaId, consumed: Iterable[Message]) -> VectorClock:
+    """The join of the consumed messages' clocks ticked at r, taken in one
+    pass, so only the final clock is built."""
     top: dict[ReplicaId, int] = {}
     for m in consumed:
         for rr, n in m.clock.entries:
             if n > top.get(rr, 0):
                 top[rr] = n
     top[r] = top.get(r, 0) + 1
-    return Message.make(r, VectorClock.make(tuple(sorted(top.items()))), payload)
+    return VectorClock.make(tuple(sorted(top.items())))
+
+
+def mint(r: ReplicaId, consumed: Iterable[Message], payload: Any) -> Message:
+    """The message r sends with this payload after consuming exactly the
+    messages in consumed: its clock is their clocks' join ticked at r, and
+    its seq is that clock's r entry.  A message-set guest mints from its
+    state (``emulation.op_to_st``)."""
+    return Message.make(r, _ticked_join(r, consumed), payload)
+
+
+def mint_from(r: ReplicaId, consumed: int, payload: Any) -> Message:
+    """``mint`` from the messages of the bitset consumed, as an op-based
+    replica mints from its delivered set.  The clock is joined once per
+    (r, consumed) per check scope."""
+    key = (r, consumed)
+    clock = _MINT_CLOCKS.get(key)
+    if clock is None:
+        clock = _MINT_CLOCKS[key] = _ticked_join(r, [VALUES[b] for b in bits(consumed)])
+    return Message.make(r, clock, payload)
 
 
 def concurrent(m1: Message, m2: Message) -> bool:
@@ -420,30 +480,38 @@ class Event:
 
 class Config(NamedTuple):
     """A global configuration of either semantics: each replica's state, the
-    in-flight buffer, the messages sent, those each replica has delivered,
+    in-flight buffer, the values sent, those each replica has delivered,
     and the (replica, op) pairs whose update has fired.  A replica is a
     position in its system's roster: ``states`` and ``delivered`` are
     canonical tuples in roster order, and a rule that changes one replica
-    replaces one position (``replace_at``).  Buffer entries, ``used_ops``
-    and events keep replica ids, and ``System.query_value`` reads a state
-    by id.  It holds no history: a step is an (event, configuration) pair,
-    and a search that reports a path keeps the events along it.  A
-    configuration is its own dedup, cache and pair key.  The update and
-    delivery rules of both semantics fire the replica step and store its
-    new state; queries go through ``query_step``.
+    replaces one position (``replace_at``).  ``System.query_value`` reads a
+    state by replica id.  It holds no history: a step is an (event,
+    configuration) pair, and a search that reports a path keeps the events
+    along it.  A configuration is its own dedup, cache and pair key.  The
+    update and delivery rules of both semantics fire the replica step and
+    store its new state; queries go through ``query_step``.
 
-    On op-based systems a message is a clocked ``Message``, and a replica's
+    The four sets are int bitsets over the check scope's value index
+    (``value_bit``), so a configuration only means something inside the
+    ``intern_scope`` that built it.  For n replicas and the object's ops:
+    bit v of ``sent`` and of a ``delivered`` entry stands for the value
+    ``VALUES[v]``; bit v * n + k of ``buffer`` for that value in flight to
+    the replica at roster position k (``entry_bit``, ``entries``); and bit
+    k * len(ops) + j of ``used_ops`` for the update of ``ops[j]`` at
+    position k (``op_bit``).
+
+    On op-based systems a value is a clocked ``Message``, and a replica's
     ``delivered`` set includes the messages its own updates sent and
-    self-applied; its next message is minted from that set (``mint``), and
-    ``sent`` is the union of the ``delivered`` sets.  On state-based systems
-    a message is the sent state itself, and ``delivered`` holds only the
-    states the replica received, never its own."""
+    self-applied; its next message is minted from that set (``mint_from``),
+    and ``sent`` is the union of the ``delivered`` sets.  On state-based
+    systems a value is the sent state itself, and ``delivered`` holds only
+    the states the replica received, never its own."""
 
     states: tuple                 # S per replica, roster order
-    buffer: frozenset             # {(ReplicaId, message)}, one per destination
-    sent: frozenset               # {message}
-    delivered: tuple              # frozenset[message] per replica, roster order
-    used_ops: frozenset           # {(ReplicaId, Op)} update events so far
+    buffer: int                   # bit v * n + k: value v in flight to k
+    sent: int                     # bit v: value v sent
+    delivered: tuple              # int per replica, roster order: bit v delivered
+    used_ops: int                 # bit k * len(ops) + j: ops[j] fired at k
 
 
 Step = tuple[Event, Config]       # a rule instance: its event and successor
@@ -455,15 +523,14 @@ def initial_config(obj, roster: tuple[ReplicaId, ...]) -> Config:
         raise ValueError("initial_config: empty replica roster")
     if len(set(roster)) != len(roster):
         raise ValueError("initial_config: duplicate replica ids")
-    empty = canon_set(frozenset())
     states = (obj.initial,) * len(roster)
-    delivered = (empty,) * len(roster)
+    delivered = (0,) * len(roster)
     return Config(
         states=_TUPLES.setdefault(states, states),
-        buffer=empty,
-        sent=empty,
+        buffer=0,
+        sent=0,
         delivered=_TUPLES.setdefault(delivered, delivered),
-        used_ops=empty,
+        used_ops=0,
     )
 
 
@@ -510,7 +577,9 @@ class System:
     @intern_scope
     def replay(self, events: Iterable[Event]) -> Config:
         """Re-execute a recorded event list from the initial configuration;
-        raises if some event is not a legal step here."""
+        raises if some event is not a legal step here.  Like ``explore``'s
+        nodes, the configuration it returns is read inside an enclosing
+        scope."""
         c = self.init()
         for e in events:
             for e2, c2 in self.steps(c):
@@ -522,40 +591,101 @@ class System:
         return c
 
 
-def downset_of(m: Message, sent_set: frozenset[Message]) -> frozenset[Message]:
-    """m together with its causal predecessors among sent_set."""
-    return frozenset(m2 for m2 in sent_set if happens_before(m2, m)) | {m}
+def downset_bits(v: int, sent: int) -> int:
+    """The message of bit v together with its causal predecessors among the
+    messages of the sent set, as a bitset.  The message and sent must come
+    from one configuration (``happens_before``).  Computed once per (v,
+    sent) per check scope."""
+    key = (v, sent)
+    out = _DOWNSETS.get(key)
+    if out is None:
+        m = VALUES[v]
+        past = dict(m.clock.entries)   # the highest seq m's sender had seen
+        past[m.origin] = m.seq - 1     # per origin, m's own send taken out
+        out = 1 << v
+        for b in bits(sent):
+            m2 = VALUES[b]
+            if past.get(m2.origin, 0) >= m2.seq:
+                out |= 1 << b
+        _DOWNSETS[key] = out
+    return out
 
 
-def bcast(
-    r: ReplicaId,
-    m: Message,
-    buffer: frozenset[tuple[ReplicaId, Message]],
-    roster: tuple[ReplicaId, ...],
-    by_value: bool = False,
-) -> frozenset[tuple[ReplicaId, Message]]:
-    """Add one copy of m per destination replica other than the sender, in
-    one union; by value, a destination that already holds an entry with m's
-    payload gets none.  The result is canonical."""
-    held = {r2 for r2, m2 in buffer if m2.payload == m.payload} if by_value else ()
-    return canon_set(buffer | {(r2, m) for r2 in roster if r2 != r and r2 not in held})
+def send_event(r: ReplicaId, v: int) -> Event:
+    """The event of replica r sending the state of bit v on its own, built
+    once per (r, v) per check scope."""
+    key = (r, v)
+    e = _SEND_EVENTS.get(key)
+    if e is None:
+        e = _SEND_EVENTS[key] = Event.of(r, INPUT_NONE, Output.send(VALUES[v]))
+    return e
 
 
-def _delivery_key(entry: tuple) -> tuple:
-    r, m = entry
-    return (r, m.sort_key() if isinstance(m, Message) else canon_key(m))
+def payloads(x: int) -> frozenset:
+    """The payloads of the messages of the bitset x, once per set per check
+    scope: how a by-value object tells messages apart."""
+    out = _PAYLOAD_SETS.get(x)
+    if out is None:
+        out = _PAYLOAD_SETS[x] = frozenset(VALUES[b].payload for b in bits(x))
+    return out
 
 
-def delivery_order(buffer: frozenset) -> tuple:
-    """The entries of a canonical buffer in the order both semantics try
-    their deliveries: by destination replica, then by message, an op-based
-    ``Message`` by its origin and seq, a state-based state by ``canon_key``.
-    Sorted once per buffer per check scope; every later expansion of a
-    configuration with this buffer is a table hit."""
-    order = _DELIVERY_ORDERS.get(buffer)
+def entry_bit(v: int, k: int, n: int) -> int:
+    """The buffer bit of the value of bit v in flight to roster position k
+    of n."""
+    return 1 << (v * n + k)
+
+
+def entries(buffer: int, n: int) -> list[tuple[int, int]]:
+    """A buffer's (roster position, value bit) entries for n replicas, in
+    bit order."""
+    return [(b % n, b // n) for b in bits(buffer)]
+
+
+def op_bit(k: int, j: int, nops: int) -> int:
+    """The used-op bit of op j of nops fired at roster position k."""
+    return 1 << (k * nops + j)
+
+
+def bcast(k: int, v: int, buffer: int, n: int, held: int = 0) -> int:
+    """buffer with one entry of the value of bit v for each of the n roster
+    positions other than the sender's, k, and other than those in the
+    position bitset held, in one union."""
+    return buffer | (((1 << n) - 1) & ~(1 << k) & ~held) << (v * n)
+
+
+def _delivery_key(roster: tuple[ReplicaId, ...], entry: tuple[int, int]) -> tuple:
+    k, v = entry
+    x = VALUES[v]
+    return (roster[k], x.sort_key() if isinstance(x, Message) else canon_key(x))
+
+
+def delivery_order(roster: tuple[ReplicaId, ...], buffer: int) -> tuple[tuple[int, int], ...]:
+    """The entries of a buffer of a system over roster, as (roster position,
+    value bit) pairs, in the order both semantics try their deliveries: by
+    destination replica id, then by message, an op-based ``Message`` by its
+    origin and seq, a state-based state by ``canon_key``; never by bit
+    order.  Sorted once per (roster, buffer) per check scope; every later
+    expansion of a configuration with this buffer is a table hit."""
+    key = (roster, buffer)
+    order = _DELIVERY_ORDERS.get(key)
     if order is None:
-        order = _DELIVERY_ORDERS[buffer] = tuple(sorted(buffer, key=_delivery_key))
+        order = entries(buffer, len(roster))
+        order.sort(key=functools.partial(_delivery_key, roster))
+        order = _DELIVERY_ORDERS[key] = tuple(order)
     return order
+
+
+def delivery_event(r: ReplicaId, v: int) -> Event:
+    """The event of delivering the value of bit v at replica r.  A delivery
+    outputs nothing in both semantics, so the event is built once per (r,
+    v) per check scope, and a rule fires its replica step on the event's
+    input."""
+    key = (r, v)
+    e = _DELIVERY_EVENTS.get(key)
+    if e is None:
+        e = _DELIVERY_EVENTS[key] = Event.of(r, Input.dlvr(VALUES[v]), OUTPUT_NONE)
+    return e
 
 
 # --- canonical ordering / rendering ------------------------------------------

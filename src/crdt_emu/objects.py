@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
-from .core import FrozenDict, Op, QueryId, ReplicaId, concurrent, delivery_order
+from .core import VALUES, FrozenDict, Op, QueryId, ReplicaId, concurrent, delivery_order
 
 # Message identity regimes for op-based objects.  "id" is the normal case:
 # messages are distinct as (origin, clock, payload) values, and within one
@@ -224,16 +224,17 @@ def check_concurrent_commutation(
 ) -> CommutationReport:
     """For every sampled configuration of a system over roster, every
     replica and every pair of concurrent messages buffered there: both
-    delivery orders must agree.  A replica's state is read at its roster
-    position."""
+    delivery orders must agree.  A replica's buffered messages are read in
+    delivery order (``core.delivery_order``), and its state at its roster
+    position; the configurations must come from the caller's scope."""
     checked = 0
     violations = []
     for cfg in configs:
-        by_replica: dict[ReplicaId, list] = {}
-        for r, m in delivery_order(cfg.buffer):
-            by_replica.setdefault(r, []).append(m)
-        for r, msgs in by_replica.items():
-            s = cfg.states[roster.index(r)]
+        by_position: dict[int, list] = {}
+        for k, v in delivery_order(roster, cfg.buffer):
+            by_position.setdefault(k, []).append(VALUES[v])
+        for k, msgs in by_position.items():
+            r, s = roster[k], cfg.states[k]
             for i, m1 in enumerate(msgs):
                 for m2 in msgs[i + 1 :]:
                     if not concurrent(m1, m2):

@@ -8,7 +8,11 @@ update and delivery rules fire the replica step, ``op_replica_step``, and
 take the replica's new state and output from it, and replace the
 replica's roster position in the configuration's ``states`` and
 ``delivered`` tuples (``core.replace_at``).  A replica's ``delivered`` set
-includes the messages its own updates sent and self-applied.
+includes the messages its own updates sent and self-applied.  The rules
+take a replica by roster position and an op or message by its position in
+the object's ops or its bit in the scope's value index, and every set of
+the configuration is an int bitset (``core.Config``): the causal gate is a
+mask test on the message's downset in the sent set (``core.downset_bits``).
 """
 
 from __future__ import annotations
@@ -17,21 +21,27 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import (
+    VALUES,
     Config,
     Event,
     Input,
-    Message,
     Output,
     ReplicaId,
     Step,
     System,
     bcast,
-    canon_set,
-    causal_past,
+    bits,
+    delivery_event,
     delivery_order,
-    mint,
+    downset_bits,
+    entries,
+    entry_bit,
+    mint_from,
+    op_bit,
+    payloads,
     query_step,
     replace_at,
+    value_bit,
 )
 from .objects import IDENTITY_VALUE, OpObject
 
@@ -45,59 +55,67 @@ def op_replica_step(
     r: ReplicaId,
     s: Any,
     i: Input,
-    consumed: frozenset = frozenset(),
+    consumed: int = 0,
 ) -> tuple[Any, Output] | None:
     """The replica state machine: qry is stuttering, dlvr applies the effect,
     upd preps a message, applies it locally and emits it.  The message is
-    minted from the messages the replica has consumed (none by default)."""
+    minted from the messages the replica has consumed, a bitset over the
+    value index (none by default)."""
     if i.kind == "qry":
         return (s, Output.ret(obj.query(i.query, s)))
     if i.kind == "dlvr":
         return (obj.effect(i.message.payload, s), Output.none())
     if i.kind == "upd":
         payload = obj.prep(r, i.op, s)
-        return (obj.effect(payload, s), Output.send(mint(r, consumed, payload)))
+        return (obj.effect(payload, s), Output.send(mint_from(r, consumed, payload)))
     return None
 
 
-def _delivery_enabled(
-    obj: OpObject, c: Config, k: int, m: Message, discipline: str
-) -> bool:
-    """The delivery gate of m at the replica in roster position k."""
-    by_value = obj.message_identity == IDENTITY_VALUE
+def _delivery_enabled(obj: OpObject, c: Config, k: int, v: int, discipline: str) -> bool:
+    """The delivery gate of the message of bit v at the replica in roster
+    position k: not yet delivered there, and under the causal discipline no
+    causal predecessor in ``c.sent`` missing from its ``delivered`` set.  v
+    and c.sent come from one configuration, so ``core.downset_bits``
+    orders them, and tests compare this gate with happens_before.  A
+    by-value object compares messages by payload."""
     dlv = c.delivered[k]
-    if by_value:
-        dlv = {m2.payload for m2 in dlv}
-    if (m.payload if by_value else m) in dlv:
+    if obj.message_identity != IDENTITY_VALUE:
+        if dlv >> v & 1:
+            return False
+        return discipline == RELIABLE_ONLY or not downset_bits(v, c.sent) & ~dlv & ~(1 << v)
+    have = payloads(dlv)
+    if VALUES[v].payload in have:
         return False
     if discipline == RELIABLE_ONLY:
         return True
-    # m and c.sent come from one configuration, so core.happens_before's
-    # origin-component rule orders them; m's causal past is read once for
-    # all of c.sent, and tests compare this gate with happens_before.
-    past = causal_past(m)
-    for m2 in c.sent:
-        if past.get(m2.origin, 0) >= m2.seq:
-            if (m2.payload if by_value else m2) not in dlv:
-                return False
-    return True
+    missing = downset_bits(v, c.sent) & ~dlv & ~(1 << v)
+    return all(VALUES[b].payload in have for b in bits(missing))
 
 
 def op_mk_update(
-    obj: OpObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op
+    obj: OpObject, roster: tuple[ReplicaId, ...], c: Config, k: int, j: int
 ) -> Step:
-    """One OpUpdate rule instance: prep, self-apply, broadcast."""
-    k = roster.index(r)
-    i = Input.upd(op)
+    """One OpUpdate rule instance of ``obj.ops[j]`` at roster position k:
+    prep, self-apply, broadcast.  A by-value object buffers no second entry
+    with an equal payload at a destination."""
+    r = roster[k]
+    i = Input.upd(obj.ops[j])
     dlv = c.delivered[k]
     s2, out = op_replica_step(obj, r, c.states[k], i, dlv)
     m = out.message
+    v = value_bit(m)
+    n = len(roster)
+    held = 0
+    if obj.message_identity == IDENTITY_VALUE:
+        for k2, v2 in entries(c.buffer, n):
+            if VALUES[v2].payload == m.payload:
+                held |= 1 << k2
     return Event.of(r, i, out), Config(
         replace_at(c.states, k, s2),
-        bcast(r, m, c.buffer, roster, obj.message_identity == IDENTITY_VALUE),
-        canon_set(c.sent | {m}),
-        replace_at(c.delivered, k, canon_set(dlv | {m})),
-        canon_set(c.used_ops | {(r, op)}),
+        bcast(k, v, c.buffer, n, held),
+        c.sent | 1 << v,
+        replace_at(c.delivered, k, dlv | 1 << v),
+        c.used_ops | op_bit(k, j, len(obj.ops)),
     )
 
 
@@ -105,21 +123,22 @@ def op_mk_deliver(
     obj: OpObject,
     roster: tuple[ReplicaId, ...],
     c: Config,
-    r: ReplicaId,
-    m: Message,
+    k: int,
+    v: int,
     discipline: str = CAUSAL,
 ) -> Step | None:
-    """One OpDeliver instance; None when the delivery gate blocks it."""
-    k = roster.index(r)
-    if (r, m) not in c.buffer or not _delivery_enabled(obj, c, k, m, discipline):
+    """One OpDeliver instance of the message of bit v at roster position k;
+    None when it is not buffered there or the delivery gate blocks it."""
+    entry = entry_bit(v, k, len(roster))
+    if not c.buffer & entry or not _delivery_enabled(obj, c, k, v, discipline):
         return None
-    i = Input.dlvr(m)
-    s2, out = op_replica_step(obj, r, c.states[k], i)
-    return Event.of(r, i, out), Config(
+    e = delivery_event(roster[k], v)
+    s2, _ = op_replica_step(obj, e.replica, c.states[k], e.input)
+    return e, Config(
         replace_at(c.states, k, s2),
-        canon_set(c.buffer - {(r, m)}),
+        c.buffer & ~entry,
         c.sent,
-        replace_at(c.delivered, k, canon_set(c.delivered[k] | {m})),
+        replace_at(c.delivered, k, c.delivered[k] | 1 << v),
         c.used_ops,
     )
 
@@ -139,15 +158,17 @@ def op_system_steps(
     successor is c itself.  Every delivery still goes through
     ``op_mk_deliver``."""
     out: list[Step] = []
-    for r in roster:
-        for op in obj.ops:
-            if (r, op) not in c.used_ops:
-                out.append(op_mk_update(obj, roster, c, r, op))
+    nops = len(obj.ops)
+    used = c.used_ops
+    for k in range(len(roster)):
+        for j in range(nops):
+            if not used & op_bit(k, j, nops):
+                out.append(op_mk_update(obj, roster, c, k, j))
     for r in roster:
         for q in obj.queries:
             out.append(query_step(obj, roster, c, r, q))
-    for r, m in delivery_order(c.buffer):
-        step = op_mk_deliver(obj, roster, c, r, m, discipline)
+    for k, v in delivery_order(roster, c.buffer):
+        step = op_mk_deliver(obj, roster, c, k, v, discipline)
         if step is not None:
             out.append(step)
     return out

@@ -4,13 +4,15 @@ Updates are local; states travel in separate silent send steps (the default
 mode) or atomically with the update (the broadcast variant used by the weak
 bisimulation result).  A sent message is the state itself: a send or
 delivery event carries the state, and the buffer holds (replica, state)
-pairs, so a set union deduplicates re-sent equal states and a delivery is
-deduplicated by the state value.  The update and delivery rules fire the
-replica step, ``st_replica_step``, and take the replica's new state and
-output from it, replacing the replica's roster position in the
-configuration's tuples (``core.replace_at``); queries are
-``core.query_step``.  A replica's ``delivered`` set holds only the states it
-received, never its own.
+entries as bits over the scope's value index (``core.Config``), so a union
+deduplicates re-sent equal states and a delivery is deduplicated by the
+state value.  The update and delivery rules fire the replica step,
+``st_replica_step``, and take the replica's new state and output from it,
+replacing the replica's roster position in the configuration's tuples
+(``core.replace_at``); queries are ``core.query_step``.  The rules take a
+replica by roster position, an op by its position in the object's ops and
+a buffered state by its bit.  A replica's ``delivered`` set holds only the
+states it received, never its own.
 """
 
 from __future__ import annotations
@@ -28,10 +30,14 @@ from .core import (
     Step,
     System,
     bcast,
-    canon_set,
+    delivery_event,
     delivery_order,
+    entry_bit,
+    op_bit,
     query_step,
     replace_at,
+    send_event,
+    value_bit,
 )
 from .objects import StObject
 
@@ -62,14 +68,16 @@ def st_replica_step(
 
 
 def st_mk_update(
-    obj: StObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, op, mode: str
+    obj: StObject, roster: tuple[ReplicaId, ...], c: Config, k: int, j: int, mode: str
 ) -> Step:
-    """One StUpdate (or StUpdBC in atomic mode) rule instance."""
-    k = roster.index(r)
-    i = Input.upd(op)
+    """One StUpdate (or StUpdBC in atomic mode) rule instance of
+    ``obj.ops[j]`` at roster position k."""
+    r = roster[k]
+    i = Input.upd(obj.ops[j])
     s2, out = st_replica_step(obj, r, c.states[k], i, mode)
     if out.kind == OUT_SEND:
-        buffer, sent = bcast(r, s2, c.buffer, roster), canon_set(c.sent | {s2})
+        v = value_bit(s2)
+        buffer, sent = bcast(k, v, c.buffer, len(roster)), c.sent | 1 << v
     else:
         buffer, sent = c.buffer, c.sent
     return Event.of(r, i, out), Config(
@@ -77,39 +85,40 @@ def st_mk_update(
         buffer,
         sent,
         c.delivered,
-        canon_set(c.used_ops | {(r, op)}),
+        c.used_ops | op_bit(k, j, len(obj.ops)),
     )
 
 
-def st_mk_send(
-    roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId
-) -> Step:
-    s = c.states[roster.index(r)]
-    return Event.of(r, Input.none(), Output.send(s)), Config(
+def st_mk_send(roster: tuple[ReplicaId, ...], c: Config, k: int) -> Step:
+    """One StSend instance: the replica at roster position k sends its
+    current state."""
+    v = value_bit(c.states[k])
+    return send_event(roster[k], v), Config(
         c.states,
-        bcast(r, s, c.buffer, roster),
-        canon_set(c.sent | {s}),
+        bcast(k, v, c.buffer, len(roster)),
+        c.sent | 1 << v,
         c.delivered,
         c.used_ops,
     )
 
 
 def st_mk_deliver(
-    obj: StObject, roster: tuple[ReplicaId, ...], c: Config, r: ReplicaId, s: Any
+    obj: StObject, roster: tuple[ReplicaId, ...], c: Config, k: int, v: int
 ) -> Step | None:
-    """One StDeliver instance of the state s buffered for r; None when s is
-    not buffered there or the dedup premise blocks it (r has delivered an
-    equal state)."""
-    k = roster.index(r)
-    if (r, s) not in c.buffer or s in c.delivered[k]:
+    """One StDeliver instance of the state of bit v buffered for roster
+    position k; None when it is not buffered there or the dedup premise
+    blocks it (the replica has delivered an equal state)."""
+    entry = entry_bit(v, k, len(roster))
+    dlv = c.delivered[k]
+    if not c.buffer & entry or dlv >> v & 1:
         return None
-    i = Input.dlvr(s)
-    s2, out = st_replica_step(obj, r, c.states[k], i)
-    return Event.of(r, i, out), Config(
+    e = delivery_event(roster[k], v)
+    s2, _ = st_replica_step(obj, e.replica, c.states[k], e.input)
+    return e, Config(
         replace_at(c.states, k, s2),
-        canon_set(c.buffer - {(r, s)}),
+        c.buffer & ~entry,
         c.sent,
-        replace_at(c.delivered, k, canon_set(c.delivered[k] | {s})),
+        replace_at(c.delivered, k, dlv | 1 << v),
         c.used_ops,
     )
 
@@ -129,18 +138,20 @@ def st_system_steps(
     the check scope's tables, each query step's successor is c itself, and
     every delivery goes through ``st_mk_deliver``."""
     out: list[Step] = []
-    for r in roster:
-        for op in obj.ops:
-            if (r, op) not in c.used_ops:
-                out.append(st_mk_update(obj, roster, c, r, op, mode))
+    nops = len(obj.ops)
+    used = c.used_ops
+    for k in range(len(roster)):
+        for j in range(nops):
+            if not used & op_bit(k, j, nops):
+                out.append(st_mk_update(obj, roster, c, k, j, mode))
     for r in roster:
         for q in obj.queries:
             out.append(query_step(obj, roster, c, r, q))
     if mode == SEPARATE_SEND:
-        for r in roster:
-            out.append(st_mk_send(roster, c, r))
-    for r, s in delivery_order(c.buffer):
-        step = st_mk_deliver(obj, roster, c, r, s)
+        for k in range(len(roster)):
+            out.append(st_mk_send(roster, c, k))
+    for k, v in delivery_order(roster, c.buffer):
+        step = st_mk_deliver(obj, roster, c, k, v)
         if step is not None:
             out.append(step)
     return out

@@ -9,11 +9,19 @@ definitions live here, as oracles that share no rule with it: messages are
 ordered by ``conftest.clock_before``, the pointwise order on their clocks,
 not by the origin-component rule of ``core.happens_before``.
 
-``by_replica`` reads a configuration's per-replica tuples as maps keyed by
-replica id.
+The package's configurations hold int bitsets over the check scope's value
+index (``core.Config``); the frozenset form they replaced is the oracle
+here.  ``decode`` turns an index-form configuration into that form, inside
+the scope that built it: the buffer a set of (replica id, value) pairs,
+``sent`` and each ``delivered`` entry sets of values, ``used_ops`` a set of
+(replica id, op) pairs.  ``by_replica`` reads a decoded configuration's
+per-replica tuples as maps keyed by replica id.
 
-``reference_steps`` builds a configuration's step list through the rule
-functions, but without the check scope's delivery-order and query tables.
+``reference_steps`` is a frozenset-form kernel: the rules of both semantics
+written afresh over decoded configurations, from the objects' functions
+and plain constructors, sharing no table or bit arithmetic with the
+package; ``reference_init`` is its initial configuration and
+``decoded_steps`` the package's step list, decoded, to compare it with.
 
 ``parse_events`` rebuilds events from their rendered JSON form, so a
 witness replays from what a report shows.
@@ -27,14 +35,17 @@ A trace is a sequence of events, oldest first.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, Sequence
 
+from crdt_emu import core
 from crdt_emu.checker import PairedSystem, Relation, Side, weak_matches
 from crdt_emu.client import SKIP, Asn, Bin, Expr, Lit, Prog, Qry, Seq, Upd, Var, While
 from crdt_emu.core import (
     IN_DLVR,
+    IN_NONE,
     IN_QRY,
     IN_UPD,
+    OUT_NONE,
     OUT_RET,
     OUT_SEND,
     Config,
@@ -51,9 +62,9 @@ from crdt_emu.core import (
     intern_scope,
 )
 from crdt_emu.emulation import interp
-from crdt_emu.objects import OpObject
-from crdt_emu.opsem import op_mk_deliver, op_mk_update
-from crdt_emu.stsem import SEPARATE_SEND, st_mk_deliver, st_mk_send, st_mk_update
+from crdt_emu.objects import IDENTITY_VALUE, OpObject
+from crdt_emu.opsem import CAUSAL
+from crdt_emu.stsem import ATOMIC_BROADCAST, SEPARATE_SEND
 from conftest import clock_before
 
 
@@ -77,17 +88,50 @@ def clock_join(c1: VectorClock, c2: VectorClock) -> VectorClock:
     return VectorClock.of(entries)
 
 
-class ByReplica(NamedTuple):
-    """A configuration's per-replica fields, keyed by replica id."""
+def _bit_positions(x: int) -> list[int]:
+    return [i for i, digit in enumerate(reversed(bin(x)[2:])) if digit == "1"]
 
-    states: dict
-    delivered: dict
+
+def decode(system, c: Config) -> Config:
+    """The frozenset form of the index-form configuration c of system, read
+    in the scope that built c: for n replicas, buffer bit v * n + k is the
+    pair (roster[k], value v), and used-op bit k * len(ops) + j the pair
+    (roster[k], ops[j])."""
+    roster, ops, values = system.roster, system.obj.ops, core.VALUES
+    n = len(roster)
+
+    def value_set(x: int) -> frozenset:
+        return frozenset(values[b] for b in _bit_positions(x))
+
+    return Config(
+        states=c.states,
+        buffer=frozenset((roster[b % n], values[b // n]) for b in _bit_positions(c.buffer)),
+        sent=value_set(c.sent),
+        delivered=tuple(value_set(d) for d in c.delivered),
+        used_ops=frozenset(
+            (roster[b // len(ops)], ops[b % len(ops)]) for b in _bit_positions(c.used_ops)
+        ),
+    )
+
+
+class ByReplica:
+    """A configuration's per-replica fields, keyed by replica id: ``states``
+    and the decoded ``delivered`` sets, decoded when first read."""
+
+    def __init__(self, system, c: Config):
+        self.states = dict(zip(system.roster, c.states))
+        self._system, self._c = system, c
+
+    @property
+    def delivered(self) -> dict:
+        return dict(zip(self._system.roster, decode(self._system, self._c).delivered))
 
 
 def by_replica(system, c: Config) -> ByReplica:
-    """c's ``states`` and ``delivered`` tuples as maps from each replica id
+    """The ``states`` and decoded ``delivered`` tuples of c, an index-form
+    configuration of system read in its scope, as maps from each replica id
     of system's roster to the entry at its position."""
-    return ByReplica(dict(zip(system.roster, c.states)), dict(zip(system.roster, c.delivered)))
+    return ByReplica(system, c)
 
 
 # --- trace-level causal machinery -------------------------------------------
@@ -230,36 +274,97 @@ def interp_is_order_independent(h: frozenset[Message], obj: OpObject) -> bool:
 # --- the step kernel -------------------------------------------------------------
 
 
+def reference_init(system) -> Config:
+    """The frozenset-form initial configuration: every replica at the
+    object's initial state, nothing sent."""
+    n = len(system.roster)
+    empty = frozenset()
+    return Config((system.obj.initial,) * n, empty, empty, (empty,) * n, empty)
+
+
+def _at(t: tuple, k: int, v) -> tuple:
+    return t[:k] + (v,) + t[k + 1 :]
+
+
 def reference_steps(system, c: Config) -> list[Step]:
-    """The steps of c on an op-based or state-based system, in the rules'
-    order (updates, queries, state-based sends, deliveries), built through
-    the rule functions but without ``core.delivery_order`` or the query
-    table: the buffer is sorted afresh on every call, an op-based message
-    by its (origin, seq) and a state-based state by ``canon_key``, and each
-    query event is built anew from plain constructors."""
+    """The steps of the frozenset-form configuration c on an op-based or
+    state-based system, in the rules' order (updates, queries, state-based
+    sends, deliveries), each rule written out over sets: an op-based
+    message is minted by ``clock_tick`` and ``clock_join`` and gated by
+    ``before``, the buffer is sorted afresh, an op-based message by its
+    (origin, seq) and a state-based state by ``canon_key``, and every event
+    is built from plain constructors."""
     obj, roster = system.obj, system.roster
+    op = system.kind == "op"
+    by_value = op and obj.message_identity == IDENTITY_VALUE
     out: list[Step] = []
-    for r in roster:
-        for op in obj.ops:
-            if (r, op) in c.used_ops:
+    for k, r in enumerate(roster):
+        s, dlv = c.states[k], c.delivered[k]
+        for o in obj.ops:
+            if (r, o) in c.used_ops:
                 continue
-            if system.kind == "op":
-                out.append(op_mk_update(obj, roster, c, r, op))
+            used = c.used_ops | {(r, o)}
+            if op:
+                payload = obj.prep(r, o, s)
+                clock = VectorClock.of({})
+                for m2 in dlv:
+                    clock = clock_join(clock, m2.clock)
+                m = Message(r, clock_tick(clock, r), payload)
+                held = {r2 for r2, m2 in c.buffer if m2.payload == payload} if by_value else set()
+                dests = {(r2, m) for r2 in roster if r2 != r and r2 not in held}
+                out.append((Event(r, Input(IN_UPD, op=o), Output(OUT_SEND, message=m)), Config(
+                    _at(c.states, k, obj.effect(payload, s)), c.buffer | dests, c.sent | {m},
+                    _at(c.delivered, k, dlv | {m}), used)))
+                continue
+            s2 = obj.update(r, o, s)
+            if system.mode == ATOMIC_BROADCAST:
+                dests = {(r2, s2) for r2 in roster if r2 != r}
+                out.append((Event(r, Input(IN_UPD, op=o), Output(OUT_SEND, message=s2)), Config(
+                    _at(c.states, k, s2), c.buffer | dests, c.sent | {s2}, c.delivered, used)))
             else:
-                out.append(st_mk_update(obj, roster, c, r, op, system.mode))
-    for r in roster:
+                out.append((Event(r, Input(IN_UPD, op=o), Output(OUT_NONE)), Config(
+                    _at(c.states, k, s2), c.buffer, c.sent, c.delivered, used)))
+    for k, r in enumerate(roster):
         for q in obj.queries:
-            answer = Output(OUT_RET, obj.query(q, by_replica(system, c).states[r]))
+            answer = Output(OUT_RET, obj.query(q, c.states[k]))
             out.append((Event(r, Input(IN_QRY, query=q), answer), c))
-    if system.kind == "op":
-        for r, m in sorted(c.buffer, key=lambda rm: (rm[0], rm[1].origin, rm[1].seq)):
-            out.append(op_mk_deliver(obj, roster, c, r, m, system.discipline))
+    if op:
+        entries = sorted(c.buffer, key=lambda rm: (rm[0], rm[1].origin, rm[1].seq))
     else:
         if system.mode == SEPARATE_SEND:
-            out.extend(st_mk_send(roster, c, r) for r in roster)
-        for r, s in sorted(c.buffer, key=lambda rs: (rs[0], canon_key(rs[1]))):
-            out.append(st_mk_deliver(obj, roster, c, r, s))
-    return [step for step in out if step is not None]
+            for k, r in enumerate(roster):
+                s = c.states[k]
+                dests = {(r2, s) for r2 in roster if r2 != r}
+                out.append((Event(r, Input(IN_NONE), Output(OUT_SEND, message=s)), Config(
+                    c.states, c.buffer | dests, c.sent | {s}, c.delivered, c.used_ops)))
+        entries = sorted(c.buffer, key=lambda rs: (rs[0], canon_key(rs[1])))
+    for r, x in entries:
+        k = roster.index(r)
+        dlv = c.delivered[k]
+        if op:
+            ids = {m2.payload for m2 in dlv} if by_value else dlv
+            key = (lambda m2: m2.payload) if by_value else (lambda m2: m2)
+            if key(x) in ids:
+                continue
+            if system.discipline == CAUSAL and any(
+                before(m2, x) and key(m2) not in ids for m2 in c.sent
+            ):
+                continue
+            s2 = obj.effect(x.payload, c.states[k])
+        else:
+            if x in dlv:
+                continue
+            s2 = obj.join(c.states[k], x)
+        out.append((Event(r, Input(IN_DLVR, message=x), Output(OUT_NONE)), Config(
+            _at(c.states, k, s2), c.buffer - {(r, x)}, c.sent,
+            _at(c.delivered, k, dlv | {x}), c.used_ops)))
+    return out
+
+
+def decoded_steps(system, c: Config) -> list[Step]:
+    """The package's steps of the index-form configuration c, each
+    successor decoded, in c's scope."""
+    return [(e, decode(system, c2)) for e, c2 in system.steps(c)]
 
 
 # --- witness replay ------------------------------------------------------------

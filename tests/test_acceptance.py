@@ -26,7 +26,7 @@ from crdt_emu.checker import (
     weak_traces,
 )
 from crdt_emu.client import check_approximation
-from crdt_emu.core import FrozenDict
+from crdt_emu.core import FrozenDict, intern_scope
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import (
     augment_history_op,
@@ -284,6 +284,7 @@ def test_criterion_9_thm_5_2_client_corpus():
     report("9 (client cotermination across both emulations)", ok, elapsed, "; ".join(details))
 
 
+@intern_scope
 def test_criterion_10_interp_well_definedness():
     started = time.monotonic()
     obj = gset_op((1, 2))

@@ -7,7 +7,7 @@ import itertools
 import json
 from pathlib import Path
 
-from crdt_emu import checker
+from crdt_emu import checker, core
 from crdt_emu.checker import (
     GUEST_BY_HOST,
     HOST_BY_GUEST,
@@ -51,9 +51,12 @@ from crdt_emu.stsem import ATOMIC_BROADCAST, StSystem
 from conftest import eager_ball, eager_moves, msg, raw_tree
 from reference import (
     by_replica,
+    decode,
+    decoded_steps,
     delivered,
     deliverable_ordering,
     parse_events,
+    reference_init,
     reference_steps,
     replay_simulation_counterexample,
     satisfies_causal_delivery,
@@ -97,6 +100,7 @@ def test_explore_edge_count_matches_successors_at_depth_one():
     assert len(graph.edges) == len(p.host.steps(p.host.init()))
 
 
+@intern_scope
 def test_explore_contains_ex_2_4_prefix():
     p = paired_gset()
     graph = explore(p.host, 2)
@@ -107,9 +111,12 @@ def test_explore_contains_ex_2_4_prefix():
 
 
 @pytest.mark.parametrize("side", ["host", "guest"])
+@intern_scope
 def test_paths_are_the_configurations_histories(side):
     """A node's path, rebuilt from the graph's parents, replays from the
-    initial configuration to the node itself, one event per level."""
+    initial configuration to the node itself, one event per level.  The
+    explore and the replays run in one scope, so their configurations are
+    read over one value index."""
     system = paired_gset((1, 2)).side(side)
     graph = explore(system, 4)
     for i, cfg in enumerate(graph.nodes):
@@ -118,11 +125,12 @@ def test_paths_are_the_configurations_histories(side):
         assert len(path) == graph.depths[i]
 
 
+@intern_scope
 def test_summary_determines_successors():
     """Dedup by configuration loses nothing: the graph's nodes are the raw
     tree's distinct configurations, and the edges out of each expanded node
     are the steps of every tree node equal to it, whatever path reached that
-    tree node."""
+    tree node.  The explore and the raw tree run in one scope."""
     p = paired_gset((1, 2))
     for system in (p.host, p.guest):
         graph = explore(system, 4)
@@ -177,12 +185,14 @@ def test_explore_equals_a_search_that_looks_every_successor_up(side):
 
 @intern_scope
 def _kernel_mismatches(system, step_bound: int) -> tuple[int, list]:
-    """The configurations explore reaches within step_bound whose step list
-    differs from ``reference.reference_steps``, with the number reached.
-    The tables explore filled stay live in this scope, so the package's
-    step lists are read from them."""
+    """The configurations explore reaches within step_bound whose step list,
+    decoded, differs from that of ``reference.reference_steps`` on the
+    decoded configuration, with the number reached.  The tables explore
+    filled stay live in this scope, so the package's step lists are read
+    from them."""
     graph = explore(system, step_bound)
-    bad = [c for c in graph.nodes if system.steps(c) != reference_steps(system, c)]
+    bad = [c for c in graph.nodes
+           if decoded_steps(system, c) != reference_steps(system, decode(system, c))]
     return len(graph.nodes), bad
 
 
@@ -195,6 +205,34 @@ def test_step_lists_equal_the_reference_kernel(path):
     host, paired = build_systems(load_scenario(path))
     for system in (host, paired.guest) if paired else (host,):
         reached, bad = _kernel_mismatches(system, 5)
+        assert reached > 1 and not bad, (path.stem, system.kind, len(bad))
+
+
+@intern_scope
+def _replay_mismatches(system, step_bound: int) -> tuple[int, list]:
+    """The nodes explore reaches within step_bound that do not decode to the
+    configuration ``reference.reference_steps`` reaches by replaying the
+    node's path from ``reference.reference_init``, with the number reached.
+    Each path is replayed from its parent's replay, so every path is
+    replayed once, step by step."""
+    graph = explore(system, step_bound)
+    replayed = [reference_init(system)]
+    for i in range(1, len(graph.nodes)):
+        p, e, _ = graph.edges[graph.parents[i]]
+        replayed.append(next(c for e2, c in reference_steps(system, replayed[p]) if e2 == e))
+        assert graph.path(i) == graph.path(p) + (e,)
+    bad = [i for i, c in enumerate(graph.nodes) if decode(system, c) != replayed[i]]
+    return len(graph.nodes), bad
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_nodes_decode_to_the_reference_replay_of_their_paths(path):
+    """On the host and guest of every shipped scenario, every configuration
+    explore reaches at bound 5 decodes to the frozenset-form configuration
+    that the reference kernel reaches by replaying the node's path."""
+    host, paired = build_systems(load_scenario(path))
+    for system in (host, paired.guest) if paired else (host,):
+        reached, bad = _replay_mismatches(system, 5)
         assert reached > 1 and not bad, (path.stem, system.kind, len(bad))
 
 
@@ -426,36 +464,52 @@ def test_deliverable_orders_downset_topologically():
 
 class SubsetSearchRelation(Relation):
     """Reference membership: the R2/bowtie and Q1 buffer clauses decided by
-    enumerating every candidate subset, smallest first."""
+    enumerating every candidate subset, smallest first, over decoded
+    configurations, each decoded once."""
 
-    def _deliverable_merge_exists(self, H, r, op_c):
-        have = by_replica(self.paired.host, op_c).delivered[r]
-        target = have | H
+    def __init__(self, rel_id, paired):
+        super().__init__(rel_id, paired)
+        self._decoded = {}
+
+    def _decode(self, side, c):
+        key = (side, c)
+        if key not in self._decoded:
+            self._decoded[key] = decode(self.paired.side(side), c)
+        return self._decoded[key]
+
+    def _deliverable_merge_exists(self, H, k, op_c):
+        op = self._decode("host", op_c)
+        Hs = frozenset(core.VALUES[v] for v in core.bits(H))
+        r = self.roster[k]
+        have = op.delivered[k]
+        target = have | Hs
         candidates = sorted(
-            (m for r2, m in op_c.buffer if r2 == r and m in H), key=lambda m: m.sort_key()
+            (m for r2, m in op.buffer if r2 == r and m in Hs), key=lambda m: m.sort_key()
         )
-        for k in range(len(candidates) + 1):
-            for U in itertools.combinations(candidates, k):
+        for n in range(len(candidates) + 1):
+            for U in itertools.combinations(candidates, n):
                 Uf = frozenset(U)
                 if have | Uf != target:
                     continue
-                if deliverable_ordering(Uf, r, op_c.buffer, op_c.sent, have) is not None:
+                if deliverable_ordering(Uf, r, op.buffer, op.sent, have) is not None:
                     return True
         return False
 
     def _q1(self, st_c, op_c):
-        st_states = by_replica(self.paired.host, st_c).states
-        op_states = by_replica(self.paired.guest, op_c).states
+        st, op = self._decode("host", st_c), self._decode("guest", op_c)
+        st_states = dict(zip(self.roster, st.states))
+        op_states = dict(zip(self.roster, op.states))
         for r in self.roster:
             if st_states[r] != op_states[r]:
                 return "state-agreement"
         obj = self.paired.host.obj
-        for r, s in st_c.buffer:
+        op_buffer = op.buffer
+        for r, s in st.buffer:
             target = obj.join(st_states[r], s)
             if target == st_states[r]:
                 continue
             payloads = sorted(
-                (m2.payload for r2, m2 in op_c.buffer if r2 == r), key=canon_key
+                (m2.payload for r2, m2 in op_buffer if r2 == r), key=canon_key
             )
             if not any(
                 functools.reduce(obj.join, C, op_states[r]) == target
@@ -476,7 +530,10 @@ def _assert_clauses_match_reference(p, rel_id, a_nodes, b_nodes):
     return verdicts
 
 
+@intern_scope
 def test_r2_and_bowtie_closed_form_match_subset_search():
+    """Host and guest are explored separately, in one scope, so their
+    configurations are read over one value index."""
     obj = gset_op((1, 2))
     host = explore(OpSystem(obj, ROSTER2), 6).nodes
     for mode, rel_id, depth in (("separate-send", "R2", 5), (ATOMIC_BROADCAST, "bowtie", 6)):
@@ -490,20 +547,23 @@ def test_r2_and_bowtie_closed_form_match_subset_search():
         # Every guest state, buffered state and (not causally closed) single
         # message, as H, against every host configuration.
         rel, ref = Relation(rel_id, p), SubsetSearchRelation(rel_id, p)
-        hs = {s for c in guest for _, s in c.buffer}
+        hs = {s for c in guest for _, s in decode(p.guest, c).buffer}
         hs |= {by_replica(p.guest, c).states[r] for c in guest for r in ROSTER2}
         hs |= {frozenset({m}) for H in hs for m in H}
         outcomes = set()
-        for H, op_c, r in itertools.product(hs, host, ROSTER2):
-            got = rel._deliverable_merge_exists(H, r, op_c)
-            assert got == ref._deliverable_merge_exists(H, r, op_c)
+        for H, op_c, k in itertools.product(hs, host, range(len(ROSTER2))):
+            mask = rel.message_mask(H)
+            got = rel._deliverable_merge_exists(mask, k, op_c)
+            assert got == ref._deliverable_merge_exists(mask, k, op_c)
             outcomes.add(got)
         assert outcomes == {True, False}
 
 
+@intern_scope
 def test_q1_closed_form_matches_subset_search():
     # Three gset values give pairs where some buffered payloads are below
     # the target but do not reach it, and pairs that fail the buffer clause.
+    # Host and guest are explored in one scope.
     for obj, depth, failing in (
         (gset_st((1, 2, 3)), 5, {"buffer-mergeable"}),
         (gcounter_st(), 6, set()),

@@ -505,3 +505,26 @@ def test_run_check_validates_its_entry(tmp_path, entry):
     host, paired = build_systems(scenario)
     with pytest.raises(ScenarioError):
         run_check(scenario, entry, host, paired)
+
+
+def test_run_check_resolves_a_sim_relation_once(monkeypatch):
+    """A sim entry's relation is resolved by one ``checker.sim_relation``
+    call per run_check: ``_check_entry`` validates the entry and returns
+    the relation that the check runs."""
+    scenario = load_scenario(scenario_path("thm-4-2"))
+    host, paired = build_systems(scenario)
+    calls = []
+    resolve = cli.checker.sim_relation
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(cli.checker, "sim_relation", counted)
+    sims = [dict(e, step_bound=2) for e in scenario.checks if e["name"] == "sim"]
+    assert len(sims) == 2
+    for entry in sims:
+        del calls[:]
+        [(params, verdict)] = run_check(scenario, entry, host, paired)
+        assert len(calls) == 1 and verdict.passed
+        assert params["relation"] == entry["relation"]

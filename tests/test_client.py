@@ -23,7 +23,7 @@ from crdt_emu.client import (
     program_to_text,
     prog_terminated,
 )
-from crdt_emu.core import FrozenDict, render_event
+from crdt_emu.core import FrozenDict, intern_scope, render_event
 from crdt_emu.emulation import op_to_st
 from crdt_emu.objects import break_query, gset_op
 from crdt_emu.opsem import OpSystem
@@ -195,10 +195,13 @@ def _env_events(system, witness):
 
 
 @pytest.mark.parametrize("side", ["host", "guest"])
+@intern_scope
 def test_termination_witnesses_replay(side):
     """Over a generated corpus, each terminating witness is an execution of
     the composed system: its environment events replay from the initial
-    configuration, and it ends in a terminated program."""
+    configuration, and it ends in a terminated program.  The witnesses'
+    steps and their replays run in one scope, so their configurations are
+    read over one value index."""
     system = dict(zip(("host", "guest"), env_pair((1, 2))))[side]
     programs = generate_programs((("add", 1), ("add", 2)), ("sum",), 60, 5, seed=3)
     terminating = 0

@@ -41,7 +41,7 @@ from crdt_emu.stsem import (
     st_replica_step,
 )
 from conftest import clock_before, msg, raw_tree
-from reference import delivered, downset, enabled, satisfies_causal_delivery, sent
+from reference import decode, delivered, downset, enabled, satisfies_causal_delivery, sent
 
 import pytest
 
@@ -227,28 +227,43 @@ def test_causal_delivery_in_order(m1, m2):
 # --- bcast ----------------------------------------------------------------------
 
 
-def test_bcast_excludes_sender(m1):
-    roster = ("r1", "r2", "r3", "r4")
-    out = bcast("r3", m1, frozenset(), roster)
-    assert out == {("r1", m1), ("r2", m1), ("r4", m1)}
+def _entries(buffer: int, n: int) -> set:
+    """A buffer's (roster position, value bit) entries."""
+    return {(b % n, b // n) for b in range(buffer.bit_length()) if buffer >> b & 1}
 
 
-def test_bcast_single_replica(m1):
-    assert bcast("r1", m1, frozenset(), ("r1",)) == frozenset()
+def test_bcast_excludes_sender():
+    out = bcast(2, 5, 0, 4)
+    assert _entries(out, 4) == {(0, 5), (1, 5), (3, 5)}
 
 
-def test_bcast_idempotent(m1):
-    roster = ("r1", "r2")
-    once = bcast("r1", m1, frozenset(), roster)
-    assert bcast("r1", m1, once, roster) == once
+def test_bcast_single_replica():
+    assert bcast(0, 5, 0, 1) == 0
 
 
-def test_bcast_by_value_dedups(m1):
-    other = msg("r1", {"r1": 2}, m1.payload)
-    roster = ("r1", "r2")
-    once = bcast("r1", m1, frozenset(), roster, by_value=True)
-    again = bcast("r1", other, once, roster, by_value=True)
-    assert again == once
+def test_bcast_idempotent():
+    once = bcast(0, 3, 0, 2)
+    assert bcast(0, 3, once, 2) == once
+
+
+def test_bcast_skips_held_positions():
+    out = bcast(0, 7, bcast(1, 2, 0, 3), 3, held=0b100)
+    assert _entries(out, 3) == {(0, 2), (2, 2), (1, 7)}
+
+
+@intern_scope
+def test_bcast_by_value_dedups():
+    """On a by-value guest, r2's add of 1 sends the payload r3 already
+    holds from r1's add of 1, so only r1 gets r2's message."""
+    obj = st_to_op(gset_st((1,)))
+    roster = ("r1", "r2", "r3")
+    c0 = initial_config(obj, roster)
+    _, c1 = op_mk_update(obj, roster, c0, 0, 0)
+    e2, c2 = op_mk_update(obj, roster, c1, 1, 0)
+    (m1,) = {m for _, m in decode(OpSystem(obj, roster), c1).buffer}
+    m2 = e2.output.message
+    assert m1.payload == m2.payload and m1 != m2
+    assert decode(OpSystem(obj, roster), c2).buffer == {("r2", m1), ("r3", m1), ("r1", m2)}
 
 
 # --- hash-consing ----------------------------------------------------------------
@@ -271,48 +286,55 @@ def test_mint_gives_the_canonical_clock():
     assert mint("r1", frozenset({a, b}), 3).clock is VectorClock.of({"r2": 1, "r1": 2})
 
 
+@intern_scope
 def test_op_host_and_message_set_guest_mint_one_message():
     obj = gset_op((5, 42))
     host = initial_config(obj, ("r1", "r2"))
-    _, after = op_mk_update(obj, ("r1", "r2"), host, "r1", ("add", 5))
-    (m,) = after.sent
+    _, after = op_mk_update(obj, ("r1", "r2"), host, 0, obj.ops.index(("add", 5)))
+    (m,) = decode(OpSystem(obj, ("r1", "r2")), after).sent
     assert mint("r1", frozenset(), 5) is m
     assert Message.make("r1", VectorClock.of({"r1": 1}), 5) is m
 
 
+@intern_scope
 def test_different_paths_share_maps_clocks_and_events():
     obj = gset_op((5, 42))
     roster = ("r1", "r2")
     c0 = initial_config(obj, roster)
-    ea1, a1 = op_mk_update(obj, roster, c0, "r1", ("add", 5))
-    ea2, a2 = op_mk_update(obj, roster, a1, "r2", ("add", 42))
-    eb1, b1 = op_mk_update(obj, roster, c0, "r2", ("add", 42))
-    eb2, b2 = op_mk_update(obj, roster, b1, "r1", ("add", 5))
+    ea1, a1 = op_mk_update(obj, roster, c0, 0, 0)
+    ea2, a2 = op_mk_update(obj, roster, a1, 1, 1)
+    eb1, b1 = op_mk_update(obj, roster, c0, 1, 1)
+    eb2, b2 = op_mk_update(obj, roster, b1, 0, 0)
     assert a2 is not b2
-    for name in ("states", "buffer", "sent", "delivered", "used_ops"):
+    for name in ("states", "delivered"):
         assert getattr(a2, name) is getattr(b2, name)
+    for name in ("buffer", "sent", "used_ops"):
+        assert getattr(a2, name) == getattr(b2, name)
     assert ea2 is eb1
     assert eb2 is ea1
 
 
+@intern_scope
 def test_different_paths_share_state_based_sets_and_maps():
     obj = gset_st((5, 42))
     roster = ("r1", "r2")
 
     def run(first, second):
         c = initial_config(obj, roster)
-        for r, op in (first, second):
-            _, c = st_mk_update(obj, roster, c, r, op, "separate-send")
-            _, c = st_mk_send(roster, c, r)
-        m = next(m for r, m in c.buffer if r == "r1")
-        _, c = st_mk_deliver(obj, roster, c, "r1", m)
+        for k, j in (first, second):
+            _, c = st_mk_update(obj, roster, c, k, j, "separate-send")
+            _, c = st_mk_send(roster, c, k)
+        v = next(b // 2 for b in range(c.buffer.bit_length()) if c.buffer >> b & 1 and b % 2 == 0)
+        _, c = st_mk_deliver(obj, roster, c, 0, v)
         return c
 
-    a = run(("r1", ("add", 5)), ("r2", ("add", 42)))
-    b = run(("r2", ("add", 42)), ("r1", ("add", 5)))
+    a = run((0, 0), (1, 1))
+    b = run((1, 1), (0, 0))
     assert a is not b
-    for name in ("states", "buffer", "sent", "delivered", "used_ops"):
+    for name in ("states", "delivered"):
         assert getattr(a, name) is getattr(b, name)
+    for name in ("buffer", "sent", "used_ops"):
+        assert getattr(a, name) == getattr(b, name)
     assert a == b and hash(a) == hash(b)
     # the per-replica tuples are the canonical ones of their content
     for t in (a.states, a.delivered):
@@ -320,6 +342,7 @@ def test_different_paths_share_state_based_sets_and_maps():
         assert all(replace_at(t, k, t[k]) is t for k in range(len(roster)))
 
 
+@intern_scope
 def test_every_system_step_is_its_replica_step():
     """The system LTS lifts the replica LTS: each step appends one event of
     one replica r, r's replica step on its old state and the event's input
@@ -353,7 +376,7 @@ def test_every_system_step_is_its_replica_step():
             assert step == (c2.states[k], e.output)
             assert all(c2.states[k2] == c.states[k2] for k2 in range(len(roster)) if k2 != k)
             if e.input.kind == "upd":
-                assert (r, e.input.op) not in c.used_ops
+                assert (r, e.input.op) not in decode(system, c).used_ops
 
 
 def test_plain_constructors_give_equal_values():
@@ -404,7 +427,9 @@ def _tables_empty() -> bool:
 def test_intern_tables_grow_while_a_search_runs():
     """Driving the search generator directly, outside any check, the tables
     keep every value the steps build, the configurations' per-replica
-    tuples, buffers' delivery orders and query events included: they grow
+    tuples, the value index, buffers' delivery orders, downsets, minted
+    clocks, delivery and query events and a by-value guest's payload sets
+    included: they grow
     as nodes are taken.  The G-counter's states are maps, so its search
     grows the FrozenDict table too.  The depth-0 explores before and after
     empty them on return."""
@@ -416,7 +441,9 @@ def test_intern_tables_grow_while_a_search_runs():
     for _ in itertools.islice(search, 50):
         pass
     during = intern_table_sizes()
-    grown = ("FrozenDict", "tuple", "Message", "Event", "delivery_order", "query_step")
+    grown = ("FrozenDict", "tuple", "Message", "Event", "value", "value_bit",
+             "delivery_order", "downset", "mint_clock", "delivery_event", "payloads",
+             "query_step")
     assert all(during[k] > start[k] for k in grown)
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from crdt_emu.checker import explore
-from crdt_emu.core import FrozenDict
+from crdt_emu.core import FrozenDict, intern_scope
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import (
     augment_history_op,
@@ -57,6 +57,7 @@ def test_gcounter_st_basics():
 # --- lattice laws on reachable states --------------------------------------------
 
 
+@intern_scope
 def reachable_states(system, bound):
     graph = explore(system, bound)
     states = []
@@ -129,6 +130,7 @@ def test_augmented_st_update_tags_unique_occurrences():
     assert len(s2[1]) == 2  # distinct occurrence ids
 
 
+@intern_scope
 def test_augmentation_is_conservative():
     """Erasing the history component of an augmented execution replays as a
     legal base-object execution, step for step."""
@@ -200,6 +202,7 @@ def test_query_value_rejects_a_query_outside_the_object():
 # --- concurrent commutation -----------------------------------------------------------
 
 
+@intern_scope
 def test_commutation_on_explored_configs():
     obj = gset_op((1, 2))
     system = OpSystem(obj, ("r1", "r2", "r3"))
@@ -209,6 +212,7 @@ def test_commutation_on_explored_configs():
     assert report.pairs_checked > 0
 
 
+@intern_scope
 def test_commutation_vacuous_single_message():
     obj = gset_op((1,))
     system = OpSystem(obj, ("r1", "r2"))
@@ -218,6 +222,7 @@ def test_commutation_vacuous_single_message():
     assert report.pairs_checked == 0
 
 
+@intern_scope
 def test_commutation_via_st_to_op_guest():
     from crdt_emu.emulation import st_to_op
 

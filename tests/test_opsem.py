@@ -6,8 +6,11 @@ from crdt_emu.checker import explore
 from crdt_emu.core import (
     Input,
     VectorClock,
+    downset_bits,
     happens_before,
     initial_config,
+    intern_scope,
+    value_bit,
 )
 from crdt_emu.emulation import st_to_op
 from crdt_emu.objects import IDENTITY_VALUE, gset_op, gset_st
@@ -19,7 +22,7 @@ from crdt_emu.opsem import (
     op_replica_step,
 )
 from conftest import clock_before, msg, raw_tree
-from reference import by_replica, clock_join, clock_tick, satisfies_causal_delivery
+from reference import by_replica, clock_join, clock_tick, decode, satisfies_causal_delivery
 
 import pytest
 
@@ -78,12 +81,13 @@ def test_init_states_and_successors():
     assert len(updates) == 2 * 2  # |roster| * |op universe|
 
 
+@intern_scope
 def test_update_broadcasts_to_other_replicas():
     obj = gset_op((5, 42))
     system = OpSystem(obj, ("r1", "r2"))
     e, c = system.steps(system.init())[0]
     assert e.input.op == ("add", 5)
-    (dest, m), = c.buffer
+    (dest, m), = decode(system, c).buffer
     assert dest == "r2" and m.payload == 5
 
 
@@ -145,12 +149,13 @@ def test_prop_3_7_causal_sweep():
         assert satisfies_causal_delivery(graph.path(i) + (e,))
 
 
+@intern_scope
 def test_buffer_conservation_and_sent_growth():
     obj = gset_op((1, 2))
     system = OpSystem(obj, ("r1", "r2"))
     graph = explore(system, 5)
     for i, e, j in graph.edges:
-        pre, post = graph.nodes[i], graph.nodes[j]
+        pre, post = decode(system, graph.nodes[i]), decode(system, graph.nodes[j])
         assert pre.sent <= post.sent
         if e.obs_key() is None:
             removed = pre.buffer - post.buffer
@@ -158,6 +163,7 @@ def test_buffer_conservation_and_sent_growth():
             assert post.buffer <= pre.buffer
 
 
+@intern_scope
 def test_concurrent_delivery_diamond():
     obj = gset_op((1, 2))
     system = OpSystem(obj, ("r1", "r2", "r3"))
@@ -196,20 +202,23 @@ def test_reliable_only_violates_causal_delivery_somewhere():
     assert any(not satisfies_causal_delivery(graph.path(i)) for i in range(len(graph.nodes)))
 
 
+@intern_scope
 def test_downsets_are_downward_closed_on_reachable_traces():
-    from crdt_emu.core import downset_of, happens_before
-
     system = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"))
     graph = explore(system, 6)
-    for cfg in graph.nodes:
-        for m in cfg.sent:
-            ds = downset_of(m, cfg.sent)
-            for m1 in cfg.sent:
-                for m2 in ds:
-                    if happens_before(m1, m2):
-                        assert m1 in ds
+    for node in graph.nodes:
+        sent_set = decode(system, node).sent
+        for m in sent_set:
+            ds = downset_bits(value_bit(m), node.sent)
+            assert ds & ~node.sent == 0
+            for m1 in sent_set:
+                assert bool(ds >> value_bit(m1) & 1) == (m1 == m or happens_before(m1, m))
+                for m2 in sent_set:
+                    if ds >> value_bit(m2) & 1 and happens_before(m1, m2):
+                        assert ds >> value_bit(m1) & 1
 
 
+@intern_scope
 def test_enabled_delivery_preserves_causal_safety():
     from crdt_emu.core import Event, Input, Output
     from reference import enabled
@@ -219,7 +228,7 @@ def test_enabled_delivery_preserves_causal_safety():
     checked = 0
     for i, cfg in enumerate(graph.nodes):
         t = graph.path(i)
-        for r, m in sorted(cfg.buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
+        for r, m in sorted(decode(system, cfg).buffer, key=lambda rm: (rm[0], rm[1].sort_key())):
             if enabled(r, m, t):
                 extended = t + (Event(r, Input.dlvr(m), Output.none()),)
                 assert satisfies_causal_delivery(extended)
@@ -243,6 +252,7 @@ GATE_SYSTEMS = pytest.mark.parametrize(
 
 
 @GATE_SYSTEMS
+@intern_scope
 def test_delivered_subset_of_sent_on_reachable_traces(system):
     """The stored sent and delivered sets are those of the node's path, and
     sent is the union of the delivered sets: so a configuration's five
@@ -258,8 +268,8 @@ def test_delivered_subset_of_sent_on_reachable_traces(system):
         for r in system.roster:
             assert delivered(r, t) <= s
             assert by_id[r] == delivered(r, t)
-        assert cfg.sent == s
-        assert cfg.sent == frozenset().union(*by_id.values())
+        assert decode(system, cfg).sent == s
+        assert decode(system, cfg).sent == frozenset().union(*by_id.values())
 
 
 
@@ -314,25 +324,27 @@ def _gate_by_clock_order(system, c, r, m) -> bool:
         return False
     return all(
         (m2.payload if by_value else m2) in dlv
-        for m2 in c.sent
+        for m2 in decode(system, c).sent
         if clock_before(m2.clock, m.clock)
     )
 
 
 @GATE_SYSTEMS
+@intern_scope
 def test_origin_component_gate_agrees_with_happens_before(system):
     """On every buffered (r, m) of every configuration reachable at depth 6,
     the causal gate decides as the definition by the clock order."""
     decided = {True: 0, False: 0}
     for c in explore(system, 6).nodes:
-        for r, m in c.buffer:
+        for r, m in decode(system, c).buffer:
             want = _gate_by_clock_order(system, c, r, m)
             k = system.roster.index(r)
-            assert _delivery_enabled(system.obj, c, k, m, CAUSAL) == want
+            assert _delivery_enabled(system.obj, c, k, value_bit(m), CAUSAL) == want
             decided[want] += 1
     assert decided[True] and decided[False]
 
 
+@intern_scope
 def test_minted_message_follows_from_delivered():
     """On every configuration of the depth-6 graph and the depth-4 raw
     tree, sent is the union of delivered, and each update step at r sends
@@ -349,7 +361,7 @@ def test_minted_message_follows_from_delivered():
         for graph in (explore(system, 6), raw_tree(system, 4)):
             for c in graph.nodes:
                 by_id = by_replica(system, c).delivered
-                assert c.sent == frozenset().union(*by_id.values())
+                assert decode(system, c).sent == frozenset().union(*by_id.values())
                 for e, c2 in system.steps(c):
                     if e.input.kind != "upd":
                         continue

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from crdt_emu.checker import explore
-from crdt_emu.core import Input, initial_config
+from crdt_emu.core import Input, initial_config, intern_scope
 from crdt_emu.emulation import op_to_st
 from crdt_emu.objects import gset_op, gset_st, st_leq
 from crdt_emu.stsem import (
@@ -9,7 +9,7 @@ from crdt_emu.stsem import (
     StSystem,
     st_replica_step,
 )
-from reference import by_replica
+from reference import by_replica, decode
 
 
 def guest():
@@ -41,6 +41,7 @@ def test_replica_step_delivery_merges():
     assert obj.query("sum", s2) == 47
 
 
+@intern_scope
 def test_ex_2_4_script_single_merged_state():
     obj = guest()
     system = StSystem(obj, ("r1", "r2"))
@@ -50,7 +51,7 @@ def test_ex_2_4_script_single_merged_state():
     c = next(
         c2 for e, c2 in system.steps(c) if e.input.kind == "none" and e.replica == "r1"
     )
-    entries = list(c.buffer)
+    entries = list(decode(system, c).buffer)
     assert len(entries) == 1
     r, payload = entries[0]
     assert r == "r2" and len(payload) == 2
@@ -72,6 +73,7 @@ def test_deliver_dedups_identical_state_value():
     )
 
 
+@intern_scope
 def test_atomic_mode_broadcasts_within_update():
     obj = guest()
     system = StSystem(obj, ("r1", "r2"), mode=ATOMIC_BROADCAST)
@@ -80,7 +82,7 @@ def test_atomic_mode_broadcasts_within_update():
         (e, c2) for e, c2 in system.steps(c) if e.input.kind == "upd" and e.input.op == ("add", 5)
     )
     assert e.obs_key() is not None
-    (dest, s), = c2.buffer
+    (dest, s), = decode(system, c2).buffer
     assert dest == "r2"
     assert obj.query("sum", s) == 5
     assert e.output.kind == "send"
@@ -94,6 +96,7 @@ def test_atomic_mode_has_no_silent_sends():
             assert e.input.kind == "dlvr"
 
 
+@intern_scope
 def test_send_leaves_state_unchanged_and_deliver_removes_one_entry():
     system = StSystem(guest(), ("r1", "r2"))
     graph = explore(system, 5)
@@ -102,9 +105,10 @@ def test_send_leaves_state_unchanged_and_deliver_removes_one_entry():
         if e.input.kind == "none":
             assert pre.states == post.states
         if e.input.kind == "dlvr":
-            assert len(pre.buffer - post.buffer) == 1
+            assert len(decode(system, pre).buffer - decode(system, post).buffer) == 1
 
 
+@intern_scope
 def test_states_monotone_along_executions():
     obj = guest()
     system = StSystem(obj, ("r1", "r2"))
