@@ -1,10 +1,10 @@
 """Bounded checking of the paired CRDT transition systems.
 
 One breadth-first search, ``breadth_first``, walks a single system's
-configurations to a step bound.  ``explore`` drains it into a ``Graph``, and
-the causal-safety sweep stops it at the first violating step; the
-convergence and commutation sweeps and the weak-trace sets read the graph.
-Each sweep ends in a pass or a counterexample.
+configurations to a step bound and yields each node's steps.  The
+causal-safety sweep and the weak-trace sets read the steps as they come;
+``explore`` alone keeps them, as a ``Graph``'s edges, for the convergence
+and commutation sweeps.  Each sweep ends in a pass or a counterexample.
 
 The checker decides membership in the candidate simulation relations, and
 verifies weak simulations and the weak bisimulation by playing one matching
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .core import (
@@ -143,20 +142,20 @@ def render_label(e: Event) -> dict:
 
 @dataclass
 class Graph:
-    """Configurations in breadth-first order with their depths, every step
-    taken between them as (from index, event, to index), and for each node
-    the index of the edge that first reached it (-1 for the initial node)."""
+    """Configurations in breadth-first order with their depths, the (node,
+    event) step that first reached each (None for the initial node) and,
+    filled by ``explore`` alone, every step between them as (i, event, j)."""
 
     nodes: list = field(default_factory=list)
     edges: list[tuple[int, Event, int]] = field(default_factory=list)
     depths: list[int] = field(default_factory=list)
-    parents: list[int] = field(default_factory=list)
+    parents: list[tuple[int, Event] | None] = field(default_factory=list)
 
     def path(self, i: int) -> tuple[Event, ...]:
         """The events of the path that first reached node i, oldest first."""
         events = []
-        while (k := self.parents[i]) >= 0:
-            i, e, _ = self.edges[k]
+        while (step := self.parents[i]) is not None:
+            i, e = step
             events.append(e)
         events.reverse()
         return tuple(events)
@@ -170,52 +169,52 @@ class Graph:
         }
 
 
-def breadth_first(system, step_bound: int, graph: Graph) -> Iterator[int]:
+def breadth_first(system, step_bound: int, graph: Graph) -> Iterator[tuple[int, list]]:
     """The one search over a single system: breadth-first over the
-    configurations reachable within step_bound steps, filling graph, with
-    equal configurations one node.  Each node's index is yielded as the node
-    is taken, before it is expanded, so a caller that stops iterating stops
-    the search.  The finished graph holds every configuration reachable
-    within the bound and every step out of each one below it, so a property
-    of one configuration or of one step is decided on it exactly.  A node's
-    history is the path that first reached it (``Graph.path``).  A step
-    whose successor is its source object, as every query step's is
-    (``core.query_step``), is recorded as the self-loop (i, e, i) without
-    hashing the configuration; any other successor is looked up in the key
-    table, so a step back to an equal configuration is a self-loop too."""
+    configurations reachable within step_bound steps, filling graph's
+    nodes, depths and parents but no edge, with equal configurations one
+    node.  Once node i is expanded it yields (i, steps), its steps as
+    (i, event, j) triples, empty at the bound.  Nodes come once each, in
+    index order, so a property of one configuration or of one step is
+    decided as the search makes it, and a caller that stops iterating stops
+    the search.  A step whose successor is its source object, as every
+    query step's is (``core.query_step``), is the self-loop (i, e, i)
+    without hashing the configuration; any other successor is looked up in
+    the key table, so a step back to an equal configuration is one too."""
     if step_bound < 0:
         raise ValueError("breadth_first: negative step bound")
-    nodes, edges, depths, parents = graph.nodes, graph.edges, graph.depths, graph.parents
+    nodes, depths, parents = graph.nodes, graph.depths, graph.parents
     init = system.init()
     nodes.append(init)
     depths.append(0)
-    parents.append(-1)
+    parents.append(None)
     keys = {init: 0}
     i = 0
     while i < len(nodes):  # the nodes list is the queue
-        yield i
+        steps = []
         if depths[i] < step_bound:
             c = nodes[i]
             for e, c2 in system.steps(c):
                 if c2 is c:  # a stuttering step, such as a query: no lookup
-                    edges.append((i, e, i))
+                    steps.append((i, e, i))
                     continue
                 j = keys.setdefault(c2, len(nodes))
                 if j == len(nodes):
                     nodes.append(c2)
                     depths.append(depths[i] + 1)
-                    parents.append(len(edges))
-                edges.append((i, e, j))
+                    parents.append((i, e))
+                steps.append((i, e, j))
+        yield i, steps
         i += 1
 
 
 @intern_scope
 def explore(system, step_bound: int) -> Graph:
     """All configurations reachable within step_bound steps, with the steps
-    between them."""
+    between them: the one walk that keeps an edge list."""
     graph = Graph()
-    for _ in breadth_first(system, step_bound, graph):
-        pass
+    for _, steps in breadth_first(system, step_bound, graph):
+        graph.edges += steps
     return graph
 
 
@@ -1111,33 +1110,31 @@ def check_weak_bisimulation(
 # --- weak traces ------------------------------------------------------------------
 
 
+@intern_scope
 def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
     """All observable label sequences of length <= max_len realizable within
-    step_bound raw steps.  A negative max_len, or one above step_bound,
-    raises ValueError.
+    step_bound raw steps.  A negative step_bound or max_len, or a max_len
+    above step_bound, raises ValueError.
 
-    Computed over the graph, one node per distinct configuration; a node is
-    unexpanded only at graph depth step_bound, where no raw budget can
+    Computed over ``breadth_first``, one node per distinct configuration; a
+    node is unexpanded only at depth step_bound, where no raw budget can
     remain on any path, so merging equal configurations loses no traces.
-    Only the observable label and target of each edge are kept, and the
-    graph goes once they are read.  The suffix set of each (node, budget)
+    Only each step's observable label and target are kept, in node i's
+    entry of an adjacency list.  The suffix set of each (node, budget)
     pair is an int bitset over one index of the traces this call has met
     (``_TraceIndex``): a silent edge adds its target's set with ``|``, and
     prepending a label is done once per (label, set).  Only the initial
     node's set is decoded into traces."""
+    if step_bound < 0:
+        raise ValueError("weak_traces: negative step bound")
     if max_len < 0:
         raise ValueError("weak_traces: negative max_len")
     if max_len > step_bound:
         raise ValueError("weak_traces: max_len exceeds step_bound")
-    graph = explore(system, step_bound)
-    labels: dict = {}  # one tuple per observable label, shared by its edges
-    adj: dict[int, list] = {}
-    for i, e, j in graph.edges:
-        obs = e.obs_key()
-        if obs is not None:
-            obs = labels.setdefault(obs, obs)
-        adj.setdefault(i, []).append((obs, j))
-    del graph
+    labels: dict = {}  # one tuple per observable label, shared by its steps
+    adj = []
+    for _, steps in breadth_first(system, step_bound, Graph()):
+        adj.append([(labels.setdefault(obs := e.obs_key(), obs), j) for _, e, j in steps])
     index = _TraceIndex(max_len)
     memo: list[dict[int, int]] = [{} for _ in range(step_bound + 1)]
     return frozenset(index.members(_suffixes(adj, index, memo, 0, step_bound)))
@@ -1177,7 +1174,7 @@ class _TraceIndex:
         return [t for k, t in enumerate(traces) if trace_set >> k & 1]
 
 
-def _suffixes(adj: dict, index: _TraceIndex, memo: list, i: int, budget: int) -> int:
+def _suffixes(adj: list, index: _TraceIndex, memo: list, i: int, budget: int) -> int:
     """The set of observable label sequences of length <= max_len from node
     i within budget raw steps, as a bitset over index; memo[budget] is the
     caller's, keyed by node.  A depth-first walk over (node, budget) with an
@@ -1187,7 +1184,7 @@ def _suffixes(adj: dict, index: _TraceIndex, memo: list, i: int, budget: int) ->
     label of the edge being followed]; edges are followed in adjacency
     order and each target's set is folded in as it is finished, so traces
     are numbered in the same order as by the recursive definition."""
-    stack = [[i, budget, iter(adj.get(i, ()) if budget > 0 else ()), 1, None]]
+    stack = [[i, budget, iter(adj[i] if budget > 0 else ()), 1, None]]
     while stack:
         frame = stack[-1]
         node, left, edges = frame[0], frame[1], frame[2]
@@ -1195,7 +1192,7 @@ def _suffixes(adj: dict, index: _TraceIndex, memo: list, i: int, budget: int) ->
             sub = memo[left - 1].get(j)
             if sub is None:   # finish j first, then fold it in
                 frame[4] = obs
-                stack.append([j, left - 1, iter(adj.get(j, ()) if left > 1 else ()), 1, None])
+                stack.append([j, left - 1, iter(adj[j] if left > 1 else ()), 1, None])
                 break
             frame[3] |= sub if obs is None else index.prepend(obs, sub)
         else:
@@ -1293,34 +1290,32 @@ def check_causal_safety(system, step_bound: int = 8) -> Verdict:
     """Every trace of at most step_bound steps satisfies causal delivery
     order.  A trace first violates it at one delivery step, and whether a
     step does is a fact of that step and its source configuration
-    (``_inverts``).  So each step is tested as ``breadth_first`` adds it,
-    and the sweep stops at the first violating one.  Steps are added in
-    breadth-first order, so its witness, the path to the step's source and
-    the step, is a shortest violating trace.  The full pairwise definition,
-    ``satisfies_causal_delivery`` in ``tests/reference.py``, is the
-    reference that tests compare this with."""
+    (``_inverts``).  So each step is tested as ``breadth_first`` yields it,
+    and the sweep stops at the first violating one, counting what the
+    search has found by then.  Steps come in breadth-first order, so its
+    witness, the path to the step's source and the step, is a shortest
+    violating trace.  ``satisfies_causal_delivery`` in
+    ``tests/reference.py``, the full pairwise definition, is the reference
+    that tests compare this with."""
     if system.kind != "op":
         raise ValueError("causal safety sweep runs on an op-based system")
     bounds = {"step_bound": step_bound, "discipline": system.discipline}
     graph = Graph()
-    nodes, edges = graph.nodes, graph.edges
     later: dict = {}
-    tested = 0
-    # Each yield follows one node's expansion; the extra pass tests the
-    # steps of the last node expanded.
-    for _ in chain(breadth_first(system, step_bound, graph), (None,)):
-        for i, e, _ in edges[tested:]:
-            if e.input.kind == "dlvr" and _inverts(system.roster, nodes[i], e, later):
-                # the configurations found so far and the steps taken
+    edges = 0
+    for i, steps in breadth_first(system, step_bound, graph):
+        edges += len(steps)
+        c = graph.nodes[i]
+        for _, e, _ in steps:
+            if e.input.kind == "dlvr" and _inverts(system.roster, c, e, later):
                 return Verdict(
                     COUNTEREXAMPLE,
-                    {"states": len(nodes), "edges": len(edges)},
+                    {"states": len(graph.nodes), "edges": edges},
                     bounds,
                     witness={"events": [render_event(x) for x in graph.path(i) + (e,)]},
                     detail="reachable trace violates causal delivery order",
                 )
-        tested = len(edges)
-    return Verdict(PASS, {"states": len(nodes), "edges": len(edges)}, bounds)
+    return Verdict(PASS, {"states": len(graph.nodes), "edges": edges}, bounds)
 
 
 @intern_scope

@@ -386,12 +386,13 @@ def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
     """Whether some execution from cs reaches a terminated program state
     within step_bound steps: a ``breadth_first`` walk of the client system,
     stopped at the first terminated client state it finds.  Each client
-    state is tested when the walk appends it, so no state queued ahead of
-    it is expanded.  Client states are numbered in the order they are
-    found, so that state's index plus one is the number of client states
-    found when it was; with no such state, every client state within the
-    bound is counted.  The witness is the path that first reached it.  A
-    negative bound raises ValueError."""
+    state is tested when the walk yields the node whose expansion found it
+    (the initial one at the first yield), so no state queued ahead of it is
+    expanded; the walk keeps no step.  Client states are numbered in the
+    order they are found, so that state's index plus one is the number of
+    client states found when it was; with no such state, every client
+    state within the bound is counted.  The witness is the path that first
+    reached it.  A negative bound raises ValueError."""
     graph = Graph()
     tested = 0
     for _ in breadth_first(ClientSystem(system, cs), step_bound, graph):
@@ -407,8 +408,8 @@ def _witness(graph: Graph, i: int) -> list[dict]:
     """The client states along the path that first reached node i, after
     the initial one, each with the environment's event into it."""
     witness = []
-    while (edge := graph.parents[i]) >= 0:
-        prev, env_event, _ = graph.edges[edge]
+    while (step := graph.parents[i]) is not None:
+        prev, env_event = step
         node = graph.nodes[i]
         witness.append(
             {

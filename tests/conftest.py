@@ -21,19 +21,20 @@ def raw_tree(system, depth: int) -> Graph:
     """The unpruned tree of system to depth, in breadth-first order: one
     node per path of at most depth steps from the initial configuration, so
     equal configurations reached along different paths are distinct nodes,
-    and every node but the root is the target of exactly its parent edge.
+    and every node but the root is the target of exactly its parent step,
+    kept as (node, event) and as an edge.
     Built by its own loop, not ``checker.breadth_first``, so that tests can
     hold the package's search, which keeps one node per configuration,
     against it."""
     tree = Graph()
     tree.nodes.append(system.init())
     tree.depths.append(0)
-    tree.parents.append(-1)
+    tree.parents.append(None)
     i = 0
     while i < len(tree.nodes):
         if tree.depths[i] < depth:
             for e, c2 in system.steps(tree.nodes[i]):
-                tree.parents.append(len(tree.edges))
+                tree.parents.append((i, e))
                 tree.edges.append((i, e, len(tree.nodes)))
                 tree.nodes.append(c2)
                 tree.depths.append(tree.depths[i] + 1)

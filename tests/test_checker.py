@@ -17,6 +17,7 @@ from crdt_emu.checker import (
     Side,
     _play_obligations,
     attainable_query_values,
+    breadth_first,
     check_causal_safety,
     check_commutation,
     check_strong_convergence,
@@ -154,7 +155,7 @@ def _keyed_bfs(system, step_bound: int) -> checker.Graph:
     g = checker.Graph()
     g.nodes.append(system.init())
     g.depths.append(0)
-    g.parents.append(-1)
+    g.parents.append(None)
     keys = {g.nodes[0]: 0}
     i = 0
     while i < len(g.nodes):
@@ -165,22 +166,37 @@ def _keyed_bfs(system, step_bound: int) -> checker.Graph:
                     j = keys[c2] = len(g.nodes)
                     g.nodes.append(c2)
                     g.depths.append(g.depths[i] + 1)
-                    g.parents.append(len(g.edges))
+                    g.parents.append((i, e))
                 g.edges.append((i, e, j))
         i += 1
     return g
 
 
 @pytest.mark.parametrize("side", ["host", "guest"])
+@intern_scope
 def test_explore_equals_a_search_that_looks_every_successor_up(side):
     """The 2-replica op host and the separate-send state-based guest:
     explore's nodes, depths, parents and edges, query self-loops included,
     are those of a search that dedups every successor through its key
-    table."""
+    table.  Drained into a fresh graph, ``breadth_first`` keeps no edge,
+    yields every node once in index order with steps that concatenate to
+    explore's edges, and gives each node but the root a parent step, one
+    of its parent's yielded steps, one level above it.  The searches run
+    in one scope."""
     system = paired_gset((1, 2)).side(side)
     graph = explore(system, 5)
     assert graph == _keyed_bfs(system, 5)
     assert any(i == j and e.input.kind == "qry" for i, e, j in graph.edges)
+    drained = checker.Graph()
+    yielded = list(breadth_first(system, 5, drained))
+    assert drained.edges == []
+    assert [i for i, _ in yielded] == list(range(len(drained.nodes)))
+    assert [step for _, steps in yielded for step in steps] == graph.edges
+    assert drained.parents[0] is None
+    for j in range(1, len(drained.nodes)):
+        p, e = drained.parents[j]
+        assert (p, e, j) in yielded[p][1]
+        assert drained.depths[j] == drained.depths[p] + 1
 
 
 @intern_scope
@@ -218,7 +234,7 @@ def _replay_mismatches(system, step_bound: int) -> tuple[int, list]:
     graph = explore(system, step_bound)
     replayed = [reference_init(system)]
     for i in range(1, len(graph.nodes)):
-        p, e, _ = graph.edges[graph.parents[i]]
+        p, e = graph.parents[i]
         replayed.append(next(c for e2, c in reference_steps(system, replayed[p]) if e2 == e))
         assert graph.path(i) == graph.path(p) + (e,)
     bad = [i for i, c in enumerate(graph.nodes) if decode(system, c) != replayed[i]]
@@ -1088,7 +1104,8 @@ def test_weak_traces_len_zero():
 
 def test_weak_traces_rejects_a_negative_length():
     """A negative length bound is an error, as one above the step bound is,
-    not an empty check that passes."""
+    not an empty check that passes; a negative step bound is reported as
+    such whatever the length, as explore reports it."""
     p = paired_gset()
     with pytest.raises(ValueError, match="negative max_len"):
         weak_traces(p.host, -1, 4)
@@ -1096,6 +1113,9 @@ def test_weak_traces_rejects_a_negative_length():
         check_trace_equivalence(p, max_len=-1, step_bound=4)
     with pytest.raises(ValueError, match="exceeds step_bound"):
         weak_traces(p.host, 5, 4)
+    for max_len in (-1, 0):
+        with pytest.raises(ValueError, match="negative step bound"):
+            weak_traces(p.host, max_len, -1)
 
 
 def test_weak_traces_past_the_recursion_limit():
@@ -1218,6 +1238,19 @@ def _witness_events(system, rendered: list[dict]) -> list[Event]:
     return events
 
 
+@intern_scope
+def _explore_counts_through(system, bound: int, events=None) -> dict:
+    """The nodes and edges of ``explore(system, bound)`` once the node that
+    events reach from the initial configuration is expanded (the last node
+    when events is None): the nodes up to the highest one reached by then,
+    and the edges out of that node and every node before it.  Explore and
+    replay run in one scope."""
+    graph = explore(system, bound)
+    k = len(graph.nodes) - 1 if events is None else graph.nodes.index(system.replay(events))
+    targets = [j for i, _, j in graph.edges if i <= k]
+    return {"states": max([k, *targets]) + 1, "edges": len(targets)}
+
+
 @pytest.mark.parametrize("discipline", ["causal", RELIABLE_ONLY])
 @pytest.mark.parametrize(
     "make_obj, roster",
@@ -1233,10 +1266,11 @@ def _witness_events(system, rendered: list[dict]) -> list[Event]:
 def test_causal_safety_matches_the_definition_on_the_raw_tree(make_obj, roster, discipline):
     """At bounds 3 to 5, the sweep gives the outcome of the definition on
     the raw tree, and a witness of the shortest violating length that
-    replays, with only its last event breaking causal order.  The
-    reliable-only G-set of (1, 2) at bound 4 is the case a sweep that tests
-    only the first path into each configuration passes: its 4-event
-    violation reaches its configuration over a non-tree edge."""
+    replays, with only its last event breaking causal order.  Its counts
+    are explore's nodes and edges up to and including the violating step's
+    source node, or all of them on a pass.  The reliable-only G-set of (1, 2) at bound 4 is the case
+    a sweep that tests only the first path into each configuration passes:
+    its 4-event violation reaches its configuration over a non-tree edge."""
     system = OpSystem(make_obj(), roster, discipline=discipline)
     shortest = _shortest_causal_violation(system, 5)
     assert (shortest is None) == (discipline == "causal")
@@ -1244,6 +1278,7 @@ def test_causal_safety_matches_the_definition_on_the_raw_tree(make_obj, roster, 
         v = check_causal_safety(system, bound)
         if shortest is None or len(shortest) > bound:
             assert v.passed
+            assert v.stats == _explore_counts_through(system, bound)
             continue
         assert v.outcome == "counterexample"
         events = _witness_events(system, v.witness["events"])
@@ -1251,6 +1286,7 @@ def test_causal_safety_matches_the_definition_on_the_raw_tree(make_obj, roster, 
         system.replay(events)
         assert satisfies_causal_delivery(events[:-1])
         assert not satisfies_causal_delivery(events)
+        assert v.stats == _explore_counts_through(system, bound, events[:-1])
 
 
 def test_causal_safety_depth_zero():

@@ -248,7 +248,7 @@ def test_search_stops_where_the_terminated_state_is_found(side, monkeypatch):
     found = t.states_explored - 1
     terminated = [i for i, c in enumerate(graph.nodes) if prog_terminated(c.prog, c.store)]
     assert terminated[0] == found
-    parent = graph.edges[graph.parents[found]][0]
+    parent, _ = graph.parents[found]
     assert len(calls) == parent + 1 < found
 
 

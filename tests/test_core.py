@@ -28,6 +28,7 @@ from crdt_emu.checker import (
     check_strong_convergence,
     check_weak_simulation,
     explore,
+    weak_traces,
 )
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import gcounter_st, gset_op, gset_st
@@ -450,11 +451,14 @@ def test_intern_tables_grow_while_a_search_runs():
 
 
 def test_intern_tables_are_empty_after_a_check_returns():
-    """The tables hold their values for one check: after explore and after a
-    simulation check return, every table is empty, though the returned
-    graph and verdict still hold values the check built."""
+    """The tables hold their values for one check: after explore, after a
+    weak trace set and after a simulation check return, every table is
+    empty, though the returned graph, traces and verdict still hold values
+    the check built."""
     graph = explore(OpSystem(gset_op((5, 42)), ("r1", "r2")), 5)
     assert len(graph.nodes) > 1 and _tables_empty()
+    traces = weak_traces(OpSystem(gset_op((5, 42)), ("r1", "r2")), 2, 5)
+    assert len(traces) > 1 and _tables_empty()
     obj, roster = gset_op((5, 42)), ("r1", "r2")
     paired = PairedSystem(OpSystem(obj, roster), StSystem(op_to_st(obj), roster))
     assert check_weak_simulation(paired, "R1", step_bound=5).passed
