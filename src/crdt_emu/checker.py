@@ -38,6 +38,7 @@ from .core import (
     entry_bit,
     happens_before,
     intern_scope,
+    join,
     mask_of,
     op_bit,
     query_step,
@@ -573,13 +574,13 @@ class Relation:
         obj: StObject = self.paired.host.obj  # type: ignore[assignment]
         payloads = self._payloads_by_replica(op_c)
         for k, v in entries(st_c.buffer, self.n):
-            target = obj.join(st_c.states[k], VALUES[v])
+            target = join(obj, st_c.states[k], VALUES[v])
             if target == st_c.states[k]:
                 continue
             acc = op_c.states[k]
             for p in payloads.get(k, ()):
                 if st_leq(obj, p, target):
-                    acc = obj.join(acc, p)
+                    acc = join(obj, acc, p)
                     if acc == target:
                         break
             else:
@@ -676,7 +677,7 @@ def constructive_match(rel: Relation, defender, key, b_cfg) -> list[Step] | None
     obj: StObject = rel.paired.host.obj  # type: ignore[assignment]
     below = 0
     for k2, v in entries(b_cfg.buffer, len(D.roster)):
-        if k2 == k and obj.join(x, VALUES[v].payload) == x:
+        if k2 == k and join(obj, x, VALUES[v].payload) == x:
             below |= 1 << v
     return _op_deliver_chain(D, b_cfg, k, below, lambda c: c.states[k] == x)
 
@@ -699,7 +700,7 @@ def _move_key(rel: Relation, defender, a_cfg, event):
         return ("dlvr", r, rel.message_mask(m))
     if defender.kind == "st":
         return ("dlvr", r, value_bit(m.payload))
-    return ("dlvr", r, rel.paired.host.obj.join(a_cfg.states[rel.roster.index(r)], m))
+    return ("dlvr", r, join(rel.paired.host.obj, a_cfg.states[rel.roster.index(r)], m))
 
 
 _UNASKED = object()   # a move key absent from an answer memo

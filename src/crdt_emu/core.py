@@ -28,10 +28,15 @@ again is a table hit.  A system step is labelled by its event alone
 more tables keep what the steps derive from those values: a buffer's
 delivery order (``delivery_order``), a message's downset in a sent set
 (``downset_bits``), the clock a replica mints from a delivered set
-(``mint_from``), a delivery's or state-based send's event
-(``delivery_event``, ``send_event``) and a query's
-event per (object, replica, query, replica state) (``query_step``), so
-none is recomputed for every successor.  Every table's lifetime is one
+(``mint_from``) and a delivery's or state-based send's event
+(``delivery_event``, ``send_event``), so none is recomputed for every
+successor.  The transition table (``TRANSITIONS``) keeps what a replica
+transition gives, a function of the object, the replica, its input and its
+state: a query's event (``query_step``), an update's and an op-based
+delivery's new state, which the rules of ``opsem`` and ``stsem`` look up
+before they fire the replica step, and the lattice joins (``join``) that a
+state-based delivery, the Q1 clause and the matchers read.  So a check
+fires each replica transition once.  Every table's lifetime is one
 check: every check, ``explore`` and library search runs inside
 ``intern_scope``, which also pauses the cyclic garbage collector, and when
 the outermost scope exits every table is emptied, the value index
@@ -79,17 +84,29 @@ VALUES: list = []
 # bit, sent set) -> the message's downset there (``downset_bits``),
 # (replica, consumed set) -> the clock it mints with (``mint_from``),
 # (replica, value bit) -> the delivery's event (``delivery_event``) and a
-# state-based send's (``send_event``), a
-# message set -> its messages' payloads (``payloads``), and
-# (object, replica, query, replica state) -> the query's event
-# (``query_step``).
+# state-based send's (``send_event``), and a message set -> its messages'
+# payloads (``payloads``).
 _DELIVERY_ORDERS: dict = {}
 _DOWNSETS: dict = {}
 _MINT_CLOCKS: dict = {}
 _DELIVERY_EVENTS: dict = {}
 _SEND_EVENTS: dict = {}
 _PAYLOAD_SETS: dict = {}
-_QUERY_EVENTS: dict = {}
+# The transition table: what a replica transition gives, a function of the
+# object, the replica, its input and its state, fired once per check scope.
+# The input is a query id, an op or a delivery's ``Input``, three types that
+# never compare equal:
+#   (object, replica, query id, state) -> the query's event (``query_step``);
+#   (object, replica, op, state) -> an op-based update's new state, payload
+#     and input; its message is minted per step (``opsem.op_mk_update``);
+#   (object, replica, op, state, mode) -> a state-based update's new state
+#     and event, which sends the state in atomic mode (``stsem.st_mk_update``);
+#   (object, replica, input, state) -> an op-based delivery's new state
+#     (``opsem.op_mk_deliver``);
+#   (object, a, b) -> a ⊔ b (``join``), a state-based delivery's new state.
+# Every key holds its object: host and guest share states and value bits in
+# one scope.
+TRANSITIONS: dict = {}
 
 _TABLES = {
     "FrozenDict": _FROZEN_DICTS,
@@ -107,7 +124,7 @@ _TABLES = {
     "delivery_event": _DELIVERY_EVENTS,
     "send_event": _SEND_EVENTS,
     "payloads": _PAYLOAD_SETS,
-    "query_step": _QUERY_EVENTS,
+    "transition": TRANSITIONS,
 }
 
 # Interpretation results of ``emulation.interp``: op object -> {message set:
@@ -488,8 +505,9 @@ class Config(NamedTuple):
     state by replica id.  It holds no history: a step is an (event,
     configuration) pair, and a search that reports a path keeps the events
     along it.  A configuration is its own dedup, cache and pair key.  The
-    update and delivery rules of both semantics fire the replica step and
-    store its new state; queries go through ``query_step``.
+    update and delivery rules of both semantics store the new state of the
+    replica step, read from the transition table (``TRANSITIONS``); queries
+    go through ``query_step``.
 
     The four sets are int bitsets over the check scope's value index
     (``value_bit``), so a configuration only means something inside the
@@ -540,15 +558,34 @@ def query_step(
     """The query rule of both semantics: r answers q from its state, read at
     r's position in roster, and the configuration stays c itself, so a
     search records the step as a self-loop without looking c up.  The
-    event is a function of (obj, r, q, r's state); it is built and the query
-    evaluated once per check scope, and every later step from an equal state
-    is a table hit."""
+    event is a function of (obj, r, q, r's state), kept in the transition
+    table: it is built and the query evaluated once per check scope, and
+    every later step from an equal state is a table hit."""
     s = c.states[roster.index(r)]
     key = (obj, r, q, s)
-    e = _QUERY_EVENTS.get(key)
+    e = TRANSITIONS.get(key)
     if e is None:
-        e = _QUERY_EVENTS[key] = Event.of(r, Input.qry(q), Output.ret(obj.query(q, s)))
+        e = TRANSITIONS[key] = Event.of(r, Input.qry(q), Output.ret(obj.query(q, s)))
     return (e, c)
+
+
+def join(obj, a, b):
+    """``obj.join(a, b)``, evaluated once per (obj, a, b) per check scope
+    in the transition table.  A state-based delivery is this join, and so
+    are the targets and the order that Q1 and the matchers read, so they
+    share the host's entries.  A join equal to an operand is stored as that
+    operand, so the table keeps no second copy of a state the
+    configurations already hold (a stale delivery's, say)."""
+    key = (obj, a, b)
+    out = TRANSITIONS.get(key)
+    if out is None:
+        out = obj.join(a, b)
+        if out == a:
+            out = a
+        elif out == b:
+            out = b
+        TRANSITIONS[key] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -557,10 +594,11 @@ class System:
     (``steps``) and its delivery discipline or broadcast mode.  A rule
     returns the step as (event, successor configuration); the step's label
     is read off its event (``Event.obs_key``).  The update and delivery
-    rules fire its replica step and take the replica's new state and output
-    from it; the query rule is ``query_step`` and the state-based send emits
-    the current state.  An op-based replica's ``delivered`` set includes its
-    own messages, a state-based replica's does not (see ``Config``).  Each
+    rules take the replica's new state and output from its replica step,
+    fired once per check scope (``TRANSITIONS``); the query rule is
+    ``query_step`` and the state-based send emits the current state.  An
+    op-based replica's ``delivered`` set includes its own messages, a
+    state-based replica's does not (see ``Config``).  Each
     (replica, op) pair fires at most once per execution, which keeps the
     explored space finite and makes operation occurrences unique."""
 
@@ -679,8 +717,8 @@ def delivery_order(roster: tuple[ReplicaId, ...], buffer: int) -> tuple[tuple[in
 def delivery_event(r: ReplicaId, v: int) -> Event:
     """The event of delivering the value of bit v at replica r.  A delivery
     outputs nothing in both semantics, so the event is built once per (r,
-    v) per check scope, and a rule fires its replica step on the event's
-    input."""
+    v) per check scope, and an op-based rule keys its transition by the
+    event's input."""
     key = (r, v)
     e = _DELIVERY_EVENTS.get(key)
     if e is None:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
-from .core import VALUES, FrozenDict, Op, QueryId, ReplicaId, concurrent, delivery_order
+from .core import (
+    VALUES, FrozenDict, Op, QueryId, ReplicaId, concurrent, delivery_order, join,
+)
 
 # Message identity regimes for op-based objects.  "id" is the normal case:
 # messages are distinct as (origin, clock, payload) values, and within one
@@ -52,8 +54,9 @@ class StObject:
 
 
 def st_leq(obj: StObject, a: Any, b: Any) -> bool:
-    """Lattice order induced by join: a <= b iff a ⊔ b = b."""
-    return obj.join(a, b) == b
+    """Lattice order induced by join: a <= b iff a ⊔ b = b, the join read
+    from the check scope's transition table (``core.join``)."""
+    return join(obj, a, b) == b
 
 
 # --- shipped objects ----------------------------------------------------------

@@ -4,10 +4,13 @@ The system semantics has three rule families: updates (prep, self-apply,
 broadcast, all in one observable step), queries (observable, stuttering,
 ``core.query_step``) and deliveries (silent, gated by the causal-delivery
 predicate unless the discipline is relaxed to reliable-only broadcast).  The
-update and delivery rules fire the replica step, ``op_replica_step``, and
-take the replica's new state and output from it, and replace the
-replica's roster position in the configuration's ``states`` and
-``delivered`` tuples (``core.replace_at``).  A replica's ``delivered`` set
+update and delivery rules take the replica's new state from the check
+scope's transition table (``core.TRANSITIONS``), keyed by object, replica,
+op or input and state, and fire the replica step, ``op_replica_step``, only
+on a miss; an update keeps its payload there too and mints its message from
+the replica's delivered set on every step.  They replace the replica's
+roster position in the configuration's ``states`` and ``delivered`` tuples
+(``core.replace_at``).  A replica's ``delivered`` set
 includes the messages its own updates sent and self-applied.  The rules
 take a replica by roster position and an op or message by its position in
 the object's ops or its bit in the scope's value index, and every set of
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import (
+    TRANSITIONS,
     VALUES,
     Config,
     Event,
@@ -96,12 +100,23 @@ def op_mk_update(
     obj: OpObject, roster: tuple[ReplicaId, ...], c: Config, k: int, j: int
 ) -> Step:
     """One OpUpdate rule instance of ``obj.ops[j]`` at roster position k:
-    prep, self-apply, broadcast.  A by-value object buffers no second entry
-    with an equal payload at a destination."""
+    prep, self-apply, broadcast.  The new state and the payload are a
+    function of (obj, replica, op, state), kept in the transition table;
+    the message is minted from the replica's delivered set on every step.
+    A by-value object buffers no second entry with an equal payload at a
+    destination."""
     r = roster[k]
-    i = Input.upd(obj.ops[j])
+    s = c.states[k]
     dlv = c.delivered[k]
-    s2, out = op_replica_step(obj, r, c.states[k], i, dlv)
+    key = (obj, r, obj.ops[j], s)
+    fired = TRANSITIONS.get(key)
+    if fired is None:
+        i = Input.upd(obj.ops[j])
+        s2, out = op_replica_step(obj, r, s, i, dlv)
+        TRANSITIONS[key] = (s2, out.message.payload, i)
+    else:
+        s2, payload, i = fired
+        out = Output.send(mint_from(r, dlv, payload))
     m = out.message
     v = value_bit(m)
     n = len(roster)
@@ -128,12 +143,18 @@ def op_mk_deliver(
     discipline: str = CAUSAL,
 ) -> Step | None:
     """One OpDeliver instance of the message of bit v at roster position k;
-    None when it is not buffered there or the delivery gate blocks it."""
+    None when it is not buffered there or the delivery gate blocks it.  The
+    new state is kept in the transition table by (obj, replica, input,
+    state)."""
     entry = entry_bit(v, k, len(roster))
     if not c.buffer & entry or not _delivery_enabled(obj, c, k, v, discipline):
         return None
     e = delivery_event(roster[k], v)
-    s2, _ = op_replica_step(obj, e.replica, c.states[k], e.input)
+    s = c.states[k]
+    key = (obj, e.replica, e.input, s)
+    s2 = TRANSITIONS.get(key)
+    if s2 is None:
+        s2 = TRANSITIONS[key] = op_replica_step(obj, e.replica, s, e.input)[0]
     return e, Config(
         replace_at(c.states, k, s2),
         c.buffer & ~entry,
@@ -152,11 +173,11 @@ def op_system_steps(
     """All rule instances applicable to c, in deterministic order (updates,
     then queries, then deliveries in ``core.delivery_order``).  An update
     already recorded in used_ops does not fire again.  The buffer's order
-    and each query's event come from the check scope's tables, so only the
+    and each transition come from the check scope's tables, so only the
     first configuration with a given buffer sorts it and only the first
-    with a given replica state evaluates a query there; each query step's
-    successor is c itself.  Every delivery still goes through
-    ``op_mk_deliver``."""
+    with a given replica state evaluates a query or fires an update or a
+    delivery there; each query step's successor is c itself.  Every
+    delivery still goes through ``op_mk_deliver``."""
     out: list[Step] = []
     nops = len(obj.ops)
     used = c.used_ops

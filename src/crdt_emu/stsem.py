@@ -6,10 +6,14 @@ bisimulation result).  A sent message is the state itself: a send or
 delivery event carries the state, and the buffer holds (replica, state)
 entries as bits over the scope's value index (``core.Config``), so a union
 deduplicates re-sent equal states and a delivery is deduplicated by the
-state value.  The update and delivery rules fire the replica step,
-``st_replica_step``, and take the replica's new state and output from it,
-replacing the replica's roster position in the configuration's tuples
-(``core.replace_at``); queries are ``core.query_step``.  The rules take a
+state value.  The update rule takes the replica's new state and the event
+from the check scope's transition table (``core.TRANSITIONS``), keyed by
+object, replica, op, state and mode, and fires the replica step,
+``st_replica_step``, only on a miss; a delivery's new state is the join of
+the replica's state with the delivered one, kept in the same table
+(``core.join``).  Both replace the replica's roster position in the
+configuration's tuples (``core.replace_at``); queries are
+``core.query_step``.  The rules take a
 replica by roster position, an op by its position in the object's ops and
 a buffered state by its bit.  A replica's ``delivered`` set holds only the
 states it received, never its own.
@@ -22,6 +26,8 @@ from typing import Any
 
 from .core import (
     OUT_SEND,
+    TRANSITIONS,
+    VALUES,
     Config,
     Event,
     Input,
@@ -33,6 +39,7 @@ from .core import (
     delivery_event,
     delivery_order,
     entry_bit,
+    join,
     op_bit,
     query_step,
     replace_at,
@@ -52,8 +59,9 @@ def st_replica_step(
     """Replica state machine: qry stutters, dlvr merges the delivered state,
     upd applies the inflationary update, and a none input sends the current
     state.  mode is the system's broadcast mode: in atomic mode upd also
-    sends the updated state.  ``st_mk_update`` and ``st_mk_deliver`` fire
-    this step; a state the replica sends is never added to its own
+    sends the updated state.  ``st_mk_update`` fires this step on a miss of
+    the transition table, and ``st_mk_deliver``'s ``core.join`` is its dlvr
+    case; a state the replica sends is never added to its own
     ``delivered`` set, unlike an op-based replica's message."""
     if i.kind == "qry":
         return (s, Output.ret(obj.query(i.query, s)))
@@ -71,16 +79,24 @@ def st_mk_update(
     obj: StObject, roster: tuple[ReplicaId, ...], c: Config, k: int, j: int, mode: str
 ) -> Step:
     """One StUpdate (or StUpdBC in atomic mode) rule instance of
-    ``obj.ops[j]`` at roster position k."""
+    ``obj.ops[j]`` at roster position k.  Its new state and event are a
+    function of (obj, replica, op, state) and the mode, in which the update
+    sends the new state or not; they are kept in the transition table."""
     r = roster[k]
-    i = Input.upd(obj.ops[j])
-    s2, out = st_replica_step(obj, r, c.states[k], i, mode)
-    if out.kind == OUT_SEND:
+    s = c.states[k]
+    key = (obj, r, obj.ops[j], s, mode)
+    fired = TRANSITIONS.get(key)
+    if fired is None:
+        i = Input.upd(obj.ops[j])
+        s2, out = st_replica_step(obj, r, s, i, mode)
+        fired = TRANSITIONS[key] = (s2, Event.of(r, i, out))
+    s2, e = fired
+    if e.output.kind == OUT_SEND:
         v = value_bit(s2)
         buffer, sent = bcast(k, v, c.buffer, len(roster)), c.sent | 1 << v
     else:
         buffer, sent = c.buffer, c.sent
-    return Event.of(r, i, out), Config(
+    return e, Config(
         replace_at(c.states, k, s2),
         buffer,
         sent,
@@ -107,15 +123,16 @@ def st_mk_deliver(
 ) -> Step | None:
     """One StDeliver instance of the state of bit v buffered for roster
     position k; None when it is not buffered there or the dedup premise
-    blocks it (the replica has delivered an equal state)."""
+    blocks it (the replica has delivered an equal state).  The new state is
+    the replica's state joined with the delivered one (``core.join``), so
+    deliveries share the transition table's join entries with the
+    relation clauses and matchers that read the host's join."""
     entry = entry_bit(v, k, len(roster))
     dlv = c.delivered[k]
     if not c.buffer & entry or dlv >> v & 1:
         return None
-    e = delivery_event(roster[k], v)
-    s2, _ = st_replica_step(obj, e.replica, c.states[k], e.input)
-    return e, Config(
-        replace_at(c.states, k, s2),
+    return delivery_event(roster[k], v), Config(
+        replace_at(c.states, k, join(obj, c.states[k], VALUES[v])),
         c.buffer & ~entry,
         c.sent,
         replace_at(c.delivered, k, dlv | 1 << v),
@@ -134,7 +151,7 @@ def st_system_steps(
     ``core.delivery_order``).  An update already recorded in used_ops does
     not fire again.  In atomic mode the update rule broadcasts the
     post-update state itself and there is no separate send rule.  As on
-    op-based systems, the buffer's order and the query events are read from
+    op-based systems, the buffer's order and the transitions are read from
     the check scope's tables, each query step's successor is c itself, and
     every delivery goes through ``st_mk_deliver``."""
     out: list[Step] = []

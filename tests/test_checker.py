@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 from crdt_emu import checker, core
@@ -591,6 +592,35 @@ def test_q1_closed_form_matches_subset_search():
             p, "Q1", explore(host, depth).nodes, explore(guest, depth).nodes
         )
         assert {None} | failing <= verdicts
+
+
+def test_q1_fires_each_host_join_and_update_once():
+    """The host's replica transitions and the lattice joins that Q1 and the
+    matchers read come from the check scope's transition table, so on
+    ``thm-a-2-gcounter``'s Q1 check the host object's join and update,
+    wrapped to count their calls, run once per distinct argument tuple.
+    The guest is the scenario's own, built from the unwrapped object, and
+    keeps its own entries.  The wrapped host gives the same report."""
+    scenario = load_scenario(TESTS.parent / "scenarios/thm-a-2-gcounter.scenario")
+    _, paired = build_systems(scenario)
+    calls = {"join": Counter(), "update": Counter()}
+
+    def counted(name, fire):
+        def wrapper(*args):
+            calls[name][args] += 1
+            return fire(*args)
+        return wrapper
+
+    base = paired.host.obj
+    host_obj = dataclasses.replace(
+        base, join=counted("join", base.join), update=counted("update", base.update))
+    counting = PairedSystem(dataclasses.replace(paired.host, obj=host_obj), paired.guest)
+    verdict = check_weak_simulation(counting, "Q1", step_bound=8)
+    assert verdict.passed
+    assert verdict.to_report() == check_weak_simulation(paired, "Q1", step_bound=8).to_report()
+    for name, per_args in calls.items():
+        assert len(per_args) > 10, name
+        assert set(per_args.values()) == {1}, name
 
 
 def _config_classes(system, depth):

@@ -31,7 +31,14 @@ from crdt_emu.checker import (
     weak_traces,
 )
 from crdt_emu.emulation import op_to_st, st_to_op
-from crdt_emu.objects import gcounter_st, gset_op, gset_st
+from crdt_emu.objects import (
+    augment_history_op,
+    augment_history_st,
+    break_query,
+    gcounter_st,
+    gset_op,
+    gset_st,
+)
 from crdt_emu.opsem import RELIABLE_ONLY, OpSystem, op_mk_update, op_replica_step
 from crdt_emu.stsem import (
     ATOMIC_BROADCAST,
@@ -350,9 +357,15 @@ def test_every_system_step_is_its_replica_step():
     gives its new state and the event's output, no other replica's state
     changes (r's roster position is the only one of ``states`` that
     changes), and an update fires at most once per (replica, op).  Checked
-    on every step of the depth-4 raw trees of eight 2-replica systems."""
+    on every step of the depth-4 raw trees of twelve 2-replica systems,
+    among them the history-augmented objects of the convergence sweep and a
+    broken-query guest, which shares its update and join with its honest
+    twin.  The trees are built outside any check scope, so the rules of all
+    twelve read one transition table, and a key that left out the object
+    would hand one system's transition to another."""
     roster = ("r1", "r2")
     gset, gcounter = gset_st((1, 2)), gcounter_st()
+    message_sets = op_to_st(gset_op((1, 2)))
     systems = [
         OpSystem(gset_op((1, 2)), roster),
         OpSystem(gset_op((1, 2)), roster, discipline=RELIABLE_ONLY),
@@ -360,8 +373,12 @@ def test_every_system_step_is_its_replica_step():
         OpSystem(st_to_op(gcounter), roster),
         StSystem(gset, roster),
         StSystem(gset, roster, mode=ATOMIC_BROADCAST),
-        StSystem(op_to_st(gset_op((1, 2))), roster),
+        StSystem(message_sets, roster),
         StSystem(op_to_st(gset_op((1, 2))), roster, mode=ATOMIC_BROADCAST),
+        StSystem(break_query(message_sets), roster),
+        OpSystem(augment_history_op(gset_op((1, 2))), roster),
+        StSystem(augment_history_st(gset), roster),
+        StSystem(augment_history_st(gset), roster, mode=ATOMIC_BROADCAST),
     ]
     for system in systems:
         graph = raw_tree(system, 4)
@@ -429,8 +446,8 @@ def test_intern_tables_grow_while_a_search_runs():
     """Driving the search generator directly, outside any check, the tables
     keep every value the steps build, the configurations' per-replica
     tuples, the value index, buffers' delivery orders, downsets, minted
-    clocks, delivery and query events and a by-value guest's payload sets
-    included: they grow
+    clocks, delivery events, the transition table and a by-value guest's
+    payload sets included: they grow
     as nodes are taken.  The G-counter's states are maps, so its search
     grows the FrozenDict table too.  The depth-0 explores before and after
     empty them on return."""
@@ -444,7 +461,7 @@ def test_intern_tables_grow_while_a_search_runs():
     during = intern_table_sizes()
     grown = ("FrozenDict", "tuple", "Message", "Event", "value", "value_bit",
              "delivery_order", "downset", "mint_clock", "delivery_event", "payloads",
-             "query_step")
+             "transition")
     assert all(during[k] > start[k] for k in grown)
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
