@@ -27,6 +27,7 @@ from .core import (
     VALUES,
     Config,
     Event,
+    Message,
     QueryId,
     ReplicaId,
     Step,
@@ -389,7 +390,12 @@ class Relation:
     as bitsets over the scope's value index (``core.Config``); a
     message-set guest's states, frozensets of messages, are read as their
     messages' bitsets (``message_mask``).  Its caches are keyed by values
-    and bitsets of one check scope, and the relation lives in one check."""
+    and bitsets of one check scope, and the relation lives in one check.
+    It keeps a cache only where lookups come back to it: a message set's
+    mask, a downset's message-set bit, a sent set's union, and an op
+    buffer's payloads; a guest's states and an op buffer's downset buffer
+    are rebuilt per clause call, since a simulation decides each pair's
+    clause once and almost every pair brings new ones."""
 
     def __init__(self, rel_id: str, paired: PairedSystem):
         sort_a, sort_b, direction = _sorts(rel_id)
@@ -405,12 +411,10 @@ class Relation:
         op_side = paired.host if direction == OP_TO_ST else paired.guest
         self._op_obj: OpObject = op_side.obj  # type: ignore[assignment]
         self._masks: dict = {}
-        self._state_masks_memo: dict = {}
         self._downsets: dict = {}
         self._unions: dict = {}
         self._payloads: dict = {}
         self._payload_buffers: dict = {}
-        self._downset_buffers: dict = {}
 
     def clause(self, a: Config, b: Config) -> str | None:
         if self.id == "R1":
@@ -438,11 +442,7 @@ class Relation:
     def _state_masks(self, st_c: Config) -> tuple:
         """A message-set configuration's states as bitsets, in roster order,
         to compare with an op-based configuration's ``delivered``."""
-        cached = self._state_masks_memo.get(st_c.states)
-        if cached is None:
-            cached = tuple(self.message_mask(h) for h in st_c.states)
-            self._state_masks_memo[st_c.states] = cached
-        return cached
+        return tuple(self.message_mask(h) for h in st_c.states)
 
     def _downset_state(self, v: int, sent: int) -> int:
         """The value bit of the message set that is the downset of the
@@ -466,14 +466,10 @@ class Relation:
     def _downset_buffer(self, op_c: Config) -> int:
         """op_c's buffer with each message replaced by its downset in
         op_c's sent set, a message-set buffer."""
-        key = (op_c.buffer, op_c.sent)
-        cached = self._downset_buffers.get(key)
-        if cached is None:
-            cached = 0
-            for k, v in entries(op_c.buffer, self.n):
-                cached |= entry_bit(self._downset_state(v, op_c.sent), k, self.n)
-            self._downset_buffers[key] = cached
-        return cached
+        out = 0
+        for k, v in entries(op_c.buffer, self.n):
+            out |= entry_bit(self._downset_state(v, op_c.sent), k, self.n)
+        return out
 
     def _payloads_by_replica(self, op_c: Config) -> dict[int, list]:
         """The payloads of op_c's buffer, grouped by destination roster
@@ -1120,8 +1116,9 @@ def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
     Computed over ``breadth_first``, one node per distinct configuration; a
     node is unexpanded only at depth step_bound, where no raw budget can
     remain on any path, so merging equal configurations loses no traces.
-    Only each step's observable label and target are kept, in node i's
-    entry of an adjacency list.  The suffix set of each (node, budget)
+    Only each step's observable label and target are kept: node i's entry
+    of the adjacency list is one flat tuple (label, target, label, target,
+    ...), with no tuple per step.  The suffix set of each (node, budget)
     pair is an int bitset over one index of the traces this call has met
     (``_TraceIndex``): a silent edge adds its target's set with ``|``, and
     prepending a label is done once per (label, set).  Only the initial
@@ -1135,7 +1132,10 @@ def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
     labels: dict = {}  # one tuple per observable label, shared by its steps
     adj = []
     for _, steps in breadth_first(system, step_bound, Graph()):
-        adj.append([(labels.setdefault(obs := e.obs_key(), obs), j) for _, e, j in steps])
+        flat = []
+        for _, e, j in steps:
+            flat += (labels.setdefault(obs := e.obs_key(), obs), j)
+        adj.append(tuple(flat))
     index = _TraceIndex(max_len)
     memo: list[dict[int, int]] = [{} for _ in range(step_bound + 1)]
     return frozenset(index.members(_suffixes(adj, index, memo, 0, step_bound)))
@@ -1182,10 +1182,12 @@ def _suffixes(adj: list, index: _TraceIndex, memo: list, i: int, budget: int) ->
     explicit stack, so a large budget does not reach the recursion limit:
     query steps are self-loops, so a walk may stay at one node for the
     whole budget.  A frame is [node, budget, edge iterator, set so far,
-    label of the edge being followed]; edges are followed in adjacency
-    order and each target's set is folded in as it is finished, so traces
-    are numbered in the same order as by the recursive definition."""
-    stack = [[i, budget, iter(adj[i] if budget > 0 else ()), 1, None]]
+    label of the edge being followed]; the iterator reads the node's flat
+    adjacency tuple in (label, target) pairs.  Edges are followed in
+    adjacency order and each target's set is folded in as it is finished,
+    so traces are numbered in the same order as by the recursive
+    definition."""
+    stack = [[i, budget, _pairs(adj[i] if budget > 0 else ()), 1, None]]
     while stack:
         frame = stack[-1]
         node, left, edges = frame[0], frame[1], frame[2]
@@ -1193,7 +1195,7 @@ def _suffixes(adj: list, index: _TraceIndex, memo: list, i: int, budget: int) ->
             sub = memo[left - 1].get(j)
             if sub is None:   # finish j first, then fold it in
                 frame[4] = obs
-                stack.append([j, left - 1, iter(adj[j] if left > 1 else ()), 1, None])
+                stack.append([j, left - 1, _pairs(adj[j] if left > 1 else ()), 1, None])
                 break
             frame[3] |= sub if obs is None else index.prepend(obs, sub)
         else:
@@ -1204,6 +1206,12 @@ def _suffixes(adj: list, index: _TraceIndex, memo: list, i: int, budget: int) ->
                 obs = parent[4]
                 parent[3] |= out if obs is None else index.prepend(obs, out)
     return out
+
+
+def _pairs(flat: tuple):
+    """The (label, target) pairs of a flat adjacency tuple, in order."""
+    it = iter(flat)
+    return zip(it, it)
 
 
 @intern_scope
@@ -1276,13 +1284,21 @@ def _inverts(roster: tuple[ReplicaId, ...], c: Config, e: Event, later: dict) ->
     core.happens_before orders them.  That set also holds r's own messages,
     but each one's clock joins those r had consumed, so one of them follows
     e's message only if a message r received does.  later is the caller's
-    memo of the bitset of the sent messages that a message happens before,
-    by (message bit, sent set), so the test is one mask test."""
+    memo, one entry per message bit as in ``core.downset_bits``: the bits
+    of the indexed messages that the message happens before, and the index
+    length they cover, extended up to ``c.sent.bit_length()`` when the
+    index has grown.  Read against r's delivered set, a subset of c.sent,
+    the test is one mask test."""
     m = e.input.message
-    key = (value_bit(m), c.sent)
-    after = later.get(key)
-    if after is None:
-        after = later[key] = sum(1 << b for b in bits(c.sent) if happens_before(m, VALUES[b]))
+    v = value_bit(m)
+    after, seen = later.get(v, (0, 0))
+    top = c.sent.bit_length()
+    if seen < top:
+        for b in range(seen, top):
+            m2 = VALUES[b]
+            if isinstance(m2, Message) and happens_before(m, m2):
+                after |= 1 << b
+        later[v] = (after, top)
     return bool(after & c.delivered[roster.index(e.replica)])
 
 

@@ -25,30 +25,32 @@ along different paths share their per-replica tuples, clocks, messages,
 events and maps (a G-counter's states), and an event or clock a step builds
 again is a table hit.  A system step is labelled by its event alone
 (``Event.obs_key``).  Each class has its own table of plain references, and
-more tables keep what the steps derive from those values: a buffer's
-delivery order (``delivery_order``), a message's downset in a sent set
-(``downset_bits``), the clock a replica mints from a delivered set
-(``mint_from``) and a delivery's or state-based send's event
+more tables keep what the steps derive from those values, each entry a
+function of one value or of a small key, never of a whole configuration: a
+value's delivery sort key (``delivery_order``), a message's causal
+predecessors over the value index (``downset_bits``), a payload's
+buffer-layout mask (``held_positions``), the clock a replica mints from a
+delivered set (``mint_from``) and a delivery's or state-based send's event
 (``delivery_event``, ``send_event``), so none is recomputed for every
-successor.  The transition table (``TRANSITIONS``) keeps what a replica
-transition gives, a function of the object, the replica, its input and its
-state: a query's event (``query_step``), an update's and an op-based
-delivery's new state, which the rules of ``opsem`` and ``stsem`` look up
-before they fire the replica step, and the lattice joins (``join``) that a
-state-based delivery, the Q1 clause and the matchers read.  So a check
-fires each replica transition once.  Every table's lifetime is one
-check: every check, ``explore`` and library search runs inside
-``intern_scope``, which also pauses the cyclic garbage collector, and when
-the outermost scope exits every table is emptied, the value index
-included, together with the message-set interpretation memo
-(``INTERP_MEMO``), so a finished check keeps none of its values alive.  So
-an index-form configuration only means something inside the scope that
-built it: code that reads configurations from more than one entry point
-runs them all in one enclosing scope.  Identity is only a speed-up for the
-values themselves: ``__eq__`` and ``__hash__`` stay structural, so values
-that outlive their check (verdicts, witnesses) stay correct against the
-next check's canonical values, and the plain constructors still build
-equal, non-canonical values.
+successor and none is kept once per buffer or per sent set.  The transition
+table (``TRANSITIONS``) keeps what a replica transition gives, a function
+of the object, the replica, its input and its state: a query's event
+(``query_step``), an update's and an op-based delivery's new state, which
+the rules of ``opsem`` and ``stsem`` look up before they fire the replica
+step, and the lattice joins (``join``) that a state-based delivery, the Q1
+clause and the matchers read.  So a check fires each replica transition
+once.  Every table's lifetime is one check: every check, ``explore`` and
+library search runs inside ``intern_scope``, which also pauses the cyclic
+garbage collector, and when the outermost scope exits every table is
+emptied, the value index included, together with the message-set
+interpretation memo (``INTERP_MEMO``), so a finished check keeps none of
+its values alive.  So an index-form configuration only means something
+inside the scope that built it: code that reads configurations from more
+than one entry point runs them all in one enclosing scope.  Identity is
+only a speed-up for the values themselves: ``__eq__`` and ``__hash__`` stay
+structural, so values that outlive their check (verdicts, witnesses) stay
+correct against the next check's canonical values, and the plain
+constructors still build equal, non-canonical values.
 """
 
 from __future__ import annotations
@@ -79,19 +81,21 @@ _TUPLES: dict = {}
 # The value index: value -> its bit, and bit -> value (``value_bit``).
 _VALUE_BITS: dict = {}
 VALUES: list = []
-# Derived facts, looked up as often as the values they come from: (roster,
-# buffer) -> its entries in delivery order (``delivery_order``), (message
-# bit, sent set) -> the message's downset there (``downset_bits``),
-# (replica, consumed set) -> the clock it mints with (``mint_from``),
-# (replica, value bit) -> the delivery's event (``delivery_event``) and a
-# state-based send's (``send_event``), and a message set -> its messages'
-# payloads (``payloads``).
-_DELIVERY_ORDERS: dict = {}
+# Derived facts, looked up as often as the values they come from: value
+# bit -> its delivery sort key (``delivery_order``), message bit -> its
+# causal predecessors and the index length they cover (``downset_bits``),
+# (n, payload) -> the buffer-layout mask of the messages with that payload
+# (``held_positions``), (replica, consumed set) -> the clock it mints with
+# (``mint_from``), (replica, value bit) -> the delivery's event
+# (``delivery_event``) and a state-based send's (``send_event``), and a
+# message set -> its messages' payloads (``payloads``).
+_DELIVERY_KEYS: dict = {}
 _DOWNSETS: dict = {}
 _MINT_CLOCKS: dict = {}
 _DELIVERY_EVENTS: dict = {}
 _SEND_EVENTS: dict = {}
 _PAYLOAD_SETS: dict = {}
+_HELD_MASKS: dict = {}
 # The transition table: what a replica transition gives, a function of the
 # object, the replica, its input and its state, fired once per check scope.
 # The input is a query id, an op or a delivery's ``Input``, three types that
@@ -118,12 +122,13 @@ _TABLES = {
     "tuple": _TUPLES,
     "value_bit": _VALUE_BITS,
     "value": VALUES,
-    "delivery_order": _DELIVERY_ORDERS,
+    "delivery_order": _DELIVERY_KEYS,
     "downset": _DOWNSETS,
     "mint_clock": _MINT_CLOCKS,
     "delivery_event": _DELIVERY_EVENTS,
     "send_event": _SEND_EVENTS,
     "payloads": _PAYLOAD_SETS,
+    "held": _HELD_MASKS,
     "transition": TRANSITIONS,
 }
 
@@ -632,21 +637,28 @@ class System:
 def downset_bits(v: int, sent: int) -> int:
     """The message of bit v together with its causal predecessors among the
     messages of the sent set, as a bitset.  The message and sent must come
-    from one configuration (``happens_before``).  Computed once per (v,
-    sent) per check scope."""
-    key = (v, sent)
-    out = _DOWNSETS.get(key)
-    if out is None:
+    from one configuration (``happens_before``).
+
+    Which messages precede v is a fact of v alone: within one configuration
+    the origin entry of v's clock decides it.  So the table keeps one mask
+    per message, the bits of every indexed message that v's sender had
+    consumed by that rule, together with the index length the mask covers,
+    and the answer is that mask cut down to sent.  Messages of other
+    executions that the mask may hold are never in this sent set.  The
+    mask is extended over the bits the index has added since, up to
+    ``sent.bit_length()``, when a later sent set reaches past it."""
+    pred, seen = _DOWNSETS.get(v, (0, 0))
+    top = sent.bit_length()
+    if seen < top:
         m = VALUES[v]
         past = dict(m.clock.entries)   # the highest seq m's sender had seen
         past[m.origin] = m.seq - 1     # per origin, m's own send taken out
-        out = 1 << v
-        for b in bits(sent):
+        for b in range(seen, top):
             m2 = VALUES[b]
-            if past.get(m2.origin, 0) >= m2.seq:
-                out |= 1 << b
-        _DOWNSETS[key] = out
-    return out
+            if isinstance(m2, Message) and past.get(m2.origin, 0) >= m2.seq:
+                pred |= 1 << b
+        _DOWNSETS[v] = (pred, top)
+    return pred & sent | 1 << v
 
 
 def send_event(r: ReplicaId, v: int) -> Event:
@@ -692,26 +704,44 @@ def bcast(k: int, v: int, buffer: int, n: int, held: int = 0) -> int:
     return buffer | (((1 << n) - 1) & ~(1 << k) & ~held) << (v * n)
 
 
-def _delivery_key(roster: tuple[ReplicaId, ...], entry: tuple[int, int]) -> tuple:
-    k, v = entry
-    x = VALUES[v]
-    return (roster[k], x.sort_key() if isinstance(x, Message) else canon_key(x))
+def held_positions(v: int, buffer: int, n: int) -> int:
+    """The roster positions of n at which buffer holds a message with the
+    payload of the message of bit v, as a position bitset: where a by-value
+    object (``objects.IDENTITY_VALUE``) broadcasts no second copy.  The
+    table keeps one mask per (n, payload), in buffer layout with position
+    0: bit w * n for each message w with that payload.  Each call adds v to
+    its payload's mask, and the by-value update rule calls it with every
+    message it mints before buffering it, so the mask holds every buffered
+    message with that payload, and n mask tests find the positions."""
+    key = (n, VALUES[v].payload)
+    mask = _HELD_MASKS[key] = _HELD_MASKS.get(key, 0) | 1 << (v * n)
+    held = 0
+    for k in range(n):
+        if buffer >> k & mask:
+            held |= 1 << k
+    return held
 
 
-def delivery_order(roster: tuple[ReplicaId, ...], buffer: int) -> tuple[tuple[int, int], ...]:
+def delivery_order(roster: tuple[ReplicaId, ...], buffer: int) -> list[tuple[int, int]]:
     """The entries of a buffer of a system over roster, as (roster position,
     value bit) pairs, in the order both semantics try their deliveries: by
-    destination replica id, then by message, an op-based ``Message`` by its
+    destination replica id, then by value, an op-based ``Message`` by its
     origin and seq, a state-based state by ``canon_key``; never by bit
-    order.  Sorted once per (roster, buffer) per check scope; every later
-    expansion of a configuration with this buffer is a table hit."""
-    key = (roster, buffer)
-    order = _DELIVERY_ORDERS.get(key)
-    if order is None:
-        order = entries(buffer, len(roster))
-        order.sort(key=functools.partial(_delivery_key, roster))
-        order = _DELIVERY_ORDERS[key] = tuple(order)
-    return order
+    order.  The table keeps each value's sort key, built once per value per
+    check scope, and each call sorts the buffer's few entries.  No two
+    entries of one buffer tie: one execution's messages differ in (origin,
+    seq), and ``canon_key`` tells states apart."""
+    n = len(roster)
+    keyed = []
+    for b in bits(buffer):
+        k, v = b % n, b // n
+        key = _DELIVERY_KEYS.get(v)
+        if key is None:
+            x = VALUES[v]
+            key = _DELIVERY_KEYS[v] = x.sort_key() if isinstance(x, Message) else canon_key(x)
+        keyed.append((roster[k], key, k, v))
+    keyed.sort()
+    return [(k, v) for _, _, k, v in keyed]
 
 
 def delivery_event(r: ReplicaId, v: int) -> Event:

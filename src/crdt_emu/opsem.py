@@ -38,8 +38,8 @@ from .core import (
     delivery_event,
     delivery_order,
     downset_bits,
-    entries,
     entry_bit,
+    held_positions,
     mint_from,
     op_bit,
     payloads,
@@ -104,7 +104,7 @@ def op_mk_update(
     function of (obj, replica, op, state), kept in the transition table;
     the message is minted from the replica's delivered set on every step.
     A by-value object buffers no second entry with an equal payload at a
-    destination."""
+    destination (``core.held_positions``)."""
     r = roster[k]
     s = c.states[k]
     dlv = c.delivered[k]
@@ -120,11 +120,7 @@ def op_mk_update(
     m = out.message
     v = value_bit(m)
     n = len(roster)
-    held = 0
-    if obj.message_identity == IDENTITY_VALUE:
-        for k2, v2 in entries(c.buffer, n):
-            if VALUES[v2].payload == m.payload:
-                held |= 1 << k2
+    held = held_positions(v, c.buffer, n) if obj.message_identity == IDENTITY_VALUE else 0
     return Event.of(r, i, out), Config(
         replace_at(c.states, k, s2),
         bcast(k, v, c.buffer, n, held),
@@ -172,12 +168,12 @@ def op_system_steps(
 ) -> list[Step]:
     """All rule instances applicable to c, in deterministic order (updates,
     then queries, then deliveries in ``core.delivery_order``).  An update
-    already recorded in used_ops does not fire again.  The buffer's order
-    and each transition come from the check scope's tables, so only the
-    first configuration with a given buffer sorts it and only the first
-    with a given replica state evaluates a query or fires an update or a
-    delivery there; each query step's successor is c itself.  Every
-    delivery still goes through ``op_mk_deliver``."""
+    already recorded in used_ops does not fire again.  The buffer's
+    values' sort keys and each transition come from the check scope's
+    tables, so only the first configuration with a given replica state
+    evaluates a query or fires an update or a delivery there; each query
+    step's successor is c itself.  Every delivery still goes through
+    ``op_mk_deliver``."""
     out: list[Step] = []
     nops = len(obj.ops)
     used = c.used_ops

@@ -151,8 +151,8 @@ def st_system_steps(
     ``core.delivery_order``).  An update already recorded in used_ops does
     not fire again.  In atomic mode the update rule broadcasts the
     post-update state itself and there is no separate send rule.  As on
-    op-based systems, the buffer's order and the transitions are read from
-    the check scope's tables, each query step's successor is c itself, and
+    op-based systems, the buffer's values' sort keys and the transitions are
+    read from the check scope's tables, each query step's successor is c itself, and
     every delivery goes through ``st_mk_deliver``."""
     out: list[Step] = []
     nops = len(obj.ops)

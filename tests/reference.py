@@ -26,6 +26,10 @@ package; ``reference_init`` is its initial configuration and
 ``parse_events`` rebuilds events from their rendered JSON form, so a
 witness replays from what a report shows.
 
+``scan_downset_bits`` is the downset of a message in a sent set by a scan
+over that set, in index form, to hold ``core.downset_bits``'s lazily
+extended per-message masks against.
+
 ``clock_tick`` and ``clock_join`` build the clock that ``core.mint`` gives
 a message by ticking and joining plain entry maps.
 
@@ -166,6 +170,24 @@ def downset(m: Message, t: Sequence[Event]) -> frozenset[Message]:
     if m not in s:
         raise ValueError(f"downset: message {m.sort_key()} was never sent in this trace")
     return frozenset(m2 for m2 in s if before(m2, m)) | {m}
+
+
+def scan_downset_bits(v: int, sent_bits: int) -> int:
+    """The downset of the message of bit v in the sent set, both read in the
+    scope that built them, by a fresh scan over the sent set: v together
+    with each sent message whose (origin, seq) v's sender had consumed, by
+    the origin component of v's clock.  ``core.downset_bits`` answers from
+    one predecessor mask per message, extended as the value index grows;
+    this is the per-(message, sent set) scan that those masks replace."""
+    m = core.VALUES[v]
+    past = dict(m.clock.entries)
+    past[m.origin] = m.seq - 1
+    out = 1 << v
+    for b in _bit_positions(sent_bits):
+        m2 = core.VALUES[b]
+        if past.get(m2.origin, 0) >= m2.seq:
+            out |= 1 << b
+    return out
 
 
 def enabled(r: ReplicaId, m: Message, t: Sequence[Event]) -> bool:

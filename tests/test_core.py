@@ -5,6 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crdt_emu import core
 from crdt_emu.core import (
     Event,
     FrozenDict,
@@ -445,12 +446,12 @@ def _tables_empty() -> bool:
 def test_intern_tables_grow_while_a_search_runs():
     """Driving the search generator directly, outside any check, the tables
     keep every value the steps build, the configurations' per-replica
-    tuples, the value index, buffers' delivery orders, downsets, minted
-    clocks, delivery events, the transition table and a by-value guest's
-    payload sets included: they grow
-    as nodes are taken.  The G-counter's states are maps, so its search
-    grows the FrozenDict table too.  The depth-0 explores before and after
-    empty them on return."""
+    tuples, the value index, values' delivery sort keys, messages' downset
+    masks, minted clocks, delivery events, the transition table and a
+    by-value guest's payload sets included: they grow as nodes are taken.
+    The G-counter's states are maps, so its search grows the FrozenDict
+    table too.  The depth-0 explores before and after empty them on
+    return."""
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
     search = breadth_first(OpSystem(st_to_op(gcounter_st()), ("r1", "r2")), 5, Graph())
@@ -465,6 +466,30 @@ def test_intern_tables_grow_while_a_search_runs():
     assert all(during[k] > start[k] for k in grown)
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
+
+
+@intern_scope
+def test_derived_tables_keep_one_entry_per_value():
+    """Driving the search inside one scope, the tables of derived facts
+    grow with the values, not with the buffers or sent sets that reach
+    them: at most one downset mask per message, one delivery sort key per
+    value and, on a by-value guest, one held-position mask per payload."""
+    systems = (
+        OpSystem(gset_op((1, 2)), ("r1", "r2", "r3")),
+        StSystem(gset_st((1, 2)), ("r1", "r2", "r3")),
+        OpSystem(st_to_op(gset_st((1, 2))), ("r1", "r2", "r3")),
+    )
+    nodes = 0
+    for system in systems:
+        for _ in breadth_first(system, 6, Graph()):
+            nodes += 1
+    values = core.VALUES
+    messages = [x for x in values if isinstance(x, Message)]
+    sizes = intern_table_sizes()
+    assert nodes > 10 * len(values)
+    assert 0 < sizes["downset"] <= len(messages)
+    assert 0 < sizes["delivery_order"] <= len(values)
+    assert 0 < sizes["held"] <= len({m.payload for m in messages})
 
 
 def test_intern_tables_are_empty_after_a_check_returns():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+from crdt_emu import opsem
 from crdt_emu.checker import explore
 from crdt_emu.core import (
     Input,
@@ -22,7 +23,14 @@ from crdt_emu.opsem import (
     op_replica_step,
 )
 from conftest import clock_before, msg, raw_tree
-from reference import by_replica, clock_join, clock_tick, decode, satisfies_causal_delivery
+from reference import (
+    by_replica,
+    clock_join,
+    clock_tick,
+    decode,
+    satisfies_causal_delivery,
+    scan_downset_bits,
+)
 
 import pytest
 
@@ -203,19 +211,61 @@ def test_reliable_only_violates_causal_delivery_somewhere():
 
 
 @intern_scope
-def test_downsets_are_downward_closed_on_reachable_traces():
-    system = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"))
-    graph = explore(system, 6)
+def _downsets_after_the_search(monkeypatch, system, step_bound: int, first=()) -> int:
+    """Explore system with the values of first already in the value index,
+    in that order, then check downset_bits on every explored node: it
+    equals the scan over the sent set (``scan_downset_bits``) and is
+    downward closed under happens_before.  Each message's predecessor mask
+    was first built by the delivery gate while the search ran, when the
+    index was shorter, so a node whose sent set reaches past a mask's
+    covered length reads it after its lazy extension.  Returns how many
+    answers hold a predecessor at or above the length the gate's first
+    call covered, ones a mask that was never extended would miss."""
+    covered: dict[int, int] = {}
+
+    def first_call_recorded(v, sent):
+        covered.setdefault(v, sent.bit_length())
+        return downset_bits(v, sent)
+
+    monkeypatch.setattr(opsem, "downset_bits", first_call_recorded)
+    for x in first:
+        value_bit(x)
+    graph = explore(system, step_bound)
+    monkeypatch.undo()
+    past_first_mask = 0
     for node in graph.nodes:
         sent_set = decode(system, node).sent
         for m in sent_set:
-            ds = downset_bits(value_bit(m), node.sent)
+            v = value_bit(m)
+            ds = downset_bits(v, node.sent)
+            assert ds == scan_downset_bits(v, node.sent)
+            past_first_mask += v in covered and ds >> covered[v] != 0
             assert ds & ~node.sent == 0
             for m1 in sent_set:
                 assert bool(ds >> value_bit(m1) & 1) == (m1 == m or happens_before(m1, m))
                 for m2 in sent_set:
                     if ds >> value_bit(m2) & 1 and happens_before(m1, m2):
                         assert ds >> value_bit(m1) & 1
+    return past_first_mask
+
+
+def test_downsets_are_downward_closed_on_reachable_traces(monkeypatch):
+    _downsets_after_the_search(monkeypatch, OpSystem(gset_op((1, 2)), ("r1", "r2", "r3")), 6)
+
+
+def test_downset_masks_extend_as_the_value_index_grows(monkeypatch):
+    """With every message indexed before its causal predecessors, as a
+    paired check's guest can index them (a message set's mask is built in
+    set order), a message's first mask misses predecessors of other
+    executions indexed after it; the answers that need them hold only
+    because the mask is extended."""
+    system = OpSystem(gset_op((1, 2)), ("r1", "r2", "r3"))
+    graph = explore(system, 6)
+    messages = {p[1].output.message for p in graph.parents
+                if p and p[1].output.kind == "send"}
+    successors_first = sorted(messages, key=lambda m: (-sum(n for _, n in m.clock.entries),
+                                                       m.sort_key(), m.payload))
+    assert _downsets_after_the_search(monkeypatch, system, 6, successors_first)
 
 
 @intern_scope
