@@ -5,7 +5,6 @@ simulation, trace, convergence and client-cotermination properties."""
 from .core import (
     Config,
     Event,
-    FrozenDict,
     Input,
     Message,
     Output,

@@ -35,7 +35,7 @@ from .checker import (
     explore,
     render_label,
 )
-from .core import VALUES, FrozenDict, System, entries, intern_scope, render
+from .core import VALUES, System, entries, intern_scope, render
 from .emulation import op_to_st, st_to_op
 from .objects import (
     BUILTIN_OBJECTS,
@@ -380,7 +380,7 @@ def _load_program(scenario: Scenario, rel_path: str) -> client.Prog:
 def _run_approx(
     scenario: Scenario, paired: PairedSystem, prog: client.Prog, bound: int
 ) -> dict[str, Verdict]:
-    store = FrozenDict.of(scenario.client_store)
+    store = tuple(sorted(scenario.client_store.items()))
     return {
         "host-to-guest": client.check_approximation(
             paired.host, paired.guest, store, prog, bound, bound

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .checker import BOUND_EXHAUSTED, COUNTEREXAMPLE, PASS, Graph, Verdict, breadth_first
-from .core import Event, FrozenDict, Op, QueryId, intern_scope, render, render_event
+from .core import Event, Op, QueryId, intern_scope, render, render_event
 
 
 # --- expressions ---------------------------------------------------------------
@@ -43,13 +43,13 @@ class Bin:
 Expr = Lit | Var | Bin
 
 
-def eval_expr(e: Expr, store: FrozenDict) -> int:
-    """Total evaluation over naturals; subtraction truncates at zero and
-    comparisons yield 0/1."""
+def eval_expr(e: Expr, store: tuple) -> int:
+    """Total evaluation over naturals against a store (``ClientState``);
+    subtraction truncates at zero and comparisons yield 0/1."""
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Var):
-        return store.get(e.name, 0)
+        return dict(store).get(e.name, 0)
     l = eval_expr(e.left, store)
     r = eval_expr(e.right, store)
     if e.op == "+":
@@ -290,11 +290,11 @@ def program_to_text(p: Prog) -> str:
 @dataclass(frozen=True, slots=True)
 class ClientState:
     env: Any            # op or st configuration
-    store: FrozenDict   # Var -> nat, absent = 0
+    store: tuple        # (var, nat) items sorted by var; absent = 0
     prog: Prog
 
 
-def prog_terminated(p: Prog, store: FrozenDict) -> bool:
+def prog_terminated(p: Prog, store: tuple) -> bool:
     if isinstance(p, Skip):
         return True
     if isinstance(p, While):
@@ -302,17 +302,23 @@ def prog_terminated(p: Prog, store: FrozenDict) -> bool:
     return False
 
 
+def _assign(store: tuple, var: str, v: int) -> tuple:
+    """The store with var set to v, its items still sorted by var."""
+    m = dict(store)
+    m[var] = v
+    return tuple(sorted(m.items()))
+
+
 def _prog_steps(
-    system, env, env_steps: list, store: FrozenDict, p: Prog
-) -> list[tuple[Event | None, Any, FrozenDict, Prog]]:
+    system, env, env_steps: list, store: tuple, p: Prog
+) -> list[tuple[Event | None, Any, tuple, Prog]]:
     """Program-driven successors as (env event, env', store', prog') tuples,
     where the event is None when the environment did not step; excludes the
     environment-only silent rule.  env_steps is system.steps(env)."""
     if isinstance(p, Skip):
         return []
     if isinstance(p, Asn):
-        v = eval_expr(p.expr, store)
-        return [(None, env, store.set(p.var, v), SKIP)]
+        return [(None, env, _assign(store, p.var, eval_expr(p.expr, store)), SKIP)]
     if isinstance(p, While):
         if eval_expr(p.cond, store) == 0:
             return []
@@ -325,7 +331,7 @@ def _prog_steps(
         ]
     if isinstance(p, Qry):
         return [
-            (None, env, store.set(p.var, system.query_value(env, r, p.query)), SKIP)
+            (None, env, _assign(store, p.var, system.query_value(env, r, p.query)), SKIP)
             for r in system.roster
         ]
     if isinstance(p, Seq):
@@ -414,7 +420,7 @@ def _witness(graph: Graph, i: int) -> list[dict]:
         witness.append(
             {
                 "prog": program_to_text(node.prog),
-                "store": {k: render(v) for k, v in node.store.items()},
+                "store": {k: render(v) for k, v in node.store},
                 "env_event": render_event(env_event) if env_event else None,
             }
         )
@@ -427,7 +433,7 @@ def _witness(graph: Graph, i: int) -> list[dict]:
 def check_approximation(
     sys_k,
     sys_l,
-    store: FrozenDict,
+    store: tuple,
     prog: Prog,
     bound_k: int,
     bound_l: int,

@@ -17,17 +17,18 @@ So a step is a few int operations, and values are looked up in the index
 only to build events, to run the object's functions and to render reports.
 
 Values are hash-consed (Filliâtre & Conchon, *Type-safe modular
-hash-consing*, 2006): the factories ``replace_at``,
-``FrozenDict.of``/``FrozenDict.set``, ``VectorClock.make`` (behind ``of``),
-``Message.make``, the ``Input``/``Output`` static constructors and
-``Event.of`` return one object per equal content, so configurations reached
-along different paths share their per-replica tuples, clocks, messages,
-events and maps (a G-counter's states), and an event or clock a step builds
-again is a table hit.  A system step is labelled by its event alone
-(``Event.obs_key``).  Each class has its own table of plain references, and
-more tables keep what the steps derive from those values, each entry a
-function of one value or of a small key, never of a whole configuration: a
-value's delivery sort key (``delivery_order``), a message's causal
+hash-consing*, 2006): the factories ``replace_at``, ``VectorClock.make``
+(behind ``of``), ``Message.make``, the ``Input``/``Output`` static
+constructors and ``Event.of`` return one object per equal content, so
+configurations reached along different paths share their per-replica
+tuples, clocks, messages and events, and an event or clock a step builds
+again is a table hit.  A map (a G-counter's state, a client store) is a
+plain tuple of its (key, value) items sorted by key, so it hashes and
+compares in C and has no table.  A system step is labelled by its event
+alone (``Event.obs_key``).  Each class has its own table of plain
+references, and more tables keep what the steps derive from those values,
+each entry a function of one value or of a small key, never of a whole
+configuration: a value's delivery sort key (``delivery_order``), a message's causal
 predecessors over the value index (``downset_bits``), a payload's
 buffer-layout mask (``held_positions``), the clock a replica mints from a
 delivered set (``mint_from``) and a delivery's or state-based send's event
@@ -71,7 +72,6 @@ QueryId = str
 # a configuration's per-replica tuple is its own key.  Plain dicts: a value
 # stays canonical until the outermost ``intern_scope`` exits and empties
 # every table.
-_FROZEN_DICTS: dict = {}
 _CLOCKS: dict = {}
 _MESSAGES: dict = {}
 _INPUTS: dict = {}
@@ -113,7 +113,6 @@ _HELD_MASKS: dict = {}
 TRANSITIONS: dict = {}
 
 _TABLES = {
-    "FrozenDict": _FROZEN_DICTS,
     "VectorClock": _CLOCKS,
     "Message": _MESSAGES,
     "Input": _INPUTS,
@@ -218,74 +217,6 @@ def intern_scope(search):
                 gc.enable()
 
     return scoped
-
-
-class FrozenDict(Mapping):
-    """Immutable, hashable mapping with deterministic (sorted-key) iteration."""
-
-    __slots__ = ("_map", "_items", "_hash")
-
-    def __init__(self, mapping: Mapping | tuple = ()):
-        m = dict(mapping)
-        self._map = m
-        self._items = tuple(sorted(m.items(), key=lambda kv: kv[0]))
-        self._hash = hash(self._items)
-
-    @staticmethod
-    def _from_sorted(items: tuple) -> "FrozenDict":
-        """The canonical map with these key-sorted items."""
-        return _canon(_FROZEN_DICTS, items, FrozenDict._build, items)
-
-    @staticmethod
-    def _build(items: tuple) -> "FrozenDict":
-        self = FrozenDict.__new__(FrozenDict)
-        self._map = dict(items)
-        self._items = items
-        self._hash = hash(items)
-        return self
-
-    @staticmethod
-    def of(mapping: Mapping) -> "FrozenDict":
-        """The canonical map equal to ``mapping``."""
-        items = tuple(sorted(dict(mapping).items(), key=lambda kv: kv[0]))
-        return FrozenDict._from_sorted(items)
-
-    def __getitem__(self, key):
-        return self._map[key]
-
-    def __iter__(self) -> Iterator:
-        return iter(k for k, _ in self._items)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FrozenDict):
-            return self._hash == other._hash and self._items == other._items
-        return NotImplemented
-
-    def set(self, key, value) -> "FrozenDict":
-        # Items stay sorted; splice without re-sorting.
-        items = self._items
-        for i, (k, _) in enumerate(items):
-            if k == key:
-                return FrozenDict._from_sorted(items[:i] + ((key, value),) + items[i + 1 :])
-            if k > key:
-                return FrozenDict._from_sorted(items[:i] + ((key, value),) + items[i:])
-        return FrozenDict._from_sorted(items + ((key, value),))
-
-    def get(self, key, default=None):
-        return self._map.get(key, default)
-
-    def items(self):
-        return self._items
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k!r}: {v!r}" for k, v in self._items)
-        return "{" + body + "}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -778,8 +709,6 @@ def canon_key(v: Any) -> tuple:
         return (7, tuple(canon_key(x) for x in v))
     if isinstance(v, frozenset):
         return (8, tuple(sorted(canon_key(x) for x in v)))
-    if isinstance(v, FrozenDict):
-        return (9, tuple((k, canon_key(x)) for k, x in v.items()))
     raise TypeError(f"canon_key: unsupported value {v!r}")
 
 
@@ -800,8 +729,6 @@ def render(v: Any) -> Any:
         return [render(x) for x in v]
     if isinstance(v, frozenset):
         return [render(x) for x in sorted(v, key=canon_key)]
-    if isinstance(v, FrozenDict):
-        return {str(k): render(x) for k, x in v.items()}
     raise TypeError(f"render: unsupported value {v!r}")
 
 

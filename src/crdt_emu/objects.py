@@ -4,7 +4,10 @@ An op-based object supplies ``prep``/``effect``/``query`` over message
 payloads; a state-based object supplies ``update``/``join``/``query`` over a
 join-semilattice.  Shipped objects: the grow-only set in both styles and a
 grow-only counter, plus the history-carrying augmentation combinator used by
-the strong-convergence transfer check.
+the strong-convergence transfer check.  States and payloads are plain
+immutable values that hash and compare in C: a grow-only set's state is a
+frozenset, and a G-counter's is a tuple of (replica, count) items sorted by
+replica, which reports render as a list of ``[replica, count]`` pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
 from .core import (
-    VALUES, FrozenDict, Op, QueryId, ReplicaId, concurrent, delivery_order, join,
+    VALUES, Op, QueryId, ReplicaId, concurrent, delivery_order, join,
 )
 
 # Message identity regimes for op-based objects.  "id" is the normal case:
@@ -95,23 +98,31 @@ def gset_st(values: tuple[int, ...] = (5, 42)) -> StObject:
     )
 
 
-def _gcounter_join(a: FrozenDict, b: FrozenDict) -> FrozenDict:
-    m = dict(a.items())
-    for r, n in b.items():
+def _gcounter_join(a: tuple, b: tuple) -> tuple:
+    m = dict(a)
+    for r, n in b:
         m[r] = max(m.get(r, 0), n)
-    return FrozenDict.of(m)
+    return tuple(sorted(m.items()))
+
+
+def _gcounter_inc(r: ReplicaId, op: Op, s: tuple) -> tuple:
+    m = dict(s)
+    m[r] = m.get(r, 0) + 1
+    return tuple(sorted(m.items()))
 
 
 def gcounter_st() -> StObject:
-    """State-based grow-only counter: replica->count maps joined pointwise."""
+    """State-based grow-only counter.  A state maps each replica that has
+    counted to its count, as the tuple of its (replica, count) items sorted
+    by replica; states join pointwise by max."""
     return StObject(
         name="gcounter-st",
-        initial=FrozenDict.of({}),
+        initial=(),
         ops=(("inc",),),
         queries=("sum",),
-        update=lambda r, op, s: s.set(r, s.get(r, 0) + 1),
+        update=_gcounter_inc,
         join=_gcounter_join,
-        query=lambda q, s: _sum_query(q, (n for _, n in s.items())),
+        query=lambda q, s: _sum_query(q, (n for _, n in s)),
     )
 
 

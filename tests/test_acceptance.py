@@ -26,7 +26,7 @@ from crdt_emu.checker import (
     weak_traces,
 )
 from crdt_emu.client import check_approximation
-from crdt_emu.core import FrozenDict, intern_scope
+from crdt_emu.core import intern_scope
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import (
     augment_history_op,
@@ -275,7 +275,7 @@ def test_criterion_9_thm_5_2_client_corpus():
         counts = {"pass": 0, "bound-exhausted": 0, "counterexample": 0}
         for prog in programs:
             for k, l in ((host, guest), (guest, host)):
-                v = check_approximation(k, l, FrozenDict(), prog, 12, 12)
+                v = check_approximation(k, l, (), prog, 12, 12)
                 counts[v.outcome] += 1
         ok = ok and counts["counterexample"] == 0 and counts["pass"] > 100
         details.append(f"{direction}: {counts}")

@@ -22,6 +22,9 @@ KNOWN_MISSING = {
     "opsem.happens_before",
     "core.VectorClock.compare",
     "core.satisfies_causal_delivery",   # a test reference, in tests/reference.py
+    # Deleted with core.FrozenDict: G-counter states and client stores are
+    # sorted tuples, so the benchmark's per-layer count reads 0.
+    "core.FrozenDict.set",
 }
 
 

@@ -36,7 +36,7 @@ from crdt_emu.checker import (
 from crdt_emu.cli import build_systems, load_scenario, run_check
 from crdt_emu.client import SKIP, ClientState, can_terminate, check_approximation, parse_program
 from crdt_emu.core import (
-    Event, FrozenDict, Input, Output, canon_key, intern_scope,
+    Event, Input, Output, canon_key, intern_scope,
     intern_table_sizes, render, render_event,
 )
 from crdt_emu.emulation import _interp_memo, op_to_st, st_to_op
@@ -1379,7 +1379,7 @@ def _run_checks_and_drop_them():
     assert explore(paired_gset().guest, 5).nodes
     p = paired_gset((1,))
     prog = parse_program("upd(add 1); x := qry(sum); while (x = 0) { x := qry(sum) }")
-    assert check_approximation(p.host, p.guest, FrozenDict(), prog, 12, 12).passed
+    assert check_approximation(p.host, p.guest, (), prog, 12, 12).passed
 
 
 def test_finished_checks_leave_no_cyclic_garbage():
@@ -1413,7 +1413,7 @@ def _library_searches():
         (replay_simulation_counterexample, lambda: (sim, "R1", cex, 6)),
         (attainable_query_values, lambda: (Side(sim.guest), sim.guest.init(), "r1", "sum", 4)),
         (sim.host.replay, lambda: (parse_events(cex["host_events"]),)),
-        (can_terminate, lambda: (sim.host, ClientState(sim.host.init(), FrozenDict(), prog), 6)),
+        (can_terminate, lambda: (sim.host, ClientState(sim.host.init(), (), prog), 6)),
     ]
 
 
@@ -1437,7 +1437,7 @@ def test_checks_restore_the_collector_state(collector_on):
             assert search(*make_args())
             assert gc.isenabled() == collector_on, search.__name__
         with pytest.raises(ValueError):
-            can_terminate(system, ClientState(system.init(), FrozenDict(), SKIP), -1)
+            can_terminate(system, ClientState(system.init(), (), SKIP), -1)
         assert gc.isenabled() == collector_on
     finally:
         (gc.enable if enabled else gc.disable)()

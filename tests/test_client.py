@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from crdt_emu.checker import explore
@@ -23,7 +25,7 @@ from crdt_emu.client import (
     program_to_text,
     prog_terminated,
 )
-from crdt_emu.core import FrozenDict, intern_scope, render_event
+from crdt_emu.core import intern_scope, render_event
 from crdt_emu.emulation import op_to_st
 from crdt_emu.objects import break_query, gset_op
 from crdt_emu.opsem import OpSystem
@@ -80,17 +82,17 @@ def test_parse_errors_carry_position():
 
 
 def test_eval_literal_and_var():
-    assert eval_expr(Lit(0), FrozenDict()) == 0
-    assert eval_expr(Bin("+", Var("x"), Lit(1)), FrozenDict({"x": 4})) == 5
+    assert eval_expr(Lit(0), ()) == 0
+    assert eval_expr(Bin("+", Var("x"), Lit(1)), (("x", 4),)) == 5
 
 
 def test_eval_truncated_subtraction():
-    assert eval_expr(Bin("-", Lit(2), Lit(5)), FrozenDict()) == 0
+    assert eval_expr(Bin("-", Lit(2), Lit(5)), ()) == 0
 
 
 def test_eval_comparisons_yield_bits():
-    assert eval_expr(Bin("<", Lit(1), Lit(2)), FrozenDict()) == 1
-    assert eval_expr(Bin("=", Lit(1), Lit(2)), FrozenDict()) == 0
+    assert eval_expr(Bin("<", Lit(1), Lit(2)), ()) == 1
+    assert eval_expr(Bin("=", Lit(1), Lit(2)), ()) == 0
 
 
 # --- small-step semantics ----------------------------------------------------------
@@ -98,13 +100,13 @@ def test_eval_comparisons_yield_bits():
 
 def test_skip_is_terminal():
     host, _ = env_pair()
-    cs = ClientState(host.init(), FrozenDict(), Skip())
+    cs = ClientState(host.init(), (), Skip())
     assert prog_terminated(cs.prog, cs.store) and not ClientSystem(host, cs).steps(cs)
 
 
 def test_while_zero_guard_is_terminal():
     host, _ = env_pair()
-    cs = ClientState(host.init(), FrozenDict(), While(Lit(0), Skip()))
+    cs = ClientState(host.init(), (), While(Lit(0), Skip()))
     assert prog_terminated(cs.prog, cs.store) and not ClientSystem(host, cs).steps(cs)
 
 
@@ -116,19 +118,34 @@ def test_query_reads_replica_value_and_keeps_env():
         c = next(c2 for e, c2 in host.steps(c) if e.obs_key() == ("update", "r1", op))
     for _ in range(2):
         c = next(c2 for e, c2 in host.steps(c) if e.obs_key() is None and e.replica == "r2")
-    cs = ClientState(c, FrozenDict(), Qry("x", "sum"))
+    cs = ClientState(c, (), Qry("x", "sum"))
     succ = ClientSystem(host, cs).steps(cs)
     qry_succs = [(e, s) for e, s in succ if s.prog == Skip()]
-    assert any(s.store.get("x") == 47 for _, s in qry_succs)
+    assert any(dict(s.store).get("x") == 47 for _, s in qry_succs)
     # the environment configuration is untouched by a client query
     assert all(e is None and s.env is c for e, s in qry_succs)
+
+
+def test_assignment_keeps_the_store_sorted_and_zero_valued_variables():
+    """A store is the tuple of its (var, value) items sorted by var.  After
+    x := 0 it holds x at 0, not the empty store: the client state differs
+    from one that never assigned x, and the k_states/l_states counts of the
+    approximation check count them apart."""
+    host, _ = env_pair()
+    for store, prog, after in (
+        ((), Asn("x", Lit(0)), (("x", 0),)),
+        ((("y", 1),), Asn("x", Lit(2)), (("x", 2), ("y", 1))),
+        ((("x", 5), ("y", 1)), Asn("x", Var("y")), (("x", 1), ("y", 1))),
+    ):
+        cs = ClientState(host.init(), store, prog)
+        assert [s.store for _, s in ClientSystem(host, cs).steps(cs)] == [after]
 
 
 def test_pure_rules_are_deterministic():
     host, _ = env_pair()
     init = host.init()
     for prog in (Asn("x", Lit(3)), While(Lit(1), Skip()), Seq(Skip(), Asn("y", Lit(1)))):
-        cs = ClientState(init, FrozenDict(), prog)
+        cs = ClientState(init, (), prog)
         succ = ClientSystem(host, cs).steps(cs)
         pure = [e for e, s in succ if s.env is init]
         assert pure == [None]
@@ -136,7 +153,7 @@ def test_pure_rules_are_deterministic():
 
 def test_upd_served_by_any_replica():
     host, _ = env_pair((1,))
-    cs = ClientState(host.init(), FrozenDict(), Upd(("add", 1)))
+    cs = ClientState(host.init(), (), Upd(("add", 1)))
     succ = ClientSystem(host, cs).steps(cs)
     served = [e for e, s in succ if s.prog == Skip()]
     assert len(served) == 2  # either replica may serve it
@@ -148,21 +165,21 @@ def test_upd_served_by_any_replica():
 
 def test_can_terminate_skip():
     host, _ = env_pair()
-    t = can_terminate(host, ClientState(host.init(), FrozenDict(), Skip()), 4)
+    t = can_terminate(host, ClientState(host.init(), (), Skip()), 4)
     assert t.terminates and t.witness == []
 
 
 def test_while_one_never_terminates():
     host, _ = env_pair()
     prog = While(Lit(1), Skip())
-    t = can_terminate(host, ClientState(host.init(), FrozenDict(), prog), 12)
+    t = can_terminate(host, ClientState(host.init(), (), prog), 12)
     assert not t.terminates
 
 
 def test_qry_gated_loop_terminates_via_delivery():
     host, _ = env_pair((1,))
     prog = parse_program("upd(add 1); x := qry(sum); while (x < 1) { x := qry(sum) }")
-    t = can_terminate(host, ClientState(host.init(), FrozenDict(), prog), 16)
+    t = can_terminate(host, ClientState(host.init(), (), prog), 16)
     assert t.terminates
     assert t.witness
 
@@ -173,10 +190,10 @@ def test_negative_bound_raises():
     host, guest = env_pair()
     for prog in (Skip(), While(Lit(1), Skip())):
         with pytest.raises(ValueError):
-            can_terminate(host, ClientState(host.init(), FrozenDict(), prog), -1)
+            can_terminate(host, ClientState(host.init(), (), prog), -1)
         for bound_k, bound_l in ((-1, 5), (5, -1)):
             with pytest.raises(ValueError):
-                check_approximation(host, guest, FrozenDict(), prog, bound_k, bound_l)
+                check_approximation(host, guest, (), prog, bound_k, bound_l)
 
 
 def _env_events(system, witness):
@@ -206,14 +223,14 @@ def test_termination_witnesses_replay(side):
     programs = generate_programs((("add", 1), ("add", 2)), ("sum",), 60, 5, seed=3)
     terminating = 0
     for prog in programs:
-        t = can_terminate(system, ClientState(system.init(), FrozenDict(), prog), 10)
+        t = can_terminate(system, ClientState(system.init(), (), prog), 10)
         if not t.terminates:
             continue
         terminating += 1
         events, env = _env_events(system, t.witness)
         assert system.replay(events) == env
         last = t.witness[-1] if t.witness else {"prog": program_to_text(prog), "store": {}}
-        assert prog_terminated(parse_program(last["prog"]), FrozenDict(last["store"]))
+        assert prog_terminated(parse_program(last["prog"]), tuple(sorted(last["store"].items())))
     assert 0 < terminating < len(programs)
 
 
@@ -227,7 +244,7 @@ def test_search_steps_each_environment_once():
 
     host = Counting(gset_op((1, 2)), ("r1", "r2"))
     prog = parse_program("x := 1; upd(add 1); upd(add 2); while (x < 2) { x := qry(sum) }")
-    t = can_terminate(host, ClientState(host.init(), FrozenDict(), prog), 12)
+    t = can_terminate(host, ClientState(host.init(), (), prog), 12)
     assert t.terminates
     assert len(stepped) == len({id(c) for c in stepped}) > 1
 
@@ -238,7 +255,7 @@ def test_search_stops_where_the_terminated_state_is_found(side, monkeypatch):
     so it expands exactly the client states up to that state's parent."""
     system = dict(zip(("host", "guest"), env_pair((1,))))[side]
     prog = parse_program("upd(add 1); x := qry(sum); while (x < 1) { x := qry(sum) }")
-    cs = ClientState(system.init(), FrozenDict(), prog)
+    cs = ClientState(system.init(), (), prog)
     graph = explore(ClientSystem(system, cs), 16)
     calls = []
     steps = ClientSystem.steps
@@ -258,14 +275,14 @@ def test_search_stops_where_the_terminated_state_is_found(side, monkeypatch):
 def test_approximation_pass_both_directions():
     host, guest = env_pair((1,))
     prog = parse_program("upd(add 1); x := qry(sum); while (x = 0) { x := qry(sum) }")
-    assert check_approximation(host, guest, FrozenDict(), prog, 16, 16).passed
-    assert check_approximation(guest, host, FrozenDict(), prog, 16, 16).passed
+    assert check_approximation(host, guest, (), prog, 16, 16).passed
+    assert check_approximation(guest, host, (), prog, 16, 16).passed
 
 
 def test_approximation_vacuous_is_bound_exhausted():
     host, guest = env_pair()
     prog = While(Lit(1), Skip())
-    v = check_approximation(host, guest, FrozenDict(), prog, 10, 10)
+    v = check_approximation(host, guest, (), prog, 10, 10)
     assert v.outcome == "bound-exhausted"
 
 
@@ -274,9 +291,23 @@ def test_approximation_counterexample_against_broken_guest():
     host = OpSystem(obj, ("r1", "r2"))
     broken = StSystem(break_query(op_to_st(obj)), ("r1", "r2"))
     prog = parse_program("upd(add 1); x := qry(sum); while (x = 0) { x := qry(sum) }")
-    v = check_approximation(host, broken, FrozenDict(), prog, 16, 16)
+    v = check_approximation(host, broken, (), prog, 16, 16)
     assert v.outcome == "counterexample"
     assert v.witness["k_witness"]
+
+
+def test_witness_stores_render_as_json_objects():
+    """Each client state of a witness renders its store as a JSON object of
+    its variables, the initial store's included."""
+    obj = gset_op((1,))
+    host = OpSystem(obj, ("r1", "r2"))
+    broken = StSystem(break_query(op_to_st(obj)), ("r1", "r2"))
+    prog = parse_program("upd(add 1); x := qry(sum); while (x = 0) { x := qry(sum) }")
+    v = check_approximation(host, broken, (("y", 3),), prog, 16, 16)
+    stores = [w["store"] for w in v.witness["k_witness"]]
+    assert stores and all(type(s) is dict and s["y"] == 3 for s in stores)
+    assert stores[-1] == {"x": 1, "y": 3}
+    assert json.loads(json.dumps(stores)) == stores
 
 
 def test_generated_corpus_is_deterministic():
@@ -286,5 +317,5 @@ def test_generated_corpus_is_deterministic():
 
 
 def test_prog_terminated_depends_on_store():
-    assert prog_terminated(While(Var("x"), Skip()), FrozenDict({"x": 0}))
-    assert not prog_terminated(While(Var("x"), Skip()), FrozenDict({"x": 2}))
+    assert prog_terminated(While(Var("x"), Skip()), (("x", 0),))
+    assert not prog_terminated(While(Var("x"), Skip()), (("x", 2),))

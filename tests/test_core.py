@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from crdt_emu import core
 from crdt_emu.core import (
     Event,
-    FrozenDict,
     Input,
     Message,
     Output,
@@ -278,14 +277,6 @@ def test_bcast_by_value_dedups():
 # --- hash-consing ----------------------------------------------------------------
 
 
-def test_set_in_either_order_gives_one_map():
-    empty = FrozenDict.of({})
-    ab = empty.set("a", 1).set("b", 2)
-    assert ab is empty.set("b", 2).set("a", 1)
-    assert ab is FrozenDict.of({"b": 2, "a": 1})
-    assert ab.set("a", 1) is ab
-
-
 def test_mint_gives_the_canonical_clock():
     """A minted clock, the join of the consumed clocks ticked at the sender,
     is the one canonical clock of its positive entries."""
@@ -401,7 +392,6 @@ def test_every_system_step_is_its_replica_step():
 def test_plain_constructors_give_equal_values():
     m = Message.make("r1", VectorClock.of({"r1": 1}), 5)
     pairs = [
-        (FrozenDict({"a": 1}), FrozenDict.of({"a": 1})),
         (VectorClock((("r1", 1),)), VectorClock.of({"r1": 1})),
         (Message("r1", VectorClock((("r1", 1),)), 5), m),
         (Input("upd", op=("add", 5)), Input.upd(("add", 5))),
@@ -449,9 +439,7 @@ def test_intern_tables_grow_while_a_search_runs():
     tuples, the value index, values' delivery sort keys, messages' downset
     masks, minted clocks, delivery events, the transition table and a
     by-value guest's payload sets included: they grow as nodes are taken.
-    The G-counter's states are maps, so its search grows the FrozenDict
-    table too.  The depth-0 explores before and after empty them on
-    return."""
+    The depth-0 explores before and after empty them on return."""
     explore(OpSystem(gset_op((1,)), ("r1",)), 0)
     assert _tables_empty()
     search = breadth_first(OpSystem(st_to_op(gcounter_st()), ("r1", "r2")), 5, Graph())
@@ -460,7 +448,7 @@ def test_intern_tables_grow_while_a_search_runs():
     for _ in itertools.islice(search, 50):
         pass
     during = intern_table_sizes()
-    grown = ("FrozenDict", "tuple", "Message", "Event", "value", "value_bit",
+    grown = ("tuple", "Message", "Event", "value", "value_bit",
              "delivery_order", "downset", "mint_clock", "delivery_event", "payloads",
              "transition")
     assert all(during[k] > start[k] for k in grown)
@@ -513,8 +501,7 @@ def test_a_raising_check_empties_the_tables_but_its_nested_explore_does_not():
     inside the check's scope and leaves the tables as they are, so when the
     check reads the graph its configurations' per-replica tuples are still
     the canonical ones; the raise leaves the outermost scope and empties
-    every table.  The G-counter's states are maps, so the check fills the
-    FrozenDict table too."""
+    every table."""
     seen = []
 
     class ProbedSystem(OpSystem):
@@ -527,4 +514,4 @@ def test_a_raising_check_empties_the_tables_but_its_nested_explore_does_not():
         check_strong_convergence(ProbedSystem(st_to_op(gcounter_st()), ("r1", "r2")), step_bound=4)
     assert _tables_empty()
     [(sizes, canonical)] = seen
-    assert canonical and all(sizes[k] > 0 for k in ("FrozenDict", "tuple", "Message", "Event"))
+    assert canonical and all(sizes[k] > 0 for k in ("tuple", "Message", "Event"))

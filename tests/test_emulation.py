@@ -6,7 +6,7 @@ import pytest
 
 from crdt_emu.checker import explore
 from crdt_emu.core import (
-    FrozenDict, Message, downset_bits, happens_before, intern_scope, mask_of, value_bit,
+    Message, downset_bits, happens_before, intern_scope, mask_of, value_bit,
 )
 from crdt_emu.emulation import interp, max_set, op_to_st, st_to_op
 from crdt_emu.objects import gcounter_st, gset_op, gset_st
@@ -105,9 +105,9 @@ def test_footnote_merge_commutes():
 def test_st_to_op_prep_is_host_update():
     host = gcounter_st()
     guest = st_to_op(host)
-    payload = guest.prep("r1", ("inc",), FrozenDict())
-    assert payload == FrozenDict({"r1": 1})
-    assert guest.effect(payload, FrozenDict({"r2": 3})) == FrozenDict({"r1": 1, "r2": 3})
+    payload = guest.prep("r1", ("inc",), ())
+    assert payload == (("r1", 1),)
+    assert guest.effect(payload, (("r2", 3),)) == (("r1", 1), ("r2", 3))
     assert guest.message_identity == "value"
 
 
@@ -115,10 +115,10 @@ def test_st_to_op_effects_always_commute():
     host = gcounter_st()
     guest = st_to_op(host)
     states = [
-        FrozenDict(),
-        FrozenDict({"r1": 1}),
-        FrozenDict({"r1": 2, "r2": 1}),
-        FrozenDict({"r2": 3}),
+        (),
+        (("r1", 1),),
+        (("r1", 2), ("r2", 1)),
+        (("r2", 3),),
     ]
     for m1, m2, s in itertools.product(states, states, states):
         assert guest.effect(m1, guest.effect(m2, s)) == guest.effect(m2, guest.effect(m1, s))
@@ -127,7 +127,7 @@ def test_st_to_op_effects_always_commute():
 def test_st_to_op_initial_is_bottom():
     host = gcounter_st()
     guest = st_to_op(host)
-    for s in (FrozenDict(), FrozenDict({"r1": 4})):
+    for s in ((), (("r1", 4),)):
         assert guest.effect(guest.initial, s) == s
 
 
@@ -189,9 +189,6 @@ def _messages(value, out: set) -> set:
     if isinstance(value, Message):
         out.add(value)
         _messages(value.payload, out)
-    elif isinstance(value, FrozenDict):
-        for _, v in value.items():
-            _messages(v, out)
     elif isinstance(value, (frozenset, tuple)):
         for v in value:
             _messages(v, out)

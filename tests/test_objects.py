@@ -3,9 +3,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crdt_emu.checker import explore
-from crdt_emu.core import FrozenDict, intern_scope
+from crdt_emu.core import Message, intern_scope, intern_table_sizes, render
 from crdt_emu.emulation import op_to_st, st_to_op
 from crdt_emu.objects import (
     augment_history_op,
@@ -42,16 +44,83 @@ def test_gset_st_basics():
     assert o.query("sum", s) == sum(s)
 
 
-def test_gcounter_st_basics():
+# A G-counter state: the (replica, count) items of the replicas that have
+# counted, sorted by replica.
+ROSTER = ("r1", "r2", "r3")
+gcounter_states = st.dictionaries(st.sampled_from(ROSTER), st.integers(1, 4)).map(
+    lambda m: tuple(sorted(m.items()))
+)
+
+
+def _sorted_by_replica(s) -> bool:
+    replicas = [r for r, _ in s]
+    return type(s) is tuple and replicas == sorted(set(replicas))
+
+
+@given(gcounter_states, gcounter_states, gcounter_states, st.sampled_from(ROSTER))
+@settings(max_examples=150, derandomize=True)
+def test_gcounter_st_is_a_pointwise_max_semilattice(a, b, c, r):
+    """Over tuple states, the join is the pointwise max and is associative,
+    commutative and idempotent; the update adds one at its replica, so it
+    is inflationary; every result stays sorted by replica; the sum query
+    sums the counts."""
     o = gcounter_st()
-    assert o.update("r1", ("inc",), FrozenDict()) == FrozenDict({"r1": 1})
-    a = FrozenDict({"r1": 2, "r2": 1})
-    b = FrozenDict({"r1": 1, "r2": 3})
+    assert o.initial == () and o.update("r1", ("inc",), o.initial) == (("r1", 1),)
+    ma, mb = dict(a), dict(b)
+    expect = {q: max(ma.get(q, 0), mb.get(q, 0)) for q in ma.keys() | mb.keys()}
     joined = o.join(a, b)
-    # pointwise-max oracle
-    expect = {r: max(a.get(r, 0), b.get(r, 0)) for r in ("r1", "r2")}
-    assert dict(joined.items()) == expect
+    assert joined == tuple(sorted(expect.items()))
+    assert o.join(b, a) == joined
+    assert o.join(joined, c) == o.join(a, o.join(b, c))
+    assert o.join(a, a) == a
+    u = o.update(r, ("inc",), a)
+    assert dict(u) == {**ma, r: ma.get(r, 0) + 1}
+    assert u != a and o.join(a, u) == u
+    assert all(_sorted_by_replica(s) for s in (joined, u, o.join(joined, c)))
     assert o.query("sum", joined) == sum(expect.values())
+
+
+def test_gcounter_states_render_as_replica_count_pairs():
+    s = gcounter_st().join((("r2", 1),), (("r1", 2),))
+    assert render(s) == [["r1", 2], ["r2", 1]]
+
+
+def test_gcounter_states_and_payloads_are_sorted_tuples():
+    """On a 3-replica state-based G-counter and on its op-based emulation,
+    every reached state and every message payload is a tuple of (replica,
+    count) items sorted by replica, each count at least 1, equal to a dict
+    replay of the path that first reached it: an update adds one at its
+    replica, a delivery takes the pointwise max with the delivered state,
+    and a send carries the sender's state."""
+    assert "FrozenDict" not in intern_table_sizes()
+
+    def as_state(v):
+        return v.payload if isinstance(v, Message) else v
+
+    for system in (StSystem(gcounter_st(), ROSTER), OpSystem(st_to_op(gcounter_st()), ROSTER)):
+        graph = explore(system, 6)
+        replayed, payloads = [], []
+        for i, c in enumerate(graph.nodes):
+            if graph.parents[i] is None:
+                maps = {r: {} for r in ROSTER}
+            else:
+                p, e = graph.parents[i]
+                maps = {r: dict(m) for r, m in replayed[p].items()}
+                m = maps[e.replica]
+                if e.input.kind == "upd":
+                    m[e.replica] = m.get(e.replica, 0) + 1
+                if e.input.kind == "dlvr":
+                    payloads.append(as_state(e.input.message))
+                    for r, n in payloads[-1]:
+                        m[r] = max(m.get(r, 0), n)
+                if e.output.kind == "send":
+                    payloads.append(as_state(e.output.message))
+                    assert payloads[-1] == tuple(sorted(m.items()))
+            replayed.append(maps)
+            assert c.states == tuple(tuple(sorted(maps[r].items())) for r in ROSTER)
+        assert len(graph.nodes) > 100 and max(map(len, payloads)) > 1
+        for s in (*payloads, *(s for c in graph.nodes for s in c.states)):
+            assert _sorted_by_replica(s) and all(n >= 1 for _, n in s)
 
 
 # --- lattice laws on reachable states --------------------------------------------
