@@ -27,7 +27,7 @@ from .objects import (
 )
 from .opsem import OpSystem, op_replica_step, op_system_steps
 from .stsem import StSystem, st_replica_step, st_system_steps
-from .emulation import interp, max_set, op_to_st, st_to_op
+from .emulation import interp, op_to_st, st_to_op
 from .checker import (
     PairedSystem,
     Verdict,

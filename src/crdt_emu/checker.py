@@ -40,7 +40,6 @@ from .core import (
     happens_before,
     intern_scope,
     join,
-    mask_of,
     op_bit,
     query_step,
     render,
@@ -387,15 +386,14 @@ def sim_relation(emulate: str, which: str, rel_id: str | None = None) -> str:
 class Relation:
     """Membership test for one of the candidate relations, with the first
     failing clause reported for diagnostics.  Both configurations are read
-    as bitsets over the scope's value index (``core.Config``); a
-    message-set guest's states, frozensets of messages, are read as their
-    messages' bitsets (``message_mask``).  Its caches are keyed by values
+    as bitsets over the scope's value index (``core.Config``), and a
+    message-set guest's state is itself its messages' bitset, compared with
+    the op side's ``delivered`` as it is.  Its caches are keyed by values
     and bitsets of one check scope, and the relation lives in one check.
-    It keeps a cache only where lookups come back to it: a message set's
-    mask, a downset's message-set bit, a sent set's union, and an op
-    buffer's payloads; a guest's states and an op buffer's downset buffer
-    are rebuilt per clause call, since a simulation decides each pair's
-    clause once and almost every pair brings new ones."""
+    It keeps a cache only where lookups come back to it, a sent set's union
+    and an op buffer's payloads; an op buffer's downset buffer is rebuilt
+    per clause call, since a simulation decides each pair's clause once and
+    almost every pair brings new ones."""
 
     def __init__(self, rel_id: str, paired: PairedSystem):
         sort_a, sort_b, direction = _sorts(rel_id)
@@ -410,8 +408,6 @@ class Relation:
         self.n = len(self.roster)
         op_side = paired.host if direction == OP_TO_ST else paired.guest
         self._op_obj: OpObject = op_side.obj  # type: ignore[assignment]
-        self._masks: dict = {}
-        self._downsets: dict = {}
         self._unions: dict = {}
         self._payloads: dict = {}
         self._payload_buffers: dict = {}
@@ -432,34 +428,13 @@ class Relation:
 
     # helpers
 
-    def message_mask(self, h: frozenset) -> int:
-        """The bitset of a message set's messages."""
-        cached = self._masks.get(h)
-        if cached is None:
-            cached = self._masks[h] = mask_of(h)
-        return cached
-
-    def _state_masks(self, st_c: Config) -> tuple:
-        """A message-set configuration's states as bitsets, in roster order,
-        to compare with an op-based configuration's ``delivered``."""
-        return tuple(self.message_mask(h) for h in st_c.states)
-
-    def _downset_state(self, v: int, sent: int) -> int:
-        """The value bit of the message set that is the downset of the
-        message of bit v in the sent set, kept per downset."""
-        ds = downset_bits(v, sent)
-        cached = self._downsets.get(ds)
-        if cached is None:
-            cached = self._downsets[ds] = value_bit(frozenset(VALUES[b] for b in bits(ds)))
-        return cached
-
     def _union_sent(self, st_c: Config) -> int:
         """The messages of a message-set configuration's sent states."""
         cached = self._unions.get(st_c.sent)
         if cached is None:
             cached = 0
             for b in bits(st_c.sent):
-                cached |= self.message_mask(VALUES[b])
+                cached |= VALUES[b]
             self._unions[st_c.sent] = cached
         return cached
 
@@ -468,7 +443,7 @@ class Relation:
         op_c's sent set, a message-set buffer."""
         out = 0
         for k, v in entries(op_c.buffer, self.n):
-            out |= entry_bit(self._downset_state(v, op_c.sent), k, self.n)
+            out |= entry_bit(value_bit(downset_bits(v, op_c.sent)), k, self.n)
         return out
 
     def _payloads_by_replica(self, op_c: Config) -> dict[int, list]:
@@ -497,7 +472,7 @@ class Relation:
     def _r1(self, op_c: Config, st_c: Config) -> str | None:
         if op_c.sent != self._union_sent(st_c):
             return "sent-agreement"
-        if op_c.delivered != self._state_masks(st_c):
+        if op_c.delivered != st_c.states:
             return "delivered-agreement"
         obj = self._op_obj
         for s_op, s_st in zip(op_c.states, st_c.states):
@@ -515,7 +490,7 @@ class Relation:
         # delivery argument.
         if self._union_sent(st_c) & ~op_c.sent:
             return "sent-agreement"
-        if self._state_masks(st_c) != op_c.delivered:
+        if st_c.states != op_c.delivered:
             return "delivered-agreement"
         obj = self._op_obj
         for s_st, s_op in zip(st_c.states, op_c.states):
@@ -529,7 +504,7 @@ class Relation:
         """Every message set buffered on the message-set side has a
         deliverable merge on the op side (``_deliverable_merge_exists``)."""
         return all(
-            self._deliverable_merge_exists(self.message_mask(VALUES[v]), k, op_c)
+            self._deliverable_merge_exists(VALUES[v], k, op_c)
             for k, v in entries(st_c.buffer, self.n)
         )
 
@@ -685,15 +660,15 @@ def _move_key(rel: Relation, defender, a_cfg, event):
     itself, or ("dlvr", r, x) for a delivery at r, where x is what the
     defender's move is derived from, by the emulation direction and the
     defender's kind: the value bit of the delivered message's downset or
-    of its payload for a state-based defender, the bitset of the delivered
-    message set's messages, or the joined state."""
+    of its payload for a state-based defender, the delivered message-set
+    state itself, a message bitset, or the joined state."""
     if event.input.kind != "dlvr":
         return event.obs_key() or event
     r, m = event.replica, event.input.message
     if rel.direction == OP_TO_ST:
         if defender.kind == "st":
-            return ("dlvr", r, rel._downset_state(value_bit(m), a_cfg.sent))
-        return ("dlvr", r, rel.message_mask(m))
+            return ("dlvr", r, value_bit(downset_bits(value_bit(m), a_cfg.sent)))
+        return ("dlvr", r, m)
     if defender.kind == "st":
         return ("dlvr", r, value_bit(m.payload))
     return ("dlvr", r, join(rel.paired.host.obj, a_cfg.states[rel.roster.index(r)], m))
@@ -924,13 +899,14 @@ def check_weak_simulation(
     if isinstance(miss, Verdict):
         return miss
     unmatched, a2 = miss.attacker_event, miss.attacker_post
+    a_decode, b_decode = search.a.system.decode, search.b.system.decode
     witness = {
-        a_name + "_events": [render_event(e) for e in miss.a_events + (unmatched,)],
-        b_name + "_events": [render_event(e) for e in miss.b_events],
+        a_name + "_events": [render_event(e, a_decode) for e in miss.a_events + (unmatched,)],
+        b_name + "_events": [render_event(e, b_decode) for e in miss.b_events],
         "unmatched": {
             "side": a_name,
             "label": render_label(unmatched),
-            "event": render_event(unmatched),
+            "event": render_event(unmatched, a_decode),
         },
     }
     clause = rel.clause(a2, miss.landing)
@@ -1063,17 +1039,18 @@ def check_weak_bisimulation(
             detail="relation fails at bound; no behavioral distinction found at bound",
         )
     spine, leaf = _witness_spine(game)
-    host_events: list[Event] = []
-    guest_events: list[Event] = []
+    events: dict[str, list[Event]] = {"host": [], "guest": []}
+    decode = {"host": A.system.decode, "guest": B.system.decode}
     play = []
     for side, attacker_event, defender_events in spine:
-        (host_events if side == "host" else guest_events).append(attacker_event)
-        (guest_events if side == "host" else host_events).extend(defender_events)
+        other = "guest" if side == "host" else "host"
+        events[side].append(attacker_event)
+        events[other].extend(defender_events)
         play.append(
             {
                 "attacker": side,
-                "event": render_event(attacker_event),
-                "response": [render_event(e) for e in defender_events],
+                "event": render_event(attacker_event, decode[side]),
+                "response": [render_event(e, decode[other]) for e in defender_events],
             }
         )
     unmatched = leaf.attacker_event
@@ -1083,13 +1060,13 @@ def check_weak_bisimulation(
         evidence = _evidence(X, unmatched, leaf.attacker_cfg, Y, leaf.defender_cfg,
                              search.tau_budget)
     witness = {
-        "host_events": [render_event(e) for e in host_events],
-        "guest_events": [render_event(e) for e in guest_events],
+        "host_events": [render_event(e, decode["host"]) for e in events["host"]],
+        "guest_events": [render_event(e, decode["guest"]) for e in events["guest"]],
         "play": play,
         "unmatched": {
             "side": leaf.side,
             "label": render_label(unmatched),
-            "event": render_event(unmatched),
+            "event": render_event(unmatched, decode[leaf.side]),
         },
         "failed_clause": failure[1],
     }
@@ -1260,7 +1237,7 @@ def check_strong_convergence(system, step_bound: int = 8) -> Verdict:
                 other = seen.get(h)
                 if other is not None and other[1] != v:
                     witness = {
-                        "events": [render_event(e) for e in graph.path(i)],
+                        "events": [render_event(e, system.decode) for e in graph.path(i)],
                         "replicas": [other[0], r],
                         "query": q,
                         "values": [render(other[1]), render(v)],

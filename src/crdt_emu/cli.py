@@ -515,18 +515,20 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
 @intern_scope
 def _dump_system(system, depth: int) -> dict:
     """The bounded graph of system as JSON.  Its configurations are read in
-    the scope that explored them."""
+    the scope that explored them, a message-set guest's states and buffered
+    states through its decoder (``System.decode``)."""
     graph = explore(system, depth)
+    read = system.decode or (lambda x: x)
     nodes = []
     for idx, cfg in enumerate(graph.nodes):
         nodes.append(
             {
                 "id": idx,
                 "depth": graph.depths[idx],
-                "states": {r: render(s) for r, s in zip(system.roster, cfg.states)},
+                "states": {r: render(read(s)) for r, s in zip(system.roster, cfg.states)},
                 "buffer": sorted(
                     (
-                        {"to": system.roster[k], "message": render(VALUES[v])}
+                        {"to": system.roster[k], "message": render(read(VALUES[v]))}
                         for k, v in entries(cfg.buffer, len(system.roster))
                     ),
                     key=lambda d: json.dumps(d, sort_keys=True),

@@ -405,12 +405,12 @@ def can_terminate(system, cs: ClientState, step_bound: int) -> Termination:
         for i in range(tested, len(graph.nodes)):
             node = graph.nodes[i]
             if prog_terminated(node.prog, node.store):
-                return Termination(True, i + 1, _witness(graph, i))
+                return Termination(True, i + 1, _witness(graph, i, system.decode))
         tested = len(graph.nodes)
     return Termination(False, len(graph.nodes), None)
 
 
-def _witness(graph: Graph, i: int) -> list[dict]:
+def _witness(graph: Graph, i: int, decode) -> list[dict]:
     """The client states along the path that first reached node i, after
     the initial one, each with the environment's event into it."""
     witness = []
@@ -421,7 +421,7 @@ def _witness(graph: Graph, i: int) -> list[dict]:
             {
                 "prog": program_to_text(node.prog),
                 "store": {k: render(v) for k, v in node.store},
-                "env_event": render_event(env_event) if env_event else None,
+                "env_event": render_event(env_event, decode) if env_event else None,
             }
         )
         i = prev

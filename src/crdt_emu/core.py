@@ -12,7 +12,8 @@ replicas' states and delivered sets as tuples in roster order.  Its buffer,
 sent, delivered and used-op sets are int bitsets over the check scope's
 value index (``value_bit``): bit v of a sent or delivered set stands for
 the value the index holds at v, a message on op-based systems and a sent
-state on state-based ones; see ``Config`` for the buffer and used-op bits.
+state on state-based ones, and a message-set guest's state is the bitset of
+its messages; see ``Config`` for the buffer and used-op bits.
 So a step is a few int operations, and values are looked up in the index
 only to build events, to run the object's functions and to render reports.
 
@@ -30,8 +31,8 @@ references, and more tables keep what the steps derive from those values,
 each entry a function of one value or of a small key, never of a whole
 configuration: a value's delivery sort key (``delivery_order``), a message's causal
 predecessors over the value index (``downset_bits``), a payload's
-buffer-layout mask (``held_positions``), the clock a replica mints from a
-delivered set (``mint_from``) and a delivery's or state-based send's event
+buffer-layout mask (``held_positions``), the clock a replica mints from
+the messages it consumed (``mint_from``) and a delivery's or send's event
 (``delivery_event``, ``send_event``), so none is recomputed for every
 successor and none is kept once per buffer or per sent set.  The transition
 table (``TRANSITIONS``) keeps what a replica transition gives, a function
@@ -131,8 +132,8 @@ _TABLES = {
     "transition": TRANSITIONS,
 }
 
-# Interpretation results of ``emulation.interp``: op object -> {message set:
-# state}.  Emptied with the tables, so a later check never compares its
+# Interpretation results of ``emulation.interp``: op object -> {message
+# bitset: state}.  Emptied with the tables, so a later check never compares its
 # message sets with those of an earlier one.
 INTERP_MEMO: dict = {}
 
@@ -164,14 +165,6 @@ def bits(x: int) -> Iterator[int]:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
-
-
-def mask_of(vs: Iterable) -> int:
-    """The bitset of the values vs over this scope's value index."""
-    out = 0
-    for v in vs:
-        out |= 1 << value_bit(v)
-    return out
 
 
 def replace_at(t: tuple, k: int, v) -> tuple:
@@ -287,34 +280,23 @@ def happens_before(m1: Message, m2: Message) -> bool:
     return m2.clock.get(m1.origin) - (m1.origin == m2.origin) >= m1.seq
 
 
-def _ticked_join(r: ReplicaId, consumed: Iterable[Message]) -> VectorClock:
-    """The join of the consumed messages' clocks ticked at r, taken in one
-    pass, so only the final clock is built."""
-    top: dict[ReplicaId, int] = {}
-    for m in consumed:
-        for rr, n in m.clock.entries:
-            if n > top.get(rr, 0):
-                top[rr] = n
-    top[r] = top.get(r, 0) + 1
-    return VectorClock.make(tuple(sorted(top.items())))
-
-
-def mint(r: ReplicaId, consumed: Iterable[Message], payload: Any) -> Message:
-    """The message r sends with this payload after consuming exactly the
-    messages in consumed: its clock is their clocks' join ticked at r, and
-    its seq is that clock's r entry.  A message-set guest mints from its
-    state (``emulation.op_to_st``)."""
-    return Message.make(r, _ticked_join(r, consumed), payload)
-
-
 def mint_from(r: ReplicaId, consumed: int, payload: Any) -> Message:
-    """``mint`` from the messages of the bitset consumed, as an op-based
-    replica mints from its delivered set.  The clock is joined once per
-    (r, consumed) per check scope."""
+    """The message r sends with this payload after consuming exactly the
+    messages of the bitset consumed: its clock is their clocks' join ticked
+    at r, taken in one pass, and its seq is that clock's r entry.  An
+    op-based replica mints from its delivered set, a message-set guest from
+    its state (``emulation.op_to_st``).  The clock is joined once per (r,
+    consumed) per check scope."""
     key = (r, consumed)
     clock = _MINT_CLOCKS.get(key)
     if clock is None:
-        clock = _MINT_CLOCKS[key] = _ticked_join(r, [VALUES[b] for b in bits(consumed)])
+        top: dict[ReplicaId, int] = {}
+        for b in bits(consumed):
+            for rr, n in VALUES[b].clock.entries:
+                if n > top.get(rr, 0):
+                    top[rr] = n
+        top[r] = top.get(r, 0) + 1
+        clock = _MINT_CLOCKS[key] = VectorClock.make(tuple(sorted(top.items())))
     return Message.make(r, clock, payload)
 
 
@@ -459,7 +441,8 @@ class Config(NamedTuple):
     self-applied; its next message is minted from that set (``mint_from``),
     and ``sent`` is the union of the ``delivered`` sets.  On state-based
     systems a value is the sent state itself, and ``delivered`` holds only
-    the states the replica received, never its own."""
+    the states the replica received, never its own.  A message-set guest's
+    state is a message bitset like an op-based ``delivered`` entry."""
 
     states: tuple                 # S per replica, roster order
     buffer: int                   # bit v * n + k: value v in flight to k
@@ -541,6 +524,8 @@ class System:
     obj: Any
     roster: tuple[ReplicaId, ...]
 
+    decode = None   # how reports read states and values (``StSystem.decode``)
+
     def init(self) -> Config:
         return initial_config(self.obj, self.roster)
 
@@ -550,14 +535,14 @@ class System:
 
     @intern_scope
     def replay(self, events: Iterable[Event]) -> Config:
-        """Re-execute a recorded event list from the initial configuration;
-        raises if some event is not a legal step here.  Like ``explore``'s
-        nodes, the configuration it returns is read inside an enclosing
-        scope."""
+        """Re-execute a recorded event list, as this scope or a report shows
+        it (``decoded_event``), from the initial configuration; raises if
+        some event is not a legal step here.  Like ``explore``'s nodes, the
+        configuration it returns is read inside an enclosing scope."""
         c = self.init()
         for e in events:
             for e2, c2 in self.steps(c):
-                if e2 == e:
+                if e in (e2, decoded_event(e2, self.decode)):
                     c = c2
                     break
             else:
@@ -653,22 +638,27 @@ def held_positions(v: int, buffer: int, n: int) -> int:
     return held
 
 
-def delivery_order(roster: tuple[ReplicaId, ...], buffer: int) -> list[tuple[int, int]]:
+def delivery_order(
+    roster: tuple[ReplicaId, ...], buffer: int, decode=None
+) -> list[tuple[int, int]]:
     """The entries of a buffer of a system over roster, as (roster position,
     value bit) pairs, in the order both semantics try their deliveries: by
     destination replica id, then by value, an op-based ``Message`` by its
-    origin and seq, a state-based state by ``canon_key``; never by bit
-    order.  The table keeps each value's sort key, built once per value per
-    check scope, and each call sorts the buffer's few entries.  No two
-    entries of one buffer tie: one execution's messages differ in (origin,
-    seq), and ``canon_key`` tells states apart."""
+    origin and seq, a state-based state by ``canon_key`` of the state read
+    through the system's decoder (``System.decode``); never by bit order.
+    The table keeps each value's sort key, built once per value per check
+    scope by the first system that reads it, and each call sorts the
+    buffer's few entries.  So no scope may hold a message-set guest and a
+    system that reads its int values otherwise, as a lattice of ints would.
+    No two entries of one buffer tie: one execution's messages differ in
+    (origin, seq), and ``canon_key`` tells states apart."""
     n = len(roster)
     keyed = []
     for b in bits(buffer):
         k, v = b % n, b // n
         key = _DELIVERY_KEYS.get(v)
         if key is None:
-            x = VALUES[v]
+            x = VALUES[v] if decode is None else decode(VALUES[v])
             key = _DELIVERY_KEYS[v] = x.sort_key() if isinstance(x, Message) else canon_key(x)
         keyed.append((roster[k], key, k, v))
     keyed.sort()
@@ -752,7 +742,22 @@ def render_output(o: Output) -> dict:
     return out
 
 
-def render_event(e: Event) -> dict:
+def decoded_event(e: Event, decode) -> Event:
+    """e with the value of its dlvr input or send output read through a
+    system's decoder (``System.decode``); e itself when decode is None."""
+    if decode is None:
+        return e
+    i, o = e.input, e.output
+    if i.kind == IN_DLVR:
+        i = Input(IN_DLVR, message=decode(i.message))
+    if o.kind == OUT_SEND:
+        o = Output(OUT_SEND, message=decode(o.message))
+    return Event(e.replica, i, o)
+
+
+def render_event(e: Event, decode=None) -> dict:
+    """An event of a system whose decoder is decode, as JSON."""
+    e = decoded_event(e, decode)
     return {
         "replica": e.replica,
         "input": render_input(e.input),

@@ -1,11 +1,14 @@
 """The two emulation transformers and the message-set interpretation.
 
-Op-based to state-based: guest states are finite message sets under union;
-a guest update interprets its current set back into a host state, preps a
-fresh message against it, and inserts it.  Host and guest mint with one
-function, ``core.mint``, from the messages the replica has consumed: the
-host's delivered set, the guest's state.  So the guest's message carries the
-same origin and clock the op-based host mints in the matched execution.
+Op-based to state-based: guest states are finite message sets under union,
+held as message bitsets over the check scope's value index like the host's
+``delivered`` sets: 0 is the initial state and ``|`` the join.  A guest
+update interprets its current set back into a host state, preps a fresh
+message against it, and sets its bit.  Host and guest mint through
+``core.mint_from`` from the messages the replica has consumed: the host's
+delivered set, the guest's state.  So the guest's message carries the same
+origin and clock the op-based host mints in the matched execution.  Reports
+read a state through the guest's decoder (``StObject.decode``).
 
 State-based to op-based: guest messages *are* host states; effect is join,
 so all message effects commute and identity is by payload value.
@@ -15,29 +18,22 @@ from __future__ import annotations
 
 from typing import Any
 
-from .core import INTERP_MEMO, Message, Op, QueryId, ReplicaId, happens_before, mint
+from .core import (
+    INTERP_MEMO, VALUES, Op, QueryId, ReplicaId, bits, downset_bits, mint_from, value_bit,
+)
 from .objects import IDENTITY_VALUE, OpObject, StObject
 
-MessageSetState = frozenset  # frozenset[Message]
-
-# Interpretation results per object, keyed by the exact message set.  The
+# Interpretation results per object, keyed by the exact message bitset.  The
 # checker interprets heavily-overlapping sets, so the peel-one-recurse shape
 # makes most calls a single lookup.  The memo lives in ``core`` and is
 # emptied with the hash-consing tables when the outermost check returns.
 _interp_memo: "dict[OpObject, dict]" = INTERP_MEMO
 
 
-def max_set(h: MessageSetState) -> frozenset[Message]:
-    """Causally maximal members of h; any two of them are concurrent."""
-    return frozenset(
-        m for m in h if not any(happens_before(m, m2) for m2 in h)
-    )
-
-
-def interp(h: MessageSetState, obj: OpObject) -> Any:
-    """Fold a message set into a host state by repeatedly peeling a maximal
-    message (smallest id first, for reproducibility) and applying its effect
-    on top of the interpretation of the rest.
+def interp(h: int, obj: OpObject) -> Any:
+    """Fold a message bitset into a host state by repeatedly peeling a
+    maximal message (smallest (origin, seq) first, for reproducibility) and
+    applying its effect on top of the interpretation of the rest.
 
     Concurrent effects commute for a law-abiding object, so the result does
     not depend on the peeling choice; the commutation sweep checks that, and
@@ -47,7 +43,16 @@ def interp(h: MessageSetState, obj: OpObject) -> Any:
     return _interp(h, obj)
 
 
-def _interp(h: MessageSetState, obj: OpObject) -> Any:
+def _maximal(h: int) -> int:
+    """The causally maximal messages of the message bitset h, as a bitset:
+    those in no other's downset in h (``core.downset_bits``)."""
+    below = 0
+    for b in bits(h):
+        below |= downset_bits(b, h) ^ 1 << b
+    return h & ~below
+
+
+def _interp(h: int, obj: OpObject) -> Any:
     """The body of ``interp``, which the guest's update and query in
     ``op_to_st`` call directly: peel down to the largest memoized (or empty)
     subset, then apply the peeled effects back up, memoizing every set on
@@ -59,36 +64,38 @@ def _interp(h: MessageSetState, obj: OpObject) -> Any:
         state = memo.get(h)
         if state is not None or h in memo:
             break
-        m = min(max_set(h), key=Message.sort_key)
-        peeled.append((h, m))
-        h = h - {m}
+        b = min(bits(_maximal(h)), key=lambda b: VALUES[b].sort_key())
+        peeled.append((h, VALUES[b].payload))
+        h ^= 1 << b
     else:
         state = obj.initial
-    for whole, m in reversed(peeled):
-        state = obj.effect(m.payload, state)
+    for whole, payload in reversed(peeled):
+        state = obj.effect(payload, state)
         memo[whole] = state
     return state
 
 
 def op_to_st(obj: OpObject) -> StObject:
-    """Construct the state-based guest of an op-based host: message sets under
-    union, with updates inserting freshly prepped messages."""
+    """Construct the state-based guest of an op-based host: message bitsets
+    under union, with updates setting the bit of a freshly prepped
+    message."""
 
-    def update(r: ReplicaId, op: Op, h: MessageSetState) -> MessageSetState:
+    def update(r: ReplicaId, op: Op, h: int) -> int:
         payload = obj.prep(r, op, _interp(h, obj))
-        return h | {mint(r, h, payload)}
+        return h | 1 << value_bit(mint_from(r, h, payload))
 
-    def query(q: QueryId, h: MessageSetState) -> Any:
+    def query(q: QueryId, h: int) -> Any:
         return obj.query(q, _interp(h, obj))
 
     return StObject(
         name=obj.name + "->st",
-        initial=frozenset(),
+        initial=0,
         ops=obj.ops,
         queries=obj.queries,
         update=update,
         join=lambda a, b: a | b,
         query=query,
+        decode=lambda h: frozenset(VALUES[b] for b in bits(h)),
     )
 
 

@@ -54,6 +54,9 @@ class StObject:
     update: Callable[[ReplicaId, Op, Any], Any]
     join: Callable[[Any, Any], Any]
     query: Callable[[QueryId, Any], Any]
+    # How reports read a state: None for a lattice object; a message-set
+    # guest's maps a state to its frozenset of messages (``op_to_st``).
+    decode: Callable[[Any], Any] | None = None
 
 
 def st_leq(obj: StObject, a: Any, b: Any) -> bool:

@@ -167,7 +167,7 @@ def st_system_steps(
     if mode == SEPARATE_SEND:
         for k in range(len(roster)):
             out.append(st_mk_send(roster, c, k))
-    for k, v in delivery_order(roster, c.buffer):
+    for k, v in delivery_order(roster, c.buffer, obj.decode):
         step = st_mk_deliver(obj, roster, c, k, v)
         if step is not None:
             out.append(step)
@@ -181,6 +181,10 @@ class StSystem(System):
     mode: str = SEPARATE_SEND
 
     kind = "st"
+
+    @property
+    def decode(self):
+        return self.obj.decode
 
     def steps(self, c: Config) -> list[Step]:
         return st_system_steps(self.obj, self.roster, c, self.mode)

@@ -10,18 +10,27 @@ ordered by ``conftest.clock_before``, the pointwise order on their clocks,
 not by the origin-component rule of ``core.happens_before``.
 
 The package's configurations hold int bitsets over the check scope's value
-index (``core.Config``); the frozenset form they replaced is the oracle
-here.  ``decode`` turns an index-form configuration into that form, inside
-the scope that built it: the buffer a set of (replica id, value) pairs,
-``sent`` and each ``delivered`` entry sets of values, ``used_ops`` a set of
-(replica id, op) pairs.  ``by_replica`` reads a decoded configuration's
-per-replica tuples as maps keyed by replica id.
+index (``core.Config``), and so do a message-set guest's states: each is
+the bitset of its messages (``emulation.op_to_st``).  The frozenset form
+they replaced is the oracle here.  ``decode`` turns an index-form
+configuration into that form, inside the scope that built it: the buffer a
+set of (replica id, value) pairs, ``sent`` and each ``delivered`` entry
+sets of values, ``used_ops`` a set of (replica id, op) pairs, and a
+message-set guest's states and sent values read through the system's
+decoder (``System.decode``) as frozensets of messages.  ``by_replica``
+reads a configuration's states and decoded ``delivered`` sets as maps keyed
+by replica id.
 
+``message_set_guest`` is the frozenset-form message-set guest: a pairwise
+``max_set``, an interpretation, ``message_set_interp``, that peels by
+``core.happens_before``, and ``mint`` from a message iterable.
 ``reference_steps`` is a frozenset-form kernel: the rules of both semantics
 written afresh over decoded configurations, from the objects' functions
 and plain constructors, sharing no table or bit arithmetic with the
-package; ``reference_init`` is its initial configuration and
-``decoded_steps`` the package's step list, decoded, to compare it with.
+package; ``reference_system`` gives a message-set guest's system the
+frozenset-form guest to run, ``reference_init`` is the kernel's initial
+configuration and ``decoded_steps`` the package's step list, decoded, to
+compare it with.
 
 ``parse_events`` rebuilds events from their rendered JSON form, so a
 witness replays from what a report shows.
@@ -30,16 +39,17 @@ witness replays from what a report shows.
 over that set, in index form, to hold ``core.downset_bits``'s lazily
 extended per-message masks against.
 
-``clock_tick`` and ``clock_join`` build the clock that ``core.mint`` gives
-a message by ticking and joining plain entry maps.
+``clock_tick`` and ``clock_join`` build the clock that ``core.mint_from``
+gives a message by ticking and joining plain entry maps.
 
 A trace is a sequence of events, oldest first.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from crdt_emu import core
 from crdt_emu.checker import PairedSystem, Relation, Side, weak_matches
@@ -63,10 +73,12 @@ from crdt_emu.core import (
     Step,
     VectorClock,
     canon_key,
+    decoded_event,
+    happens_before,
     intern_scope,
 )
 from crdt_emu.emulation import interp
-from crdt_emu.objects import IDENTITY_VALUE, OpObject
+from crdt_emu.objects import IDENTITY_VALUE, OpObject, StObject, break_query
 from crdt_emu.opsem import CAUSAL
 from crdt_emu.stsem import ATOMIC_BROADCAST, SEPARATE_SEND
 from conftest import clock_before
@@ -100,16 +112,20 @@ def decode(system, c: Config) -> Config:
     """The frozenset form of the index-form configuration c of system, read
     in the scope that built c: for n replicas, buffer bit v * n + k is the
     pair (roster[k], value v), and used-op bit k * len(ops) + j the pair
-    (roster[k], ops[j])."""
-    roster, ops, values = system.roster, system.obj.ops, core.VALUES
+    (roster[k], ops[j]).  States and values are read through the system's
+    decoder, so a message-set guest's are frozensets of messages."""
+    roster, ops = system.roster, system.obj.ops
+    read = system.decode or (lambda x: x)
     n = len(roster)
 
     def value_set(x: int) -> frozenset:
-        return frozenset(values[b] for b in _bit_positions(x))
+        return frozenset(read(core.VALUES[b]) for b in _bit_positions(x))
 
     return Config(
-        states=c.states,
-        buffer=frozenset((roster[b % n], values[b // n]) for b in _bit_positions(c.buffer)),
+        states=tuple(read(s) for s in c.states),
+        buffer=frozenset(
+            (roster[b % n], read(core.VALUES[b // n])) for b in _bit_positions(c.buffer)
+        ),
         sent=value_set(c.sent),
         delivered=tuple(value_set(d) for d in c.delivered),
         used_ops=frozenset(
@@ -120,7 +136,8 @@ def decode(system, c: Config) -> Config:
 
 class ByReplica:
     """A configuration's per-replica fields, keyed by replica id: ``states``
-    and the decoded ``delivered`` sets, decoded when first read."""
+    as the configuration holds them and the decoded ``delivered`` sets,
+    decoded when first read."""
 
     def __init__(self, system, c: Config):
         self.states = dict(zip(system.roster, c.states))
@@ -258,6 +275,49 @@ def deliverable_ordering(
 # --- message-set interpretation ------------------------------------------------
 
 
+def max_set(h: frozenset[Message]) -> frozenset[Message]:
+    """Causally maximal members of h, by a pairwise scan; any two of them
+    are concurrent."""
+    return frozenset(m for m in h if not any(happens_before(m, m2) for m2 in h))
+
+
+def message_set_interp(h: frozenset[Message], obj: OpObject) -> Any:
+    """Fold the message set h into a state of obj: peel the maximal message
+    with the smallest (origin, seq) until none is left, then apply the
+    peeled effects from the first peeled last."""
+    peeled = []
+    while h:
+        m = min(max_set(h), key=Message.sort_key)
+        peeled.append(m)
+        h = h - {m}
+    return interp_under_order(tuple(reversed(peeled)), obj)
+
+
+def mint(r: ReplicaId, consumed: Iterable[Message], payload: Any) -> Message:
+    """The message r sends with this payload after consuming the messages
+    of consumed: their clocks joined, ticked at r (``clock_join``,
+    ``clock_tick``)."""
+    clock = VectorClock.of({})
+    for m in consumed:
+        clock = clock_join(clock, m.clock)
+    return Message(r, clock_tick(clock, r), payload)
+
+
+def message_set_guest(obj: OpObject) -> StObject:
+    """The frozenset-form state-based guest of the op-based object obj:
+    message sets under union, an update inserting the message minted from
+    the set with the payload prepped against its interpretation."""
+    return StObject(
+        name=obj.name + "->st",
+        initial=frozenset(),
+        ops=obj.ops,
+        queries=obj.queries,
+        update=lambda r, op, h: h | {mint(r, h, obj.prep(r, op, message_set_interp(h, obj)))},
+        join=lambda a, b: a | b,
+        query=lambda q, h: obj.query(q, message_set_interp(h, obj)),
+    )
+
+
 def linear_extensions(h: frozenset[Message]) -> Iterator[tuple[Message, ...]]:
     """All orderings of h consistent with the causal order."""
     msgs = sorted(h, key=lambda m: m.sort_key())
@@ -284,16 +344,32 @@ def interp_under_order(order: tuple[Message, ...], obj: OpObject) -> Any:
     return s
 
 
-def interp_is_order_independent(h: frozenset[Message], obj: OpObject) -> bool:
-    """Brute-force check that every linear extension of the causal order
-    yields the same interpretation (and that interp agrees with them)."""
+def interp_is_order_independent(h: int, obj: OpObject) -> bool:
+    """Brute-force check, in the scope that built the message bitset h, that
+    every linear extension of the causal order on h's messages yields the
+    same interpretation, and that ``emulation.interp`` agrees with them."""
     expected = interp(h, obj)
+    msgs = frozenset(core.VALUES[b] for b in _bit_positions(h))
     return all(
-        interp_under_order(order, obj) == expected for order in linear_extensions(h)
+        interp_under_order(order, obj) == expected for order in linear_extensions(msgs)
     )
 
 
 # --- the step kernel -------------------------------------------------------------
+
+
+def reference_system(system, host):
+    """The system the reference kernel runs for the package's system: system
+    itself, or for a message-set guest of host (a system with a decoder)
+    the same system over host's frozenset-form guest
+    (``message_set_guest``), its query broken as system's is
+    (``objects.break_query``)."""
+    if system.decode is None:
+        return system
+    guest = message_set_guest(host.obj)
+    if system.obj.name.endswith("+broken"):
+        guest = break_query(guest)
+    return dataclasses.replace(system, obj=guest)
 
 
 def reference_init(system) -> Config:
@@ -328,10 +404,7 @@ def reference_steps(system, c: Config) -> list[Step]:
             used = c.used_ops | {(r, o)}
             if op:
                 payload = obj.prep(r, o, s)
-                clock = VectorClock.of({})
-                for m2 in dlv:
-                    clock = clock_join(clock, m2.clock)
-                m = Message(r, clock_tick(clock, r), payload)
+                m = mint(r, dlv, payload)
                 held = {r2 for r2, m2 in c.buffer if m2.payload == payload} if by_value else set()
                 dests = {(r2, m) for r2 in roster if r2 != r and r2 not in held}
                 out.append((Event(r, Input(IN_UPD, op=o), Output(OUT_SEND, message=m)), Config(
@@ -384,9 +457,10 @@ def reference_steps(system, c: Config) -> list[Step]:
 
 
 def decoded_steps(system, c: Config) -> list[Step]:
-    """The package's steps of the index-form configuration c, each
-    successor decoded, in c's scope."""
-    return [(e, decode(system, c2)) for e, c2 in system.steps(c)]
+    """The package's steps of the index-form configuration c, each event
+    read through the system's decoder and each successor decoded, in c's
+    scope."""
+    return [(decoded_event(e, system.decode), decode(system, c2)) for e, c2 in system.steps(c)]
 
 
 # --- witness replay ------------------------------------------------------------
@@ -450,7 +524,7 @@ def replay_simulation_counterexample(
     b = B.replay(b_events)
     if rel.clause(a, b) is not None:
         return False
-    steps = [c for e, c in A.steps(a) if e == a_events[-1]]
+    steps = [c for e, c in A.steps(a) if decoded_event(e, A.decode) == a_events[-1]]
     if len(steps) != 1:
         return False
     (a2,) = steps

@@ -298,7 +298,7 @@ def test_criterion_10_interp_well_definedness():
         for cfg in graph.nodes:
             for r in roster:
                 h = by_replica(guest_sys, cfg).states[r]
-                if h in seen or len(h) > 6:
+                if h in seen or h.bit_count() > 6:
                     continue
                 seen.add(h)
                 checked += 1

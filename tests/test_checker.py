@@ -36,7 +36,7 @@ from crdt_emu.checker import (
 from crdt_emu.cli import build_systems, load_scenario, run_check
 from crdt_emu.client import SKIP, ClientState, can_terminate, check_approximation, parse_program
 from crdt_emu.core import (
-    Event, Input, Output, canon_key, intern_scope,
+    Event, Input, Output, canon_key, decoded_event, intern_scope,
     intern_table_sizes, render, render_event,
 )
 from crdt_emu.emulation import _interp_memo, op_to_st, st_to_op
@@ -60,6 +60,7 @@ from reference import (
     parse_events,
     reference_init,
     reference_steps,
+    reference_system,
     replay_simulation_counterexample,
     satisfies_causal_delivery,
     sent,
@@ -201,15 +202,16 @@ def test_explore_equals_a_search_that_looks_every_successor_up(side):
 
 
 @intern_scope
-def _kernel_mismatches(system, step_bound: int) -> tuple[int, list]:
+def _kernel_mismatches(system, ref, step_bound: int) -> tuple[int, list]:
     """The configurations explore reaches within step_bound whose step list,
-    decoded, differs from that of ``reference.reference_steps`` on the
+    decoded, differs from that of ``reference.reference_steps`` on ref, the
+    reference form of system (``reference.reference_system``), from the
     decoded configuration, with the number reached.  The tables explore
     filled stay live in this scope, so the package's step lists are read
     from them."""
     graph = explore(system, step_bound)
     bad = [c for c in graph.nodes
-           if decoded_steps(system, c) != reference_steps(system, decode(system, c))]
+           if decoded_steps(system, c) != reference_steps(ref, decode(system, c))]
     return len(graph.nodes), bad
 
 
@@ -221,23 +223,25 @@ def test_step_lists_equal_the_reference_kernel(path):
     order."""
     host, paired = build_systems(load_scenario(path))
     for system in (host, paired.guest) if paired else (host,):
-        reached, bad = _kernel_mismatches(system, 5)
+        reached, bad = _kernel_mismatches(system, reference_system(system, host), 5)
         assert reached > 1 and not bad, (path.stem, system.kind, len(bad))
 
 
 @intern_scope
-def _replay_mismatches(system, step_bound: int) -> tuple[int, list]:
+def _replay_mismatches(system, ref, step_bound: int) -> tuple[int, list]:
     """The nodes explore reaches within step_bound that do not decode to the
-    configuration ``reference.reference_steps`` reaches by replaying the
-    node's path from ``reference.reference_init``, with the number reached.
-    Each path is replayed from its parent's replay, so every path is
-    replayed once, step by step."""
+    configuration ``reference.reference_steps`` on ref, the reference form
+    of system, reaches by replaying the node's path, its events read
+    through system's decoder, from ``reference.reference_init``, with the
+    number reached.  Each path is replayed from its parent's replay, so
+    every path is replayed once, step by step."""
     graph = explore(system, step_bound)
-    replayed = [reference_init(system)]
+    replayed = [reference_init(ref)]
     for i in range(1, len(graph.nodes)):
         p, e = graph.parents[i]
-        replayed.append(next(c for e2, c in reference_steps(system, replayed[p]) if e2 == e))
         assert graph.path(i) == graph.path(p) + (e,)
+        e = decoded_event(e, system.decode)
+        replayed.append(next(c for e2, c in reference_steps(ref, replayed[p]) if e2 == e))
     bad = [i for i, c in enumerate(graph.nodes) if decode(system, c) != replayed[i]]
     return len(graph.nodes), bad
 
@@ -249,7 +253,7 @@ def test_nodes_decode_to_the_reference_replay_of_their_paths(path):
     that the reference kernel reaches by replaying the node's path."""
     host, paired = build_systems(load_scenario(path))
     for system in (host, paired.guest) if paired else (host,):
-        reached, bad = _replay_mismatches(system, 5)
+        reached, bad = _replay_mismatches(system, reference_system(system, host), 5)
         assert reached > 1 and not bad, (path.stem, system.kind, len(bad))
 
 
@@ -562,16 +566,16 @@ def test_r2_and_bowtie_closed_form_match_subset_search():
             verdicts = _assert_clauses_match_reference(p, rel_id, host, guest)
         assert None in verdicts
         # Every guest state, buffered state and (not causally closed) single
-        # message, as H, against every host configuration.
+        # message, as H, against every host configuration.  A guest state is
+        # itself the bitset of its messages.
         rel, ref = Relation(rel_id, p), SubsetSearchRelation(rel_id, p)
-        hs = {s for c in guest for _, s in decode(p.guest, c).buffer}
-        hs |= {by_replica(p.guest, c).states[r] for c in guest for r in ROSTER2}
-        hs |= {frozenset({m}) for H in hs for m in H}
+        hs = {core.VALUES[v] for c in guest for _, v in core.entries(c.buffer, len(ROSTER2))}
+        hs |= {h for c in guest for h in c.states}
+        hs |= {1 << b for H in hs for b in core.bits(H)}
         outcomes = set()
         for H, op_c, k in itertools.product(hs, host, range(len(ROSTER2))):
-            mask = rel.message_mask(H)
-            got = rel._deliverable_merge_exists(mask, k, op_c)
-            assert got == ref._deliverable_merge_exists(mask, k, op_c)
+            got = rel._deliverable_merge_exists(H, k, op_c)
+            assert got == ref._deliverable_merge_exists(H, k, op_c)
             outcomes.add(got)
         assert outcomes == {True, False}
 

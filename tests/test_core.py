@@ -18,8 +18,9 @@ from crdt_emu.core import (
     initial_config,
     intern_scope,
     intern_table_sizes,
-    mint,
+    mint_from,
     replace_at,
+    value_bit,
 )
 from crdt_emu.checker import (
     Graph,
@@ -277,13 +278,15 @@ def test_bcast_by_value_dedups():
 # --- hash-consing ----------------------------------------------------------------
 
 
+@intern_scope
 def test_mint_gives_the_canonical_clock():
     """A minted clock, the join of the consumed clocks ticked at the sender,
     is the one canonical clock of its positive entries."""
-    a, b = mint("r1", frozenset(), 1), mint("r2", frozenset(), 2)
+    a, b = mint_from("r1", 0, 1), mint_from("r2", 0, 2)
     assert a.clock is VectorClock.of({"r1": 1, "r2": 0})
-    assert mint("r3", frozenset({a, b}), 3).clock is VectorClock.of({"r1": 1, "r2": 1, "r3": 1})
-    assert mint("r1", frozenset({a, b}), 3).clock is VectorClock.of({"r2": 1, "r1": 2})
+    both = 1 << value_bit(a) | 1 << value_bit(b)
+    assert mint_from("r3", both, 3).clock is VectorClock.of({"r1": 1, "r2": 1, "r3": 1})
+    assert mint_from("r1", both, 3).clock is VectorClock.of({"r2": 1, "r1": 2})
 
 
 @intern_scope
@@ -292,7 +295,8 @@ def test_op_host_and_message_set_guest_mint_one_message():
     host = initial_config(obj, ("r1", "r2"))
     _, after = op_mk_update(obj, ("r1", "r2"), host, 0, obj.ops.index(("add", 5)))
     (m,) = decode(OpSystem(obj, ("r1", "r2")), after).sent
-    assert mint("r1", frozenset(), 5) is m
+    assert mint_from("r1", 0, 5) is m
+    assert op_to_st(obj).update("r1", ("add", 5), 0) == 1 << value_bit(m)
     assert Message.make("r1", VectorClock.of({"r1": 1}), 5) is m
 
 

@@ -16,11 +16,12 @@ def guest():
     return op_to_st(gset_op((5, 42)))
 
 
+@intern_scope
 def test_replica_step_update_inserts_message():
     obj = guest()
-    s2, out = st_replica_step(obj, "r1", frozenset(), Input.upd(("add", 5)))
+    s2, out = st_replica_step(obj, "r1", 0, Input.upd(("add", 5)))
     assert out.kind == "none"
-    (m,) = s2
+    (m,) = obj.decode(s2)
     assert m.payload == 5 and m.origin == "r1"
 
 
@@ -32,11 +33,12 @@ def test_replica_step_none_emits_state():
     assert out.kind == "send" and out.message == s
 
 
+@intern_scope
 def test_replica_step_delivery_merges():
     obj = guest()
-    st = obj.update("r1", ("add", 5), frozenset())
+    st = obj.update("r1", ("add", 5), 0)
     st = obj.update("r1", ("add", 42), st)
-    s2, out = st_replica_step(obj, "r2", frozenset(), Input.dlvr(st))
+    s2, out = st_replica_step(obj, "r2", 0, Input.dlvr(st))
     assert s2 == st
     assert obj.query("sum", s2) == 47
 
@@ -55,7 +57,7 @@ def test_ex_2_4_script_single_merged_state():
     assert len(entries) == 1
     r, payload = entries[0]
     assert r == "r2" and len(payload) == 2
-    assert obj.query("sum", payload) == 47
+    assert payload == obj.decode(c.states[0]) and obj.query("sum", c.states[0]) == 47
 
 
 def test_deliver_dedups_identical_state_value():
@@ -84,7 +86,7 @@ def test_atomic_mode_broadcasts_within_update():
     assert e.obs_key() is not None
     (dest, s), = decode(system, c2).buffer
     assert dest == "r2"
-    assert obj.query("sum", s) == 5
+    assert s == obj.decode(c2.states[0]) and obj.query("sum", c2.states[0]) == 5
     assert e.output.kind == "send"
 
 
