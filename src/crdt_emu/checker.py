@@ -2,9 +2,11 @@
 
 One breadth-first search, ``breadth_first``, walks a single system's
 configurations to a step bound and yields each node's steps.  The
-causal-safety sweep and the weak-trace sets read the steps as they come;
-``explore`` alone keeps them, as a ``Graph``'s edges, for the convergence
-and commutation sweeps.  Each sweep ends in a pass or a counterexample.
+causal-safety sweep reads the steps as they come; ``explore`` alone keeps
+them, as a ``Graph``'s edges, for the convergence and commutation sweeps.
+Each sweep ends in a pass or a counterexample.  The weak-trace sets are
+walked depth first instead, over (configuration, step budget, length left),
+and expand a configuration only when a trace can still grow from it.
 
 The checker decides membership in the candidate simulation relations, and
 verifies weak simulations and the weak bisimulation by playing one matching
@@ -171,7 +173,7 @@ class Graph:
 
 
 def breadth_first(system, step_bound: int, graph: Graph) -> Iterator[tuple[int, list]]:
-    """The one search over a single system: breadth-first over the
+    """The one breadth-first search over a single system, over the
     configurations reachable within step_bound steps, filling graph's
     nodes, depths and parents but no edge, with equal configurations one
     node.  Once node i is expanded it yields (i, steps), its steps as
@@ -1090,32 +1092,24 @@ def weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
     step_bound raw steps.  A negative step_bound or max_len, or a max_len
     above step_bound, raises ValueError.
 
-    Computed over ``breadth_first``, one node per distinct configuration; a
-    node is unexpanded only at depth step_bound, where no raw budget can
-    remain on any path, so merging equal configurations loses no traces.
-    Only each step's observable label and target are kept: node i's entry
-    of the adjacency list is one flat tuple (label, target, label, target,
-    ...), with no tuple per step.  The suffix set of each (node, budget)
-    pair is an int bitset over one index of the traces this call has met
-    (``_TraceIndex``): a silent edge adds its target's set with ``|``, and
-    prepending a label is done once per (label, set).  Only the initial
-    node's set is decoded into traces."""
+    Computed on the fly by ``_suffixes``, one node per distinct
+    configuration: the suffix set of a configuration within a raw budget
+    and a length left does not depend on the path that reached it, so
+    merging equal configurations loses no traces.  A configuration is
+    expanded only once a trace can still grow from it, when the walk
+    enters it with raw budget and length left, so nothing is read from
+    configurations reachable only after max_len labels or step_bound
+    steps.  The suffix sets are int bitsets over one index of the traces
+    this call has met (``_TraceIndex``); only the initial node's set is
+    decoded into traces."""
     if step_bound < 0:
         raise ValueError("weak_traces: negative step bound")
     if max_len < 0:
         raise ValueError("weak_traces: negative max_len")
     if max_len > step_bound:
         raise ValueError("weak_traces: max_len exceeds step_bound")
-    labels: dict = {}  # one tuple per observable label, shared by its steps
-    adj = []
-    for _, steps in breadth_first(system, step_bound, Graph()):
-        flat = []
-        for _, e, j in steps:
-            flat += (labels.setdefault(obs := e.obs_key(), obs), j)
-        adj.append(tuple(flat))
     index = _TraceIndex(max_len)
-    memo: list[dict[int, int]] = [{} for _ in range(step_bound + 1)]
-    return frozenset(index.members(_suffixes(adj, index, memo, 0, step_bound)))
+    return frozenset(index.members(_suffixes(system, index, step_bound)))
 
 
 class _TraceIndex:
@@ -1152,37 +1146,83 @@ class _TraceIndex:
         return [t for k, t in enumerate(traces) if trace_set >> k & 1]
 
 
-def _suffixes(adj: list, index: _TraceIndex, memo: list, i: int, budget: int) -> int:
-    """The set of observable label sequences of length <= max_len from node
-    i within budget raw steps, as a bitset over index; memo[budget] is the
-    caller's, keyed by node.  A depth-first walk over (node, budget) with an
-    explicit stack, so a large budget does not reach the recursion limit:
-    query steps are self-loops, so a walk may stay at one node for the
-    whole budget.  A frame is [node, budget, edge iterator, set so far,
-    label of the edge being followed]; the iterator reads the node's flat
-    adjacency tuple in (label, target) pairs.  Edges are followed in
-    adjacency order and each target's set is folded in as it is finished,
-    so traces are numbered in the same order as by the recursive
-    definition."""
-    stack = [[i, budget, _pairs(adj[i] if budget > 0 else ()), 1, None]]
+def _suffixes(system, index: _TraceIndex, budget: int) -> int:
+    """The set of observable label sequences of length <= max_len from
+    system's initial configuration within budget raw steps, as a bitset
+    over index.  S(i, b, n), the set from node i within b raw steps and n
+    labels, is {()} (bit 1) when b or n is 0; otherwise it holds () and,
+    for each step of node i, the target's S(j, b - 1, n) if the step is
+    silent, or its label before each member of S(j, b - 1, n - 1).
+
+    A depth-first walk over (node, budget, length left) with an explicit
+    stack, so a long run of silent steps does not reach the recursion
+    limit.  Nodes are numbered the first time they are met, through the
+    keys table, and a node is expanded only when the walk enters it with
+    budget and length left (``_frame``); a child with none left is bit 1,
+    with no frame and no expansion.  memos holds one dict per (budget,
+    length left), keyed by node.  A frame is [node, edge iterator, set so
+    far, label of the edge being followed, memo of its silent children,
+    memo of its labelled children (None when they have nothing left),
+    budget, length left].  Edges are followed in adjacency order and each
+    target's set is folded in as it is finished, so traces are numbered in
+    the same order as by the recursive definition."""
+    if budget == 0 or index.max_len == 0:
+        return 1
+    init = system.init()
+    nodes, keys, adj = [init], {init: 0}, [None]
+    labels: dict = {}  # one tuple per observable label, shared by its steps
+    memos: dict[tuple[int, int], dict[int, int]] = {}
+    stack = [_frame(system, nodes, keys, adj, labels, memos, 0, budget, index.max_len)]
     while stack:
         frame = stack[-1]
-        node, left, edges = frame[0], frame[1], frame[2]
+        edges, silent, labelled = frame[1], frame[4], frame[5]
         for obs, j in edges:
-            sub = memo[left - 1].get(j)
-            if sub is None:   # finish j first, then fold it in
-                frame[4] = obs
-                stack.append([j, left - 1, _pairs(adj[j] if left > 1 else ()), 1, None])
-                break
-            frame[3] |= sub if obs is None else index.prepend(obs, sub)
+            memo = silent if obs is None else labelled
+            if memo is None:
+                sub = 1
+            else:
+                sub = memo.get(j)
+                if sub is None:   # finish j first, then fold it in
+                    frame[3] = obs
+                    n = frame[7] if obs is None else frame[7] - 1
+                    stack.append(_frame(system, nodes, keys, adj, labels, memos, j, frame[6] - 1, n))
+                    break
+            frame[2] |= sub if obs is None else index.prepend(obs, sub)
         else:
             stack.pop()
-            out = memo[left][node] = frame[3]
+            out = frame[2]
             if stack:
                 parent = stack[-1]
-                obs = parent[4]
-                parent[3] |= out if obs is None else index.prepend(obs, out)
+                obs = parent[3]
+                (parent[4] if obs is None else parent[5])[frame[0]] = out
+                parent[2] |= out if obs is None else index.prepend(obs, out)
     return out
+
+
+def _frame(system, nodes: list, keys: dict, adj: list, labels: dict, memos: dict,
+           i: int, b: int, n: int) -> list:
+    """The ``_suffixes`` frame of node i with budget b and length left n,
+    both positive.  Node i's steps are read from the system the first time
+    it is entered, into one flat tuple (label, target, label, target, ...)
+    in adj[i]; a target met for the first time is numbered and appended to
+    nodes, and a step whose successor is its source object, as every query
+    step's is (``core.query_step``), is a self-loop with no lookup."""
+    flat = adj[i]
+    if flat is None:
+        c, flat = nodes[i], []
+        for e, c2 in system.steps(c):
+            if c2 is c:
+                j = i
+            else:
+                j = keys.setdefault(c2, len(nodes))
+                if j == len(nodes):
+                    nodes.append(c2)
+                    adj.append(None)
+            flat += (labels.setdefault(obs := e.obs_key(), obs), j)
+        flat = adj[i] = tuple(flat)
+    silent = memos.setdefault((b - 1, n), {}) if b > 1 else None
+    labelled = memos.setdefault((b - 1, n - 1), {}) if b > 1 and n > 1 else None
+    return [i, _pairs(flat), 1, None, silent, labelled, b, n]
 
 
 def _pairs(flat: tuple):

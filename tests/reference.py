@@ -35,6 +35,12 @@ compare it with.
 ``parse_events`` rebuilds events from their rendered JSON form, so a
 witness replays from what a report shows.
 
+``whole_graph_weak_traces`` is the weak-trace set computed over the whole
+``breadth_first`` graph to the step bound, with one memo per budget and no
+cut by length, as plain sets of traces: the form ``checker.weak_traces``
+had before it expanded a configuration only when a trace can still grow
+from it.
+
 ``scan_downset_bits`` is the downset of a message in a sent set by a scan
 over that set, in index form, to hold ``core.downset_bits``'s lazily
 extended per-message masks against.
@@ -52,7 +58,7 @@ import random
 from typing import Any, Iterable, Iterator, Sequence
 
 from crdt_emu import core
-from crdt_emu.checker import PairedSystem, Relation, Side, weak_matches
+from crdt_emu.checker import Graph, PairedSystem, Relation, Side, breadth_first, weak_matches
 from crdt_emu.client import SKIP, Asn, Bin, Expr, Lit, Prog, Qry, Seq, Upd, Var, While
 from crdt_emu.core import (
     IN_DLVR,
@@ -461,6 +467,35 @@ def decoded_steps(system, c: Config) -> list[Step]:
     read through the system's decoder and each successor decoded, in c's
     scope."""
     return [(decoded_event(e, system.decode), decode(system, c2)) for e, c2 in system.steps(c)]
+
+
+# --- weak traces ---------------------------------------------------------------
+
+
+def whole_graph_weak_traces(system, max_len: int, step_bound: int) -> frozenset[tuple]:
+    """The observable label sequences of length <= max_len realizable within
+    step_bound raw steps, read off every node ``breadth_first`` reaches
+    within step_bound: the suffix set of each (node, budget) pair is
+    memoized per budget and built from every step of the node while budget
+    remains, whatever length is left.  Recursive, so for bounds well below
+    the recursion limit."""
+    adj = [
+        [(e.obs_key(), j) for _, e, j in steps]
+        for _, steps in breadth_first(system, step_bound, Graph())
+    ]
+    memo: list[dict[int, frozenset[tuple]]] = [{} for _ in range(step_bound + 1)]
+
+    def suffixes(i: int, budget: int) -> frozenset[tuple]:
+        out = memo[budget].get(i)
+        if out is None:
+            found = {()}
+            for obs, j in adj[i] if budget > 0 else ():
+                sub = suffixes(j, budget - 1)
+                found |= sub if obs is None else {(obs,) + t for t in sub if len(t) < max_len}
+            out = memo[budget][i] = frozenset(found)
+        return out
+
+    return suffixes(0, step_bound)
 
 
 # --- witness replay ------------------------------------------------------------

@@ -197,6 +197,7 @@ def test_criterion_6_cor_4_5_trace_equivalence():
         and v_st.passed
         and v_bad.outcome == "counterexample"
         and bool(v_bad.witness["trace"])
+        and elapsed < 10
     )
     report(
         "6 (weak trace sets agree; broken guest rejected)",

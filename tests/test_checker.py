@@ -64,6 +64,7 @@ from reference import (
     replay_simulation_counterexample,
     satisfies_causal_delivery,
     sent,
+    whole_graph_weak_traces,
 )
 
 import pytest
@@ -1153,9 +1154,9 @@ def test_weak_traces_rejects_a_negative_length():
 
 
 def test_weak_traces_past_the_recursion_limit():
-    """The suffix sets are walked with a stack of their own: query steps
-    are self-loops, so at a large step bound the walk stays at one node for
-    most of its budget, deeper than Python's recursion limit.  An atomic
+    """A step bound far past Python's recursion limit: query steps are
+    self-loops, but each takes one label from the length left, so the walk
+    ends where the labels run out, not where the budget does.  An atomic
     one-op pair closes at depth 4, so at bound 1500 it has the traces it
     has at bound 20, on both sides."""
     p = paired_gset((1,), mode=ATOMIC_BROADCAST)
@@ -1163,6 +1164,59 @@ def test_weak_traces_past_the_recursion_limit():
         assert weak_traces(system, 2, 1500) == weak_traces(system, 2, 20)
     v = check_trace_equivalence(p, max_len=2, step_bound=1500)
     assert v.passed and v.stats == {"host_traces": 21, "guest_traces": 21}
+
+
+def _expansions(monkeypatch, system, max_len: int, step_bound: int) -> int:
+    """The number of configurations weak_traces expands on system: the
+    calls it makes to the system's step function."""
+    calls = []
+    steps = type(system).steps
+    with monkeypatch.context() as m:
+        m.setattr(type(system), "steps", lambda self, c: calls.append(c) or steps(self, c))
+        weak_traces(system, max_len, step_bound)
+    return len(calls)
+
+
+def test_weak_traces_expand_only_where_a_trace_can_grow(monkeypatch):
+    """A configuration is expanded only when the walk enters it with raw
+    budget and length left.  On the 2-replica op-to-st G-set pair at bound
+    10 and length 3 that is 53 host and 5,412 guest configurations, where
+    the whole bound-10 graph expands 513 and 23,480.  Length 0 expands
+    none, and on the atomic one-op pair, which closes at depth 4, bound
+    1500 expands what bound 20 does."""
+    p = paired_gset()
+    assert _expansions(monkeypatch, p.host, 3, 10) == 53
+    assert _expansions(monkeypatch, p.guest, 3, 10) == 5412
+    for system in (p.host, p.guest):
+        assert _expansions(monkeypatch, system, 0, 10) == 0
+    atomic = paired_gset((1,), mode=ATOMIC_BROADCAST)
+    for system in (atomic.host, atomic.guest):
+        assert _expansions(monkeypatch, system, 2, 1500) == _expansions(monkeypatch, system, 2, 20) > 0
+
+
+def _trace_pair(name: str) -> tuple[PairedSystem, int]:
+    """A shipped weak-trace scenario's pair at its step bound, or the
+    2-replica op-to-st G-set pair with an atomic-broadcast guest at bound
+    10 (``cor-4-5-traces`` is the separate-send one)."""
+    if name == "gset-atomic":
+        return paired_gset(mode=ATOMIC_BROADCAST), 10
+    scenario = load_scenario(TESTS.parent / f"scenarios/{name}.scenario")
+    return build_systems(scenario)[1], scenario.bounds.step_bound
+
+
+@pytest.mark.parametrize(
+    "name", ["cor-4-5-traces", "cor-4-5-traces-st-op", "cor-4-5-broken-guest", "gset-atomic"]
+)
+@pytest.mark.parametrize("side", ["host", "guest"])
+def test_weak_traces_equal_the_whole_graph_form(name, side):
+    """Oracle for the length-aware walk: the trace sets computed over the
+    whole breadth-first graph to the step bound, with no cut by length
+    (``reference.whole_graph_weak_traces``), for every length up to 3."""
+    paired, step_bound = _trace_pair(name)
+    system = paired.side(side)
+    for max_len in range(4):
+        expected = intern_scope(whole_graph_weak_traces)(system, max_len, step_bound)
+        assert weak_traces(system, max_len, step_bound) == expected, (name, side, max_len)
 
 
 @pytest.mark.parametrize(
